@@ -41,7 +41,7 @@ k = gallery.build("kahler_interval")
 kpts = k["chart"].sample(seed=12, count=10)
 for tag, acs in zip("+-", k["acs_pair"]):
     nrm = I.normality_check(acs, kpts[:5]).max_residual
-    sas = I.sasakian_criterion_residual(acs, kpts)
+    sas = I.sasakian_criterion(acs, kpts).max_residual
     print(f"phi_{tag}: normality residual {nrm:.2e}, Sasakian criterion residual {sas:.3f}")
 print("pair conditions:")
 print(I.vaisman_conditions(*k["acs_pair"], kpts).summary())
@@ -52,11 +52,11 @@ print(I.generalized_sasakian_check(k["gacm"], kpts[:6]).summary())
 print("\n== the criterion-vs-closure normalisation ==")
 hck = gallery.build("heisenberg_cone_kahler")
 hpts = hck["chart"].sample(seed=13, count=8)
-sas = I.sasakian_criterion_residual(hck["acs"], hpts)
+sas = I.sasakian_criterion(hck["acs"], hpts).max_residual
 gs = I.generalized_sasakian_check(hck["gacm"], hpts[:5])
 print(f"cone-Kaehler Heisenberg: criterion residual {sas:.3f}, "
       f"generalized Sasakian max {gs.max_residual:.2e} (pass={gs.passed})")
-sas1 = I.sasakian_criterion_residual(heis["acs"], hpts)
+sas1 = I.sasakian_criterion(heis["acs"], hpts).max_residual
 gs1 = I.generalized_sasakian_check(heis["gacm"], hpts[:5])
 print(f"theta = d eta Heisenberg:   criterion residual {sas1:.2e}, "
       f"generalized Sasakian max {gs1.max_residual:.3f} (pass={gs1.passed})")

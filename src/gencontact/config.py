@@ -20,7 +20,7 @@ from . import gallery as G
 from . import integrability as I
 from . import structures as S
 from .charts import Chart
-from .cone import cone_gacx, gacx_check, r_conjugate
+from .cone import cone_gacx, cone_points, gacx_check, r_conjugate
 from .exprs import ExprError, parse_scalar
 from .report import ResidualReport
 
@@ -296,7 +296,7 @@ def check_generalized_sasakian(products, points, tol):
 def check_cone_algebra(products, points, tol):
     s = _get(products, "gacs", "cone_algebra")
     j = cone_gacx(s)
-    cpts = I.cone_points(points)
+    cpts = cone_points(points)
     rep = gacx_check(j, cpts)
     rep.extend(gacx_check(r_conjugate(j), cpts), prefix="conjugated.")
     return rep
@@ -304,7 +304,7 @@ def check_cone_algebra(products, points, tol):
 
 def check_gacx(products, points, tol):
     j = _get(products, "cone", "gacx")
-    cpts = I.cone_points(points)
+    cpts = cone_points(points)
     return gacx_check(j, cpts)
 
 

@@ -9,27 +9,34 @@ in the second slot, as forced by the eigenvalue axioms Phi^f E+- = +-f E+-.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Tuple
 
 import numpy as np
 
 from . import fields as F
+from . import gta
 from . import jets as J
-from .charts import Chart, ConeChart
+from .charts import ConeChart
 from .cone import cone_points, gacx_plus_frame, i_map, i_prime, lift_form
 from .fields import (
     GtEndoField,
     MatrixField,
     OneFormField,
     ScalarField,
-    SectionField,
     TwoFormField,
 )
+from .integrability import INT_TOL
 from .report import ResidualReport, map_points
-from .structures import DEFAULT_TOL, FGacs, Gacm, Gacs, dual_gacm, gmetric_from_gb
-
-INT_TOL = 1e-7
+from .structures import (
+    DEFAULT_TOL,
+    FGacs,
+    Gacm,
+    Gacs,
+    _pairing_gram,
+    dual_gacm,
+    gmetric_from_gb,
+    max_nij_over_frame,
+)
 
 
 @dataclass(frozen=True)
@@ -56,8 +63,6 @@ class FGacm:
 
 def fgacs_check(s: FGacs, points) -> ResidualReport:
     """The six defining residuals of a generalized f-almost contact structure."""
-    from . import gta
-
     n = s.chart.dim
     rep = ResidualReport()
 
@@ -87,13 +92,9 @@ def fgacs_check(s: FGacs, points) -> ResidualReport:
 # -- K deformations ----------------------------------------------------------------
 
 
-def _kappa_section(s_chart: Chart, kappa: OneFormField) -> SectionField:
-    return F.section(form=kappa)
-
-
 def k_minus(s: FGacs, kappa: OneFormField) -> FGacs:
     """K-(kappa): fixes E-, shifts f by 2<E-, kappa>."""
-    ks = _kappa_section(s.chart, kappa)
+    ks = F.section(form=kappa)
     c = F.pair_field(s.Eminus, ks)  # <E-, kappa>
     phi = s.Phi - F.tensor_pair_field(s.Eminus, ks) + F.tensor_pair_field(ks, s.Eminus)
     eplus = s.Eplus + s.Phi.apply(ks) + 2 * (c * ks) + s.f * ks
@@ -103,7 +104,7 @@ def k_minus(s: FGacs, kappa: OneFormField) -> FGacs:
 
 def k_plus(s: FGacs, kappa: OneFormField) -> FGacs:
     """K+(kappa): fixes E+, shifts f by -2<E+, kappa>."""
-    ks = _kappa_section(s.chart, kappa)
+    ks = F.section(form=kappa)
     c = F.pair_field(s.Eplus, ks)  # <E+, kappa>
     phi = s.Phi - F.tensor_pair_field(s.Eplus, ks) + F.tensor_pair_field(ks, s.Eplus)
     eminus = s.Eminus + s.Phi.apply(ks) + 2 * (c * ks) - s.f * ks
@@ -333,9 +334,6 @@ def cone_kahler_pair_check(m: Gacm, alpha: OneFormField, base_points, ts=(-0.4, 
     rng = np.random.default_rng(seed)
     N = cone.dim
     probe_vecs = rng.normal(size=(probes, 2 * N))
-    swap = np.zeros((2 * N, 2 * N))
-    swap[:N, N:] = np.eye(N)
-    swap[N:, :N] = np.eye(N)
 
     comm, sym, minpos = [], [], []
     for p in cpts:
@@ -343,20 +341,14 @@ def cone_kahler_pair_check(m: Gacm, alpha: OneFormField, base_points, ts=(-0.4, 
         b = i2.values(p)
         comm.append(float(np.abs(a @ b - b @ a).max()))
         gprod = -a @ b
-        gram = 0.25 * (swap @ gprod + (swap @ gprod).T)
-        sym.append(float(np.abs(gprod - _adjoint_mat(gprod, N)).max()))
-        quad = np.einsum("ai,ij,aj->a", probe_vecs, gram, probe_vecs)
+        sym.append(float(np.abs(gprod - gta.adjoint(gta.GtEndo(N, gprod)).mat).max()))
+        quad = np.einsum("ai,ij,aj->a", probe_vecs, _pairing_gram(gprod, N), probe_vecs)
         minpos.append(float(quad.real.min()))
     rep.add("cone_pair.commutator", comm, cpts, tol)
     rep.add("cone_pair.product_symmetric", sym, cpts, tol)
     worst = min(minpos)
     rep.add("cone_pair.positivity", [max(0.0, -worst)], None, 1e-12)
     return rep
-
-
-def _adjoint_mat(mat: np.ndarray, n: int) -> np.ndarray:
-    out = mat.T.copy()
-    return np.block([[out[n:, n:], out[n:, :n]], [out[:n, n:], out[:n, :n]]])
 
 
 # -- f-Sasakian --------------------------------------------------------------------------
@@ -375,15 +367,7 @@ def f_sasakian_check(fm: FGacm, base_points, ts=(-0.4, 0.2),
     cpts = cone_points(base_points, ts)
     for tag, base in branches:
         s = k_minus(k_plus(base, fm.alpha), fm.beta)
-        j = i_map(s, cone)
-        members = gacx_plus_frame(j)
-        per_point = []
-        N = cone.dim
-        for p in cpts:
-            jets = [mm.at(p) for mm in members]
-            worst = 0.0
-            for a, b, c in combinations(range(len(members)), 3):
-                worst = max(worst, abs(complex(F.nij_jets(jets[a], jets[b], jets[c], N).value)))
-            per_point.append(worst)
+        members = gacx_plus_frame(i_map(s, cone))
+        _, per_point = max_nij_over_frame(members, cpts)
         rep.add(f"f_sasakian.{tag}_frame_nij", per_point, cpts, tol)
     return rep

@@ -17,7 +17,6 @@ so d(dz - y dx) has component value 1 on the (x, y) slot.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -37,7 +36,6 @@ class Field:
         self.chart = chart
         self._fn = fn
         self._memo: dict = {}
-        self._lock = threading.Lock()
 
     def at(self, point) -> JetArray:
         p = np.asarray(point, dtype=float)
@@ -46,10 +44,9 @@ class Field:
         if hit is not None:
             return hit
         jet = self._fn(p)
-        with self._lock:
-            if len(self._memo) >= _MEMO_LIMIT:
-                self._memo.clear()
-            self._memo[key] = jet
+        if len(self._memo) >= _MEMO_LIMIT:
+            self._memo.clear()
+        self._memo[key] = jet
         return jet
 
     def values(self, point) -> np.ndarray:

@@ -15,7 +15,7 @@ from . import fields as F
 from . import jets as J
 from .charts import Chart, box
 from .fields import MatrixField, OneFormField
-from .integrability import sasakian_criterion_residual
+from .integrability import sasakian_criterion
 from .structures import (
     AlmostContactMetric,
     Gacm,
@@ -98,7 +98,7 @@ def _heisenberg_data(distribution_scale: float) -> dict:
     candidates = []
     for sigma in (1.0, -1.0):
         acs = AlmostContactMetric(chart, phi_with_sign(sigma), xi, eta, g)
-        candidates.append((sasakian_criterion_residual(acs, pts), acs))
+        candidates.append((sasakian_criterion(acs, pts).max_residual, acs))
     candidates.sort(key=lambda t: t[0])
     acs = candidates[0][1]
     gacs = gacs_from_acs(acs)

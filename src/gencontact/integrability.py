@@ -19,7 +19,7 @@ from . import jets as J
 from .charts import ConeChart
 from .cone import (
     cone_plus_frame,
-    cone_points as _cone_points,
+    cone_points,
     ddt_section,
     dt_section,
     lift_section,
@@ -33,15 +33,12 @@ from .structures import (
     Gacm,
     Gacs,
     eigenframe,
+    frame_nij,
     max_nij_over_frame,
 )
 
 INT_TOL = 1e-7
 DEFAULT_TS = (-0.5, 0.0, 0.5)
-
-
-def cone_points(base_points, ts=DEFAULT_TS) -> List[np.ndarray]:
-    return _cone_points(base_points, ts)
 
 
 # -- plain-cone integrability equals strongness -------------------------------------
@@ -103,20 +100,22 @@ def conjugated_cone_residual(s: Gacs, base_points, tol: float = INT_TOL,
         frame = eigenframe(s)
     members = list(frame.e10) + [frame.eplus, frame.eminus]
     n = s.chart.dim
-    triples = list(combinations(range(len(members)), 3))
-    rep = ResidualReport()
     per_point = []
     for p in base_points:
         jets = [m.at(p) for m in members]
-        em = frame.eminus.at(p)
-        worst = 0.0
-        for i, j, k in triples:
-            lhs = complex(F.nij_jets(jets[i], jets[j], jets[k], n).value)
-            rhs = _conjugated_cone_rhs((jets[i], jets[j], jets[k]), n, em)
-            worst = max(worst, abs(lhs - rhs))
-        per_point.append(worst)
+        gaps = _rcone_gaps(frame_nij(jets, n), jets, n, frame.eminus.at(p))
+        per_point.append(max(gaps.values(), default=0.0))
+    rep = ResidualReport()
     rep.add("rcone_condition.residual", per_point, base_points, tol)
     return rep
+
+
+def _rcone_gaps(nij_m, jets, n: int, em_jet) -> dict:
+    """|Nij_M - RHS| per triple, from the frame_nij table of the M frame."""
+    return {
+        tri: abs(lhs - _conjugated_cone_rhs(tuple(jets[i] for i in tri), n, em_jet))
+        for tri, lhs in nij_m.items()
+    }
 
 
 # -- the cone cross-check (R-conjugation bracket identities) ------------------------
@@ -140,6 +139,9 @@ def cone_crosscheck(s: Gacs, base_points, tol: float = INT_TOL,
     carries the per-triple agreement between the direct cone route
     (e^t |Nij_C| over the full conjugated +i frame) and the condition-residual
     route on M, plus the sub-frame involutivity that follows from it.
+
+    Nij_M is taken once per base point and Nij_C once per cone point; every
+    row reads from those two tables.
     """
     if frame is None:
         frame = eigenframe(s)
@@ -150,63 +152,50 @@ def cone_crosscheck(s: Gacs, base_points, tol: float = INT_TOL,
     lifted = [r.apply(m) for m in (lift_section(cone, a) for a in frame.e10)]
     fplus = r.apply(lift_section(cone, s.Eplus) - 1j * ddt_section(cone))
     fminus = r.apply(lift_section(cone, s.Eminus) - 1j * dt_section(cone))
+    cmembers = lifted + [fplus, fminus]
+    mmembers = list(frame.e10) + [s.Eplus, s.Eminus]
     k = len(lifted)
 
-    rep = ResidualReport()
     cpts = cone_points(base_points, ts)
     rows = {"id1": [], "id2": [], "id3": [], "id4": []}
-    agreement = []
-    for cp in cpts:
-        p, t = cp[:n], cp[n]
-        scale = np.exp(-t)
-        mjets = [m.at(p) for m in (list(frame.e10) + [s.Eplus, s.Eminus])]
-        cjets = [m.at(cp) for m in lifted] + [fplus.at(cp), fminus.at(cp)]
+    agreement, per_sub, rcone = [], [], []
+    for p in base_points:
+        mjets = [m.at(p) for m in mmembers]
         em = frame.eminus.at(p)
-        w1 = w2 = w3 = w4 = agree = 0.0
-        for i, jdx in combinations(range(k), 2):
-            a, b = mjets[i], mjets[jdx]
-            lhs2 = complex(F.nij_jets(cjets[i], cjets[jdx], cjets[k], N).value)
-            rhs2 = scale * (
-                complex(F.nij_jets(a, b, mjets[k], n).value)
-                - 1j * complex(F.pair_minus_jets(a, b, n).value)
-            )
-            w2 = max(w2, abs(lhs2 - rhs2))
-            lhs3 = complex(F.nij_jets(cjets[i], cjets[jdx], cjets[k + 1], N).value)
-            rhs3 = scale * complex(F.nij_jets(a, b, mjets[k + 1], n).value)
-            w3 = max(w3, abs(lhs3 - rhs3))
-        for i, jdx, l in combinations(range(k), 3):
-            lhs1 = complex(F.nij_jets(cjets[i], cjets[jdx], cjets[l], N).value)
-            rhs1 = scale * complex(F.nij_jets(mjets[i], mjets[jdx], mjets[l], n).value)
-            w1 = max(w1, abs(lhs1 - rhs1))
-        for i in range(k):
-            lhs4 = complex(F.nij_jets(cjets[i], cjets[k], cjets[k + 1], N).value)
-            rhs4 = scale * (
-                complex(F.nij_jets(mjets[i], mjets[k], mjets[k + 1], n).value)
-                - 1j * complex(F.pair_minus_jets(em, mjets[i], n).value)
-            )
-            w4 = max(w4, abs(lhs4 - rhs4))
-        rows["id1"].append(w1)
-        rows["id2"].append(w2)
-        rows["id3"].append(w3)
-        rows["id4"].append(w4)
-        # two-route agreement over every frame triple
-        full = list(combinations(range(k + 2), 3))
-        for tri in full:
-            direct = abs(complex(F.nij_jets(*(cjets[i] for i in tri), N).value)) / scale
-            lhs = complex(F.nij_jets(*(mjets[i] for i in tri), n).value)
-            rhs = _conjugated_cone_rhs(tuple(mjets[i] for i in tri), n, em)
-            agree = max(agree, abs(direct - abs(lhs - rhs)))
-        agreement.append(agree)
+        nij_m = frame_nij(mjets, n)
+        gaps = _rcone_gaps(nij_m, mjets, n, em)
+        rcone.append(max(gaps.values(), default=0.0))
+        per_sub.append(max((abs(v) for tri, v in nij_m.items() if k not in tri), default=0.0))
+        for t in ts:
+            scale = np.exp(-t)
+            cp = np.concatenate([p, [t]])
+            nij_c = frame_nij([m.at(cp) for m in cmembers], N)
+            worst = {"id1": 0.0, "id2": 0.0, "id3": 0.0, "id4": 0.0}
+            agree = 0.0
+            for tri, lhs in nij_c.items():
+                i, j, l = tri
+                if l < k:
+                    name, rhs = "id1", nij_m[tri]
+                elif l == k:
+                    name = "id2"
+                    rhs = nij_m[tri] - 1j * complex(F.pair_minus_jets(mjets[i], mjets[j], n).value)
+                elif j < k:
+                    name, rhs = "id3", nij_m[tri]
+                else:
+                    name = "id4"
+                    rhs = nij_m[tri] - 1j * complex(F.pair_minus_jets(em, mjets[i], n).value)
+                worst[name] = max(worst[name], abs(lhs - scale * rhs))
+                agree = max(agree, abs(abs(lhs) / scale - gaps[tri]))
+            for name in rows:
+                rows[name].append(worst[name])
+            agreement.append(agree)
+
+    rep = ResidualReport()
     for name, vals in rows.items():
         rep.add(f"crosscheck.{name}", vals, cpts, tol)
     rep.add("crosscheck.two_route_agreement", agreement, cpts, tol)
-
-    sub, per_sub = max_nij_over_frame(list(frame.e10) + [frame.eminus], base_points)
-    thm = conjugated_cone_residual(s, base_points, frame=frame)
-    if thm.rows[0].passed:
-        rep.add("crosscheck.subframe_nij", per_sub, base_points, tol)
-    else:
-        rep.add("crosscheck.subframe_nij", per_sub, base_points, None)
+    gated = tol if max(rcone) < INT_TOL else None
+    rep.add("crosscheck.subframe_nij", per_sub, base_points, gated)
     return rep
 
 
@@ -262,12 +251,6 @@ def normality_check(acs: AlmostContactMetric, base_points, tol: float = 1e-8,
     vals, cpts = normality_residual(acs, base_points, ts)
     rep.add("normality.nijenhuis", vals, cpts, tol)
     return rep
-
-
-def sasakian_criterion_residual(acs: AlmostContactMetric, points) -> float:
-    """max |theta - d eta| over the samples (the pointwise Sasakian criterion)."""
-    diff = acs.theta - F.d(acs.eta)
-    return max(float(np.abs(diff.values(p)).max()) for p in points)
 
 
 def sasakian_criterion(acs: AlmostContactMetric, points, tol: float = 1e-8) -> ResidualReport:

@@ -3,14 +3,10 @@
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
-
-THREADS_ENV = "GENCONTACT_THREADS"
 
 
 @dataclass
@@ -101,14 +97,5 @@ class ResidualReport:
 
 
 def map_points(fn: Callable, points: Iterable) -> list:
-    """Apply fn over sample points, optionally on a bounded thread pool.
-
-    Collection order follows the input order either way, so reports are
-    deterministic for a fixed seed.
-    """
-    pts = list(points)
-    workers = int(os.environ.get(THREADS_ENV, "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, pts))
-    return [fn(p) for p in pts]
+    """Apply fn over sample points in order."""
+    return [fn(p) for p in points]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -240,12 +240,12 @@ def gacs_from_contact(eta: OneFormField, check_points=None) -> Gacs:
     if n % 2 != 1:
         raise ValueError("contact structures need an odd-dimensional chart")
     if check_points is not None:
+        # det(rho) = -vol^2 / (2^k k!)^2 with vol the contact_volume coefficient,
+        # so this one test also rejects every point where eta ^ (d eta)^k vanishes
         for p in check_points:
             rho = _rho_jet(eta, p)
             if abs(np.linalg.det(rho.value)) < 1e-10:
                 raise ValueError(f"eta is not contact at {p}: rho is degenerate")
-            if abs(contact_volume(eta, p)) < 1e-10:
-                raise ValueError(f"eta ^ (d eta)^k vanishes at {p}")
 
     def phi_fn(p):
         deta = F.d_jet(eta.at(p), 1)
@@ -515,23 +515,27 @@ def frame_span_check(s: Gacs, frame: EigenFrame, point) -> int:
     return int(np.linalg.matrix_rank(np.stack(cols, axis=1), tol=1e-8))
 
 
-def max_nij_over_frame(members: Sequence[SectionField], points) -> Tuple[float, list]:
-    """Max |Nij(A,B,C)| over distinct frame triples at the sample points.
+def frame_nij(jets: Sequence[J.JetArray], n: int) -> Dict[Tuple[int, int, int], complex]:
+    """Nij(A,B,C) for every i<j<k triple of a frame's jets at one point.
 
     Nij is exactly antisymmetric on isotropic frames, so repeated-member
-    triples vanish identically and only i<j<k is sampled.
+    triples vanish identically and the sorted triples determine the rest.
     """
-    triples = list(combinations(range(len(members)), 3))
-    if not triples:
+    return {
+        (i, j, k): complex(F.nij_jets(jets[i], jets[j], jets[k], n).value)
+        for i, j, k in combinations(range(len(jets)), 3)
+    }
+
+
+def max_nij_over_frame(members: Sequence[SectionField], points) -> Tuple[float, list]:
+    """Max |Nij(A,B,C)| over distinct frame triples at the sample points."""
+    if len(members) < 3:
         return 0.0, [0.0 for _ in points]
     n = members[0].chart.dim
     per_point = []
     for p in points:
-        jets = [mm.at(p) for mm in members]
-        worst = 0.0
-        for i, j, k in triples:
-            worst = max(worst, abs(F.nij_jets(jets[i], jets[j], jets[k], n).value))
-        per_point.append(worst)
+        table = frame_nij([mm.at(p) for mm in members], n)
+        per_point.append(max(abs(v) for v in table.values()))
     return float(max(per_point)), per_point
 
 

@@ -1,13 +1,12 @@
-"""Chart sampling, residual report plumbing, and the thread-cap env var."""
+"""Chart sampling and residual report plumbing."""
 
 import json
-import os
 
 import numpy as np
 import pytest
 
 from gencontact.charts import Chart, ConeChart, box
-from gencontact.report import THREADS_ENV, CheckRow, ResidualReport, map_points
+from gencontact.report import CheckRow, ResidualReport
 
 
 def test_sample_margin_and_determinism():
@@ -73,18 +72,3 @@ def test_report_rows_and_serialization():
     summary = rep.summary()
     assert "PASS" in summary and "FAIL" in summary and "----" in summary
 
-
-def test_map_points_threaded_matches_sequential():
-    pts = list(range(50))
-    fn = lambda p: p * p
-    seq = map_points(fn, pts)
-    old = os.environ.get(THREADS_ENV)
-    os.environ[THREADS_ENV] = "4"
-    try:
-        par = map_points(fn, pts)
-    finally:
-        if old is None:
-            os.environ.pop(THREADS_ENV, None)
-        else:
-            os.environ[THREADS_ENV] = old
-    assert seq == par

@@ -57,7 +57,7 @@ def test_darboux_higher_k():
 def test_heisenberg_sign_fix():
     h = gallery.build("heisenberg_sasakian")
     pts = h["chart"].sample(seed=7, count=10)
-    assert I.sasakian_criterion_residual(h["acs"], pts) < 1e-9
+    assert I.sasakian_criterion(h["acs"], pts).max_residual < 1e-9
     # phi e1 = -e2 at y = 0: the criterion forces the negative rotation
     p = np.array([0.1, 0.0, 0.2])
     phi = h["acs"].phi.values(p)

@@ -80,6 +80,22 @@ def test_crosscheck_subframe_involutivity():
     assert row.tolerance is not None and row.passed
 
 
+def test_crosscheck_computes_each_nij_once(monkeypatch):
+    """One Nij_M table per base point and one Nij_C table per cone point:
+    the 4 triples of each 4-member frame, at 5 base points and 5 x 3 cone
+    points, and nothing recomputed for the two-route or sub-frame rows."""
+    calls = []
+    original = F.nij_jets
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(F, "nij_jets", counting)
+    I.cone_crosscheck(HEIS["gacs"], pts(HEIS, 5))
+    assert len(calls) == 4 * 5 + 4 * 15
+
+
 def test_normality():
     assert I.normality_check(HEIS["acs"], pts(HEIS)).passed
     for acs in KAHLER["acs_pair"]:
@@ -107,13 +123,13 @@ def test_normality_sign_flip_invariance():
 
 
 def test_sasakian_criterion():
-    assert I.sasakian_criterion_residual(HEIS["acs"], pts(HEIS)) < 1e-9
+    assert I.sasakian_criterion(HEIS["acs"], pts(HEIS)).max_residual < 1e-9
     # the warped interval: theta = sin(2z) omega', d eta = 0
     p = np.array([0.2, -0.3, np.pi / 4])
     acs = KAHLER["acs_pair"][0]
     diff = acs.theta - F.d(acs.eta)
     assert np.abs(diff.values(p)).max() == pytest.approx(1.0, abs=1e-12)
-    assert I.sasakian_criterion_residual(acs, pts(KAHLER)) > 0.5
+    assert I.sasakian_criterion(acs, pts(KAHLER)).max_residual > 0.5
 
 
 def test_vaisman_conditions_pairs():
