@@ -52,7 +52,7 @@ from .fields import (
     wedge11,
     wedge12,
 )
-from .gta import GtEndo, GtVec, adjoint, b_field_matrix, pair, pair_minus, r_scaling, tensor_pair
+from .gta import adjoint, b_field_matrix, pair, pair_minus, r_scaling, tensor_pair
 from .integrability import (
     cone_crosscheck,
     generalized_sasakian_check,
@@ -70,6 +70,7 @@ from .structures import (
     Gacm,
     Gacs,
     GeneralizedMetric,
+    StructureError,
     acms_check,
     b_transform,
     b_transform_gacm,

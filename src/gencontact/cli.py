@@ -1,7 +1,8 @@
 """Command-line front end: verify configs, run gallery entries, apply pipelines.
 
 Exit codes: 0 all requested checks pass, 1 at least one check fails,
-2 usage / parse / IO errors.  Reports serialize deterministically for a
+2 usage / parse / IO errors and structures whose data turns out invalid
+while a check evaluates them.  Reports serialize deterministically for a
 fixed seed; wall time goes to stderr, not into the report file.
 """
 
@@ -14,8 +15,9 @@ import time
 from pathlib import Path
 
 from . import gallery as G
-from .config import CHECKS, ConfigError, load_config_text, parse_config, run_checks
+from .config import ConfigError, load_config_text, parse_config, run_checks
 from .report import ResidualReport
+from .structures import StructureError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -60,8 +62,8 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     try:
         rep = run_checks(cfg)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ConfigError, StructureError) as err:
+        print(f"error: {args.config}: {err}", file=sys.stderr)
         return EXIT_USAGE
     meta = {"seed": cfg.seed, "samples": cfg.samples, "checks": cfg.checks}
     return _emit(rep, meta, out, started)
@@ -83,9 +85,7 @@ def cmd_gallery(args) -> int:
         print(f"error: {err.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     golden = args.checks is None
-    checks = args.checks.split(",") if args.checks else sorted(
-        k for k in entry.expected if k in CHECKS
-    )
+    checks = args.checks.split(",") if args.checks else sorted(entry.expected)
     cfg_obj = {
         "gallery": name,
         "checks": checks,
@@ -99,8 +99,8 @@ def cmd_gallery(args) -> int:
             for c in cfg.checks:
                 cfg.tolerances[c] = args.tol
         rep = run_checks(cfg)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ConfigError, StructureError) as err:
+        print(f"error: {name}: {err}", file=sys.stderr)
         return EXIT_USAGE
     meta = {"seed": cfg.seed, "samples": cfg.samples, "checks": cfg.checks, "gallery": name}
     if not golden:
@@ -147,10 +147,10 @@ def cmd_deform(args) -> int:
         if not isinstance(obj, dict):
             raise ConfigError("$: top level must be an object")
         cfg = parse_config({**obj, "checks": obj.get("checks", ["fgacs"])})
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
+        rep = run_checks(cfg)
+    except (ConfigError, StructureError) as err:
+        print(f"error: {args.config}: {err}", file=sys.stderr)
         return EXIT_USAGE
-    rep = run_checks(cfg)
     result = {
         "structure": cfg.structure,
         "apply": cfg.apply,

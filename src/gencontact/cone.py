@@ -15,10 +15,11 @@ from typing import List, Union
 import numpy as np
 
 from . import fields as F
+from . import gta
 from . import jets as J
 from .charts import Chart, ConeChart
 from .fields import GtEndoField, ScalarField, SectionField
-from .report import ResidualReport, map_points
+from .report import ResidualReport, stack_values, sup_norm
 from .structures import FGacs, Gacs
 
 T_INDEPENDENCE_TOL = 1e-10
@@ -191,17 +192,9 @@ def i_map(s: Union[Gacs, FGacs], cone: ConeChart = None) -> ConeGacx:
 def gacx_check(j: ConeGacx, points) -> ResidualReport:
     """J + J* = 0 and J^2 = -id at cone sample points."""
     rep = ResidualReport()
-    N = j.chart.dim
-    adj = j.J.adjoint()
-
-    def row(p):
-        m = j.J.values(p)
-        a = adj.values(p)
-        return [np.abs(m + a).max(), np.abs(m @ m + np.eye(2 * N)).max()]
-
-    vals = np.array(map_points(row, points))
-    rep.add("gacx.skew", vals[:, 0], points, 1e-9)
-    rep.add("gacx.square", vals[:, 1], points, 1e-9)
+    m = stack_values(j.J, points)
+    rep.add("gacx.skew", sup_norm(m + gta.adjoint(m)), points, 1e-9)
+    rep.add("gacx.square", sup_norm(m @ m + np.eye(m.shape[-1])), points, 1e-9)
     return rep
 
 

@@ -26,16 +26,17 @@ from .fields import (
     TwoFormField,
 )
 from .integrability import INT_TOL
-from .report import ResidualReport, map_points
+from .report import ResidualReport, stack_values, sup_norm
 from .structures import (
     DEFAULT_TOL,
     FGacs,
     Gacm,
     Gacs,
-    _pairing_gram,
     dual_gacm,
+    gacs_residuals,
     gmetric_from_gb,
     max_nij_over_frame,
+    min_pairing,
 )
 
 
@@ -63,29 +64,17 @@ class FGacm:
 
 def fgacs_check(s: FGacs, points) -> ResidualReport:
     """The six defining residuals of a generalized f-almost contact structure."""
-    n = s.chart.dim
+    phi = stack_values(s.Phi, points)
+    ep = stack_values(s.Eplus, points)
+    em = stack_values(s.Eminus, points)
+    f = stack_values(s.f, points).astype(complex)
+    skew, square, norm, iso = gacs_residuals(phi, ep, em, f)
+    eig_p = sup_norm(gta.apply(phi, ep) - f[:, None] * ep)
+    eig_m = sup_norm(gta.apply(phi, em) + f[:, None] * em)
     rep = ResidualReport()
-
-    def row(p):
-        phi = s.Phi.gtendo(p)
-        ep = s.Eplus.gtvec(p)
-        em = s.Eminus.gtvec(p)
-        f = complex(s.f.values(p))
-        skew = (phi + gta.adjoint(phi)).norm()
-        square = (
-            phi @ phi
-            - (-gta.identity(n) + gta.tensor_pair(ep, em) + gta.tensor_pair(em, ep))
-        ).norm()
-        eig_p = (phi(ep) - f * ep).norm()
-        eig_m = (phi(em) + f * em).norm()
-        norm = abs(2 * gta.pair(ep, em) - 1.0 - f * f)
-        iso = max(abs(gta.pair(ep, ep)), abs(gta.pair(em, em)))
-        return [skew, square, eig_p, eig_m, norm, iso]
-
-    vals = np.array(map_points(row, points))
-    names = ["skew", "square", "eigen_plus", "eigen_minus", "normalization", "isotropy"]
-    for i, name in enumerate(names):
-        rep.add(f"fgacs.{name}", vals[:, i], points, DEFAULT_TOL)
+    for name, vals in (("skew", skew), ("square", square), ("eigen_plus", eig_p),
+                       ("eigen_minus", eig_m), ("normalization", norm), ("isotropy", iso)):
+        rep.add(f"fgacs.{name}", vals, points, DEFAULT_TOL)
     return rep
 
 
@@ -275,32 +264,18 @@ def cross_term_metric_check(s: FGacs, g: MatrixField, alpha: OneFormField, base_
     ip = i_prime(s, cone).J
     cpts = cone_points(base_points, ts)
 
-    def compat(p):
-        gv = gt.values(p)
-        iv = ip.values(p)
-        return float(np.abs(gv + iv @ gv @ iv).max())
+    gv = stack_values(gt, cpts)
+    iv = stack_values(ip, cpts)
+    rep.add("cross_term.compatibility", sup_norm(gv + iv @ gv @ iv), cpts, tol)
 
-    rep.add("cross_term.compatibility", [compat(p) for p in cpts], cpts, tol)
-
-    gmet = gmetric_from_gb(g).endo
-    aks = F.section(form=alpha)
-
-    def ident(p):
-        ep = s.Eplus.at(p)
-        em = s.Eminus.at(p)
-        a = aks.at(p)
-        f = complex(s.f.values(p))
-        n = s.chart.dim
-        i1 = abs(2 * complex(F.pair_jets(ep, a, n).value) + f)
-        phia = s.Phi.at(p)
-        lhs = J.jet_einsum("ij,j->i", phia, a).value
-        rhs = -gmet.at(p).value @ ep.value + em.value
-        i2 = float(np.abs(lhs - rhs).max())
-        return [i1, i2]
-
-    vals = np.array([ident(p) for p in base_points])
-    rep.add("cross_term.pairing_identity", vals[:, 0], base_points, tol)
-    rep.add("cross_term.phi_alpha_identity", vals[:, 1], base_points, tol)
+    ep = stack_values(s.Eplus, base_points)
+    a = stack_values(F.section(form=alpha), base_points)
+    f = stack_values(s.f, base_points)
+    lhs = gta.apply(stack_values(s.Phi, base_points), a)
+    rhs = -gta.apply(stack_values(gmetric_from_gb(g).endo, base_points), ep)
+    rhs = rhs + stack_values(s.Eminus, base_points)
+    rep.add("cross_term.pairing_identity", np.abs(2 * gta.pair(ep, a) + f), base_points, tol)
+    rep.add("cross_term.phi_alpha_identity", sup_norm(lhs - rhs), base_points, tol)
     return rep
 
 
@@ -335,19 +310,12 @@ def cone_kahler_pair_check(m: Gacm, alpha: OneFormField, base_points, ts=(-0.4, 
     N = cone.dim
     probe_vecs = rng.normal(size=(probes, 2 * N))
 
-    comm, sym, minpos = [], [], []
-    for p in cpts:
-        a = i1.values(p)
-        b = i2.values(p)
-        comm.append(float(np.abs(a @ b - b @ a).max()))
-        gprod = -a @ b
-        sym.append(float(np.abs(gprod - gta.adjoint(gta.GtEndo(N, gprod)).mat).max()))
-        quad = np.einsum("ai,ij,aj->a", probe_vecs, _pairing_gram(gprod, N), probe_vecs)
-        minpos.append(float(quad.real.min()))
-    rep.add("cone_pair.commutator", comm, cpts, tol)
-    rep.add("cone_pair.product_symmetric", sym, cpts, tol)
-    worst = min(minpos)
-    rep.add("cone_pair.positivity", [max(0.0, -worst)], None, 1e-12)
+    a = stack_values(i1, cpts)
+    b = stack_values(i2, cpts)
+    gprod = -a @ b
+    rep.add("cone_pair.commutator", sup_norm(a @ b - b @ a), cpts, tol)
+    rep.add("cone_pair.product_symmetric", sup_norm(gprod - gta.adjoint(gprod)), cpts, tol)
+    rep.add("cone_pair.positivity", [max(0.0, -min_pairing(gprod, probe_vecs))], None, 1e-12)
     return rep
 
 

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import jets as J
 from .charts import Chart
-from .gta import GtEndo, GtVec
 from .jets import JetArray
 
 _MEMO_LIMIT = 512
@@ -147,10 +146,6 @@ class MatrixField(Field):
 class SectionField(Field):
     """Section of (TM + T*M) x C: 2n components, vector part first."""
 
-    def gtvec(self, point) -> GtVec:
-        n = self.chart.dim
-        return GtVec(n, self.at(point).value)
-
     def vec_part(self) -> VectorField:
         n = self.chart.dim
         return VectorField(self.chart, lambda p: self.at(p)[:n])
@@ -163,10 +158,6 @@ class SectionField(Field):
 class GtEndoField(Field):
     """Field of endomorphisms of (TM + T*M) x C, one 2n x 2n matrix of scalars."""
 
-    def gtendo(self, point) -> GtEndo:
-        n = self.chart.dim
-        return GtEndo(n, self.at(point).value)
-
     def apply(self, s: SectionField) -> SectionField:
         _same_chart(self, s)
         return SectionField(self.chart, lambda p: J.jet_einsum("ij,j->i", self.at(p), s.at(p)))
@@ -174,10 +165,6 @@ class GtEndoField(Field):
     def __matmul__(self, other: "GtEndoField") -> "GtEndoField":
         _same_chart(self, other)
         return GtEndoField(self.chart, lambda p: J.jet_einsum("ij,jk->ik", self.at(p), other.at(p)))
-
-    def adjoint(self) -> "GtEndoField":
-        n = self.chart.dim
-        return GtEndoField(self.chart, lambda p: _swap_rows(_swap_rows(_jT(self.at(p)), n, 0), n, 1))
 
 
 # -- constructors -------------------------------------------------------------
@@ -343,30 +330,14 @@ def _swap_half(j: JetArray, n: int) -> JetArray:
     return jconcat([j[n:], j[:n]])
 
 
-def _swap_rows(j: JetArray, n: int, axis: int) -> JetArray:
-    lo = (slice(None),) * axis + (slice(0, n),)
-    hi = (slice(None),) * axis + (slice(n, 2 * n),)
-    return jconcat([j[hi], j[lo]], axis=axis)
-
-
 def pair_jets(a: JetArray, b: JetArray, n: int) -> JetArray:
     return 0.5 * J.jet_einsum("i,i->", _swap_half(a, n), b)
-
-
-def pair_minus_jets(a: JetArray, b: JetArray, n: int) -> JetArray:
-    return 0.5 * (J.jet_einsum("i,i->", a[n:], b[:n]) - J.jet_einsum("i,i->", b[n:], a[:n]))
 
 
 def pair_field(a: SectionField, b: SectionField) -> ScalarField:
     _same_chart(a, b)
     n = a.chart.dim
     return ScalarField(a.chart, lambda p: pair_jets(a.at(p), b.at(p), n))
-
-
-def pair_minus_field(a: SectionField, b: SectionField) -> ScalarField:
-    _same_chart(a, b)
-    n = a.chart.dim
-    return ScalarField(a.chart, lambda p: pair_minus_jets(a.at(p), b.at(p), n))
 
 
 # -- exterior calculus --------------------------------------------------------

@@ -231,7 +231,8 @@ ENTRIES: Tuple[GalleryEntry, ...] = (
             # companion (G Phi, G E+-) branch needs 2 theta = d eta
             "generalized_sasakian": False,
             "vaisman_pair": True,
-            "strong": True,
+            # L+ and L- both involutive: the strong class
+            "involutivity": True,
         },
     ),
     GalleryEntry(

@@ -1,8 +1,10 @@
 """Pointwise linear algebra of the generalized tangent bundle TM + T*M.
 
-Values are plain complex numpy arrays; a GtVec stacks n tangent and n
-cotangent components, a GtEndo is the full 2n x 2n matrix acting on that
-stack.  All maps here are pure and allocation-only.
+Values are plain complex numpy arrays.  A section value has shape (..., 2n),
+n tangent components then n cotangent components; an endomorphism value has
+shape (..., 2n, 2n) and acts on that stack.  Any leading batch shape works,
+so a checker can pass the values of a field at all its sample points at
+once; n is read from the last axis.  All maps here are pure.
 
 Conventions fixed for the whole package:
 
@@ -15,182 +17,83 @@ Conventions fixed for the whole package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-def _cvec(a) -> np.ndarray:
-    return np.asarray(a, dtype=complex)
+def _half(*arrays: np.ndarray) -> int:
+    """n for arrays that all carry 2n components on the last axis."""
+    sizes = sorted({a.shape[-1] for a in arrays})
+    if len(sizes) > 1:
+        raise ValueError(f"dimension mismatch: {sizes[0]} vs {sizes[1]}")
+    if sizes[0] % 2:
+        raise ValueError(f"expected 2n components on the last axis, got {sizes[0]}")
+    return sizes[0] // 2
 
 
-@dataclass(frozen=True)
-class GtVec:
-    """Element of (TM + T*M) x C at a point: n vector + n form components."""
-
-    dim: int
-    data: np.ndarray  # shape (2n,), vec part first
-
-    @staticmethod
-    def of(vec, form) -> "GtVec":
-        v = _cvec(vec)
-        f = _cvec(form)
-        if v.shape != f.shape or v.ndim != 1:
-            raise ValueError("vec and form must be 1-d arrays of equal length")
-        return GtVec(len(v), np.concatenate([v, f]))
-
-    @property
-    def vec(self) -> np.ndarray:
-        return self.data[: self.dim]
-
-    @property
-    def form(self) -> np.ndarray:
-        return self.data[self.dim :]
-
-    def __add__(self, other: "GtVec") -> "GtVec":
-        _same_dim(self, other)
-        return GtVec(self.dim, self.data + other.data)
-
-    def __sub__(self, other: "GtVec") -> "GtVec":
-        _same_dim(self, other)
-        return GtVec(self.dim, self.data - other.data)
-
-    def __mul__(self, c) -> "GtVec":
-        return GtVec(self.dim, self.data * c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "GtVec":
-        return GtVec(self.dim, -self.data)
-
-    def norm(self) -> float:
-        return float(np.abs(self.data).max()) if self.data.size else 0.0
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.data.real)) and np.all(np.isfinite(self.data.imag)))
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # row-times-column matmul sums in the same order as a 1-d a @ b at each point
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-@dataclass(frozen=True)
-class GtEndo:
-    """Endomorphism of (TM + T*M) x C at a point, stored as one 2n x 2n block matrix."""
-
-    dim: int
-    mat: np.ndarray  # shape (2n, 2n)
-
-    @staticmethod
-    def of_blocks(tt, tc, ct, cc) -> "GtEndo":
-        tt, tc, ct, cc = map(_cvec, (tt, tc, ct, cc))
-        n = tt.shape[0]
-        top = np.concatenate([tt, tc], axis=1)
-        bot = np.concatenate([ct, cc], axis=1)
-        return GtEndo(n, np.concatenate([top, bot], axis=0))
-
-    @property
-    def tt(self) -> np.ndarray:
-        n = self.dim
-        return self.mat[:n, :n]
-
-    @property
-    def tc(self) -> np.ndarray:
-        n = self.dim
-        return self.mat[:n, n:]
-
-    @property
-    def ct(self) -> np.ndarray:
-        n = self.dim
-        return self.mat[n:, :n]
-
-    @property
-    def cc(self) -> np.ndarray:
-        n = self.dim
-        return self.mat[n:, n:]
-
-    def __call__(self, a: GtVec) -> GtVec:
-        if a.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        return GtVec(self.dim, self.mat @ a.data)
-
-    def __matmul__(self, other: "GtEndo") -> "GtEndo":
-        return GtEndo(self.dim, self.mat @ other.mat)
-
-    def __add__(self, other: "GtEndo") -> "GtEndo":
-        return GtEndo(self.dim, self.mat + other.mat)
-
-    def __sub__(self, other: "GtEndo") -> "GtEndo":
-        return GtEndo(self.dim, self.mat - other.mat)
-
-    def __mul__(self, c) -> "GtEndo":
-        return GtEndo(self.dim, self.mat * c)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "GtEndo":
-        return GtEndo(self.dim, -self.mat)
-
-    def norm(self) -> float:
-        return float(np.abs(self.mat).max())
+def _swap(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The pairing swap (vec, form) -> (form, vec) along one axis."""
+    return np.roll(a, a.shape[axis] // 2, axis=axis)
 
 
-def identity(n: int) -> GtEndo:
-    return GtEndo(n, np.eye(2 * n, dtype=complex))
-
-
-def _same_dim(a, b):
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
-def _swap(data: np.ndarray, n: int) -> np.ndarray:
-    """The pairing swap: (vec, form) -> (form, vec)."""
-    return np.concatenate([data[n:], data[: n]])
-
-
-def pair(a: GtVec, b: GtVec) -> complex:
+def pair(a, b) -> np.ndarray:
     """<X+a, Y+b> = (b(X) + a(Y)) / 2; symmetric and complex-bilinear."""
-    _same_dim(a, b)
-    return 0.5 * complex(_swap(a.data, a.dim) @ b.data)
+    a, b = np.asarray(a), np.asarray(b)
+    _half(a, b)
+    return 0.5 * _dot(_swap(a), b)
 
 
-def pair_minus(a: GtVec, b: GtVec) -> complex:
+def pair_minus(a, b) -> np.ndarray:
     """<X+a, Y+b>_- = (a(Y) - b(X)) / 2; antisymmetric."""
-    _same_dim(a, b)
-    return 0.5 * complex(a.form @ b.vec - b.form @ a.vec)
+    a, b = np.asarray(a), np.asarray(b)
+    n = _half(a, b)
+    return 0.5 * (_dot(a[..., n:], b[..., :n]) - _dot(b[..., n:], a[..., :n]))
 
 
-def adjoint(p: GtEndo) -> GtEndo:
+def adjoint(p) -> np.ndarray:
     """The pairing adjoint P*: <P A, B> = <A, P* B>.
 
     Blockwise (TT, TC, CT, CC) -> (CC^T, TC^T, CT^T, TT^T).
     """
-    n = p.dim
-    mat = p.mat.T.copy()
-    mat = np.block([[mat[n:, n:], mat[n:, :n]], [mat[:n, n:], mat[:n, :n]]])
-    return GtEndo(n, mat)
+    pt = np.swapaxes(np.asarray(p), -1, -2)
+    _half(pt)
+    return _swap(_swap(pt, -1), -2)
 
 
-def tensor_pair(e: GtVec, f: GtVec) -> GtEndo:
+def apply(p, a) -> np.ndarray:
+    """P A for endomorphism values (..., 2n, 2n) and section values (..., 2n)."""
+    return (np.asarray(p) @ np.asarray(a)[..., :, None])[..., 0]
+
+
+def pairing_gram(p) -> np.ndarray:
+    """Matrix of (A, B) -> <P A, B> in the 2n coordinates."""
+    sp = _swap(np.asarray(p), -2)
+    return 0.25 * (sp + np.swapaxes(sp, -1, -2))
+
+
+def tensor_pair(e, f) -> np.ndarray:
     """The rank-one map A -> 2<F, A> E."""
-    _same_dim(e, f)
-    return GtEndo(e.dim, np.outer(e.data, _swap(f.data, f.dim)))
+    e, f = np.asarray(e), np.asarray(f)
+    _half(e, f)
+    return e[..., :, None] * _swap(f)[..., None, :]
 
 
-def form_to_map(b: np.ndarray) -> np.ndarray:
-    """Matrix of X -> i_X B for an antisymmetric component array B."""
-    return np.asarray(b, dtype=complex).T
-
-
-def b_field_matrix(b: np.ndarray, n: int) -> GtEndo:
+def b_field_matrix(b: np.ndarray, n: int) -> np.ndarray:
     """e^B: X+a -> X + a + i_X B, for an antisymmetric 2-form component array."""
-    b = _cvec(b)
+    b = np.asarray(b, dtype=complex)
     if b.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} component array")
     if np.abs(b + b.T).max() > 1e-12 * max(1.0, np.abs(b).max()):
         raise ValueError("2-form component array must be antisymmetric")
-    return GtEndo.of_blocks(np.eye(n), np.zeros((n, n)), form_to_map(b), np.eye(n))
+    out = np.eye(2 * n, dtype=complex)
+    out[n:, :n] = b.T  # X -> i_X B
+    return out
 
 
-def r_scaling(t: float, n: int) -> GtEndo:
+def r_scaling(t: float, n: int) -> np.ndarray:
     """R = diag(e^-t on vectors, e^t on forms)."""
-    return GtEndo.of_blocks(
-        np.exp(-t) * np.eye(n), np.zeros((n, n)), np.zeros((n, n)), np.exp(t) * np.eye(n)
-    )
+    return np.diag(np.repeat([np.exp(-t), np.exp(t)], n)).astype(complex)

@@ -15,16 +15,10 @@ from typing import List, Optional
 import numpy as np
 
 from . import fields as F
+from . import gta
 from . import jets as J
 from .charts import ConeChart
-from .cone import (
-    cone_plus_frame,
-    cone_points,
-    ddt_section,
-    dt_section,
-    lift_section,
-    r_endo,
-)
+from .cone import cone_plus_frame, cone_points
 from .fields import MatrixField
 from .report import ResidualReport
 from .structures import (
@@ -80,16 +74,12 @@ def plain_cone_check(s: Gacs, base_points, tol: float = INT_TOL,
 # -- the conjugated-cone integrability condition on M --------------------------------
 
 
-def _conjugated_cone_rhs(jets, n: int, em_jet) -> complex:
-    """2i (<E-,A><B,C>_- + <E-,B><C,A>_- + <E-,C><A,B>_-)."""
-    a, b, c = jets
-    pm = F.pair_minus_jets
-    pe = F.pair_jets
-    total = (
-        pe(em_jet, a, n).value * pm(b, c, n).value
-        + pe(em_jet, b, n).value * pm(c, a, n).value
-        + pe(em_jet, c, n).value * pm(a, b, n).value
-    )
+def _conjugated_cone_rhs(vals, em) -> complex:
+    """2i (<E-,A><B,C>_- + <E-,B><C,A>_- + <E-,C><A,B>_-) on values at one point."""
+    a, b, c = vals
+    pm = gta.pair_minus
+    pe = gta.pair
+    total = pe(em, a) * pm(b, c) + pe(em, b) * pm(c, a) + pe(em, c) * pm(a, b)
     return 2j * complex(total)
 
 
@@ -103,17 +93,17 @@ def conjugated_cone_residual(s: Gacs, base_points, tol: float = INT_TOL,
     per_point = []
     for p in base_points:
         jets = [m.at(p) for m in members]
-        gaps = _rcone_gaps(frame_nij(jets, n), jets, n, frame.eminus.at(p))
+        gaps = _rcone_gaps(frame_nij(jets, n), jets, frame.eminus.values(p))
         per_point.append(max(gaps.values(), default=0.0))
     rep = ResidualReport()
     rep.add("rcone_condition.residual", per_point, base_points, tol)
     return rep
 
 
-def _rcone_gaps(nij_m, jets, n: int, em_jet) -> dict:
+def _rcone_gaps(nij_m, jets, em) -> dict:
     """|Nij_M - RHS| per triple, from the frame_nij table of the M frame."""
     return {
-        tri: abs(lhs - _conjugated_cone_rhs(tuple(jets[i] for i in tri), n, em_jet))
+        tri: abs(lhs - _conjugated_cone_rhs(tuple(jets[i].value for i in tri), em))
         for tri, lhs in nij_m.items()
     }
 
@@ -143,27 +133,29 @@ def cone_crosscheck(s: Gacs, base_points, tol: float = INT_TOL,
     Nij_M is taken once per base point and Nij_C once per cone point; every
     row reads from those two tables.
     """
+    return _cone_crosscheck(s, base_points, tol, frame, ts)[1]
+
+
+def _cone_crosscheck(s: Gacs, base_points, tol: float, frame: Optional[EigenFrame], ts):
+    """(rcone, report) of :func:`cone_crosscheck`; rcone holds the per-point
+    values of :func:`conjugated_cone_residual`, taken from the same Nij_M tables."""
     if frame is None:
         frame = eigenframe(s)
     n = s.chart.dim
     cone = ConeChart.over(s.chart)
     N = cone.dim
-    r = r_endo(cone)
-    lifted = [r.apply(m) for m in (lift_section(cone, a) for a in frame.e10)]
-    fplus = r.apply(lift_section(cone, s.Eplus) - 1j * ddt_section(cone))
-    fminus = r.apply(lift_section(cone, s.Eminus) - 1j * dt_section(cone))
-    cmembers = lifted + [fplus, fminus]
+    cmembers = cone_plus_frame(cone, frame.e10, s.Eplus, s.Eminus, conjugated=True)
     mmembers = list(frame.e10) + [s.Eplus, s.Eminus]
-    k = len(lifted)
+    k = len(frame.e10)
 
     cpts = cone_points(base_points, ts)
     rows = {"id1": [], "id2": [], "id3": [], "id4": []}
     agreement, per_sub, rcone = [], [], []
     for p in base_points:
         mjets = [m.at(p) for m in mmembers]
-        em = frame.eminus.at(p)
+        em = frame.eminus.values(p)
         nij_m = frame_nij(mjets, n)
-        gaps = _rcone_gaps(nij_m, mjets, n, em)
+        gaps = _rcone_gaps(nij_m, mjets, em)
         rcone.append(max(gaps.values(), default=0.0))
         per_sub.append(max((abs(v) for tri, v in nij_m.items() if k not in tri), default=0.0))
         for t in ts:
@@ -178,12 +170,12 @@ def cone_crosscheck(s: Gacs, base_points, tol: float = INT_TOL,
                     name, rhs = "id1", nij_m[tri]
                 elif l == k:
                     name = "id2"
-                    rhs = nij_m[tri] - 1j * complex(F.pair_minus_jets(mjets[i], mjets[j], n).value)
+                    rhs = nij_m[tri] - 1j * complex(gta.pair_minus(mjets[i].value, mjets[j].value))
                 elif j < k:
                     name, rhs = "id3", nij_m[tri]
                 else:
                     name = "id4"
-                    rhs = nij_m[tri] - 1j * complex(F.pair_minus_jets(em, mjets[i], n).value)
+                    rhs = nij_m[tri] - 1j * complex(gta.pair_minus(em, mjets[i].value))
                 worst[name] = max(worst[name], abs(lhs - scale * rhs))
                 agree = max(agree, abs(abs(lhs) / scale - gaps[tri]))
             for name in rows:
@@ -196,7 +188,7 @@ def cone_crosscheck(s: Gacs, base_points, tol: float = INT_TOL,
     rep.add("crosscheck.two_route_agreement", agreement, cpts, tol)
     gated = tol if max(rcone) < INT_TOL else None
     rep.add("crosscheck.subframe_nij", per_sub, base_points, gated)
-    return rep
+    return rcone, rep
 
 
 # -- classical normality and the Sasakian criterion ---------------------------------
@@ -308,9 +300,7 @@ def generalized_sasakian_check(m: Gacm, base_points, tol: float = INT_TOL,
     rep = ResidualReport()
     second = Gacs(m.chart, m.G @ m.Phi, m.G.apply(m.Eplus), m.G.apply(m.Eminus))
     for tag, s in (("phi", m.gacs), ("gphi", second)):
-        frame = eigenframe(s)
-        rep.extend(conjugated_cone_residual(s, base_points, tol, frame), prefix=f"gsas.{tag}.")
-        rep.extend(
-            cone_crosscheck(s, base_points, tol, frame, ts), prefix=f"gsas.{tag}."
-        )
+        rcone, cross = _cone_crosscheck(s, base_points, tol, eigenframe(s), ts)
+        rep.add(f"gsas.{tag}.rcone_condition.residual", rcone, base_points, tol)
+        rep.extend(cross, prefix=f"gsas.{tag}.")
     return rep

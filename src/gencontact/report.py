@@ -99,3 +99,13 @@ class ResidualReport:
 def map_points(fn: Callable, points: Iterable) -> list:
     """Apply fn over sample points in order."""
     return [fn(p) for p in points]
+
+
+def stack_values(field, points) -> np.ndarray:
+    """A field's values at every sample point, stacked into one (P, ...) array."""
+    return np.array(map_points(field.values, points))
+
+
+def sup_norm(stack: np.ndarray) -> np.ndarray:
+    """Max |entry| of each point's value in a (P, ...) stack."""
+    return np.abs(stack).reshape(len(stack), -1).max(axis=1)

@@ -275,6 +275,31 @@ def test_explicit_phi_dimension_mismatch(tmp_path, capsys):
     assert "6x6" in capsys.readouterr().err
 
 
+def test_invalid_metric_found_by_a_check_exits_two(tmp_path, capsys):
+    """A metric that is not positive definite surfaces only when gacm evaluates
+    it; that is a structure error (exit 2), not a failed check (exit 1)."""
+    cfg = write(
+        tmp_path,
+        "negative.json",
+        {
+            "structure": {
+                "chart": {"dim": 3},
+                "builder": "from_acs",
+                "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "0", "0"]],
+                "xi": ["0", "0", "1"],
+                "eta": ["0", "0", "1"],
+                "g": [["-1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+            },
+            "checks": ["gacm"],
+            "samples": 4,
+        },
+    )
+    assert main(["verify", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "positive definite" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_gallery_golden_mode(tmp_path):
     """Without --checks, gallery run reproduces the expected-verdict table,
     so entries with intentional failures still exit 0."""

@@ -57,10 +57,9 @@ def test_psi_on_radial_sections():
         # Psi(d/dt) = -E+ in this orientation
         assert np.allclose(m @ ddt, -ep)
         # skewness against the pairing adjoint
-        from gencontact.gta import GtEndo, adjoint
+        from gencontact.gta import adjoint
 
-        e = GtEndo(4, m)
-        assert (e + adjoint(e)).norm() < 1e-12
+        assert np.abs(m + adjoint(m)).max() < 1e-12
 
 
 def test_psi_block_matrix_display():

@@ -7,6 +7,7 @@ import pytest
 from gencontact import deformations as D
 from gencontact import fields as F
 from gencontact import gallery
+from gencontact import gta
 from gencontact import structures as S
 from gencontact.exprs import parse_scalar
 
@@ -27,6 +28,27 @@ def form(*exprs, chart=CH):
 def test_fgacs_check_accepts_f0():
     rep = D.fgacs_check(S0, PTS)
     assert rep.passed and rep.max_residual < 1e-12
+
+
+def test_fgacs_rows_match_a_per_point_loop():
+    """The stacked rows equal the axioms evaluated one point at a time."""
+    s = D.k_minus(D.k_plus(S0, form("y", "x*z", "1+x^2")), form("z", "0.5", "x"))
+    rep = D.fgacs_check(s, PTS)
+    loop = {name: [] for name in ("skew", "square", "eigen_plus", "eigen_minus",
+                                  "normalization", "isotropy")}
+    for p in PTS:
+        phi, ep, em = s.Phi.values(p), s.Eplus.values(p), s.Eminus.values(p)
+        f = complex(s.f.values(p))
+        rhs = -np.eye(6) + gta.tensor_pair(ep, em) + gta.tensor_pair(em, ep)
+        loop["skew"].append(np.abs(phi + gta.adjoint(phi)).max())
+        loop["square"].append(np.abs(phi @ phi - rhs).max())
+        loop["eigen_plus"].append(np.abs(phi @ ep - f * ep).max())
+        loop["eigen_minus"].append(np.abs(phi @ em + f * em).max())
+        loop["normalization"].append(abs(2 * gta.pair(ep, em) - 1.0 - f * f))
+        loop["isotropy"].append(max(abs(gta.pair(ep, ep)), abs(gta.pair(em, em))))
+    for name, vals in loop.items():
+        row = rep[f"fgacs.{name}"]
+        assert row.max_residual == max(vals) and row.mean_residual == np.mean(vals), name
 
 
 def test_k_minus_dz_gives_f_one():

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from gencontact.gta import (
-    GtEndo,
-    GtVec,
     adjoint,
+    apply,
     b_field_matrix,
-    identity,
     pair,
     pair_minus,
+    pairing_gram,
     r_scaling,
     tensor_pair,
 )
@@ -19,7 +18,12 @@ RNG = np.random.default_rng(7)
 
 
 def rand_vec(n=3):
-    return GtVec(n, RNG.normal(size=2 * n) + 1j * RNG.normal(size=2 * n))
+    return RNG.normal(size=2 * n) + 1j * RNG.normal(size=2 * n)
+
+
+def rand_endo(n=3, complex_=True):
+    m = RNG.normal(size=(2 * n, 2 * n))
+    return m + 1j * RNG.normal(size=(2 * n, 2 * n)) if complex_ else m
 
 
 def rand_form_matrix(n=3):
@@ -28,7 +32,11 @@ def rand_form_matrix(n=3):
 
 
 def gt(vec, form):
-    return GtVec.of(vec, form)
+    return np.concatenate([vec, form]).astype(complex)
+
+
+def sup(a):
+    return float(np.abs(a).max())
 
 
 def test_pair_basis_examples():
@@ -67,45 +75,52 @@ def test_pair_dimension_mismatch():
         pair(rand_vec(3), rand_vec(2))
     with pytest.raises(ValueError):
         pair_minus(rand_vec(3), rand_vec(2))
+    with pytest.raises(ValueError):
+        tensor_pair(rand_vec(3), rand_vec(2))
+    with pytest.raises(ValueError):
+        pair(np.ones(5), np.ones(5))  # no (vec, form) split of an odd stack
 
 
 def test_adjoint_identity_and_defining_relation():
     n = 3
-    assert adjoint(identity(n)).norm() == pytest.approx(1.0)
-    assert np.allclose(adjoint(identity(n)).mat, np.eye(2 * n))
-    ps = [GtEndo(n, RNG.normal(size=(6, 6)) + 1j * RNG.normal(size=(6, 6)))]
-    ps.append(b_field_matrix(rand_form_matrix(), n))
-    for p in ps:
+    assert np.array_equal(adjoint(np.eye(2 * n)), np.eye(2 * n))
+    for p in (rand_endo(n), b_field_matrix(rand_form_matrix(), n)):
         pstar = adjoint(p)
         for _ in range(20):
             a, b = rand_vec(), rand_vec()
-            assert abs(pair(p(a), b) - pair(a, pstar(b))) < 1e-12
+            assert abs(pair(p @ a, b) - pair(a, pstar @ b)) < 1e-12
 
 
 def test_adjoint_involution_and_antihomomorphism():
-    n = 3
-    p = GtEndo(n, RNG.normal(size=(6, 6)))
-    q = GtEndo(n, RNG.normal(size=(6, 6)))
-    assert (adjoint(adjoint(p)) - p).norm() < 1e-14
-    assert (adjoint(p @ q) - adjoint(q) @ adjoint(p)).norm() < 1e-13
+    p = rand_endo(complex_=False)
+    q = rand_endo(complex_=False)
+    assert sup(adjoint(adjoint(p)) - p) < 1e-14
+    assert sup(adjoint(p @ q) - adjoint(q) @ adjoint(p)) < 1e-13
+
+
+def test_pairing_gram_is_the_pairing_of_p():
+    p = rand_endo()
+    gram = pairing_gram(p)
+    assert np.array_equal(gram, gram.T)
+    for _ in range(20):
+        a = RNG.normal(size=6)
+        assert abs(a @ gram @ a - pair(p @ a, a)) < 1e-12
 
 
 def test_tensor_pair_examples():
-    n = 3
     dx_vec = gt([1, 0, 0], [0, 0, 0])
     dx_form = gt([0, 0, 0], [1, 0, 0])
     m = tensor_pair(dx_vec, dx_form)
-    out = m(dx_vec)
-    assert np.allclose(out.data, dx_vec.data)  # 2 * (1/2) * d/dx
+    assert np.allclose(m @ dx_vec, dx_vec)  # 2 * (1/2) * d/dx
     # annihilates anything pairing to zero with F
     dy_vec = gt([0, 1, 0], [0, 0, 0])
-    assert m(dy_vec).norm() == 0
+    assert sup(m @ dy_vec) == 0
 
 
 def test_tensor_pair_pairing_identity():
     for _ in range(50):
         e, f, a, b = rand_vec(), rand_vec(), rand_vec(), rand_vec()
-        lhs = pair(tensor_pair(e, f)(a), b)
+        lhs = pair(tensor_pair(e, f) @ a, b)
         rhs = 2 * pair(f, a) * pair(e, b)
         assert abs(lhs - rhs) < 1e-12
 
@@ -117,17 +132,16 @@ def test_tensor_pair_classical_eta_xi():
     m = tensor_pair(xi, eta)
     x = gt([1.0, 2.0, 3.0], [0, 0, 0])
     eta_x = -0.7 * 1.0 + 3.0
-    assert np.allclose(m(x).data, eta_x * xi.data)
+    assert np.allclose(m @ x, eta_x * xi)
 
 
 def test_b_field_matrix():
     n = 3
-    assert (b_field_matrix(np.zeros((n, n)), n) - identity(n)).norm() == 0
+    assert np.array_equal(b_field_matrix(np.zeros((n, n)), n), np.eye(2 * n))
     b = np.zeros((n, n))
     b[0, 1], b[1, 0] = 1.0, -1.0  # dx ^ dy
-    dx_vec = gt([1, 0, 0], [0, 0, 0])
-    out = b_field_matrix(b, n)(dx_vec)
-    assert np.allclose(out.data, gt([1, 0, 0], [0, 1, 0]).data)  # d/dx + dy
+    out = b_field_matrix(b, n) @ gt([1, 0, 0], [0, 0, 0])
+    assert np.allclose(out, gt([1, 0, 0], [0, 1, 0]))  # d/dx + dy
 
 
 def test_b_field_orthogonal_and_inverse():
@@ -135,10 +149,10 @@ def test_b_field_orthogonal_and_inverse():
     b = rand_form_matrix()
     eb = b_field_matrix(b, n)
     ebinv = b_field_matrix(-b, n)
-    assert (eb @ ebinv - identity(n)).norm() < 1e-13
+    assert sup(eb @ ebinv - np.eye(2 * n)) < 1e-13
     for _ in range(20):
         a, c = rand_vec(), rand_vec()
-        assert abs(pair(eb(a), eb(c)) - pair(a, c)) < 1e-12
+        assert abs(pair(eb @ a, eb @ c) - pair(a, c)) < 1e-12
 
 
 def test_b_field_rejects_non_antisymmetric():
@@ -148,23 +162,37 @@ def test_b_field_rejects_non_antisymmetric():
 
 def test_r_scaling():
     n = 3
-    assert (r_scaling(0.0, n) - identity(n)).norm() == 0
-    out = r_scaling(1.0, n)(gt([1, 0, 0], [0, 0, 0]))
-    assert np.allclose(out.vec, [np.exp(-1), 0, 0])
-    assert np.allclose(out.form, 0)
-    assert (r_scaling(1.0, n) @ r_scaling(-1.0, n) - identity(n)).norm() < 1e-15
+    assert np.array_equal(r_scaling(0.0, n), np.eye(2 * n))
+    out = r_scaling(1.0, n) @ gt([1, 0, 0], [0, 0, 0])
+    assert np.allclose(out[:n], [np.exp(-1), 0, 0])
+    assert np.allclose(out[n:], 0)
+    assert sup(r_scaling(1.0, n) @ r_scaling(-1.0, n) - np.eye(2 * n)) < 1e-15
+    r = r_scaling(0.4, n)
     for _ in range(20):
         a, c = rand_vec(), rand_vec()
-        assert abs(pair(r_scaling(0.4, n)(a), r_scaling(0.4, n)(c)) - pair(a, c)) < 1e-12
+        assert abs(pair(r @ a, r @ c) - pair(a, c)) < 1e-12
 
 
 def test_endo_apply_is_linear():
-    n = 3
-    p = GtEndo(n, RNG.normal(size=(6, 6)) + 1j * RNG.normal(size=(6, 6)))
+    p = rand_endo()
     for _ in range(20):
         a, b = rand_vec(), rand_vec()
         s = RNG.normal() + 1j * RNG.normal()
-        lhs = p(a * s + b)
-        rhs = p(a) * s + p(b)
-        assert (lhs - rhs).norm() < 1e-12
-        assert lhs.is_finite()
+        lhs = apply(p, a * s + b)
+        assert sup(lhs - (apply(p, a) * s + apply(p, b))) < 1e-12
+        assert np.all(np.isfinite(lhs))
+
+
+def test_stacks_give_the_per_point_results():
+    """A (P, 2n) or (P, 2n, 2n) stack gives what each point gives alone."""
+    P = 7
+    a = np.stack([rand_vec() for _ in range(P)])
+    b = np.stack([rand_vec() for _ in range(P)])
+    p = np.stack([rand_endo() for _ in range(P)])
+    batched = (pair(a, b), pair_minus(a, b), tensor_pair(a, b), adjoint(p), pairing_gram(p),
+               apply(p, a))
+    for k in range(P):
+        single = (pair(a[k], b[k]), pair_minus(a[k], b[k]), tensor_pair(a[k], b[k]),
+                  adjoint(p[k]), pairing_gram(p[k]), p[k] @ a[k])
+        for whole, one in zip(batched, single):
+            assert np.array_equal(whole[k], one)

@@ -96,6 +96,33 @@ def test_crosscheck_computes_each_nij_once(monkeypatch):
     assert len(calls) == 4 * 5 + 4 * 15
 
 
+def test_crosscheck_verdict_ignores_the_rcone_condition():
+    """On darboux the R-cone condition fails (residual 1/8) but the proof
+    identities hold, so cone_crosscheck passes: its sub-frame row is ungated."""
+    rep = I.cone_crosscheck(DARBOUX["gacs"], pts(DARBOUX, 5))
+    assert "rcone_condition.residual" not in [r.name for r in rep.rows]
+    assert rep["crosscheck.subframe_nij"].tolerance is None
+    assert rep.passed
+
+
+def test_generalized_sasakian_computes_each_nij_once(monkeypatch):
+    """Per branch, the rcone_condition row comes from the Nij_M tables of the
+    crosscheck, so no separate conjugated_cone_residual pass recomputes them:
+    two branches of 20 Nij_M and 60 Nij_C values each."""
+    calls = []
+    original = F.nij_jets
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(F, "nij_jets", counting)
+    rep = I.generalized_sasakian_check(HEIS["gacm"], pts(HEIS, 5))
+    assert len(calls) == 2 * (4 * 5 + 4 * 15)
+    assert [r.name for r in rep.rows[:2]] == [
+        "gsas.phi.rcone_condition.residual", "gsas.phi.crosscheck.id1"]
+
+
 def test_normality():
     assert I.normality_check(HEIS["acs"], pts(HEIS)).passed
     for acs in KAHLER["acs_pair"]:
