@@ -6,6 +6,11 @@ Operations that consume a derivative order (exterior derivative, Lie
 derivative, Courant bracket) return fields of correspondingly lower jet
 order; nesting deeper than the order-2 budget raises ``JetOrderError``.
 
+The jet-level operators keep the component axes first.  ``courant_jets``
+also accepts batch axes after the leading component axis (its subscripts
+use ``...``), which broadcast: a stack of sections brackets pairwise in one
+call, item by item as the unbatched call would.
+
 Form components are stored as full antisymmetric arrays.  The wedge and the
 exterior derivative use the determinant convention,
 
@@ -450,21 +455,25 @@ def c_transform(omega: Field, phi: MatrixField) -> Field:
 
 
 def courant_jets(ja: JetArray, jb: JetArray, n: int) -> JetArray:
-    """[[X+a, Y+b]] = [X,Y] + L_X b - L_Y a - d(i_X b - i_Y a)/2, on jets."""
+    """[[X+a, Y+b]] = [X,Y] + L_X b - L_Y a - d(i_X b - i_Y a)/2, on jets.
+
+    Axes after the leading component axis are batch axes and broadcast, so
+    one call brackets a whole stack of section pairs.
+    """
     x, a = ja[:n], ja[n:]
     y, b = jb[:n], jb[n:]
     dx, da = J.dshift(x), J.dshift(a)
     dy, db = J.dshift(y), J.dshift(b)
-    vec = J.jet_einsum("j,ij->i", x, dy) - J.jet_einsum("j,ij->i", y, dx)
+    vec = J.jet_einsum("j...,i...j->i...", x, dy) - J.jet_einsum("j...,i...j->i...", y, dx)
     # L_X b = X^i d_i b_j + b_i d_j X^i
-    lxb = J.jet_einsum("i,ji->j", x, db) + J.jet_einsum("i,ij->j", b, dx)
-    lya = J.jet_einsum("i,ji->j", y, da) + J.jet_einsum("i,ij->j", a, dy)
+    lxb = J.jet_einsum("i...,j...i->j...", x, db) + J.jet_einsum("i...,i...j->j...", b, dx)
+    lya = J.jet_einsum("i...,j...i->j...", y, da) + J.jet_einsum("i...,i...j->j...", a, dy)
     # d(i_X b - i_Y a)_j = d_j(X^i b_i - Y^i a_i)
     exact = (
-        J.jet_einsum("i,ij->j", b, dx)
-        + J.jet_einsum("i,ij->j", x, db)
-        - J.jet_einsum("i,ij->j", a, dy)
-        - J.jet_einsum("i,ij->j", y, da)
+        J.jet_einsum("i...,i...j->j...", b, dx)
+        + J.jet_einsum("i...,i...j->j...", x, db)
+        - J.jet_einsum("i...,i...j->j...", a, dy)
+        - J.jet_einsum("i...,i...j->j...", y, da)
     )
     form = lxb - lya - 0.5 * exact
     return jconcat([vec, form])

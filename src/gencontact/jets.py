@@ -297,15 +297,15 @@ def extend_vars(j: JetArray, total: int) -> JetArray:
     """
     if total < j.nvars:
         raise ValueError("cannot shrink the variable count")
-    extra = total - j.nvars
+    k = j.nvars
     grad = None
     hess = None
     if j.grad is not None:
-        pad = [(0, 0)] * (j.grad.ndim - 1) + [(0, extra)]
-        grad = np.pad(j.grad, pad)
+        grad = np.zeros(j.grad.shape[:-1] + (total,), dtype=j.grad.dtype)
+        grad[..., :k] = j.grad
         if j.hess is not None:
-            pad = [(0, 0)] * (j.hess.ndim - 2) + [(0, extra), (0, extra)]
-            hess = np.pad(j.hess, pad)
+            hess = np.zeros(j.hess.shape[:-2] + (total, total), dtype=j.hess.dtype)
+            hess[..., :k, :k] = j.hess
     return JetArray(j.value, grad, hess, total)
 
 

@@ -487,11 +487,22 @@ def frame_nij(jets: Sequence[J.JetArray], n: int) -> Dict[Tuple[int, int, int], 
 
     Nij is exactly antisymmetric on isotropic frames, so repeated-member
     triples vanish identically and the sorted triples determine the rest.
+    Only the values are read, so the members enter as order-1 jets, stacked
+    along a batch axis after the component axis, and one ``courant_jets``
+    call brackets every ordered pair.  The triples are read from
+    ``P[p, q, r] = <[[A_p, A_q]], A_r>`` in the order of ``nij_jets``.
     """
-    return {
-        (i, j, k): complex(F.nij_jets(jets[i], jets[j], jets[k], n).value)
-        for i, j, k in combinations(range(len(jets)), 3)
-    }
+    m = len(jets)
+    if m < 3:
+        return {}
+    frame = J.stack([J.JetArray(j.value, j.grad, None, j.nvars) for j in jets], axis=1)
+    brackets = F.courant_jets(frame[:, :, None], frame[:, None, :], n).value
+    swapped = np.concatenate([brackets[n:], brackets[:n]])
+    P = 0.5 * np.einsum("ipq,ir->pqr", swapped, frame.value)
+    triples = list(combinations(range(m), 3))
+    i, j, k = np.array(triples).T
+    values = (1.0 / 3.0) * ((P[i, j, k] + P[j, k, i]) + P[k, i, j])
+    return dict(zip(triples, values.tolist()))
 
 
 def max_nij_over_frame(members: Sequence[SectionField], points) -> Tuple[float, list]:

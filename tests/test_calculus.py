@@ -194,6 +194,30 @@ def test_courant_antisymmetry_exact():
         assert np.abs(ab.values(p) + ba.values(p)).max() < 1e-12
 
 
+def test_courant_batch_axes_match_per_pair_loop():
+    """Sections stacked after the component axis bracket pairwise in one call,
+    with the same values and gradients as one call per pair."""
+    from gencontact import jets as J
+
+    members = [
+        sec(vec=["x*y", "sin(z)", "1"], form=["z", "x^2", "y"]),
+        sec(vec=["exp(y)", "x", "z*z"], form=["1", "x*y", "sin(x)"]),
+        sec(vec=["1", "x", "y*z"], form=["x*z", "0", "cos(y)"]),
+    ]
+    for p in PTS[:3]:
+        jets = [m.at(p) for m in members]
+        assert all(j.order == 2 for j in jets)
+        frame = J.stack(jets, axis=1)
+        table = F.courant_jets(frame[:, :, None], frame[:, None, :], 3)
+        assert table.shape == (6, 3, 3) and table.order == 1
+        for i, ji in enumerate(jets):
+            for k, jk in enumerate(jets):
+                pair = F.courant_jets(ji, jk, 3)
+                assert np.array_equal(table.value[:, i, k], pair.value)
+                assert np.array_equal(table.grad[:, i, k], pair.grad)
+        assert np.abs(table.value + np.swapaxes(table.value, 1, 2)).max() < 1e-12
+
+
 def fd_courant_values(a, b, p, h=1e-6):
     """Independent finite-difference Courant bracket used as an oracle."""
 

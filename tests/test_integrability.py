@@ -1,13 +1,19 @@
 """Involutivity, the conjugated-cone condition residuals, the cone
 cross-check, normality, the pair conditions and the Sasakian criteria."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from gencontact import cone as C
 from gencontact import fields as F
 from gencontact import gallery
 from gencontact import integrability as I
 from gencontact import structures as S
+from gencontact.charts import ConeChart
 
 DARBOUX = gallery.build("darboux")
 HEIS = gallery.build("heisenberg_sasakian")
@@ -34,11 +40,15 @@ def test_plain_cone_darboux_verdicts_agree():
     assert rep["plain_cone.e_plus_minus_bracket"].max_residual < 1e-10
 
 
-def test_plain_cone_perturbed_fails_both_routes():
+def twisted_darboux():
+    """Darboux twisted by the non-closed B = z dx ^ dy."""
     ch = DARBOUX["chart"]
     wild = F.wedge11(F.coordinate(ch, 2) * F.basis_form(ch, 0), F.basis_form(ch, 1))
-    twisted = S.b_transform(DARBOUX["gacs"], wild)
-    rep = I.plain_cone_check(twisted, pts(DARBOUX, 4))
+    return S.b_transform(DARBOUX["gacs"], wild)
+
+
+def test_plain_cone_perturbed_fails_both_routes():
+    rep = I.plain_cone_check(twisted_darboux(), pts(DARBOUX, 4))
     assert rep["plain_cone.verdict_agreement"].max_residual == 0.0
     assert rep["plain_cone.l_minus_nij"].max_residual > 1e-3
     assert rep["plain_cone.cone_frame_nij"].max_residual > 1e-3
@@ -81,19 +91,91 @@ def test_crosscheck_subframe_involutivity():
 
 
 def test_crosscheck_computes_each_nij_once(monkeypatch):
-    """One Nij_M table per base point and one Nij_C table per cone point:
-    the 4 triples of each 4-member frame, at 5 base points and 5 x 3 cone
-    points, and nothing recomputed for the two-route or sub-frame rows."""
+    """One Nij_M table per base point and one Nij_C table per cone point,
+    each from one batched Courant bracket call: 5 base points and 5 x 3
+    cone points, and nothing recomputed for the two-route or sub-frame rows."""
     calls = []
-    original = F.nij_jets
+    original = F.courant_jets
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(F, "nij_jets", counting)
+    monkeypatch.setattr(F, "courant_jets", counting)
     I.cone_crosscheck(HEIS["gacs"], pts(HEIS, 5))
-    assert len(calls) == 4 * 5 + 4 * 15
+    assert len(calls) == 5 + 15
+
+
+def frame_nij_gap(members, points) -> float:
+    """Assert frame_nij equals the per-triple nij_jets loop to 1e-13 of the
+    table's largest entry at every point; return that largest entry."""
+    n = members[0].chart.dim
+    largest = 0.0
+    for p in points:
+        jets = [m.at(p) for m in members]
+        table = S.frame_nij(jets, n)
+        ref = {
+            (i, j, k): complex(F.nij_jets(jets[i], jets[j], jets[k], n).value)
+            for i, j, k in combinations(range(len(jets)), 3)
+        }
+        assert table.keys() == ref.keys()
+        scale = max(abs(v) for v in ref.values())
+        for tri, v in ref.items():
+            assert abs(table[tri] - v) <= 1e-13 * scale, (tri, table[tri], v)
+        largest = max(largest, scale)
+    return largest
+
+
+def test_frame_nij_matches_the_per_triple_loop():
+    darboux = S.eigenframe(DARBOUX["gacs"])
+    assert frame_nij_gap(darboux.l_plus, pts(DARBOUX, 4)) > 0.1
+    twisted = S.eigenframe(twisted_darboux())
+    assert frame_nij_gap(twisted.l_minus, pts(DARBOUX, 4)) > 0.1
+    for entry, nonzero in ((HEIS, False), (DARBOUX, True)):
+        s = entry["gacs"]
+        frame = S.eigenframe(s)
+        members = C.cone_plus_frame(ConeChart.over(s.chart), frame.e10, s.Eplus,
+                                    s.Eminus, conjugated=False)
+        assert (frame_nij_gap(members, C.cone_points(pts(entry, 2))) > 0.1) == nonzero
+    d3 = gallery.darboux(3)
+    sample = d3["chart"].sample(seed=5, count=2)
+    assert frame_nij_gap(S.eigenframe(d3["gacs"]).l_plus, sample) > 0.1
+
+
+def _monomial(chart, a, b):
+    one = F.constant(chart, 1)
+    return (one if a < 0 else F.coordinate(chart, a)) * (one if b < 0 else F.coordinate(chart, b))
+
+
+@st.composite
+def perturbed_darboux(draw):
+    """dz - sum y_i dx_i plus a few random monomials of degree <= 2 per slot."""
+    k = draw(st.sampled_from([1, 2]))
+    n = 2 * k + 1
+    eta = gallery.darboux_eta(k)
+    ch = eta.chart
+    comps = [F.ScalarField(ch, lambda p, c=c: eta.at(p)[c]) for c in range(n)]
+    terms = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(-1, n - 1), st.integers(-1, n - 1),
+                  st.floats(-0.3, 0.3)),
+        min_size=1, max_size=4))
+    for c, a, b, coef in terms:
+        comps[c] = comps[c] + coef * _monomial(ch, a, b)
+    return F.one_form(ch, comps), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(perturbed_darboux())
+def test_frame_nij_matches_the_per_triple_loop_on_generated_forms(case):
+    eta, seed = case
+    sample = eta.chart.sample(seed=seed, count=2)
+    try:
+        s = S.gacs_from_contact(eta, check_points=sample)
+        frame = S.eigenframe(s, sample_points=sample)
+    except ValueError:
+        assume(False)
+    frame_nij_gap(frame.l_plus, sample)
+    frame_nij_gap(frame.l_minus, sample)
 
 
 def test_crosscheck_verdict_ignores_the_rcone_condition():
@@ -108,17 +190,17 @@ def test_crosscheck_verdict_ignores_the_rcone_condition():
 def test_generalized_sasakian_computes_each_nij_once(monkeypatch):
     """Per branch, the rcone_condition row comes from the Nij_M tables of the
     crosscheck, so no separate conjugated_cone_residual pass recomputes them:
-    two branches of 20 Nij_M and 60 Nij_C values each."""
+    two branches of 5 Nij_M and 15 Nij_C tables, one bracket call each."""
     calls = []
-    original = F.nij_jets
+    original = F.courant_jets
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(F, "nij_jets", counting)
+    monkeypatch.setattr(F, "courant_jets", counting)
     rep = I.generalized_sasakian_check(HEIS["gacm"], pts(HEIS, 5))
-    assert len(calls) == 2 * (4 * 5 + 4 * 15)
+    assert len(calls) == 2 * (5 + 15)
     assert [r.name for r in rep.rows[:2]] == [
         "gsas.phi.rcone_condition.residual", "gsas.phi.crosscheck.id1"]
 

@@ -126,3 +126,40 @@ def test_order_degrades_through_products():
     prod = partial * x
     assert prod.order == 1
     assert prod.hess is None
+
+
+def random_jet(rng, shape, nvars, order):
+    def draw(s):
+        return rng.normal(size=s) + 1j * rng.normal(size=s)
+
+    grad = draw(shape + (nvars,)) if order >= 1 else None
+    hess = draw(shape + (nvars, nvars)) if order >= 2 else None
+    return J.JetArray(draw(shape), grad, hess, nvars)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_extend_vars_matches_np_pad(order):
+    j = random_jet(np.random.default_rng(order), (2, 3), 3, order)
+    out = J.extend_vars(j, 5)
+    assert out.nvars == 5 and out.order == order
+    assert out.value is j.value
+    if order >= 1:
+        want = np.pad(j.grad, [(0, 0), (0, 0), (0, 2)])
+        assert out.grad.dtype == want.dtype and np.array_equal(out.grad, want)
+    if order >= 2:
+        want = np.pad(j.hess, [(0, 0), (0, 0), (0, 2), (0, 2)])
+        assert out.hess.dtype == want.dtype and np.array_equal(out.hess, want)
+
+
+def test_jet_einsum_middle_ellipsis_matches_per_item():
+    """Batch axes after the component axis: each item equals the unbatched product."""
+    rng = np.random.default_rng(7)
+    a = random_jet(rng, (3, 4), 3, 2)
+    m = random_jet(rng, (3, 4, 3), 3, 2)
+    out = J.jet_einsum("j...,i...j->i...", a, m)
+    assert out.shape == (3, 4)
+    for b in range(4):
+        item = J.jet_einsum("j,ij->i", a[:, b], m[:, b])
+        assert np.array_equal(out[:, b].value, item.value)
+        assert np.array_equal(out[:, b].grad, item.grad)
+        assert np.array_equal(out[:, b].hess, item.hess)
