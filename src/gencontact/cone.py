@@ -5,6 +5,14 @@ All cone computation uses the coordinate t with r = e^t, so the radial
 stays a box.  The orientation of Psi follows the displayed block matrix
 (top-left eta_- (x) d/dt - dt (x) xi_+), under which E+ - i d/dt and
 E- - i dt span the +i directions added on the cone; so Psi(d/dt) = -E+.
+
+Every lift from M to the cone is one placement map, ``jets.extend_vars``
+with a component shape and an index: the base jet's value, gradient and
+hessian are written into zeros at the base slots and get zero derivatives
+in t.  A section goes to the ``_m_indices`` slots of the cone stack (the t
+and dt slots stay zero), an endomorphism to the ``np.ix_`` block of those
+slots, a 1-form to the first n slots; ``classical_cone_i`` and the cross
+term metric ``g_tilde`` sum such placements.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from . import jets as J
 from .charts import Chart, ConeChart
 from .fields import GtEndoField, ScalarField, SectionField
 from .report import ResidualReport, stack_values, sup_norm
-from .structures import FGacs, Gacs
+from .structures import FGacs, Gacs, pivoted_frame
 
 T_INDEPENDENCE_TOL = 1e-10
 
@@ -43,12 +51,8 @@ def lift_scalar(cone: ConeChart, f: ScalarField) -> ScalarField:
 
 def lift_form(cone: ConeChart, omega) -> "F.OneFormField":
     n = cone.base.dim
-
-    def fn(p):
-        j = J.extend_vars(omega.at(p[:n]), cone.dim)
-        return F.jconcat([j, J.lift(np.zeros(1), cone.dim)])
-
-    return F.OneFormField(cone, fn)
+    return F.OneFormField(
+        cone, lambda p: J.extend_vars(omega.at(p[:n]), cone.dim, (cone.dim,), slice(n)))
 
 
 def cone_points(base_points, ts=(-0.5, 0.0, 0.5)) -> List[np.ndarray]:
@@ -57,36 +61,16 @@ def cone_points(base_points, ts=(-0.5, 0.0, 0.5)) -> List[np.ndarray]:
 
 def lift_section(cone: ConeChart, s: SectionField) -> SectionField:
     n = cone.base.dim
-
-    def fn(p):
-        j = J.extend_vars(s.at(p[:n]), cone.dim)
-        zero = J.lift(np.zeros(1), cone.dim)
-        return F.jconcat([j[:n], zero, j[n:], zero])
-
-    return SectionField(cone, fn)
+    N = cone.dim
+    rows = _m_indices(n)
+    return SectionField(cone, lambda p: J.extend_vars(s.at(p[:n]), N, (2 * N,), rows))
 
 
 def lift_endo(cone: ConeChart, e: GtEndoField) -> GtEndoField:
     n = cone.base.dim
     N = cone.dim
-    rows = _m_indices(n)
-
-    def fn(p):
-        j = J.extend_vars(e.at(p[:n]), N)
-        out_v = np.zeros((2 * N, 2 * N), dtype=complex)
-        out_g = np.zeros((2 * N, 2 * N, N), dtype=complex) if j.grad is not None else None
-        out_h = (
-            np.zeros((2 * N, 2 * N, N, N), dtype=complex) if j.hess is not None else None
-        )
-        ix = np.ix_(rows, rows)
-        out_v[ix] = j.value
-        if out_g is not None:
-            out_g[ix] = j.grad
-        if out_h is not None:
-            out_h[ix] = j.hess
-        return J.JetArray(out_v, out_g, out_h, N)
-
-    return GtEndoField(cone, fn)
+    block = np.ix_(_m_indices(n), _m_indices(n))
+    return GtEndoField(cone, lambda p: J.extend_vars(e.at(p[:n]), N, (2 * N, 2 * N), block))
 
 
 def _m_indices(n: int) -> List[int]:
@@ -258,9 +242,7 @@ def cone_decompose(j: ConeGacx, points=None, tol: float = 1e-8) -> Union[Gacs, F
 
     # extraction consistency: the displayed form must reproduce J
     rebuilt = i_prime(FGacs(base, Jm, B, A, h), cone)
-    worst = 0.0
-    for p in points:
-        worst = max(worst, float(np.abs(rebuilt.J.values(p) - j.J.values(p)).max()))
+    worst = sup_norm(stack_values(rebuilt.J, points) - stack_values(j.J, points)).max()
     if worst > 1e-7:
         raise ValueError(
             f"J is not of the displayed t-invariant normal form (residual {worst:.2e})"
@@ -293,15 +275,10 @@ def gacx_plus_frame(j: ConeGacx, base_point=None) -> List[SectionField]:
     Projects the coordinate sections through (1 - i J)/2 and keeps a maximal
     independent subset chosen at the base point.
     """
-    from .structures import _pivot_columns
-
     cone = j.chart
-    N = cone.dim
     if base_point is None:
         base_point = cone.sample(seed=0, count=1)[0]
     candidates = [0.5 * (u - 1j * j.J.apply(u)) for u in F.coordinate_sections(cone)]
-    mat = np.stack([c.values(base_point) for c in candidates], axis=1)
-    cols = _pivot_columns(mat, N)
-    if len(cols) < N:
-        raise ValueError(f"cone eigenframe rank dropped to {len(cols)} (< {N})")
+    cols = pivoted_frame(candidates, base_point, cone.dim,
+                         "cone eigenframe rank dropped to {} (< {})")
     return [candidates[i] for i in cols]

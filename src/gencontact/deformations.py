@@ -110,16 +110,9 @@ def b_transform_fgacs(s: FGacs, b: TwoFormField) -> FGacs:
 
 def fgacs_deviation(a: FGacs, b: FGacs, points) -> float:
     """Max slot-wise difference of two f-structures over the samples."""
-    worst = 0.0
-    for p in points:
-        worst = max(
-            worst,
-            float(np.abs(a.Phi.values(p) - b.Phi.values(p)).max()),
-            float(np.abs(a.Eplus.values(p) - b.Eplus.values(p)).max()),
-            float(np.abs(a.Eminus.values(p) - b.Eminus.values(p)).max()),
-            float(np.abs(a.f.values(p) - b.f.values(p))),
-        )
-    return worst
+    slots = ((a.Phi, b.Phi), (a.Eplus, b.Eplus), (a.Eminus, b.Eminus), (a.f, b.f))
+    return max(float(sup_norm(stack_values(x, points) - stack_values(y, points)).max())
+               for x, y in slots)
 
 
 def b_commute_check(s: FGacs, kappa: OneFormField, b: TwoFormField, points) -> ResidualReport:
@@ -205,7 +198,7 @@ def cone_b_correspondence(s: FGacs, kappa: OneFormField, base_points,
         ebinv = F.b_endo(-1 * b)
         lhs = eb @ builder(s, cone).J @ ebinv
         rhs = builder(deformed, cone).J
-        vals = [float(np.abs(lhs.values(p) - rhs.values(p)).max()) for p in cpts]
+        vals = sup_norm(stack_values(lhs, cpts) - stack_values(rhs, cpts))
         rep.add(f"cone_b.{name}", vals, cpts, tol)
     return rep
 
@@ -222,20 +215,13 @@ def g_tilde(g: MatrixField, alpha: OneFormField, cone: ConeChart) -> GtEndoField
     """
     n = g.chart.dim
     N = cone.dim
+    e_t = J.lift(np.eye(N)[n], N)
 
     def ghat_fn(p):
         q = p[:n]
-        gj = J.extend_vars(g.at(q), N)
-        pad = F.jconcat(
-            [
-                F.jconcat([gj, J.lift(np.zeros((n, 1)), N)], axis=1),
-                F.jconcat([J.lift(np.zeros((1, n)), N), J.lift(np.zeros((1, 1)), N)], axis=1),
-            ],
-            axis=0,
-        )
-        aj = J.extend_vars(alpha.at(q), N)
-        beta = F.jconcat([aj, J.lift(np.ones(1), N)])
-        return pad + J.jet_einsum("i,j->ij", beta, beta)
+        gj = J.extend_vars(g.at(q), N, (N, N), (slice(n), slice(n)))
+        beta = J.extend_vars(alpha.at(q), N, (N,), slice(n)) + e_t
+        return gj + J.jet_einsum("i,j->ij", beta, beta)
 
     ghat = MatrixField(cone, ghat_fn)
 
@@ -286,7 +272,7 @@ def cross_term_metric_forward(m: Gacm, alpha: OneFormField, base_points,
         raise ValueError("forward construction needs the metric in (g, b) form")
     if m.metric.b is not None:
         probe = m.chart.sample(seed=3, count=3)
-        if max(float(np.abs(m.metric.b.values(p)).max()) for p in probe) > 1e-12:
+        if sup_norm(stack_values(m.metric.b, probe)).max() > 1e-12:
             raise ValueError("the cross-term construction needs b = 0")
     s = k_plus(FGacs.of_gacs(m.gacs), alpha)
     return s, cross_term_metric_check(s, m.metric.g, alpha, base_points, ts, tol)

@@ -10,7 +10,7 @@ sample set and all frame triples, and reports carry the raw residuals.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import jets as J
 from .charts import ConeChart
 from .cone import cone_plus_frame, cone_points
 from .fields import MatrixField
-from .report import ResidualReport
+from .report import ResidualReport, stack_values, sup_norm
 from .structures import (
     AlmostContactMetric,
     EigenFrame,
@@ -56,7 +56,7 @@ def plain_cone_check(s: Gacs, base_points, tol: float = INT_TOL,
     rep.add("plain_cone.l_minus_nij", per_minus, base_points, tol)
 
     bracket = F.courant(s.Eplus, s.Eminus)
-    per_bracket = [float(np.abs(bracket.values(p)).max()) for p in base_points]
+    per_bracket = sup_norm(stack_values(bracket, base_points))
     rep.add("plain_cone.e_plus_minus_bracket", per_bracket, base_points, tol)
 
     cone = ConeChart.over(s.chart)
@@ -65,7 +65,7 @@ def plain_cone_check(s: Gacs, base_points, tol: float = INT_TOL,
     direct, per_direct = max_nij_over_frame(members, cpts)
     rep.add("plain_cone.cone_frame_nij", per_direct, cpts, tol)
 
-    lhs_pass = max(plus, minus, max(per_bracket)) < tol
+    lhs_pass = max(plus, minus, per_bracket.max()) < tol
     rhs_pass = direct < tol
     rep.add("plain_cone.verdict_agreement", [0.0 if lhs_pass == rhs_pass else 1.0], None, 0.5)
     return rep
@@ -197,41 +197,38 @@ def _cone_crosscheck(s: Gacs, base_points, tol: float, frame: Optional[EigenFram
 def classical_cone_i(acs: AlmostContactMetric, cone: ConeChart) -> MatrixField:
     """I = phi + eta (x) d/dt - dt (x) xi on TC(M)."""
     n = acs.chart.dim
+    N = cone.dim
 
     def fn(p):
         q = p[:n]
-        phi = J.extend_vars(acs.phi.at(q), cone.dim)
-        xi = J.extend_vars(acs.xi.at(q), cone.dim)
-        eta = J.extend_vars(acs.eta.at(q), cone.dim)
-        top = F.jconcat([phi, (-xi).reshape(n, 1)], axis=1)
-        bot = F.jconcat([eta.reshape(1, n), J.lift(np.zeros((1, 1)), cone.dim)], axis=1)
-        return F.jconcat([top, bot], axis=0)
+        return (J.extend_vars(acs.phi.at(q), N, (N, N), (slice(n), slice(n)))
+                + J.extend_vars(-acs.xi.at(q), N, (N, N), (slice(n), n))
+                + J.extend_vars(acs.eta.at(q), N, (N, N), (n, slice(n))))
 
     return MatrixField(cone, fn)
 
 
-def normality_residual(acs: AlmostContactMetric, base_points, ts=DEFAULT_TS) -> List[float]:
-    """Max norm of N(X, Y) = [IX, IY] - I[IX, Y] - I[X, IY] - [X, Y] per point."""
+def normality_residual(acs: AlmostContactMetric, base_points,
+                       ts=DEFAULT_TS) -> Tuple[List[float], List[np.ndarray]]:
+    """Max norm of N(X, Y) = [IX, IY] - I[IX, Y] - I[X, IY] - [X, Y] per cone point.
+
+    X, Y run over coordinate pairs e_a, e_b (a < b), so [X, Y] = 0, and every
+    bracket is read from one jet of I per point, value m and gradient
+    D[i, c, k] = d_k I^i_c: [Ie_a, Ie_b] = m[j, a] D[:, b, j] - m[j, b] D[:, a, j],
+    [Ie_a, e_b] = -D[:, a, b] and [e_a, Ie_b] = D[:, b, a].  Returns the
+    per-point values and the cone points they belong to.
+    """
     cone = ConeChart.over(acs.chart)
     imat = classical_cone_i(acs, cone)
-    N = cone.dim
-    coords = [F.basis_vector(cone, i) for i in range(N)]
-    icoords = [imat.apply(v) for v in coords]
     out = []
     cpts = cone_points(base_points, ts)
     for cp in cpts:
+        jet = imat.at(cp).require(1)
+        m, d = jet.value, jet.grad
         worst = 0.0
-        for a, b in combinations(range(N), 2):
-            # [X, Y] = 0 for coordinate pairs, so that term drops
-            t1 = F.lie_bracket(icoords[a], icoords[b]).at(cp)
-            t2 = imat.at(cp)
-            br_ab = F.lie_bracket(icoords[a], coords[b]).at(cp)
-            br_ba = F.lie_bracket(coords[a], icoords[b]).at(cp)
-            val = (
-                t1.value
-                - t2.value @ br_ab.value
-                - t2.value @ br_ba.value
-            )
+        for a, b in combinations(range(cone.dim), 2):
+            t1 = np.einsum("j,ij->i", m[:, a], d[:, b]) - np.einsum("j,ij->i", m[:, b], d[:, a])
+            val = t1 - m @ -d[:, a, b] - m @ d[:, b, a]
             worst = max(worst, float(np.abs(val).max()))
         out.append(worst)
     return out, cpts
@@ -248,8 +245,7 @@ def normality_check(acs: AlmostContactMetric, base_points, tol: float = 1e-8,
 def sasakian_criterion(acs: AlmostContactMetric, points, tol: float = 1e-8) -> ResidualReport:
     rep = ResidualReport()
     diff = acs.theta - F.d(acs.eta)
-    vals = [float(np.abs(diff.values(p)).max()) for p in points]
-    rep.add("sasakian.theta_minus_deta", vals, points, tol)
+    rep.add("sasakian.theta_minus_deta", sup_norm(stack_values(diff, points)), points, tol)
     return rep
 
 
@@ -263,31 +259,20 @@ def vaisman_conditions(plus: AlmostContactMetric, minus: AlmostContactMetric,
     if plus.g is None or minus.g is None:
         raise ValueError("both structures need metrics")
     rep = ResidualReport()
-    gdiff = [float(np.abs(plus.g.values(p) - minus.g.values(p)).max()) for p in points]
+    gdiff = sup_norm(stack_values(plus.g, points) - stack_values(minus.g, points))
     rep.add("vaisman.same_metric", gdiff, points, tol)
 
     th_p, th_m = plus.theta, minus.theta
     l_p = F.lie_derivative(plus.xi, th_p)
     l_m = F.lie_derivative(minus.xi, th_m)
     c1 = l_p + l_m
-    rep.add("vaisman.lie_transport", [float(np.abs(c1.values(p)).max()) for p in points], points, tol)
+    rep.add("vaisman.lie_transport", sup_norm(stack_values(c1, points)), points, tol)
 
     for tag, acs, th, l1 in (("plus", plus, th_p, l_p), ("minus", minus, th_m, l_m)):
         c2 = th - F.d(acs.eta) + 0.25 * F.lie_derivative(acs.xi, l1)
-        rep.add(
-            f"vaisman.criterion_defect_{tag}",
-            [float(np.abs(c2.values(p)).max()) for p in points],
-            points,
-            tol,
-        )
-        dl = F.d(l1)
-        c3 = F.d(th) - F.wedge12(acs.eta, l1) - 0.5 * F.c_transform(dl, acs.phi)
-        rep.add(
-            f"vaisman.derivative_balance_{tag}",
-            [float(np.abs(c3.values(p)).max()) for p in points],
-            points,
-            tol,
-        )
+        c3 = F.d(th) - F.wedge12(acs.eta, l1) - 0.5 * F.c_transform(F.d(l1), acs.phi)
+        for name, c in (("criterion_defect", c2), ("derivative_balance", c3)):
+            rep.add(f"vaisman.{name}_{tag}", sup_norm(stack_values(c, points)), points, tol)
     return rep
 
 

@@ -289,24 +289,35 @@ def jet_solve(a: JetArray, b: JetArray) -> JetArray:
     return jet_einsum("ij,j->i", jet_inv(a), b)
 
 
-def extend_vars(j: JetArray, total: int) -> JetArray:
+def extend_vars(j: JetArray, total: int, shape=None, index=None) -> JetArray:
     """View a jet in ``nvars`` variables as one in ``total`` (new vars appended).
 
     Derivatives in the appended variables are zero: this is the lift of a
-    base-chart quantity to a product chart.
+    base-chart quantity to a product chart.  With a placement, the jet's
+    value, gradient and hessian are written at ``index`` (anything numpy
+    accepts for ``zeros(shape)[index] = j.value``: a slice, an index list, an
+    ``np.ix_`` block, a tuple) into zeros of component shape ``shape``; this
+    is how a base-chart component block is placed inside a cone quantity.
+    Without one, the value array is shared, not copied.
     """
     if total < j.nvars:
         raise ValueError("cannot shrink the variable count")
     k = j.nvars
+    if shape is None:
+        value, lead, at = j.value, j.value.shape, (Ellipsis,)
+    else:
+        value, lead = np.zeros(shape, dtype=j.value.dtype), tuple(shape)
+        at = index if isinstance(index, tuple) else (index,)
+        value[at] = j.value
     grad = None
     hess = None
     if j.grad is not None:
-        grad = np.zeros(j.grad.shape[:-1] + (total,), dtype=j.grad.dtype)
-        grad[..., :k] = j.grad
+        grad = np.zeros(lead + (total,), dtype=j.grad.dtype)
+        grad[at + (slice(k),)] = j.grad
         if j.hess is not None:
-            hess = np.zeros(j.hess.shape[:-2] + (total, total), dtype=j.hess.dtype)
-            hess[..., :k, :k] = j.hess
-    return JetArray(j.value, grad, hess, total)
+            hess = np.zeros(lead + (total, total), dtype=j.hess.dtype)
+            hess[at + (slice(k), slice(k))] = j.hess
+    return JetArray(value, grad, hess, total)
 
 
 def restrict_vars(j: JetArray, keep: int) -> JetArray:

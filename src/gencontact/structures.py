@@ -428,12 +428,8 @@ def eigenframe(s: Gacs, base_point=None, sample_points=None) -> EigenFrame:
         proj = _project_out_kernel(s, u)
         candidates.append(_eigen_project(s, proj))
 
-    mat = np.stack([c.values(base_point) for c in candidates], axis=1)
-    pivots = _pivot_columns(mat, n - 1)
-    if len(pivots) < n - 1:
-        raise ValueError(
-            f"eigenframe rank dropped to {len(pivots)} (< {n - 1}) at the base point"
-        )
+    pivots = pivoted_frame(candidates, base_point, n - 1,
+                           "eigenframe rank dropped to {} (< {}) at the base point")
     frame = EigenFrame(
         e10=tuple(candidates[i] for i in pivots),
         eplus=s.Eplus,
@@ -456,6 +452,20 @@ def _project_out_kernel(s: Gacs, u: SectionField) -> SectionField:
 
 def _eigen_project(s: Gacs, u: SectionField) -> SectionField:
     return 0.5 * (u - 1j * s.Phi.apply(u))
+
+
+def pivoted_frame(candidates: Sequence[SectionField], point, want: int,
+                  shortfall: str) -> List[int]:
+    """Pivot columns of the candidates' values at a point, ``want`` of them.
+
+    Raises ``ValueError(shortfall.format(found, want))`` when fewer pass the
+    conditioning floor.
+    """
+    mat = np.stack([c.values(point) for c in candidates], axis=1)
+    cols = _pivot_columns(mat, want)
+    if len(cols) < want:
+        raise ValueError(shortfall.format(len(cols), want))
+    return cols
 
 
 def _pivot_columns(mat: np.ndarray, want: int) -> List[int]:

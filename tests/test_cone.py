@@ -230,6 +230,19 @@ def test_gacx_plus_frame_spans_eigenbundle():
             assert np.abs(m @ v - 1j * v).max() < 1e-9
 
 
+def test_frame_shortfall_messages():
+    """Phi = J = -i kills every +i projection: both pivoted frames name the shortfall."""
+    s = DARBOUX["gacs"]
+    ch, cc = s.chart, cone_of(DARBOUX)
+    minus_i = F.GtEndoField(ch, lambda p: J.lift(-1j * np.eye(6), 3))
+    flat = S.Gacs(ch, minus_i, s.Eplus, s.Eminus)
+    with pytest.raises(ValueError, match=r"^eigenframe rank dropped to 0 \(< 2\) at the base point$"):
+        S.eigenframe(flat)
+    cone_minus_i = C.ConeGacx(cc, F.GtEndoField(cc, lambda p: J.lift(-1j * np.eye(8), 4)))
+    with pytest.raises(ValueError, match=r"^cone eigenframe rank dropped to 0 \(< 4\)$"):
+        C.gacx_plus_frame(cone_minus_i)
+
+
 def test_fgacs_cone_round_trip():
     """i_prime of an f-structure decomposes back to the same f-structure."""
     from gencontact import deformations as D

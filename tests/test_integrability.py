@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gencontact import cone as C
@@ -205,22 +205,91 @@ def test_generalized_sasakian_computes_each_nij_once(monkeypatch):
         "gsas.phi.rcone_condition.residual", "gsas.phi.crosscheck.id1"]
 
 
+def bumped_heisenberg(bump=None):
+    """The Heisenberg structure with phi perturbed by bump (default 0.1 dx (x) d/dy)."""
+    ch = HEIS["chart"]
+    if bump is None:
+        bump = F.matrix_field(
+            ch,
+            [[F.constant(ch, 0)] * 3,
+             [F.constant(ch, 0.1), F.constant(ch, 0), F.constant(ch, 0)],
+             [F.constant(ch, 0)] * 3],
+        )
+    acs = HEIS["acs"]
+    return S.AlmostContactMetric(ch, acs.phi + bump, acs.xi, acs.eta, acs.g)
+
+
 def test_normality():
     assert I.normality_check(HEIS["acs"], pts(HEIS)).passed
     for acs in KAHLER["acs_pair"]:
         assert I.normality_check(acs, pts(KAHLER, 4)).passed
     # perturbing phi by 0.1 dx (x) d/dy destroys normality
-    ch = HEIS["chart"]
-    bump = F.matrix_field(
-        ch,
-        [[F.constant(ch, 0)] * 3,
-         [F.constant(ch, 0.1), F.constant(ch, 0), F.constant(ch, 0)],
-         [F.constant(ch, 0)] * 3],
-    )
-    perturbed = S.AlmostContactMetric(ch, HEIS["acs"].phi + bump, HEIS["acs"].xi,
-                                      HEIS["acs"].eta, HEIS["acs"].g)
-    rep = I.normality_check(perturbed, pts(HEIS, 4))
+    rep = I.normality_check(bumped_heisenberg(), pts(HEIS, 4))
     assert rep.max_residual > 1e-3
+
+
+def per_pair_normality(acs, points):
+    """N(e_a, e_b) from one Lie-bracket field per bracket, coordinate pair and point."""
+    cone = ConeChart.over(acs.chart)
+    imat = I.classical_cone_i(acs, cone)
+    coords = [F.basis_vector(cone, i) for i in range(cone.dim)]
+    icoords = [imat.apply(v) for v in coords]
+    out = []
+    for cp in C.cone_points(points, I.DEFAULT_TS):
+        worst = 0.0
+        for a, b in combinations(range(cone.dim), 2):
+            t1 = F.lie_bracket(icoords[a], icoords[b]).at(cp)
+            t2 = imat.at(cp)
+            br_ab = F.lie_bracket(icoords[a], coords[b]).at(cp)
+            br_ba = F.lie_bracket(coords[a], icoords[b]).at(cp)
+            val = t1.value - t2.value @ br_ab.value - t2.value @ br_ba.value
+            worst = max(worst, float(np.abs(val).max()))
+        out.append(worst)
+    return out
+
+
+@st.composite
+def phi_bumps(draw):
+    """A few random monomials of degree <= 2 added to random entries of phi."""
+    ch = HEIS["chart"]
+    comps = [[F.constant(ch, 0) for _ in range(3)] for _ in range(3)]
+    terms = draw(st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-1, 2),
+                  st.integers(-1, 2), st.floats(-0.5, 0.5)),
+        min_size=1, max_size=4))
+    for r, c, a, b, coef in terms:
+        comps[r][c] = comps[r][c] + coef * _monomial(ch, a, b)
+    return F.matrix_field(ch, comps)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(phi_bumps())
+@example(None)
+def test_normality_matches_per_pair_brackets(bump):
+    """One jet of I per cone point gives the per-pair Lie-bracket loop's
+    residuals exactly; None is test_normality's 0.1 dx (x) d/dy bump."""
+    acs = bumped_heisenberg(bump)
+    sample = pts(HEIS, 3)
+    vals, cpts = I.normality_residual(acs, sample)
+    assert len(cpts) == 3 * len(sample)
+    assert vals == per_pair_normality(acs, sample)
+    if bump is None:
+        assert max(vals) > 1e-3
+
+
+def test_normality_reads_one_jet_per_cone_point(monkeypatch):
+    """No bracket field per coordinate pair: a per-pair Lie-bracket loop builds
+    3 per pair and cone point, 216 for 4 base points of a 3-dim chart."""
+    built = []
+    original = F.Field.__init__
+
+    def counting(self, *args):
+        built.append(type(self).__name__)
+        original(self, *args)
+
+    monkeypatch.setattr(F.Field, "__init__", counting)
+    assert I.normality_check(KAHLER["acs_pair"][0], pts(KAHLER, 4)).passed
+    assert len(built) <= 20
 
 
 def test_normality_sign_flip_invariance():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gencontact import cone as C
 from gencontact import jets as J
 
 
@@ -149,6 +150,28 @@ def test_extend_vars_matches_np_pad(order):
     if order >= 2:
         want = np.pad(j.hess, [(0, 0), (0, 0), (0, 2), (0, 2)])
         assert out.hess.dtype == want.dtype and np.array_equal(out.hess, want)
+
+    # placements: a cone-section vector, an np.ix_ endo block, one column
+    rows = C._m_indices(3)
+    for comp, shape, index in (
+        ((6,), (8,), rows),
+        ((6, 6), (8, 8), np.ix_(rows, rows)),
+        ((3,), (4, 4), (slice(3), 3)),
+    ):
+        j = random_jet(np.random.default_rng(order), comp, 3, order)
+        out = J.extend_vars(j, 4, shape, index)
+        assert out.nvars == 4 and out.order == order and out.shape == shape
+        want = np.zeros(shape, dtype=complex)
+        want[index] = j.value
+        assert np.array_equal(out.value, want)
+        if order >= 1:
+            want = np.zeros(shape + (4,), dtype=complex)
+            want[index] = np.pad(j.grad, [(0, 0)] * len(comp) + [(0, 1)])
+            assert np.array_equal(out.grad, want)
+        if order >= 2:
+            want = np.zeros(shape + (4, 4), dtype=complex)
+            want[index] = np.pad(j.hess, [(0, 0)] * len(comp) + [(0, 1), (0, 1)])
+            assert np.array_equal(out.hess, want)
 
 
 def test_jet_einsum_middle_ellipsis_matches_per_item():
