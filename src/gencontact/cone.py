@@ -46,13 +46,13 @@ class ConeGacx:
 
 def lift_scalar(cone: ConeChart, f: ScalarField) -> ScalarField:
     n = cone.base.dim
-    return ScalarField(cone, lambda p: J.extend_vars(f.at(p[:n]), cone.dim))
+    return ScalarField(cone, lambda p, o: J.extend_vars(f.jet(p[:n], o), cone.dim))
 
 
 def lift_form(cone: ConeChart, omega) -> "F.OneFormField":
     n = cone.base.dim
     return F.OneFormField(
-        cone, lambda p: J.extend_vars(omega.at(p[:n]), cone.dim, (cone.dim,), slice(n)))
+        cone, lambda p, o: J.extend_vars(omega.jet(p[:n], o), cone.dim, (cone.dim,), slice(n)))
 
 
 def cone_points(base_points, ts=(-0.5, 0.0, 0.5)) -> List[np.ndarray]:
@@ -63,31 +63,20 @@ def lift_section(cone: ConeChart, s: SectionField) -> SectionField:
     n = cone.base.dim
     N = cone.dim
     rows = _m_indices(n)
-    return SectionField(cone, lambda p: J.extend_vars(s.at(p[:n]), N, (2 * N,), rows))
+    return SectionField(cone, lambda p, o: J.extend_vars(s.jet(p[:n], o), N, (2 * N,), rows))
 
 
 def lift_endo(cone: ConeChart, e: GtEndoField) -> GtEndoField:
     n = cone.base.dim
     N = cone.dim
     block = np.ix_(_m_indices(n), _m_indices(n))
-    return GtEndoField(cone, lambda p: J.extend_vars(e.at(p[:n]), N, (2 * N, 2 * N), block))
+    return GtEndoField(
+        cone, lambda p, o: J.extend_vars(e.jet(p[:n], o), N, (2 * N, 2 * N), block))
 
 
 def _m_indices(n: int) -> List[int]:
     """Positions of the base-chart slots inside a cone section stack."""
     return list(range(n)) + list(range(n + 1, 2 * n + 1))
-
-
-def restrict_section(base: Chart, s: SectionField, t0: float = 0.0) -> SectionField:
-    """Evaluate a t-independent cone section as a base-chart section."""
-    n = base.dim
-    rows = _m_indices(n)
-
-    def fn(p):
-        j = s.at(np.concatenate([p, [t0]]))
-        return J.restrict_vars(j[rows], n)
-
-    return SectionField(base, fn)
 
 
 def ddt_section(cone: ConeChart) -> SectionField:
@@ -150,13 +139,13 @@ def _r_pow(cone: ConeChart, sign: int) -> GtEndoField:
     N = cone.dim
     ti = cone.t_index
 
-    def fn(p):
-        t = J.seed_point(p, N)[ti]
+    def fn(p, order):
+        t = J.seed_point(p, N, order)[ti]
         em = J.exp(-sign * t)
         ep = J.exp(sign * t)
         parts = [em] * N + [ep] * N
         stacked = J.stack(parts)
-        eye = J.lift(np.eye(2 * N), N)
+        eye = J.lift(np.eye(2 * N), N, order)
         return J.jet_einsum("i,ij->ij", stacked, eye)
 
     return GtEndoField(cone, fn)
@@ -190,7 +179,7 @@ def t_dependence(j: ConeGacx, points) -> float:
     ti = j.chart.t_index
     worst = 0.0
     for p in points:
-        jet = j.J.at(p).require(1)
+        jet = j.J.jet(p, 1).require(1)
         worst = max(worst, float(np.abs(jet.grad[..., ti]).max()))
     return worst
 
@@ -216,23 +205,23 @@ def cone_decompose(j: ConeGacx, points=None, tol: float = 1e-8) -> Union[Gacs, F
     rows = _m_indices(n)
     t0 = 0.0
 
-    def at_base(p):
-        return j.J.at(np.concatenate([p, [t0]]))
+    def at_base(p, order):
+        return j.J.jet(np.concatenate([p, [t0]]), order)
 
-    def b_fn(p):
-        col = at_base(p)[:, n]  # J(d/dt)
+    def b_fn(p, order):
+        col = at_base(p, order)[:, n]  # J(d/dt)
         return J.restrict_vars(-col[rows], n)
 
-    def a_fn(p):
-        col = at_base(p)[:, 2 * n + 1]  # J(dt)
+    def a_fn(p, order):
+        col = at_base(p, order)[:, 2 * n + 1]  # J(dt)
         return J.restrict_vars(-col[rows], n)
 
-    def h_fn(p):
-        col = at_base(p)[:, n]
+    def h_fn(p, order):
+        col = at_base(p, order)[:, n]
         return J.restrict_vars(-col[n], n)
 
-    def jm_fn(p):
-        m = at_base(p)
+    def jm_fn(p, order):
+        m = at_base(p, order)
         return J.restrict_vars(m[rows][:, rows], n)
 
     B = SectionField(base, b_fn)

@@ -143,6 +143,13 @@ def parse_structure(obj: dict, path: str = "$.structure") -> dict:
         g = None
         if "g" in obj:
             g = F.matrix_field(chart, _expr_matrix(obj["g"], chart, f"{path}.g", n))
+        pts = chart.sample(seed=1, count=8)
+        try:
+            for name, part in (("phi", phi), ("xi", xi), ("eta", eta), ("g", g)):
+                if part is not None:
+                    S.require_real(part, pts, name)
+        except S.StructureError as err:
+            raise ConfigError(f"{path}: {err}") from None
         acs = S.AlmostContactMetric(chart, phi, xi, eta, g)
         out = {"chart": chart, "acs": acs, "gacs": S.gacs_from_acs(acs)}
         if g is not None:

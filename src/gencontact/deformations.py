@@ -137,11 +137,11 @@ def normalize(s: FGacs, points, tol: float = 1e-9) -> Tuple[Gacs, OneFormField, 
     """
     n = s.chart.dim
 
-    def zeta_jet(p):
-        return (s.Eplus.at(p) + s.Eminus.at(p))[:n]
+    def zeta_jet(p, order):
+        return (s.Eplus.jet(p, order) + s.Eminus.jet(p, order))[:n]
 
     for p in points:
-        z = zeta_jet(p).value
+        z = zeta_jet(p, 0).value
         den = complex(z @ z)
         fval = complex(s.f.values(p))
         if abs(den) < 1e-12 and abs(fval) > tol:
@@ -149,10 +149,10 @@ def normalize(s: FGacs, points, tol: float = 1e-9) -> Tuple[Gacs, OneFormField, 
                 f"normalization impossible at {p}: zeta vanishes while f = {fval:.3e}"
             )
 
-    def alpha_fn(p):
-        z = zeta_jet(p)
+    def alpha_fn(p, order):
+        z = zeta_jet(p, order)
         den = J.jet_einsum("i,i->", z, z)
-        fj = s.f.at(p)
+        fj = s.f.jet(p, order)
         return J.jet_einsum(",i->i", fj / den, z)
 
     alpha = OneFormField(s.chart, alpha_fn)
@@ -177,7 +177,7 @@ def cone_kappa_form(cone: ConeChart, kappa: OneFormField, radial: bool) -> TwoFo
     if not radial:
         return base_wedge
     t = F.coordinate(cone, cone.t_index)
-    scale = ScalarField(cone, lambda p: J.exp(2 * t.at(p)))
+    scale = ScalarField(cone, lambda p, o: J.exp(2 * t.jet(p, o)))
     return scale * base_wedge
 
 
@@ -215,20 +215,20 @@ def g_tilde(g: MatrixField, alpha: OneFormField, cone: ConeChart) -> GtEndoField
     """
     n = g.chart.dim
     N = cone.dim
-    e_t = J.lift(np.eye(N)[n], N)
+    e_t = np.eye(N)[n]
 
-    def ghat_fn(p):
+    def ghat_fn(p, order):
         q = p[:n]
-        gj = J.extend_vars(g.at(q), N, (N, N), (slice(n), slice(n)))
-        beta = J.extend_vars(alpha.at(q), N, (N,), slice(n)) + e_t
+        gj = J.extend_vars(g.jet(q, order), N, (N, N), (slice(n), slice(n)))
+        beta = J.extend_vars(alpha.jet(q, order), N, (N,), slice(n)) + e_t
         return gj + J.jet_einsum("i,j->ij", beta, beta)
 
     ghat = MatrixField(cone, ghat_fn)
 
-    def endo_fn(p):
-        gj = ghat.at(p)
+    def endo_fn(p, order):
+        gj = ghat.jet(p, order)
         ginv = J.jet_inv(gj)
-        zero = J.lift(np.zeros((N, N)), N)
+        zero = J.lift(np.zeros((N, N)), N, order)
         return F.jconcat(
             [F.jconcat([zero, ginv], axis=1), F.jconcat([gj, zero], axis=1)], axis=0
         )

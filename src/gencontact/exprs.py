@@ -158,7 +158,7 @@ class Parser:
 def _eval(node, seed: J.JetArray):
     kind = node[0]
     if kind == "num":
-        return J.lift(node[1], seed.nvars)
+        return J.lift(node[1], seed.nvars, seed.order)
     if kind == "coord":
         return seed[node[1]]
     if kind == "neg":
@@ -187,7 +187,7 @@ def parse_scalar(text: str, chart: Chart) -> ScalarField:
     ast = Parser(text, chart).parse()
     n = chart.dim
 
-    def fn(p):
-        return _eval(ast, J.seed_point(p, n))
+    def fn(p, order):
+        return _eval(ast, J.seed_point(p, n, order))
 
     return ScalarField(chart, fn)

@@ -1,10 +1,16 @@
 """Fields on charts: jet-valued closures plus exterior/Courant calculus.
 
-Every field evaluates at a chart point to a :class:`~gencontact.jets.JetArray`
-holding the component values and their exact first and second derivatives.
-Operations that consume a derivative order (exterior derivative, Lie
-derivative, Courant bracket) return fields of correspondingly lower jet
-order; nesting deeper than the order-2 budget raises ``JetOrderError``.
+A field evaluates at a chart point to a :class:`~gencontact.jets.JetArray`
+holding the component values and their exact derivatives, up to the order
+its consumer demands: ``field.at(p, order)``, with ``order`` capped at 2.
+A field is a closure ``fn(p, order)``, and the order flows from each
+consumer down to the leaves.  Algebraic combinators ask their inputs for the
+same order; operations that consume a derivative (exterior and Lie
+derivative, Lie and Courant bracket, Nij) ask theirs for one order more.  A
+checker that reads only values thus never pays for a hessian, while a jet of
+a given order has the same values and gradient whatever it was demanded
+for.  Nesting deeper than the order-2 cap allows returns a jet of lower
+order than demanded, and reading the missing data raises ``JetOrderError``.
 
 The jet-level operators keep the component axes first.  ``courant_jets``
 also accepts batch axes after the leading component axis (its subscripts
@@ -28,33 +34,49 @@ import numpy as np
 
 from . import jets as J
 from .charts import Chart
-from .jets import JetArray
+from .jets import MAX_ORDER, JetArray
 
 _MEMO_LIMIT = 512
 
 
 class Field:
-    """A chart plus a pure point -> JetArray closure, memoised per point."""
+    """A chart plus a pure (point, order) -> JetArray closure, memoised per point.
 
-    def __init__(self, chart: Chart, fn: Callable[[np.ndarray], JetArray]):
+    The memo keeps, per point, the highest order demanded so far and its jet.
+    A demand at that order or below is served by truncating the jet; a
+    higher demand calls the closure again and replaces the entry.
+    """
+
+    def __init__(self, chart: Chart, fn: Callable[[np.ndarray, int], JetArray]):
         self.chart = chart
         self._fn = fn
         self._memo: dict = {}
 
-    def at(self, point) -> JetArray:
+    def at(self, point, order: int = MAX_ORDER) -> JetArray:
+        """The jet at ``point`` to ``order`` (capped at 2); the full jet by default."""
+        return self.jet(point, order)
+
+    def jet(self, point, order: int) -> JetArray:
+        """The jet at ``point`` to ``order``, as :meth:`at`.
+
+        Closures demand their inputs through this method; ``at`` keeps the
+        one-argument call form for outside callers and for wrappers that
+        forward only the point.
+        """
+        order = min(order, MAX_ORDER)
         p = np.asarray(point, dtype=float)
         key = p.tobytes()
         hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        jet = self._fn(p)
+        if hit is not None and hit[0] >= order:
+            return hit[1].truncate(order)
+        jet = self._fn(p, order).truncate(order)
         if len(self._memo) >= _MEMO_LIMIT:
             self._memo.clear()
-        self._memo[key] = jet
+        self._memo[key] = (order, jet)
         return jet
 
     def values(self, point) -> np.ndarray:
-        return self.at(point).value
+        return self.jet(point, 0).value
 
     # -- shared combinators --------------------------------------------------
 
@@ -63,25 +85,26 @@ class Field:
 
     def __add__(self, other):
         _same_chart(self, other)
-        return self._wrap(lambda p: self.at(p) + other.at(p))
+        return self._wrap(lambda p, o: self.jet(p, o) + other.jet(p, o))
 
     def __sub__(self, other):
         _same_chart(self, other)
-        return self._wrap(lambda p: self.at(p) - other.at(p))
+        return self._wrap(lambda p, o: self.jet(p, o) - other.jet(p, o))
 
     def __neg__(self):
-        return self._wrap(lambda p: -self.at(p))
+        return self._wrap(lambda p, o: -self.jet(p, o))
 
     def __mul__(self, c):
         if isinstance(c, ScalarField):
             _same_chart(self, c)
-            return self._wrap(lambda p: J.jet_einsum(_scale_sub(self), c.at(p), self.at(p)))
-        return self._wrap(lambda p: self.at(p) * c)
+            sub = _scale_sub(self)
+            return self._wrap(lambda p, o: J.jet_einsum(sub, c.jet(p, o), self.jet(p, o)))
+        return self._wrap(lambda p, o: self.jet(p, o) * c)
 
     __rmul__ = __mul__
 
     def conj(self):
-        return self._wrap(lambda p: self.at(p).conj())
+        return self._wrap(lambda p, o: self.jet(p, o).conj())
 
 
 def _scale_sub(field: Field) -> str:
@@ -102,16 +125,16 @@ class ScalarField(Field):
             return c.__mul__(self)
         if isinstance(c, ScalarField):
             _same_chart(self, c)
-            return ScalarField(self.chart, lambda p: self.at(p) * c.at(p))
-        return ScalarField(self.chart, lambda p: self.at(p) * c)
+            return ScalarField(self.chart, lambda p, o: self.jet(p, o) * c.jet(p, o))
+        return ScalarField(self.chart, lambda p, o: self.jet(p, o) * c)
 
     __rmul__ = __mul__
 
     def __truediv__(self, c):
         if isinstance(c, ScalarField):
             _same_chart(self, c)
-            return ScalarField(self.chart, lambda p: self.at(p) / c.at(p))
-        return ScalarField(self.chart, lambda p: self.at(p) / c)
+            return ScalarField(self.chart, lambda p, o: self.jet(p, o) / c.jet(p, o))
+        return ScalarField(self.chart, lambda p, o: self.jet(p, o) / c)
 
 
 class VectorField(Field):
@@ -135,29 +158,23 @@ class MatrixField(Field):
 
     def __matmul__(self, other: "MatrixField") -> "MatrixField":
         _same_chart(self, other)
-        return MatrixField(self.chart, lambda p: J.jet_einsum("ij,jk->ik", self.at(p), other.at(p)))
+        return MatrixField(
+            self.chart, lambda p, o: J.jet_einsum("ij,jk->ik", self.jet(p, o), other.jet(p, o)))
 
     def apply(self, x: VectorField) -> VectorField:
         _same_chart(self, x)
-        return VectorField(self.chart, lambda p: J.jet_einsum("ij,j->i", self.at(p), x.at(p)))
+        return VectorField(
+            self.chart, lambda p, o: J.jet_einsum("ij,j->i", self.jet(p, o), x.jet(p, o)))
 
     def inv(self) -> "MatrixField":
-        return MatrixField(self.chart, lambda p: J.jet_inv(self.at(p)))
+        return MatrixField(self.chart, lambda p, o: J.jet_inv(self.jet(p, o)))
 
     def transpose(self) -> "MatrixField":
-        return MatrixField(self.chart, lambda p: _jT(self.at(p)))
+        return MatrixField(self.chart, lambda p, o: _jT(self.jet(p, o)))
 
 
 class SectionField(Field):
     """Section of (TM + T*M) x C: 2n components, vector part first."""
-
-    def vec_part(self) -> VectorField:
-        n = self.chart.dim
-        return VectorField(self.chart, lambda p: self.at(p)[:n])
-
-    def form_part(self) -> OneFormField:
-        n = self.chart.dim
-        return OneFormField(self.chart, lambda p: self.at(p)[n:])
 
 
 class GtEndoField(Field):
@@ -165,11 +182,13 @@ class GtEndoField(Field):
 
     def apply(self, s: SectionField) -> SectionField:
         _same_chart(self, s)
-        return SectionField(self.chart, lambda p: J.jet_einsum("ij,j->i", self.at(p), s.at(p)))
+        return SectionField(
+            self.chart, lambda p, o: J.jet_einsum("ij,j->i", self.jet(p, o), s.jet(p, o)))
 
     def __matmul__(self, other: "GtEndoField") -> "GtEndoField":
         _same_chart(self, other)
-        return GtEndoField(self.chart, lambda p: J.jet_einsum("ij,jk->ik", self.at(p), other.at(p)))
+        return GtEndoField(
+            self.chart, lambda p, o: J.jet_einsum("ij,jk->ik", self.jet(p, o), other.jet(p, o)))
 
 
 # -- constructors -------------------------------------------------------------
@@ -178,19 +197,15 @@ class GtEndoField(Field):
 def coordinate(chart: Chart, i: int) -> ScalarField:
     n = chart.dim
 
-    def fn(p):
-        return J.seed_point(p, n)[i]
+    def fn(p, order):
+        return J.seed_point(p, n, order)[i]
 
     return ScalarField(chart, fn)
 
 
-def coordinate_by_name(chart: Chart, name: str) -> ScalarField:
-    return coordinate(chart, chart.index_of(name))
-
-
 def constant(chart: Chart, c) -> ScalarField:
     n = chart.dim
-    return ScalarField(chart, lambda p: J.lift(complex(c), n))
+    return ScalarField(chart, lambda p, o: J.lift(complex(c), n, o))
 
 
 def from_components(cls, chart: Chart, comps: Sequence) -> Field:
@@ -198,8 +213,8 @@ def from_components(cls, chart: Chart, comps: Sequence) -> Field:
     arr = np.asarray(comps, dtype=object)
     flat = list(arr.ravel())
 
-    def fn(p):
-        stacked = J.stack([f.at(p) for f in flat])
+    def fn(p, order):
+        stacked = J.stack([f.jet(p, order) for f in flat])
         return stacked.reshape(*arr.shape)
 
     return cls(chart, fn)
@@ -221,19 +236,19 @@ def basis_vector(chart: Chart, i: int) -> VectorField:
     n = chart.dim
     e = np.zeros(n)
     e[i] = 1.0
-    return VectorField(chart, lambda p: J.lift(e, n))
+    return VectorField(chart, lambda p, o: J.lift(e, n, o))
 
 
 def basis_form(chart: Chart, i: int) -> OneFormField:
     n = chart.dim
     e = np.zeros(n)
     e[i] = 1.0
-    return OneFormField(chart, lambda p: J.lift(e, n))
+    return OneFormField(chart, lambda p, o: J.lift(e, n, o))
 
 
 def zero_two_form(chart: Chart) -> TwoFormField:
     n = chart.dim
-    return TwoFormField(chart, lambda p: J.lift(np.zeros((n, n)), n))
+    return TwoFormField(chart, lambda p, o: J.lift(np.zeros((n, n)), n, o))
 
 
 def section(vec: Optional[VectorField] = None, form: Optional[OneFormField] = None) -> SectionField:
@@ -242,11 +257,11 @@ def section(vec: Optional[VectorField] = None, form: Optional[OneFormField] = No
         raise ValueError("need a vector part or a form part")
     chart = some.chart
     n = chart.dim
-    zero = J.lift(np.zeros(n), n)
+    zeros = [J.lift(np.zeros(n), n, o) for o in range(MAX_ORDER + 1)]
 
-    def fn(p):
-        jv = vec.at(p) if vec is not None else zero
-        jf = form.at(p) if form is not None else zero
+    def fn(p, order):
+        jv = vec.jet(p, order) if vec is not None else zeros[order]
+        jf = form.jet(p, order) if form is not None else zeros[order]
         return jconcat([jv, jf])
 
     return SectionField(chart, fn)
@@ -263,29 +278,20 @@ def coordinate_sections(chart: Chart) -> List[SectionField]:
 def endo_from_blocks(tt: MatrixField, tc: MatrixField, ct: MatrixField, cc: MatrixField) -> GtEndoField:
     chart = tt.chart
 
-    def fn(p):
-        top = jconcat([tt.at(p), tc.at(p)], axis=1)
-        bot = jconcat([ct.at(p), cc.at(p)], axis=1)
+    def fn(p, order):
+        top = jconcat([tt.jet(p, order), tc.jet(p, order)], axis=1)
+        bot = jconcat([ct.jet(p, order), cc.jet(p, order)], axis=1)
         return jconcat([top, bot], axis=0)
 
     return GtEndoField(chart, fn)
-
-
-def identity_endo(chart: Chart) -> GtEndoField:
-    n = chart.dim
-    return GtEndoField(chart, lambda p: J.lift(np.eye(2 * n), n))
-
-
-def zero_endo(chart: Chart) -> GtEndoField:
-    n = chart.dim
-    return GtEndoField(chart, lambda p: J.lift(np.zeros((2 * n, 2 * n)), n))
 
 
 def tensor_pair_field(e: SectionField, f: SectionField) -> GtEndoField:
     """Field version of the rank-one map A -> 2<F, A> E."""
     _same_chart(e, f)
     n = e.chart.dim
-    return GtEndoField(e.chart, lambda p: J.jet_einsum("i,j->ij", e.at(p), _swap_half(f.at(p), n)))
+    return GtEndoField(
+        e.chart, lambda p, o: J.jet_einsum("i,j->ij", e.jet(p, o), _swap_half(f.jet(p, o), n)))
 
 
 def b_endo(b: TwoFormField) -> GtEndoField:
@@ -295,10 +301,10 @@ def b_endo(b: TwoFormField) -> GtEndoField:
     eye = np.eye(n)
     zero = np.zeros((n, n))
 
-    def fn(p):
-        jb = b.at(p)
-        top = jconcat([J.lift(eye, n), J.lift(zero, n)], axis=1)
-        bot = jconcat([_jT(jb), J.lift(eye, n)], axis=1)
+    def fn(p, order):
+        jb = b.jet(p, order)
+        top = jconcat([J.lift(eye, n, order), J.lift(zero, n, order)], axis=1)
+        bot = jconcat([_jT(jb), J.lift(eye, n, order)], axis=1)
         return jconcat([top, bot], axis=0)
 
     return GtEndoField(chart, fn)
@@ -342,7 +348,7 @@ def pair_jets(a: JetArray, b: JetArray, n: int) -> JetArray:
 def pair_field(a: SectionField, b: SectionField) -> ScalarField:
     _same_chart(a, b)
     n = a.chart.dim
-    return ScalarField(a.chart, lambda p: pair_jets(a.at(p), b.at(p), n))
+    return ScalarField(a.chart, lambda p, o: pair_jets(a.jet(p, o), b.jet(p, o), n))
 
 
 # -- exterior calculus --------------------------------------------------------
@@ -364,7 +370,7 @@ def d(omega: Field) -> Field:
     if k is None or k > 2:
         raise ValueError("d supports scalar, 1-form and 2-form fields only")
     cls = _FORM_BY_RANK[k + 1]
-    return cls(omega.chart, lambda p: d_jet(omega.at(p), k))
+    return cls(omega.chart, lambda p, o: d_jet(omega.jet(p, o + 1), k))
 
 
 def interior_jet(xj: JetArray, oj: JetArray, k: int) -> JetArray:
@@ -378,14 +384,14 @@ def interior(x: VectorField, omega: Field) -> Field:
         raise ValueError("interior product needs a form of degree >= 1")
     _same_chart(x, omega)
     cls = _FORM_BY_RANK[k - 1]
-    return cls(omega.chart, lambda p: interior_jet(x.at(p), omega.at(p), k))
+    return cls(omega.chart, lambda p, o: interior_jet(x.jet(p, o), omega.jet(p, o), k))
 
 
 def wedge11(a: OneFormField, b: OneFormField) -> TwoFormField:
     _same_chart(a, b)
 
-    def fn(p):
-        ja, jb = a.at(p), b.at(p)
+    def fn(p, order):
+        ja, jb = a.jet(p, order), b.jet(p, order)
         m = J.jet_einsum("i,j->ij", ja, jb)
         return m - _jT(m)
 
@@ -396,8 +402,8 @@ def wedge12(a: OneFormField, w: TwoFormField) -> ThreeFormField:
     """(a ^ w)(X,Y,Z) = a(X) w(Y,Z) - a(Y) w(X,Z) + a(Z) w(X,Y)."""
     _same_chart(a, w)
 
-    def fn(p):
-        m = J.jet_einsum("i,jk->ijk", a.at(p), w.at(p))
+    def fn(p, order):
+        m = J.jet_einsum("i,jk->ijk", a.jet(p, order), w.jet(p, order))
         return m - _jmove(m, 0, 1) + _jmove(m, 0, 2)
 
     return ThreeFormField(a.chart, fn)
@@ -406,8 +412,8 @@ def wedge12(a: OneFormField, w: TwoFormField) -> ThreeFormField:
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     _same_chart(x, y)
 
-    def fn(p):
-        jx, jy = x.at(p), y.at(p)
+    def fn(p, order):
+        jx, jy = x.jet(p, order + 1), y.jet(p, order + 1)
         return J.jet_einsum("j,ij->i", jx, J.dshift(jy)) - J.jet_einsum(
             "j,ij->i", jy, J.dshift(jx)
         )
@@ -423,11 +429,12 @@ def lie_derivative(x: VectorField, omega: Field) -> Field:
     _same_chart(x, omega)
     cls = _FORM_BY_RANK[k]
 
-    def fn(p):
-        term1 = interior_jet(x.at(p), d_jet(omega.at(p), k), k + 1)
+    def fn(p, order):
+        jx, jo = x.jet(p, order + 1), omega.jet(p, order + 1)
+        term1 = interior_jet(jx, d_jet(jo, k), k + 1)
         if k == 0:
             return term1
-        term2 = d_jet(interior_jet(x.at(p), omega.at(p), k), k - 1)
+        term2 = d_jet(interior_jet(jx, jo, k), k - 1)
         return term1 + term2
 
     return cls(omega.chart, fn)
@@ -441,9 +448,9 @@ def c_transform(omega: Field, phi: MatrixField) -> Field:
     _same_chart(omega, phi)
     cls = type(omega)
 
-    def fn(p):
-        out = omega.at(p)
-        jp = phi.at(p)
+    def fn(p, order):
+        out = omega.jet(p, order)
+        jp = phi.jet(p, order)
         for slot in range(k):
             out = _jmove(J.jet_einsum("a...,ai->...i", _jmove(out, slot, 0), jp), k - 1, slot)
         return out
@@ -482,7 +489,8 @@ def courant_jets(ja: JetArray, jb: JetArray, n: int) -> JetArray:
 def courant(a: SectionField, b: SectionField) -> SectionField:
     _same_chart(a, b)
     n = a.chart.dim
-    return SectionField(a.chart, lambda p: courant_jets(a.at(p), b.at(p), n))
+    return SectionField(
+        a.chart, lambda p, o: courant_jets(a.jet(p, o + 1), b.jet(p, o + 1), n))
 
 
 def nij_jets(ja: JetArray, jb: JetArray, jc: JetArray, n: int) -> JetArray:
@@ -496,7 +504,8 @@ def nij(a: SectionField, b: SectionField, c: SectionField) -> ScalarField:
     _same_chart(a, b)
     _same_chart(a, c)
     n = a.chart.dim
-    return ScalarField(a.chart, lambda p: nij_jets(a.at(p), b.at(p), c.at(p), n))
+    return ScalarField(
+        a.chart, lambda p, o: nij_jets(a.jet(p, o + 1), b.jet(p, o + 1), c.jet(p, o + 1), n))
 
 
 def jac(a: SectionField, b: SectionField, c: SectionField) -> SectionField:
@@ -505,23 +514,12 @@ def jac(a: SectionField, b: SectionField, c: SectionField) -> SectionField:
     _same_chart(a, c)
     n = a.chart.dim
 
-    def fn(p):
-        jab, jbc, jca = (
-            courant_jets(a.at(p), b.at(p), n),
-            courant_jets(b.at(p), c.at(p), n),
-            courant_jets(c.at(p), a.at(p), n),
-        )
-        return (
-            courant_jets(jab, c.at(p), n)
-            + courant_jets(jbc, a.at(p), n)
-            + courant_jets(jca, b.at(p), n)
-        )
+    def fn(p, order):
+        ja, jb, jc = (s.jet(p, order + 2) for s in (a, b, c))
+        jab, jbc, jca = courant_jets(ja, jb, n), courant_jets(jb, jc, n), courant_jets(jc, ja, n)
+        return courant_jets(jab, jc, n) + courant_jets(jbc, ja, n) + courant_jets(jca, jb, n)
 
     return SectionField(a.chart, fn)
-
-
-def b_transform_section(b: TwoFormField, s: SectionField) -> SectionField:
-    return b_endo(b).apply(s)
 
 
 # -- finite-difference validation ---------------------------------------------
@@ -540,7 +538,7 @@ def jet_validate(field: Field, point, step: float = 1e-5) -> float:
         raise ValueError("field carries no derivative data to validate")
 
     def val(q):
-        return field.at(q).value
+        return field.values(q)
 
     scale = max(1.0, float(np.abs(jet.value).max()) if jet.value.size else 1.0)
     worst = 0.0

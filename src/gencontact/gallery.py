@@ -145,8 +145,8 @@ def kahler_interval() -> dict:
     zero = F.constant(chart, 0)
     one = F.constant(chart, 1)
     z = F.coordinate(chart, 2)
-    s2z = F.ScalarField(chart, lambda p: J.sin(2 * z.at(p)))
-    c2z = F.ScalarField(chart, lambda p: J.cos(2 * z.at(p)))
+    s2z = F.ScalarField(chart, lambda p, o: J.sin(2 * z.jet(p, o)))
+    c2z = F.ScalarField(chart, lambda p, o: J.cos(2 * z.jet(p, o)))
     g = F.matrix_field(chart, [[s2z, zero, zero], [zero, s2z, zero], [zero, zero, one]])
     # J' d/dy = d/dx, J' d/dx = -d/dy, so that omega'(X, Y) = g'(X, J'Y) = dx ^ dy
     phi = _constants(chart, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])

@@ -92,7 +92,7 @@ def conjugated_cone_residual(s: Gacs, base_points, tol: float = INT_TOL,
     n = s.chart.dim
     per_point = []
     for p in base_points:
-        jets = [m.at(p) for m in members]
+        jets = [m.jet(p, 1) for m in members]
         gaps = _rcone_gaps(frame_nij(jets, n), jets, frame.eminus.values(p))
         per_point.append(max(gaps.values(), default=0.0))
     rep = ResidualReport()
@@ -152,7 +152,7 @@ def _cone_crosscheck(s: Gacs, base_points, tol: float, frame: Optional[EigenFram
     rows = {"id1": [], "id2": [], "id3": [], "id4": []}
     agreement, per_sub, rcone = [], [], []
     for p in base_points:
-        mjets = [m.at(p) for m in mmembers]
+        mjets = [m.jet(p, 1) for m in mmembers]
         em = frame.eminus.values(p)
         nij_m = frame_nij(mjets, n)
         gaps = _rcone_gaps(nij_m, mjets, em)
@@ -161,7 +161,7 @@ def _cone_crosscheck(s: Gacs, base_points, tol: float, frame: Optional[EigenFram
         for t in ts:
             scale = np.exp(-t)
             cp = np.concatenate([p, [t]])
-            nij_c = frame_nij([m.at(cp) for m in cmembers], N)
+            nij_c = frame_nij([m.jet(cp, 1) for m in cmembers], N)
             worst = {"id1": 0.0, "id2": 0.0, "id3": 0.0, "id4": 0.0}
             agree = 0.0
             for tri, lhs in nij_c.items():
@@ -199,11 +199,11 @@ def classical_cone_i(acs: AlmostContactMetric, cone: ConeChart) -> MatrixField:
     n = acs.chart.dim
     N = cone.dim
 
-    def fn(p):
+    def fn(p, order):
         q = p[:n]
-        return (J.extend_vars(acs.phi.at(q), N, (N, N), (slice(n), slice(n)))
-                + J.extend_vars(-acs.xi.at(q), N, (N, N), (slice(n), n))
-                + J.extend_vars(acs.eta.at(q), N, (N, N), (n, slice(n))))
+        return (J.extend_vars(acs.phi.jet(q, order), N, (N, N), (slice(n), slice(n)))
+                + J.extend_vars(-acs.xi.jet(q, order), N, (N, N), (slice(n), n))
+                + J.extend_vars(acs.eta.jet(q, order), N, (N, N), (n, slice(n))))
 
     return MatrixField(cone, fn)
 
@@ -223,7 +223,7 @@ def normality_residual(acs: AlmostContactMetric, base_points,
     out = []
     cpts = cone_points(base_points, ts)
     for cp in cpts:
-        jet = imat.at(cp).require(1)
+        jet = imat.jet(cp, 1).require(1)
         m, d = jet.value, jet.grad
         worst = 0.0
         for a, b in combinations(range(cone.dim), 2):

@@ -1,15 +1,21 @@
-"""Order-2 Taylor jets with numpy-vectorised arithmetic.
+"""Truncated Taylor jets of order at most 2, with numpy-vectorised arithmetic.
 
-A jet carries a complex value together with exact first and second partial
-derivatives with respect to the chart coordinates.  Jets are the evaluation
-currency of every field in this package: identities checked downstream
-(d∘d = 0, Cartan, bracket antisymmetry, ...) then hold to rounding error
-instead of finite-difference error.
+A jet carries a complex value together with exact partial derivatives with
+respect to the chart coordinates, up to its order: 0 (value only), 1 (plus
+the gradient) or 2 (plus the hessian).  Jets are the evaluation currency of
+every field in this package: identities checked downstream (d∘d = 0, Cartan,
+bracket antisymmetry, ...) then hold to rounding error instead of
+finite-difference error.
 
-Derivative data is optional and degrades gracefully: an operation that
-consumes one derivative order (see :func:`dshift`) produces a jet whose
-hessian slot is ``None``.  Asking for derivative data that has been
-exhausted raises :class:`JetOrderError`.
+The order is demanded by the consumer, capped at :data:`MAX_ORDER`: the
+leaves (:func:`seed_point`, :func:`lift`) build jets of the order asked for,
+and arithmetic lifts constants at the order of the jet it combines them
+with.  Every operation computes each order with the same calls whether
+higher orders are present or not, so a value or gradient never depends on
+the order it was computed at (truncated Taylor propagation).  An operation
+that consumes one derivative order (see :func:`dshift`) produces a jet one
+order lower.  Asking for derivative data a jet does not carry raises
+:class:`JetOrderError`.
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ from typing import Optional, Union
 import numpy as np
 
 Number = Union[int, float, complex]
+
+#: the highest derivative order a jet carries
+MAX_ORDER = 2
 
 
 class JetOrderError(ValueError):
@@ -69,7 +78,7 @@ class JetArray:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "JetArray":
-        other = lift(other, self.nvars)
+        other = lift(other, self.nvars, self.order)
         g = None if (self.grad is None or other.grad is None) else self.grad + other.grad
         h = None if (self.hess is None or other.hess is None) else self.hess + other.hess
         return JetArray(self.value + other.value, g, h, self.nvars)
@@ -82,13 +91,13 @@ class JetArray:
         return JetArray(-self.value, g, h, self.nvars)
 
     def __sub__(self, other) -> "JetArray":
-        return self + (-lift(other, self.nvars))
+        return self + (-lift(other, self.nvars, self.order))
 
     def __rsub__(self, other) -> "JetArray":
-        return lift(other, self.nvars) + (-self)
+        return lift(other, self.nvars, self.order) + (-self)
 
     def __mul__(self, other) -> "JetArray":
-        other = lift(other, self.nvars)
+        other = lift(other, self.nvars, self.order)
         a, b = self, other
         value = a.value * b.value
         grad = None
@@ -108,10 +117,10 @@ class JetArray:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "JetArray":
-        return self * reciprocal(lift(other, self.nvars))
+        return self * reciprocal(lift(other, self.nvars, self.order))
 
     def __rtruediv__(self, other) -> "JetArray":
-        return lift(other, self.nvars) * reciprocal(self)
+        return lift(other, self.nvars, self.order) * reciprocal(self)
 
     def __pow__(self, expo: Number) -> "JetArray":
         return powc(self, expo)
@@ -130,6 +139,12 @@ class JetArray:
         h = None if self.hess is None else np.conj(self.hess)
         return JetArray(np.conj(self.value), g, h, self.nvars)
 
+    def truncate(self, order: int) -> "JetArray":
+        """The same jet without the derivative orders above ``order``."""
+        if self.order <= order:
+            return self
+        return JetArray(self.value, self.grad if order >= 1 else None, None, self.nvars)
+
     def require(self, order: int) -> "JetArray":
         if self.order < order:
             raise JetOrderError(
@@ -139,13 +154,13 @@ class JetArray:
         return self
 
 
-def lift(x, nvars: int) -> JetArray:
-    """Lift a constant (scalar or ndarray) to a constant jet."""
+def lift(x, nvars: int, order: int = MAX_ORDER) -> JetArray:
+    """Lift a constant (scalar or ndarray) to a constant jet of the given order."""
     if isinstance(x, JetArray):
         return x
     v = _as_complex(x)
-    g = np.zeros(v.shape + (nvars,), dtype=complex)
-    h = np.zeros(v.shape + (nvars, nvars), dtype=complex)
+    g = np.zeros(v.shape + (nvars,), dtype=complex) if order >= 1 else None
+    h = np.zeros(v.shape + (nvars, nvars), dtype=complex) if order >= 2 else None
     return JetArray(v, g, h, nvars)
 
 
@@ -162,15 +177,15 @@ def stack(jets, axis: int = 0) -> JetArray:
     return JetArray(value, grad, hess, nvars)
 
 
-def seed_point(point, nvars: int) -> JetArray:
-    """Jet of the identity map at ``point``: value p, grad = Id, hess = 0."""
+def seed_point(point, nvars: int, order: int = MAX_ORDER) -> JetArray:
+    """Jet of the identity map at ``point``: value p, grad = Id, hess = 0, up to ``order``."""
     p = _as_complex(point)
     if p.shape != (nvars,):
         raise ValueError(f"point has shape {p.shape}, expected ({nvars},)")
     return JetArray(
         p,
-        np.eye(nvars, dtype=complex),
-        np.zeros((nvars, nvars, nvars), dtype=complex),
+        np.eye(nvars, dtype=complex) if order >= 1 else None,
+        np.zeros((nvars, nvars, nvars), dtype=complex) if order >= 2 else None,
         nvars,
     )
 
@@ -260,7 +275,7 @@ def powc(j: JetArray, c: Number) -> JetArray:
     if isinstance(c, JetArray):
         return exp(c * log(j))
     if c == 0:
-        return lift(np.ones_like(j.value), j.nvars)
+        return lift(np.ones_like(j.value), j.nvars, j.order)
     if c == 1:
         return j
     v = j.value
@@ -282,11 +297,6 @@ def jet_inv(j: JetArray) -> JetArray:
             t2 = np.einsum("ij,jkz,kl,lmw,mn->inzw", v, j.grad, v, j.grad, v)
             hess = t1 + t2 + np.swapaxes(t2, -1, -2)
     return JetArray(v, grad, hess, j.nvars)
-
-
-def jet_solve(a: JetArray, b: JetArray) -> JetArray:
-    """Solve A x = b for a matrix jet A (k, k) and vector jet b (k,)."""
-    return jet_einsum("ij,j->i", jet_inv(a), b)
 
 
 def extend_vars(j: JetArray, total: int, shape=None, index=None) -> JetArray:

@@ -9,6 +9,10 @@ from typing import Callable, Iterable, List, Optional, Sequence
 import numpy as np
 
 
+class EmptyPointSetError(ValueError):
+    """A sample-set checker was given no points to evaluate at."""
+
+
 @dataclass
 class CheckRow:
     name: str
@@ -49,10 +53,6 @@ class ResidualReport:
             if points is not None:
                 arg = [float(c) for c in np.asarray(points[k]).ravel()]
             row = CheckRow(name, float(vals[k]), float(vals.mean()), arg, tolerance)
-        self.rows.append(row)
-        return row
-
-    def add_row(self, row: CheckRow) -> CheckRow:
         self.rows.append(row)
         return row
 
@@ -101,11 +101,18 @@ def map_points(fn: Callable, points: Iterable) -> list:
     return [fn(p) for p in points]
 
 
+def _require_points(count: int):
+    if count == 0:
+        raise EmptyPointSetError("the sample point set is empty; checks need at least one point")
+
+
 def stack_values(field, points) -> np.ndarray:
-    """A field's values at every sample point, stacked into one (P, ...) array."""
+    """A field's values (order-0 jets) at every sample point, stacked into one (P, ...) array."""
+    _require_points(len(points))
     return np.array(map_points(field.values, points))
 
 
 def sup_norm(stack: np.ndarray) -> np.ndarray:
     """Max |entry| of each point's value in a (P, ...) stack."""
+    _require_points(len(stack))
     return np.abs(stack).reshape(len(stack), -1).max(axis=1)

@@ -55,7 +55,8 @@ class AlmostContactMetric:
         if self.g is None:
             raise ValueError("structure has no metric")
         g, phi = self.g, self.phi
-        return TwoFormField(self.chart, lambda p: J.jet_einsum("ik,kj->ij", g.at(p), phi.at(p)))
+        return TwoFormField(
+            self.chart, lambda p, o: J.jet_einsum("ik,kj->ij", g.jet(p, o), phi.jet(p, o)))
 
     def flipped(self) -> "AlmostContactMetric":
         return AlmostContactMetric(self.chart, -self.phi, self.xi, self.eta, self.g)
@@ -164,6 +165,20 @@ def acms_check(acs: AlmostContactMetric, points) -> ResidualReport:
 # -- constructors ---------------------------------------------------------------
 
 
+def require_real(field: F.Field, points, name: str):
+    """Refuse a field whose jet is not real and finite at one of the points.
+
+    The whole order-2 jet is tested, since the checks differentiate the data
+    of a structure up to twice.  Raises :class:`StructureError` naming the point.
+    """
+    for p in points:
+        jet = field.at(p)
+        for part in (jet.value, jet.grad, jet.hess):
+            if part is not None and (not np.isfinite(part).all() or part.imag.any()):
+                raise StructureError(
+                    f"{name} is not real and finite at {np.asarray(p).tolist()}")
+
+
 def gacs_from_acs(acs: AlmostContactMetric, check_points=None) -> Gacs:
     """Example-3.3 lift: Phi = diag(phi, -phi*), E+ = xi, E- = eta."""
     chart = acs.chart
@@ -181,17 +196,17 @@ def reeb_field(eta: OneFormField) -> VectorField:
     """The unique xi with i_xi d(eta) = 0 and eta(xi) = 1, via rho^-1."""
     chart = eta.chart
 
-    def fn(p):
-        rho = _rho_jet(eta, p)
-        return J.jet_einsum("ij,j->i", J.jet_inv(rho), -eta.at(p))
+    def fn(p, order):
+        rho = _rho_jet(eta, p, order)
+        return J.jet_einsum("ij,j->i", J.jet_inv(rho), -eta.jet(p, order))
 
     return VectorField(chart, fn)
 
 
-def _rho_jet(eta: OneFormField, p) -> J.JetArray:
+def _rho_jet(eta: OneFormField, p, order: int) -> J.JetArray:
     """Matrix jet of rho(X) = i_X d(eta) - eta(X) eta (column-vector action)."""
-    deta = F.d_jet(eta.at(p), 1)
-    ej = eta.at(p)
+    deta = F.d_jet(eta.jet(p, order + 1), 1)
+    ej = eta.jet(p, order)
     pmat = deta - J.jet_einsum("i,j->ij", ej, ej)  # rows: input slot
     return F._jT(pmat)
 
@@ -236,16 +251,17 @@ def gacs_from_contact(eta: OneFormField, check_points=None) -> Gacs:
     if n % 2 != 1:
         raise ValueError("contact structures need an odd-dimensional chart")
     if check_points is not None:
+        require_real(eta, check_points, "eta")
         # det(rho) = -vol^2 / (2^k k!)^2 with vol the contact_volume coefficient,
         # so this one test also rejects every point where eta ^ (d eta)^k vanishes
         for p in check_points:
-            rho = _rho_jet(eta, p)
+            rho = _rho_jet(eta, p, 0)
             if abs(np.linalg.det(rho.value)) < 1e-10:
                 raise ValueError(f"eta is not contact at {p}: rho is degenerate")
 
-    def phi_fn(p):
-        deta = F.d_jet(eta.at(p), 1)
-        rho_inv = J.jet_inv(_rho_jet(eta, p))
+    def phi_fn(p, order):
+        deta = F.d_jet(eta.jet(p, order + 1), 1)
+        rho_inv = J.jet_inv(_rho_jet(eta, p, order))
         # pi(alpha, beta) = d eta(rho^-1 alpha, rho^-1 beta).  The bivector
         # and 2-form blocks of the structure matrix contract in the second
         # slot, (TC alpha)^j = pi(dx^j, alpha) and (CT X)_j = d eta(dx_j, X):
@@ -257,7 +273,7 @@ def gacs_from_contact(eta: OneFormField, check_points=None) -> Gacs:
         pi = J.jet_einsum("il,lj->ij", pi, rho_inv)
         tc = -F._jT(pi)
         ct = -F._jT(deta)
-        zero = J.lift(np.zeros((n, n)), n)
+        zero = J.lift(np.zeros((n, n)), n, order)
         top = F.jconcat([zero, tc], axis=1)
         bot = F.jconcat([ct, zero], axis=1)
         return F.jconcat([top, bot], axis=0)
@@ -272,22 +288,23 @@ def gmetric_from_gb(g: MatrixField, b: Optional[TwoFormField] = None) -> General
     n = chart.dim
     if b is None:
         b = F.zero_two_form(chart)
+    eb = F.b_endo(b)
+    ebinv = F.b_endo(-b)
 
-    def fn(p):
-        gj = g.at(p)
+    def fn(p, order):
+        gj = g.jet(p, order)
         gval = gj.value
         if np.abs(gval - gval.T).max() > 1e-10:
             raise StructureError(f"metric must be symmetric at {p.tolist()}")
         if np.linalg.eigvalsh(gval.real).min() <= 0:
             raise StructureError(f"metric must be positive definite at {p.tolist()}")
         ginv = J.jet_inv(gj)
-        zero = J.lift(np.zeros((n, n)), n)
+        zero = J.lift(np.zeros((n, n)), n, order)
         mid = F.jconcat(
             [F.jconcat([zero, ginv], axis=1), F.jconcat([gj, zero], axis=1)], axis=0
         )
-        eb = F.b_endo(b).at(p)
-        ebinv = F.b_endo(-b).at(p)
-        return J.jet_einsum("ij,jk->ik", J.jet_einsum("ij,jk->ik", eb, mid), ebinv)
+        return J.jet_einsum(
+            "ij,jk->ik", J.jet_einsum("ij,jk->ik", eb.jet(p, order), mid), ebinv.jet(p, order))
 
     return GeneralizedMetric(chart, GtEndoField(chart, fn), g=g, b=b)
 
@@ -497,15 +514,15 @@ def frame_nij(jets: Sequence[J.JetArray], n: int) -> Dict[Tuple[int, int, int], 
 
     Nij is exactly antisymmetric on isotropic frames, so repeated-member
     triples vanish identically and the sorted triples determine the rest.
-    Only the values are read, so the members enter as order-1 jets, stacked
-    along a batch axis after the component axis, and one ``courant_jets``
-    call brackets every ordered pair.  The triples are read from
-    ``P[p, q, r] = <[[A_p, A_q]], A_r>`` in the order of ``nij_jets``.
+    Only the values are read, so order-1 member jets suffice.  They are
+    stacked along a batch axis after the component axis, and one
+    ``courant_jets`` call brackets every ordered pair.  The triples are read
+    from ``P[p, q, r] = <[[A_p, A_q]], A_r>`` in the order of ``nij_jets``.
     """
     m = len(jets)
     if m < 3:
         return {}
-    frame = J.stack([J.JetArray(j.value, j.grad, None, j.nvars) for j in jets], axis=1)
+    frame = J.stack(jets, axis=1)
     brackets = F.courant_jets(frame[:, :, None], frame[:, None, :], n).value
     swapped = np.concatenate([brackets[n:], brackets[:n]])
     P = 0.5 * np.einsum("ipq,ir->pqr", swapped, frame.value)
@@ -522,7 +539,7 @@ def max_nij_over_frame(members: Sequence[SectionField], points) -> Tuple[float, 
     n = members[0].chart.dim
     per_point = []
     for p in points:
-        table = frame_nij([mm.at(p) for mm in members], n)
+        table = frame_nij([mm.jet(p, 1) for mm in members], n)
         per_point.append(max(abs(v) for v in table.values()))
     return float(max(per_point)), per_point
 

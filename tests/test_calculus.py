@@ -120,7 +120,7 @@ def test_lie_derivative_leibniz():
     w = F.wedge11(F.one_form(CH, [scalar("z"), scalar("x"), scalar("0")]), DY)
     u = F.vector_field(CH, [scalar("y"), scalar("x*z"), scalar("1+x^2")])
     lhs = F.lie_derivative(u, f * w)
-    xf = F.ScalarField(CH, lambda p: F.interior_jet(u.at(p), F.d_jet(f.at(p), 0), 1))
+    xf = F.ScalarField(CH, lambda p, o: F.interior_jet(u.at(p, o), F.d_jet(f.at(p, o + 1), 0), 1))
     rhs = xf * w + f * F.lie_derivative(u, w)
     for p in PTS[:10]:
         assert np.abs(lhs.values(p) - rhs.values(p)).max() < 1e-10

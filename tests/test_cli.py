@@ -300,6 +300,34 @@ def test_invalid_metric_found_by_a_check_exits_two(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def _refused_outside_real_domain(capsys, cfg, name):
+    assert main(["verify", cfg]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"{name} is not real and finite at [" in err[0]
+
+
+def test_from_contact_outside_the_real_domain_exits_two(tmp_path, capsys):
+    """log(x) is complex where x < 0: the builder refuses it at a check point
+    instead of letting every gacs row pass on complex values."""
+    structure = {"chart": {"dim": 3}, "builder": "from_contact", "eta": ["-y", "0", "log(x)"]}
+    cfg = write(tmp_path, "log.json", {"structure": structure, "checks": ["gacs"]})
+    _refused_outside_real_domain(capsys, cfg, "eta")
+
+
+def test_from_acs_outside_the_real_domain_exits_two(tmp_path, capsys):
+    structure = {
+        "chart": {"dim": 3},
+        "builder": "from_acs",
+        "phi": [["0", "-1", "0"], ["1", "0", "0"], ["0", "-y", "0"]],
+        "xi": ["0", "0", "1"],
+        "eta": ["-y", "0", "1"],
+        "g": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "sqrt(x)"]],
+    }
+    cfg = write(tmp_path, "sqrt.json", {"structure": structure, "checks": ["acms"]})
+    _refused_outside_real_domain(capsys, cfg, "g")
+
+
 def test_gallery_golden_mode(tmp_path):
     """Without --checks, gallery run reproduces the expected-verdict table,
     so entries with intentional failures still exit 0."""

@@ -180,7 +180,7 @@ def test_cone_decompose_rejects_t_dependence():
     s = DARBOUX["gacs"]
     cc = cone_of(DARBOUX)
     t = F.coordinate(cc, 3)
-    et = F.ScalarField(cc, lambda p: J.exp(t.at(p)))
+    et = F.ScalarField(cc, lambda p, o: J.exp(t.at(p, o)))
     b = et * F.wedge11(F.basis_form(cc, 0), F.basis_form(cc, 1))
     eb, ebinv = F.b_endo(b), F.b_endo(-1 * b)
     j = C.ConeGacx(cc, eb @ C.cone_gacx(s, cc).J @ ebinv)
@@ -234,11 +234,11 @@ def test_frame_shortfall_messages():
     """Phi = J = -i kills every +i projection: both pivoted frames name the shortfall."""
     s = DARBOUX["gacs"]
     ch, cc = s.chart, cone_of(DARBOUX)
-    minus_i = F.GtEndoField(ch, lambda p: J.lift(-1j * np.eye(6), 3))
+    minus_i = F.GtEndoField(ch, lambda p, o: J.lift(-1j * np.eye(6), 3, o))
     flat = S.Gacs(ch, minus_i, s.Eplus, s.Eminus)
     with pytest.raises(ValueError, match=r"^eigenframe rank dropped to 0 \(< 2\) at the base point$"):
         S.eigenframe(flat)
-    cone_minus_i = C.ConeGacx(cc, F.GtEndoField(cc, lambda p: J.lift(-1j * np.eye(8), 4)))
+    cone_minus_i = C.ConeGacx(cc, F.GtEndoField(cc, lambda p, o: J.lift(-1j * np.eye(8), 4, o)))
     with pytest.raises(ValueError, match=r"^cone eigenframe rank dropped to 0 \(< 4\)$"):
         C.gacx_plus_frame(cone_minus_i)
 

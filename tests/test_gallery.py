@@ -96,13 +96,13 @@ def test_kahler_interval_db_identity():
     gt = _cone_metric(cone, k)
     jplus = _cone_j(cone, acs, +1.0)
     omega = F.TwoFormField(
-        cone, lambda p: J.jet_einsum("ik,kj->ij", gt.at(p), jplus.at(p))
+        cone, lambda p, o: J.jet_einsum("ik,kj->ij", gt.at(p, o), jplus.at(p, o))
     )
     lhs = F.c_transform(F.d(omega), jplus)
 
     z = F.coordinate(cone, 2)
     t = F.coordinate(cone, 3)
-    coef = F.ScalarField(cone, lambda p: -J.exp(2 * t.at(p)) * J.cos(2 * z.at(p)))
+    coef = F.ScalarField(cone, lambda p, o: -J.exp(2 * t.at(p, o)) * J.cos(2 * z.at(p, o)))
     omega_prime = F.wedge11(F.basis_form(cone, 0), F.basis_form(cone, 1))
     rhs = F.d(coef * omega_prime)
     for q in C.cone_points(ch.sample(seed=5, count=3), (0.2,)):
@@ -113,16 +113,16 @@ def _cone_metric(cone, k):
     g = k["g"]
     n = 3
 
-    def fn(p):
-        gj = J.extend_vars(g.at(p[:n]), cone.dim)
+    def fn(p, o):
+        gj = J.extend_vars(g.at(p[:n], o), cone.dim)
         pad = F.jconcat(
             [
-                F.jconcat([gj, J.lift(np.zeros((3, 1)), 4)], axis=1),
-                F.jconcat([J.lift(np.zeros((1, 3)), 4), J.lift(np.ones((1, 1)), 4)], axis=1),
+                F.jconcat([gj, J.lift(np.zeros((3, 1)), 4, o)], axis=1),
+                F.jconcat([J.lift(np.zeros((1, 3)), 4, o), J.lift(np.ones((1, 1)), 4, o)], axis=1),
             ],
             axis=0,
         )
-        t = J.seed_point(p, 4)[3]
+        t = J.seed_point(p, 4, o)[3]
         return J.jet_einsum(",ij->ij", J.exp(2 * t), pad)
 
     return F.MatrixField(cone, fn)
@@ -131,12 +131,12 @@ def _cone_metric(cone, k):
 def _cone_j(cone, acs, sign):
     n = 3
 
-    def fn(p):
-        ph = J.extend_vars(acs.phi.at(p[:n]), 4)
+    def fn(p, o):
+        ph = J.extend_vars(acs.phi.at(p[:n], o), 4)
         out = F.jconcat(
             [
-                F.jconcat([sign * ph, J.lift(np.zeros((3, 1)), 4)], axis=1),
-                F.jconcat([J.lift(np.zeros((1, 3)), 4), J.lift(np.zeros((1, 1)), 4)], axis=1),
+                F.jconcat([sign * ph, J.lift(np.zeros((3, 1)), 4, o)], axis=1),
+                F.jconcat([J.lift(np.zeros((1, 3)), 4, o), J.lift(np.zeros((1, 1)), 4, o)], axis=1),
             ],
             axis=0,
         )

@@ -154,7 +154,7 @@ def perturbed_darboux(draw):
     n = 2 * k + 1
     eta = gallery.darboux_eta(k)
     ch = eta.chart
-    comps = [F.ScalarField(ch, lambda p, c=c: eta.at(p)[c]) for c in range(n)]
+    comps = [F.ScalarField(ch, lambda p, o, c=c: eta.at(p, o)[c]) for c in range(n)]
     terms = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(-1, n - 1), st.integers(-1, n - 1),
                   st.floats(-0.3, 0.3)),
@@ -361,7 +361,7 @@ def test_generalized_sasakian_detuned_metric_fails():
     ch = KAHLER["chart"]
     zero, one = F.constant(ch, 0), F.constant(ch, 1)
     z = F.coordinate(ch, 2)
-    c2z = F.ScalarField(ch, lambda p: JT.cos(2 * z.at(p)))
+    c2z = F.ScalarField(ch, lambda p, o: JT.cos(2 * z.at(p, o)))
     g1 = F.matrix_field(ch, [[one, zero, zero], [zero, one, zero], [zero, zero, one]])
     omega_prime = F.wedge11(F.basis_form(ch, 0), F.basis_form(ch, 1))
     metric = S.gmetric_from_gb(g1, -1 * (c2z * omega_prime))

@@ -68,7 +68,7 @@ def test_contact_rho_example():
     """rho(d/dz) = -eta since i_dz(dx^dy) = 0 and eta(dz) = 1."""
     eta = DARBOUX["eta"]
     for p in PTS["darboux"][:5]:
-        rho = S._rho_jet(eta, p).value
+        rho = S._rho_jet(eta, p, 0).value
         out = rho @ np.array([0, 0, 1.0])
         assert np.allclose(out, -eta.values(p))
 
@@ -96,7 +96,7 @@ def test_gacs_check_detects_violations():
     # a *-symmetric perturbation of Phi doubles up in the skew row
     delta = np.zeros((6, 6))
     delta[0, 4] = delta[1, 3] = 0.1  # symmetric TC block, so delta* = delta
-    bumped = F.GtEndoField(s.chart, lambda p, _s=s: _s.Phi.at(p) + J.lift(delta, 3))
+    bumped = F.GtEndoField(s.chart, lambda p, o, _s=s: _s.Phi.at(p, o) + J.lift(delta, 3, o))
     rep2 = S.gacs_check(S.Gacs(s.chart, bumped, s.Eplus, s.Eminus), pts)
     assert rep2["gacs.skew"].max_residual == pytest.approx(0.2)
 
