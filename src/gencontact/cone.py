@@ -12,7 +12,9 @@ hessian are written into zeros at the base slots and get zero derivatives
 in t.  A section goes to the ``_m_indices`` slots of the cone stack (the t
 and dt slots stay zero), an endomorphism to the ``np.ix_`` block of those
 slots, a 1-form to the first n slots; ``classical_cone_i`` and the cross
-term metric ``g_tilde`` sum such placements.
+term metric ``g_tilde`` sum such placements.  A lift evaluates the base
+field once over the distinct base points of a cone point batch
+(:func:`base_jet`): cone point sets repeat each base point once per t value.
 """
 
 from __future__ import annotations
@@ -44,26 +46,45 @@ class ConeGacx:
 # -- lifting -------------------------------------------------------------------
 
 
+def base_jet(f: F.Field, p: np.ndarray, order: int) -> J.JetArray:
+    """The jet of a base field at the base coordinates of the cone points ``(*B, n + 1)``.
+
+    The field is evaluated once over the distinct base points, in the order
+    they first appear (so a cone point set built by :func:`cone_points` asks
+    for exactly its base point set, whose jet a base-side check may have
+    memoised already), and the jet is spread back over the batch.
+    """
+    n = f.chart.dim
+    q = p[..., :n].reshape(-1, n)
+    _, first, inverse = np.unique(q, axis=0, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    return J.take_batch(f.jet(q[first[by_first]], order), rank[inverse.ravel()], p.shape[:-1])
+
+
 def lift_scalar(cone: ConeChart, f: ScalarField) -> ScalarField:
-    n = cone.base.dim
-    return ScalarField(cone, lambda p, o: J.extend_vars(f.jet(p[:n], o), cone.dim))
+    return ScalarField(cone, lambda p, o: J.extend_vars(base_jet(f, p, o), cone.dim))
 
 
 def lift_form(cone: ConeChart, omega) -> "F.OneFormField":
     n = cone.base.dim
     return F.OneFormField(
-        cone, lambda p, o: J.extend_vars(omega.jet(p[:n], o), cone.dim, (cone.dim,), slice(n)))
+        cone, lambda p, o: J.extend_vars(base_jet(omega, p, o), cone.dim, (cone.dim,), slice(n)))
 
 
-def cone_points(base_points, ts=(-0.5, 0.0, 0.5)) -> List[np.ndarray]:
-    return [np.concatenate([p, [t]]) for p in base_points for t in ts]
+def cone_points(base_points, ts=(-0.5, 0.0, 0.5)) -> np.ndarray:
+    """The (P * len(ts), n + 1) cone points (p, t), base point major, t minor."""
+    base = np.asarray(base_points, dtype=float)
+    return np.column_stack([np.repeat(base, len(ts), axis=0), np.tile(ts, len(base))])
 
 
 def lift_section(cone: ConeChart, s: SectionField) -> SectionField:
     n = cone.base.dim
     N = cone.dim
     rows = _m_indices(n)
-    return SectionField(cone, lambda p, o: J.extend_vars(s.jet(p[:n], o), N, (2 * N,), rows))
+    return SectionField(
+        cone, lambda p, o: J.extend_vars(base_jet(s, p, o), N, (2 * N,), rows))
 
 
 def lift_endo(cone: ConeChart, e: GtEndoField) -> GtEndoField:
@@ -71,7 +92,7 @@ def lift_endo(cone: ConeChart, e: GtEndoField) -> GtEndoField:
     N = cone.dim
     block = np.ix_(_m_indices(n), _m_indices(n))
     return GtEndoField(
-        cone, lambda p, o: J.extend_vars(e.jet(p[:n], o), N, (2 * N, 2 * N), block))
+        cone, lambda p, o: J.extend_vars(base_jet(e, p, o), N, (2 * N, 2 * N), block))
 
 
 def _m_indices(n: int) -> List[int]:
@@ -145,7 +166,7 @@ def _r_pow(cone: ConeChart, sign: int) -> GtEndoField:
         ep = J.exp(sign * t)
         parts = [em] * N + [ep] * N
         stacked = J.stack(parts)
-        eye = J.lift(np.eye(2 * N), N, order)
+        eye = J.lift(np.eye(2 * N), N, order, p.shape[:-1])
         return J.jet_einsum("i,ij->ij", stacked, eye)
 
     return GtEndoField(cone, fn)
@@ -176,12 +197,8 @@ def gacx_check(j: ConeGacx, points) -> ResidualReport:
 
 def t_dependence(j: ConeGacx, points) -> float:
     """Max |d/dt entry| of J over the sample points."""
-    ti = j.chart.t_index
-    worst = 0.0
-    for p in points:
-        jet = j.J.jet(p, 1).require(1)
-        worst = max(worst, float(np.abs(jet.grad[..., ti]).max()))
-    return worst
+    jet = j.J.jet(np.asarray(points, dtype=float), 1).require(1)
+    return float(np.abs(jet.grad[..., j.chart.t_index]).max())
 
 
 def cone_decompose(j: ConeGacx, points=None, tol: float = 1e-8) -> Union[Gacs, FGacs]:
@@ -196,8 +213,7 @@ def cone_decompose(j: ConeGacx, points=None, tol: float = 1e-8) -> Union[Gacs, F
     n = base.dim
     N = cone.dim
     if points is None:
-        points = [np.concatenate([q, [t]]) for q in base.sample(seed=5, count=8)
-                  for t in (-0.5, 0.25)]
+        points = cone_points(base.sample(seed=5, count=8), (-0.5, 0.25))
     td = t_dependence(j, points)
     if td > T_INDEPENDENCE_TOL:
         raise ValueError(f"structure depends on t (max |d_t J| = {td:.2e})")
@@ -206,7 +222,7 @@ def cone_decompose(j: ConeGacx, points=None, tol: float = 1e-8) -> Union[Gacs, F
     t0 = 0.0
 
     def at_base(p, order):
-        return j.J.jet(np.concatenate([p, [t0]]), order)
+        return j.J.jet(np.concatenate([p, np.full(p.shape[:-1] + (1,), t0)], axis=-1), order)
 
     def b_fn(p, order):
         col = at_base(p, order)[:, n]  # J(d/dt)
@@ -237,8 +253,7 @@ def cone_decompose(j: ConeGacx, points=None, tol: float = 1e-8) -> Union[Gacs, F
             f"J is not of the displayed t-invariant normal form (residual {worst:.2e})"
         )
 
-    h_vals = [abs(complex(h.values(q))) for q in base.sample(seed=9, count=12)]
-    if max(h_vals) < tol:
+    if np.abs(h.values(base.sample(seed=9, count=12))).max() < tol:
         return Gacs(base, Jm, B, A)
     return FGacs(base, Jm, B, A, h)
 

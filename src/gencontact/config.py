@@ -85,6 +85,19 @@ def _expr_matrix(rows, chart: Chart, path: str, size: int) -> list:
     ]
 
 
+def _check_points(chart: Chart) -> np.ndarray:
+    """The points at which parsed data is checked to be real (the builders' points)."""
+    return chart.sample(seed=1, count=8)
+
+
+def _require_real(field: F.Field, chart: Chart, path: str):
+    """Refuse parsed data whose jet is not real and finite at the check points."""
+    try:
+        S.require_real(field, _check_points(chart), path)
+    except S.StructureError as err:
+        raise ConfigError(str(err)) from None
+
+
 def _parse_section(obj: dict, chart: Chart, path: str) -> F.SectionField:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object with vec/form lists")
@@ -130,7 +143,7 @@ def parse_structure(obj: dict, path: str = "$.structure") -> dict:
         if n % 2 != 1:
             raise ConfigError(f"{path}: contact builders need an odd chart dimension")
         eta = F.one_form(chart, _expr_vector(_need(obj, "eta", path), chart, f"{path}.eta", n))
-        pts = chart.sample(seed=1, count=8)
+        pts = _check_points(chart)
         try:
             gacs = S.gacs_from_contact(eta, check_points=pts)
         except ValueError as err:
@@ -143,7 +156,7 @@ def parse_structure(obj: dict, path: str = "$.structure") -> dict:
         g = None
         if "g" in obj:
             g = F.matrix_field(chart, _expr_matrix(obj["g"], chart, f"{path}.g", n))
-        pts = chart.sample(seed=1, count=8)
+        pts = _check_points(chart)
         try:
             for name, part in (("phi", phi), ("xi", xi), ("eta", eta), ("g", g)):
                 if part is not None:
@@ -162,6 +175,8 @@ def parse_structure(obj: dict, path: str = "$.structure") -> dict:
     phi = F.from_components(F.GtEndoField, chart, phi_rows)
     eplus = _parse_section(_need(obj, "eplus", path), chart, f"{path}.eplus")
     eminus = _parse_section(_need(obj, "eminus", path), chart, f"{path}.eminus")
+    for name, part in (("phi", phi), ("eplus", eplus), ("eminus", eminus)):
+        _require_real(part, chart, f"{path}.{name}")
     gacs = S.Gacs(chart, phi, eplus, eminus)
     return {"chart": chart, "gacs": gacs}
 
@@ -184,16 +199,17 @@ def parse_pipeline(items, products: dict, path: str = "$.apply") -> dict:
             _reject_unknown(step, {"op", "B"}, spath)
             rows = _expr_matrix(_need(step, "B", spath), chart, f"{spath}.B", n)
             bfield = F.from_components(F.TwoFormField, chart, rows)
-            for q in chart.sample(seed=3, count=4):
-                v = bfield.values(q)
-                if np.abs(v + v.T).max() > 1e-9:
-                    raise ConfigError(f"{spath}.B: components are not antisymmetric")
+            v = bfield.values(chart.sample(seed=3, count=4))
+            if np.abs(v + np.swapaxes(v, 0, 1)).max() > 1e-9:
+                raise ConfigError(f"{spath}.B: components are not antisymmetric")
+            _require_real(bfield, chart, f"{spath}.B")
             current = D.b_transform_fgacs(current, bfield)
         elif op in ("k_plus", "k_minus"):
             _reject_unknown(step, {"op", "kappa"}, spath)
             kappa = F.one_form(
                 chart, _expr_vector(_need(step, "kappa", spath), chart, f"{spath}.kappa", n)
             )
+            _require_real(kappa, chart, f"{spath}.kappa")
             current = (D.k_plus if op == "k_plus" else D.k_minus)(current, kappa)
         elif op == "normalize":
             _reject_unknown(step, {"op"}, spath)

@@ -17,7 +17,7 @@ from . import fields as F
 from . import gta
 from . import jets as J
 from .charts import ConeChart
-from .cone import cone_points, gacx_plus_frame, i_map, i_prime, lift_form
+from .cone import base_jet, cone_points, gacx_plus_frame, i_map, i_prime, lift_form
 from .fields import (
     GtEndoField,
     MatrixField,
@@ -136,18 +136,19 @@ def normalize(s: FGacs, points, tol: float = 1e-9) -> Tuple[Gacs, OneFormField, 
     f does not vanish, since no pointwise alpha can exist there.
     """
     n = s.chart.dim
+    pts = np.asarray(points, dtype=float)
 
     def zeta_jet(p, order):
         return (s.Eplus.jet(p, order) + s.Eminus.jet(p, order))[:n]
 
-    for p in points:
-        z = zeta_jet(p, 0).value
-        den = complex(z @ z)
-        fval = complex(s.f.values(p))
-        if abs(den) < 1e-12 and abs(fval) > tol:
-            raise ValueError(
-                f"normalization impossible at {p}: zeta vanishes while f = {fval:.3e}"
-            )
+    z = zeta_jet(pts, 0).value
+    fval = s.f.values(pts)
+    stuck = (np.abs(np.einsum("i...,i...->...", z, z)) < 1e-12) & (np.abs(fval) > tol)
+    if stuck.any():
+        k = int(np.argmax(stuck))
+        raise ValueError(
+            f"normalization impossible at {pts[k]}: zeta vanishes while f = {complex(fval[k]):.3e}"
+        )
 
     def alpha_fn(p, order):
         z = zeta_jet(p, order)
@@ -158,7 +159,7 @@ def normalize(s: FGacs, points, tol: float = 1e-9) -> Tuple[Gacs, OneFormField, 
     alpha = OneFormField(s.chart, alpha_fn)
     beta = -1 * alpha
     out = k_minus(k_plus(s, alpha), beta)
-    worst = max(abs(complex(out.f.values(p))) for p in points)
+    worst = float(np.abs(out.f.values(pts)).max())
     if worst > tol:
         raise ValueError(f"normalization left |f| = {worst:.3e} > {tol:g}")
     return out.as_gacs(), alpha, beta
@@ -218,9 +219,9 @@ def g_tilde(g: MatrixField, alpha: OneFormField, cone: ConeChart) -> GtEndoField
     e_t = np.eye(N)[n]
 
     def ghat_fn(p, order):
-        q = p[:n]
-        gj = J.extend_vars(g.jet(q, order), N, (N, N), (slice(n), slice(n)))
-        beta = J.extend_vars(alpha.jet(q, order), N, (N,), slice(n)) + e_t
+        gj = J.extend_vars(base_jet(g, p, order), N, (N, N), (slice(n), slice(n)))
+        beta = J.extend_vars(base_jet(alpha, p, order), N, (N,), slice(n))
+        beta = beta + J.lift(e_t, N, beta.order, p.shape[:-1])
         return gj + J.jet_einsum("i,j->ij", beta, beta)
 
     ghat = MatrixField(cone, ghat_fn)
@@ -228,7 +229,7 @@ def g_tilde(g: MatrixField, alpha: OneFormField, cone: ConeChart) -> GtEndoField
     def endo_fn(p, order):
         gj = ghat.jet(p, order)
         ginv = J.jet_inv(gj)
-        zero = J.lift(np.zeros((N, N)), N, order)
+        zero = J.lift(np.zeros((N, N)), N, order, p.shape[:-1])
         return F.jconcat(
             [F.jconcat([zero, ginv], axis=1), F.jconcat([gj, zero], axis=1)], axis=0
         )

@@ -4,6 +4,8 @@ Grammar: ``+ - * / ^`` with unary minus, parentheses, numeric literals,
 single-argument functions ``sin cos exp log sqrt``, and identifiers that
 must name chart coordinates.  ``^`` is right-associative.  Whitespace is
 ignored.  Parse errors carry the character offset and the expected tokens.
+An expression evaluates elementwise over a point batch: coordinates are rows
+of the seed jet and literals are lifted with its batch shape.
 """
 
 from __future__ import annotations
@@ -158,7 +160,7 @@ class Parser:
 def _eval(node, seed: J.JetArray):
     kind = node[0]
     if kind == "num":
-        return J.lift(node[1], seed.nvars, seed.order)
+        return J.lift(node[1], seed.nvars, seed.order, seed.shape[1:])
     if kind == "coord":
         return seed[node[1]]
     if kind == "neg":

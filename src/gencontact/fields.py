@@ -1,10 +1,14 @@
 """Fields on charts: jet-valued closures plus exterior/Courant calculus.
 
-A field evaluates at a chart point to a :class:`~gencontact.jets.JetArray`
-holding the component values and their exact derivatives, up to the order
-its consumer demands: ``field.at(p, order)``, with ``order`` capped at 2.
-A field is a closure ``fn(p, order)``, and the order flows from each
-consumer down to the leaves.  Algebraic combinators ask their inputs for the
+A field evaluates at a point array of shape ``(*B, n)`` to one
+:class:`~gencontact.jets.JetArray` for the whole batch, holding the
+component values and their exact derivatives up to the order its consumer
+demands: ``field.at(points, order)``, with ``order`` capped at 2.  The jet's
+value has shape ``(*comps, *B)`` (see :mod:`gencontact.jets`); a single
+point is the batch ``B = ()`` and takes the same code path.  A field is a
+closure ``fn(p, order)`` over such a point array, and the order flows from
+each consumer down to the leaves, which read the batch shape
+``p.shape[:-1]``.  Algebraic combinators ask their inputs for the
 same order; operations that consume a derivative (exterior and Lie
 derivative, Lie and Courant bracket, Nij) ask theirs for one order more.  A
 checker that reads only values thus never pays for a hessian, while a jet of
@@ -12,10 +16,10 @@ a given order has the same values and gradient whatever it was demanded
 for.  Nesting deeper than the order-2 cap allows returns a jet of lower
 order than demanded, and reading the missing data raises ``JetOrderError``.
 
-The jet-level operators keep the component axes first.  ``courant_jets``
-also accepts batch axes after the leading component axis (its subscripts
-use ``...``), which broadcast: a stack of sections brackets pairwise in one
-call, item by item as the unbatched call would.
+The jet-level operators keep the component axes first and the batch axes
+after them.  ``courant_jets`` accepts any axes after the leading component
+axis (its subscripts use ``...``), which broadcast: a stack of sections
+brackets pairwise in one call, item by item as the unbatched call would.
 
 Form components are stored as full antisymmetric arrays.  The wedge and the
 exterior derivative use the determinant convention,
@@ -36,28 +40,28 @@ from . import jets as J
 from .charts import Chart
 from .jets import MAX_ORDER, JetArray
 
-_MEMO_LIMIT = 512
-
 
 class Field:
-    """A chart plus a pure (point, order) -> JetArray closure, memoised per point.
+    """A chart plus a pure (points, order) -> JetArray closure with a one-slot memo.
 
-    The memo keeps, per point, the highest order demanded so far and its jet.
-    A demand at that order or below is served by truncating the jet; a
-    higher demand calls the closure again and replaces the entry.
+    The slot holds the last point array evaluated, keyed on its batch shape
+    and bytes, with the highest order demanded there so far and its jet.  A
+    demand at that order or below is served by truncating the jet; a higher
+    demand, or a demand at other points, calls the closure and replaces the
+    slot.
     """
 
     def __init__(self, chart: Chart, fn: Callable[[np.ndarray, int], JetArray]):
         self.chart = chart
         self._fn = fn
-        self._memo: dict = {}
+        self._memo = None  # (key, order, jet)
 
     def at(self, point, order: int = MAX_ORDER) -> JetArray:
-        """The jet at ``point`` to ``order`` (capped at 2); the full jet by default."""
+        """The jet at the points ``(*B, n)`` to ``order`` (capped at 2); the full jet by default."""
         return self.jet(point, order)
 
     def jet(self, point, order: int) -> JetArray:
-        """The jet at ``point`` to ``order``, as :meth:`at`.
+        """The jet at the points ``(*B, n)`` to ``order``, as :meth:`at`.
 
         Closures demand their inputs through this method; ``at`` keeps the
         one-argument call form for outside callers and for wrappers that
@@ -65,17 +69,16 @@ class Field:
         """
         order = min(order, MAX_ORDER)
         p = np.asarray(point, dtype=float)
-        key = p.tobytes()
-        hit = self._memo.get(key)
-        if hit is not None and hit[0] >= order:
-            return hit[1].truncate(order)
+        key = (p.shape[:-1], p.tobytes())
+        memo = self._memo
+        if memo is not None and memo[1] >= order and memo[0] == key:
+            return memo[2].truncate(order)
         jet = self._fn(p, order).truncate(order)
-        if len(self._memo) >= _MEMO_LIMIT:
-            self._memo.clear()
-        self._memo[key] = (order, jet)
+        self._memo = (key, order, jet)
         return jet
 
     def values(self, point) -> np.ndarray:
+        """Component values at the points ``(*B, n)``, shape ``(*comps, *B)``."""
         return self.jet(point, 0).value
 
     # -- shared combinators --------------------------------------------------
@@ -205,7 +208,7 @@ def coordinate(chart: Chart, i: int) -> ScalarField:
 
 def constant(chart: Chart, c) -> ScalarField:
     n = chart.dim
-    return ScalarField(chart, lambda p, o: J.lift(complex(c), n, o))
+    return ScalarField(chart, lambda p, o: J.lift(complex(c), n, o, p.shape[:-1]))
 
 
 def from_components(cls, chart: Chart, comps: Sequence) -> Field:
@@ -215,7 +218,7 @@ def from_components(cls, chart: Chart, comps: Sequence) -> Field:
 
     def fn(p, order):
         stacked = J.stack([f.jet(p, order) for f in flat])
-        return stacked.reshape(*arr.shape)
+        return stacked.reshape(*arr.shape, *p.shape[:-1])
 
     return cls(chart, fn)
 
@@ -236,19 +239,19 @@ def basis_vector(chart: Chart, i: int) -> VectorField:
     n = chart.dim
     e = np.zeros(n)
     e[i] = 1.0
-    return VectorField(chart, lambda p, o: J.lift(e, n, o))
+    return VectorField(chart, lambda p, o: J.lift(e, n, o, p.shape[:-1]))
 
 
 def basis_form(chart: Chart, i: int) -> OneFormField:
     n = chart.dim
     e = np.zeros(n)
     e[i] = 1.0
-    return OneFormField(chart, lambda p, o: J.lift(e, n, o))
+    return OneFormField(chart, lambda p, o: J.lift(e, n, o, p.shape[:-1]))
 
 
 def zero_two_form(chart: Chart) -> TwoFormField:
     n = chart.dim
-    return TwoFormField(chart, lambda p, o: J.lift(np.zeros((n, n)), n, o))
+    return TwoFormField(chart, lambda p, o: J.lift(np.zeros((n, n)), n, o, p.shape[:-1]))
 
 
 def section(vec: Optional[VectorField] = None, form: Optional[OneFormField] = None) -> SectionField:
@@ -257,11 +260,11 @@ def section(vec: Optional[VectorField] = None, form: Optional[OneFormField] = No
         raise ValueError("need a vector part or a form part")
     chart = some.chart
     n = chart.dim
-    zeros = [J.lift(np.zeros(n), n, o) for o in range(MAX_ORDER + 1)]
 
     def fn(p, order):
-        jv = vec.jet(p, order) if vec is not None else zeros[order]
-        jf = form.jet(p, order) if form is not None else zeros[order]
+        zeros = J.lift(np.zeros(n), n, order, p.shape[:-1])
+        jv = vec.jet(p, order) if vec is not None else zeros
+        jf = form.jet(p, order) if form is not None else zeros
         return jconcat([jv, jf])
 
     return SectionField(chart, fn)
@@ -303,8 +306,9 @@ def b_endo(b: TwoFormField) -> GtEndoField:
 
     def fn(p, order):
         jb = b.jet(p, order)
-        top = jconcat([J.lift(eye, n, order), J.lift(zero, n, order)], axis=1)
-        bot = jconcat([_jT(jb), J.lift(eye, n, order)], axis=1)
+        one = J.lift(eye, n, order, p.shape[:-1])
+        top = jconcat([one, J.lift(zero, n, order, p.shape[:-1])], axis=1)
+        bot = jconcat([_jT(jb), one], axis=1)
         return jconcat([top, bot], axis=0)
 
     return GtEndoField(chart, fn)
@@ -358,10 +362,11 @@ _FORM_BY_RANK = {0: ScalarField, 1: OneFormField, 2: TwoFormField, 3: ThreeFormF
 
 
 def d_jet(j: JetArray, k: int) -> JetArray:
-    a = J.dshift(j)  # derivative axis appended to the leading shape
-    out = _jmove(a, k, 0)
+    a = J.dshift(j)
+    last = a.value.ndim - 1  # the derivative axis, after the batch axes
+    out = _jmove(a, last, 0)
     for m in range(1, k + 1):
-        out = out + (-1) ** m * _jmove(a, k, m)
+        out = out + (-1) ** m * _jmove(a, last, m)
     return out
 
 
@@ -414,8 +419,8 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
 
     def fn(p, order):
         jx, jy = x.jet(p, order + 1), y.jet(p, order + 1)
-        return J.jet_einsum("j,ij->i", jx, J.dshift(jy)) - J.jet_einsum(
-            "j,ij->i", jy, J.dshift(jx)
+        return J.jet_einsum("j...,i...j->i...", jx, J.dshift(jy)) - J.jet_einsum(
+            "j...,i...j->i...", jy, J.dshift(jx)
         )
 
     return VectorField(x.chart, fn)
@@ -447,12 +452,14 @@ def c_transform(omega: Field, phi: MatrixField) -> Field:
         raise ValueError("c_transform supports form degree 1..3")
     _same_chart(omega, phi)
     cls = type(omega)
+    rest = "bc"[:k - 1]
+    sub = f"a{rest},ai->{rest}i"
 
     def fn(p, order):
         out = omega.jet(p, order)
         jp = phi.jet(p, order)
         for slot in range(k):
-            out = _jmove(J.jet_einsum("a...,ai->...i", _jmove(out, slot, 0), jp), k - 1, slot)
+            out = _jmove(J.jet_einsum(sub, _jmove(out, slot, 0), jp), k - 1, slot)
         return out
 
     return cls(omega.chart, fn)
@@ -465,24 +472,24 @@ def courant_jets(ja: JetArray, jb: JetArray, n: int) -> JetArray:
     """[[X+a, Y+b]] = [X,Y] + L_X b - L_Y a - d(i_X b - i_Y a)/2, on jets.
 
     Axes after the leading component axis are batch axes and broadcast, so
-    one call brackets a whole stack of section pairs.
+    one call brackets a whole stack of section pairs over a point batch.
     """
     x, a = ja[:n], ja[n:]
     y, b = jb[:n], jb[n:]
     dx, da = J.dshift(x), J.dshift(a)
     dy, db = J.dshift(y), J.dshift(b)
-    vec = J.jet_einsum("j...,i...j->i...", x, dy) - J.jet_einsum("j...,i...j->i...", y, dx)
-    # L_X b = X^i d_i b_j + b_i d_j X^i
-    lxb = J.jet_einsum("i...,j...i->j...", x, db) + J.jet_einsum("i...,i...j->j...", b, dx)
-    lya = J.jet_einsum("i...,j...i->j...", y, da) + J.jet_einsum("i...,i...j->j...", a, dy)
-    # d(i_X b - i_Y a)_j = d_j(X^i b_i - Y^i a_i)
-    exact = (
-        J.jet_einsum("i...,i...j->j...", b, dx)
-        + J.jet_einsum("i...,i...j->j...", x, db)
-        - J.jet_einsum("i...,i...j->j...", a, dy)
-        - J.jet_einsum("i...,i...j->j...", y, da)
+    # b_i d_j X^i and a_i d_j Y^i enter both the Lie derivatives and the exact term
+    bdx = J.jet_einsum("i...,i...j->j...", b, dx)
+    ady = J.jet_einsum("i...,i...j->j...", a, dy)
+    # L_X b - L_Y a - d(i_X b - i_Y a)/2, with L_X b = X^i d_i b_j + b_i d_j X^i
+    # and d(i_X b - i_Y a)_j = d_j(X^i b_i - Y^i a_i)
+    form = (
+        (J.jet_einsum("i...,j...i->j...", x, db) + bdx)
+        - (J.jet_einsum("i...,j...i->j...", y, da) + ady)
+        - 0.5 * (bdx + J.jet_einsum("i...,i...j->j...", x, db) - ady
+                 - J.jet_einsum("i...,i...j->j...", y, da))
     )
-    form = lxb - lya - 0.5 * exact
+    vec = J.jet_einsum("j...,i...j->i...", x, dy) - J.jet_einsum("j...,i...j->i...", y, dx)
     return jconcat([vec, form])
 
 

@@ -5,6 +5,8 @@ every identity from the R-conjugation computation (the e^-t factors and
 the i/2 correction terms) is verified directly rather than assumed.
 "integrable" always means: max residual below tolerance over the seeded
 sample set and all frame triples, and reports carry the raw residuals.
+Each frame member is evaluated once over the whole point set, and the
+Nijenhuis tables hold one array over the points per triple.
 """
 
 from __future__ import annotations
@@ -18,17 +20,19 @@ from . import fields as F
 from . import gta
 from . import jets as J
 from .charts import ConeChart
-from .cone import cone_plus_frame, cone_points
+from .cone import base_jet, cone_plus_frame, cone_points
 from .fields import MatrixField
-from .report import ResidualReport, stack_values, sup_norm
+from .report import ResidualReport, batch_first, stack_values, sup_norm
 from .structures import (
     AlmostContactMetric,
     EigenFrame,
     Gacm,
     Gacs,
+    cabs,
     eigenframe,
     frame_nij,
     max_nij_over_frame,
+    triple_max,
 )
 
 INT_TOL = 1e-7
@@ -74,13 +78,13 @@ def plain_cone_check(s: Gacs, base_points, tol: float = INT_TOL,
 # -- the conjugated-cone integrability condition on M --------------------------------
 
 
-def _conjugated_cone_rhs(vals, em) -> complex:
-    """2i (<E-,A><B,C>_- + <E-,B><C,A>_- + <E-,C><A,B>_-) on values at one point."""
+def _conjugated_cone_rhs(vals, em) -> np.ndarray:
+    """2i (<E-,A><B,C>_- + <E-,B><C,A>_- + <E-,C><A,B>_-) on (P, 2n) value stacks."""
     a, b, c = vals
     pm = gta.pair_minus
     pe = gta.pair
     total = pe(em, a) * pm(b, c) + pe(em, b) * pm(c, a) + pe(em, c) * pm(a, b)
-    return 2j * complex(total)
+    return 2j * total
 
 
 def conjugated_cone_residual(s: Gacs, base_points, tol: float = INT_TOL,
@@ -89,21 +93,19 @@ def conjugated_cone_residual(s: Gacs, base_points, tol: float = INT_TOL,
     if frame is None:
         frame = eigenframe(s)
     members = list(frame.e10) + [frame.eplus, frame.eminus]
-    n = s.chart.dim
-    per_point = []
-    for p in base_points:
-        jets = [m.jet(p, 1) for m in members]
-        gaps = _rcone_gaps(frame_nij(jets, n), jets, frame.eminus.values(p))
-        per_point.append(max(gaps.values(), default=0.0))
+    pts = np.asarray(base_points, dtype=float)
+    jets = [m.jet(pts, 1) for m in members]
+    vals = [batch_first(j.value) for j in jets]
+    gaps = _rcone_gaps(frame_nij(jets, s.chart.dim), vals, stack_values(frame.eminus, pts))
     rep = ResidualReport()
-    rep.add("rcone_condition.residual", per_point, base_points, tol)
+    rep.add("rcone_condition.residual", triple_max(gaps, len(pts)), base_points, tol)
     return rep
 
 
-def _rcone_gaps(nij_m, jets, em) -> dict:
-    """|Nij_M - RHS| per triple, from the frame_nij table of the M frame."""
+def _rcone_gaps(nij_m, vals, em) -> dict:
+    """|Nij_M - RHS| per triple and point, from the frame_nij table of the M frame."""
     return {
-        tri: abs(lhs - _conjugated_cone_rhs(tuple(jets[i].value for i in tri), em))
+        tri: cabs(lhs - _conjugated_cone_rhs(tuple(vals[i] for i in tri), em))
         for tri, lhs in nij_m.items()
     }
 
@@ -130,8 +132,8 @@ def cone_crosscheck(s: Gacs, base_points, tol: float = INT_TOL,
     (e^t |Nij_C| over the full conjugated +i frame) and the condition-residual
     route on M, plus the sub-frame involutivity that follows from it.
 
-    Nij_M is taken once per base point and Nij_C once per cone point; every
-    row reads from those two tables.
+    Nij_M is taken once over the base points and Nij_C once over the cone
+    points; every row reads from those two tables.
     """
     return _cone_crosscheck(s, base_points, tol, frame, ts)[1]
 
@@ -148,45 +150,41 @@ def _cone_crosscheck(s: Gacs, base_points, tol: float, frame: Optional[EigenFram
     mmembers = list(frame.e10) + [s.Eplus, s.Eminus]
     k = len(frame.e10)
 
-    cpts = cone_points(base_points, ts)
-    rows = {"id1": [], "id2": [], "id3": [], "id4": []}
-    agreement, per_sub, rcone = [], [], []
-    for p in base_points:
-        mjets = [m.jet(p, 1) for m in mmembers]
-        em = frame.eminus.values(p)
-        nij_m = frame_nij(mjets, n)
-        gaps = _rcone_gaps(nij_m, mjets, em)
-        rcone.append(max(gaps.values(), default=0.0))
-        per_sub.append(max((abs(v) for tri, v in nij_m.items() if k not in tri), default=0.0))
-        for t in ts:
-            scale = np.exp(-t)
-            cp = np.concatenate([p, [t]])
-            nij_c = frame_nij([m.jet(cp, 1) for m in cmembers], N)
-            worst = {"id1": 0.0, "id2": 0.0, "id3": 0.0, "id4": 0.0}
-            agree = 0.0
-            for tri, lhs in nij_c.items():
-                i, j, l = tri
-                if l < k:
-                    name, rhs = "id1", nij_m[tri]
-                elif l == k:
-                    name = "id2"
-                    rhs = nij_m[tri] - 1j * complex(gta.pair_minus(mjets[i].value, mjets[j].value))
-                elif j < k:
-                    name, rhs = "id3", nij_m[tri]
-                else:
-                    name = "id4"
-                    rhs = nij_m[tri] - 1j * complex(gta.pair_minus(em, mjets[i].value))
-                worst[name] = max(worst[name], abs(lhs - scale * rhs))
-                agree = max(agree, abs(abs(lhs) / scale - gaps[tri]))
-            for name in rows:
-                rows[name].append(worst[name])
-            agreement.append(agree)
+    pts = np.asarray(base_points, dtype=float)
+    cpts = cone_points(pts, ts)
+    mjets = [m.jet(pts, 1) for m in mmembers]
+    vals = [batch_first(j.value) for j in mjets]
+    em = stack_values(frame.eminus, pts)
+    nij_m = frame_nij(mjets, n)
+    gaps = _rcone_gaps(nij_m, vals, em)
+    rcone = triple_max(gaps, len(pts))
+    per_sub = triple_max({tri: v for tri, v in nij_m.items() if k not in tri}, len(pts))
+
+    # cone tables as (P, T) arrays, base point major like cpts; scale is e^-t per column
+    shape = (len(pts), len(ts))
+    nij_c = frame_nij([m.jet(cpts, 1) for m in cmembers], N)
+    scale = np.array([np.exp(-t) for t in ts])
+    rows = {name: np.zeros(shape) for name in ("id1", "id2", "id3", "id4")}
+    agreement = np.zeros(shape)
+    for tri, lhs in nij_c.items():
+        lhs = lhs.reshape(shape)
+        i, j, l = tri
+        if l < k:
+            name, rhs = "id1", nij_m[tri]
+        elif l == k:
+            name, rhs = "id2", nij_m[tri] - 1j * gta.pair_minus(vals[i], vals[j])
+        elif j < k:
+            name, rhs = "id3", nij_m[tri]
+        else:
+            name, rhs = "id4", nij_m[tri] - 1j * gta.pair_minus(em, vals[i])
+        rows[name] = np.maximum(rows[name], cabs(lhs - scale * rhs[:, None]))
+        agreement = np.maximum(agreement, np.abs(cabs(lhs) / scale - gaps[tri][:, None]))
 
     rep = ResidualReport()
-    for name, vals in rows.items():
-        rep.add(f"crosscheck.{name}", vals, cpts, tol)
-    rep.add("crosscheck.two_route_agreement", agreement, cpts, tol)
-    gated = tol if max(rcone) < INT_TOL else None
+    for name, worst in rows.items():
+        rep.add(f"crosscheck.{name}", worst.ravel(), cpts, tol)
+    rep.add("crosscheck.two_route_agreement", agreement.ravel(), cpts, tol)
+    gated = tol if rcone.max() < INT_TOL else None
     rep.add("crosscheck.subframe_nij", per_sub, base_points, gated)
     return rcone, rep
 
@@ -200,38 +198,37 @@ def classical_cone_i(acs: AlmostContactMetric, cone: ConeChart) -> MatrixField:
     N = cone.dim
 
     def fn(p, order):
-        q = p[:n]
-        return (J.extend_vars(acs.phi.jet(q, order), N, (N, N), (slice(n), slice(n)))
-                + J.extend_vars(-acs.xi.jet(q, order), N, (N, N), (slice(n), n))
-                + J.extend_vars(acs.eta.jet(q, order), N, (N, N), (n, slice(n))))
+        return (J.extend_vars(base_jet(acs.phi, p, order), N, (N, N), (slice(n), slice(n)))
+                + J.extend_vars(-base_jet(acs.xi, p, order), N, (N, N), (slice(n), n))
+                + J.extend_vars(base_jet(acs.eta, p, order), N, (N, N), (n, slice(n))))
 
     return MatrixField(cone, fn)
 
 
 def normality_residual(acs: AlmostContactMetric, base_points,
-                       ts=DEFAULT_TS) -> Tuple[List[float], List[np.ndarray]]:
+                       ts=DEFAULT_TS) -> Tuple[List[float], np.ndarray]:
     """Max norm of N(X, Y) = [IX, IY] - I[IX, Y] - I[X, IY] - [X, Y] per cone point.
 
     X, Y run over coordinate pairs e_a, e_b (a < b), so [X, Y] = 0, and every
-    bracket is read from one jet of I per point, value m and gradient
-    D[i, c, k] = d_k I^i_c: [Ie_a, Ie_b] = m[j, a] D[:, b, j] - m[j, b] D[:, a, j],
+    bracket is read from one jet of I over the cone points, value m and
+    gradient D[i, c, k] = d_k I^i_c (sample axis first):
+    [Ie_a, Ie_b] = m[j, a] D[:, b, j] - m[j, b] D[:, a, j],
     [Ie_a, e_b] = -D[:, a, b] and [e_a, Ie_b] = D[:, b, a].  Returns the
     per-point values and the cone points they belong to.
     """
     cone = ConeChart.over(acs.chart)
     imat = classical_cone_i(acs, cone)
-    out = []
     cpts = cone_points(base_points, ts)
-    for cp in cpts:
-        jet = imat.jet(cp, 1).require(1)
-        m, d = jet.value, jet.grad
-        worst = 0.0
-        for a, b in combinations(range(cone.dim), 2):
-            t1 = np.einsum("j,ij->i", m[:, a], d[:, b]) - np.einsum("j,ij->i", m[:, b], d[:, a])
-            val = t1 - m @ -d[:, a, b] - m @ d[:, b, a]
-            worst = max(worst, float(np.abs(val).max()))
-        out.append(worst)
-    return out, cpts
+    jet = imat.jet(cpts, 1).require(1)
+    m = batch_first(jet.value)
+    d = np.ascontiguousarray(np.moveaxis(jet.grad, 2, 0))
+    worst = np.zeros(len(cpts))
+    for a, b in combinations(range(cone.dim), 2):
+        t1 = (np.einsum("qj,qij->qi", m[:, :, a], d[:, :, b])
+              - np.einsum("qj,qij->qi", m[:, :, b], d[:, :, a]))
+        val = (t1 - (m @ -d[:, :, a, b, None])[..., 0]) - (m @ d[:, :, b, a, None])[..., 0]
+        worst = np.maximum(worst, np.abs(val).max(axis=1))
+    return worst.tolist(), cpts
 
 
 def normality_check(acs: AlmostContactMetric, base_points, tol: float = 1e-8,

@@ -7,6 +7,17 @@ every field in this package: identities checked downstream (d∘d = 0, Cartan,
 bracket antisymmetry, ...) then hold to rounding error instead of
 finite-difference error.
 
+One jet holds a whole batch of points.  Its value has shape ``(*comps, *B)``,
+its gradient ``(*comps, *B, nvars)`` and its hessian ``(*comps, *B, nvars,
+nvars)``: the component axes come first, then the batch axes of the point
+array ``(*B, nvars)`` it was evaluated at, then the derivative axes.  A
+single point is the batch ``B = ()``.  Component indexing (``j[:n]``),
+:func:`stack` and concatenation act on the leading axes and never see the
+batch; :func:`jet_einsum` appends ``...`` to every operand spec so that the
+batch axes ride along.  Elementwise arithmetic broadcasts numpy-style, so an
+array constant must be lifted with the batch shape (``lift(c, n, order,
+batch)``) before it meets a batched jet; scalars broadcast as they are.
+
 The order is demanded by the consumer, capped at :data:`MAX_ORDER`: the
 leaves (:func:`seed_point`, :func:`lift`) build jets of the order asked for,
 and arithmetic lifts constants at the order of the jet it combines them
@@ -20,6 +31,7 @@ order lower.  Asking for derivative data a jet does not carry raises
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -43,8 +55,8 @@ def _as_complex(a) -> np.ndarray:
 class JetArray:
     """A batch of order-<=2 jets in ``nvars`` variables.
 
-    ``value`` has an arbitrary leading shape S; ``grad`` (if present) has
-    shape S+(nvars,) and ``hess`` shape S+(nvars, nvars).  ``hess`` present
+    ``value`` has shape S = comps + batch; ``grad`` (if present) has shape
+    S+(nvars,) and ``hess`` shape S+(nvars, nvars).  ``hess`` present
     implies ``grad`` present.
     """
 
@@ -125,15 +137,6 @@ class JetArray:
     def __pow__(self, expo: Number) -> "JetArray":
         return powc(self, expo)
 
-    # -- reductions ---------------------------------------------------------
-
-    def sum(self, axis=None) -> "JetArray":
-        if axis is None:
-            axis = tuple(range(self.value.ndim))
-        g = None if self.grad is None else self.grad.sum(axis=axis)
-        h = None if self.hess is None else self.hess.sum(axis=axis)
-        return JetArray(self.value.sum(axis=axis), g, h, self.nvars)
-
     def conj(self) -> "JetArray":
         g = None if self.grad is None else np.conj(self.grad)
         h = None if self.hess is None else np.conj(self.hess)
@@ -154,18 +157,30 @@ class JetArray:
         return self
 
 
-def lift(x, nvars: int, order: int = MAX_ORDER) -> JetArray:
-    """Lift a constant (scalar or ndarray) to a constant jet of the given order."""
+def lift(x, nvars: int, order: int = MAX_ORDER, batch=()) -> JetArray:
+    """Lift a constant (scalar or ndarray) to a constant jet of the given order.
+
+    With a batch shape the constant's components are followed by the batch
+    axes; the value and the zero derivatives are broadcast views, not copies.
+    """
     if isinstance(x, JetArray):
         return x
     v = _as_complex(x)
-    g = np.zeros(v.shape + (nvars,), dtype=complex) if order >= 1 else None
-    h = np.zeros(v.shape + (nvars, nvars), dtype=complex) if order >= 2 else None
+    if batch:
+        v = np.broadcast_to(v.reshape(v.shape + (1,) * len(batch)), v.shape + tuple(batch))
+    g = _zeros(v.shape + (nvars,)) if order >= 1 else None
+    h = _zeros(v.shape + (nvars, nvars)) if order >= 2 else None
     return JetArray(v, g, h, nvars)
 
 
+def _zeros(shape) -> np.ndarray:
+    """A read-only zero array of any size, as a broadcast view of one scalar."""
+    return np.broadcast_to(np.zeros((), dtype=complex), shape)
+
+
 def stack(jets, axis: int = 0) -> JetArray:
-    """Stack jets of identical shape along a new leading axis."""
+    """Stack jets of identical shape along a new axis (a component axis unless
+    ``axis`` is past the value's last axis)."""
     nvars = jets[0].nvars
     value = np.stack([j.value for j in jets], axis=axis)
     grad = None
@@ -177,52 +192,83 @@ def stack(jets, axis: int = 0) -> JetArray:
     return JetArray(value, grad, hess, nvars)
 
 
+def take_batch(j: JetArray, index, batch) -> JetArray:
+    """The items ``index`` of a jet over a one-axis batch, as a jet over the batch shape ``batch``."""
+    axis = j.value.ndim - 1
+
+    def pick(a, tail):
+        if a is None:
+            return None
+        return a.take(index, axis=axis).reshape(a.shape[:axis] + tuple(batch) + tail)
+
+    return JetArray(pick(j.value, ()), pick(j.grad, (j.nvars,)),
+                    pick(j.hess, (j.nvars, j.nvars)), j.nvars)
+
+
 def seed_point(point, nvars: int, order: int = MAX_ORDER) -> JetArray:
-    """Jet of the identity map at ``point``: value p, grad = Id, hess = 0, up to ``order``."""
+    """Jet of the identity map at the points ``(*B, nvars)``: value p, grad = Id, hess = 0.
+
+    The coordinate index is the component axis, so ``seed_point(p, n)[i]`` is
+    the i-th coordinate over the batch.
+    """
     p = _as_complex(point)
-    if p.shape != (nvars,):
-        raise ValueError(f"point has shape {p.shape}, expected ({nvars},)")
-    return JetArray(
-        p,
-        np.eye(nvars, dtype=complex) if order >= 1 else None,
-        np.zeros((nvars, nvars, nvars), dtype=complex) if order >= 2 else None,
-        nvars,
-    )
+    if p.shape[-1:] != (nvars,):
+        raise ValueError(f"point has shape {p.shape}, expected (..., {nvars})")
+    batch = p.shape[:-1]
+    grad = None
+    if order >= 1:
+        eye = np.eye(nvars, dtype=complex).reshape((nvars,) + (1,) * len(batch) + (nvars,))
+        grad = np.broadcast_to(eye, (nvars,) + batch + (nvars,))
+    hess = _zeros((nvars,) + batch + (nvars, nvars)) if order >= 2 else None
+    return JetArray(np.ascontiguousarray(np.moveaxis(p, -1, 0)), grad, hess, nvars)
 
 
 def dshift(j: JetArray) -> JetArray:
-    """Trade one derivative order for an extra trailing component axis.
+    """Trade one derivative order for an extra value axis, after the batch axes.
 
     The result's value is the input's gradient; its gradient is the input's
     hessian; its hessian is gone.  This is how d, Lie and Courant operations
-    consume derivative budget.
+    consume derivative budget: their subscripts name the new axis after
+    ``...`` (``'j...,i...j->i...'``).
     """
     j.require(1)
     return JetArray(j.grad, j.hess, None, j.nvars)
 
 
-def jet_einsum(subscripts: str, a: JetArray, b: JetArray) -> JetArray:
-    """Einsum of two jets with product-rule propagation of grad and hess.
+@functools.lru_cache(maxsize=256)
+def _einsum_plan(subscripts: str):
+    """The six einsum specs of a jet product, with ``...`` appended for the batch.
 
-    ``subscripts`` must be a plain two-operand spec like ``'ij,j->i'`` and
-    must not use the reserved letters ``z`` and ``w``.
+    A spec that already names ``...`` (a middle ellipsis such as ``i...j``)
+    is kept as it is.
     """
     if "z" in subscripts or "w" in subscripts:
         raise ValueError("subscripts must not use reserved letters z/w")
     lhs, out = subscripts.split("->")
-    s1, s2 = lhs.split(",")
-    value = np.einsum(subscripts, a.value, b.value)
+    s1, s2, out = (s if "..." in s else s + "..." for s in (*lhs.split(","), out))
+    return (f"{s1},{s2}->{out}",
+            f"{s1}z,{s2}->{out}z", f"{s1},{s2}z->{out}z",
+            f"{s1}z,{s2}w->{out}zw", f"{s1}zw,{s2}->{out}zw", f"{s1},{s2}zw->{out}zw")
+
+
+def jet_einsum(subscripts: str, a: JetArray, b: JetArray) -> JetArray:
+    """Einsum of two jets with product-rule propagation of grad and hess.
+
+    ``subscripts`` must be a plain two-operand spec over the component axes,
+    like ``'ij,j->i'``, and must not use the reserved letters ``z`` and
+    ``w``; it runs as ``'ij...,j...->i...'``, item by item over the batch.
+    """
+    val, g1, g2, cross_spec, h1, h2 = _einsum_plan(subscripts)
+    value = np.einsum(val, a.value, b.value)
     grad = None
     hess = None
     if a.grad is not None and b.grad is not None:
-        grad = np.einsum(f"{s1}z,{s2}->{out}z", a.grad, b.value) + np.einsum(
-            f"{s1},{s2}z->{out}z", a.value, b.grad
-        )
+        grad = np.einsum(g1, a.grad, b.value) + np.einsum(g2, a.value, b.grad)
         if a.hess is not None and b.hess is not None:
-            cross = np.einsum(f"{s1}z,{s2}w->{out}zw", a.grad, b.grad)
+            cross = np.einsum(cross_spec, a.grad, b.grad)
             hess = (
-                np.einsum(f"{s1}zw,{s2}->{out}zw", a.hess, b.value)
-                + np.einsum(f"{s1},{s2}zw->{out}zw", a.value, b.hess)
+                np.einsum(h1, a.hess, b.value)
+                + np.einsum(h2, a.value, b.hess)
                 + cross
                 + np.swapaxes(cross, -1, -2)
             )
@@ -283,18 +329,18 @@ def powc(j: JetArray, c: Number) -> JetArray:
 
 
 def jet_inv(j: JetArray) -> JetArray:
-    """Inverse of a square-matrix jet (shape (k, k)), order preserved.
+    """Inverse of a square-matrix jet (components (k, k)), order preserved.
 
     Uses d(A^-1) = -A^-1 dA A^-1 and its second-order extension.
     """
-    v = np.linalg.inv(j.value)
+    v = np.moveaxis(np.linalg.inv(np.moveaxis(j.value, (0, 1), (-2, -1))), (-2, -1), (0, 1))
     grad = None
     hess = None
     if j.grad is not None:
-        grad = -np.einsum("ij,jkz,kl->ilz", v, j.grad, v)
+        grad = -np.einsum("ij...,jk...z,kl...->il...z", v, j.grad, v)
         if j.hess is not None:
-            t1 = -np.einsum("ij,jkzw,kl->ilzw", v, j.hess, v)
-            t2 = np.einsum("ij,jkz,kl,lmw,mn->inzw", v, j.grad, v, j.grad, v)
+            t1 = -np.einsum("ij...,jk...zw,kl...->il...zw", v, j.hess, v)
+            t2 = np.einsum("ij...,jk...z,kl...,lm...w,mn...->in...zw", v, j.grad, v, j.grad, v)
             hess = t1 + t2 + np.swapaxes(t2, -1, -2)
     return JetArray(v, grad, hess, j.nvars)
 
@@ -308,25 +354,28 @@ def extend_vars(j: JetArray, total: int, shape=None, index=None) -> JetArray:
     accepts for ``zeros(shape)[index] = j.value``: a slice, an index list, an
     ``np.ix_`` block, a tuple) into zeros of component shape ``shape``; this
     is how a base-chart component block is placed inside a cone quantity.
-    Without one, the value array is shared, not copied.
+    ``shape`` names the component axes only; the jet's batch axes follow
+    them.  Without a placement, the value array is shared, not copied.
     """
     if total < j.nvars:
         raise ValueError("cannot shrink the variable count")
     k = j.nvars
     if shape is None:
-        value, lead, at = j.value, j.value.shape, (Ellipsis,)
+        value, lead, at = j.value, j.value.shape, ()
     else:
-        value, lead = np.zeros(shape, dtype=j.value.dtype), tuple(shape)
         at = index if isinstance(index, tuple) else (index,)
+        block = np.empty(shape)[at].shape
+        lead = tuple(shape) + j.value.shape[len(block):]
+        value = np.zeros(lead, dtype=j.value.dtype)
         value[at] = j.value
     grad = None
     hess = None
     if j.grad is not None:
         grad = np.zeros(lead + (total,), dtype=j.grad.dtype)
-        grad[at + (slice(k),)] = j.grad
+        grad[at + (Ellipsis, slice(k))] = j.grad
         if j.hess is not None:
             hess = np.zeros(lead + (total, total), dtype=j.hess.dtype)
-            hess[at + (slice(k), slice(k))] = j.hess
+            hess[at + (Ellipsis, slice(k), slice(k))] = j.hess
     return JetArray(value, grad, hess, total)
 
 

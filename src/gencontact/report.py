@@ -1,8 +1,15 @@
-"""Residual reports: named max/mean residual rows with pass/fail flags."""
+"""Residual reports: named max/mean residual rows with pass/fail flags.
+
+Checkers build their rows from value stacks with the sample axis first: a
+field is evaluated once over the whole (P, n) point set, and
+:func:`stack_values` moves the batch axis of its ``(*comps, P)`` values to
+the front, giving ``(P, *comps)``.
+"""
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional, Sequence
 
@@ -88,16 +95,28 @@ class ResidualReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def summary(self) -> str:
+        """One line per row; gated rows end with their margin log10(tol / max residual)."""
         lines = []
         for r in self.rows:
             flag = "----" if r.passed is None else ("PASS" if r.passed else "FAIL")
-            tol = "" if r.tolerance is None else f" (tol {r.tolerance:g})"
+            tol = "" if r.tolerance is None else f" (tol {r.tolerance:g}) margin {margin(r):.2f}"
             lines.append(f"{flag}  {r.name}: max {r.max_residual:.3e}{tol}")
         return "\n".join(lines)
 
 
+def margin(row: CheckRow) -> float:
+    """Decades between a gated row's tolerance and its max residual (inf at zero)."""
+    if row.max_residual <= 0:
+        return math.inf
+    return math.log10(row.tolerance / row.max_residual)
+
+
 def map_points(fn: Callable, points: Iterable) -> list:
-    """Apply fn over sample points in order."""
+    """Apply fn over sample points in order.
+
+    The checkers evaluate each field once per point set and no longer call
+    this; ``benchmarks/tracer.py`` still resolves it by name.
+    """
     return [fn(p) for p in points]
 
 
@@ -107,9 +126,14 @@ def _require_points(count: int):
 
 
 def stack_values(field, points) -> np.ndarray:
-    """A field's values (order-0 jets) at every sample point, stacked into one (P, ...) array."""
+    """A field's values (one order-0 jet over the (P, n) point set) as a (P, ...) array."""
     _require_points(len(points))
-    return np.array(map_points(field.values, points))
+    return batch_first(field.values(np.asarray(points, dtype=float)))
+
+
+def batch_first(values: np.ndarray) -> np.ndarray:
+    """Values ``(*comps, P)`` of a one-axis batch as a C-contiguous ``(P, *comps)`` stack."""
+    return np.ascontiguousarray(np.moveaxis(values, -1, 0))
 
 
 def sup_norm(stack: np.ndarray) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Checkers never raise on mathematical failure: they return a
 :class:`~gencontact.report.ResidualReport` whose rows carry max/mean
-residuals over the sampled points.  Constructors validate their inputs.
+residuals over the sampled points.  Each checker evaluates a field once over
+its whole point set and computes the residuals as arrays over the sample
+axis.  Constructors validate their inputs.
 """
 
 from __future__ import annotations
@@ -169,14 +171,19 @@ def require_real(field: F.Field, points, name: str):
     """Refuse a field whose jet is not real and finite at one of the points.
 
     The whole order-2 jet is tested, since the checks differentiate the data
-    of a structure up to twice.  Raises :class:`StructureError` naming the point.
+    of a structure up to twice.  Raises :class:`StructureError` naming the
+    first such point.
     """
-    for p in points:
-        jet = field.at(p)
-        for part in (jet.value, jet.grad, jet.hess):
-            if part is not None and (not np.isfinite(part).all() or part.imag.any()):
-                raise StructureError(
-                    f"{name} is not real and finite at {np.asarray(p).tolist()}")
+    pts = np.asarray(points, dtype=float)
+    jet = field.at(pts)
+    axis = jet.value.ndim - 1  # the sample axis, after the components
+    bad = np.zeros(len(pts), dtype=bool)
+    for part in (jet.value, jet.grad, jet.hess):
+        if part is not None:
+            flags = ~np.isfinite(part) | (part.imag != 0)
+            bad |= np.moveaxis(flags, axis, 0).reshape(len(pts), -1).any(axis=1)
+    if bad.any():
+        raise StructureError(f"{name} is not real and finite at {pts[np.argmax(bad)].tolist()}")
 
 
 def gacs_from_acs(acs: AlmostContactMetric, check_points=None) -> Gacs:
@@ -254,10 +261,12 @@ def gacs_from_contact(eta: OneFormField, check_points=None) -> Gacs:
         require_real(eta, check_points, "eta")
         # det(rho) = -vol^2 / (2^k k!)^2 with vol the contact_volume coefficient,
         # so this one test also rejects every point where eta ^ (d eta)^k vanishes
-        for p in check_points:
-            rho = _rho_jet(eta, p, 0)
-            if abs(np.linalg.det(rho.value)) < 1e-10:
-                raise ValueError(f"eta is not contact at {p}: rho is degenerate")
+        pts = np.asarray(check_points, dtype=float)
+        rho = _rho_jet(eta, pts, 0).value
+        degenerate = np.abs(np.linalg.det(np.moveaxis(rho, (0, 1), (-2, -1)))) < 1e-10
+        if degenerate.any():
+            raise ValueError(
+                f"eta is not contact at {pts[np.argmax(degenerate)]}: rho is degenerate")
 
     def phi_fn(p, order):
         deta = F.d_jet(eta.jet(p, order + 1), 1)
@@ -273,7 +282,7 @@ def gacs_from_contact(eta: OneFormField, check_points=None) -> Gacs:
         pi = J.jet_einsum("il,lj->ij", pi, rho_inv)
         tc = -F._jT(pi)
         ct = -F._jT(deta)
-        zero = J.lift(np.zeros((n, n)), n, order)
+        zero = J.lift(np.zeros((n, n)), n, order, p.shape[:-1])
         top = F.jconcat([zero, tc], axis=1)
         bot = F.jconcat([ct, zero], axis=1)
         return F.jconcat([top, bot], axis=0)
@@ -293,13 +302,17 @@ def gmetric_from_gb(g: MatrixField, b: Optional[TwoFormField] = None) -> General
 
     def fn(p, order):
         gj = g.jet(p, order)
-        gval = gj.value
-        if np.abs(gval - gval.T).max() > 1e-10:
-            raise StructureError(f"metric must be symmetric at {p.tolist()}")
-        if np.linalg.eigvalsh(gval.real).min() <= 0:
-            raise StructureError(f"metric must be positive definite at {p.tolist()}")
+        gval = np.moveaxis(gj.value, (0, 1), (-2, -1)).reshape(-1, n, n)
+        pts = p.reshape(-1, n)
+        asym = np.abs(gval - np.swapaxes(gval, -1, -2)).max(axis=(-2, -1)) > 1e-10
+        if asym.any():
+            raise StructureError(f"metric must be symmetric at {pts[np.argmax(asym)].tolist()}")
+        indefinite = np.linalg.eigvalsh(gval.real).min(axis=-1) <= 0
+        if indefinite.any():
+            raise StructureError(
+                f"metric must be positive definite at {pts[np.argmax(indefinite)].tolist()}")
         ginv = J.jet_inv(gj)
-        zero = J.lift(np.zeros((n, n)), n, order)
+        zero = J.lift(np.zeros((n, n)), n, order, p.shape[:-1])
         mid = F.jconcat(
             [F.jconcat([zero, ginv], axis=1), F.jconcat([gj, zero], axis=1)], axis=0
         )
@@ -454,10 +467,11 @@ def eigenframe(s: Gacs, base_point=None, sample_points=None) -> EigenFrame:
         pivots=tuple(pivots),
     )
     if sample_points is not None:
-        for p in sample_points:
-            m = np.stack([c.values(p) for c in frame.e10], axis=1)
-            if np.linalg.matrix_rank(m, tol=PIVOT_TOL) < n - 1:
-                raise ValueError(f"eigenframe rank drops below {n - 1} at {p}")
+        pts = np.asarray(sample_points, dtype=float)
+        cols = np.stack([stack_values(c, pts) for c in frame.e10], axis=-1)
+        low = np.linalg.matrix_rank(cols, tol=PIVOT_TOL) < n - 1
+        if low.any():
+            raise ValueError(f"eigenframe rank drops below {n - 1} at {pts[np.argmax(low)]}")
     return frame
 
 
@@ -509,15 +523,16 @@ def frame_span_check(s: Gacs, frame: EigenFrame, point) -> int:
     return int(np.linalg.matrix_rank(np.stack(cols, axis=1), tol=1e-8))
 
 
-def frame_nij(jets: Sequence[J.JetArray], n: int) -> Dict[Tuple[int, int, int], complex]:
-    """Nij(A,B,C) for every i<j<k triple of a frame's jets at one point.
+def frame_nij(jets: Sequence[J.JetArray], n: int) -> Dict[Tuple[int, int, int], np.ndarray]:
+    """Nij(A,B,C) for every i<j<k triple of a frame's jets, as arrays over the batch.
 
     Nij is exactly antisymmetric on isotropic frames, so repeated-member
     triples vanish identically and the sorted triples determine the rest.
     Only the values are read, so order-1 member jets suffice.  They are
-    stacked along a batch axis after the component axis, and one
-    ``courant_jets`` call brackets every ordered pair.  The triples are read
-    from ``P[p, q, r] = <[[A_p, A_q]], A_r>`` in the order of ``nij_jets``.
+    stacked along a member axis after the component axis, and one
+    ``courant_jets`` call brackets every ordered pair at every point.  The
+    triples are read from ``P[p, q, r] = <[[A_p, A_q]], A_r>`` in the order
+    of ``nij_jets``.
     """
     m = len(jets)
     if m < 3:
@@ -525,23 +540,39 @@ def frame_nij(jets: Sequence[J.JetArray], n: int) -> Dict[Tuple[int, int, int], 
     frame = J.stack(jets, axis=1)
     brackets = F.courant_jets(frame[:, :, None], frame[:, None, :], n).value
     swapped = np.concatenate([brackets[n:], brackets[:n]])
-    P = 0.5 * np.einsum("ipq,ir->pqr", swapped, frame.value)
+    P = 0.5 * np.einsum("ipq...,ir...->pqr...", swapped, frame.value)
     triples = list(combinations(range(m), 3))
     i, j, k = np.array(triples).T
     values = (1.0 / 3.0) * ((P[i, j, k] + P[j, k, i]) + P[k, i, j])
-    return dict(zip(triples, values.tolist()))
+    return dict(zip(triples, values))
 
 
-def max_nij_over_frame(members: Sequence[SectionField], points) -> Tuple[float, list]:
-    """Max |Nij(A,B,C)| over distinct frame triples at the sample points."""
+def cabs(z: np.ndarray) -> np.ndarray:
+    """|z| as hypot(Re z, Im z): the rounding of ``abs`` on one complex number.
+
+    numpy's vectorised complex ``abs`` may differ from it in the last bit, so
+    the Nijenhuis tables use this to give the same residuals over a batch as
+    at one point.
+    """
+    z = np.asarray(z)
+    return np.hypot(z.real, z.imag)
+
+
+def triple_max(table: Dict[Tuple[int, int, int], np.ndarray], count: int) -> np.ndarray:
+    """Per-point max of |entry| over a table of per-triple arrays (zeros if empty)."""
+    if not table:
+        return np.zeros(count)
+    return cabs(np.stack(list(table.values()))).max(axis=0)
+
+
+def max_nij_over_frame(members: Sequence[SectionField], points) -> Tuple[float, np.ndarray]:
+    """Max |Nij(A,B,C)| over distinct frame triples, overall and per sample point."""
+    pts = np.asarray(points, dtype=float)
     if len(members) < 3:
-        return 0.0, [0.0 for _ in points]
+        return 0.0, np.zeros(len(pts))
     n = members[0].chart.dim
-    per_point = []
-    for p in points:
-        table = frame_nij([mm.jet(p, 1) for mm in members], n)
-        per_point.append(max(abs(v) for v in table.values()))
-    return float(max(per_point)), per_point
+    per_point = triple_max(frame_nij([mm.jet(pts, 1) for mm in members], n), len(pts))
+    return float(per_point.max()), per_point
 
 
 def involutivity_class(s: Gacs, points, tol: float = 1e-7,

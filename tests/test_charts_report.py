@@ -72,3 +72,20 @@ def test_report_rows_and_serialization():
     summary = rep.summary()
     assert "PASS" in summary and "FAIL" in summary and "----" in summary
 
+
+def test_summary_margin_column():
+    """Gated rows end with log10(tol / max residual), inf at a zero residual;
+    probe rows carry no margin, and the JSON report has no margin field."""
+    rep = ResidualReport()
+    rep.add("tight", [1e-12, 3e-11], tolerance=1e-8)
+    rep.add("exact", [0.0, 0.0], tolerance=1e-8)
+    rep.add("broken", [0.5], tolerance=1e-2)
+    rep.add("probe", [7.0], tolerance=None)
+    lines = dict(zip(("tight", "exact", "broken", "probe"), rep.summary().splitlines()))
+    assert lines["tight"].endswith(f"(tol 1e-08) margin {np.log10(1e-8 / 3e-11):.2f}")
+    assert lines["tight"].endswith("margin 2.52")
+    assert lines["exact"].endswith("(tol 1e-08) margin inf")
+    assert lines["broken"].endswith("margin -1.70")
+    assert lines["probe"] == "----  probe: max 7.000e+00"
+    assert "margin" not in rep.to_json()
+

@@ -328,6 +328,33 @@ def test_from_acs_outside_the_real_domain_exits_two(tmp_path, capsys):
     _refused_outside_real_domain(capsys, cfg, "g")
 
 
+def test_pipeline_kappa_outside_the_real_domain_exits_two(tmp_path, capsys):
+    """The fgacs axioms hold algebraically for a complex kappa, so a K(kappa)
+    step with log(x) must be refused at parse time, not pass on complex values."""
+    cfg = write(tmp_path, "kappa.json", {
+        "structure": {"chart": {"dim": 3}, "builder": "from_contact", "eta": ["-y", "0", "1"]},
+        "apply": [{"op": "k_minus", "kappa": ["log(x)", "0", "0"]}],
+        "checks": ["fgacs"],
+        "samples": 8,
+    })
+    _refused_outside_real_domain(capsys, cfg, "$.apply[0].kappa")
+
+
+def test_explicit_components_outside_the_real_domain_exit_two(tmp_path, capsys):
+    zero = ["0"] * 6
+    phi = [list(zero) for _ in range(6)]
+    cfg = write(tmp_path, "explicit.json", {
+        "structure": {
+            "chart": {"dim": 3},
+            "phi": phi,
+            "eplus": {"vec": ["0", "0", "sqrt(y)"]},
+            "eminus": {"form": ["0", "0", "1"]},
+        },
+        "checks": ["gacs"],
+    })
+    _refused_outside_real_domain(capsys, cfg, "$.structure.eplus")
+
+
 def test_gallery_golden_mode(tmp_path):
     """Without --checks, gallery run reproduces the expected-verdict table,
     so entries with intentional failures still exit 0."""

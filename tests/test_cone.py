@@ -234,11 +234,12 @@ def test_frame_shortfall_messages():
     """Phi = J = -i kills every +i projection: both pivoted frames name the shortfall."""
     s = DARBOUX["gacs"]
     ch, cc = s.chart, cone_of(DARBOUX)
-    minus_i = F.GtEndoField(ch, lambda p, o: J.lift(-1j * np.eye(6), 3, o))
+    minus_i = F.GtEndoField(ch, lambda p, o: J.lift(-1j * np.eye(6), 3, o, p.shape[:-1]))
     flat = S.Gacs(ch, minus_i, s.Eplus, s.Eminus)
     with pytest.raises(ValueError, match=r"^eigenframe rank dropped to 0 \(< 2\) at the base point$"):
         S.eigenframe(flat)
-    cone_minus_i = C.ConeGacx(cc, F.GtEndoField(cc, lambda p, o: J.lift(-1j * np.eye(8), 4, o)))
+    cone_minus_i = C.ConeGacx(
+        cc, F.GtEndoField(cc, lambda p, o: J.lift(-1j * np.eye(8), 4, o, p.shape[:-1])))
     with pytest.raises(ValueError, match=r"^cone eigenframe rank dropped to 0 \(< 4\)$"):
         C.gacx_plus_frame(cone_minus_i)
 

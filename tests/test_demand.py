@@ -1,4 +1,4 @@
-"""Demand-driven jet order: the memo, how far demands reach, and order-independent values."""
+"""Demand-driven jet order: the one-slot memo, how far demands reach, and order-independent values."""
 
 import dataclasses
 
@@ -16,6 +16,8 @@ from gencontact.report import EmptyPointSetError
 
 CH = box(3)
 P = np.array([0.3, -0.2, 0.5])
+BATCH = np.array([[0.3, -0.2, 0.5], [0.1, 0.4, -0.6]])
+POINT_SETS = (P, BATCH)  # a single point and a point batch each make one memo key
 
 
 def _recording_field(calls):
@@ -27,32 +29,59 @@ def _recording_field(calls):
 
 
 def test_memo_serves_a_lower_demand_by_truncation():
-    calls = []
-    f = _recording_field(calls)
-    full = f.at(P, 2)
-    low = f.at(P, 0)
-    mid = f.at(P, 1)
-    assert calls == [2]
-    assert low.order == 0 and mid.order == 1
-    assert np.array_equal(low.value, full.value)
-    assert np.array_equal(mid.grad, full.grad)
+    for pts in POINT_SETS:
+        calls = []
+        f = _recording_field(calls)
+        full = f.at(pts, 2)
+        low = f.at(pts, 0)
+        mid = f.at(pts, 1)
+        assert calls == [2]
+        assert low.order == 0 and mid.order == 1
+        assert np.array_equal(low.value, full.value)
+        assert np.array_equal(mid.grad, full.grad)
 
 
 def test_memo_lower_entry_never_serves_a_higher_demand():
-    calls = []
-    f = _recording_field(calls)
-    assert f.at(P, 0).order == 0
-    assert f.at(P, 1).order == 1
-    assert calls == [0, 1]
-    f.values(P)  # served by the order-1 entry
-    assert calls == [0, 1]
+    for pts in POINT_SETS:
+        calls = []
+        f = _recording_field(calls)
+        assert f.at(pts, 0).order == 0
+        assert f.at(pts, 1).order == 1
+        assert calls == [0, 1]
+        f.values(pts)  # served by the order-1 entry
+        assert calls == [0, 1]
 
 
 def test_demand_is_capped_at_two():
+    for pts in POINT_SETS:
+        calls = []
+        f = _recording_field(calls)
+        assert f.at(pts, 5).order == 2
+        assert calls == [2]
+
+
+def test_memo_key_carries_the_batch_shape():
+    """A point (n,) and a one-point batch (1, n) have the same bytes, not the same key."""
     calls = []
     f = _recording_field(calls)
-    assert f.at(P, 5).order == 2
-    assert calls == [2]
+    single = f.at(P, 2)
+    one = f.at(P[None], 2)
+    assert P.tobytes() == P[None].tobytes()
+    assert calls == [2, 2]
+    assert single.value.shape == () and one.value.shape == (1,)
+    assert one.grad.shape == (1, 3) and np.array_equal(one.grad[0], single.grad)
+
+
+def test_memo_demand_at_a_new_batch_replaces_the_slot():
+    calls = []
+    f = _recording_field(calls)
+    f.at(BATCH, 1)
+    f.at(BATCH[::-1], 0)  # other points: a miss, and the slot now holds them
+    assert calls == [1, 0]
+    f.at(BATCH[::-1], 0)
+    assert calls == [1, 0]
+    f.at(BATCH, 0)  # the first batch was replaced, so it is computed again
+    assert calls == [1, 0, 0]
 
 
 def test_constants_lift_at_the_order_of_the_jet():

@@ -105,8 +105,8 @@ def test_kahler_interval_db_identity():
     coef = F.ScalarField(cone, lambda p, o: -J.exp(2 * t.at(p, o)) * J.cos(2 * z.at(p, o)))
     omega_prime = F.wedge11(F.basis_form(cone, 0), F.basis_form(cone, 1))
     rhs = F.d(coef * omega_prime)
-    for q in C.cone_points(ch.sample(seed=5, count=3), (0.2,)):
-        assert np.abs(lhs.values(q) - rhs.values(q)).max() < 1e-8
+    q = C.cone_points(ch.sample(seed=5, count=3), (0.2,))
+    assert np.abs(lhs.values(q) - rhs.values(q)).max() < 1e-8
 
 
 def _cone_metric(cone, k):
@@ -114,11 +114,13 @@ def _cone_metric(cone, k):
     n = 3
 
     def fn(p, o):
-        gj = J.extend_vars(g.at(p[:n], o), cone.dim)
+        gj = J.extend_vars(g.at(p[..., :n], o), cone.dim)
+        batch = p.shape[:-1]
         pad = F.jconcat(
             [
-                F.jconcat([gj, J.lift(np.zeros((3, 1)), 4, o)], axis=1),
-                F.jconcat([J.lift(np.zeros((1, 3)), 4, o), J.lift(np.ones((1, 1)), 4, o)], axis=1),
+                F.jconcat([gj, J.lift(np.zeros((3, 1)), 4, o, batch)], axis=1),
+                F.jconcat([J.lift(np.zeros((1, 3)), 4, o, batch),
+                           J.lift(np.ones((1, 1)), 4, o, batch)], axis=1),
             ],
             axis=0,
         )
@@ -132,18 +134,20 @@ def _cone_j(cone, acs, sign):
     n = 3
 
     def fn(p, o):
-        ph = J.extend_vars(acs.phi.at(p[:n], o), 4)
+        ph = J.extend_vars(acs.phi.at(p[..., :n], o), 4)
+        batch = p.shape[:-1]
         out = F.jconcat(
             [
-                F.jconcat([sign * ph, J.lift(np.zeros((3, 1)), 4, o)], axis=1),
-                F.jconcat([J.lift(np.zeros((1, 3)), 4, o), J.lift(np.zeros((1, 1)), 4, o)], axis=1),
+                F.jconcat([sign * ph, J.lift(np.zeros((3, 1)), 4, o, batch)], axis=1),
+                F.jconcat([J.lift(np.zeros((1, 3)), 4, o, batch),
+                           J.lift(np.zeros((1, 1)), 4, o, batch)], axis=1),
             ],
             axis=0,
         )
         m = np.zeros((4, 4))
         m[2, 3] = -1.0  # J(d/dt) = -d/dz
         m[3, 2] = 1.0  # J(d/dz) = d/dt
-        return out + J.lift(m, 4)
+        return out + J.lift(m, 4, o, batch)
 
     return F.MatrixField(cone, fn)
 

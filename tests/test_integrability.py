@@ -91,9 +91,9 @@ def test_crosscheck_subframe_involutivity():
 
 
 def test_crosscheck_computes_each_nij_once(monkeypatch):
-    """One Nij_M table per base point and one Nij_C table per cone point,
-    each from one batched Courant bracket call: 5 base points and 5 x 3
-    cone points, and nothing recomputed for the two-route or sub-frame rows."""
+    """One Nij_M table over the 5 base points and one Nij_C table over the
+    5 x 3 cone points, each from one batched Courant bracket call, and
+    nothing recomputed for the two-route or sub-frame rows."""
     calls = []
     original = F.courant_jets
 
@@ -103,7 +103,7 @@ def test_crosscheck_computes_each_nij_once(monkeypatch):
 
     monkeypatch.setattr(F, "courant_jets", counting)
     I.cone_crosscheck(HEIS["gacs"], pts(HEIS, 5))
-    assert len(calls) == 5 + 15
+    assert len(calls) == 2
 
 
 def frame_nij_gap(members, points) -> float:
@@ -190,7 +190,7 @@ def test_crosscheck_verdict_ignores_the_rcone_condition():
 def test_generalized_sasakian_computes_each_nij_once(monkeypatch):
     """Per branch, the rcone_condition row comes from the Nij_M tables of the
     crosscheck, so no separate conjugated_cone_residual pass recomputes them:
-    two branches of 5 Nij_M and 15 Nij_C tables, one bracket call each."""
+    two branches of one Nij_M and one Nij_C table, one bracket call each."""
     calls = []
     original = F.courant_jets
 
@@ -200,7 +200,7 @@ def test_generalized_sasakian_computes_each_nij_once(monkeypatch):
 
     monkeypatch.setattr(F, "courant_jets", counting)
     rep = I.generalized_sasakian_check(HEIS["gacm"], pts(HEIS, 5))
-    assert len(calls) == 2 * (5 + 15)
+    assert len(calls) == 2 * 2
     assert [r.name for r in rep.rows[:2]] == [
         "gsas.phi.rcone_condition.residual", "gsas.phi.crosscheck.id1"]
 

@@ -96,7 +96,8 @@ def test_gacs_check_detects_violations():
     # a *-symmetric perturbation of Phi doubles up in the skew row
     delta = np.zeros((6, 6))
     delta[0, 4] = delta[1, 3] = 0.1  # symmetric TC block, so delta* = delta
-    bumped = F.GtEndoField(s.chart, lambda p, o, _s=s: _s.Phi.at(p, o) + J.lift(delta, 3, o))
+    bumped = F.GtEndoField(
+        s.chart, lambda p, o, _s=s: _s.Phi.at(p, o) + J.lift(delta, 3, o, p.shape[:-1]))
     rep2 = S.gacs_check(S.Gacs(s.chart, bumped, s.Eplus, s.Eminus), pts)
     assert rep2["gacs.skew"].max_residual == pytest.approx(0.2)
 
