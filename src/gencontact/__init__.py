@@ -52,7 +52,7 @@ from .fields import (
     wedge11,
     wedge12,
 )
-from .gta import adjoint, b_field_matrix, pair, pair_minus, r_scaling, tensor_pair
+from .gta import adjoint, pair, pair_minus, tensor_pair
 from .integrability import (
     cone_crosscheck,
     generalized_sasakian_check,

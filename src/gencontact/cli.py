@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from . import gallery as G
-from .config import ConfigError, load_config_text, parse_config, run_checks
+from .config import ConfigError, count, load_config_text, parse_config, run_checks, tolerance
 from .report import ResidualReport
 from .structures import StructureError
 
@@ -37,6 +37,18 @@ def _emit(rep: ResidualReport, cfg_meta: dict, out_path, started: float) -> int:
     return EXIT_PASS if rep.passed else EXIT_FAIL
 
 
+def _override(cfg, args):
+    """Apply --seed, --samples and --tol, held to the rules of the config keys."""
+    if args.seed is not None:
+        cfg.seed = count(args.seed, "--seed", 0)
+    if args.samples is not None:
+        cfg.samples = count(args.samples, "--samples", 1)
+    if args.tol is not None:
+        tol = tolerance(args.tol, "--tol")
+        for c in cfg.checks:
+            cfg.tolerances[c] = tol
+
+
 def cmd_verify(args) -> int:
     started = time.monotonic()
     try:
@@ -46,16 +58,10 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     try:
         cfg = load_config_text(text)
+        _override(cfg, args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.samples is not None:
-        cfg.samples = args.samples
-    if args.tol is not None:
-        for c in cfg.checks:
-            cfg.tolerances[c] = args.tol
     out = args.out or cfg.out
     if not cfg.checks:
         print("error: no checks requested", file=sys.stderr)
@@ -86,18 +92,10 @@ def cmd_gallery(args) -> int:
         return EXIT_USAGE
     golden = args.checks is None
     checks = args.checks.split(",") if args.checks else sorted(entry.expected)
-    cfg_obj = {
-        "gallery": name,
-        "checks": checks,
-        "seed": args.seed if args.seed is not None else 1234,
-        "samples": args.samples if args.samples is not None else 40,
-    }
     started = time.monotonic()
     try:
-        cfg = parse_config(cfg_obj)
-        if args.tol is not None:
-            for c in cfg.checks:
-                cfg.tolerances[c] = args.tol
+        cfg = parse_config({"gallery": name, "checks": checks})
+        _override(cfg, args)
         rep = run_checks(cfg)
     except (ConfigError, StructureError) as err:
         print(f"error: {name}: {err}", file=sys.stderr)

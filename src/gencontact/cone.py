@@ -30,9 +30,10 @@ from . import jets as J
 from .charts import Chart, ConeChart
 from .fields import GtEndoField, ScalarField, SectionField
 from .report import ResidualReport, stack_values, sup_norm
-from .structures import FGacs, Gacs, pivoted_frame
+from .structures import FGacs, Gacs, eigen_candidates, pivoted_frame
 
 T_INDEPENDENCE_TOL = 1e-10
+DEFAULT_TS = (-0.5, 0.0, 0.5)  # the t slices of a cone point set
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ def lift_form(cone: ConeChart, omega) -> "F.OneFormField":
         cone, lambda p, o: J.extend_vars(base_jet(omega, p, o), cone.dim, (cone.dim,), slice(n)))
 
 
-def cone_points(base_points, ts=(-0.5, 0.0, 0.5)) -> np.ndarray:
+def cone_points(base_points, ts=DEFAULT_TS) -> np.ndarray:
     """The (P * len(ts), n + 1) cone points (p, t), base point major, t minor."""
     base = np.asarray(base_points, dtype=float)
     return np.column_stack([np.repeat(base, len(ts), axis=0), np.tile(ts, len(base))])
@@ -282,7 +283,7 @@ def gacx_plus_frame(j: ConeGacx, base_point=None) -> List[SectionField]:
     cone = j.chart
     if base_point is None:
         base_point = cone.sample(seed=0, count=1)[0]
-    candidates = [0.5 * (u - 1j * j.J.apply(u)) for u in F.coordinate_sections(cone)]
+    candidates = eigen_candidates(j.J, F.coordinate_sections(cone))
     cols = pivoted_frame(candidates, base_point, cone.dim,
                          "cone eigenframe rank dropped to {} (< {})")
     return [candidates[i] for i in cols]

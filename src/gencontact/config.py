@@ -9,6 +9,7 @@ rejected with the offending path.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -35,6 +36,21 @@ def _reject_unknown(obj: dict, allowed, path: str):
             raise ConfigError(
                 f"{path}.{key}: unknown key (allowed: {', '.join(sorted(allowed))})"
             )
+
+
+def tolerance(value, path: str):
+    """A tolerance as given: a finite number > 0 (bools refused)."""
+    if isinstance(value, bool) or not (isinstance(value, (int, float))
+                                       and 0 < value <= sys.float_info.max):
+        raise ConfigError(f"{path}: expected a finite number > 0, got {value!r}")
+    return value
+
+
+def count(value, path: str, least: int) -> int:
+    """A seed or sample count: an integer >= ``least`` (bools refused)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{path}: expected an integer >= {least}, got {value!r}")
+    return value
 
 
 def _need(obj: dict, key: str, path: str):
@@ -274,7 +290,7 @@ def check_fgacs(products, points, tol):
 
 
 def check_involutivity(products, points, tol):
-    label, rep = S.involutivity_class(_get(products, "gacs", "involutivity"), points, tol=tol or 1e-7)
+    label, rep = S.involutivity_class(_get(products, "gacs", "involutivity"), points, tol=tol or S.INT_TOL)
     rep.add(f"involutivity.class[{label}]", [0.0], None, None)
     return rep
 
@@ -282,14 +298,14 @@ def check_involutivity(products, points, tol):
 def check_normality(products, points, tol):
     rep = ResidualReport()
     for i, acs in enumerate(_classical(products, "normality")):
-        rep.extend(I.normality_check(acs, points, tol=tol or 1e-8), prefix=f"[{i}]" if i else "")
+        rep.extend(I.normality_check(acs, points, tol=tol or S.DEFAULT_TOL), prefix=f"[{i}]" if i else "")
     return rep
 
 
 def check_sasakian(products, points, tol):
     rep = ResidualReport()
     for i, acs in enumerate(_classical(products, "sasakian")):
-        rep.extend(I.sasakian_criterion(acs, points, tol=tol or 1e-8), prefix=f"[{i}]" if i else "")
+        rep.extend(I.sasakian_criterion(acs, points, tol=tol or S.DEFAULT_TOL), prefix=f"[{i}]" if i else "")
     return rep
 
 
@@ -297,23 +313,23 @@ def check_vaisman_pair(products, points, tol):
     pair = _classical(products, "vaisman_pair")
     if len(pair) == 1:
         pair = [pair[0], pair[0]]
-    return I.vaisman_conditions(pair[0], pair[1], points, tol=tol or 1e-8)
+    return I.vaisman_conditions(pair[0], pair[1], points, tol=tol or S.DEFAULT_TOL)
 
 
 def check_plain_cone(products, points, tol):
-    return I.plain_cone_check(_get(products, "gacs", "plain_cone"), points, tol=tol or 1e-7)
+    return I.plain_cone_check(_get(products, "gacs", "plain_cone"), points, tol=tol or S.INT_TOL)
 
 
 def check_rcone_condition(products, points, tol):
-    return I.conjugated_cone_residual(_get(products, "gacs", "rcone_condition"), points, tol=tol or 1e-7)
+    return I.conjugated_cone_residual(_get(products, "gacs", "rcone_condition"), points, tol=tol or S.INT_TOL)
 
 
 def check_crosscheck(products, points, tol):
-    return I.cone_crosscheck(_get(products, "gacs", "cone_crosscheck"), points, tol=tol or 1e-7)
+    return I.cone_crosscheck(_get(products, "gacs", "cone_crosscheck"), points, tol=tol or S.INT_TOL)
 
 
 def check_generalized_sasakian(products, points, tol):
-    return I.generalized_sasakian_check(_get(products, "gacm", "generalized_sasakian"), points, tol=tol or 1e-7)
+    return I.generalized_sasakian_check(_get(products, "gacm", "generalized_sasakian"), points, tol=tol or S.INT_TOL)
 
 
 def check_cone_algebra(products, points, tol):
@@ -384,17 +400,20 @@ def parse_config(obj: dict) -> RunConfig:
             raise ConfigError(
                 f"$.checks: unknown check {c!r} (available: {', '.join(sorted(CHECKS))})"
             )
-    tolerances = dict(obj.get("tolerances", {}))
-    for k in tolerances:
+    tolerances = obj.get("tolerances", {})
+    if not isinstance(tolerances, dict):
+        raise ConfigError("$.tolerances: expected an object of check names to tolerances")
+    tolerances = dict(tolerances)
+    for k, v in tolerances.items():
         if k not in CHECKS:
             raise ConfigError(f"$.tolerances.{k}: unknown check")
+        tolerance(v, f"$.tolerances.{k}")
     if "tol" in obj:
+        tol = float(tolerance(obj["tol"], "$.tol"))
         for c in checks:
-            tolerances.setdefault(c, float(obj["tol"]))
-    seed = obj.get("seed", 1234)
-    samples = obj.get("samples", 40)
-    if not isinstance(seed, int) or not isinstance(samples, int) or samples < 1:
-        raise ConfigError("$.seed / $.samples: expected integers (samples >= 1)")
+            tolerances.setdefault(c, tol)
+    seed = count(obj.get("seed", RunConfig.seed), "$.seed", 0)
+    samples = count(obj.get("samples", RunConfig.samples), "$.samples", 1)
     return RunConfig(
         structure=raw_ref,
         products=products,

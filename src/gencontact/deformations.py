@@ -17,7 +17,7 @@ from . import fields as F
 from . import gta
 from . import jets as J
 from .charts import ConeChart
-from .cone import base_jet, cone_points, gacx_plus_frame, i_map, i_prime, lift_form
+from .cone import DEFAULT_TS, base_jet, cone_points, gacx_plus_frame, i_map, i_prime, lift_form
 from .fields import (
     GtEndoField,
     MatrixField,
@@ -25,10 +25,10 @@ from .fields import (
     ScalarField,
     TwoFormField,
 )
-from .integrability import INT_TOL
 from .report import ResidualReport, stack_values, sup_norm
 from .structures import (
     DEFAULT_TOL,
+    INT_TOL,
     FGacs,
     Gacm,
     Gacs,
@@ -36,8 +36,11 @@ from .structures import (
     gacs_residuals,
     gmetric_from_gb,
     max_nij_over_frame,
+    metric_block,
     min_pairing,
 )
+
+DEFORM_TS = (-0.4, 0.2)  # the t slices of the cross-term, cone-pair and f-Sasakian checks
 
 
 @dataclass(frozen=True)
@@ -103,9 +106,7 @@ def k_plus(s: FGacs, kappa: OneFormField) -> FGacs:
 
 def b_transform_fgacs(s: FGacs, b: TwoFormField) -> FGacs:
     """Slot-wise B-field action: conjugate Phi^f, map E+-^f, keep f."""
-    eb = F.b_endo(b)
-    ebinv = F.b_endo(-1 * b)
-    return FGacs(s.chart, eb @ s.Phi @ ebinv, eb.apply(s.Eplus), eb.apply(s.Eminus), s.f)
+    return FGacs(s.chart, *F.b_action(b, s.Phi, s.Eplus, s.Eminus), s.f)
 
 
 def fgacs_deviation(a: FGacs, b: FGacs, points) -> float:
@@ -183,7 +184,7 @@ def cone_kappa_form(cone: ConeChart, kappa: OneFormField, radial: bool) -> TwoFo
 
 
 def cone_b_correspondence(s: FGacs, kappa: OneFormField, base_points,
-                          ts=(-0.5, 0.0, 0.5), tol: float = 1e-9) -> ResidualReport:
+                          ts=DEFAULT_TS, tol: float = 1e-9) -> ResidualReport:
     """e^B I(s) e^-B = I(K-(kappa) s) for B = 2r dr ^ kappa, and the
     unconjugated variant with (2/r) dr ^ kappa against I' = Phi + Psi^f."""
     cone = ConeChart.over(s.chart)
@@ -195,9 +196,7 @@ def cone_b_correspondence(s: FGacs, kappa: OneFormField, base_points,
         ("plain_vs_Iprime", False, i_prime),
     ):
         b = cone_kappa_form(cone, kappa, radial)
-        eb = F.b_endo(b)
-        ebinv = F.b_endo(-1 * b)
-        lhs = eb @ builder(s, cone).J @ ebinv
+        (lhs,) = F.b_action(b, builder(s, cone).J)
         rhs = builder(deformed, cone).J
         vals = sup_norm(stack_values(lhs, cpts) - stack_values(rhs, cpts))
         rep.add(f"cone_b.{name}", vals, cpts, tol)
@@ -224,21 +223,11 @@ def g_tilde(g: MatrixField, alpha: OneFormField, cone: ConeChart) -> GtEndoField
         beta = beta + J.lift(e_t, N, beta.order, p.shape[:-1])
         return gj + J.jet_einsum("i,j->ij", beta, beta)
 
-    ghat = MatrixField(cone, ghat_fn)
-
-    def endo_fn(p, order):
-        gj = ghat.jet(p, order)
-        ginv = J.jet_inv(gj)
-        zero = J.lift(np.zeros((N, N)), N, order, p.shape[:-1])
-        return F.jconcat(
-            [F.jconcat([zero, ginv], axis=1), F.jconcat([gj, zero], axis=1)], axis=0
-        )
-
-    return GtEndoField(cone, endo_fn)
+    return GtEndoField(cone, lambda p, o: metric_block(ghat_fn(p, o)))
 
 
 def cross_term_metric_check(s: FGacs, g: MatrixField, alpha: OneFormField, base_points,
-                 ts=(-0.4, 0.2), tol: float = DEFAULT_TOL) -> ResidualReport:
+                 ts=DEFORM_TS, tol: float = DEFAULT_TOL) -> ResidualReport:
     """Compatibility G~ = -I' G~ I' plus the two derived identities.
 
     The identities 2<E+^f, alpha> = -f and Phi^f alpha = -G E+^f + E-^f hold
@@ -267,7 +256,7 @@ def cross_term_metric_check(s: FGacs, g: MatrixField, alpha: OneFormField, base_
 
 
 def cross_term_metric_forward(m: Gacm, alpha: OneFormField, base_points,
-                   ts=(-0.4, 0.2), tol: float = DEFAULT_TOL):
+                   ts=DEFORM_TS, tol: float = DEFAULT_TOL):
     """Construct K+(alpha)(Phi, E+-, 0) from a (g, b=0) metric structure and check."""
     if m.metric.g is None:
         raise ValueError("forward construction needs the metric in (g, b) form")
@@ -282,7 +271,7 @@ def cross_term_metric_forward(m: Gacm, alpha: OneFormField, base_points,
 # -- the deformed cone pair is generalized Kaehler ----------------------------------------
 
 
-def cone_kahler_pair_check(m: Gacm, alpha: OneFormField, base_points, ts=(-0.4, 0.2),
+def cone_kahler_pair_check(m: Gacm, alpha: OneFormField, base_points, ts=DEFORM_TS,
                  tol: float = 1e-9, probes: int = 50, seed: int = 77) -> ResidualReport:
     """I'(K+(alpha)(Phi,E+-,0)) and I'(K+(alpha)(G Phi, G E+-, 0)) commute and
     -I'1 I'2 is a generalized Riemannian metric on the cone."""
@@ -309,7 +298,7 @@ def cone_kahler_pair_check(m: Gacm, alpha: OneFormField, base_points, ts=(-0.4, 
 # -- f-Sasakian --------------------------------------------------------------------------
 
 
-def f_sasakian_check(fm: FGacm, base_points, ts=(-0.4, 0.2),
+def f_sasakian_check(fm: FGacm, base_points, ts=DEFORM_TS,
                      tol: float = INT_TOL) -> ResidualReport:
     """Courant involutivity of the +i frames of both I-structures of an FGacm."""
     m = fm.gacm

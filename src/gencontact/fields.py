@@ -21,6 +21,9 @@ after them.  ``courant_jets`` accepts any axes after the leading component
 axis (its subscripts use ``...``), which broadcast: a stack of sections
 brackets pairwise in one call, item by item as the unbatched call would.
 
+Generalized-tangent conventions on jets: ``swap_jet`` (the pairing swap),
+``block_jet`` (the (2n, 2n) block layout), ``b_endo`` (e^B) and ``b_action``.
+
 Form components are stored as full antisymmetric arrays.  The wedge and the
 exterior derivative use the determinant convention,
 
@@ -36,6 +39,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
+from . import gta
 from . import jets as J
 from .charts import Chart
 from .jets import MAX_ORDER, JetArray
@@ -279,39 +283,35 @@ def coordinate_sections(chart: Chart) -> List[SectionField]:
 
 
 def endo_from_blocks(tt: MatrixField, tc: MatrixField, ct: MatrixField, cc: MatrixField) -> GtEndoField:
-    chart = tt.chart
-
-    def fn(p, order):
-        top = jconcat([tt.jet(p, order), tc.jet(p, order)], axis=1)
-        bot = jconcat([ct.jet(p, order), cc.jet(p, order)], axis=1)
-        return jconcat([top, bot], axis=0)
-
-    return GtEndoField(chart, fn)
+    return GtEndoField(tt.chart, lambda p, o: block_jet(
+        tt.jet(p, o), tc.jet(p, o), ct.jet(p, o), cc.jet(p, o)))
 
 
 def tensor_pair_field(e: SectionField, f: SectionField) -> GtEndoField:
     """Field version of the rank-one map A -> 2<F, A> E."""
     _same_chart(e, f)
-    n = e.chart.dim
     return GtEndoField(
-        e.chart, lambda p, o: J.jet_einsum("i,j->ij", e.jet(p, o), _swap_half(f.jet(p, o), n)))
+        e.chart, lambda p, o: J.jet_einsum("i,j->ij", e.jet(p, o), swap_jet(f.jet(p, o))))
 
 
 def b_endo(b: TwoFormField) -> GtEndoField:
     """e^B as an endomorphism field: X+a -> X + a + i_X B."""
-    chart = b.chart
-    n = chart.dim
+    n = b.chart.dim
     eye = np.eye(n)
     zero = np.zeros((n, n))
 
     def fn(p, order):
-        jb = b.jet(p, order)
         one = J.lift(eye, n, order, p.shape[:-1])
-        top = jconcat([one, J.lift(zero, n, order, p.shape[:-1])], axis=1)
-        bot = jconcat([_jT(jb), one], axis=1)
-        return jconcat([top, bot], axis=0)
+        return block_jet(one, J.lift(zero, n, order, p.shape[:-1]), _jT(b.jet(p, order)), one)
 
-    return GtEndoField(chart, fn)
+    return GtEndoField(b.chart, fn)
+
+
+def b_action(b: TwoFormField, *items: Field) -> tuple:
+    """The B-field action on each item: e^B P e^-B for an endomorphism field
+    P, e^B A for a section A.  e^B and e^-B are built once for all items."""
+    eb, ebinv = b_endo(b), b_endo(-1 * b)
+    return tuple(eb @ x @ ebinv if isinstance(x, GtEndoField) else eb.apply(x) for x in items)
 
 
 # -- jet-level utilities ------------------------------------------------------
@@ -329,10 +329,21 @@ def jconcat(parts: Sequence[JetArray], axis: int = 0) -> JetArray:
     return JetArray(value, grad, hess, nvars)
 
 
+def block_jet(tt: JetArray, tc: JetArray, ct: JetArray, cc: JetArray) -> JetArray:
+    """The (2n, 2n) jet (tt, tc; ct, cc) from four (n, n) jets: rows and
+    columns run over the vector half, then the form half."""
+    return jconcat([jconcat([tt, tc], axis=1), jconcat([ct, cc], axis=1)])
+
+
+def _jmap(j: JetArray, fn) -> JetArray:
+    """Apply an array map to the value, gradient and hessian of a jet."""
+    g = None if j.grad is None else fn(j.grad)
+    h = None if j.hess is None else fn(j.hess)
+    return JetArray(fn(j.value), g, h, j.nvars)
+
+
 def _jmove(j: JetArray, src: int, dst: int) -> JetArray:
-    g = None if j.grad is None else np.moveaxis(j.grad, src, dst)
-    h = None if j.hess is None else np.moveaxis(j.hess, src, dst)
-    return JetArray(np.moveaxis(j.value, src, dst), g, h, j.nvars)
+    return _jmap(j, lambda a: np.moveaxis(a, src, dst))
 
 
 def _jT(j: JetArray) -> JetArray:
@@ -340,19 +351,19 @@ def _jT(j: JetArray) -> JetArray:
     return _jmove(j, 0, 1)
 
 
-def _swap_half(j: JetArray, n: int) -> JetArray:
-    """Swap vector and form halves of a section jet (the pairing swap)."""
-    return jconcat([j[n:], j[:n]])
+def swap_jet(j: JetArray) -> JetArray:
+    """The pairing swap (:func:`gencontact.gta.swap`) along the component axis of a jet."""
+    return _jmap(j, lambda a: gta.swap(a, 0))
 
 
-def pair_jets(a: JetArray, b: JetArray, n: int) -> JetArray:
-    return 0.5 * J.jet_einsum("i,i->", _swap_half(a, n), b)
+def pair_jets(a: JetArray, b: JetArray) -> JetArray:
+    """<A, B> of two section jets, as :func:`gencontact.gta.pair`."""
+    return 0.5 * J.jet_einsum("i,i->", swap_jet(a), b)
 
 
 def pair_field(a: SectionField, b: SectionField) -> ScalarField:
     _same_chart(a, b)
-    n = a.chart.dim
-    return ScalarField(a.chart, lambda p, o: pair_jets(a.jet(p, o), b.jet(p, o), n))
+    return ScalarField(a.chart, lambda p, o: pair_jets(a.jet(p, o), b.jet(p, o)))
 
 
 # -- exterior calculus --------------------------------------------------------
@@ -501,9 +512,9 @@ def courant(a: SectionField, b: SectionField) -> SectionField:
 
 
 def nij_jets(ja: JetArray, jb: JetArray, jc: JetArray, n: int) -> JetArray:
-    s = pair_jets(courant_jets(ja, jb, n), jc, n)
-    s = s + pair_jets(courant_jets(jb, jc, n), ja, n)
-    s = s + pair_jets(courant_jets(jc, ja, n), jb, n)
+    s = pair_jets(courant_jets(ja, jb, n), jc)
+    s = s + pair_jets(courant_jets(jb, jc, n), ja)
+    s = s + pair_jets(courant_jets(jc, ja, n), jb)
     return (1.0 / 3.0) * s
 
 

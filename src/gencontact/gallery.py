@@ -167,12 +167,7 @@ def kahler_interval() -> dict:
     zmat = _constants(chart, [[0, 0, 0], [0, 0, 0], [0, 0, 0]])
     inv_s = one / s2z
     middle = F.endo_from_blocks(zmat, -1 * (inv_s * rho_map), s2z * omega_map, zmat)
-    eb = F.b_endo(b)
-    ebinv = F.b_endo(-1 * b)
-    Phi = eb @ middle @ ebinv
-    eplus = eb.apply(F.section(vec=xi))
-    eminus = eb.apply(F.section(form=eta))
-    gacs = Gacs(chart, Phi, eplus, eminus)
+    gacs = Gacs(chart, *F.b_action(b, middle, F.section(vec=xi), F.section(form=eta)))
     gacm = Gacm(gacs, metric)
     return {
         "chart": chart,

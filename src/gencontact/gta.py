@@ -10,9 +10,9 @@ Conventions fixed for the whole package:
 
 * pairing  <X+a, Y+b> = (b(X) + a(Y)) / 2          (symmetric, bilinear)
 * minus pairing <X+a, Y+b>_- = (a(Y) - b(X)) / 2   (antisymmetric)
+* swap exchanges the vector and form halves, so <A, B> = swap(A) . B / 2;
+  it is the package's one swap (``fields.swap_jet`` applies it to jets)
 * tensor_pair(E, F) sends A to 2<F, A> E
-* b_field_matrix(B) sends X+a to X + a + i_X B
-* r_scaling(t) scales tangent components by e^-t and forms by e^t
 """
 
 from __future__ import annotations
@@ -35,16 +35,18 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def _swap(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """The pairing swap (vec, form) -> (form, vec) along one axis."""
-    return np.roll(a, a.shape[axis] // 2, axis=axis)
+def swap(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The pairing swap (vec, form) -> (form, vec) along one axis of 2n components."""
+    n = a.shape[axis] // 2
+    lead = (slice(None),) * (axis % a.ndim)
+    return np.concatenate([a[lead + (slice(n, None),)], a[lead + (slice(None, n),)]], axis=axis)
 
 
 def pair(a, b) -> np.ndarray:
     """<X+a, Y+b> = (b(X) + a(Y)) / 2; symmetric and complex-bilinear."""
     a, b = np.asarray(a), np.asarray(b)
     _half(a, b)
-    return 0.5 * _dot(_swap(a), b)
+    return 0.5 * _dot(swap(a), b)
 
 
 def pair_minus(a, b) -> np.ndarray:
@@ -61,7 +63,7 @@ def adjoint(p) -> np.ndarray:
     """
     pt = np.swapaxes(np.asarray(p), -1, -2)
     _half(pt)
-    return _swap(_swap(pt, -1), -2)
+    return swap(swap(pt, -1), -2)
 
 
 def apply(p, a) -> np.ndarray:
@@ -71,7 +73,7 @@ def apply(p, a) -> np.ndarray:
 
 def pairing_gram(p) -> np.ndarray:
     """Matrix of (A, B) -> <P A, B> in the 2n coordinates."""
-    sp = _swap(np.asarray(p), -2)
+    sp = swap(np.asarray(p), -2)
     return 0.25 * (sp + np.swapaxes(sp, -1, -2))
 
 
@@ -79,21 +81,4 @@ def tensor_pair(e, f) -> np.ndarray:
     """The rank-one map A -> 2<F, A> E."""
     e, f = np.asarray(e), np.asarray(f)
     _half(e, f)
-    return e[..., :, None] * _swap(f)[..., None, :]
-
-
-def b_field_matrix(b: np.ndarray, n: int) -> np.ndarray:
-    """e^B: X+a -> X + a + i_X B, for an antisymmetric 2-form component array."""
-    b = np.asarray(b, dtype=complex)
-    if b.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} component array")
-    if np.abs(b + b.T).max() > 1e-12 * max(1.0, np.abs(b).max()):
-        raise ValueError("2-form component array must be antisymmetric")
-    out = np.eye(2 * n, dtype=complex)
-    out[n:, :n] = b.T  # X -> i_X B
-    return out
-
-
-def r_scaling(t: float, n: int) -> np.ndarray:
-    """R = diag(e^-t on vectors, e^t on forms)."""
-    return np.diag(np.repeat([np.exp(-t), np.exp(t)], n)).astype(complex)
+    return e[..., :, None] * swap(f)[..., None, :]

@@ -20,23 +20,23 @@ from . import fields as F
 from . import gta
 from . import jets as J
 from .charts import ConeChart
-from .cone import base_jet, cone_plus_frame, cone_points
+from .cone import DEFAULT_TS, base_jet, cone_plus_frame, cone_points
 from .fields import MatrixField
 from .report import ResidualReport, batch_first, stack_values, sup_norm
 from .structures import (
+    DEFAULT_TOL,
+    INT_TOL,
     AlmostContactMetric,
     EigenFrame,
     Gacm,
     Gacs,
     cabs,
+    dual_gacm,
     eigenframe,
     frame_nij,
     max_nij_over_frame,
     triple_max,
 )
-
-INT_TOL = 1e-7
-DEFAULT_TS = (-0.5, 0.0, 0.5)
 
 
 # -- plain-cone integrability equals strongness -------------------------------------
@@ -231,7 +231,7 @@ def normality_residual(acs: AlmostContactMetric, base_points,
     return worst.tolist(), cpts
 
 
-def normality_check(acs: AlmostContactMetric, base_points, tol: float = 1e-8,
+def normality_check(acs: AlmostContactMetric, base_points, tol: float = DEFAULT_TOL,
                     ts=DEFAULT_TS) -> ResidualReport:
     rep = ResidualReport()
     vals, cpts = normality_residual(acs, base_points, ts)
@@ -239,7 +239,7 @@ def normality_check(acs: AlmostContactMetric, base_points, tol: float = 1e-8,
     return rep
 
 
-def sasakian_criterion(acs: AlmostContactMetric, points, tol: float = 1e-8) -> ResidualReport:
+def sasakian_criterion(acs: AlmostContactMetric, points, tol: float = DEFAULT_TOL) -> ResidualReport:
     rep = ResidualReport()
     diff = acs.theta - F.d(acs.eta)
     rep.add("sasakian.theta_minus_deta", sup_norm(stack_values(diff, points)), points, tol)
@@ -250,7 +250,7 @@ def sasakian_criterion(acs: AlmostContactMetric, points, tol: float = 1e-8) -> R
 
 
 def vaisman_conditions(plus: AlmostContactMetric, minus: AlmostContactMetric,
-                       points, tol: float = 1e-8) -> ResidualReport:
+                       points, tol: float = DEFAULT_TOL) -> ResidualReport:
     """The three pair conditions: matched Lie derivatives of the fundamental
     forms, the criterion defect, and the twisted-derivative balance."""
     if plus.g is None or minus.g is None:
@@ -280,8 +280,7 @@ def generalized_sasakian_check(m: Gacm, base_points, tol: float = INT_TOL,
                                ts=DEFAULT_TS) -> ResidualReport:
     """Both R-conjugated cone structures of (Phi, E+-) and (G Phi, G E+-) integrable."""
     rep = ResidualReport()
-    second = Gacs(m.chart, m.G @ m.Phi, m.G.apply(m.Eplus), m.G.apply(m.Eminus))
-    for tag, s in (("phi", m.gacs), ("gphi", second)):
+    for tag, s in (("phi", m.gacs), ("gphi", dual_gacm(m).gacs)):
         rcone, cross = _cone_crosscheck(s, base_points, tol, eigenframe(s), ts)
         rep.add(f"gsas.{tag}.rcone_condition.residual", rcone, base_points, tol)
         rep.extend(cross, prefix=f"gsas.{tag}.")

@@ -31,6 +31,7 @@ from .fields import (
 from .report import ResidualReport, stack_values, sup_norm
 
 DEFAULT_TOL = 1e-8
+INT_TOL = 1e-7  # integrability: Nijenhuis and Courant residuals
 PIVOT_TOL = 1e-6
 
 
@@ -280,15 +281,18 @@ def gacs_from_contact(eta: OneFormField, check_points=None) -> Gacs:
         # integrable alongside Psi's displayed block matrix.
         pi = J.jet_einsum("kl,ki->il", deta, rho_inv)
         pi = J.jet_einsum("il,lj->ij", pi, rho_inv)
-        tc = -F._jT(pi)
-        ct = -F._jT(deta)
         zero = J.lift(np.zeros((n, n)), n, order, p.shape[:-1])
-        top = F.jconcat([zero, tc], axis=1)
-        bot = F.jconcat([ct, zero], axis=1)
-        return F.jconcat([top, bot], axis=0)
+        return F.block_jet(zero, -F._jT(pi), -F._jT(deta), zero)
 
     Phi = GtEndoField(chart, phi_fn)
     return Gacs(chart, Phi, F.section(form=eta), F.section(vec=reeb_field(eta)))
+
+
+def metric_block(gj: J.JetArray) -> J.JetArray:
+    """The generalized metric (0, g^-1; g, 0) of a metric jet g."""
+    n = gj.value.shape[0]
+    zero = J.lift(np.zeros((n, n)), gj.nvars, gj.order, gj.value.shape[2:])
+    return F.block_jet(zero, J.jet_inv(gj), gj, zero)
 
 
 def gmetric_from_gb(g: MatrixField, b: Optional[TwoFormField] = None) -> GeneralizedMetric:
@@ -297,8 +301,6 @@ def gmetric_from_gb(g: MatrixField, b: Optional[TwoFormField] = None) -> General
     n = chart.dim
     if b is None:
         b = F.zero_two_form(chart)
-    eb = F.b_endo(b)
-    ebinv = F.b_endo(-b)
 
     def fn(p, order):
         gj = g.jet(p, order)
@@ -311,29 +313,20 @@ def gmetric_from_gb(g: MatrixField, b: Optional[TwoFormField] = None) -> General
         if indefinite.any():
             raise StructureError(
                 f"metric must be positive definite at {pts[np.argmax(indefinite)].tolist()}")
-        ginv = J.jet_inv(gj)
-        zero = J.lift(np.zeros((n, n)), n, order, p.shape[:-1])
-        mid = F.jconcat(
-            [F.jconcat([zero, ginv], axis=1), F.jconcat([gj, zero], axis=1)], axis=0
-        )
-        return J.jet_einsum(
-            "ij,jk->ik", J.jet_einsum("ij,jk->ik", eb.jet(p, order), mid), ebinv.jet(p, order))
+        return metric_block(gj)
 
-    return GeneralizedMetric(chart, GtEndoField(chart, fn), g=g, b=b)
+    (endo,) = F.b_action(b, GtEndoField(chart, fn))
+    return GeneralizedMetric(chart, endo, g=g, b=b)
 
 
 def b_transform(s: Gacs, b: TwoFormField) -> Gacs:
     """(e^B Phi e^-B, e^B E+, e^B E-): closed under the Gacs axioms for any smooth B."""
-    eb = F.b_endo(b)
-    ebinv = F.b_endo(-b)
-    return Gacs(s.chart, eb @ s.Phi @ ebinv, eb.apply(s.Eplus), eb.apply(s.Eminus))
+    return Gacs(s.chart, *F.b_action(b, s.Phi, s.Eplus, s.Eminus))
 
 
 def b_transform_gacm(m: Gacm, b: TwoFormField) -> Gacm:
-    eb = F.b_endo(b)
-    ebinv = F.b_endo(-b)
-    metric = GeneralizedMetric(m.chart, eb @ m.G @ ebinv)
-    return Gacm(b_transform(m.gacs, b), metric)
+    G, phi, eplus, eminus = F.b_action(b, m.G, m.Phi, m.Eplus, m.Eminus)
+    return Gacm(Gacs(m.chart, phi, eplus, eminus), GeneralizedMetric(m.chart, G))
 
 
 # -- generalized checkers -------------------------------------------------------
@@ -453,10 +446,8 @@ def eigenframe(s: Gacs, base_point=None, sample_points=None) -> EigenFrame:
     if base_point is None:
         base_point = chart.sample(seed=0, count=1)[0]
 
-    candidates = []
-    for u in F.coordinate_sections(chart):
-        proj = _project_out_kernel(s, u)
-        candidates.append(_eigen_project(s, proj))
+    candidates = eigen_candidates(
+        s.Phi, [_project_out_kernel(s, u) for u in F.coordinate_sections(chart)])
 
     pivots = pivoted_frame(candidates, base_point, n - 1,
                            "eigenframe rank dropped to {} (< {}) at the base point")
@@ -481,8 +472,10 @@ def _project_out_kernel(s: Gacs, u: SectionField) -> SectionField:
     return u - 2 * (cp * s.Eplus) - 2 * (cm * s.Eminus)
 
 
-def _eigen_project(s: Gacs, u: SectionField) -> SectionField:
-    return 0.5 * (u - 1j * s.Phi.apply(u))
+def eigen_candidates(endo: GtEndoField, sections) -> List[SectionField]:
+    """(1 - i P)/2 applied to each section: the projections onto the +i
+    eigenbundle of P, from which a frame is pivoted."""
+    return [0.5 * (u - 1j * endo.apply(u)) for u in sections]
 
 
 def pivoted_frame(candidates: Sequence[SectionField], point, want: int,
@@ -539,8 +532,7 @@ def frame_nij(jets: Sequence[J.JetArray], n: int) -> Dict[Tuple[int, int, int], 
         return {}
     frame = J.stack(jets, axis=1)
     brackets = F.courant_jets(frame[:, :, None], frame[:, None, :], n).value
-    swapped = np.concatenate([brackets[n:], brackets[:n]])
-    P = 0.5 * np.einsum("ipq...,ir...->pqr...", swapped, frame.value)
+    P = 0.5 * np.einsum("ipq...,ir...->pqr...", gta.swap(brackets, 0), frame.value)
     triples = list(combinations(range(m), 3))
     i, j, k = np.array(triples).T
     values = (1.0 / 3.0) * ((P[i, j, k] + P[j, k, i]) + P[k, i, j])
@@ -575,7 +567,7 @@ def max_nij_over_frame(members: Sequence[SectionField], points) -> Tuple[float, 
     return float(per_point.max()), per_point
 
 
-def involutivity_class(s: Gacs, points, tol: float = 1e-7,
+def involutivity_class(s: Gacs, points, tol: float = INT_TOL,
                        frame: Optional[EigenFrame] = None):
     """Classify Courant involutivity of L+ and L-: strong / contact(+-) / none."""
     if frame is None:

@@ -1,6 +1,12 @@
 """CLI and config layer: schemas, exit codes, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from gencontact.cli import main
 
@@ -56,6 +62,48 @@ def test_unknown_key_rejected(tmp_path, capsys):
     cfg = write(tmp_path, "c.json", {"gallery": "darboux", "checks": [], "frobnicate": 1})
     assert main(["verify", cfg]) == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, path", [
+    ({"tolerances": {"gacs": "x"}}, "$.tolerances.gacs"),
+    ({"tolerances": {"gacs": -1e-8}}, "$.tolerances.gacs"),
+    ({"tolerances": {"gacs": float("nan")}}, "$.tolerances.gacs"),
+    ({"tolerances": [1]}, "$.tolerances"),
+    ({"tol": "abc"}, "$.tol"),
+    ({"tol": 0}, "$.tol"),
+    ({"tol": True}, "$.tol"),
+    ({"seed": -1}, "$.seed"),
+    ({"seed": 1.5}, "$.seed"),
+    ({"samples": True}, "$.samples"),
+    ({"samples": 0}, "$.samples"),
+])
+def test_malformed_run_scalars_exit_two(tmp_path, capsys, extra, path):
+    """Tolerances, seed and sample count are refused with their JSON path,
+    not left to fail inside a check."""
+    cfg = write(tmp_path, "c.json", {"gallery": "darboux", "checks": ["gacs"], **extra})
+    assert main(["verify", cfg]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--seed", "-1"), ("--samples", "0"), ("--tol", "0"), ("--tol", "nan"),
+])
+def test_malformed_command_line_scalars_exit_two(tmp_path, capsys, flag, value):
+    cfg = write(tmp_path, "c.json", {"gallery": "darboux", "checks": ["gacs"]})
+    assert main(["verify", cfg, flag, value]) == 2
+    assert main(["gallery", "run", "darboux", "--checks", "gacs", flag, value]) == 2
+    assert f"{flag}: expected" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_from_a_checkout():
+    """python -m gencontact works with only src on the path, no installed script."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "gencontact", "gallery", "list"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "kahler_interval" in done.stdout
 
 
 def test_unknown_coordinate_named(tmp_path, capsys):

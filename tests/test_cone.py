@@ -167,8 +167,7 @@ def test_cone_decompose_of_radial_b_transform_is_k_minus():
     cc = cone_of(DARBOUX)
     kappa = F.basis_form(DARBOUX["chart"], 2)  # dz
     b = D.cone_kappa_form(cc, kappa, radial=False)
-    eb, ebinv = F.b_endo(b), F.b_endo(-1 * b)
-    j = C.ConeGacx(cc, eb @ C.cone_gacx(s, cc).J @ ebinv)
+    j = C.ConeGacx(cc, *F.b_action(b, C.cone_gacx(s, cc).J))
     out = C.cone_decompose(j)
     assert isinstance(out, S.FGacs)
     expected = D.k_minus(S.FGacs.of_gacs(s), kappa)
@@ -182,8 +181,7 @@ def test_cone_decompose_rejects_t_dependence():
     t = F.coordinate(cc, 3)
     et = F.ScalarField(cc, lambda p, o: J.exp(t.at(p, o)))
     b = et * F.wedge11(F.basis_form(cc, 0), F.basis_form(cc, 1))
-    eb, ebinv = F.b_endo(b), F.b_endo(-1 * b)
-    j = C.ConeGacx(cc, eb @ C.cone_gacx(s, cc).J @ ebinv)
+    j = C.ConeGacx(cc, *F.b_action(b, C.cone_gacx(s, cc).J))
     with pytest.raises(ValueError, match="depends on t"):
         C.cone_decompose(j)
 

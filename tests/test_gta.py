@@ -1,20 +1,27 @@
-"""Pointwise generalized-tangent algebra: pairings, adjoint, rank-one maps."""
+"""Pointwise generalized-tangent algebra: pairings, adjoint, rank-one maps,
+and the e^B and R fields that carry its conventions."""
 
 import numpy as np
 import pytest
 
+from gencontact import fields as F
+from gencontact import gta
+from gencontact.charts import ConeChart, box
+from gencontact.cone import r_endo
+from gencontact.exprs import parse_scalar
 from gencontact.gta import (
     adjoint,
     apply,
-    b_field_matrix,
     pair,
     pair_minus,
     pairing_gram,
-    r_scaling,
     tensor_pair,
 )
+from gencontact.report import batch_first
 
 RNG = np.random.default_rng(7)
+CH = box(3)
+PTS = CH.sample(seed=5, count=6)
 
 
 def rand_vec(n=3):
@@ -33,6 +40,17 @@ def rand_form_matrix(n=3):
 
 def gt(vec, form):
     return np.concatenate([vec, form]).astype(complex)
+
+
+def b_field(bmat):
+    """The 2-form (1 + x) bmat on CH, so that e^B varies over the point batch."""
+    scale = F.constant(CH, 1) + F.coordinate(CH, 0)
+    return F.from_components(F.TwoFormField, CH, [[scale * float(v) for v in row] for row in bmat])
+
+
+def b_endo_values(bmat, points=PTS):
+    """(P, 2n, 2n) values of e^B for B = b_field(bmat)."""
+    return batch_first(F.b_endo(b_field(bmat)).values(points))
 
 
 def sup(a):
@@ -84,7 +102,7 @@ def test_pair_dimension_mismatch():
 def test_adjoint_identity_and_defining_relation():
     n = 3
     assert np.array_equal(adjoint(np.eye(2 * n)), np.eye(2 * n))
-    for p in (rand_endo(n), b_field_matrix(rand_form_matrix(), n)):
+    for p in (rand_endo(n), b_endo_values(rand_form_matrix())[0]):
         pstar = adjoint(p)
         for _ in range(20):
             a, b = rand_vec(), rand_vec()
@@ -137,40 +155,75 @@ def test_tensor_pair_classical_eta_xi():
 
 def test_b_field_matrix():
     n = 3
-    assert np.array_equal(b_field_matrix(np.zeros((n, n)), n), np.eye(2 * n))
-    b = np.zeros((n, n))
-    b[0, 1], b[1, 0] = 1.0, -1.0  # dx ^ dy
-    out = b_field_matrix(b, n) @ gt([1, 0, 0], [0, 0, 0])
-    assert np.allclose(out, gt([1, 0, 0], [0, 1, 0]))  # d/dx + dy
+    eye = np.broadcast_to(np.eye(2 * n), (len(PTS), 2 * n, 2 * n))
+    assert np.array_equal(b_endo_values(np.zeros((n, n))), eye)
+    dxdy = F.wedge11(F.basis_form(CH, 0), F.basis_form(CH, 1))
+    out = batch_first(F.b_endo(dxdy).values(PTS)) @ gt([1, 0, 0], [0, 0, 0])
+    assert np.allclose(out, gt([1, 0, 0], [0, 1, 0]))  # d/dx + dy at every point
 
 
 def test_b_field_orthogonal_and_inverse():
     n = 3
-    b = rand_form_matrix()
-    eb = b_field_matrix(b, n)
-    ebinv = b_field_matrix(-b, n)
+    b = b_field(rand_form_matrix())
+    eb = batch_first(F.b_endo(b).values(PTS))
+    ebinv = batch_first(F.b_endo(-1 * b).values(PTS))
     assert sup(eb @ ebinv - np.eye(2 * n)) < 1e-13
-    for _ in range(20):
-        a, c = rand_vec(), rand_vec()
-        assert abs(pair(eb @ a, eb @ c) - pair(a, c)) < 1e-12
-
-
-def test_b_field_rejects_non_antisymmetric():
-    with pytest.raises(ValueError):
-        b_field_matrix(np.eye(3), 3)
+    for k in range(len(PTS)):
+        for _ in range(20):
+            a, c = rand_vec(), rand_vec()
+            assert abs(pair(eb[k] @ a, eb[k] @ c) - pair(a, c)) < 1e-12
 
 
 def test_r_scaling():
+    cone = ConeChart.over(CH)
+    N = cone.dim
+
+    def r_at(t):
+        return batch_first(r_endo(cone).values(np.column_stack([PTS, np.full(len(PTS), t)])))
+
+    assert np.array_equal(r_at(0.0), np.broadcast_to(np.eye(2 * N), (len(PTS), 2 * N, 2 * N)))
+    out = r_at(1.0) @ np.eye(2 * N)[0]  # R d/dx
+    assert np.allclose(out[:, :N], [np.exp(-1), 0, 0, 0])
+    assert np.allclose(out[:, N:], 0)
+    assert sup(r_at(1.0) @ r_at(-1.0) - np.eye(2 * N)) < 1e-15
+    r = r_at(0.4)
+    for k in range(len(PTS)):
+        for _ in range(20):
+            a, c = rand_vec(N), rand_vec(N)
+            assert abs(pair(r[k] @ a, r[k] @ c) - pair(a, c)) < 1e-12
+
+
+def test_pair_jets_share_the_pointwise_swap():
+    """fields.pair_jets pairs jets with gta's swap, applied to each part of the jet.
+
+    The swap copies the same elements as the half concatenation it replaced,
+    bit for bit, and the pairing equals gta.pair on the batch-first values at
+    orders 0, 1 and 2.  np.einsum (jets) and matmul (gta) order the 2n-term
+    sum differently, so dense values agree to a dot-product rounding bound.
+    """
     n = 3
-    assert np.array_equal(r_scaling(0.0, n), np.eye(2 * n))
-    out = r_scaling(1.0, n) @ gt([1, 0, 0], [0, 0, 0])
-    assert np.allclose(out[:n], [np.exp(-1), 0, 0])
-    assert np.allclose(out[n:], 0)
-    assert sup(r_scaling(1.0, n) @ r_scaling(-1.0, n) - np.eye(2 * n)) < 1e-15
-    r = r_scaling(0.4, n)
-    for _ in range(20):
-        a, c = rand_vec(), rand_vec()
-        assert abs(pair(r @ a, r @ c) - pair(a, c)) < 1e-12
+
+    def rand_section():
+        comps = [parse_scalar(f"{a:.6f}*x*y + {b:.6f}*sin(z) + {c:.6f}", CH)
+                 for a, b, c in RNG.normal(size=(2 * n, 3))]
+        sec = F.section(vec=F.vector_field(CH, comps[:n]), form=F.one_form(CH, comps[n:]))
+        return sec * complex(*RNG.normal(size=2))
+
+    eps = np.finfo(float).eps
+    for _ in range(10):
+        a, b = rand_section(), rand_section()
+        ja, jb = a.at(PTS), b.at(PTS)
+        swapped = F.swap_jet(ja)
+        halves = F.jconcat([ja[n:], ja[:n]])
+        for part in ("value", "grad", "hess"):
+            assert np.array_equal(getattr(swapped, part), getattr(halves, part))
+        va, vb = batch_first(ja.value), batch_first(jb.value)
+        want = pair(va, vb)
+        scale = 0.5 * (np.abs(gta.swap(va)) * np.abs(vb)).sum(axis=-1)
+        for order in (0, 1, 2):
+            got = F.pair_jets(a.at(PTS, order), b.at(PTS, order)).value
+            assert np.array_equal(got, F.pair_jets(ja, jb).value)
+            assert np.all(np.abs(got - want) <= 4 * n * eps * scale)
 
 
 def test_endo_apply_is_linear():

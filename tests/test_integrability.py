@@ -57,11 +57,10 @@ def test_plain_cone_perturbed_fails_both_routes():
 def test_conjugated_cone_rhs_vanishes_on_pure_e10_triples():
     """<E-, A> = 0 for frame members orthogonal to E+-, so the RHS drops."""
     frame = S.eigenframe(KAHLER["gacm"].gacs)
-    n = 3
     for p in pts(KAHLER, 4):
         em = frame.eminus.at(p)
         for a in frame.e10:
-            val = F.pair_jets(em, a.at(p), n).value
+            val = F.pair_jets(em, a.at(p)).value
             assert abs(val) < 1e-12
 
 
@@ -376,10 +375,8 @@ def test_residuals_invariant_under_pivot_shuffle():
     for entry in (DARBOUX, HEIS):
         s = entry["gacs"]
         base = s.chart.sample(seed=0, count=1)[0]
-        candidates = [
-            S._eigen_project(s, S._project_out_kernel(s, u))
-            for u in F.coordinate_sections(s.chart)
-        ]
+        candidates = S.eigen_candidates(
+            s.Phi, [S._project_out_kernel(s, u) for u in F.coordinate_sections(s.chart)])
         mat = np.stack([c.values(base) for c in candidates], axis=1)
         default = S._pivot_columns(mat, 2)
         shuffled = S._pivot_columns(mat[:, ::-1], 2)
