@@ -230,7 +230,10 @@ def parse_pipeline(items, products: dict, path: str = "$.apply") -> dict:
         elif op == "normalize":
             _reject_unknown(step, {"op"}, spath)
             pts = chart.sample(seed=2, count=12)
-            gacs, _, _ = D.normalize(current, pts)
+            try:
+                gacs, _, _ = D.normalize(current, pts)
+            except ValueError as err:
+                raise ConfigError(f"{spath}: {err}") from None
             current = S.FGacs.of_gacs(gacs)
         else:
             raise ConfigError(f"{spath}.op: unknown op {op!r}")

@@ -160,9 +160,10 @@ def normalize(s: FGacs, points, tol: float = 1e-9) -> Tuple[Gacs, OneFormField, 
     alpha = OneFormField(s.chart, alpha_fn)
     beta = -1 * alpha
     out = k_minus(k_plus(s, alpha), beta)
-    worst = float(np.abs(out.f.values(pts)).max())
-    if worst > tol:
-        raise ValueError(f"normalization left |f| = {worst:.3e} > {tol:g}")
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 in alpha is refused below
+        worst = float(np.abs(out.f.values(pts)).max())
+    if not worst <= tol:  # also refuses nan
+        raise ValueError(f"normalization left |f| = {worst:.3e}, not <= {tol:g}")
     return out.as_gacs(), alpha, beta
 
 

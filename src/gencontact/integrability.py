@@ -5,14 +5,15 @@ every identity from the R-conjugation computation (the e^-t factors and
 the i/2 correction terms) is verified directly rather than assumed.
 "integrable" always means: max residual below tolerance over the seeded
 sample set and all frame triples, and reports carry the raw residuals.
-Each frame member is evaluated once over the whole point set, and the
-Nijenhuis tables hold one array over the points per triple.
+Each frame member is evaluated once per structure: the checks of a Gacs
+read its one eigenframe (``Gacs.frame``) and the one Nijenhuis table that
+frame keeps per point set, which holds one array over the points per triple.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -32,8 +33,8 @@ from .structures import (
     Gacs,
     cabs,
     dual_gacm,
-    eigenframe,
     frame_nij,
+    l_nij_max,
     max_nij_over_frame,
     triple_max,
 )
@@ -43,7 +44,6 @@ from .structures import (
 
 
 def plain_cone_check(s: Gacs, base_points, tol: float = INT_TOL,
-                     frame: Optional[EigenFrame] = None,
                      ts=DEFAULT_TS) -> ResidualReport:
     """Integrability of Phi + Psi equals strongness plus [[E+, E-]] = 0.
 
@@ -51,11 +51,9 @@ def plain_cone_check(s: Gacs, base_points, tol: float = INT_TOL,
     Nijenhuis residual of the +i cone frame of Phi + Psi, and asserts the
     two verdicts agree.
     """
-    if frame is None:
-        frame = eigenframe(s)
+    frame = s.frame
     rep = ResidualReport()
-    plus, per_plus = max_nij_over_frame(frame.l_plus, base_points)
-    minus, per_minus = max_nij_over_frame(frame.l_minus, base_points)
+    per_plus, per_minus = l_nij_max(frame, base_points)
     rep.add("plain_cone.l_plus_nij", per_plus, base_points, tol)
     rep.add("plain_cone.l_minus_nij", per_minus, base_points, tol)
 
@@ -69,7 +67,7 @@ def plain_cone_check(s: Gacs, base_points, tol: float = INT_TOL,
     direct, per_direct = max_nij_over_frame(members, cpts)
     rep.add("plain_cone.cone_frame_nij", per_direct, cpts, tol)
 
-    lhs_pass = max(plus, minus, per_bracket.max()) < tol
+    lhs_pass = max(per_plus.max(), per_minus.max(), per_bracket.max()) < tol
     rhs_pass = direct < tol
     rep.add("plain_cone.verdict_agreement", [0.0 if lhs_pass == rhs_pass else 1.0], None, 0.5)
     return rep
@@ -87,34 +85,30 @@ def _conjugated_cone_rhs(vals, em) -> np.ndarray:
     return 2j * total
 
 
-def conjugated_cone_residual(s: Gacs, base_points, tol: float = INT_TOL,
-                             frame: Optional[EigenFrame] = None) -> ResidualReport:
+def conjugated_cone_residual(s: Gacs, base_points, tol: float = INT_TOL) -> ResidualReport:
     """|Nij_M(A,B,C) - RHS| over the frame of E^(1,0) + L_{E+} + L_{E-}."""
-    if frame is None:
-        frame = eigenframe(s)
-    members = list(frame.e10) + [frame.eplus, frame.eminus]
     pts = np.asarray(base_points, dtype=float)
-    jets = [m.jet(pts, 1) for m in members]
-    vals = [batch_first(j.value) for j in jets]
-    gaps = _rcone_gaps(frame_nij(jets, s.chart.dim), vals, stack_values(frame.eminus, pts))
+    gaps = _rcone_gaps(s.frame, pts)[0]
     rep = ResidualReport()
     rep.add("rcone_condition.residual", triple_max(gaps, len(pts)), base_points, tol)
     return rep
 
 
-def _rcone_gaps(nij_m, vals, em) -> dict:
-    """|Nij_M - RHS| per triple and point, from the frame_nij table of the M frame."""
-    return {
-        tri: cabs(lhs - _conjugated_cone_rhs(tuple(vals[i] for i in tri), em))
+def _rcone_gaps(frame: EigenFrame, pts: np.ndarray):
+    """(|Nij_M - RHS| per triple and point, Nij_M, member values) of the M frame."""
+    nij_m = frame.nij(pts)
+    vals = [stack_values(m, pts) for m in frame.members]
+    gaps = {
+        tri: cabs(lhs - _conjugated_cone_rhs(tuple(vals[i] for i in tri), vals[-1]))
         for tri, lhs in nij_m.items()
     }
+    return gaps, nij_m, vals
 
 
 # -- the cone cross-check (R-conjugation bracket identities) ------------------------
 
 
 def cone_crosscheck(s: Gacs, base_points, tol: float = INT_TOL,
-                    frame: Optional[EigenFrame] = None,
                     ts=DEFAULT_TS) -> ResidualReport:
     """Verify the four R-conjugation Nijenhuis identities and the two routes.
 
@@ -132,37 +126,31 @@ def cone_crosscheck(s: Gacs, base_points, tol: float = INT_TOL,
     (e^t |Nij_C| over the full conjugated +i frame) and the condition-residual
     route on M, plus the sub-frame involutivity that follows from it.
 
-    Nij_M is taken once over the base points and Nij_C once over the cone
-    points; every row reads from those two tables.
+    Nij_M is the table the structure's frame keeps for the base points
+    (shared with the other frame checks) and Nij_C is taken once over the
+    cone points; every row reads from those two tables.
     """
-    return _cone_crosscheck(s, base_points, tol, frame, ts)[1]
+    return _cone_crosscheck(s, base_points, tol, ts)[1]
 
 
-def _cone_crosscheck(s: Gacs, base_points, tol: float, frame: Optional[EigenFrame], ts):
+def _cone_crosscheck(s: Gacs, base_points, tol: float, ts):
     """(rcone, report) of :func:`cone_crosscheck`; rcone holds the per-point
-    values of :func:`conjugated_cone_residual`, taken from the same Nij_M tables."""
-    if frame is None:
-        frame = eigenframe(s)
-    n = s.chart.dim
+    values of :func:`conjugated_cone_residual`, taken from the same Nij_M table."""
+    frame = s.frame
     cone = ConeChart.over(s.chart)
-    N = cone.dim
     cmembers = cone_plus_frame(cone, frame.e10, s.Eplus, s.Eminus, conjugated=True)
-    mmembers = list(frame.e10) + [s.Eplus, s.Eminus]
     k = len(frame.e10)
 
     pts = np.asarray(base_points, dtype=float)
     cpts = cone_points(pts, ts)
-    mjets = [m.jet(pts, 1) for m in mmembers]
-    vals = [batch_first(j.value) for j in mjets]
-    em = stack_values(frame.eminus, pts)
-    nij_m = frame_nij(mjets, n)
-    gaps = _rcone_gaps(nij_m, vals, em)
+    gaps, nij_m, vals = _rcone_gaps(frame, pts)
+    em = vals[-1]
     rcone = triple_max(gaps, len(pts))
-    per_sub = triple_max({tri: v for tri, v in nij_m.items() if k not in tri}, len(pts))
+    per_sub = l_nij_max(frame, pts)[1]
 
     # cone tables as (P, T) arrays, base point major like cpts; scale is e^-t per column
     shape = (len(pts), len(ts))
-    nij_c = frame_nij([m.jet(cpts, 1) for m in cmembers], N)
+    nij_c = frame_nij([m.jet(cpts, 1) for m in cmembers], cone.dim)
     scale = np.array([np.exp(-t) for t in ts])
     rows = {name: np.zeros(shape) for name in ("id1", "id2", "id3", "id4")}
     agreement = np.zeros(shape)
@@ -281,7 +269,7 @@ def generalized_sasakian_check(m: Gacm, base_points, tol: float = INT_TOL,
     """Both R-conjugated cone structures of (Phi, E+-) and (G Phi, G E+-) integrable."""
     rep = ResidualReport()
     for tag, s in (("phi", m.gacs), ("gphi", dual_gacm(m).gacs)):
-        rcone, cross = _cone_crosscheck(s, base_points, tol, eigenframe(s), ts)
+        rcone, cross = _cone_crosscheck(s, base_points, tol, ts)
         rep.add(f"gsas.{tag}.rcone_condition.residual", rcone, base_points, tol)
         rep.extend(cross, prefix=f"gsas.{tag}.")
     return rep

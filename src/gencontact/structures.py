@@ -9,7 +9,8 @@ axis.  Constructors validate their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -72,6 +73,11 @@ class Gacs:
     Eplus: SectionField
     Eminus: SectionField
 
+    @cached_property
+    def frame(self) -> "EigenFrame":
+        """The default :func:`eigenframe`, built on first use and kept with the structure."""
+        return eigenframe(self)
+
 
 @dataclass(frozen=True)
 class FGacs:
@@ -125,14 +131,21 @@ class Gacm:
         return self.metric.endo
 
 
-@dataclass(frozen=True)
+@dataclass
 class EigenFrame:
-    """Chart-wide frame of the +i eigenbundle plus the kernel sections."""
+    """Chart-wide frame of the +i eigenbundle plus the kernel sections.
+
+    :meth:`nij` holds the Nijenhuis table of ``members`` = e10 + (E+, E-)
+    over the last point set it was asked for, in a one-slot memo keyed like
+    :class:`~gencontact.fields.Field`'s, so the frame checks of a structure
+    share one table.  It holds every L+ and L- triple (:meth:`l_nij`).
+    """
 
     e10: Tuple[SectionField, ...]
     eplus: SectionField
     eminus: SectionField
     pivots: Tuple[int, ...]
+    _nij: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def l_plus(self) -> Tuple[SectionField, ...]:
@@ -141,6 +154,31 @@ class EigenFrame:
     @property
     def l_minus(self) -> Tuple[SectionField, ...]:
         return self.e10 + (self.eminus,)
+
+    @property
+    def members(self) -> Tuple[SectionField, ...]:
+        return self.e10 + (self.eplus, self.eminus)
+
+    def nij(self, points) -> Dict[Tuple[int, int, int], np.ndarray]:
+        """:func:`frame_nij` of ``members`` over the points ``(P, n)``."""
+        pts = np.asarray(points, dtype=float)
+        key = (pts.shape[:-1], pts.tobytes())
+        if self._nij is None or self._nij[0] != key:
+            jets = [m.jet(pts, 1) for m in self.members]
+            self._nij = (key, frame_nij(jets, self.eplus.chart.dim))
+        return self._nij[1]
+
+    def l_nij(self, points):
+        """The :func:`frame_nij` tables of ``l_plus`` and ``l_minus``, read from :meth:`nij`.
+
+        L+ keeps the triples without E-; L- keeps those without E+ and gives
+        E- the index of E+.
+        """
+        k = len(self.e10)
+        table = self.nij(points)
+        plus = {tri: v for tri, v in table.items() if k + 1 not in tri}
+        minus = {tuple(min(i, k) for i in tri): v for tri, v in table.items() if k not in tri}
+        return plus, minus
 
 
 # -- classical checkers ---------------------------------------------------------
@@ -440,6 +478,10 @@ def eigenframe(s: Gacs, base_point=None, sample_points=None) -> EigenFrame:
     then (1 - i Phi)/2 projects onto the +i eigenbundle.  A maximal
     independent subset of the 2n candidates is chosen once, at the base
     point, and the same columns are reused across the chart.
+
+    Each call builds a new frame, with fresh members and no Nijenhuis table.
+    The checks read ``s.frame`` instead: the default frame, built by this
+    function once per structure and kept with it.
     """
     chart = s.chart
     n = chart.dim
@@ -567,16 +609,13 @@ def max_nij_over_frame(members: Sequence[SectionField], points) -> Tuple[float, 
     return float(per_point.max()), per_point
 
 
-def involutivity_class(s: Gacs, points, tol: float = INT_TOL,
-                       frame: Optional[EigenFrame] = None):
+def involutivity_class(s: Gacs, points, tol: float = INT_TOL):
     """Classify Courant involutivity of L+ and L-: strong / contact(+-) / none."""
-    if frame is None:
-        frame = eigenframe(s)
     rep = ResidualReport()
-    plus, per_plus = max_nij_over_frame(frame.l_plus, points)
-    minus, per_minus = max_nij_over_frame(frame.l_minus, points)
+    per_plus, per_minus = l_nij_max(s.frame, points)
     rep.add("involutivity.l_plus", per_plus, points, tol)
     rep.add("involutivity.l_minus", per_minus, points, tol)
+    plus, minus = per_plus.max(), per_minus.max()
     if plus < tol and minus < tol:
         label = "strong"
     elif plus < tol:
@@ -586,3 +625,9 @@ def involutivity_class(s: Gacs, points, tol: float = INT_TOL,
     else:
         label = "none"
     return label, rep
+
+
+def l_nij_max(frame: EigenFrame, points) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-point max |Nij| over the L+ and over the L- triples of a frame."""
+    count = len(np.asarray(points))
+    return tuple(triple_max(table, count) for table in frame.l_nij(points))

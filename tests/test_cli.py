@@ -241,6 +241,25 @@ def test_pipeline_normalize_op(tmp_path):
     assert main(["verify", cfg]) == 0
 
 
+@pytest.mark.parametrize("eplus, eminus, step, reason", [
+    # E+ + E- has no vector part while K+ makes f = -1
+    ({"vec": ["1", "0", "0"]}, {"vec": ["-1", "0", "0"], "form": ["0", "1", "0"]},
+     {"op": "k_plus", "kappa": ["1", "0", "0"]}, "zeta vanishes"),
+    # no vector part and f = 0 everywhere: alpha = 0/0
+    ({"form": ["0", "0", "1"]}, {"form": ["1", "0", "0"]},
+     {"op": "k_minus", "kappa": ["1", "1", "1"]}, "|f| = nan"),
+])
+def test_failed_normalize_exits_two(tmp_path, capsys, eplus, eminus, step, reason):
+    """A structure that normalize cannot rid of f is refused with the path of the step."""
+    structure = {"chart": {"dim": 3}, "phi": [["0"] * 6 for _ in range(6)],
+                 "eplus": eplus, "eminus": eminus}
+    cfg = write(tmp_path, "n.json", {"structure": structure,
+                                     "apply": [step, {"op": "normalize"}], "checks": ["fgacs"]})
+    assert main(["verify", cfg]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: $.apply[1]: ") and reason in err[0]
+
+
 def test_bad_b_field_rejected(tmp_path, capsys):
     cfg = write(
         tmp_path,

@@ -101,8 +101,41 @@ def test_crosscheck_computes_each_nij_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(F, "courant_jets", counting)
-    I.cone_crosscheck(HEIS["gacs"], pts(HEIS, 5))
+    s = gallery.heisenberg_sasakian()["gacs"]  # a fresh frame, with no table kept yet
+    I.cone_crosscheck(s, pts(HEIS, 5))
     assert len(calls) == 2
+
+
+def test_frame_checks_share_one_frame_and_one_table(monkeypatch):
+    """involutivity, plain_cone and rcone_condition on one structure pivot its
+    eigenframe once and bracket three tables: the frame's one table over
+    e10 + (E+, E-), [[E+, E-]] and the cone frame."""
+    calls = {"courant_jets": 0, "pivoted_frame": 0}
+    for module, name in ((F, "courant_jets"), (S, "pivoted_frame")):
+        def counting(*args, _original=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    s = gallery.darboux()["gacs"]  # a fresh structure, with no frame built yet
+    sample = pts(DARBOUX, 5)
+    S.involutivity_class(s, sample)
+    I.plain_cone_check(s, sample)
+    I.conjugated_cone_residual(s, sample)
+    assert calls == {"courant_jets": 3, "pivoted_frame": 1}
+
+
+def shared_l_tables_exact(frame, points) -> bool:
+    """The L+ and L- tables read from the frame's shared table equal
+    frame_nij of l_plus and l_minus bit for bit."""
+    n = frame.eplus.chart.dim
+    for shared, members in zip(frame.l_nij(points), (frame.l_plus, frame.l_minus)):
+        alone = S.frame_nij([m.jet(points, 1) for m in members], n)
+        if shared.keys() != alone.keys():
+            return False
+        if not all(np.array_equal(shared[tri], alone[tri]) for tri in alone):
+            return False
+    return True
 
 
 def frame_nij_gap(members, points) -> float:
@@ -139,6 +172,9 @@ def test_frame_nij_matches_the_per_triple_loop():
     d3 = gallery.darboux(3)
     sample = d3["chart"].sample(seed=5, count=2)
     assert frame_nij_gap(S.eigenframe(d3["gacs"]).l_plus, sample) > 0.1
+    assert all(shared_l_tables_exact(s.frame, s.chart.sample(seed=7, count=4)) for s in (
+        DARBOUX["gacs"], HEIS["gacs"], HEIS_CK["gacm"].gacs, KAHLER["gacm"].gacs,
+        twisted_darboux(), d3["gacs"]))
 
 
 def _monomial(chart, a, b):
@@ -175,6 +211,7 @@ def test_frame_nij_matches_the_per_triple_loop_on_generated_forms(case):
         assume(False)
     frame_nij_gap(frame.l_plus, sample)
     frame_nij_gap(frame.l_minus, sample)
+    assert shared_l_tables_exact(frame, sample)
 
 
 def test_crosscheck_verdict_ignores_the_rcone_condition():
@@ -198,7 +235,8 @@ def test_generalized_sasakian_computes_each_nij_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(F, "courant_jets", counting)
-    rep = I.generalized_sasakian_check(HEIS["gacm"], pts(HEIS, 5))
+    m = gallery.heisenberg_sasakian()["gacm"]  # fresh frames, with no table kept yet
+    rep = I.generalized_sasakian_check(m, pts(HEIS, 5))
     assert len(calls) == 2 * 2
     assert [r.name for r in rep.rows[:2]] == [
         "gsas.phi.rcone_condition.residual", "gsas.phi.crosscheck.id1"]
@@ -385,15 +423,17 @@ def test_residuals_invariant_under_pivot_shuffle():
         sample = pts(entry, 4)
         verdicts = []
         for cols in (default, alt_cols):
-            frame = S.EigenFrame(
+            pinned = S.Gacs(s.chart, s.Phi, s.Eplus, s.Eminus)
+            # the checks read the structure's frame: pin it to these columns
+            vars(pinned)["frame"] = S.EigenFrame(
                 e10=tuple(candidates[i] for i in cols),
                 eplus=s.Eplus,
                 eminus=s.Eminus,
                 pivots=tuple(cols),
             )
-            res = I.conjugated_cone_residual(s, sample, frame=frame).max_residual
+            res = I.conjugated_cone_residual(pinned, sample).max_residual
             verdicts.append(res < 1e-7)
-            label, _ = S.involutivity_class(s, sample, frame=frame)
+            label, _ = S.involutivity_class(pinned, sample)
             verdicts.append(label)
         assert verdicts[0] == verdicts[2] and verdicts[1] == verdicts[3]
 
