@@ -27,10 +27,10 @@ import numpy as np
 from . import fields as F
 from . import gta
 from . import jets as J
-from .charts import Chart, ConeChart
+from .charts import ConeChart
 from .fields import GtEndoField, ScalarField, SectionField
 from .report import ResidualReport, stack_values, sup_norm
-from .structures import FGacs, Gacs, eigen_candidates, pivoted_frame
+from .structures import FGacs, Gacs, eigen_projector, pivoted_frame, projector_columns
 
 T_INDEPENDENCE_TOL = 1e-10
 DEFAULT_TS = (-0.5, 0.0, 0.5)  # the t slices of a cone point set
@@ -275,15 +275,12 @@ def cone_plus_frame(cone: ConeChart, frame_e10, eplus: SectionField,
 
 
 def gacx_plus_frame(j: ConeGacx, base_point=None) -> List[SectionField]:
-    """Pivot-selected frame of the +i eigenbundle of a cone structure.
-
-    Projects the coordinate sections through (1 - i J)/2 and keeps a maximal
-    independent subset chosen at the base point.
-    """
+    """Pivot-selected frame of the +i eigenbundle of a cone structure: a
+    maximal independent set of columns of (1 - i J)/2, chosen at the base point."""
     cone = j.chart
     if base_point is None:
         base_point = cone.sample(seed=0, count=1)[0]
-    candidates = eigen_candidates(j.J, F.coordinate_sections(cone))
-    cols = pivoted_frame(candidates, base_point, cone.dim,
+    projector = eigen_projector(j.J)
+    cols = pivoted_frame(projector, base_point, cone.dim,
                          "cone eigenframe rank dropped to {} (< {})")
-    return [candidates[i] for i in cols]
+    return list(projector_columns(projector, cols))

@@ -35,7 +35,7 @@ so d(dz - y dx) has component value 1 on the (x, y) slot.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -272,14 +272,6 @@ def section(vec: Optional[VectorField] = None, form: Optional[OneFormField] = No
         return jconcat([jv, jf])
 
     return SectionField(chart, fn)
-
-
-def coordinate_sections(chart: Chart) -> List[SectionField]:
-    """The 2n constant sections: basis vectors then basis forms."""
-    n = chart.dim
-    out = [section(vec=basis_vector(chart, i)) for i in range(n)]
-    out += [section(form=basis_form(chart, i)) for i in range(n)]
-    return out
 
 
 def endo_from_blocks(tt: MatrixField, tc: MatrixField, ct: MatrixField, cc: MatrixField) -> GtEndoField:

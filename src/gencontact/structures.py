@@ -135,17 +135,24 @@ class Gacm:
 class EigenFrame:
     """Chart-wide frame of the +i eigenbundle plus the kernel sections.
 
+    ``e10`` holds views of the ``pivots`` columns of one projector field, so
+    every member's jet is a slice of the projector's one memoised jet.
+
     :meth:`nij` holds the Nijenhuis table of ``members`` = e10 + (E+, E-)
     over the last point set it was asked for, in a one-slot memo keyed like
     :class:`~gencontact.fields.Field`'s, so the frame checks of a structure
     share one table.  It holds every L+ and L- triple (:meth:`l_nij`).
     """
 
-    e10: Tuple[SectionField, ...]
+    projector: GtEndoField
+    pivots: Tuple[int, ...]
     eplus: SectionField
     eminus: SectionField
-    pivots: Tuple[int, ...]
+    e10: Tuple[SectionField, ...] = field(init=False, repr=False, compare=False)
     _nij: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.e10 = projector_columns(self.projector, self.pivots)
 
     @property
     def l_plus(self) -> Tuple[SectionField, ...]:
@@ -164,7 +171,8 @@ class EigenFrame:
         pts = np.asarray(points, dtype=float)
         key = (pts.shape[:-1], pts.tobytes())
         if self._nij is None or self._nij[0] != key:
-            jets = [m.jet(pts, 1) for m in self.members]
+            proj = self.projector.jet(pts, 1)
+            jets = [proj[:, k] for k in self.pivots] + [self.eplus.jet(pts, 1), self.eminus.jet(pts, 1)]
             self._nij = (key, frame_nij(jets, self.eplus.chart.dim))
         return self._nij[1]
 
@@ -232,10 +240,13 @@ def gacs_from_acs(acs: AlmostContactMetric, check_points=None) -> Gacs:
         rep = acms_check(acs, check_points)
         if not rep.passed:
             raise ValueError(f"input fails the almost-contact axioms:\n{rep.summary()}")
-    zero = F.matrix_field(chart, [[F.constant(chart, 0)] * chart.dim for _ in range(chart.dim)])
-    phi_star = acs.phi.transpose()
-    Phi = F.endo_from_blocks(acs.phi, zero, zero, -phi_star)
-    return Gacs(chart, Phi, F.section(vec=acs.xi), F.section(form=acs.eta))
+    n = chart.dim
+
+    def phi_fn(p, order):
+        phi, zero = acs.phi.jet(p, order), J.lift(np.zeros((n, n)), n, order, p.shape[:-1])
+        return F.block_jet(phi, zero, zero, -F._jT(phi))
+
+    return Gacs(chart, GtEndoField(chart, phi_fn), F.section(vec=acs.xi), F.section(form=acs.eta))
 
 
 def reeb_field(eta: OneFormField) -> VectorField:
@@ -472,63 +483,63 @@ def dual_gacm(m: Gacm, points=None) -> Gacm:
 
 
 def eigenframe(s: Gacs, base_point=None, sample_points=None) -> EigenFrame:
-    """Chart-wide frame of E^(1,0) by pivoting projected coordinate sections.
+    """Chart-wide frame of E^(1,0): pivot columns of one projector field.
 
-    The projector A -> A - 2<A,E->E+ - 2<A,E+>E- kills the E+- components,
-    then (1 - i Phi)/2 projects onto the +i eigenbundle.  A maximal
-    independent subset of the 2n candidates is chosen once, at the base
-    point, and the same columns are reused across the chart.
-
-    Each call builds a new frame, with fresh members and no Nijenhuis table.
-    The checks read ``s.frame`` instead: the default frame, built by this
-    function once per structure and kept with it.
+    A maximal independent subset of the columns of :func:`eigen_projector`
+    is chosen once, from its value at the base point, and the same columns
+    are reused across the chart.  Each call builds a new frame; the checks
+    read ``s.frame``, built by this function once per structure.
     """
     chart = s.chart
     n = chart.dim
     if base_point is None:
         base_point = chart.sample(seed=0, count=1)[0]
 
-    candidates = eigen_candidates(
-        s.Phi, [_project_out_kernel(s, u) for u in F.coordinate_sections(chart)])
-
-    pivots = pivoted_frame(candidates, base_point, n - 1,
+    projector = eigen_projector(s.Phi, s.Eplus, s.Eminus)
+    pivots = pivoted_frame(projector, base_point, n - 1,
                            "eigenframe rank dropped to {} (< {}) at the base point")
-    frame = EigenFrame(
-        e10=tuple(candidates[i] for i in pivots),
-        eplus=s.Eplus,
-        eminus=s.Eminus,
-        pivots=tuple(pivots),
-    )
+    frame = EigenFrame(projector, tuple(pivots), s.Eplus, s.Eminus)
     if sample_points is not None:
         pts = np.asarray(sample_points, dtype=float)
-        cols = np.stack([stack_values(c, pts) for c in frame.e10], axis=-1)
+        cols = stack_values(projector, pts)[:, :, frame.pivots]
         low = np.linalg.matrix_rank(cols, tol=PIVOT_TOL) < n - 1
         if low.any():
             raise ValueError(f"eigenframe rank drops below {n - 1} at {pts[np.argmax(low)]}")
     return frame
 
 
-def _project_out_kernel(s: Gacs, u: SectionField) -> SectionField:
-    cp = F.pair_field(u, s.Eminus)
-    cm = F.pair_field(u, s.Eplus)
-    return u - 2 * (cp * s.Eplus) - 2 * (cm * s.Eminus)
-
-
-def eigen_candidates(endo: GtEndoField, sections) -> List[SectionField]:
-    """(1 - i P)/2 applied to each section: the projections onto the +i
-    eigenbundle of P, from which a frame is pivoted."""
-    return [0.5 * (u - 1j * endo.apply(u)) for u in sections]
-
-
-def pivoted_frame(candidates: Sequence[SectionField], point, want: int,
-                  shortfall: str) -> List[int]:
-    """Pivot columns of the candidates' values at a point, ``want`` of them.
-
-    Raises ``ValueError(shortfall.format(found, want))`` when fewer pass the
-    conditioning floor.
+def eigen_projector(endo: GtEndoField, eplus: Optional[SectionField] = None,
+                    eminus: Optional[SectionField] = None) -> GtEndoField:
+    """(1 - i P)/2 K, whose columns project the coordinate sections onto the
+    +i eigenbundle of P.  K = 1 - E+ (x) E- - E- (x) E+ kills the E+-
+    components (K = 1 on a cone, which has no kernel); the rank-one terms
+    take their operands in the order of the product <A, E-> E+.
     """
-    mat = np.stack([c.values(point) for c in candidates], axis=1)
-    cols = _pivot_columns(mat, want)
+    n = endo.chart.dim
+
+    def fn(p, order):
+        k = J.lift(np.eye(2 * n), n, order, p.shape[:-1])
+        pj = endo.jet(p, order)
+        if eplus is None:
+            return 0.5 * (k - 1j * pj)
+        ep, em = eplus.jet(p, order), eminus.jet(p, order)
+        k = (k - J.jet_einsum("j,i->ij", F.swap_jet(em), ep)
+             - J.jet_einsum("j,i->ij", F.swap_jet(ep), em))
+        return 0.5 * (k - 1j * J.jet_einsum("ij,jk->ik", pj, k))
+
+    return GtEndoField(endo.chart, fn)
+
+
+def projector_columns(projector: GtEndoField, cols: Sequence[int]) -> Tuple[SectionField, ...]:
+    """The columns ``cols`` of an endomorphism field, as views of its jet."""
+    return tuple(SectionField(projector.chart, lambda p, o, k=k: projector.jet(p, o)[:, k])
+                 for k in cols)
+
+
+def pivoted_frame(projector: GtEndoField, point, want: int, shortfall: str) -> List[int]:
+    """Pivot columns of a projector's value at a point, ``want`` of them; raises
+    ``ValueError(shortfall.format(found, want))`` when fewer pass the conditioning floor."""
+    cols = _pivot_columns(projector.values(point), want)
     if len(cols) < want:
         raise ValueError(shortfall.format(len(cols), want))
     return cols
@@ -552,10 +563,9 @@ def _pivot_columns(mat: np.ndarray, want: int) -> List[int]:
 
 def frame_span_check(s: Gacs, frame: EigenFrame, point) -> int:
     """Rank of e10 + conj(e10) + kernel at a point (should be 2n)."""
-    cols = [c.values(point) for c in frame.e10]
-    cols += [np.conj(c) for c in cols]
-    cols += [frame.eplus.values(point), frame.eminus.values(point)]
-    return int(np.linalg.matrix_rank(np.stack(cols, axis=1), tol=1e-8))
+    e10 = frame.projector.values(point)[:, list(frame.pivots)]
+    cols = [e10, np.conj(e10), frame.eplus.values(point)[:, None], frame.eminus.values(point)[:, None]]
+    return int(np.linalg.matrix_rank(np.concatenate(cols, axis=1), tol=1e-8))
 
 
 def frame_nij(jets: Sequence[J.JetArray], n: int) -> Dict[Tuple[int, int, int], np.ndarray]:

@@ -125,6 +125,29 @@ def test_frame_checks_share_one_frame_and_one_table(monkeypatch):
     assert calls == {"courant_jets": 3, "pivoted_frame": 1}
 
 
+def test_eigenframe_is_one_projector_field(monkeypatch):
+    """The 7-dim Darboux frame is one projector plus its six column views
+    (196 fields as 14 candidate chains), pivoted from one projector value."""
+    s = gallery.darboux(3)["gacs"]
+    built, values = [], []
+    init, read = F.Field.__init__, F.Field.values
+
+    def counting_init(self, *args):
+        built.append(type(self).__name__)
+        init(self, *args)
+
+    def counting_values(self, point):
+        values.append(type(self).__name__)
+        return read(self, point)
+
+    monkeypatch.setattr(F.Field, "__init__", counting_init)
+    monkeypatch.setattr(F.Field, "values", counting_values)
+    frame = S.eigenframe(s)
+    assert len(built) <= 10
+    assert len(frame.e10) == 6
+    assert values == ["GtEndoField"]
+
+
 def shared_l_tables_exact(frame, points) -> bool:
     """The L+ and L- tables read from the frame's shared table equal
     frame_nij of l_plus and l_minus bit for bit."""
@@ -413,24 +436,18 @@ def test_residuals_invariant_under_pivot_shuffle():
     for entry in (DARBOUX, HEIS):
         s = entry["gacs"]
         base = s.chart.sample(seed=0, count=1)[0]
-        candidates = S.eigen_candidates(
-            s.Phi, [S._project_out_kernel(s, u) for u in F.coordinate_sections(s.chart)])
-        mat = np.stack([c.values(base) for c in candidates], axis=1)
+        projector = s.frame.projector
+        mat = projector.values(base)
         default = S._pivot_columns(mat, 2)
         shuffled = S._pivot_columns(mat[:, ::-1], 2)
-        alt_cols = sorted(len(candidates) - 1 - c for c in shuffled)
+        alt_cols = sorted(mat.shape[1] - 1 - c for c in shuffled)
         assert alt_cols != default  # genuinely different column choice
         sample = pts(entry, 4)
         verdicts = []
         for cols in (default, alt_cols):
             pinned = S.Gacs(s.chart, s.Phi, s.Eplus, s.Eminus)
             # the checks read the structure's frame: pin it to these columns
-            vars(pinned)["frame"] = S.EigenFrame(
-                e10=tuple(candidates[i] for i in cols),
-                eplus=s.Eplus,
-                eminus=s.Eminus,
-                pivots=tuple(cols),
-            )
+            vars(pinned)["frame"] = S.EigenFrame(projector, tuple(cols), s.Eplus, s.Eminus)
             res = I.conjugated_cone_residual(pinned, sample).max_residual
             verdicts.append(res < 1e-7)
             label, _ = S.involutivity_class(pinned, sample)
@@ -457,3 +474,105 @@ def test_five_dimensional_darboux_full_stack():
     rep = I.cone_crosscheck(d2["gacs"], sample, ts=(-0.4, 0.3))
     assert rep["crosscheck.id1"].max_residual < 1e-8
     assert rep["crosscheck.two_route_agreement"].max_residual < 1e-8
+
+
+# -- the eigenprojector against the per-candidate chain it replaced --------------------
+
+
+def candidate_chain(endo, kernel=None):
+    """The 2n projected coordinate sections, one field chain each: 0.5 (u - i P u)
+    of u - 2<u,E->E+ - 2<u,E+>E- (of u itself without a kernel)."""
+    ch = endo.chart
+    coords = [F.section(vec=F.basis_vector(ch, i)) for i in range(ch.dim)]
+    coords += [F.section(form=F.basis_form(ch, i)) for i in range(ch.dim)]
+    out = []
+    for u in coords:
+        if kernel is not None:
+            ep, em = kernel
+            u = u - 2 * (F.pair_field(u, em) * ep) - 2 * (F.pair_field(u, ep) * em)
+        out.append(0.5 * (u - 1j * endo.apply(u)))
+    return out
+
+
+def same_floats(a, b, subnormal: bool) -> bool:
+    """a == b entry by entry; with ``subnormal``, parts that differ must both lie
+    below the smallest normal float.
+
+    The chain forms <u, E-> as 0.5 (...) and scales its product by 2, which
+    is exact except where a product is subnormal: there the halving drops the
+    last bit.  Generated forms draw such coefficients (about 1e-312).
+    """
+    if not subnormal:
+        return np.array_equal(a, b)
+    tiny = np.finfo(float).tiny
+    for x, y in ((a.real, b.real), (a.imag, b.imag)):
+        off = x != y
+        if not (np.abs(x[off]) < tiny).all() or not (np.abs(y[off]) < tiny).all():
+            return False
+    return True
+
+
+def jets_match(fields, refs, points, subnormal=False) -> bool:
+    """Each field's jet equals its reference's exactly, at orders 0-2."""
+    for order in (0, 1, 2):
+        for p in (points, points[0]):
+            for f, r in zip(fields, refs, strict=True):
+                a, b = f.jet(p, order), r.jet(p, order)
+                for part in ("value", "grad", "hess"):
+                    x, y = getattr(a, part), getattr(b, part)
+                    if (x is None) != (y is None):
+                        return False
+                    if x is not None and not same_floats(x, y, subnormal):
+                        return False
+    return True
+
+
+def chain_pivots(chain, want):
+    """The columns the chain's values at the default base point pivot to."""
+    base = chain[0].chart.sample(seed=0, count=1)[0]
+    return S._pivot_columns(np.stack([c.values(base) for c in chain], axis=1), want)
+
+
+def eigenprojector_exact(s, points, subnormal=False) -> bool:
+    """The frame's projector columns equal the chain, and pivot to the same columns."""
+    frame = S.eigenframe(s)
+    chain = candidate_chain(s.Phi, (s.Eplus, s.Eminus))
+    columns = S.projector_columns(frame.projector, range(len(chain)))
+    return (list(frame.pivots) == chain_pivots(chain, s.chart.dim - 1)
+            and jets_match(columns, chain, points, subnormal))
+
+
+def test_eigenprojector_columns_equal_the_candidate_chain():
+    structures = [twisted_darboux(), gallery.darboux(3)["gacs"]]
+    for name in gallery.names():
+        entry = gallery.build(name)
+        structures.append(entry["gacs"])
+        if "gacm" in entry:
+            structures += [entry["gacm"].gacs, S.dual_gacm(entry["gacm"]).gacs]
+    for s in structures:
+        assert eigenprojector_exact(s, s.chart.sample(seed=11, count=3))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(perturbed_darboux())
+def test_eigenprojector_columns_equal_the_candidate_chain_on_generated_forms(case):
+    eta, seed = case
+    sample = eta.chart.sample(seed=seed, count=2)
+    try:
+        s = S.gacs_from_contact(eta, check_points=sample)
+    except ValueError:
+        assume(False)
+    assert eigenprojector_exact(s, sample, subnormal=True)
+
+
+def test_cone_projector_columns_equal_the_candidate_chain():
+    for entry in (DARBOUX, KAHLER):
+        s = entry.get("gacs") or entry["gacm"].gacs
+        j = C.i_map(s)
+        cone_pts = C.cone_points(pts(entry, 2), (-0.3, 0.4))
+        chain = candidate_chain(j.J)
+        columns = S.projector_columns(S.eigen_projector(j.J), range(len(chain)))
+        assert jets_match(columns, chain, cone_pts)
+        members = C.gacx_plus_frame(j)
+        old = [chain[k] for k in chain_pivots(chain, j.chart.dim)]
+        assert jets_match(members, old, cone_pts)
