@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from . import gallery as G
-from .config import ConfigError, count, load_config_text, parse_config, run_checks, tolerance
+from .config import ConfigError, count, load_json, parse_config, run_checks, tolerance
 from .report import ResidualReport
 from .structures import StructureError
 
@@ -24,14 +24,28 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+def _read_config(path):
+    """The JSON value of a config file; an unreadable file or invalid JSON is a ConfigError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as err:
+        raise ConfigError(str(err)) from None
+    return load_json(text)
+
+
+def _write(path, payload: str, what: str) -> bool:
+    """Write ``payload`` and a newline to ``path``; on failure print why and return False."""
+    try:
+        Path(path).write_text(payload + "\n", encoding="utf-8")
+    except OSError as err:
+        print(f"error: cannot write {what}: {err}", file=sys.stderr)
+        return False
+    return True
+
+
 def _emit(rep: ResidualReport, cfg_meta: dict, out_path, started: float) -> int:
-    payload = rep.to_json(**cfg_meta)
-    if out_path:
-        try:
-            Path(out_path).write_text(payload + "\n", encoding="utf-8")
-        except OSError as err:
-            print(f"error: cannot write report: {err}", file=sys.stderr)
-            return EXIT_USAGE
+    if out_path and not _write(out_path, rep.to_json(**cfg_meta), "report"):
+        return EXIT_USAGE
     print(rep.summary())
     print(f"wall time: {time.monotonic() - started:.2f}s", file=sys.stderr)
     return EXIT_PASS if rep.passed else EXIT_FAIL
@@ -52,12 +66,7 @@ def _override(cfg, args):
 def cmd_verify(args) -> int:
     started = time.monotonic()
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cfg = load_config_text(text)
+        cfg = parse_config(_read_config(args.config))
         _override(cfg, args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -115,13 +124,8 @@ def cmd_gallery(args) -> int:
         if actual != expected:
             mismatches.append(check)
     meta["expected"] = {k: entry.expected[k] for k in checks}
-    payload = rep.to_json(**meta)
-    if args.out:
-        try:
-            Path(args.out).write_text(payload + "\n", encoding="utf-8")
-        except OSError as err:
-            print(f"error: cannot write report: {err}", file=sys.stderr)
-            return EXIT_USAGE
+    if args.out and not _write(args.out, rep.to_json(**meta), "report"):
+        return EXIT_USAGE
     print(f"wall time: {time.monotonic() - started:.2f}s", file=sys.stderr)
     return EXIT_PASS if not mismatches else EXIT_FAIL
 
@@ -129,17 +133,9 @@ def cmd_gallery(args) -> int:
 def cmd_deform(args) -> int:
     started = time.monotonic()
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as err:
+        obj = _read_config(args.config)
+    except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as err:
-        print(
-            f"error: invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}",
-            file=sys.stderr,
-        )
         return EXIT_USAGE
     try:
         if not isinstance(obj, dict):
@@ -156,14 +152,10 @@ def cmd_deform(args) -> int:
     }
     payload = json.dumps(result, indent=2, sort_keys=True)
     out = args.out or cfg.out
-    if out:
-        try:
-            Path(out).write_text(payload + "\n", encoding="utf-8")
-        except OSError as err:
-            print(f"error: cannot write structure: {err}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
+    if not out:
         print(payload)
+    elif not _write(out, payload, "structure"):
+        return EXIT_USAGE
     print(f"wall time: {time.monotonic() - started:.2f}s", file=sys.stderr)
     return EXIT_PASS if rep.passed else EXIT_FAIL
 

@@ -102,11 +102,11 @@ def _m_indices(n: int) -> List[int]:
 
 
 def ddt_section(cone: ConeChart) -> SectionField:
-    return F.section(vec=F.basis_vector(cone, cone.t_index))
+    return F.constant(cone, np.eye(2 * cone.dim)[cone.t_index], SectionField)
 
 
 def dt_section(cone: ConeChart) -> SectionField:
-    return F.section(form=F.basis_form(cone, cone.t_index))
+    return F.constant(cone, np.eye(2 * cone.dim)[cone.dim + cone.t_index], SectionField)
 
 
 # -- Psi and the cone structures -------------------------------------------------

@@ -446,9 +446,9 @@ def run_checks(cfg: RunConfig) -> ResidualReport:
     return rep
 
 
-def load_config_text(text: str) -> RunConfig:
+def load_json(text: str):
+    """The JSON value of a config text; invalid JSON is a ConfigError naming its line and column."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise ConfigError(f"invalid JSON at line {err.lineno}, column {err.colno}: {err.msg}") from None
-    return parse_config(obj)

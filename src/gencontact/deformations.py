@@ -134,7 +134,8 @@ def normalize(s: FGacs, points, tol: float = 1e-9) -> Tuple[Gacs, OneFormField, 
 
     alpha is the Euclidean dual of the combined vector part zeta, scaled to
     alpha(zeta) = f; beta = -alpha.  Errors out where zeta degenerates while
-    f does not vanish, since no pointwise alpha can exist there.
+    f does not vanish, since no pointwise alpha can exist there; where both
+    vanish, alpha = 0.
     """
     n = s.chart.dim
     pts = np.asarray(points, dtype=float)
@@ -155,12 +156,15 @@ def normalize(s: FGacs, points, tol: float = 1e-9) -> Tuple[Gacs, OneFormField, 
         z = zeta_jet(p, order)
         den = J.jet_einsum("i,i->", z, z)
         fj = s.f.jet(p, order)
+        both = (np.abs(den.value) < 1e-12) & (np.abs(fj.value) <= tol)
+        if both.any():  # alpha = 0 there, not 0/0
+            fj, den = fj * ~both, den + both
         return J.jet_einsum(",i->i", fj / den, z)
 
     alpha = OneFormField(s.chart, alpha_fn)
     beta = -1 * alpha
     out = k_minus(k_plus(s, alpha), beta)
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 in alpha is refused below
+    with np.errstate(divide="ignore", invalid="ignore"):  # non-finite data is refused below
         worst = float(np.abs(out.f.values(pts)).max())
     if not worst <= tol:  # also refuses nan
         raise ValueError(f"normalization left |f| = {worst:.3e}, not <= {tol:g}")

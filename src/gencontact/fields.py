@@ -23,6 +23,10 @@ brackets pairwise in one call, item by item as the unbatched call would.
 
 Generalized-tangent conventions on jets: ``swap_jet`` (the pairing swap),
 ``block_jet`` (the (2n, 2n) block layout), ``b_endo`` (e^B) and ``b_action``.
+A constant enters through one leaf, ``constant(chart, value, cls)`` (a scalar
+or a component array, as a field of any class), and a zero part of
+``section``, ``endo_from_blocks`` or ``block_jet`` is passed as ``None``:
+``jconcat`` builds the zeros.
 
 Form components are stored as full antisymmetric arrays.  The wedge and the
 exterior derivative use the determinant convention,
@@ -104,21 +108,14 @@ class Field:
     def __mul__(self, c):
         if isinstance(c, ScalarField):
             _same_chart(self, c)
-            sub = _scale_sub(self)
-            return self._wrap(lambda p, o: J.jet_einsum(sub, c.jet(p, o), self.jet(p, o)))
+            # the scalar's (*B) jet broadcasts against the trailing batch axes
+            return self._wrap(lambda p, o: c.jet(p, o) * self.jet(p, o))
         return self._wrap(lambda p, o: self.jet(p, o) * c)
 
     __rmul__ = __mul__
 
     def conj(self):
         return self._wrap(lambda p, o: self.jet(p, o).conj())
-
-
-def _scale_sub(field: Field) -> str:
-    rank = {ScalarField: 0, VectorField: 1, OneFormField: 1, SectionField: 1,
-            MatrixField: 2, TwoFormField: 2, GtEndoField: 2, ThreeFormField: 3}[type(field)]
-    idx = "abc"[:rank]
-    return f",{idx}->{idx}"
 
 
 def _same_chart(a: Field, b: Field):
@@ -128,12 +125,8 @@ def _same_chart(a: Field, b: Field):
 
 class ScalarField(Field):
     def __mul__(self, c):
-        if isinstance(c, Field) and not isinstance(c, ScalarField):
-            return c.__mul__(self)
-        if isinstance(c, ScalarField):
-            _same_chart(self, c)
-            return ScalarField(self.chart, lambda p, o: self.jet(p, o) * c.jet(p, o))
-        return ScalarField(self.chart, lambda p, o: self.jet(p, o) * c)
+        # a field factor keeps its class, and this scalar's jet goes first
+        return Field.__mul__(c, self) if isinstance(c, Field) else Field.__mul__(self, c)
 
     __rmul__ = __mul__
 
@@ -210,9 +203,13 @@ def coordinate(chart: Chart, i: int) -> ScalarField:
     return ScalarField(chart, fn)
 
 
-def constant(chart: Chart, c) -> ScalarField:
+def constant(chart: Chart, value, cls=ScalarField) -> Field:
+    """The constant ``cls`` field of a scalar or a component array: the one
+    place a constant is lifted with the batch (read-only, zero derivatives)."""
     n = chart.dim
-    return ScalarField(chart, lambda p, o: J.lift(complex(c), n, o, p.shape[:-1]))
+    c = np.array(value, dtype=complex)
+    c.flags.writeable = False
+    return cls(chart, lambda p, o: J.lift(c, n, o, p.shape[:-1]))
 
 
 def from_components(cls, chart: Chart, comps: Sequence) -> Field:
@@ -240,43 +237,30 @@ def matrix_field(chart: Chart, comps) -> MatrixField:
 
 
 def basis_vector(chart: Chart, i: int) -> VectorField:
-    n = chart.dim
-    e = np.zeros(n)
-    e[i] = 1.0
-    return VectorField(chart, lambda p, o: J.lift(e, n, o, p.shape[:-1]))
+    return constant(chart, np.eye(chart.dim)[i], VectorField)
 
 
 def basis_form(chart: Chart, i: int) -> OneFormField:
-    n = chart.dim
-    e = np.zeros(n)
-    e[i] = 1.0
-    return OneFormField(chart, lambda p, o: J.lift(e, n, o, p.shape[:-1]))
+    return constant(chart, np.eye(chart.dim)[i], OneFormField)
 
 
-def zero_two_form(chart: Chart) -> TwoFormField:
-    n = chart.dim
-    return TwoFormField(chart, lambda p, o: J.lift(np.zeros((n, n)), n, o, p.shape[:-1]))
+def _from_parts(cls, parts: Sequence[Optional[Field]], assemble) -> Field:
+    """A ``cls`` field assembled from the jets of ``parts``; a ``None`` (zero) part stays ``None``."""
+    some = [f for f in parts if f is not None]
+    if not some:
+        raise ValueError("need at least one nonzero part")
+    return cls(some[0].chart,
+               lambda p, o: assemble([None if f is None else f.jet(p, o) for f in parts]))
 
 
 def section(vec: Optional[VectorField] = None, form: Optional[OneFormField] = None) -> SectionField:
-    some = vec if vec is not None else form
-    if some is None:
-        raise ValueError("need a vector part or a form part")
-    chart = some.chart
-    n = chart.dim
-
-    def fn(p, order):
-        zeros = J.lift(np.zeros(n), n, order, p.shape[:-1])
-        jv = vec.jet(p, order) if vec is not None else zeros
-        jf = form.jet(p, order) if form is not None else zeros
-        return jconcat([jv, jf])
-
-    return SectionField(chart, fn)
+    """The section X + a; a part left ``None`` is zero."""
+    return _from_parts(SectionField, (vec, form), jconcat)
 
 
-def endo_from_blocks(tt: MatrixField, tc: MatrixField, ct: MatrixField, cc: MatrixField) -> GtEndoField:
-    return GtEndoField(tt.chart, lambda p, o: block_jet(
-        tt.jet(p, o), tc.jet(p, o), ct.jet(p, o), cc.jet(p, o)))
+def endo_from_blocks(tt, tc, ct, cc) -> GtEndoField:
+    """The endomorphism field (tt, tc; ct, cc) of four matrix fields or ``None`` (zero blocks)."""
+    return _from_parts(GtEndoField, (tt, tc, ct, cc), lambda jets: block_jet(*jets))
 
 
 def tensor_pair_field(e: SectionField, f: SectionField) -> GtEndoField:
@@ -290,11 +274,10 @@ def b_endo(b: TwoFormField) -> GtEndoField:
     """e^B as an endomorphism field: X+a -> X + a + i_X B."""
     n = b.chart.dim
     eye = np.eye(n)
-    zero = np.zeros((n, n))
 
     def fn(p, order):
         one = J.lift(eye, n, order, p.shape[:-1])
-        return block_jet(one, J.lift(zero, n, order, p.shape[:-1]), _jT(b.jet(p, order)), one)
+        return block_jet(one, None, _jT(b.jet(p, order)), one)
 
     return GtEndoField(b.chart, fn)
 
@@ -309,7 +292,15 @@ def b_action(b: TwoFormField, *items: Field) -> tuple:
 # -- jet-level utilities ------------------------------------------------------
 
 
-def jconcat(parts: Sequence[JetArray], axis: int = 0) -> JetArray:
+def jconcat(parts: Sequence[Optional[JetArray]], axis: int = 0) -> Optional[JetArray]:
+    """Concatenate jets along a component axis.  A ``None`` part is zero, shaped like the
+    first present part (the one place zero parts are built); all parts ``None`` give ``None``."""
+    present = [j for j in parts if j is not None]
+    if not present:
+        return None
+    if len(present) < len(parts):
+        zero = _jmap(present[0], lambda a: np.broadcast_to(np.zeros((), a.dtype), a.shape))
+        parts = [zero if j is None else j for j in parts]
     nvars = parts[0].nvars
     value = np.concatenate([j.value for j in parts], axis=axis)
     grad = None
@@ -321,9 +312,9 @@ def jconcat(parts: Sequence[JetArray], axis: int = 0) -> JetArray:
     return JetArray(value, grad, hess, nvars)
 
 
-def block_jet(tt: JetArray, tc: JetArray, ct: JetArray, cc: JetArray) -> JetArray:
-    """The (2n, 2n) jet (tt, tc; ct, cc) from four (n, n) jets: rows and
-    columns run over the vector half, then the form half."""
+def block_jet(tt, tc, ct, cc) -> JetArray:
+    """The (2n, 2n) jet (tt, tc; ct, cc) from four (n, n) jets or ``None`` (zero
+    blocks): rows and columns run over the vector half, then the form half."""
     return jconcat([jconcat([tt, tc], axis=1), jconcat([ct, cc], axis=1)])
 
 

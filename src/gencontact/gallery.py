@@ -37,12 +37,6 @@ class GalleryEntry:
         return self.builder()
 
 
-def _constants(chart, rows):
-    return F.matrix_field(
-        chart, [[F.constant(chart, v) for v in row] for row in rows]
-    )
-
-
 # -- Darboux contact charts ------------------------------------------------------
 
 
@@ -149,7 +143,7 @@ def kahler_interval() -> dict:
     c2z = F.ScalarField(chart, lambda p, o: J.cos(2 * z.jet(p, o)))
     g = F.matrix_field(chart, [[s2z, zero, zero], [zero, s2z, zero], [zero, zero, one]])
     # J' d/dy = d/dx, J' d/dx = -d/dy, so that omega'(X, Y) = g'(X, J'Y) = dx ^ dy
-    phi = _constants(chart, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
+    phi = F.constant(chart, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]], MatrixField)
     xi = F.basis_vector(chart, 2)
     eta = F.basis_form(chart, 2)
     acs_plus = AlmostContactMetric(chart, phi, xi, eta, g)
@@ -162,11 +156,10 @@ def kahler_interval() -> dict:
     # Phi = e^b (0, rho / sin 2z; -sin 2z omega', 0) e^-b with rho = omega'^-1.
     # The off-diagonal blocks contract in the second slot (see
     # gacs_from_contact): with i_X-style map matrices that negates both.
-    omega_map = _constants(chart, [[0, -1, 0], [1, 0, 0], [0, 0, 0]])
-    rho_map = _constants(chart, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
-    zmat = _constants(chart, [[0, 0, 0], [0, 0, 0], [0, 0, 0]])
+    omega_map = F.constant(chart, [[0, -1, 0], [1, 0, 0], [0, 0, 0]], MatrixField)
+    rho_map = F.constant(chart, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]], MatrixField)
     inv_s = one / s2z
-    middle = F.endo_from_blocks(zmat, -1 * (inv_s * rho_map), s2z * omega_map, zmat)
+    middle = F.endo_from_blocks(None, -1 * (inv_s * rho_map), s2z * omega_map, None)
     gacs = Gacs(chart, *F.b_action(b, middle, F.section(vec=xi), F.section(form=eta)))
     gacm = Gacm(gacs, metric)
     return {

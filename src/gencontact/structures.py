@@ -240,11 +240,10 @@ def gacs_from_acs(acs: AlmostContactMetric, check_points=None) -> Gacs:
         rep = acms_check(acs, check_points)
         if not rep.passed:
             raise ValueError(f"input fails the almost-contact axioms:\n{rep.summary()}")
-    n = chart.dim
 
     def phi_fn(p, order):
-        phi, zero = acs.phi.jet(p, order), J.lift(np.zeros((n, n)), n, order, p.shape[:-1])
-        return F.block_jet(phi, zero, zero, -F._jT(phi))
+        phi = acs.phi.jet(p, order)
+        return F.block_jet(phi, None, None, -F._jT(phi))
 
     return Gacs(chart, GtEndoField(chart, phi_fn), F.section(vec=acs.xi), F.section(form=acs.eta))
 
@@ -310,10 +309,13 @@ def gacs_from_contact(eta: OneFormField, check_points=None) -> Gacs:
     if check_points is not None:
         require_real(eta, check_points, "eta")
         # det(rho) = -vol^2 / (2^k k!)^2 with vol the contact_volume coefficient,
-        # so this one test also rejects every point where eta ^ (d eta)^k vanishes
+        # so this one test also rejects every point where eta ^ (d eta)^k vanishes;
+        # it scales as eta^(n+1), so each point is judged relative to max|eta|^(n+1)
         pts = np.asarray(check_points, dtype=float)
         rho = _rho_jet(eta, pts, 0).value
-        degenerate = np.abs(np.linalg.det(np.moveaxis(rho, (0, 1), (-2, -1)))) < 1e-10
+        size = np.abs(eta.values(pts)).max(axis=0)
+        det = np.abs(np.linalg.det(np.moveaxis(rho, (0, 1), (-2, -1))))
+        degenerate = (det < 1e-10 * size ** (n + 1)) | (size == 0)
         if degenerate.any():
             raise ValueError(
                 f"eta is not contact at {pts[np.argmax(degenerate)]}: rho is degenerate")
@@ -330,8 +332,7 @@ def gacs_from_contact(eta: OneFormField, check_points=None) -> Gacs:
         # integrable alongside Psi's displayed block matrix.
         pi = J.jet_einsum("kl,ki->il", deta, rho_inv)
         pi = J.jet_einsum("il,lj->ij", pi, rho_inv)
-        zero = J.lift(np.zeros((n, n)), n, order, p.shape[:-1])
-        return F.block_jet(zero, -F._jT(pi), -F._jT(deta), zero)
+        return F.block_jet(None, -F._jT(pi), -F._jT(deta), None)
 
     Phi = GtEndoField(chart, phi_fn)
     return Gacs(chart, Phi, F.section(form=eta), F.section(vec=reeb_field(eta)))
@@ -339,17 +340,13 @@ def gacs_from_contact(eta: OneFormField, check_points=None) -> Gacs:
 
 def metric_block(gj: J.JetArray) -> J.JetArray:
     """The generalized metric (0, g^-1; g, 0) of a metric jet g."""
-    n = gj.value.shape[0]
-    zero = J.lift(np.zeros((n, n)), gj.nvars, gj.order, gj.value.shape[2:])
-    return F.block_jet(zero, J.jet_inv(gj), gj, zero)
+    return F.block_jet(None, J.jet_inv(gj), gj, None)
 
 
 def gmetric_from_gb(g: MatrixField, b: Optional[TwoFormField] = None) -> GeneralizedMetric:
-    """G(g, b) = e^b (0, g^-1; g, 0) e^-b for a Riemannian g and 2-form b."""
+    """G(g, b) = e^b (0, g^-1; g, 0) e^-b for a Riemannian g and 2-form b; without b, the block."""
     chart = g.chart
     n = chart.dim
-    if b is None:
-        b = F.zero_two_form(chart)
 
     def fn(p, order):
         gj = g.jet(p, order)
@@ -364,7 +361,9 @@ def gmetric_from_gb(g: MatrixField, b: Optional[TwoFormField] = None) -> General
                 f"metric must be positive definite at {pts[np.argmax(indefinite)].tolist()}")
         return metric_block(gj)
 
-    (endo,) = F.b_action(b, GtEndoField(chart, fn))
+    endo = GtEndoField(chart, fn)
+    if b is not None:
+        (endo,) = F.b_action(b, endo)
     return GeneralizedMetric(chart, endo, g=g, b=b)
 
 

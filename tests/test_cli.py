@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gencontact.cli import main
@@ -245,9 +247,6 @@ def test_pipeline_normalize_op(tmp_path):
     # E+ + E- has no vector part while K+ makes f = -1
     ({"vec": ["1", "0", "0"]}, {"vec": ["-1", "0", "0"], "form": ["0", "1", "0"]},
      {"op": "k_plus", "kappa": ["1", "0", "0"]}, "zeta vanishes"),
-    # no vector part and f = 0 everywhere: alpha = 0/0
-    ({"form": ["0", "0", "1"]}, {"form": ["1", "0", "0"]},
-     {"op": "k_minus", "kappa": ["1", "1", "1"]}, "|f| = nan"),
 ])
 def test_failed_normalize_exits_two(tmp_path, capsys, eplus, eminus, step, reason):
     """A structure that normalize cannot rid of f is refused with the path of the step."""
@@ -258,6 +257,29 @@ def test_failed_normalize_exits_two(tmp_path, capsys, eplus, eminus, step, reaso
     assert main(["verify", cfg]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: $.apply[1]: ") and reason in err[0]
+
+
+def test_normalize_takes_alpha_zero_where_zeta_and_f_vanish(tmp_path):
+    """No vector part in E+ + E- and f = 0 everywhere: alpha = 0, not 0/0."""
+    from gencontact import deformations as D
+    from gencontact.config import parse_config
+
+    structure = {"chart": {"dim": 3}, "phi": [["0"] * 6 for _ in range(6)],
+                 "eplus": {"form": ["0", "0", "1"]}, "eminus": {"form": ["1", "0", "0"]}}
+    k_minus = {"op": "k_minus", "kappa": ["1", "1", "1"]}
+    cfg = write(tmp_path, "n.json", {"structure": structure,
+                                     "apply": [k_minus, {"op": "normalize"}], "checks": ["fgacs"]})
+    assert main(["verify", cfg]) != 2
+
+    s = parse_config({"structure": structure, "apply": [k_minus], "checks": ["fgacs"]})
+    s = s.products["fgacs"]
+    pts = s.chart.sample(seed=2, count=12)
+    assert np.all(s.f.values(pts) == 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, alpha, beta = D.normalize(s, pts)
+        assert np.all(alpha.values(pts) == 0)
+        assert np.all(D.k_minus(D.k_plus(s, alpha), beta).f.values(pts) == 0)
 
 
 def test_bad_b_field_rejected(tmp_path, capsys):

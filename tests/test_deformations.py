@@ -101,7 +101,7 @@ def test_b_commutation():
     rep = D.b_commute_check(S0, DZ, b, PTS)
     assert rep.passed and rep.max_residual < 1e-10
     # trivial cases are exactly zero
-    zero_b = F.zero_two_form(CH)
+    zero_b = F.constant(CH, np.zeros((3, 3)), F.TwoFormField)
     assert D.b_commute_check(S0, DZ, zero_b, PTS[:3]).max_residual == 0
     zero_k = form("0", "0", "0")
     assert D.b_commute_check(S0, zero_k, b, PTS[:3]).max_residual == 0

@@ -1,6 +1,8 @@
 """Golden tests: every gallery entry reproduces its expected-verdict table,
 plus the closed-form identities of the warped Kaehler interval."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from gencontact import integrability as I
 from gencontact import jets as J
 from gencontact import structures as S
 from gencontact.charts import ConeChart
+from gencontact.cli import main
 
 
 @pytest.mark.parametrize("name", gallery.names())
@@ -208,3 +211,28 @@ def test_heisenberg_reeb_invariance():
     lt = F.lie_derivative(h["acs"].xi, h["acs"].theta)
     for p in h["chart"].sample(seed=3, count=10):
         assert np.abs(lt.values(p)).max() < 1e-12
+
+
+# SHA-256 of `gencontact gallery run <entry> --out <file>` at the default seed and
+# sample count.  The report is deterministic, so any change of these bytes is a
+# change of the numbers: a re-pin must say in CHANGES.md why the reports moved.
+REPORT_SHA256 = {
+    "darboux": "929d295a063110bd028d21a2cb2a208c15e9ad13f0530ecc4d68bfebada3b1c7",
+    "heisenberg_sasakian": "0a534f016cce8d7efd787d4fee620ad6aa4ef8deaa9e35ba0d7fc00abe09237a",
+    "heisenberg_cone_kahler": "d46a6a7c6c2c7ad3e50feb445fb1832b6d950c385229fe6d015c10b9bc9e00d2",
+    "kahler_interval": "07d829fa06e6d7cb0f5158a51a89186a37307db16874ae670fa6bb3b569bc779",
+}
+
+
+def test_pinned_reports_cover_every_entry():
+    assert set(REPORT_SHA256) == set(gallery.names())
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_gallery_report_bytes_are_pinned(name, tmp_path):
+    out = tmp_path / f"{name}.json"
+    assert main(["gallery", "run", name, "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == REPORT_SHA256[name], (
+        f"the golden report of {name} changed (sha256 {digest}); if the change is "
+        "intended, justify the re-pin in CHANGES.md")

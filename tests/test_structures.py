@@ -80,6 +80,17 @@ def test_gacs_from_contact_rejects_non_contact():
         S.gacs_from_contact(eta, check_points=ch.sample(seed=2, count=3))
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
+def test_gacs_from_contact_judges_rho_relative_to_eta(scale):
+    """s (dz - y dx) is contact at every scale s > 0, and s dz at none."""
+    ch = DARBOUX["chart"]
+    pts = ch.sample(seed=2, count=5)
+    S.gacs_from_contact(scale * DARBOUX["eta"], check_points=pts)
+    flat = F.constant(ch, [0, 0, scale], F.OneFormField)
+    with pytest.raises(ValueError, match="degenerate"):
+        S.gacs_from_contact(flat, check_points=pts)
+
+
 def test_gacs_from_contact_rejects_even_dim():
     ch = box(2)
     eta = F.one_form(ch, [F.constant(ch, 0), F.constant(ch, 1)])
@@ -123,7 +134,7 @@ def test_b_transform():
     pts = PTS["darboux"]
     s = DARBOUX["gacs"]
     ch = s.chart
-    zero = F.zero_two_form(ch)
+    zero = F.constant(ch, np.zeros((3, 3)), F.TwoFormField)
     same = S.b_transform(s, zero)
     assert max(np.abs(same.Phi.values(p) - s.Phi.values(p)).max() for p in pts[:4]) < 1e-15
 
