@@ -143,9 +143,12 @@ def normalize(s: FGacs, points, tol: float = 1e-9) -> Tuple[Gacs, OneFormField, 
     def zeta_jet(p, order):
         return (s.Eplus.jet(p, order) + s.Eminus.jet(p, order))[:n]
 
+    def vanishing(den):  # |zeta|^2 too small to divide by
+        return np.abs(den) < 1e-12
+
     z = zeta_jet(pts, 0).value
     fval = s.f.values(pts)
-    stuck = (np.abs(np.einsum("i...,i...->...", z, z)) < 1e-12) & (np.abs(fval) > tol)
+    stuck = vanishing(np.einsum("i...,i...->...", z, z)) & (np.abs(fval) > tol)
     if stuck.any():
         k = int(np.argmax(stuck))
         raise ValueError(
@@ -156,7 +159,7 @@ def normalize(s: FGacs, points, tol: float = 1e-9) -> Tuple[Gacs, OneFormField, 
         z = zeta_jet(p, order)
         den = J.jet_einsum("i,i->", z, z)
         fj = s.f.jet(p, order)
-        both = (np.abs(den.value) < 1e-12) & (np.abs(fj.value) <= tol)
+        both = vanishing(den.value) & (np.abs(fj.value) <= tol)
         if both.any():  # alpha = 0 there, not 0/0
             fj, den = fj * ~both, den + both
         return J.jet_einsum(",i->i", fj / den, z)

@@ -292,12 +292,12 @@ def b_action(b: TwoFormField, *items: Field) -> tuple:
 # -- jet-level utilities ------------------------------------------------------
 
 
-def jconcat(parts: Sequence[Optional[JetArray]], axis: int = 0) -> Optional[JetArray]:
+def jconcat(parts: Sequence[Optional[JetArray]], axis: int = 0) -> JetArray:
     """Concatenate jets along a component axis.  A ``None`` part is zero, shaped like the
-    first present part (the one place zero parts are built); all parts ``None`` give ``None``."""
+    first present part (the one place zero parts are built)."""
     present = [j for j in parts if j is not None]
     if not present:
-        return None
+        raise ValueError("need at least one nonzero part")
     if len(present) < len(parts):
         zero = _jmap(present[0], lambda a: np.broadcast_to(np.zeros((), a.dtype), a.shape))
         parts = [zero if j is None else j for j in parts]

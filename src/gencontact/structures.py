@@ -309,13 +309,17 @@ def gacs_from_contact(eta: OneFormField, check_points=None) -> Gacs:
     if check_points is not None:
         require_real(eta, check_points, "eta")
         # det(rho) = -vol^2 / (2^k k!)^2 with vol the contact_volume coefficient,
-        # so this one test also rejects every point where eta ^ (d eta)^k vanishes;
-        # it scales as eta^(n+1), so each point is judged relative to max|eta|^(n+1)
+        # so this one test also rejects every point where eta ^ (d eta)^k vanishes.
+        # det(rho) = -eta^T adj(d eta) eta, so each point is judged relative to
+        # max|eta|^2 max|d eta|^(n-1): the same degrees, hence the same ratio for
+        # every multiple s eta, and on a Darboux chart (det = 1) the bound only
+        # grows as max(1, |y|)^2.
         pts = np.asarray(check_points, dtype=float)
         rho = _rho_jet(eta, pts, 0).value
-        size = np.abs(eta.values(pts)).max(axis=0)
         det = np.abs(np.linalg.det(np.moveaxis(rho, (0, 1), (-2, -1))))
-        degenerate = (det < 1e-10 * size ** (n + 1)) | (size == 0)
+        bound = (1e-10 * np.abs(eta.values(pts)).max(axis=0) ** 2
+                 * np.abs(F.d_jet(eta.jet(pts, 1), 1).value).max(axis=(0, 1)) ** (n - 1))
+        degenerate = (det < bound) | (bound == 0)
         if degenerate.any():
             raise ValueError(
                 f"eta is not contact at {pts[np.argmax(degenerate)]}: rho is degenerate")

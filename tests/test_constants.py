@@ -37,13 +37,20 @@ def _zeros(comps, order):
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
-@pytest.mark.parametrize("present", [(1, 2), (0, 3), (0, 1), (2, 3), (0,), (3,), (0, 1, 2)])
+@pytest.mark.parametrize("present", [(1, 2), (0, 3), (0, 2), (1, 3), (0, 1, 2)])
 def test_block_jet_none_equals_lifted_zeros(order, present):
     rng = np.random.default_rng(order)
     blocks = [_random_jet(rng, (N, N), order) for _ in range(4)]
     explicit = [b if i in present else _zeros((N, N), order) for i, b in enumerate(blocks)]
     implicit = [b if i in present else None for i, b in enumerate(blocks)]
     _assert_bitwise(F.block_jet(*implicit), F.block_jet(*explicit))
+
+
+def test_block_jet_refuses_a_row_of_zeros():
+    """Each block row needs one present block to take the zero blocks' shape from."""
+    block = _random_jet(np.random.default_rng(0), (N, N), 1)
+    with pytest.raises(ValueError, match="nonzero part"):
+        F.block_jet(block, block, None, None)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])

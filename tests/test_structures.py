@@ -91,6 +91,16 @@ def test_gacs_from_contact_judges_rho_relative_to_eta(scale):
         S.gacs_from_contact(flat, check_points=pts)
 
 
+@pytest.mark.parametrize("k, lo, hi", [(3, -30.0, 30.0), (1, 300.0, 400.0)])
+def test_gacs_from_contact_accepts_darboux_far_from_origin(k, lo, hi):
+    """det(rho) = 1 on a Darboux chart at every y, so large y coefficients are
+    no reason to refuse, at any scale s of s (dz - sum y_i dx_i)."""
+    eta = gallery.darboux_eta(k)
+    pts = box(eta.chart.dim, lo, hi).sample(seed=2, count=20)
+    for scale in (1e-3, 1.0, 1e3):
+        S.gacs_from_contact(scale * eta, check_points=pts)
+
+
 def test_gacs_from_contact_rejects_even_dim():
     ch = box(2)
     eta = F.one_form(ch, [F.constant(ch, 0), F.constant(ch, 1)])
