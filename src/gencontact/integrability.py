@@ -7,7 +7,10 @@ the i/2 correction terms) is verified directly rather than assumed.
 sample set and all frame triples, and reports carry the raw residuals.
 Each frame member is evaluated once per structure: the checks of a Gacs
 read its one eigenframe (``Gacs.frame``) and the one Nijenhuis table that
-frame keeps per point set, which holds one array over the points per triple.
+frame keeps per point set, which holds one array over the points per triple
+and brackets each unordered member pair once.  The R-cone condition and the
+cross-check's corrections read one pairing table of the members, which takes
+each minus pairing once per unordered pair.
 """
 
 from __future__ import annotations
@@ -76,12 +79,11 @@ def plain_cone_check(s: Gacs, base_points, tol: float = INT_TOL,
 # -- the conjugated-cone integrability condition on M --------------------------------
 
 
-def _conjugated_cone_rhs(vals, em) -> np.ndarray:
-    """2i (<E-,A><B,C>_- + <E-,B><C,A>_- + <E-,C><A,B>_-) on (P, 2n) value stacks."""
-    a, b, c = vals
-    pm = gta.pair_minus
-    pe = gta.pair
-    total = pe(em, a) * pm(b, c) + pe(em, b) * pm(c, a) + pe(em, c) * pm(a, b)
+def _conjugated_cone_rhs(tri, pe, pm) -> np.ndarray:
+    """2i (<E-,A><B,C>_- + <E-,B><C,A>_- + <E-,C><A,B>_-) for the members ``tri``
+    = (A, B, C), read from the pairing tables of :func:`_rcone_gaps`."""
+    i, j, k = tri
+    total = pe[i] * pm[j, k] + pe[j] * pm[k, i] + pe[k] * pm[i, j]
     return 2j * total
 
 
@@ -95,14 +97,23 @@ def conjugated_cone_residual(s: Gacs, base_points, tol: float = INT_TOL) -> Resi
 
 
 def _rcone_gaps(frame: EigenFrame, pts: np.ndarray):
-    """(|Nij_M - RHS| per triple and point, Nij_M, member values) of the M frame."""
+    """(|Nij_M - RHS| per triple and point, Nij_M, (pe, pm)) of the M frame.
+
+    (pe, pm) are the pairing tables of the m members, E- last, of shapes
+    (m, P) and (m, m, P): pe[p] = <E-, A_p> and pm[p, q] = <A_p, A_q>_- at
+    each point.  The minus pairing is taken once per unordered pair p < q and
+    mirrored by negation, which is exact (fl(x - y) = -fl(y - x)); the
+    diagonal is never read.
+    """
     nij_m = frame.nij(pts)
     vals = [stack_values(m, pts) for m in frame.members]
-    gaps = {
-        tri: cabs(lhs - _conjugated_cone_rhs(tuple(vals[i] for i in tri), vals[-1]))
-        for tri, lhs in nij_m.items()
-    }
-    return gaps, nij_m, vals
+    pe = np.stack([gta.pair(vals[-1], v) for v in vals])
+    pm = np.zeros((len(vals),) + pe.shape, dtype=complex)
+    for p, q in combinations(range(len(vals)), 2):
+        pm[p, q] = gta.pair_minus(vals[p], vals[q])
+        pm[q, p] = -pm[p, q]
+    gaps = {tri: cabs(lhs - _conjugated_cone_rhs(tri, pe, pm)) for tri, lhs in nij_m.items()}
+    return gaps, nij_m, (pe, pm)
 
 
 # -- the cone cross-check (R-conjugation bracket identities) ------------------------
@@ -135,7 +146,12 @@ def cone_crosscheck(s: Gacs, base_points, tol: float = INT_TOL,
 
 def _cone_crosscheck(s: Gacs, base_points, tol: float, ts):
     """(rcone, report) of :func:`cone_crosscheck`; rcone holds the per-point
-    values of :func:`conjugated_cone_residual`, taken from the same Nij_M table."""
+    values of :func:`conjugated_cone_residual`, taken from the same Nij_M table.
+
+    The id2 and id4 corrections read <A, B>_- and <E-, A>_- from the minus
+    pairing table that :func:`_rcone_gaps` builds for the R-cone residual, so
+    no pairing is taken twice.
+    """
     frame = s.frame
     cone = ConeChart.over(s.chart)
     cmembers = cone_plus_frame(cone, frame.e10, s.Eplus, s.Eminus, conjugated=True)
@@ -143,8 +159,7 @@ def _cone_crosscheck(s: Gacs, base_points, tol: float, ts):
 
     pts = np.asarray(base_points, dtype=float)
     cpts = cone_points(pts, ts)
-    gaps, nij_m, vals = _rcone_gaps(frame, pts)
-    em = vals[-1]
+    gaps, nij_m, (_, pm) = _rcone_gaps(frame, pts)
     rcone = triple_max(gaps, len(pts))
     per_sub = l_nij_max(frame, pts)[1]
 
@@ -160,11 +175,11 @@ def _cone_crosscheck(s: Gacs, base_points, tol: float, ts):
         if l < k:
             name, rhs = "id1", nij_m[tri]
         elif l == k:
-            name, rhs = "id2", nij_m[tri] - 1j * gta.pair_minus(vals[i], vals[j])
+            name, rhs = "id2", nij_m[tri] - 1j * pm[i, j]
         elif j < k:
             name, rhs = "id3", nij_m[tri]
         else:
-            name, rhs = "id4", nij_m[tri] - 1j * gta.pair_minus(em, vals[i])
+            name, rhs = "id4", nij_m[tri] - 1j * pm[-1, i]
         rows[name] = np.maximum(rows[name], cabs(lhs - scale * rhs[:, None]))
         agreement = np.maximum(agreement, np.abs(cabs(lhs) / scale - gaps[tri][:, None]))
 

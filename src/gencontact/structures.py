@@ -576,21 +576,35 @@ def frame_nij(jets: Sequence[J.JetArray], n: int) -> Dict[Tuple[int, int, int], 
 
     Nij is exactly antisymmetric on isotropic frames, so repeated-member
     triples vanish identically and the sorted triples determine the rest.
-    Only the values are read, so order-1 member jets suffice.  They are
-    stacked along a member axis after the component axis, and one
-    ``courant_jets`` call brackets every ordered pair at every point.  The
-    triples are read from ``P[p, q, r] = <[[A_p, A_q]], A_r>`` in the order
-    of ``nij_jets``.
+    Only the values are read, so order-1 member jets suffice.
+
+    The table brackets each unordered pair once: the left and right members
+    of the m(m-1)/2 pairs p < q are stacked along one pair axis after the
+    component axis, and one ``courant_jets`` call brackets them all at every
+    point.  The triples are read from ``P[pq, r] = <[[A_p, A_q]], A_r>`` in
+    the summation order of ``nij_jets``, whose third term
+    <[[A_k, A_i]], A_j> is taken as -P[ik, j].  The bracket is antisymmetric,
+    and in floating point its vector part and the Lie-derivative part of its
+    form change sign exactly when the pair is swapped; its exact term
+    -d(i_X b - i_Y a)/2 does so only up to the association of its four sums.
+    So on generic inputs an entry can differ from the all-ordered-pairs
+    table by a rounding of that term, and wherever that term negates exactly
+    (the gallery frames and their cones) the two tables agree bit for bit.
     """
     m = len(jets)
     if m < 3:
         return {}
-    frame = J.stack(jets, axis=1)
-    brackets = F.courant_jets(frame[:, :, None], frame[:, None, :], n).value
-    P = 0.5 * np.einsum("ipq...,ir...->pqr...", gta.swap(brackets, 0), frame.value)
+    first, second = np.triu_indices(m, 1)  # the pairs p < q, row-major
+    left = J.stack([jets[p] for p in first], axis=1)
+    right = J.stack([jets[q] for q in second], axis=1)
+    brackets = F.courant_jets(left, right, n).value
+    frame = np.stack([j.value for j in jets], axis=1)
+    P = 0.5 * np.einsum("ip...,ir...->pr...", gta.swap(brackets, 0), frame)
+    at = np.zeros((m, m), dtype=int)
+    at[first, second] = np.arange(len(first))
     triples = list(combinations(range(m), 3))
     i, j, k = np.array(triples).T
-    values = (1.0 / 3.0) * ((P[i, j, k] + P[j, k, i]) + P[k, i, j])
+    values = (1.0 / 3.0) * ((P[at[i, j], k] + P[at[j, k], i]) - P[at[i, k], j])
     return dict(zip(triples, values))
 
 

@@ -1,7 +1,9 @@
 """Golden tests: every gallery entry reproduces its expected-verdict table,
-plus the closed-form identities of the warped Kaehler interval."""
+plus the closed-form identities of the warped Kaehler interval and the pinned
+bytes of the gallery reports and of one 7-dim Darboux report."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -222,6 +224,34 @@ REPORT_SHA256 = {
     "heisenberg_cone_kahler": "d46a6a7c6c2c7ad3e50feb445fb1832b6d950c385229fe6d015c10b9bc9e00d2",
     "kahler_interval": "07d829fa06e6d7cb0f5158a51a89186a37307db16874ae670fa6bb3b569bc779",
 }
+
+
+# SHA-256 of `gencontact verify --out <file>` on dz - y1 dx1 - y2 dx2 - y3 dx3
+# (x1..x7 = x1, y1, x2, y2, x3, y3, z) with the darboux7 benchmark's check set.
+# The gallery charts are 3-dim, so their frames have 4 members; this pin covers
+# the 8-member frame and its 56-triple Nijenhuis tables.  As for REPORT_SHA256,
+# a re-pin must say in CHANGES.md why the report moved.
+DARBOUX7_CONFIG = {
+    "structure": {"chart": {"dim": 7}, "builder": "from_contact",
+                  "eta": ["-x2", "0", "-x4", "0", "-x6", "0", "1"]},
+    "checks": ["gacs", "phi_kernel", "fgacs", "involutivity", "plain_cone",
+               "rcone_condition", "cone_algebra"],
+    "seed": 11,
+    "samples": 8,
+}
+DARBOUX7_SHA256 = "79ba57ec45d3231274ee1e1c96732f127bc65e7a6bf823ec4dd1b391f0441a44"
+
+
+def test_darboux7_report_bytes_are_pinned(tmp_path):
+    cfg = tmp_path / "darboux7.json"
+    cfg.write_text(json.dumps(DARBOUX7_CONFIG))
+    out = tmp_path / "report.json"
+    # L+ of a Darboux form is not involutive, so involutivity and the cone rows fail
+    assert main(["verify", str(cfg), "--out", str(out)]) == 1
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == DARBOUX7_SHA256, (
+        f"the 7-dim Darboux report changed (sha256 {digest}); if the change is "
+        "intended, justify the re-pin in CHANGES.md")
 
 
 def test_pinned_reports_cover_every_entry():

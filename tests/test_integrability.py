@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 from gencontact import cone as C
 from gencontact import fields as F
 from gencontact import gallery
+from gencontact import gta
 from gencontact import integrability as I
+from gencontact import jets as J
 from gencontact import structures as S
 from gencontact.charts import ConeChart
+from gencontact.report import stack_values
 
 DARBOUX = gallery.build("darboux")
 HEIS = gallery.build("heisenberg_sasakian")
@@ -235,6 +238,138 @@ def test_frame_nij_matches_the_per_triple_loop_on_generated_forms(case):
     frame_nij_gap(frame.l_plus, sample)
     frame_nij_gap(frame.l_minus, sample)
     assert shared_l_tables_exact(frame, sample)
+
+
+def ordered_pairs_nij(jets, n):
+    """The reference table: every ordered pair (p, q) bracketed on an (m, m) grid,
+    and each triple summed as P[i, j, k] + P[j, k, i] + P[k, i, j]."""
+    m = len(jets)
+    frame = J.stack(jets, axis=1)
+    brackets = F.courant_jets(frame[:, :, None], frame[:, None, :], n).value
+    P = 0.5 * np.einsum("ipq...,ir...->pqr...", gta.swap(brackets, 0), frame.value)
+    triples = list(combinations(range(m), 3))
+    i, j, k = np.array(triples).T
+    return dict(zip(triples, (1.0 / 3.0) * ((P[i, j, k] + P[j, k, i]) + P[k, i, j])))
+
+
+def frame_structures():
+    """The four gallery Gacs, the dual-gacm companions of those with a Gacm, darboux(3)."""
+    out = []
+    for name in gallery.names():
+        entry = gallery.build(name)
+        out.append(entry["gacs"])
+        if "gacm" in entry:
+            out.append(S.dual_gacm(entry["gacm"]).gacs)
+    return out + [gallery.darboux(3)["gacs"]]
+
+
+def nij_frames(s, points):
+    """(members, points, n) of a structure's frame and of its two cone frames."""
+    cone = ConeChart.over(s.chart)
+    cpts = C.cone_points(points)
+    return [(s.frame.members, points, s.chart.dim)] + [
+        (C.cone_plus_frame(cone, s.frame.e10, s.Eplus, s.Eminus, conjugated=conj), cpts, cone.dim)
+        for conj in (True, False)]
+
+
+def test_pair_table_equals_the_ordered_pairs_table_bit_for_bit():
+    """Bracketing each unordered pair once and reading <[[A_k, A_i]], A_j> as
+    -<[[A_i, A_k]], A_j> gives the all-ordered-pairs table bit for bit on
+    every frame of the fixtures: their exact terms negate exactly."""
+    for s in frame_structures():
+        for members, points, n in nij_frames(s, s.chart.sample(seed=3, count=4)):
+            jets = [m.jet(points, 1) for m in members]
+            table, ref = S.frame_nij(jets, n), ordered_pairs_nij(jets, n)
+            assert table.keys() == ref.keys()
+            for tri, v in ref.items():
+                assert table[tri].tobytes() == v.tobytes(), (s, n, tri)
+
+
+def nij_rounding_form():
+    """dz - y1 dx1 - y2 dx2 + x1 x2 dy1 / 4.  At its seed-1 sample points L- is
+    involutive, so its Nij entries are rounding noise (|Nij| < 4e-18), and
+    the two tables' noise differs in one entry, by 2.9e-19."""
+    eta = gallery.darboux_eta(2)
+    ch = eta.chart
+    comps = [F.ScalarField(ch, lambda p, o, c=c: eta.at(p, o)[c]) for c in range(5)]
+    comps[2] = comps[2] + 0.25 * _monomial(ch, 0, 1)
+    return F.one_form(ch, comps)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(perturbed_darboux())
+@example((nij_rounding_form(), 1))
+def test_pair_table_matches_the_ordered_pairs_table_on_generated_forms(case):
+    """On generic data the bracket's exact term negates only up to
+    association, so an entry may move by a rounding of it: 1e-13 of
+    |value|^2 |grad|, the size of a pairing of a bracket, bounds that."""
+    eta, seed = case
+    sample = eta.chart.sample(seed=seed, count=2)
+    try:
+        s = S.gacs_from_contact(eta, check_points=sample)
+        frame = S.eigenframe(s, sample_points=sample)
+    except ValueError:
+        assume(False)
+    jets = [m.jet(sample, 1) for m in frame.members]
+    scale = max(np.abs(j.value).max() for j in jets) ** 2 * max(np.abs(j.grad).max() for j in jets)
+    table, ref = S.frame_nij(jets, s.chart.dim), ordered_pairs_nij(jets, s.chart.dim)
+    assert table.keys() == ref.keys()
+    for tri, v in ref.items():
+        assert np.abs(table[tri] - v).max() <= 1e-13 * scale, (tri, table[tri], v)
+
+
+@pytest.mark.parametrize("build, batches", [
+    (gallery.darboux, [6, 1, 6]),  # 4 frame members and 4 cone members: 16 ordered pairs each
+    (lambda: gallery.darboux(3), [28, 1, 28]),  # 8 and 8 members: 64 ordered pairs each
+])
+def test_frame_checks_bracket_each_pair_once(monkeypatch, build, batches):
+    """involutivity, plain_cone and rcone_condition make three courant_jets calls:
+    the frame's m(m-1)/2 pairs, [[E+, E-]] and the cone frame's pairs."""
+    seen = []
+    original = F.courant_jets
+
+    def counting(ja, jb, n):
+        seen.append(int(np.prod(np.broadcast_shapes(ja.shape, jb.shape)[1:-1])))
+        return original(ja, jb, n)
+
+    monkeypatch.setattr(F, "courant_jets", counting)
+    s = build()["gacs"]  # a fresh structure, with no frame built yet
+    sample = s.chart.sample(seed=5, count=5)
+    S.involutivity_class(s, sample)
+    I.plain_cone_check(s, sample)
+    I.conjugated_cone_residual(s, sample)
+    assert seen == batches
+
+
+def triple_cone_rhs(vals, em):
+    """The reference right-hand side: six pairing calls per triple (a, b, c)."""
+    a, b, c = vals
+    pm, pe = gta.pair_minus, gta.pair
+    return 2j * (pe(em, a) * pm(b, c) + pe(em, b) * pm(c, a) + pe(em, c) * pm(a, b))
+
+
+def test_cone_rhs_from_the_pairing_tables_equals_the_per_triple_formula():
+    for s in frame_structures():
+        points = s.chart.sample(seed=3, count=4)
+        pe, pm = I._rcone_gaps(s.frame, points)[2]
+        vals = [stack_values(m, points) for m in s.frame.members]
+        for tri in combinations(range(len(vals)), 3):
+            ref = triple_cone_rhs([vals[i] for i in tri], vals[-1])
+            assert I._conjugated_cone_rhs(tri, pe, pm).tobytes() == ref.tobytes(), (s, tri)
+
+
+def test_rcone_gaps_pairs_each_member_pair_once(monkeypatch):
+    """darboux(3): 8 members, so 28 minus pairings and 8 pairings with E-."""
+    calls = {"pair": 0, "pair_minus": 0}
+    for name in calls:
+        def counting(a, b, _original=getattr(gta, name), _name=name):
+            calls[_name] += 1
+            return _original(a, b)
+
+        monkeypatch.setattr(gta, name, counting)
+    s = gallery.darboux(3)["gacs"]
+    I._rcone_gaps(s.frame, s.chart.sample(seed=5, count=3))
+    assert calls == {"pair": 8, "pair_minus": 28}
 
 
 def test_crosscheck_verdict_ignores_the_rcone_condition():
