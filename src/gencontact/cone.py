@@ -13,8 +13,10 @@ in t.  A section goes to the ``_m_indices`` slots of the cone stack (the t
 and dt slots stay zero), an endomorphism to the ``np.ix_`` block of those
 slots, a 1-form to the first n slots; ``classical_cone_i`` and the cross
 term metric ``g_tilde`` sum such placements.  A lift evaluates the base
-field once over the distinct base points of a cone point batch
-(:func:`base_jet`): cone point sets repeat each base point once per t value.
+field once per run of equal consecutive base points of a cone point batch
+(:func:`base_jet`): cone point sets are base point major and repeat each
+base point once per t value, so a run is one base point.  A base point that
+repeats after other points is evaluated again.
 """
 
 from __future__ import annotations
@@ -50,18 +52,17 @@ class ConeGacx:
 def base_jet(f: F.Field, p: np.ndarray, order: int) -> J.JetArray:
     """The jet of a base field at the base coordinates of the cone points ``(*B, n + 1)``.
 
-    The field is evaluated once over the distinct base points, in the order
-    they first appear (so a cone point set built by :func:`cone_points` asks
-    for exactly its base point set, whose jet a base-side check may have
-    memoised already), and the jet is spread back over the batch.
+    The field is evaluated once per run of equal consecutive base points, at
+    the first point of each run, and the jet is spread back over the batch.
+    A cone point set built by :func:`cone_points` thus asks for exactly its
+    base point set, whose jet a base-side check may have memoised already;
+    a base point that repeats after other points is evaluated again.
     """
     n = f.chart.dim
     q = p[..., :n].reshape(-1, n)
-    _, first, inverse = np.unique(q, axis=0, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(len(by_first))
-    return J.take_batch(f.jet(q[first[by_first]], order), rank[inverse.ravel()], p.shape[:-1])
+    starts = np.ones(len(q), dtype=bool)
+    starts[1:] = (q[1:] != q[:-1]).any(axis=1)
+    return J.take_batch(f.jet(q[starts], order), np.cumsum(starts) - 1, p.shape[:-1])
 
 
 def lift_scalar(cone: ConeChart, f: ScalarField) -> ScalarField:
@@ -274,13 +275,12 @@ def cone_plus_frame(cone: ConeChart, frame_e10, eplus: SectionField,
     return members
 
 
-def gacx_plus_frame(j: ConeGacx, base_point=None) -> List[SectionField]:
+def gacx_plus_frame(j: ConeGacx) -> List[SectionField]:
     """Pivot-selected frame of the +i eigenbundle of a cone structure: a
-    maximal independent set of columns of (1 - i J)/2, chosen at the base point."""
+    maximal independent set of columns of (1 - i J)/2, chosen at the cone
+    chart's seed-0 sample point."""
     cone = j.chart
-    if base_point is None:
-        base_point = cone.sample(seed=0, count=1)[0]
     projector = eigen_projector(j.J)
-    cols = pivoted_frame(projector, base_point, cone.dim,
+    cols = pivoted_frame(projector, cone.sample(seed=0, count=1)[0], cone.dim,
                          "cone eigenframe rank dropped to {} (< {})")
     return list(projector_columns(projector, cols))

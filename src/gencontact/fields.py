@@ -169,9 +169,6 @@ class MatrixField(Field):
     def inv(self) -> "MatrixField":
         return MatrixField(self.chart, lambda p, o: J.jet_inv(self.jet(p, o)))
 
-    def transpose(self) -> "MatrixField":
-        return MatrixField(self.chart, lambda p, o: _jT(self.jet(p, o)))
-
 
 class SectionField(Field):
     """Section of (TM + T*M) x C: 2n components, vector part first."""

@@ -6,17 +6,19 @@ the i/2 correction terms) is verified directly rather than assumed.
 "integrable" always means: max residual below tolerance over the seeded
 sample set and all frame triples, and reports carry the raw residuals.
 Each frame member is evaluated once per structure: the checks of a Gacs
-read its one eigenframe (``Gacs.frame``) and the one Nijenhuis table that
-frame keeps per point set, which holds one array over the points per triple
-and brackets each unordered member pair once.  The R-cone condition and the
-cross-check's corrections read one pairing table of the members, which takes
-each minus pairing once per unordered pair.
+read its one eigenframe (``Gacs.frame``) and that frame's Nijenhuis table
+(``EigenFrame.table``), one ``(T, *B)`` array over the triple index
+:func:`~gencontact.structures.triples` that brackets each unordered member
+pair once.  Sub-frames and identity classes are row masks of a table, and
+right-hand sides are array expressions over the triple index, read from one
+pairing table of the members that takes each minus pairing once per
+unordered pair.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -36,10 +38,11 @@ from .structures import (
     Gacs,
     cabs,
     dual_gacm,
-    frame_nij,
     l_nij_max,
     max_nij_over_frame,
-    triple_max,
+    nij_table,
+    row_max,
+    triples,
 )
 
 
@@ -79,41 +82,34 @@ def plain_cone_check(s: Gacs, base_points, tol: float = INT_TOL,
 # -- the conjugated-cone integrability condition on M --------------------------------
 
 
-def _conjugated_cone_rhs(tri, pe, pm) -> np.ndarray:
-    """2i (<E-,A><B,C>_- + <E-,B><C,A>_- + <E-,C><A,B>_-) for the members ``tri``
-    = (A, B, C), read from the pairing tables of :func:`_rcone_gaps`."""
-    i, j, k = tri
-    total = pe[i] * pm[j, k] + pe[j] * pm[k, i] + pe[k] * pm[i, j]
-    return 2j * total
-
-
 def conjugated_cone_residual(s: Gacs, base_points, tol: float = INT_TOL) -> ResidualReport:
     """|Nij_M(A,B,C) - RHS| over the frame of E^(1,0) + L_{E+} + L_{E-}."""
-    pts = np.asarray(base_points, dtype=float)
-    gaps = _rcone_gaps(s.frame, pts)[0]
+    gaps = _rcone_gaps(s.frame, np.asarray(base_points, dtype=float))[0]
     rep = ResidualReport()
-    rep.add("rcone_condition.residual", triple_max(gaps, len(pts)), base_points, tol)
+    rep.add("rcone_condition.residual", row_max(gaps), base_points, tol)
     return rep
 
 
 def _rcone_gaps(frame: EigenFrame, pts: np.ndarray):
-    """(|Nij_M - RHS| per triple and point, Nij_M, (pe, pm)) of the M frame.
+    """(|Nij_M - RHS|, Nij_M, RHS, pm) of the M frame, the first three ``(T, P)``.
 
-    (pe, pm) are the pairing tables of the m members, E- last, of shapes
-    (m, P) and (m, m, P): pe[p] = <E-, A_p> and pm[p, q] = <A_p, A_q>_- at
-    each point.  The minus pairing is taken once per unordered pair p < q and
-    mirrored by negation, which is exact (fl(x - y) = -fl(y - x)); the
-    diagonal is never read.
+    RHS = 2i (<E-,A><B,C>_- + <E-,B><C,A>_- + <E-,C><A,B>_-) for the rows
+    (A, B, C) of the triple index, read from the pairing tables of the m
+    members, E- last: pe[p] = <E-, A_p>, one pairing call over the stacked
+    members, and pm[p, q] = <A_p, A_q>_-, shape (m, m, P), one minus pairing
+    call over the pairs p < q, mirrored by negation, which is exact
+    (fl(x - y) = -fl(y - x)); the diagonal is never read.
     """
-    nij_m = frame.nij(pts)
-    vals = [stack_values(m, pts) for m in frame.members]
-    pe = np.stack([gta.pair(vals[-1], v) for v in vals])
+    nij_m = frame.table.values(pts)
+    vals = np.stack([stack_values(m, pts) for m in frame.members])
+    pe = gta.pair(vals[-1], vals)
+    first, second = np.triu_indices(len(vals), 1)
     pm = np.zeros((len(vals),) + pe.shape, dtype=complex)
-    for p, q in combinations(range(len(vals)), 2):
-        pm[p, q] = gta.pair_minus(vals[p], vals[q])
-        pm[q, p] = -pm[p, q]
-    gaps = {tri: cabs(lhs - _conjugated_cone_rhs(tri, pe, pm)) for tri, lhs in nij_m.items()}
-    return gaps, nij_m, (pe, pm)
+    pm[first, second] = gta.pair_minus(vals[first], vals[second])
+    pm[second, first] = -pm[first, second]
+    i, j, k = triples(len(vals)).T
+    rhs = 2j * (pe[i] * pm[j, k] + pe[j] * pm[k, i] + pe[k] * pm[i, j])
+    return cabs(nij_m - rhs), nij_m, rhs, pm
 
 
 # -- the cone cross-check (R-conjugation bracket identities) ------------------------
@@ -139,54 +135,56 @@ def cone_crosscheck(s: Gacs, base_points, tol: float = INT_TOL,
 
     Nij_M is the table the structure's frame keeps for the base points
     (shared with the other frame checks) and Nij_C is taken once over the
-    cone points; every row reads from those two tables.
+    cone points; every row reads from those two ``(T, *B)`` arrays, and each
+    identity is a row mask of the triple index.
     """
     return _cone_crosscheck(s, base_points, tol, ts)[1]
+
+
+def _identity_rows(m: int) -> Dict[str, np.ndarray]:
+    """The id1-id4 row masks of a cone table of m members, F+ and F- last:
+    no F+-, F+ but not F-, F- but not F+, and both."""
+    _, j, l = triples(m).T
+    k = m - 2
+    return {"id1": l < k, "id2": l == k, "id3": (l > k) & (j < k), "id4": j == k}
 
 
 def _cone_crosscheck(s: Gacs, base_points, tol: float, ts):
     """(rcone, report) of :func:`cone_crosscheck`; rcone holds the per-point
     values of :func:`conjugated_cone_residual`, taken from the same Nij_M table.
 
-    The id2 and id4 corrections read <A, B>_- and <E-, A>_- from the minus
-    pairing table that :func:`_rcone_gaps` builds for the R-cone residual, so
-    no pairing is taken twice.
+    The cone frame lists E^(1,0), F+, F- as the M frame lists E^(1,0), E+,
+    E-, so row t of Nij_C is checked against row t of Nij_M, and the four
+    identities are the row masks of :func:`_identity_rows`.  The id2 and id4
+    corrections read <A, B>_- and <E-, A>_- from the minus pairing table of
+    :func:`_rcone_gaps`, so no pairing is taken twice.
     """
     frame = s.frame
     cone = ConeChart.over(s.chart)
     cmembers = cone_plus_frame(cone, frame.e10, s.Eplus, s.Eminus, conjugated=True)
-    k = len(frame.e10)
 
     pts = np.asarray(base_points, dtype=float)
     cpts = cone_points(pts, ts)
-    gaps, nij_m, (_, pm) = _rcone_gaps(frame, pts)
-    rcone = triple_max(gaps, len(pts))
+    gaps, nij_m, _, pm = _rcone_gaps(frame, pts)
+    rcone = row_max(gaps)
     per_sub = l_nij_max(frame, pts)[1]
 
-    # cone tables as (P, T) arrays, base point major like cpts; scale is e^-t per column
-    shape = (len(pts), len(ts))
-    nij_c = frame_nij([m.jet(cpts, 1) for m in cmembers], cone.dim)
+    # Nij_C as (T, P, len(ts)), base point major like cpts; scale is e^-t per t column
+    rows = _identity_rows(len(cmembers))
+    lhs = nij_table(cmembers).values(cpts).reshape(nij_m.shape + (len(ts),))
     scale = np.array([np.exp(-t) for t in ts])
-    rows = {name: np.zeros(shape) for name in ("id1", "id2", "id3", "id4")}
-    agreement = np.zeros(shape)
-    for tri, lhs in nij_c.items():
-        lhs = lhs.reshape(shape)
-        i, j, l = tri
-        if l < k:
-            name, rhs = "id1", nij_m[tri]
-        elif l == k:
-            name, rhs = "id2", nij_m[tri] - 1j * pm[i, j]
-        elif j < k:
-            name, rhs = "id3", nij_m[tri]
-        else:
-            name, rhs = "id4", nij_m[tri] - 1j * pm[-1, i]
-        rows[name] = np.maximum(rows[name], cabs(lhs - scale * rhs[:, None]))
-        agreement = np.maximum(agreement, np.abs(cabs(lhs) / scale - gaps[tri][:, None]))
+    i, j, _ = triples(len(cmembers)).T
+    id2, id4 = rows["id2"], rows["id4"]
+    rhs = nij_m.copy()
+    rhs[id2] -= 1j * pm[i[id2], j[id2]]
+    rhs[id4] -= 1j * pm[-1, i[id4]]
+    resid = cabs(lhs - scale * rhs[..., None])
+    agreement = np.abs(cabs(lhs) / scale - gaps[..., None])
 
     rep = ResidualReport()
-    for name, worst in rows.items():
-        rep.add(f"crosscheck.{name}", worst.ravel(), cpts, tol)
-    rep.add("crosscheck.two_route_agreement", agreement.ravel(), cpts, tol)
+    for name, mask in rows.items():
+        rep.add(f"crosscheck.{name}", row_max(resid[mask]).ravel(), cpts, tol)
+    rep.add("crosscheck.two_route_agreement", row_max(agreement).ravel(), cpts, tol)
     gated = tol if rcone.max() < INT_TOL else None
     rep.add("crosscheck.subframe_nij", per_sub, base_points, gated)
     return rcone, rep

@@ -5,6 +5,10 @@ Checkers never raise on mathematical failure: they return a
 residuals over the sampled points.  Each checker evaluates a field once over
 its whole point set and computes the residuals as arrays over the sample
 axis.  Constructors validate their inputs.
+
+A Nijenhuis table is one complex ``(T, *B)`` array whose row t is Nij of
+triple t of :func:`triples`; :func:`nij_table` memoises it as a field with T
+components, and a sub-frame's table is a row mask of its frame's table.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -138,10 +142,10 @@ class EigenFrame:
     ``e10`` holds views of the ``pivots`` columns of one projector field, so
     every member's jet is a slice of the projector's one memoised jet.
 
-    :meth:`nij` holds the Nijenhuis table of ``members`` = e10 + (E+, E-)
-    over the last point set it was asked for, in a one-slot memo keyed like
-    :class:`~gencontact.fields.Field`'s, so the frame checks of a structure
-    share one table.  It holds every L+ and L- triple (:meth:`l_nij`).
+    ``table`` is the :func:`nij_table` of ``members`` = e10 + (E+, E-), so
+    the frame checks of a structure share one table per point set.  Its
+    rows without E- (:attr:`plus_rows`) are the L+ table and its rows
+    without E+ (:attr:`minus_rows`) the L- table, in their own row order.
     """
 
     projector: GtEndoField
@@ -149,10 +153,11 @@ class EigenFrame:
     eplus: SectionField
     eminus: SectionField
     e10: Tuple[SectionField, ...] = field(init=False, repr=False, compare=False)
-    _nij: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    table: F.Field = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.e10 = projector_columns(self.projector, self.pivots)
+        self.table = nij_table(self.members)
 
     @property
     def l_plus(self) -> Tuple[SectionField, ...]:
@@ -166,27 +171,13 @@ class EigenFrame:
     def members(self) -> Tuple[SectionField, ...]:
         return self.e10 + (self.eplus, self.eminus)
 
-    def nij(self, points) -> Dict[Tuple[int, int, int], np.ndarray]:
-        """:func:`frame_nij` of ``members`` over the points ``(P, n)``."""
-        pts = np.asarray(points, dtype=float)
-        key = (pts.shape[:-1], pts.tobytes())
-        if self._nij is None or self._nij[0] != key:
-            proj = self.projector.jet(pts, 1)
-            jets = [proj[:, k] for k in self.pivots] + [self.eplus.jet(pts, 1), self.eminus.jet(pts, 1)]
-            self._nij = (key, frame_nij(jets, self.eplus.chart.dim))
-        return self._nij[1]
+    @property
+    def plus_rows(self) -> np.ndarray:
+        return (triples(len(self.members)) != len(self.e10) + 1).all(axis=1)
 
-    def l_nij(self, points):
-        """The :func:`frame_nij` tables of ``l_plus`` and ``l_minus``, read from :meth:`nij`.
-
-        L+ keeps the triples without E-; L- keeps those without E+ and gives
-        E- the index of E+.
-        """
-        k = len(self.e10)
-        table = self.nij(points)
-        plus = {tri: v for tri, v in table.items() if k + 1 not in tri}
-        minus = {tuple(min(i, k) for i in tri): v for tri, v in table.items() if k not in tri}
-        return plus, minus
+    @property
+    def minus_rows(self) -> np.ndarray:
+        return (triples(len(self.members)) != len(self.e10)).all(axis=1)
 
 
 # -- classical checkers ---------------------------------------------------------
@@ -485,21 +476,19 @@ def dual_gacm(m: Gacm, points=None) -> Gacm:
 # -- eigenframe and involutivity ------------------------------------------------
 
 
-def eigenframe(s: Gacs, base_point=None, sample_points=None) -> EigenFrame:
+def eigenframe(s: Gacs, sample_points=None) -> EigenFrame:
     """Chart-wide frame of E^(1,0): pivot columns of one projector field.
 
     A maximal independent subset of the columns of :func:`eigen_projector`
-    is chosen once, from its value at the base point, and the same columns
-    are reused across the chart.  Each call builds a new frame; the checks
-    read ``s.frame``, built by this function once per structure.
+    is chosen once, from its value at the chart's seed-0 sample point, and
+    the same columns are reused across the chart.  Each call builds a new
+    frame; the checks read ``s.frame``, built by this function once per
+    structure.
     """
     chart = s.chart
     n = chart.dim
-    if base_point is None:
-        base_point = chart.sample(seed=0, count=1)[0]
-
     projector = eigen_projector(s.Phi, s.Eplus, s.Eminus)
-    pivots = pivoted_frame(projector, base_point, n - 1,
+    pivots = pivoted_frame(projector, chart.sample(seed=0, count=1)[0], n - 1,
                            "eigenframe rank dropped to {} (< {}) at the base point")
     frame = EigenFrame(projector, tuple(pivots), s.Eplus, s.Eminus)
     if sample_points is not None:
@@ -571,8 +560,15 @@ def frame_span_check(s: Gacs, frame: EigenFrame, point) -> int:
     return int(np.linalg.matrix_rank(np.concatenate(cols, axis=1), tol=1e-8))
 
 
-def frame_nij(jets: Sequence[J.JetArray], n: int) -> Dict[Tuple[int, int, int], np.ndarray]:
-    """Nij(A,B,C) for every i<j<k triple of a frame's jets, as arrays over the batch.
+def triples(m: int) -> np.ndarray:
+    """The i<j<k triples of m frame members, shape ``(T, 3)``, in the order of
+    ``itertools.combinations``: row t of a Nijenhuis table is triple t."""
+    return np.array(list(combinations(range(m), 3)), dtype=int).reshape(-1, 3)
+
+
+def frame_nij(jets: Sequence[J.JetArray], n: int) -> np.ndarray:
+    """Nij(A,B,C) of a frame's jets as a ``(T, *B)`` array: one row per
+    triple of :func:`triples`, over the batch.
 
     Nij is exactly antisymmetric on isotropic frames, so repeated-member
     triples vanish identically and the sorted triples determine the rest.
@@ -581,7 +577,7 @@ def frame_nij(jets: Sequence[J.JetArray], n: int) -> Dict[Tuple[int, int, int], 
     The table brackets each unordered pair once: the left and right members
     of the m(m-1)/2 pairs p < q are stacked along one pair axis after the
     component axis, and one ``courant_jets`` call brackets them all at every
-    point.  The triples are read from ``P[pq, r] = <[[A_p, A_q]], A_r>`` in
+    point.  The rows are read from ``P[pq, r] = <[[A_p, A_q]], A_r>`` in
     the summation order of ``nij_jets``, whose third term
     <[[A_k, A_i]], A_j> is taken as -P[ik, j].  The bracket is antisymmetric,
     and in floating point its vector part and the Lie-derivative part of its
@@ -593,7 +589,7 @@ def frame_nij(jets: Sequence[J.JetArray], n: int) -> Dict[Tuple[int, int, int], 
     """
     m = len(jets)
     if m < 3:
-        return {}
+        return np.zeros((0,) + jets[0].value.shape[1:], dtype=complex)
     first, second = np.triu_indices(m, 1)  # the pairs p < q, row-major
     left = J.stack([jets[p] for p in first], axis=1)
     right = J.stack([jets[q] for q in second], axis=1)
@@ -602,10 +598,16 @@ def frame_nij(jets: Sequence[J.JetArray], n: int) -> Dict[Tuple[int, int, int], 
     P = 0.5 * np.einsum("ip...,ir...->pr...", gta.swap(brackets, 0), frame)
     at = np.zeros((m, m), dtype=int)
     at[first, second] = np.arange(len(first))
-    triples = list(combinations(range(m), 3))
-    i, j, k = np.array(triples).T
-    values = (1.0 / 3.0) * ((P[at[i, j], k] + P[at[j, k], i]) - P[at[i, k], j])
-    return dict(zip(triples, values))
+    i, j, k = triples(m).T
+    return (1.0 / 3.0) * ((P[at[i, j], k] + P[at[j, k], i]) - P[at[i, k], j])
+
+
+def nij_table(members: Sequence[SectionField]) -> F.Field:
+    """The :func:`frame_nij` table of ``members`` as a field with one component
+    per triple; it holds values only, from the members' order-1 jets."""
+    chart = members[0].chart
+    return F.Field(chart, lambda p, o: J.JetArray(
+        frame_nij([m.jet(p, 1) for m in members], chart.dim), None, None, chart.dim))
 
 
 def cabs(z: np.ndarray) -> np.ndarray:
@@ -619,20 +621,14 @@ def cabs(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def triple_max(table: Dict[Tuple[int, int, int], np.ndarray], count: int) -> np.ndarray:
-    """Per-point max of |entry| over a table of per-triple arrays (zeros if empty)."""
-    if not table:
-        return np.zeros(count)
-    return cabs(np.stack(list(table.values()))).max(axis=0)
+def row_max(rows: np.ndarray) -> np.ndarray:
+    """Per-point max over the rows of a ``(T, *B)`` array (zeros if T = 0)."""
+    return rows.max(axis=0, initial=0.0)
 
 
 def max_nij_over_frame(members: Sequence[SectionField], points) -> Tuple[float, np.ndarray]:
     """Max |Nij(A,B,C)| over distinct frame triples, overall and per sample point."""
-    pts = np.asarray(points, dtype=float)
-    if len(members) < 3:
-        return 0.0, np.zeros(len(pts))
-    n = members[0].chart.dim
-    per_point = triple_max(frame_nij([mm.jet(pts, 1) for mm in members], n), len(pts))
+    per_point = row_max(cabs(nij_table(members).values(points)))
     return float(per_point.max()), per_point
 
 
@@ -655,6 +651,6 @@ def involutivity_class(s: Gacs, points, tol: float = INT_TOL):
 
 
 def l_nij_max(frame: EigenFrame, points) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-point max |Nij| over the L+ and over the L- triples of a frame."""
-    count = len(np.asarray(points))
-    return tuple(triple_max(table, count) for table in frame.l_nij(points))
+    """Per-point max |Nij| over the L+ and over the L- rows of a frame's table."""
+    mags = cabs(frame.table.values(points))
+    return row_max(mags[frame.plus_rows]), row_max(mags[frame.minus_rows])

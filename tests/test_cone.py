@@ -44,6 +44,29 @@ def test_lift_is_t_independent():
     assert np.abs(m[:, 3]).max() == 0 and np.abs(m[3, :]).max() == 0
 
 
+def test_base_jet_with_non_adjacent_repeats_matches_each_point(monkeypatch):
+    """Base point b0 comes back after b1: its second run is evaluated again,
+    and every cone point gets the jet of its own base point."""
+    field = HEIS["gacs"].Phi
+    b0, b1 = HEIS["chart"].sample(seed=29, count=2)
+    cone = C.cone_points([b0, b1, b0], (-0.5, 0.25))
+    asked = []
+    jet = field.jet
+
+    def recording(p, order):
+        asked.append(np.asarray(p).copy())
+        return jet(p, order)
+
+    monkeypatch.setattr(field, "jet", recording)
+    spread = C.base_jet(field, cone, 2)
+    monkeypatch.undo()
+    assert len(asked) == 1 and np.array_equal(asked[0], [b0, b1, b0])
+    for k, q in enumerate(cone):
+        single = field.jet(q[:3], 2)
+        for part in ("value", "grad", "hess"):
+            assert np.array_equal(getattr(spread, part)[:, :, k], getattr(single, part)), (k, part)
+
+
 def test_psi_on_radial_sections():
     cc = cone_of(HEIS)
     psi = C.psi(cc, HEIS["gacs"].Eplus, HEIS["gacs"].Eminus)

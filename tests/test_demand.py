@@ -121,8 +121,7 @@ def _frame_orders(monkeypatch):
         orders.extend(j.order for j in jets)
         return frame_nij(jets, n)
 
-    monkeypatch.setattr(S, "frame_nij", recording)
-    monkeypatch.setattr(I, "frame_nij", recording)
+    monkeypatch.setattr(S, "frame_nij", recording)  # nij_table reads it from structures
     return orders
 
 

@@ -1,6 +1,7 @@
 """Golden tests: every gallery entry reproduces its expected-verdict table,
 plus the closed-form identities of the warped Kaehler interval and the pinned
-bytes of the gallery reports and of one 7-dim Darboux report."""
+bytes of the gallery reports, of one 7-dim Darboux report and of one deform
+pipeline report."""
 
 import hashlib
 import json
@@ -251,6 +252,40 @@ def test_darboux7_report_bytes_are_pinned(tmp_path):
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == DARBOUX7_SHA256, (
         f"the 7-dim Darboux report changed (sha256 {digest}); if the change is "
+        "intended, justify the re-pin in CHANGES.md")
+
+
+# SHA-256 of `gencontact verify --out <file>` on a contact form f (dz + dh - y dx)
+# taken through K-(kappa), a B-field, K+(kappa) and normalize, checked by fgacs.
+# No gallery entry takes the K+-/B/normalize path; as for REPORT_SHA256, a
+# re-pin must say in CHANGES.md why the report moved.
+DEFORM_CONFIG = {
+    "structure": {"chart": {"dim": 3}, "builder": "from_contact",
+                  "eta": ["(1 + 0.25*x - 0.1*y*z)*(-0.2*x - 0.8*y)",
+                          "(1 + 0.25*x - 0.1*y*z)*(0.2*x + 0.3*y)",
+                          "1 + 0.25*x - 0.1*y*z"]},
+    "apply": [
+        {"op": "k_minus", "kappa": ["0.07*z", "0.14", "0.08*x*y"]},
+        {"op": "b_field", "B": [["0", "-0.2*z", "0.12"], ["0.2*z", "0", "-0.21*x*y"],
+                                ["-0.12", "0.21*x*y", "0"]]},
+        {"op": "k_plus", "kappa": ["0.1", "-0.28*x", "0.05*y*z"]},
+        {"op": "normalize"},
+    ],
+    "checks": ["fgacs"],
+    "seed": 13,
+    "samples": 40,
+}
+DEFORM_SHA256 = "a7daf2507f85182829177f552a02767f199f90970b122dff0d1036f607bacecf"
+
+
+def test_deform_pipeline_report_bytes_are_pinned(tmp_path):
+    cfg = tmp_path / "deform.json"
+    cfg.write_text(json.dumps(DEFORM_CONFIG))
+    out = tmp_path / "report.json"
+    assert main(["verify", str(cfg), "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == DEFORM_SHA256, (
+        f"the deform pipeline report changed (sha256 {digest}); if the change is "
         "intended, justify the re-pin in CHANGES.md")
 
 

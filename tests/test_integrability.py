@@ -152,14 +152,13 @@ def test_eigenframe_is_one_projector_field(monkeypatch):
 
 
 def shared_l_tables_exact(frame, points) -> bool:
-    """The L+ and L- tables read from the frame's shared table equal
-    frame_nij of l_plus and l_minus bit for bit."""
+    """The L+ and L- row masks of the frame's shared table equal frame_nij
+    of l_plus and l_minus bit for bit."""
     n = frame.eplus.chart.dim
-    for shared, members in zip(frame.l_nij(points), (frame.l_plus, frame.l_minus)):
+    table = frame.table.values(points)
+    for rows, members in ((frame.plus_rows, frame.l_plus), (frame.minus_rows, frame.l_minus)):
         alone = S.frame_nij([m.jet(points, 1) for m in members], n)
-        if shared.keys() != alone.keys():
-            return False
-        if not all(np.array_equal(shared[tri], alone[tri]) for tri in alone):
+        if table[rows].shape != alone.shape or not np.array_equal(table[rows], alone):
             return False
     return True
 
@@ -172,14 +171,12 @@ def frame_nij_gap(members, points) -> float:
     for p in points:
         jets = [m.at(p) for m in members]
         table = S.frame_nij(jets, n)
-        ref = {
-            (i, j, k): complex(F.nij_jets(jets[i], jets[j], jets[k], n).value)
-            for i, j, k in combinations(range(len(jets)), 3)
-        }
-        assert table.keys() == ref.keys()
-        scale = max(abs(v) for v in ref.values())
-        for tri, v in ref.items():
-            assert abs(table[tri] - v) <= 1e-13 * scale, (tri, table[tri], v)
+        triples = list(combinations(range(len(jets)), 3))
+        ref = [complex(F.nij_jets(jets[i], jets[j], jets[k], n).value) for i, j, k in triples]
+        assert table.shape == (len(ref),)
+        scale = max(abs(v) for v in ref)
+        for t, v in enumerate(ref):
+            assert abs(table[t] - v) <= 1e-13 * scale, (triples[t], table[t], v)
         largest = max(largest, scale)
     return largest
 
@@ -247,9 +244,8 @@ def ordered_pairs_nij(jets, n):
     frame = J.stack(jets, axis=1)
     brackets = F.courant_jets(frame[:, :, None], frame[:, None, :], n).value
     P = 0.5 * np.einsum("ipq...,ir...->pqr...", gta.swap(brackets, 0), frame.value)
-    triples = list(combinations(range(m), 3))
-    i, j, k = np.array(triples).T
-    return dict(zip(triples, (1.0 / 3.0) * ((P[i, j, k] + P[j, k, i]) + P[k, i, j])))
+    i, j, k = np.array(list(combinations(range(m), 3))).T
+    return (1.0 / 3.0) * ((P[i, j, k] + P[j, k, i]) + P[k, i, j])
 
 
 def frame_structures():
@@ -280,9 +276,9 @@ def test_pair_table_equals_the_ordered_pairs_table_bit_for_bit():
         for members, points, n in nij_frames(s, s.chart.sample(seed=3, count=4)):
             jets = [m.jet(points, 1) for m in members]
             table, ref = S.frame_nij(jets, n), ordered_pairs_nij(jets, n)
-            assert table.keys() == ref.keys()
-            for tri, v in ref.items():
-                assert table[tri].tobytes() == v.tobytes(), (s, n, tri)
+            assert table.shape == ref.shape
+            for t, v in enumerate(ref):
+                assert table[t].tobytes() == v.tobytes(), (s, n, t)
 
 
 def nij_rounding_form():
@@ -313,9 +309,9 @@ def test_pair_table_matches_the_ordered_pairs_table_on_generated_forms(case):
     jets = [m.jet(sample, 1) for m in frame.members]
     scale = max(np.abs(j.value).max() for j in jets) ** 2 * max(np.abs(j.grad).max() for j in jets)
     table, ref = S.frame_nij(jets, s.chart.dim), ordered_pairs_nij(jets, s.chart.dim)
-    assert table.keys() == ref.keys()
-    for tri, v in ref.items():
-        assert np.abs(table[tri] - v).max() <= 1e-13 * scale, (tri, table[tri], v)
+    assert table.shape == ref.shape
+    for t, v in enumerate(ref):
+        assert np.abs(table[t] - v).max() <= 1e-13 * scale, (t, table[t], v)
 
 
 @pytest.mark.parametrize("build, batches", [
@@ -351,25 +347,68 @@ def triple_cone_rhs(vals, em):
 def test_cone_rhs_from_the_pairing_tables_equals_the_per_triple_formula():
     for s in frame_structures():
         points = s.chart.sample(seed=3, count=4)
-        pe, pm = I._rcone_gaps(s.frame, points)[2]
+        rhs = I._rcone_gaps(s.frame, points)[2]
         vals = [stack_values(m, points) for m in s.frame.members]
-        for tri in combinations(range(len(vals)), 3):
+        triples = list(combinations(range(len(vals)), 3))
+        assert rhs.shape == (len(triples), len(points))
+        for t, tri in enumerate(triples):
             ref = triple_cone_rhs([vals[i] for i in tri], vals[-1])
-            assert I._conjugated_cone_rhs(tri, pe, pm).tobytes() == ref.tobytes(), (s, tri)
+            assert rhs[t].tobytes() == ref.tobytes(), (s, tri)
 
 
 def test_rcone_gaps_pairs_each_member_pair_once(monkeypatch):
-    """darboux(3): 8 members, so 28 minus pairings and 8 pairings with E-."""
-    calls = {"pair": 0, "pair_minus": 0}
+    """darboux(3): 8 members, so one minus pairing call over the 28 pairs and
+    one pairing call of E- with the 8 members, each over the 3 points."""
+    calls = {"pair": [], "pair_minus": []}
     for name in calls:
-        def counting(a, b, _original=getattr(gta, name), _name=name):
-            calls[_name] += 1
+        def recording(a, b, _original=getattr(gta, name), _name=name):
+            calls[_name].append(np.broadcast_shapes(np.shape(a), np.shape(b))[:-1])
             return _original(a, b)
 
-        monkeypatch.setattr(gta, name, counting)
+        monkeypatch.setattr(gta, name, recording)
     s = gallery.darboux(3)["gacs"]
     I._rcone_gaps(s.frame, s.chart.sample(seed=5, count=3))
-    assert calls == {"pair": 8, "pair_minus": 28}
+    assert calls == {"pair": [(8, 3)], "pair_minus": [(28, 3)]}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gallery.darboux(3)["gacs"],  # 8 cone members, 56 triples
+    lambda: KAHLER["gacm"].gacs,  # 4 cone members, 4 triples
+], ids=["darboux3", "kahler_interval"])
+def test_identity_masks_cover_each_cone_triple_once(build):
+    """id1-id4 split the cone frame's triples by F+ (index m - 2) and F- (m - 1)."""
+    s = build()
+    members = C.cone_plus_frame(ConeChart.over(s.chart), s.frame.e10, s.Eplus, s.Eminus,
+                                conjugated=True)
+    m = len(members)
+    triples = S.triples(m)
+    assert [tuple(t) for t in triples] == list(combinations(range(m), 3))
+    rows = I._identity_rows(m)
+    assert all(mask.shape == (len(triples),) for mask in rows.values())
+    assert (sum(mask.astype(int) for mask in rows.values()) == 1).all()
+    plus, minus = (triples == m - 2).any(axis=1), (triples == m - 1).any(axis=1)
+    for name, want in (("id1", ~plus & ~minus), ("id2", plus & ~minus),
+                       ("id3", ~plus & minus), ("id4", plus & minus)):
+        assert np.array_equal(rows[name], want), name
+
+
+def test_frame_checks_build_the_base_table_once(monkeypatch):
+    """involutivity, plain_cone and rcone_condition read one frame_nij table
+    on the 7-dim base, through the frame's memo, and one on the 8-dim cone."""
+    dims = []
+    original = S.frame_nij
+
+    def recording(jets, n):
+        dims.append(n)
+        return original(jets, n)
+
+    monkeypatch.setattr(S, "frame_nij", recording)
+    s = gallery.darboux(3)["gacs"]  # a fresh structure, with no frame built yet
+    sample = s.chart.sample(seed=5, count=5)
+    S.involutivity_class(s, sample)
+    I.plain_cone_check(s, sample)
+    I.conjugated_cone_residual(s, sample)
+    assert dims == [7, 8]
 
 
 def test_crosscheck_verdict_ignores_the_rcone_condition():
