@@ -17,6 +17,13 @@ field once per run of equal consecutive base points of a cone point batch
 (:func:`base_jet`): cone point sets are base point major and repeat each
 base point once per t value, so a run is one base point.  A base point that
 repeats after other points is evaluated again.
+
+R = diag(e^-t on vectors, e^t on forms) is held as its 2N diagonal entries
+(:func:`_r_pow`) and applied as an elementwise product: a section is scaled
+entry by entry, and R J R^-1 is (r_i J_ik) r_k^-1.  Each entry is the one
+product a dense matrix product would compute, so the results are those of
+the dense product bit for bit, up to the sign of exact zeros; a non-finite
+entry stays in its place, where the dense product's 0 * inf spread NaN.
 """
 
 from __future__ import annotations
@@ -154,30 +161,32 @@ def cone_gacx(s: Gacs, cone: ConeChart = None) -> ConeGacx:
 
 
 def r_endo(cone: ConeChart) -> GtEndoField:
-    """R = diag(e^-t on all vectors, e^t on all forms), t slots included."""
-    return _r_pow(cone, 1)
+    """R = diag(e^-t on all vectors, e^t on all forms), t slots included, as a
+    matrix: the diagonal of :func:`_r_pow` placed on the identity."""
+    N = cone.dim
+    r = _r_pow(cone, 1)
+    return GtEndoField(cone, lambda p, o: (
+        r.jet(p, o)[:, None] * J.lift(np.eye(2 * N), N, o, p.shape[:-1])))
 
 
-def _r_pow(cone: ConeChart, sign: int) -> GtEndoField:
+def _r_pow(cone: ConeChart, sign: int) -> F.Field:
+    """The 2N diagonal entries of R^sign: e^(-sign t) on vectors, e^(sign t) on forms."""
     N = cone.dim
     ti = cone.t_index
 
     def fn(p, order):
         t = J.seed_point(p, N, order)[ti]
-        em = J.exp(-sign * t)
-        ep = J.exp(sign * t)
-        parts = [em] * N + [ep] * N
-        stacked = J.stack(parts)
-        eye = J.lift(np.eye(2 * N), N, order, p.shape[:-1])
-        return J.jet_einsum("i,ij->ij", stacked, eye)
+        return J.stack([J.exp(-sign * t)] * N + [J.exp(sign * t)] * N)
 
-    return GtEndoField(cone, fn)
+    return F.Field(cone, fn)
 
 
 def r_conjugate(j: ConeGacx) -> ConeGacx:
-    r = r_endo(j.chart)
+    """R J R^-1 as the elementwise product (r_i J_ik) r_k^-1 of the diagonals."""
+    r = _r_pow(j.chart, 1)
     rinv = _r_pow(j.chart, -1)
-    return ConeGacx(j.chart, r @ j.J @ rinv)
+    return ConeGacx(j.chart, GtEndoField(j.chart, lambda p, o: (
+        (r.jet(p, o)[:, None] * j.J.jet(p, o)) * rinv.jet(p, o)[None, :])))
 
 
 def i_map(s: Union[Gacs, FGacs], cone: ConeChart = None) -> ConeGacx:
@@ -265,13 +274,15 @@ def cone_decompose(j: ConeGacx, points=None, tol: float = 1e-8) -> Union[Gacs, F
 
 def cone_plus_frame(cone: ConeChart, frame_e10, eplus: SectionField,
                     eminus: SectionField, conjugated: bool) -> List[SectionField]:
-    """The +i frame {E10, E+ - i d/dt, E- - i dt} of Phi + Psi, optionally R-scaled."""
+    """The +i frame {E10, E+ - i d/dt, E- - i dt} of Phi + Psi, optionally R-scaled:
+    each member times the diagonal of R, R first."""
     members = [lift_section(cone, a) for a in frame_e10]
     members.append(lift_section(cone, eplus) - 1j * ddt_section(cone))
     members.append(lift_section(cone, eminus) - 1j * dt_section(cone))
     if conjugated:
-        r = r_endo(cone)
-        members = [r.apply(m) for m in members]
+        r = _r_pow(cone, 1)
+        members = [SectionField(cone, lambda p, o, m=m: r.jet(p, o) * m.jet(p, o))
+                   for m in members]
     return members
 
 

@@ -32,7 +32,6 @@ from .structures import (
     FGacs,
     Gacm,
     Gacs,
-    dual_gacm,
     gacs_residuals,
     gmetric_from_gb,
     max_nij_over_frame,
@@ -285,7 +284,7 @@ def cone_kahler_pair_check(m: Gacm, alpha: OneFormField, base_points, ts=DEFORM_
     -I'1 I'2 is a generalized Riemannian metric on the cone."""
     cone = ConeChart.over(m.chart)
     s1 = k_plus(FGacs.of_gacs(m.gacs), alpha)
-    s2 = k_plus(FGacs.of_gacs(dual_gacm(m).gacs), alpha)
+    s2 = k_plus(FGacs.of_gacs(m.dual.gacs), alpha)
     i1 = i_prime(s1, cone).J
     i2 = i_prime(s2, cone).J
     cpts = cone_points(base_points, ts)
@@ -314,7 +313,7 @@ def f_sasakian_check(fm: FGacm, base_points, ts=DEFORM_TS,
     rep = ResidualReport()
     branches = (
         ("phi", FGacs.of_gacs(m.gacs)),
-        ("gphi", FGacs.of_gacs(dual_gacm(m).gacs)),
+        ("gphi", FGacs.of_gacs(m.dual.gacs)),
     )
     cpts = cone_points(base_points, ts)
     for tag, base in branches:

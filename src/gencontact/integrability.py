@@ -37,7 +37,6 @@ from .structures import (
     Gacm,
     Gacs,
     cabs,
-    dual_gacm,
     l_nij_max,
     max_nij_over_frame,
     nij_table,
@@ -279,9 +278,13 @@ def vaisman_conditions(plus: AlmostContactMetric, minus: AlmostContactMetric,
 
 def generalized_sasakian_check(m: Gacm, base_points, tol: float = INT_TOL,
                                ts=DEFAULT_TS) -> ResidualReport:
-    """Both R-conjugated cone structures of (Phi, E+-) and (G Phi, G E+-) integrable."""
+    """Both R-conjugated cone structures of (Phi, E+-) and (G Phi, G E+-) integrable.
+
+    The dual (G Phi, G E+-) is ``m.dual``, built once per Gacm, so repeated
+    checks of one structure share its eigenframe and Nijenhuis tables.
+    """
     rep = ResidualReport()
-    for tag, s in (("phi", m.gacs), ("gphi", dual_gacm(m).gacs)):
+    for tag, s in (("phi", m.gacs), ("gphi", m.dual.gacs)):
         rcone, cross = _cone_crosscheck(s, base_points, tol, ts)
         rep.add(f"gsas.{tag}.rcone_condition.residual", rcone, base_points, tol)
         rep.extend(cross, prefix=f"gsas.{tag}.")

@@ -134,6 +134,12 @@ class Gacm:
     def G(self) -> GtEndoField:
         return self.metric.endo
 
+    @cached_property
+    def dual(self) -> "Gacm":
+        """The unvalidated :func:`dual_gacm`, built on first use and kept with the
+        structure, so its eigenframe and field memos serve every later check."""
+        return dual_gacm(self)
+
 
 @dataclass
 class EigenFrame:

@@ -165,6 +165,50 @@ def test_r_conjugate_properties():
     assert np.abs(jr.J.values(q) - expected).max() < 1e-12
 
 
+def r_structures():
+    """The cone structures Phi + Psi of the four gallery Gacs and darboux(3), with cone points."""
+    out = []
+    for s in [gallery.build(name)["gacs"] for name in gallery.names()] + [gallery.darboux(3)["gacs"]]:
+        base = s.chart.sample(seed=23, count=5)
+        out.append((s, C.cone_gacx(s), C.cone_points(base, (-0.5, 0.25))))
+    return out
+
+
+def dense_r_inv(cone):
+    """R^-1 as a (2N, 2N) jet matrix: its diagonal times a lifted identity."""
+    N = cone.dim
+    diag = C._r_pow(cone, -1)
+    return F.GtEndoField(cone, lambda p, o: J.jet_einsum(
+        "i,ij->ij", diag.jet(p, o), J.lift(np.eye(2 * N), N, o, p.shape[:-1])))
+
+
+def assert_jets_equal(a, b, parts, what):
+    for part in parts:
+        assert np.array_equal(getattr(a, part), getattr(b, part)), (what, part)
+
+
+def test_r_conjugate_equals_the_dense_product_bit_for_bit():
+    """The diagonal scaling (r_i J_ik) r_k^-1 equals (R @ J) @ R^-1 with dense
+    jet matrices at order 2: each einsum entry is one product plus exact zeros."""
+    for s, j, q in r_structures():
+        dense = (C.r_endo(j.chart) @ j.J) @ dense_r_inv(j.chart)
+        assert_jets_equal(C.r_conjugate(j).J.jet(q, 2), dense.jet(q, 2),
+                          ("value", "grad", "hess"), s.chart.dim)
+
+
+def test_conjugated_cone_frame_equals_r_applied_bit_for_bit():
+    """Each member of the conjugated cone frame is R times the unconjugated
+    member, as R.apply of the dense R gives it, at order 1."""
+    for s, j, q in r_structures():
+        cone = j.chart
+        args = (cone, s.frame.e10, s.Eplus, s.Eminus)
+        plain = C.cone_plus_frame(*args, conjugated=False)
+        scaled = C.cone_plus_frame(*args, conjugated=True)
+        r = C.r_endo(cone)
+        for k, (a, b) in enumerate(zip(scaled, plain)):
+            assert_jets_equal(a.jet(q, 1), r.apply(b).jet(q, 1), ("value", "grad"), (s.chart.dim, k))
+
+
 def test_cone_decompose_round_trip():
     for entry in (DARBOUX, HEIS, KAHLER):
         s = entry.get("gacs") or entry["gacm"].gacs

@@ -1,6 +1,8 @@
 """K(kappa) deformation algebra, normalization, cone correspondences,
 the cross-term cone metric and the deformed cone pair."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,33 @@ def test_fgacm_witness_and_f_sasakian():
     fm2 = D.FGacm.from_witness(KAHLER["gacm"], zero, beta)
     rep2 = D.f_sasakian_check(fm2, pts)
     assert all(r.max_residual >= 0 for r in rep2.rows)
+
+
+# SHA-256 of the to_json() reports of the two deformation checks that read
+# Gacm.dual: f_sasakian reaches the R-conjugated cone structure through i_map,
+# cone_kahler_pair the unconjugated one through i_prime.  No gallery digest
+# covers them; as for the gallery pins, a re-pin must say in CHANGES.md why the
+# report moved.
+F_SASAKIAN_SHA256 = "bf02f9939b08a090961cee5f4734be859f8c292b1e805da6fe10a29e1830921a"
+CONE_PAIR_SHA256 = "10c01d71ab6ede07b2160fcfa4d2aec27c3439259c9770a78ea6b9aa45223062"
+
+
+def report_sha256(rep):
+    return hashlib.sha256(rep.to_json().encode()).hexdigest()
+
+
+def test_f_sasakian_report_bytes_are_pinned():
+    ch = KAHLER["chart"]
+    zero = 0 * F.basis_form(ch, 2)
+    fm = D.FGacm.from_witness(KAHLER["gacm"], zero, zero)
+    assert report_sha256(D.f_sasakian_check(fm, ch.sample(seed=19, count=3))) == F_SASAKIAN_SHA256
+
+
+def test_cone_kahler_pair_report_bytes_are_pinned():
+    ch = HEIS["chart"]
+    alpha = 0.2 * F.basis_form(ch, 2)
+    rep = D.cone_kahler_pair_check(HEIS["gacm"], alpha, ch.sample(seed=13, count=4))
+    assert report_sha256(rep) == CONE_PAIR_SHA256
 
 
 def test_f_sasakian_random_deformation_fails():

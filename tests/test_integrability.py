@@ -439,6 +439,24 @@ def test_generalized_sasakian_computes_each_nij_once(monkeypatch):
         "gsas.phi.rcone_condition.residual", "gsas.phi.crosscheck.id1"]
 
 
+def test_generalized_sasakian_builds_the_dual_once(monkeypatch):
+    """The dual structure is Gacm.dual, kept with the Gacm: two checks build
+    one eigenframe per branch, not a new dual frame per check."""
+    calls = []
+    original = S.eigenframe
+
+    def counting(s, *args):
+        calls.append(s)
+        return original(s, *args)
+
+    monkeypatch.setattr(S, "eigenframe", counting)
+    m = gallery.kahler_interval()["gacm"]  # fresh, with no frame or dual kept yet
+    for _ in range(2):
+        I.generalized_sasakian_check(m, pts(KAHLER, 4))
+    assert len(calls) == 2
+    assert m.dual is m.dual
+
+
 def bumped_heisenberg(bump=None):
     """The Heisenberg structure with phi perturbed by bump (default 0.1 dx (x) d/dy)."""
     ch = HEIS["chart"]
