@@ -17,7 +17,7 @@ from gencontact import integrability as I
 print("== cone lifts and the one-to-one correspondence ==")
 heis = gallery.build("heisenberg_sasakian")
 s = heis["gacs"]
-j = C.cone_gacx(s)
+j = C.i_prime(s)
 cpts = C.cone_points(s.chart.sample(seed=9, count=10))
 print(C.gacx_check(j, cpts).summary())
 back = C.cone_decompose(j)

@@ -11,7 +11,7 @@ from gencontact import structures as S
 darboux = gallery.build("darboux")
 ch = darboux["chart"]
 pts = ch.sample(seed=21, count=20)
-s0 = S.FGacs.of_gacs(darboux["gacs"])
+s0 = darboux["gacs"]
 
 print("== K-(dz) on the contact lift: f jumps to kappa(Reeb) = 1 ==")
 dz = F.basis_form(ch, 2)

@@ -9,7 +9,6 @@ from .charts import Chart, ConeChart, box
 from .cone import (
     ConeGacx,
     cone_decompose,
-    cone_gacx,
     gacx_check,
     i_map,
     i_prime,
@@ -18,7 +17,6 @@ from .cone import (
 from .deformations import (
     FGacm,
     b_commute_check,
-    b_transform_fgacs,
     cone_b_correspondence,
     cone_kahler_pair_check,
     f_sasakian_check,
@@ -66,7 +64,6 @@ from .jets import JetArray, JetOrderError
 from .report import CheckRow, ResidualReport
 from .structures import (
     AlmostContactMetric,
-    FGacs,
     Gacm,
     Gacs,
     GeneralizedMetric,

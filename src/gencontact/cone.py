@@ -5,6 +5,8 @@ All cone computation uses the coordinate t with r = e^t, so the radial
 stays a box.  The orientation of Psi follows the displayed block matrix
 (top-left eta_- (x) d/dt - dt (x) xi_+), under which E+ - i d/dt and
 E- - i dt span the +i directions added on the cone; so Psi(d/dt) = -E+.
+A structure's f enters only through Psi: :func:`i_prime` passes ``s.f`` on,
+and ``f = None`` (f = 0) builds no f-extension.
 
 Every lift from M to the cone is one placement map, ``jets.extend_vars``
 with a component shape and an index: the base jet's value, gradient and
@@ -29,7 +31,7 @@ entry stays in its place, where the dense product's 0 * inf spread NaN.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Union
+from typing import List, Optional
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from . import jets as J
 from .charts import ConeChart
 from .fields import GtEndoField, ScalarField, SectionField
 from .report import ResidualReport, stack_values, sup_norm
-from .structures import FGacs, Gacs, eigen_projector, pivoted_frame, projector_columns
+from .structures import Gacs, eigen_projector, pivoted_frame, projector_columns
 
 T_INDEPENDENCE_TOL = 1e-10
 DEFAULT_TS = (-0.5, 0.0, 0.5)  # the t slices of a cone point set
@@ -121,7 +123,7 @@ def dt_section(cone: ConeChart) -> SectionField:
 
 
 def psi(cone: ConeChart, eplus: SectionField, eminus: SectionField,
-        f: ScalarField = None) -> GtEndoField:
+        f: Optional[ScalarField] = None) -> GtEndoField:
     """Psi(E+, E-), plus the f d/dt (x) dt - f dt (x) d/dt extension when f is given.
 
     E+ and E- are sections of the base chart; they are lifted here.
@@ -142,22 +144,12 @@ def psi(cone: ConeChart, eplus: SectionField, eminus: SectionField,
     return out
 
 
-def psi_f(cone: ConeChart, s: FGacs) -> GtEndoField:
-    return psi(cone, s.Eplus, s.Eminus, s.f)
-
-
-def i_prime(s: Union[Gacs, FGacs], cone: ConeChart = None) -> ConeGacx:
-    """I' = Phi^f + Psi^f(E+^f, E-^f) on the cone."""
-    if isinstance(s, Gacs):
-        s = FGacs.of_gacs(s)
+def i_prime(s: Gacs, cone: ConeChart = None) -> ConeGacx:
+    """I' = Phi^f + Psi^f(E+^f, E-^f) on the cone: the unconjugated cone
+    structure, Phi + Psi(E+, E-) when f is None."""
     if cone is None:
         cone = ConeChart.over(s.chart)
-    return ConeGacx(cone, lift_endo(cone, s.Phi) + psi_f(cone, s))
-
-
-def cone_gacx(s: Gacs, cone: ConeChart = None) -> ConeGacx:
-    """Phi + Psi(E+, E-): the unconjugated cone structure of a Gacs."""
-    return i_prime(s, cone)
+    return ConeGacx(cone, lift_endo(cone, s.Phi) + psi(cone, s.Eplus, s.Eminus, s.f))
 
 
 def r_endo(cone: ConeChart) -> GtEndoField:
@@ -189,7 +181,7 @@ def r_conjugate(j: ConeGacx) -> ConeGacx:
         (r.jet(p, o)[:, None] * j.J.jet(p, o)) * rinv.jet(p, o)[None, :])))
 
 
-def i_map(s: Union[Gacs, FGacs], cone: ConeChart = None) -> ConeGacx:
+def i_map(s: Gacs, cone: ConeChart = None) -> ConeGacx:
     """I = R (Phi^f + Psi^f) R^-1, the Sasaki-flavoured cone structure."""
     return r_conjugate(i_prime(s, cone))
 
@@ -212,12 +204,12 @@ def t_dependence(j: ConeGacx, points) -> float:
     return float(np.abs(jet.grad[..., j.chart.t_index]).max())
 
 
-def cone_decompose(j: ConeGacx, points=None, tol: float = 1e-8) -> Union[Gacs, FGacs]:
+def cone_decompose(j: ConeGacx, points=None, tol: float = 1e-8) -> Gacs:
     """Extract (J_M, B, A, h) from a t-invariant cone structure.
 
-    Returns the Gacs (J_M, E+ = B, E- = A) when h vanishes, otherwise the
-    FGacs with f = h.  Raises if J depends on t or does not have the
-    displayed normal form.
+    Returns the structure (J_M, E+ = B, E- = A, f = h), with f = None when
+    h vanishes.  Raises if J depends on t or does not have the displayed
+    normal form.
     """
     cone = j.chart
     base = cone.base
@@ -257,16 +249,15 @@ def cone_decompose(j: ConeGacx, points=None, tol: float = 1e-8) -> Union[Gacs, F
     Jm = GtEndoField(base, jm_fn)
 
     # extraction consistency: the displayed form must reproduce J
-    rebuilt = i_prime(FGacs(base, Jm, B, A, h), cone)
+    rebuilt = i_prime(Gacs(base, Jm, B, A, h), cone)
     worst = sup_norm(stack_values(rebuilt.J, points) - stack_values(j.J, points)).max()
     if worst > 1e-7:
         raise ValueError(
             f"J is not of the displayed t-invariant normal form (residual {worst:.2e})"
         )
 
-    if np.abs(h.values(base.sample(seed=9, count=12))).max() < tol:
-        return Gacs(base, Jm, B, A)
-    return FGacs(base, Jm, B, A, h)
+    vanishes = np.abs(h.values(base.sample(seed=9, count=12))).max() < tol
+    return Gacs(base, Jm, B, A, None if vanishes else h)
 
 
 # -- cone frames ------------------------------------------------------------------

@@ -21,7 +21,7 @@ from . import gallery as G
 from . import integrability as I
 from . import structures as S
 from .charts import Chart
-from .cone import cone_gacx, cone_points, gacx_check, r_conjugate
+from .cone import cone_points, gacx_check, i_prime, r_conjugate
 from .exprs import ExprError, parse_scalar
 from .report import ResidualReport
 
@@ -145,7 +145,7 @@ def parse_structure(obj: dict, path: str = "$.structure") -> dict:
         inner = parse_structure(obj["cone_of"], f"{path}.cone_of")
         if "gacs" not in inner:
             raise ConfigError(f"{path}.cone_of: inner structure provides no Gacs")
-        j = cone_gacx(inner["gacs"])
+        j = i_prime(inner["gacs"])
         if obj.get("conjugate", False):
             j = r_conjugate(j)
         return {"cone": j, "base": inner}
@@ -198,13 +198,13 @@ def parse_structure(obj: dict, path: str = "$.structure") -> dict:
 
 
 def parse_pipeline(items, products: dict, path: str = "$.apply") -> dict:
-    """Apply deformation steps to the structure's Gacs/FGacs."""
+    """Apply deformation steps to the structure's Gacs (its f-structure, once deformed)."""
     if not isinstance(items, list):
         raise ConfigError(f"{path}: expected a list of steps")
     if "gacs" not in products and "fgacs" not in products:
         raise ConfigError(f"{path}: the structure provides nothing to deform")
     chart = products["chart"]
-    current = products.get("fgacs") or S.FGacs.of_gacs(products["gacs"])
+    current = products.get("fgacs") or products["gacs"]
     n = chart.dim
     for i, step in enumerate(items):
         spath = f"{path}[{i}]"
@@ -219,7 +219,7 @@ def parse_pipeline(items, products: dict, path: str = "$.apply") -> dict:
             if np.abs(v + np.swapaxes(v, 0, 1)).max() > 1e-9:
                 raise ConfigError(f"{spath}.B: components are not antisymmetric")
             _require_real(bfield, chart, f"{spath}.B")
-            current = D.b_transform_fgacs(current, bfield)
+            current = S.b_transform(current, bfield)
         elif op in ("k_plus", "k_minus"):
             _reject_unknown(step, {"op", "kappa"}, spath)
             kappa = F.one_form(
@@ -231,10 +231,9 @@ def parse_pipeline(items, products: dict, path: str = "$.apply") -> dict:
             _reject_unknown(step, {"op"}, spath)
             pts = chart.sample(seed=2, count=12)
             try:
-                gacs, _, _ = D.normalize(current, pts)
+                current, _, _ = D.normalize(current, pts)
             except ValueError as err:
                 raise ConfigError(f"{spath}: {err}") from None
-            current = S.FGacs.of_gacs(gacs)
         else:
             raise ConfigError(f"{spath}.op: unknown op {op!r}")
     out = dict(products)
@@ -286,10 +285,7 @@ def check_gacm(products, points, tol):
 
 
 def check_fgacs(products, points, tol):
-    s = products.get("fgacs")
-    if s is None:
-        s = S.FGacs.of_gacs(_get(products, "gacs", "fgacs"))
-    return D.fgacs_check(s, points)
+    return D.fgacs_check(products.get("fgacs") or _get(products, "gacs", "fgacs"), points)
 
 
 def check_involutivity(products, points, tol):
@@ -337,7 +333,7 @@ def check_generalized_sasakian(products, points, tol):
 
 def check_cone_algebra(products, points, tol):
     s = _get(products, "gacs", "cone_algebra")
-    j = cone_gacx(s)
+    j = i_prime(s)
     cpts = cone_points(points)
     rep = gacx_check(j, cpts)
     rep.extend(gacx_check(r_conjugate(j), cpts), prefix="conjugated.")

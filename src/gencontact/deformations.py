@@ -1,5 +1,10 @@
 """Generalized f-almost contact structures and their K(kappa) deformation algebra.
 
+An f-structure is a :class:`~gencontact.structures.Gacs` with an f field;
+``f = None`` is f = 0 and is read as zero here: K+-(kappa) of such a
+structure adds no f term and sets f to -+2<E+-, kappa>, and ``normalize``
+returns its result with ``f = None``.
+
 The K-deformations act on M; their cone meaning (B-fields of 2r dr ^ kappa,
 cross terms of the cone metric) is verified by the correspondence checkers
 here.  Tensor terms like kappa (x) E- in the deformation formulas contract
@@ -8,7 +13,7 @@ in the second slot, as forced by the eigenvalue axioms Phi^f E+- = +-f E+-.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Tuple
 
 import numpy as np
@@ -29,9 +34,9 @@ from .report import ResidualReport, stack_values, sup_norm
 from .structures import (
     DEFAULT_TOL,
     INT_TOL,
-    FGacs,
     Gacm,
     Gacs,
+    b_transform,
     gacs_residuals,
     gmetric_from_gb,
     max_nij_over_frame,
@@ -53,23 +58,28 @@ class FGacm:
     gacm: Gacm
     alpha: OneFormField
     beta: OneFormField
-    fgacs: FGacs
+    fgacs: Gacs
 
     @staticmethod
     def from_witness(m: Gacm, alpha: OneFormField, beta: OneFormField) -> "FGacm":
-        s = k_minus(k_plus(FGacs.of_gacs(m.gacs), alpha), beta)
+        s = k_minus(k_plus(m.gacs, alpha), beta)
         return FGacm(m, alpha, beta, s)
 
 
 # -- the defining axioms ----------------------------------------------------------
 
 
-def fgacs_check(s: FGacs, points) -> ResidualReport:
+def _f_values(s: Gacs, points) -> np.ndarray:
+    """The (P,) values of f over the samples, zeros for ``f = None``."""
+    return np.zeros(len(points)) if s.f is None else stack_values(s.f, points)
+
+
+def fgacs_check(s: Gacs, points) -> ResidualReport:
     """The six defining residuals of a generalized f-almost contact structure."""
     phi = stack_values(s.Phi, points)
     ep = stack_values(s.Eplus, points)
     em = stack_values(s.Eminus, points)
-    f = stack_values(s.f, points).astype(complex)
+    f = _f_values(s, points).astype(complex)
     skew, square, norm, iso = gacs_residuals(phi, ep, em, f)
     eig_p = sup_norm(gta.apply(phi, ep) - f[:, None] * ep)
     eig_m = sup_norm(gta.apply(phi, em) + f[:, None] * em)
@@ -83,44 +93,45 @@ def fgacs_check(s: FGacs, points) -> ResidualReport:
 # -- K deformations ----------------------------------------------------------------
 
 
-def k_minus(s: FGacs, kappa: OneFormField) -> FGacs:
+def k_minus(s: Gacs, kappa: OneFormField) -> Gacs:
     """K-(kappa): fixes E-, shifts f by 2<E-, kappa>."""
     ks = F.section(form=kappa)
     c = F.pair_field(s.Eminus, ks)  # <E-, kappa>
     phi = s.Phi - F.tensor_pair_field(s.Eminus, ks) + F.tensor_pair_field(ks, s.Eminus)
-    eplus = s.Eplus + s.Phi.apply(ks) + 2 * (c * ks) + s.f * ks
-    f = s.f + 2 * c
-    return FGacs(s.chart, phi, eplus, s.Eminus, f)
+    eplus = s.Eplus + s.Phi.apply(ks) + 2 * (c * ks)
+    if s.f is None:
+        return Gacs(s.chart, phi, eplus, s.Eminus, 2 * c)
+    return Gacs(s.chart, phi, eplus + s.f * ks, s.Eminus, s.f + 2 * c)
 
 
-def k_plus(s: FGacs, kappa: OneFormField) -> FGacs:
+def k_plus(s: Gacs, kappa: OneFormField) -> Gacs:
     """K+(kappa): fixes E+, shifts f by -2<E+, kappa>."""
     ks = F.section(form=kappa)
     c = F.pair_field(s.Eplus, ks)  # <E+, kappa>
     phi = s.Phi - F.tensor_pair_field(s.Eplus, ks) + F.tensor_pair_field(ks, s.Eplus)
-    eminus = s.Eminus + s.Phi.apply(ks) + 2 * (c * ks) - s.f * ks
-    f = s.f - 2 * c
-    return FGacs(s.chart, phi, s.Eplus, eminus, f)
+    eminus = s.Eminus + s.Phi.apply(ks) + 2 * (c * ks)
+    if s.f is None:
+        return Gacs(s.chart, phi, s.Eplus, eminus, -2 * c)
+    return Gacs(s.chart, phi, s.Eplus, eminus - s.f * ks, s.f - 2 * c)
 
 
-def b_transform_fgacs(s: FGacs, b: TwoFormField) -> FGacs:
-    """Slot-wise B-field action: conjugate Phi^f, map E+-^f, keep f."""
-    return FGacs(s.chart, *F.b_action(b, s.Phi, s.Eplus, s.Eminus), s.f)
-
-
-def fgacs_deviation(a: FGacs, b: FGacs, points) -> float:
+def fgacs_deviation(a: Gacs, b: Gacs, points) -> float:
     """Max slot-wise difference of two f-structures over the samples."""
-    slots = ((a.Phi, b.Phi), (a.Eplus, b.Eplus), (a.Eminus, b.Eminus), (a.f, b.f))
-    return max(float(sup_norm(stack_values(x, points) - stack_values(y, points)).max())
-               for x, y in slots)
+    return max(float(sup_norm(x - y).max())
+               for x, y in zip(_slot_values(a, points), _slot_values(b, points)))
 
 
-def b_commute_check(s: FGacs, kappa: OneFormField, b: TwoFormField, points) -> ResidualReport:
+def _slot_values(s: Gacs, points) -> list:
+    """Value stacks of Phi, E+, E- and f."""
+    return [stack_values(x, points) for x in (s.Phi, s.Eplus, s.Eminus)] + [_f_values(s, points)]
+
+
+def b_commute_check(s: Gacs, kappa: OneFormField, b: TwoFormField, points) -> ResidualReport:
     """K+-(kappa) deformations commute with B-field transformations."""
     rep = ResidualReport()
     for name, k in (("k_minus", k_minus), ("k_plus", k_plus)):
-        lhs = b_transform_fgacs(k(s, kappa), b)
-        rhs = k(b_transform_fgacs(s, b), kappa)
+        lhs = b_transform(k(s, kappa), b)
+        rhs = k(b_transform(s, b), kappa)
         rep.add(f"b_commute.{name}", [fgacs_deviation(lhs, rhs, points)], None, 1e-10)
     return rep
 
@@ -128,15 +139,19 @@ def b_commute_check(s: FGacs, kappa: OneFormField, b: TwoFormField, points) -> R
 # -- normalization to f = 0 ----------------------------------------------------------
 
 
-def normalize(s: FGacs, points, tol: float = 1e-9) -> Tuple[Gacs, OneFormField, OneFormField]:
+def normalize(s: Gacs, points, tol: float = 1e-9) -> Tuple[Gacs, OneFormField, OneFormField]:
     """Find alpha with 2<E+^f + E-^f, alpha> = f and strip f via K-( -alpha) K+(alpha).
 
     alpha is the Euclidean dual of the combined vector part zeta, scaled to
     alpha(zeta) = f; beta = -alpha.  Errors out where zeta degenerates while
     f does not vanish, since no pointwise alpha can exist there; where both
-    vanish, alpha = 0.
+    vanish, alpha = 0.  The result has ``f = None``; a structure whose f is
+    already ``None`` has nothing to strip and is returned with alpha = beta = 0.
     """
     n = s.chart.dim
+    if s.f is None:
+        zero = F.constant(s.chart, np.zeros(n), OneFormField)
+        return s, zero, zero
     pts = np.asarray(points, dtype=float)
 
     def zeta_jet(p, order):
@@ -170,7 +185,7 @@ def normalize(s: FGacs, points, tol: float = 1e-9) -> Tuple[Gacs, OneFormField, 
         worst = float(np.abs(out.f.values(pts)).max())
     if not worst <= tol:  # also refuses nan
         raise ValueError(f"normalization left |f| = {worst:.3e}, not <= {tol:g}")
-    return out.as_gacs(), alpha, beta
+    return replace(out, f=None), alpha, beta
 
 
 # -- cone B-field correspondence ------------------------------------------------------
@@ -190,7 +205,7 @@ def cone_kappa_form(cone: ConeChart, kappa: OneFormField, radial: bool) -> TwoFo
     return scale * base_wedge
 
 
-def cone_b_correspondence(s: FGacs, kappa: OneFormField, base_points,
+def cone_b_correspondence(s: Gacs, kappa: OneFormField, base_points,
                           ts=DEFAULT_TS, tol: float = 1e-9) -> ResidualReport:
     """e^B I(s) e^-B = I(K-(kappa) s) for B = 2r dr ^ kappa, and the
     unconjugated variant with (2/r) dr ^ kappa against I' = Phi + Psi^f."""
@@ -233,7 +248,7 @@ def g_tilde(g: MatrixField, alpha: OneFormField, cone: ConeChart) -> GtEndoField
     return GtEndoField(cone, lambda p, o: metric_block(ghat_fn(p, o)))
 
 
-def cross_term_metric_check(s: FGacs, g: MatrixField, alpha: OneFormField, base_points,
+def cross_term_metric_check(s: Gacs, g: MatrixField, alpha: OneFormField, base_points,
                  ts=DEFORM_TS, tol: float = DEFAULT_TOL) -> ResidualReport:
     """Compatibility G~ = -I' G~ I' plus the two derived identities.
 
@@ -253,7 +268,7 @@ def cross_term_metric_check(s: FGacs, g: MatrixField, alpha: OneFormField, base_
 
     ep = stack_values(s.Eplus, base_points)
     a = stack_values(F.section(form=alpha), base_points)
-    f = stack_values(s.f, base_points)
+    f = _f_values(s, base_points)
     lhs = gta.apply(stack_values(s.Phi, base_points), a)
     rhs = -gta.apply(stack_values(gmetric_from_gb(g).endo, base_points), ep)
     rhs = rhs + stack_values(s.Eminus, base_points)
@@ -271,7 +286,7 @@ def cross_term_metric_forward(m: Gacm, alpha: OneFormField, base_points,
         probe = m.chart.sample(seed=3, count=3)
         if sup_norm(stack_values(m.metric.b, probe)).max() > 1e-12:
             raise ValueError("the cross-term construction needs b = 0")
-    s = k_plus(FGacs.of_gacs(m.gacs), alpha)
+    s = k_plus(m.gacs, alpha)
     return s, cross_term_metric_check(s, m.metric.g, alpha, base_points, ts, tol)
 
 
@@ -283,8 +298,8 @@ def cone_kahler_pair_check(m: Gacm, alpha: OneFormField, base_points, ts=DEFORM_
     """I'(K+(alpha)(Phi,E+-,0)) and I'(K+(alpha)(G Phi, G E+-, 0)) commute and
     -I'1 I'2 is a generalized Riemannian metric on the cone."""
     cone = ConeChart.over(m.chart)
-    s1 = k_plus(FGacs.of_gacs(m.gacs), alpha)
-    s2 = k_plus(FGacs.of_gacs(m.dual.gacs), alpha)
+    s1 = k_plus(m.gacs, alpha)
+    s2 = k_plus(m.dual.gacs, alpha)
     i1 = i_prime(s1, cone).J
     i2 = i_prime(s2, cone).J
     cpts = cone_points(base_points, ts)
@@ -311,12 +326,8 @@ def f_sasakian_check(fm: FGacm, base_points, ts=DEFORM_TS,
     m = fm.gacm
     cone = ConeChart.over(m.chart)
     rep = ResidualReport()
-    branches = (
-        ("phi", FGacs.of_gacs(m.gacs)),
-        ("gphi", FGacs.of_gacs(m.dual.gacs)),
-    )
     cpts = cone_points(base_points, ts)
-    for tag, base in branches:
+    for tag, base in (("phi", m.gacs), ("gphi", m.dual.gacs)):
         s = k_minus(k_plus(base, fm.alpha), fm.beta)
         members = gacx_plus_frame(i_map(s, cone))
         _, per_point = max_nij_over_frame(members, cpts)

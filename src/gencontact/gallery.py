@@ -15,7 +15,6 @@ from . import fields as F
 from . import jets as J
 from .charts import Chart, box
 from .fields import MatrixField, OneFormField
-from .integrability import sasakian_criterion
 from .structures import (
     AlmostContactMetric,
     Gacm,
@@ -81,20 +80,13 @@ def _heisenberg_data(distribution_scale: float) -> dict:
         [[a + y * y, zero, -1 * y], [zero, a, zero], [-1 * y, zero, one]],
     )
 
-    def phi_with_sign(sigma: float) -> MatrixField:
-        s = F.constant(chart, sigma)
-        return F.matrix_field(
-            chart,
-            [[zero, -1 * s, zero], [s, zero, zero], [zero, -1 * (s * y), zero]],
-        )
-
-    pts = chart.sample(seed=41, count=10)
-    candidates = []
-    for sigma in (1.0, -1.0):
-        acs = AlmostContactMetric(chart, phi_with_sign(sigma), xi, eta, g)
-        candidates.append((sasakian_criterion(acs, pts).max_residual, acs))
-    candidates.sort(key=lambda t: t[0])
-    acs = candidates[0][1]
+    # phi e1 = -e2: the sign the Sasakian criterion picks for both normalisations
+    s = F.constant(chart, -1.0)
+    phi = F.matrix_field(
+        chart,
+        [[zero, -1 * s, zero], [s, zero, zero], [zero, -1 * (s * y), zero]],
+    )
+    acs = AlmostContactMetric(chart, phi, xi, eta, g)
     gacs = gacs_from_acs(acs)
     gacm = sasakian_to_gs(acs)
     return {"chart": chart, "acs": acs, "gacs": gacs, "gacm": gacm}

@@ -1,5 +1,9 @@
 """Generalized (almost) contact structures on a chart and their checkers.
 
+One record, :class:`Gacs`, holds a generalized f-almost contact structure
+(Phi, E+, E-, f); a generalized almost contact structure is its f = 0 case,
+and f = 0 is ``f = None``, not a zero field.
+
 Checkers never raise on mathematical failure: they return a
 :class:`~gencontact.report.ResidualReport` whose rows carry max/mean
 residuals over the sampled points.  Each checker evaluates a field once over
@@ -72,33 +76,22 @@ class AlmostContactMetric:
 
 @dataclass(frozen=True)
 class Gacs:
+    """Generalized f-almost contact structure (Phi, E+, E-, f).
+
+    ``f = None`` means f = 0: a generalized almost contact structure in the
+    sense of Def 3.1, which has no f to evaluate or carry.
+    """
+
     chart: Chart
     Phi: GtEndoField
     Eplus: SectionField
     Eminus: SectionField
+    f: Optional[ScalarField] = None
 
     @cached_property
     def frame(self) -> "EigenFrame":
         """The default :func:`eigenframe`, built on first use and kept with the structure."""
         return eigenframe(self)
-
-
-@dataclass(frozen=True)
-class FGacs:
-    """Generalized f-almost contact structure (Phi^f, E+^f, E-^f, f)."""
-
-    chart: Chart
-    Phi: GtEndoField
-    Eplus: SectionField
-    Eminus: SectionField
-    f: ScalarField
-
-    @staticmethod
-    def of_gacs(s: Gacs) -> "FGacs":
-        return FGacs(s.chart, s.Phi, s.Eplus, s.Eminus, F.constant(s.chart, 0))
-
-    def as_gacs(self) -> Gacs:
-        return Gacs(self.chart, self.Phi, self.Eplus, self.Eminus)
 
 
 @dataclass(frozen=True)
@@ -247,13 +240,17 @@ def gacs_from_acs(acs: AlmostContactMetric, check_points=None) -> Gacs:
 
 def reeb_field(eta: OneFormField) -> VectorField:
     """The unique xi with i_xi d(eta) = 0 and eta(xi) = 1, via rho^-1."""
-    chart = eta.chart
+    return VectorField(eta.chart, _reeb_fn(eta, _rho_inv(eta)))
 
-    def fn(p, order):
-        rho = _rho_jet(eta, p, order)
-        return J.jet_einsum("ij,j->i", J.jet_inv(rho), -eta.jet(p, order))
 
-    return VectorField(chart, fn)
+def _reeb_fn(eta: OneFormField, rho_inv: MatrixField):
+    """The Reeb field's closure xi = -rho^-1 eta, reading rho^-1 from its field."""
+    return lambda p, o: J.jet_einsum("ij,j->i", rho_inv.jet(p, o), -eta.jet(p, o))
+
+
+def _rho_inv(eta: OneFormField) -> MatrixField:
+    """rho^-1 as one field, so that Phi and the Reeb field of a lift share its jets."""
+    return MatrixField(eta.chart, lambda p, o: J.jet_inv(_rho_jet(eta, p, o)))
 
 
 def _rho_jet(eta: OneFormField, p, order: int) -> J.JetArray:
@@ -321,9 +318,11 @@ def gacs_from_contact(eta: OneFormField, check_points=None) -> Gacs:
             raise ValueError(
                 f"eta is not contact at {pts[np.argmax(degenerate)]}: rho is degenerate")
 
+    rho_inv_field = _rho_inv(eta)
+
     def phi_fn(p, order):
         deta = F.d_jet(eta.jet(p, order + 1), 1)
-        rho_inv = J.jet_inv(_rho_jet(eta, p, order))
+        rho_inv = rho_inv_field.jet(p, order)
         # pi(alpha, beta) = d eta(rho^-1 alpha, rho^-1 beta).  The bivector
         # and 2-form blocks of the structure matrix contract in the second
         # slot, (TC alpha)^j = pi(dx^j, alpha) and (CT X)_j = d eta(dx_j, X):
@@ -336,7 +335,9 @@ def gacs_from_contact(eta: OneFormField, check_points=None) -> Gacs:
         return F.block_jet(None, -F._jT(pi), -F._jT(deta), None)
 
     Phi = GtEndoField(chart, phi_fn)
-    return Gacs(chart, Phi, F.section(form=eta), F.section(vec=reeb_field(eta)))
+    reeb = _reeb_fn(eta, rho_inv_field)  # E- = xi, with no VectorField under the section
+    eminus = SectionField(chart, lambda p, o: F.jconcat([reeb(p, o), None]))
+    return Gacs(chart, Phi, F.section(form=eta), eminus)
 
 
 def metric_block(gj: J.JetArray) -> J.JetArray:
@@ -369,8 +370,8 @@ def gmetric_from_gb(g: MatrixField, b: Optional[TwoFormField] = None) -> General
 
 
 def b_transform(s: Gacs, b: TwoFormField) -> Gacs:
-    """(e^B Phi e^-B, e^B E+, e^B E-): closed under the Gacs axioms for any smooth B."""
-    return Gacs(s.chart, *F.b_action(b, s.Phi, s.Eplus, s.Eminus))
+    """(e^B Phi e^-B, e^B E+, e^B E-, f): closed under the (f-)structure axioms for any smooth B."""
+    return Gacs(s.chart, *F.b_action(b, s.Phi, s.Eplus, s.Eminus), s.f)
 
 
 def b_transform_gacm(m: Gacm, b: TwoFormField) -> Gacm:
@@ -384,8 +385,8 @@ def b_transform_gacm(m: Gacm, b: TwoFormField) -> Gacm:
 def gacs_residuals(phi, ep, em, f=0.0):
     """Skew, square, normalization and isotropy residuals per point.
 
-    Takes (P, 2n, 2n) and (P, 2n) value stacks and f (0 for a Gacs); the
-    generalized f-structure axioms reduce to Def 3.1 at f = 0.
+    Takes (P, 2n, 2n) and (P, 2n) value stacks and f (0 for ``f = None``);
+    the generalized f-structure axioms reduce to Def 3.1 at f = 0.
     """
     eye = np.eye(phi.shape[-1])
     skew = sup_norm(phi + gta.adjoint(phi))
@@ -489,8 +490,10 @@ def eigenframe(s: Gacs, sample_points=None) -> EigenFrame:
     is chosen once, from its value at the chart's seed-0 sample point, and
     the same columns are reused across the chart.  Each call builds a new
     frame; the checks read ``s.frame``, built by this function once per
-    structure.
+    structure.  A structure with an f is refused.
     """
+    if s.f is not None:
+        raise ValueError("the E^(1,0) eigenframe is defined for f = 0 (f is None) only")
     chart = s.chart
     n = chart.dim
     projector = eigen_projector(s.Phi, s.Eplus, s.Eminus)

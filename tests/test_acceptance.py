@@ -42,7 +42,7 @@ def test_criterion_01_axiom_suite():
         if "gacs" in products:
             worst = max(worst, S.gacs_check(products["gacs"], pts).max_residual)
             worst = max(
-                worst, D.fgacs_check(S.FGacs.of_gacs(products["gacs"]), pts).max_residual
+                worst, D.fgacs_check(products["gacs"], pts).max_residual
             )
         if "gacm" in products:
             worst = max(worst, S.gacm_check(products["gacm"], pts).max_residual)
@@ -80,10 +80,10 @@ def test_criterion_02_phi_kernel_universality():
             c = rng.normal(size=(2, 4))
             kappa = poly(c[0]) * F.basis_form(ch, 0) + poly(c[1]) * F.basis_form(ch, 1)
             for k, fixed in ((D.k_minus, s.Eminus), (D.k_plus, s.Eplus)):
-                out = k(D.FGacs.of_gacs(s) if hasattr(D, "FGacs") else S.FGacs.of_gacs(s), kappa)
+                out = k(s, kappa)
                 fvals = max(abs(complex(out.f.values(p))) for p in pts[:4])
                 if fvals < 1e-10:
-                    worst = max(worst, S.phi_kernel_check(out.as_gacs(), pts[:8]).max_residual)
+                    worst = max(worst, S.phi_kernel_check(out, pts[:8]).max_residual)
                     cases += 1
     verdict(2, worst < 1e-8 and cases >= 50, f"{cases + 3} structures, max |Phi E| {worst:.3e}")
 
@@ -127,7 +127,7 @@ def test_criterion_04_cone_algebra():
         products = GALLERY[name]
         s = products.get("gacs") or products["gacm"].gacs
         cpts = C.cone_points(s.chart.sample(seed=61, count=12))
-        j = C.cone_gacx(s)
+        j = C.i_prime(s)
         worst_alg = max(worst_alg, C.gacx_check(j, cpts).max_residual)
         out = C.cone_decompose(j)
         for p in s.chart.sample(seed=62, count=8):
@@ -194,7 +194,7 @@ def test_criterion_07_vaisman_conditions():
 def test_criterion_08_k_algebra():
     ch = GALLERY["darboux"]["chart"]
     pts = ch.sample(seed=111, count=10)
-    s0 = S.FGacs.of_gacs(GALLERY["darboux"]["gacs"])
+    s0 = GALLERY["darboux"]["gacs"]
     rng = np.random.default_rng(7)
 
     def rand_form():
@@ -236,7 +236,7 @@ def test_criterion_09_cross_term_metric_and_cone_pair():
     s, rep = D.cross_term_metric_forward(heis["gacm"], alpha, pts)
     fwd = rep.max_residual
     bad = D.cross_term_metric_check(
-        D.k_plus(S.FGacs.of_gacs(heis["gacm"].gacs), alpha + 0.1 * F.basis_form(ch, 0)),
+        D.k_plus(heis["gacm"].gacs, alpha + 0.1 * F.basis_form(ch, 0)),
         heis["gacm"].metric.g,
         alpha,
         pts[:5],

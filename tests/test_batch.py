@@ -74,7 +74,7 @@ def test_point_count_equal_to_the_chart_dimension():
     for s, pts in ((heis, heis.chart.sample(seed=17, count=3)), (darboux7, pts7)):
         assert len(pts) == s.chart.dim
         _assert_matches_per_point(S.gacs_check, s, pts)
-        _assert_matches_per_point(D.fgacs_check, S.FGacs.of_gacs(s), pts)
+        _assert_matches_per_point(D.fgacs_check, s, pts)
 
 
 def test_deformed_fgacs_at_a_chart_dimension_point_count():
@@ -82,7 +82,7 @@ def test_deformed_fgacs_at_a_chart_dimension_point_count():
     heis = gallery.build("heisenberg_sasakian")
     ch = heis["chart"]
     kappa = F.one_form(ch, [F.coordinate(ch, 2), F.constant(ch, 0.3), F.coordinate(ch, 0)])
-    s = D.k_plus(D.k_minus(S.FGacs.of_gacs(heis["gacs"]), kappa), F.basis_form(ch, 1))
+    s = D.k_plus(D.k_minus(heis["gacs"], kappa), F.basis_form(ch, 1))
     _assert_matches_per_point(D.fgacs_check, s, ch.sample(seed=19, count=3))
 
 

@@ -119,7 +119,7 @@ def test_psi_block_matrix_display():
 def test_cone_gacx_all_gallery():
     for entry in (DARBOUX, HEIS, KAHLER):
         s = entry.get("gacs") or entry["gacm"].gacs
-        j = C.cone_gacx(s)
+        j = C.i_prime(s)
         rep = C.gacx_check(j, cpts(entry))
         assert rep.passed and rep.max_residual < 1e-9
         rep2 = C.gacx_check(C.r_conjugate(j), cpts(entry))
@@ -128,7 +128,7 @@ def test_cone_gacx_all_gallery():
 
 def test_cone_gacx_radial_action():
     s = HEIS["gacs"]
-    j = C.cone_gacx(s)
+    j = C.i_prime(s)
     for q in cpts(HEIS, count=3):
         m = j.J.values(q)
         ddt = np.zeros(8)
@@ -145,7 +145,7 @@ def test_classical_restriction_is_cone_i():
     from gencontact.integrability import classical_cone_i
 
     cc = cone_of(HEIS)
-    j = C.cone_gacx(HEIS["gacs"], cc)
+    j = C.i_prime(HEIS["gacs"], cc)
     imat = classical_cone_i(HEIS["acs"], cc)
     for q in cpts(HEIS, count=4):
         assert np.abs(j.J.values(q)[:4, :4] - imat.values(q)).max() < 1e-13
@@ -153,7 +153,7 @@ def test_classical_restriction_is_cone_i():
 
 def test_r_conjugate_properties():
     s = DARBOUX["gacs"]
-    j = C.cone_gacx(s)
+    j = C.i_prime(s)
     jr = C.r_conjugate(j)
     p = DARBOUX["chart"].sample(seed=9, count=1)[0]
     at0 = np.concatenate([p, [0.0]])
@@ -170,7 +170,7 @@ def r_structures():
     out = []
     for s in [gallery.build(name)["gacs"] for name in gallery.names()] + [gallery.darboux(3)["gacs"]]:
         base = s.chart.sample(seed=23, count=5)
-        out.append((s, C.cone_gacx(s), C.cone_points(base, (-0.5, 0.25))))
+        out.append((s, C.i_prime(s), C.cone_points(base, (-0.5, 0.25))))
     return out
 
 
@@ -212,8 +212,8 @@ def test_conjugated_cone_frame_equals_r_applied_bit_for_bit():
 def test_cone_decompose_round_trip():
     for entry in (DARBOUX, HEIS, KAHLER):
         s = entry.get("gacs") or entry["gacm"].gacs
-        out = C.cone_decompose(C.cone_gacx(s))
-        assert isinstance(out, S.Gacs)
+        out = C.cone_decompose(C.i_prime(s))
+        assert isinstance(out, S.Gacs) and out.f is None
         pts = entry["chart"].sample(seed=29, count=6)
         dev = max(
             max(
@@ -234,10 +234,10 @@ def test_cone_decompose_of_radial_b_transform_is_k_minus():
     cc = cone_of(DARBOUX)
     kappa = F.basis_form(DARBOUX["chart"], 2)  # dz
     b = D.cone_kappa_form(cc, kappa, radial=False)
-    j = C.ConeGacx(cc, *F.b_action(b, C.cone_gacx(s, cc).J))
+    j = C.ConeGacx(cc, *F.b_action(b, C.i_prime(s, cc).J))
     out = C.cone_decompose(j)
-    assert isinstance(out, S.FGacs)
-    expected = D.k_minus(S.FGacs.of_gacs(s), kappa)
+    assert isinstance(out, S.Gacs) and out.f is not None
+    expected = D.k_minus(s, kappa)
     pts = DARBOUX["chart"].sample(seed=31, count=5)
     assert D.fgacs_deviation(out, expected, pts) < 1e-10
 
@@ -248,7 +248,7 @@ def test_cone_decompose_rejects_t_dependence():
     t = F.coordinate(cc, 3)
     et = F.ScalarField(cc, lambda p, o: J.exp(t.at(p, o)))
     b = et * F.wedge11(F.basis_form(cc, 0), F.basis_form(cc, 1))
-    j = C.ConeGacx(cc, *F.b_action(b, C.cone_gacx(s, cc).J))
+    j = C.ConeGacx(cc, *F.b_action(b, C.i_prime(s, cc).J))
     with pytest.raises(ValueError, match="depends on t"):
         C.cone_decompose(j)
 
@@ -256,11 +256,11 @@ def test_cone_decompose_rejects_t_dependence():
 def test_psi_f_and_i_prime():
     from gencontact import deformations as D
 
-    s0 = S.FGacs.of_gacs(DARBOUX["gacs"])
+    s0 = DARBOUX["gacs"]
     cc = cone_of(DARBOUX)
     # f = 0 reduces Psi^f to Psi
     psi_plain = C.psi(cc, s0.Eplus, s0.Eminus)
-    psi_f = C.psi_f(cc, s0)
+    psi_f = C.psi(cc, s0.Eplus, s0.Eminus, F.constant(DARBOUX["chart"], 0))
     q = cpts(DARBOUX, count=2)[0]
     assert np.abs(psi_plain.values(q) - psi_f.values(q)).max() < 1e-14
 
@@ -285,7 +285,7 @@ def test_psi_f_and_i_prime():
 
 
 def test_gacx_plus_frame_spans_eigenbundle():
-    j = C.r_conjugate(C.cone_gacx(HEIS["gacs"]))
+    j = C.r_conjugate(C.i_prime(HEIS["gacs"]))
     members = C.gacx_plus_frame(j)
     assert len(members) == 4
     for q in cpts(HEIS, count=3):
@@ -313,8 +313,8 @@ def test_fgacs_cone_round_trip():
     """i_prime of an f-structure decomposes back to the same f-structure."""
     from gencontact import deformations as D
 
-    s = D.k_minus(S.FGacs.of_gacs(DARBOUX["gacs"]), F.basis_form(DARBOUX["chart"], 2))
+    s = D.k_minus(DARBOUX["gacs"], F.basis_form(DARBOUX["chart"], 2))
     cc = cone_of(DARBOUX)
     out = C.cone_decompose(C.i_prime(s, cc))
-    assert isinstance(out, S.FGacs)
+    assert isinstance(out, S.Gacs) and out.f is not None
     assert D.fgacs_deviation(out, s, DARBOUX["chart"].sample(seed=41, count=6)) < 1e-10

@@ -6,6 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from gencontact import cone as C
 from gencontact import deformations as D
 from gencontact import fields as F
 from gencontact import gallery
@@ -19,7 +20,7 @@ KAHLER = gallery.build("kahler_interval")
 
 CH = DARBOUX["chart"]
 PTS = CH.sample(seed=53, count=10)
-S0 = S.FGacs.of_gacs(DARBOUX["gacs"])
+S0 = DARBOUX["gacs"]
 DZ = F.basis_form(CH, 2)
 
 
@@ -130,12 +131,12 @@ def test_normalize_chain():
 def test_normalize_reports_degenerate_zeta():
     """A structure whose combined vector part vanishes cannot be normalised."""
     ch = HEIS["chart"]
-    s = S.FGacs.of_gacs(HEIS["gacs"])  # E+ = xi, E- = eta
+    s = HEIS["gacs"]  # E+ = xi, E- = eta
     # K-deform so f != 0 while zeta stays xi: then squash the vector parts
     kappa = F.one_form(ch, [F.constant(ch, 0), F.constant(ch, 0), F.constant(ch, 1)])
     deformed = D.k_minus(s, kappa)  # f = 2<eta, dz> = kappa(xi)? no: E- = eta form
     # build an artificial structure with zero vector parts and f = 1
-    art = S.FGacs(
+    art = S.Gacs(
         ch,
         deformed.Phi,
         F.section(form=F.basis_form(ch, 0)),
@@ -181,7 +182,7 @@ def test_cross_term_only_if_direction():
     pts = ch.sample(seed=11, count=4)
     alpha = 0.3 * F.basis_form(ch, 2)
     other = alpha + 0.1 * F.basis_form(ch, 0)
-    s_other = D.k_plus(S.FGacs.of_gacs(HEIS["gacm"].gacs), other)
+    s_other = D.k_plus(HEIS["gacm"].gacs, other)
     rep = D.cross_term_metric_check(s_other, HEIS["gacm"].metric.g, alpha, pts)
     assert rep["cross_term.compatibility"].max_residual > 1e-3
 
@@ -205,8 +206,8 @@ def test_cone_pair_violated_by_one_sided_deformation():
     cone = __import__("gencontact.charts", fromlist=["ConeChart"]).ConeChart.over(ch)
     from gencontact.cone import i_prime
 
-    s1 = D.k_minus(D.k_plus(S.FGacs.of_gacs(HEIS["gacm"].gacs), alpha), alpha)
-    s2 = D.k_plus(S.FGacs.of_gacs(S.dual_gacm(HEIS["gacm"]).gacs), alpha)
+    s1 = D.k_minus(D.k_plus(HEIS["gacm"].gacs, alpha), alpha)
+    s2 = D.k_plus(S.dual_gacm(HEIS["gacm"]).gacs, alpha)
     i1 = i_prime(s1, cone).J
     i2 = i_prime(s2, cone).J
     worst = 0.0
@@ -265,3 +266,75 @@ def test_f_sasakian_random_deformation_fails():
     fm = D.FGacm.from_witness(KAHLER["gacm"], alpha, 0 * alpha)
     rep = D.f_sasakian_check(fm, pts)
     assert rep.max_residual > 1e-3
+
+
+# -- f = None is f = 0 -------------------------------------------------------------------
+# Each structure is compared with itself carrying an explicit constant-zero f
+# field.  Every operation on that field adds or subtracts an exact zero, so the
+# jets agree entry for entry (np.array_equal takes -0.0 == 0.0).
+
+
+def none_and_zero_f():
+    """(name, s, ref) for the four gallery Gacs and darboux(3): s has f = None,
+    ref is s with f = F.constant(chart, 0)."""
+    named = [(n, gallery.build(n)["gacs"]) for n in gallery.names()]
+    named.append(("darboux(3)", gallery.darboux(3)["gacs"]))
+    return [(name, s, S.Gacs(s.chart, s.Phi, s.Eplus, s.Eminus, f=F.constant(s.chart, 0)))
+            for name, s in named]
+
+
+NONE_AND_ZERO_F = none_and_zero_f()
+
+
+def generic_kappa(chart):
+    n = chart.dim
+    return F.one_form(chart, [0.3 * F.coordinate(chart, (i + 1) % n)
+                              + F.constant(chart, 0.1 * (i + 1)) for i in range(n)])
+
+
+def assert_jets_equal(a, b, pts, what):
+    """Equal jets at orders 0, 1 and 2, each demanded afresh (rising order)."""
+    for order in (0, 1, 2):
+        ja, jb = a.jet(pts, order), b.jet(pts, order)
+        for part in ("value", "grad", "hess")[:order + 1]:
+            assert np.array_equal(getattr(ja, part), getattr(jb, part)), (what, order, part)
+
+
+@pytest.mark.parametrize("k", [D.k_plus, D.k_minus], ids=["k_plus", "k_minus"])
+def test_k_deformations_of_f_none_equal_the_zero_f_reference(k):
+    for name, s, ref in NONE_AND_ZERO_F:
+        assert s.f is None
+        kappa = generic_kappa(s.chart)
+        pts = s.chart.sample(seed=61, count=4)
+        a, b = k(s, kappa), k(ref, kappa)
+        for slot in ("Phi", "Eplus", "Eminus", "f"):
+            assert_jets_equal(getattr(a, slot), getattr(b, slot), pts, (name, slot))
+
+
+def test_i_prime_of_f_none_equals_the_zero_f_reference():
+    """With f = None, Psi builds no f-extension; with a zero f it adds 0 * (dt (x) d/dt - ...)."""
+    for name, s, ref in NONE_AND_ZERO_F:
+        pts = C.cone_points(s.chart.sample(seed=62, count=3), (-0.5, 0.25))
+        assert_jets_equal(C.i_prime(s).J, C.i_prime(ref).J, pts, name)
+
+
+def test_fgacs_check_and_normalize_of_f_none_equal_the_zero_f_reference():
+    for name, s, ref in NONE_AND_ZERO_F:
+        pts = s.chart.sample(seed=63, count=6)
+        assert D.fgacs_check(s, pts).rows == D.fgacs_check(ref, pts).rows, name
+        out, alpha, beta = D.normalize(s, pts)
+        out_ref, alpha_ref, beta_ref = D.normalize(ref, pts)
+        assert out.f is None and out_ref.f is None
+        pairs = ((out.Phi, out_ref.Phi), (out.Eplus, out_ref.Eplus), (out.Eminus, out_ref.Eminus),
+                 (alpha, alpha_ref), (beta, beta_ref))
+        for x, y in pairs:
+            assert np.array_equal(x.values(pts), y.values(pts)), name
+
+
+def test_eigenframe_refuses_an_f_structure():
+    """The E^(1,0) frame is defined for f = 0 only; K-(dz) makes f = 1."""
+    s = D.k_minus(S0, DZ)
+    with pytest.raises(ValueError, match="f = 0"):
+        S.eigenframe(s)
+    with pytest.raises(ValueError, match="f = 0"):
+        s.frame

@@ -108,7 +108,7 @@ def test_value_checks_on_darboux7_demand_no_hessian(monkeypatch):
     s = gallery.darboux(3)["gacs"]  # fresh fields, empty memos
     pts = s.chart.sample(seed=3, count=4)
     assert S.gacs_check(s, pts).passed
-    assert D.fgacs_check(S.FGacs.of_gacs(s), pts).passed
+    assert D.fgacs_check(s, pts).passed
     # eta enters d(eta) inside Phi and the Reeb field, so it is asked for order 1
     assert seen and max(seen) == 1
 

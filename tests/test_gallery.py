@@ -1,7 +1,7 @@
 """Golden tests: every gallery entry reproduces its expected-verdict table,
 plus the closed-form identities of the warped Kaehler interval and the pinned
-bytes of the gallery reports, of one 7-dim Darboux report and of one deform
-pipeline report."""
+bytes of the gallery reports, of one 7-dim Darboux report and of two deform
+pipeline reports."""
 
 import hashlib
 import json
@@ -63,13 +63,20 @@ def test_darboux_higher_k():
 
 
 def test_heisenberg_sign_fix():
+    """Both Heisenberg entries use the sign of phi with the smaller Sasakian
+    criterion residual: the negative rotation, which the builder fixes."""
     h = gallery.build("heisenberg_sasakian")
     pts = h["chart"].sample(seed=7, count=10)
     assert I.sasakian_criterion(h["acs"], pts).max_residual < 1e-9
-    # phi e1 = -e2 at y = 0: the criterion forces the negative rotation
-    p = np.array([0.1, 0.0, 0.2])
-    phi = h["acs"].phi.values(p)
-    assert np.allclose(phi @ [1, 0, 0], [0, -1, 0])
+    for name in ("heisenberg_sasakian", "heisenberg_cone_kahler"):
+        acs = gallery.build(name)["acs"]
+        # phi e1 = -e2 at y = 0: the criterion forces the negative rotation
+        p = np.array([0.1, 0.0, 0.2])
+        phi = acs.phi.values(p)
+        assert np.allclose(phi @ [1, 0, 0], [0, -1, 0]), name
+        picked = I.sasakian_criterion(acs, pts).max_residual
+        flipped = I.sasakian_criterion(acs.flipped(), pts).max_residual
+        assert picked < flipped, (name, picked, flipped)
 
 
 def test_kahler_interval_cone_form_display():
@@ -286,6 +293,31 @@ def test_deform_pipeline_report_bytes_are_pinned(tmp_path):
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == DEFORM_SHA256, (
         f"the deform pipeline report changed (sha256 {digest}); if the change is "
+        "intended, justify the re-pin in CHANGES.md")
+
+
+# SHA-256 of `gencontact verify --out <file>` on the same contact form taken
+# through a B-field and normalize only: f stays 0 (None) up to normalize, which
+# has nothing to strip.  As for REPORT_SHA256, a re-pin must say in CHANGES.md
+# why the report moved.
+B_NORMALIZE_CONFIG = {
+    "structure": DEFORM_CONFIG["structure"],
+    "apply": [DEFORM_CONFIG["apply"][1], {"op": "normalize"}],
+    "checks": ["fgacs"],
+    "seed": 13,
+    "samples": 40,
+}
+B_NORMALIZE_SHA256 = "4976f0503ebcf47b2ff5e4394be59c72e51ddc39cc0b26d61c6d99615dcd03c5"
+
+
+def test_b_field_normalize_report_bytes_are_pinned(tmp_path):
+    cfg = tmp_path / "b_normalize.json"
+    cfg.write_text(json.dumps(B_NORMALIZE_CONFIG))
+    out = tmp_path / "report.json"
+    assert main(["verify", str(cfg), "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == B_NORMALIZE_SHA256, (
+        f"the B-field/normalize report changed (sha256 {digest}); if the change is "
         "intended, justify the re-pin in CHANGES.md")
 
 

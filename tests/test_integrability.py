@@ -661,7 +661,7 @@ def test_five_dimensional_darboux_full_stack():
     assert len(frame.e10) == 4  # (2n - 2)/2 with n = 5
     label, _ = S.involutivity_class(d2["gacs"], sample)
     assert label == "contact(-)"
-    out = C.cone_decompose(C.cone_gacx(d2["gacs"]))
+    out = C.cone_decompose(C.i_prime(d2["gacs"]))
     assert np.abs(out.Phi.values(sample[0]) - d2["gacs"].Phi.values(sample[0])).max() < 1e-10
     rep = I.cone_crosscheck(d2["gacs"], sample, ts=(-0.4, 0.3))
     assert rep["crosscheck.id1"].max_residual < 1e-8
