@@ -16,6 +16,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from . import deformations as D
+from . import exprs as E
 from . import fields as F
 from . import gallery as G
 from . import integrability as I
@@ -78,7 +79,7 @@ def parse_chart(obj: dict, path: str) -> Chart:
 
 def _expr(text, chart: Chart, path: str) -> F.ScalarField:
     if isinstance(text, (int, float)):
-        return F.constant(chart, float(text))
+        return E.literal(chart, float(text))
     if not isinstance(text, str):
         raise ConfigError(f"{path}: expected an expression string")
     try:
@@ -87,18 +88,23 @@ def _expr(text, chart: Chart, path: str) -> F.ScalarField:
         raise ConfigError(f"{path}: {err}") from None
 
 
-def _expr_vector(items, chart: Chart, path: str, length: int) -> list:
+def _expr_list(items, chart: Chart, path: str, length: int) -> list:
     if not isinstance(items, list) or len(items) != length:
         raise ConfigError(f"{path}: expected a list of {length} expressions")
     return [_expr(e, chart, f"{path}[{i}]") for i, e in enumerate(items)]
 
 
-def _expr_matrix(rows, chart: Chart, path: str, size: int) -> list:
+def _expr_vector(cls, items, chart: Chart, path: str) -> F.Field:
+    """The ``cls`` field of a list of chart.dim expressions, all from one coordinate seed."""
+    return E.component_field(cls, chart, _expr_list(items, chart, path, chart.dim))
+
+
+def _expr_matrix(cls, rows, chart: Chart, path: str, size: int) -> F.Field:
+    """The ``cls`` field of a size x size expression matrix, all from one coordinate seed."""
     if not isinstance(rows, list) or len(rows) != size:
         raise ConfigError(f"{path}: expected a {size}x{size} expression matrix")
-    return [
-        _expr_vector(row, chart, f"{path}[{i}]", size) for i, row in enumerate(rows)
-    ]
+    comps = [_expr_list(row, chart, f"{path}[{i}]", size) for i, row in enumerate(rows)]
+    return E.component_field(cls, chart, comps)
 
 
 def _check_points(chart: Chart) -> np.ndarray:
@@ -118,12 +124,11 @@ def _parse_section(obj: dict, chart: Chart, path: str) -> F.SectionField:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object with vec/form lists")
     _reject_unknown(obj, {"vec", "form"}, path)
-    n = chart.dim
     vec = form = None
     if "vec" in obj:
-        vec = F.vector_field(chart, _expr_vector(obj["vec"], chart, f"{path}.vec", n))
+        vec = _expr_vector(F.VectorField, obj["vec"], chart, f"{path}.vec")
     if "form" in obj:
-        form = F.one_form(chart, _expr_vector(obj["form"], chart, f"{path}.form", n))
+        form = _expr_vector(F.OneFormField, obj["form"], chart, f"{path}.form")
     if vec is None and form is None:
         raise ConfigError(f"{path}: need vec and/or form")
     return F.section(vec=vec, form=form)
@@ -158,7 +163,7 @@ def parse_structure(obj: dict, path: str = "$.structure") -> dict:
     if builder == "from_contact":
         if n % 2 != 1:
             raise ConfigError(f"{path}: contact builders need an odd chart dimension")
-        eta = F.one_form(chart, _expr_vector(_need(obj, "eta", path), chart, f"{path}.eta", n))
+        eta = _expr_vector(F.OneFormField, _need(obj, "eta", path), chart, f"{path}.eta")
         pts = _check_points(chart)
         try:
             gacs = S.gacs_from_contact(eta, check_points=pts)
@@ -166,12 +171,12 @@ def parse_structure(obj: dict, path: str = "$.structure") -> dict:
             raise ConfigError(f"{path}: {err}") from None
         return {"chart": chart, "eta": eta, "gacs": gacs}
     if builder == "from_acs":
-        phi = F.matrix_field(chart, _expr_matrix(_need(obj, "phi", path), chart, f"{path}.phi", n))
-        xi = F.vector_field(chart, _expr_vector(_need(obj, "xi", path), chart, f"{path}.xi", n))
-        eta = F.one_form(chart, _expr_vector(_need(obj, "eta", path), chart, f"{path}.eta", n))
+        phi = _expr_matrix(F.MatrixField, _need(obj, "phi", path), chart, f"{path}.phi", n)
+        xi = _expr_vector(F.VectorField, _need(obj, "xi", path), chart, f"{path}.xi")
+        eta = _expr_vector(F.OneFormField, _need(obj, "eta", path), chart, f"{path}.eta")
         g = None
         if "g" in obj:
-            g = F.matrix_field(chart, _expr_matrix(obj["g"], chart, f"{path}.g", n))
+            g = _expr_matrix(F.MatrixField, obj["g"], chart, f"{path}.g", n)
         pts = _check_points(chart)
         try:
             for name, part in (("phi", phi), ("xi", xi), ("eta", eta), ("g", g)):
@@ -187,8 +192,7 @@ def parse_structure(obj: dict, path: str = "$.structure") -> dict:
     if builder is not None:
         raise ConfigError(f"{path}.builder: unknown builder {builder!r}")
     # explicit components
-    phi_rows = _expr_matrix(_need(obj, "phi", path), chart, f"{path}.phi", 2 * n)
-    phi = F.from_components(F.GtEndoField, chart, phi_rows)
+    phi = _expr_matrix(F.GtEndoField, _need(obj, "phi", path), chart, f"{path}.phi", 2 * n)
     eplus = _parse_section(_need(obj, "eplus", path), chart, f"{path}.eplus")
     eminus = _parse_section(_need(obj, "eminus", path), chart, f"{path}.eminus")
     for name, part in (("phi", phi), ("eplus", eplus), ("eminus", eminus)):
@@ -198,7 +202,8 @@ def parse_structure(obj: dict, path: str = "$.structure") -> dict:
 
 
 def parse_pipeline(items, products: dict, path: str = "$.apply") -> dict:
-    """Apply deformation steps to the structure's Gacs (its f-structure, once deformed)."""
+    """Apply deformation steps to the structure's Gacs; the result is filed under
+    ``fgacs``, and under ``gacs`` too while its f is ``None`` (f = 0)."""
     if not isinstance(items, list):
         raise ConfigError(f"{path}: expected a list of steps")
     if "gacs" not in products and "fgacs" not in products:
@@ -213,8 +218,7 @@ def parse_pipeline(items, products: dict, path: str = "$.apply") -> dict:
         op = _need(step, "op", spath)
         if op == "b_field":
             _reject_unknown(step, {"op", "B"}, spath)
-            rows = _expr_matrix(_need(step, "B", spath), chart, f"{spath}.B", n)
-            bfield = F.from_components(F.TwoFormField, chart, rows)
+            bfield = _expr_matrix(F.TwoFormField, _need(step, "B", spath), chart, f"{spath}.B", n)
             v = bfield.values(chart.sample(seed=3, count=4))
             if np.abs(v + np.swapaxes(v, 0, 1)).max() > 1e-9:
                 raise ConfigError(f"{spath}.B: components are not antisymmetric")
@@ -222,9 +226,8 @@ def parse_pipeline(items, products: dict, path: str = "$.apply") -> dict:
             current = S.b_transform(current, bfield)
         elif op in ("k_plus", "k_minus"):
             _reject_unknown(step, {"op", "kappa"}, spath)
-            kappa = F.one_form(
-                chart, _expr_vector(_need(step, "kappa", spath), chart, f"{spath}.kappa", n)
-            )
+            kappa = _expr_vector(F.OneFormField, _need(step, "kappa", spath), chart,
+                                 f"{spath}.kappa")
             _require_real(kappa, chart, f"{spath}.kappa")
             current = (D.k_plus if op == "k_plus" else D.k_minus)(current, kappa)
         elif op == "normalize":
@@ -236,12 +239,10 @@ def parse_pipeline(items, products: dict, path: str = "$.apply") -> dict:
                 raise ConfigError(f"{spath}: {err}") from None
         else:
             raise ConfigError(f"{spath}.op: unknown op {op!r}")
-    out = dict(products)
+    out = {k: v for k, v in products.items() if k not in ("gacs", "gacm", "acs", "acs_pair")}
     out["fgacs"] = current
-    out.pop("gacs", None)
-    out.pop("gacm", None)
-    out.pop("acs", None)
-    out.pop("acs_pair", None)
+    if current.f is None:
+        out["gacs"] = current  # f = 0: a Gacs again, open to the Gacs checks
     return out
 
 

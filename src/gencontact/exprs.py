@@ -4,15 +4,24 @@ Grammar: ``+ - * / ^`` with unary minus, parentheses, numeric literals,
 single-argument functions ``sin cos exp log sqrt``, and identifiers that
 must name chart coordinates.  ``^`` is right-associative.  Whitespace is
 ignored.  Parse errors carry the character offset and the expected tokens.
-An expression evaluates elementwise over a point batch: coordinates are rows
-of the seed jet and literals are lifted with its batch shape.
+
+An expression compiles once, at parse time, into closures over the
+coordinate seed jet of a point batch: coordinates are rows of the seed, and
+every coordinate-free subtree folds to one complex scalar, computed by the
+jet operations a constant jet goes through.  Literals thus meet jets as
+scalars, which jet arithmetic never lifts.  :func:`component_field`
+evaluates an array of parsed expressions from one seed per point set and
+order.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence
+
+import numpy as np
 
 from . import jets as J
 from .charts import Chart
@@ -54,10 +63,8 @@ def tokenize(text: str) -> List[Token]:
             bad = len(text) - len(stripped)
             raise ExprError(f"unexpected character {text[bad]!r}", bad)
         pos = m.end()
-        for kind in ("num", "name", "op"):
-            if m.group(kind) is not None:
-                tokens.append(Token(kind, m.group(kind), m.start(kind)))
-                break
+        kind = m.lastgroup
+        tokens.append(Token(kind, m.group(kind), m.start(kind)))
     tokens.append(Token("end", "", len(text)))
     return tokens
 
@@ -157,39 +164,72 @@ class Parser:
         )
 
 
-def _eval(node, seed: J.JetArray):
+_OPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
+        "*": operator.mul, "/": operator.truediv}
+
+
+def _fold(f, args) -> np.complex128:
+    """``f`` at constant arguments, through the jet operations of a constant jet."""
+    return np.complex128(f(*(J.lift(a, 0, 0) for a in args)).value)
+
+
+def _compile(node):
+    """A folded constant (``np.complex128``) or a closure from the coordinate seed to a jet."""
     kind = node[0]
     if kind == "num":
-        return J.lift(node[1], seed.nvars, seed.order, seed.shape[1:])
+        return np.complex128(node[1])
     if kind == "coord":
-        return seed[node[1]]
-    if kind == "neg":
-        return -_eval(node[1], seed)
-    if kind == "call":
-        return FUNCTIONS[node[1]](_eval(node[2], seed))
-    a = _eval(node[1], seed)
-    b = _eval(node[2], seed)
-    if kind == "+":
-        return a + b
-    if kind == "-":
-        return a - b
-    if kind == "*":
-        return a * b
-    if kind == "/":
-        return a / b
+        i = node[1]
+        return lambda seed: seed[i]
+    if kind == "^" and node[2][0] != "num":
+        # a computed exponent goes the way of a jet exponent: exp(b log a)
+        return _compile(("call", "exp", ("*", node[2], ("call", "log", node[1]))))
     if kind == "^":
-        if node[2][0] == "num":
-            return J.powc(a, node[2][1])
-        return J.powc(a, b)
-    raise AssertionError(f"unhandled node {kind}")
+        f, args = (lambda j, e=node[2][1]: J.powc(j, e)), [_compile(node[1])]
+    elif kind == "call":
+        f, args = FUNCTIONS[node[1]], [_compile(node[2])]
+    else:
+        f, args = _OPS[kind], [_compile(a) for a in node[1:]]
+    if not any(map(callable, args)):
+        return _fold(f, args)
+    if len(args) == 1:
+        a, = args
+        return lambda seed: f(a(seed))
+    a, b = args
+    if callable(a) and callable(b):
+        return lambda seed: f(a(seed), b(seed))
+    return (lambda seed: f(a(seed), b)) if callable(a) else (lambda seed: f(a, b(seed)))
+
+
+def _field(chart: Chart, code) -> ScalarField:
+    """The scalar field of compiled code; its ``of_seed`` maps the coordinate seed to the jet."""
+    n = chart.dim
+    of_seed = code if callable(code) else (
+        lambda seed: J.lift(code, n, seed.order, seed.shape[1:]))
+    field = ScalarField(chart, lambda p, order: of_seed(J.seed_point(p, n, order)))
+    field.of_seed = of_seed
+    return field
 
 
 def parse_scalar(text: str, chart: Chart) -> ScalarField:
     """Compile an expression string into a scalar field on the chart."""
-    ast = Parser(text, chart).parse()
+    return _field(chart, _compile(Parser(text, chart).parse()))
+
+
+def literal(chart: Chart, value) -> ScalarField:
+    """The scalar field of a number, as a parsed literal (a config number entry)."""
+    return _field(chart, np.complex128(value))
+
+
+def component_field(cls, chart: Chart, comps: Sequence[ScalarField]):
+    """The ``cls`` field of (nested lists of) parsed scalar fields, every entry
+    evaluated from one coordinate seed per point set and order."""
+    arr = np.asarray(comps, dtype=object)
+    entries = [f.of_seed for f in arr.ravel()]
     n = chart.dim
 
     def fn(p, order):
-        return _eval(ast, J.seed_point(p, n, order))
+        seed = J.seed_point(p, n, order)
+        return J.stack([f(seed) for f in entries]).reshape(*arr.shape, *p.shape[:-1])
 
-    return ScalarField(chart, fn)
+    return cls(chart, fn)

@@ -77,6 +77,11 @@ def pairing_gram(p) -> np.ndarray:
     return 0.25 * (sp + np.swapaxes(sp, -1, -2))
 
 
+def least_pairing(p) -> float:
+    """min Re <P A, A> over real unit A and a stack of P: the Gram's least eigenvalue."""
+    return float(np.linalg.eigvalsh(pairing_gram(p).real).min())
+
+
 def tensor_pair(e, f) -> np.ndarray:
     """The rank-one map A -> 2<F, A> E."""
     e, f = np.asarray(e), np.asarray(f)

@@ -16,12 +16,15 @@ single point is the batch ``B = ()``.  Component indexing (``j[:n]``),
 batch; :func:`jet_einsum` appends ``...`` to every operand spec so that the
 batch axes ride along.  Elementwise arithmetic broadcasts numpy-style, so an
 array constant must be lifted with the batch shape (``lift(c, n, order,
-batch)``) before it meets a batched jet; scalars broadcast as they are.
+batch)``) before it meets a batched jet.  A scalar operand of ``+ - * /``
+(a Python or numpy number) is never lifted: value, gradient and hessian each
+get the floating-point operation a lifted constant would give them, without
+the exact ``+ 0`` terms of its zero derivatives.
 
 The order is demanded by the consumer, capped at :data:`MAX_ORDER`: the
 leaves (:func:`seed_point`, :func:`lift`) build jets of the order asked for,
-and arithmetic lifts constants at the order of the jet it combines them
-with.  Every operation computes each order with the same calls whether
+and arithmetic lifts an array constant at the order of the jet it combines
+it with.  Every operation computes each order with the same calls whether
 higher orders are present or not, so a value or gradient never depends on
 the order it was computed at (truncated Taylor propagation).  An operation
 that consumes one derivative order (see :func:`dshift`) produces a jet one
@@ -38,6 +41,7 @@ from typing import Optional, Union
 import numpy as np
 
 Number = Union[int, float, complex]
+_SCALARS = (int, float, complex, np.number)
 
 #: the highest derivative order a jet carries
 MAX_ORDER = 2
@@ -51,7 +55,7 @@ def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class JetArray:
     """A batch of order-<=2 jets in ``nvars`` variables.
 
@@ -87,9 +91,13 @@ class JetArray:
         h = None if self.hess is None else self.hess.reshape(*shape, self.nvars, self.nvars)
         return JetArray(self.value.reshape(*shape), g, h, self.nvars)
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- arithmetic (a scalar operand is not lifted) ------------------------
+
+    __array_ufunc__ = None  # numpy scalars and arrays defer to the reflected operators
 
     def __add__(self, other) -> "JetArray":
+        if isinstance(other, _SCALARS):
+            return JetArray(self.value + other, self.grad, self.hess, self.nvars)
         other = lift(other, self.nvars, self.order)
         g = None if (self.grad is None or other.grad is None) else self.grad + other.grad
         h = None if (self.hess is None or other.hess is None) else self.hess + other.hess
@@ -103,12 +111,18 @@ class JetArray:
         return JetArray(-self.value, g, h, self.nvars)
 
     def __sub__(self, other) -> "JetArray":
+        if isinstance(other, _SCALARS):
+            return self + -complex(other)
         return self + (-lift(other, self.nvars, self.order))
 
     def __rsub__(self, other) -> "JetArray":
-        return lift(other, self.nvars, self.order) + (-self)
+        return -self + other
 
     def __mul__(self, other) -> "JetArray":
+        if isinstance(other, _SCALARS):
+            g = None if self.grad is None else other * self.grad
+            h = None if self.hess is None else other * self.hess
+            return JetArray(self.value * other, g, h, self.nvars)
         other = lift(other, self.nvars, self.order)
         a, b = self, other
         value = a.value * b.value
@@ -129,9 +143,13 @@ class JetArray:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "JetArray":
+        if isinstance(other, _SCALARS):
+            return self * (1.0 / _as_complex(other))
         return self * reciprocal(lift(other, self.nvars, self.order))
 
     def __rtruediv__(self, other) -> "JetArray":
+        if isinstance(other, _SCALARS):
+            return reciprocal(self) * other
         return lift(other, self.nvars, self.order) * reciprocal(self)
 
     def __pow__(self, expo: Number) -> "JetArray":

@@ -282,6 +282,20 @@ def test_normalize_takes_alpha_zero_where_zeta_and_f_vanish(tmp_path):
         assert np.all(D.k_minus(D.k_plus(s, alpha), beta).f.values(pts) == 0)
 
 
+def test_pipeline_with_f_zero_result_runs_the_gacs_checks(tmp_path, capsys):
+    """A b_field + normalize pipeline ends at f = 0, so the Gacs checks accept its result."""
+    cfg = write(tmp_path, "bn.json", {
+        "structure": {"chart": {"dim": 3}, "builder": "from_contact", "eta": ["-y", "0", "1"]},
+        "apply": [{"op": "b_field", "B": [["0", "z", "0"], ["-z", "0", "0"], ["0", "0", "0"]]},
+                  {"op": "normalize"}],
+        "checks": ["fgacs", "gacs", "phi_kernel"],
+        "samples": 6,
+    })
+    assert main(["verify", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "gacs: gacs.skew" in out and "phi_kernel: gacs.phi_eplus" in out
+
+
 def test_bad_b_field_rejected(tmp_path, capsys):
     cfg = write(
         tmp_path,

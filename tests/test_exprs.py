@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from gencontact import config
+from gencontact import fields as F
+from gencontact import jets as J
 from gencontact.charts import Chart, box
-from gencontact.exprs import ExprError, parse_scalar
+from gencontact.exprs import (FUNCTIONS, ExprError, Parser, _compile, component_field,
+                              parse_scalar)
 from gencontact.fields import jet_validate
 
 CH = box(3)
@@ -66,3 +72,132 @@ def test_named_coordinates_of_custom_chart():
     ch = Chart(2, ((0.0, 1.0), (0.0, 2.0)), ("u", "v"))
     f = parse_scalar("u*v^2", ch)
     assert f.values(np.array([2.0, 3.0])) == pytest.approx(18)
+
+
+# -- the compiled evaluator against the tree walk it replaced ------------------------------
+
+
+def tree_walk(node, seed: J.JetArray):
+    """The reference evaluator: walk the AST at every evaluation, each literal
+    lifted to a constant jet with the seed's batch shape."""
+    kind = node[0]
+    if kind == "num":
+        return J.lift(node[1], seed.nvars, seed.order, seed.shape[1:])
+    if kind == "coord":
+        return seed[node[1]]
+    if kind == "neg":
+        return -tree_walk(node[1], seed)
+    if kind == "call":
+        return FUNCTIONS[node[1]](tree_walk(node[2], seed))
+    a = tree_walk(node[1], seed)
+    b = tree_walk(node[2], seed)
+    if kind == "+":
+        return a + b
+    if kind == "-":
+        return a - b
+    if kind == "*":
+        return a * b
+    if kind == "/":
+        return a / b
+    if kind == "^":
+        if node[2][0] == "num":
+            return J.powc(a, node[2][1])
+        return J.powc(a, b)
+    raise AssertionError(f"unhandled node {kind}")
+
+
+LITERALS = st.sampled_from(["0.3", "2", "1.5", "0.125", "3e-1", "7", ".5", "0"])
+
+
+def _compound(sub, consts):
+    """One operation over subexpressions ``sub``; ``consts`` are literal-only ones."""
+    safe = sub.map(lambda a: f"(1.5 + ({a})^2)")
+    return st.one_of(
+        LITERALS.map(lambda c: f"-{c}"),
+        sub.map(lambda a: f"-({a})"),
+        st.tuples(sub, st.sampled_from("+-*"), sub).map(lambda t: f"({t[0]}) {t[1]} ({t[2]})"),
+        st.tuples(sub, safe).map(lambda t: f"({t[0]}) / {t[1]}"),
+        st.tuples(LITERALS, safe).map(lambda t: f"{t[0]} / {t[1]}"),
+        st.tuples(sub, LITERALS.filter(lambda c: c != "0")).map(lambda t: f"({t[0]}) / {t[1]}"),
+        st.tuples(sub, st.sampled_from(["2", "3", "0", "1", "0.5"])).map(lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(safe, consts).map(lambda t: f"{t[0]}^(({t[1]}) / (1 + ({t[1]})^2))"),
+        st.tuples(safe, sub).map(lambda t: f"{t[0]}^(({t[1]}) / {t[0]})"),
+        st.tuples(st.sampled_from(["sin", "cos"]), sub).map(lambda t: f"{t[0]}({t[1]})"),
+        sub.map(lambda a: f"exp(({a}) / (2 + ({a})^2))"),
+        st.tuples(st.sampled_from(["log", "sqrt"]), safe).map(lambda t: f"{t[0]}({t[1]})"),
+        consts,
+    )
+
+
+#: literal-only expressions, and expressions over the coordinates with literal-only
+#: subtrees; both stay real and finite at points of [0.1, 0.9]^3: log, sqrt and the
+#: divisors see 1.5 + (..)^2, exp and computed exponents see bounded arguments
+CONSTANTS = st.recursive(LITERALS, lambda sub: _compound(sub, sub), max_leaves=6)
+EXPRESSIONS = st.recursive(st.one_of(LITERALS, st.sampled_from(["x", "y", "z", "x1"])),
+                           lambda sub: _compound(sub, CONSTANTS), max_leaves=12)
+
+
+POINTS = np.random.default_rng(3).uniform(0.1, 0.9, size=(5, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(EXPRESSIONS)
+@example("x / 7 - y / (1.5 + (0.3)^2)")
+@example("-(0.3) * x^3 - 2 / (1 + y^2) + 2^(z*x) + z^(1/3)")
+def test_compiled_evaluator_matches_the_tree_walk(text):
+    ref = tree_walk(Parser(text, CH).parse(), J.seed_point(POINTS, 3, 2))
+    got = parse_scalar(text, CH).jet(POINTS, 2)
+    assert np.isfinite(ref.hess).all(), text
+    for part in ("value", "grad", "hess"):
+        assert np.array_equal(getattr(got, part), getattr(ref, part)), (text, part)
+
+
+def test_compiled_evaluator_matches_finite_differences():
+    f = parse_scalar("-(0.3)*x^3 / (1 + y^2) + 2^(z*x) - 1/sqrt(1.5 + x*y) + exp(-z)*cos(2*y)", CH)
+    assert jet_validate(f, POINTS[0]) < 1e-6
+
+
+def test_literal_subtrees_fold_at_parse_time():
+    """A coordinate-free subtree compiles to one complex scalar, the value the
+    tree walk computes for it at every point; -(0.3) keeps its -0 imaginary part."""
+    text = "sin(1/3) * (4 - -(0.3)) / 7 + 2^(1/2)"
+    code = _compile(Parser(text, CH).parse())
+    ref = tree_walk(Parser(text, CH).parse(), J.seed_point(POINTS, 3, 0)).value
+    assert isinstance(code, np.complex128) and np.array_equal(ref, np.full(5, code))
+    neg = _compile(Parser("-(0.3)", CH).parse())
+    assert neg == -0.3 and np.signbit(neg.imag)
+    assert callable(_compile(Parser("2*x + 1", CH).parse()))
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(J, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(J, name, counted)
+    return calls
+
+
+def test_one_seed_per_component_array(monkeypatch):
+    rows = [["0", "0.3*z", "(0.2)"], ["-(0.3*z)", "0", "x*y"], ["-((0.2))", "-(x*y)", "0"]]
+    bfield = component_field(F.TwoFormField, CH, [[parse_scalar(t, CH) for t in r] for r in rows])
+    seeds = _counting(monkeypatch, "seed_point")
+    jet = bfield.jet(POINTS, 2)
+    assert jet.shape == (3, 3, 5) and len(seeds) == 1
+    eta = config.parse_structure({"chart": {"dim": 3}, "builder": "from_contact",
+                                  "eta": ["-y", "0.1*x", "1"]})["eta"]
+    seeds.clear()
+    eta.jet(POINTS, 2)
+    assert len(seeds) == 1
+
+
+def test_scalar_operands_are_never_lifted(monkeypatch):
+    f = parse_scalar("2*x + 1", CH)
+    lifts = _counting(monkeypatch, "lift")
+    jet = f.jet(POINTS, 2)
+    assert lifts == []
+    assert np.array_equal(jet.value, 2 * POINTS[:, 0] + 1)
+    assert np.array_equal(jet.grad, np.broadcast_to([2, 0, 0], (5, 3)))

@@ -196,6 +196,16 @@ def test_gmetric_axioms_and_b0_shape():
         assert np.abs(m @ m - np.eye(6)).max() < 1e-12
 
 
+def test_positivity_is_the_least_eigenvalue_of_the_pairing():
+    """<A, A> itself has signature (n, n): its least value on unit vectors is -1/2."""
+    from gencontact import gta
+    from gencontact.report import stack_values
+
+    assert gta.least_pairing(np.eye(6)) == pytest.approx(-0.5)
+    metric = HEIS["gacm"].metric
+    assert gta.least_pairing(stack_values(metric.endo, PTS["heisenberg_sasakian"])) > 0.1
+
+
 def test_gmetric_rejects_singular():
     ch = HEIS["chart"]
     zero = F.constant(ch, 0)
