@@ -279,10 +279,10 @@ def cone_plus_frame(cone: ConeChart, frame_e10, eplus: SectionField,
 
 def gacx_plus_frame(j: ConeGacx) -> List[SectionField]:
     """Pivot-selected frame of the +i eigenbundle of a cone structure: a
-    maximal independent set of columns of (1 - i J)/2, chosen at the cone
-    chart's seed-0 sample point."""
+    maximal independent set of columns of (1 - i J)/2, chosen from the full
+    projector at the cone chart's seed-0 sample point, as views of one field
+    of those columns."""
     cone = j.chart
-    projector = eigen_projector(j.J)
-    cols = pivoted_frame(projector, cone.sample(seed=0, count=1)[0], cone.dim,
+    cols = pivoted_frame(eigen_projector(j.J), cone.sample(seed=0, count=1)[0], cone.dim,
                          "cone eigenframe rank dropped to {} (< {})")
-    return list(projector_columns(projector, cols))
+    return list(projector_columns(eigen_projector(j.J, cols=cols), range(len(cols))))

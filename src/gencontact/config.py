@@ -112,10 +112,10 @@ def _check_points(chart: Chart) -> np.ndarray:
     return chart.sample(seed=1, count=8)
 
 
-def _require_real(field: F.Field, chart: Chart, path: str):
+def _require_real(field: F.Field, points: np.ndarray, path: str):
     """Refuse parsed data whose jet is not real and finite at the check points."""
     try:
-        S.require_real(field, _check_points(chart), path)
+        S.require_real(field, points, path)
     except S.StructureError as err:
         raise ConfigError(str(err)) from None
 
@@ -136,13 +136,19 @@ def _parse_section(obj: dict, chart: Chart, path: str) -> F.SectionField:
 
 def parse_structure(obj: dict, path: str = "$.structure") -> dict:
     """Build the products dict {gacs: ..., acs: ..., ...} a config references."""
+    return _parse_structure(obj, path)[0]
+
+
+def _parse_structure(obj: dict, path: str):
+    """(products, check points): the points are the chart's :func:`_check_points`,
+    drawn once when the structure is parsed on a chart of its own, else None."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
     if "gallery" in obj:
         _reject_unknown(obj, {"gallery"}, path)
         name = obj["gallery"]
         try:
-            return dict(G.build(name))
+            return dict(G.build(name)), None
         except KeyError as err:
             raise ConfigError(f"{path}.gallery: {err.args[0]}") from None
     if "cone_of" in obj:
@@ -153,23 +159,23 @@ def parse_structure(obj: dict, path: str = "$.structure") -> dict:
         j = i_prime(inner["gacs"])
         if obj.get("conjugate", False):
             j = r_conjugate(j)
-        return {"cone": j, "base": inner}
+        return {"cone": j, "base": inner}, None
 
     allowed = {"chart", "builder", "eta", "phi", "xi", "g", "eplus", "eminus"}
     _reject_unknown(obj, allowed, path)
     chart = parse_chart(_need(obj, "chart", path), f"{path}.chart")
     n = chart.dim
+    pts = _check_points(chart)
     builder = obj.get("builder")
     if builder == "from_contact":
         if n % 2 != 1:
             raise ConfigError(f"{path}: contact builders need an odd chart dimension")
         eta = _expr_vector(F.OneFormField, _need(obj, "eta", path), chart, f"{path}.eta")
-        pts = _check_points(chart)
         try:
             gacs = S.gacs_from_contact(eta, check_points=pts)
         except ValueError as err:
             raise ConfigError(f"{path}: {err}") from None
-        return {"chart": chart, "eta": eta, "gacs": gacs}
+        return {"chart": chart, "eta": eta, "gacs": gacs}, pts
     if builder == "from_acs":
         phi = _expr_matrix(F.MatrixField, _need(obj, "phi", path), chart, f"{path}.phi", n)
         xi = _expr_vector(F.VectorField, _need(obj, "xi", path), chart, f"{path}.xi")
@@ -177,7 +183,6 @@ def parse_structure(obj: dict, path: str = "$.structure") -> dict:
         g = None
         if "g" in obj:
             g = _expr_matrix(F.MatrixField, obj["g"], chart, f"{path}.g", n)
-        pts = _check_points(chart)
         try:
             for name, part in (("phi", phi), ("xi", xi), ("eta", eta), ("g", g)):
                 if part is not None:
@@ -188,7 +193,7 @@ def parse_structure(obj: dict, path: str = "$.structure") -> dict:
         out = {"chart": chart, "acs": acs, "gacs": S.gacs_from_acs(acs)}
         if g is not None:
             out["gacm"] = G.sasakian_to_gs(acs)
-        return out
+        return out, pts
     if builder is not None:
         raise ConfigError(f"{path}.builder: unknown builder {builder!r}")
     # explicit components
@@ -196,14 +201,17 @@ def parse_structure(obj: dict, path: str = "$.structure") -> dict:
     eplus = _parse_section(_need(obj, "eplus", path), chart, f"{path}.eplus")
     eminus = _parse_section(_need(obj, "eminus", path), chart, f"{path}.eminus")
     for name, part in (("phi", phi), ("eplus", eplus), ("eminus", eminus)):
-        _require_real(part, chart, f"{path}.{name}")
+        _require_real(part, pts, f"{path}.{name}")
     gacs = S.Gacs(chart, phi, eplus, eminus)
-    return {"chart": chart, "gacs": gacs}
+    return {"chart": chart, "gacs": gacs}, pts
 
 
-def parse_pipeline(items, products: dict, path: str = "$.apply") -> dict:
+def parse_pipeline(items, products: dict, path: str = "$.apply", check_points=None) -> dict:
     """Apply deformation steps to the structure's Gacs; the result is filed under
-    ``fgacs``, and under ``gacs`` too while its f is ``None`` (f = 0)."""
+    ``fgacs``, and under ``gacs`` too while its f is ``None`` (f = 0).
+
+    Parsed step data is checked to be real at ``check_points``, the chart's
+    :func:`_check_points` (drawn here when not given)."""
     if not isinstance(items, list):
         raise ConfigError(f"{path}: expected a list of steps")
     if "gacs" not in products and "fgacs" not in products:
@@ -211,6 +219,7 @@ def parse_pipeline(items, products: dict, path: str = "$.apply") -> dict:
     chart = products["chart"]
     current = products.get("fgacs") or products["gacs"]
     n = chart.dim
+    pts = _check_points(chart) if check_points is None else check_points
     for i, step in enumerate(items):
         spath = f"{path}[{i}]"
         if not isinstance(step, dict):
@@ -222,13 +231,13 @@ def parse_pipeline(items, products: dict, path: str = "$.apply") -> dict:
             v = bfield.values(chart.sample(seed=3, count=4))
             if np.abs(v + np.swapaxes(v, 0, 1)).max() > 1e-9:
                 raise ConfigError(f"{spath}.B: components are not antisymmetric")
-            _require_real(bfield, chart, f"{spath}.B")
+            _require_real(bfield, pts, f"{spath}.B")
             current = S.b_transform(current, bfield)
         elif op in ("k_plus", "k_minus"):
             _reject_unknown(step, {"op", "kappa"}, spath)
             kappa = _expr_vector(F.OneFormField, _need(step, "kappa", spath), chart,
                                  f"{spath}.kappa")
-            _require_real(kappa, chart, f"{spath}.kappa")
+            _require_real(kappa, pts, f"{spath}.kappa")
             current = (D.k_plus if op == "k_plus" else D.k_minus)(current, kappa)
         elif op == "normalize":
             _reject_unknown(step, {"op"}, spath)
@@ -388,10 +397,10 @@ def parse_config(obj: dict) -> RunConfig:
     if ("structure" in obj) == ("gallery" in obj):
         raise ConfigError("$: exactly one of 'structure' or 'gallery' is required")
     raw_ref = {"gallery": obj["gallery"]} if "gallery" in obj else obj["structure"]
-    products = parse_structure(raw_ref, "$.structure")
+    products, check_points = _parse_structure(raw_ref, "$.structure")
     pipeline = obj.get("apply", [])
     if pipeline:
-        products = parse_pipeline(pipeline, products)
+        products = parse_pipeline(pipeline, products, check_points=check_points)
     checks = obj.get("checks", [])
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
         raise ConfigError("$.checks: expected a list of check names")

@@ -9,10 +9,11 @@ Each frame member is evaluated once per structure: the checks of a Gacs
 read its one eigenframe (``Gacs.frame``) and that frame's Nijenhuis table
 (``EigenFrame.table``), one ``(T, *B)`` array over the triple index
 :func:`~gencontact.structures.triples` that brackets each unordered member
-pair once.  Sub-frames and identity classes are row masks of a table, and
-right-hand sides are array expressions over the triple index, read from one
-pairing table of the members that takes each minus pairing once per
-unordered pair.
+pair once, in row blocks of views of the once-stacked members
+(:func:`~gencontact.structures.frame_nij`).  Sub-frames and identity
+classes are row masks of a table, and right-hand sides are array
+expressions over the triple index, read from one pairing table of the
+members that takes each minus pairing once per unordered pair.
 """
 
 from __future__ import annotations

@@ -95,10 +95,14 @@ class JetArray:
 
     __array_ufunc__ = None  # numpy scalars and arrays defer to the reflected operators
 
+    def _operand(self, other) -> "JetArray":
+        """A jet operand as it is; an array constant lifted at this jet's order."""
+        return other if isinstance(other, JetArray) else lift(other, self.nvars, self.order)
+
     def __add__(self, other) -> "JetArray":
         if isinstance(other, _SCALARS):
             return JetArray(self.value + other, self.grad, self.hess, self.nvars)
-        other = lift(other, self.nvars, self.order)
+        other = self._operand(other)
         g = None if (self.grad is None or other.grad is None) else self.grad + other.grad
         h = None if (self.hess is None or other.hess is None) else self.hess + other.hess
         return JetArray(self.value + other.value, g, h, self.nvars)
@@ -113,7 +117,7 @@ class JetArray:
     def __sub__(self, other) -> "JetArray":
         if isinstance(other, _SCALARS):
             return self + -complex(other)
-        return self + (-lift(other, self.nvars, self.order))
+        return self + (-self._operand(other))
 
     def __rsub__(self, other) -> "JetArray":
         return -self + other
@@ -123,8 +127,7 @@ class JetArray:
             g = None if self.grad is None else other * self.grad
             h = None if self.hess is None else other * self.hess
             return JetArray(self.value * other, g, h, self.nvars)
-        other = lift(other, self.nvars, self.order)
-        a, b = self, other
+        a, b = self, self._operand(other)
         value = a.value * b.value
         grad = None
         hess = None
@@ -145,12 +148,12 @@ class JetArray:
     def __truediv__(self, other) -> "JetArray":
         if isinstance(other, _SCALARS):
             return self * (1.0 / _as_complex(other))
-        return self * reciprocal(lift(other, self.nvars, self.order))
+        return self * reciprocal(self._operand(other))
 
     def __rtruediv__(self, other) -> "JetArray":
         if isinstance(other, _SCALARS):
             return reciprocal(self) * other
-        return lift(other, self.nvars, self.order) * reciprocal(self)
+        return self._operand(other) * reciprocal(self)
 
     def __pow__(self, expo: Number) -> "JetArray":
         return powc(self, expo)

@@ -138,8 +138,10 @@ class Gacm:
 class EigenFrame:
     """Chart-wide frame of the +i eigenbundle plus the kernel sections.
 
-    ``e10`` holds views of the ``pivots`` columns of one projector field, so
-    every member's jet is a slice of the projector's one memoised jet.
+    ``columns`` is the field of the ``pivots`` columns of the eigenprojector
+    (:func:`eigen_projector` with ``cols``), and ``e10`` holds views of its
+    columns, so every member's jet is a slice of that field's one memoised
+    jet and no other column of the projector is computed.
 
     ``table`` is the :func:`nij_table` of ``members`` = e10 + (E+, E-), so
     the frame checks of a structure share one table per point set.  Its
@@ -147,7 +149,7 @@ class EigenFrame:
     without E+ (:attr:`minus_rows`) the L- table, in their own row order.
     """
 
-    projector: GtEndoField
+    columns: F.Field
     pivots: Tuple[int, ...]
     eplus: SectionField
     eminus: SectionField
@@ -155,7 +157,7 @@ class EigenFrame:
     table: F.Field = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.e10 = projector_columns(self.projector, self.pivots)
+        self.e10 = projector_columns(self.columns, range(len(self.pivots)))
         self.table = nij_table(self.members)
 
     @property
@@ -475,55 +477,65 @@ def dual_gacm(m: Gacm, points=None) -> Gacm:
 
 
 def eigenframe(s: Gacs, sample_points=None) -> EigenFrame:
-    """Chart-wide frame of E^(1,0): pivot columns of one projector field.
+    """Chart-wide frame of E^(1,0): pivot columns of the eigenprojector.
 
     A maximal independent subset of the columns of :func:`eigen_projector`
-    is chosen once, from its value at the chart's seed-0 sample point, and
-    the same columns are reused across the chart.  Each call builds a new
-    frame; the checks read ``s.frame``, built by this function once per
-    structure.  A structure with an f is refused.
+    is chosen once, from the full projector's value at the chart's seed-0
+    sample point, and the same columns are reused across the chart: the
+    frame's members are views of one field that computes those columns only.
+    Each call builds a new frame; the checks read ``s.frame``, built by this
+    function once per structure.  A structure with an f is refused.
     """
     if s.f is not None:
         raise ValueError("the E^(1,0) eigenframe is defined for f = 0 (f is None) only")
     chart = s.chart
     n = chart.dim
-    projector = eigen_projector(s.Phi, s.Eplus, s.Eminus)
-    pivots = pivoted_frame(projector, chart.sample(seed=0, count=1)[0], n - 1,
+    pivots = pivoted_frame(eigen_projector(s.Phi, s.Eplus, s.Eminus),
+                           chart.sample(seed=0, count=1)[0], n - 1,
                            "eigenframe rank dropped to {} (< {}) at the base point")
-    frame = EigenFrame(projector, tuple(pivots), s.Eplus, s.Eminus)
+    frame = EigenFrame(eigen_projector(s.Phi, s.Eplus, s.Eminus, pivots), tuple(pivots),
+                       s.Eplus, s.Eminus)
     if sample_points is not None:
         pts = np.asarray(sample_points, dtype=float)
-        cols = stack_values(projector, pts)[:, :, frame.pivots]
-        low = np.linalg.matrix_rank(cols, tol=PIVOT_TOL) < n - 1
+        low = np.linalg.matrix_rank(stack_values(frame.columns, pts), tol=PIVOT_TOL) < n - 1
         if low.any():
             raise ValueError(f"eigenframe rank drops below {n - 1} at {pts[np.argmax(low)]}")
     return frame
 
 
 def eigen_projector(endo: GtEndoField, eplus: Optional[SectionField] = None,
-                    eminus: Optional[SectionField] = None) -> GtEndoField:
+                    eminus: Optional[SectionField] = None,
+                    cols: Optional[Sequence[int]] = None) -> F.Field:
     """(1 - i P)/2 K, whose columns project the coordinate sections onto the
     +i eigenbundle of P.  K = 1 - E+ (x) E- - E- (x) E+ kills the E+-
     components (K = 1 on a cone, which has no kernel); the rank-one terms
     take their operands in the order of the product <A, E-> E+.
+
+    With ``cols``, the field of those columns only, ``(2n, len(cols))``: K
+    and (1 - i P) K are computed on those columns, each entry with the
+    operations of the full product, so its entries are the full
+    projector's bit for bit.  Without, the full ``(2n, 2n)`` endomorphism.
     """
     n = endo.chart.dim
+    cls = GtEndoField if cols is None else F.Field
+    cols = slice(None) if cols is None else list(cols)
+    eye = np.eye(2 * n)[:, cols]
 
     def fn(p, order):
-        k = J.lift(np.eye(2 * n), n, order, p.shape[:-1])
+        k = J.lift(eye, n, order, p.shape[:-1])
         pj = endo.jet(p, order)
         if eplus is None:
-            return 0.5 * (k - 1j * pj)
+            return 0.5 * (k - 1j * pj[:, cols])
         ep, em = eplus.jet(p, order), eminus.jet(p, order)
-        k = (k - J.jet_einsum("j,i->ij", F.swap_jet(em), ep)
-             - J.jet_einsum("j,i->ij", F.swap_jet(ep), em))
+        k = (k - J.jet_einsum("j,i->ij", F.swap_jet(em)[cols], ep)
+             - J.jet_einsum("j,i->ij", F.swap_jet(ep)[cols], em))
         return 0.5 * (k - 1j * J.jet_einsum("ij,jk->ik", pj, k))
 
-    return GtEndoField(endo.chart, fn)
+    return cls(endo.chart, fn)
 
 
-def projector_columns(projector: GtEndoField, cols: Sequence[int]) -> Tuple[SectionField, ...]:
-    """The columns ``cols`` of an endomorphism field, as views of its jet."""
+def projector_columns(projector: F.Field, cols: Sequence[int]) -> Tuple[SectionField, ...]:
+    """The columns ``cols`` of a matrix field, as views of its jet."""
     return tuple(SectionField(projector.chart, lambda p, o, k=k: projector.jet(p, o)[:, k])
                  for k in cols)
 
@@ -555,7 +567,7 @@ def _pivot_columns(mat: np.ndarray, want: int) -> List[int]:
 
 def frame_span_check(s: Gacs, frame: EigenFrame, point) -> int:
     """Rank of e10 + conj(e10) + kernel at a point (should be 2n)."""
-    e10 = frame.projector.values(point)[:, list(frame.pivots)]
+    e10 = frame.columns.values(point)
     cols = [e10, np.conj(e10), frame.eplus.values(point)[:, None], frame.eminus.values(point)[:, None]]
     return int(np.linalg.matrix_rank(np.concatenate(cols, axis=1), tol=1e-8))
 
@@ -574,28 +586,31 @@ def frame_nij(jets: Sequence[J.JetArray], n: int) -> np.ndarray:
     triples vanish identically and the sorted triples determine the rest.
     Only the values are read, so order-1 member jets suffice.
 
-    The table brackets each unordered pair once: the left and right members
-    of the m(m-1)/2 pairs p < q are stacked along one pair axis after the
-    component axis, and one ``courant_jets`` call brackets them all at every
-    point.  The rows are read from ``P[pq, r] = <[[A_p, A_q]], A_r>`` in
-    the summation order of ``nij_jets``, whose third term
-    <[[A_k, A_i]], A_j> is taken as -P[ik, j].  The bracket is antisymmetric,
-    and in floating point its vector part and the Lie-derivative part of its
-    form change sign exactly when the pair is swapped; its exact term
-    -d(i_X b - i_Y a)/2 does so only up to the association of its four sums.
-    So on generic inputs an entry can differ from the all-ordered-pairs
-    table by a rounding of that term, and wherever that term negates exactly
-    (the gallery frames and their cones) the two tables agree bit for bit.
+    The table brackets each unordered pair once, with no per-pair copy of
+    the members: the m jets are stacked once along a member axis after the
+    component axis, and row p of the upper triangle brackets the view of
+    member p, broadcast, against the slice of members p + 1, ..., m - 1, one
+    ``courant_jets`` call per row.  The rows concatenate to the m(m-1)/2
+    pairs p < q in ``np.triu_indices`` order, and the table is read from
+    ``P[pq, r] = <[[A_p, A_q]], A_r>`` over the same stacked frame, in the
+    summation order of ``nij_jets``, whose third term <[[A_k, A_i]], A_j> is
+    taken as -P[ik, j].  The bracket is antisymmetric, and in floating point
+    its vector part and the Lie-derivative part of its form change sign
+    exactly when the pair is swapped; its exact term -d(i_X b - i_Y a)/2
+    does so only up to the association of its four sums.  So on generic
+    inputs an entry can differ from the all-ordered-pairs table by a
+    rounding of that term, and wherever that term negates exactly (the
+    gallery frames and their cones) the two tables agree bit for bit.
     """
     m = len(jets)
     if m < 3:
         return np.zeros((0,) + jets[0].value.shape[1:], dtype=complex)
-    first, second = np.triu_indices(m, 1)  # the pairs p < q, row-major
-    left = J.stack([jets[p] for p in first], axis=1)
-    right = J.stack([jets[q] for q in second], axis=1)
-    brackets = F.courant_jets(left, right, n).value
-    frame = np.stack([j.value for j in jets], axis=1)
-    P = 0.5 * np.einsum("ip...,ir...->pr...", gta.swap(brackets, 0), frame)
+    frame = J.stack(jets, axis=1)
+    brackets = np.concatenate(
+        [F.courant_jets(frame[:, p:p + 1], frame[:, p + 1:], n).value for p in range(m - 1)],
+        axis=1)
+    P = 0.5 * np.einsum("ip...,ir...->pr...", gta.swap(brackets, 0), frame.value)
+    first, second = np.triu_indices(m, 1)
     at = np.zeros((m, m), dtype=int)
     at[first, second] = np.arange(len(first))
     i, j, k = triples(m).T

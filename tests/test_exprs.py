@@ -201,3 +201,52 @@ def test_scalar_operands_are_never_lifted(monkeypatch):
     assert lifts == []
     assert np.array_equal(jet.value, 2 * POINTS[:, 0] + 1)
     assert np.array_equal(jet.grad, np.broadcast_to([2, 0, 0], (5, 3)))
+
+
+DEFORM_STYLE = {
+    "structure": {"chart": {"dim": 3}, "builder": "from_contact", "eta": [
+        "(1 + (0.1)*x + (-0.2)*y*z)*((0.3)*x + (-1.1)*y)",
+        "(1 + (0.1)*x + (-0.2)*y*z)*((0.1)*x + (0.2)*y)",
+        "(1 + (0.1)*x + (-0.2)*y*z)"]},
+    "apply": [
+        {"op": "k_minus", "kappa": ["(0.2)*z", "(-0.1)", "(0.3)*x*y"]},
+        {"op": "b_field", "B": [["0", "(0.1)*z", "(0.2)"], ["-((0.1)*z)", "0", "(-0.3)*x*y"],
+                                ["-((0.2))", "-((-0.3)*x*y)", "0"]]},
+        {"op": "k_plus", "kappa": ["(0.1)", "(-0.2)*x", "(0.25)*y*z"]},
+        {"op": "normalize"},
+    ],
+    "checks": ["fgacs"],
+    "seed": 5,
+    "samples": 6,
+}
+
+
+def test_jet_operands_never_reach_lift(monkeypatch):
+    """Jet arithmetic takes a jet operand as it is: parsing and checking a
+    deform-style config (a contact form, K-, B, K+, normalize) hands lift
+    array constants only, never a JetArray to pass through."""
+    operands = []
+    original = J.lift
+
+    def recording(x, *args, **kwargs):
+        operands.append(type(x).__name__)
+        return original(x, *args, **kwargs)
+
+    monkeypatch.setattr(J, "lift", recording)
+    assert config.run_checks(config.parse_config(DEFORM_STYLE)).passed
+    assert operands and "JetArray" not in operands, operands
+
+
+def test_check_points_are_drawn_once_per_config(monkeypatch):
+    """The builder and every realness check of the pipeline read one draw of
+    the seed-1 check points."""
+    draws = []
+    original = Chart.sample
+
+    def recording(chart, seed, count):
+        draws.append(seed)
+        return original(chart, seed, count)
+
+    monkeypatch.setattr(Chart, "sample", recording)
+    config.parse_config(DEFORM_STYLE)
+    assert draws.count(1) == 1, draws

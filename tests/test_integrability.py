@@ -92,40 +92,92 @@ def test_crosscheck_subframe_involutivity():
     assert row.tolerance is not None and row.passed
 
 
+def record_brackets(monkeypatch) -> list:
+    """Log every ``frame_nij`` table and every ``courant_jets`` call, in order.
+
+    A table is logged as ``("table", m, pairs)``: ``pairs`` lists, per
+    bracket call made inside it, the member pairs (p, q) that call brackets,
+    found by matching its operands' member columns to the values of the
+    table's m member jets (member axes broadcast as the call does).  A call
+    outside any table is logged as ``("bracket", size)``, with its batch size.
+    """
+    log, inside = [], []
+    nij, courant = S.frame_nij, F.courant_jets
+
+    def members(jet, jets):
+        return [next(r for r, j in enumerate(jets) if np.array_equal(jet.value[:, c], j.value))
+                for c in range(jet.value.shape[1])]
+
+    def recording_nij(jets, n):
+        log.append(("table", len(jets), []))
+        inside.append(jets)
+        try:
+            return nij(jets, n)
+        finally:
+            inside.pop()
+
+    def recording_courant(ja, jb, n):
+        if inside:
+            left, right = np.broadcast_arrays(members(ja, inside[-1]), members(jb, inside[-1]))
+            log[-1][2].append(list(zip(left.tolist(), right.tolist())))
+        else:
+            log.append(("bracket", int(np.prod(np.broadcast_shapes(ja.shape, jb.shape)[1:-1]))))
+        return courant(ja, jb, n)
+
+    monkeypatch.setattr(S, "frame_nij", recording_nij)
+    monkeypatch.setattr(F, "courant_jets", recording_courant)
+    return log
+
+
+def bracket_sizes(log) -> list:
+    """Per logged table the number of pairs it brackets, per outside call its
+    batch size; asserts that each table brackets every pair p < q of its m
+    members exactly once, in ``np.triu_indices`` order."""
+    sizes = []
+    for event in log:
+        if event[0] == "bracket":
+            sizes.append(event[1])
+            continue
+        _, m, calls = event
+        triu = list(zip(*(a.tolist() for a in np.triu_indices(m, 1))))
+        assert [pair for call in calls for pair in call] == triu, (m, calls)
+        sizes.append(sum(len(call) for call in calls))
+        assert sizes[-1] == m * (m - 1) // 2
+    return sizes
+
+
 def test_crosscheck_computes_each_nij_once(monkeypatch):
     """One Nij_M table over the 5 base points and one Nij_C table over the
-    5 x 3 cone points, each from one batched Courant bracket call, and
-    nothing recomputed for the two-route or sub-frame rows."""
-    calls = []
-    original = F.courant_jets
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(F, "courant_jets", counting)
+    5 x 3 cone points, each one frame_nij call that brackets every member
+    pair once, and nothing recomputed for the two-route or sub-frame rows."""
+    log = record_brackets(monkeypatch)
     s = gallery.heisenberg_sasakian()["gacs"]  # a fresh frame, with no table kept yet
     I.cone_crosscheck(s, pts(HEIS, 5))
-    assert len(calls) == 2
+    assert [event[:2] for event in log] == [("table", 4), ("table", 4)]
+    assert bracket_sizes(log) == [6, 6]
 
 
 def test_frame_checks_share_one_frame_and_one_table(monkeypatch):
     """involutivity, plain_cone and rcone_condition on one structure pivot its
-    eigenframe once and bracket three tables: the frame's one table over
-    e10 + (E+, E-), [[E+, E-]] and the cone frame."""
-    calls = {"courant_jets": 0, "pivoted_frame": 0}
-    for module, name in ((F, "courant_jets"), (S, "pivoted_frame")):
-        def counting(*args, _original=getattr(module, name), _name=name):
-            calls[_name] += 1
-            return _original(*args)
+    eigenframe once and bracket two tables and one pair: the frame's one
+    table over e10 + (E+, E-), [[E+, E-]] and the cone frame's table."""
+    log = record_brackets(monkeypatch)
+    pivots = []
+    original = S.pivoted_frame
 
-        monkeypatch.setattr(module, name, counting)
+    def counting(*args):
+        pivots.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(S, "pivoted_frame", counting)
     s = gallery.darboux()["gacs"]  # a fresh structure, with no frame built yet
     sample = pts(DARBOUX, 5)
     S.involutivity_class(s, sample)
     I.plain_cone_check(s, sample)
     I.conjugated_cone_residual(s, sample)
-    assert calls == {"courant_jets": 3, "pivoted_frame": 1}
+    assert [event[0] for event in log] == ["table", "bracket", "table"]
+    assert bracket_sizes(log) == [6, 1, 6]
+    assert len(pivots) == 1
 
 
 def test_eigenframe_is_one_projector_field(monkeypatch):
@@ -335,27 +387,96 @@ def test_pair_table_matches_the_ordered_pairs_table_on_generated_forms(case):
         assert np.abs(table[t] - v).max() <= 1e-13 * scale, (t, table[t], v)
 
 
+def gathered_pairs_nij(jets, n):
+    """The reference table: frame_nij with gathered pair stacks, the left and
+    right members of the m(m-1)/2 pairs p < q copied into two stacks along
+    one pair axis and bracketed in one courant_jets call."""
+    m = len(jets)
+    first, second = np.triu_indices(m, 1)
+    left = J.stack([jets[p] for p in first], axis=1)
+    right = J.stack([jets[q] for q in second], axis=1)
+    brackets = F.courant_jets(left, right, n).value
+    frame = np.stack([j.value for j in jets], axis=1)
+    P = 0.5 * np.einsum("ip...,ir...->pr...", gta.swap(brackets, 0), frame)
+    at = np.zeros((m, m), dtype=int)
+    at[first, second] = np.arange(len(first))
+    i, j, k = np.array(list(combinations(range(m), 3))).T
+    return (1.0 / 3.0) * ((P[at[i, j], k] + P[at[j, k], i]) - P[at[i, k], j])
+
+
+def prefix_tables_exact(members, points, n) -> set:
+    """Assert frame_nij of the first m members equals the gathered-pairs table
+    bit for bit, for every m >= 3; return the sizes m checked."""
+    jets = [mb.jet(points, 1) for mb in members]
+    for m in range(3, len(jets) + 1):
+        table, ref = S.frame_nij(jets[:m], n), gathered_pairs_nij(jets[:m], n)
+        assert table.shape == ref.shape and np.array_equal(table, ref), (n, m)
+    return set(range(3, len(jets) + 1))
+
+
+def test_row_block_table_equals_the_gathered_pairs_table_on_darboux_frames():
+    """darboux(1)-darboux(4): base frames and both cone frames of 4 to 10
+    members, so every table size m = 3...10 is checked."""
+    sizes = set()
+    for k in (1, 2, 3, 4):
+        s = gallery.darboux(k)["gacs"]
+        for members, points, n in nij_frames(s, s.chart.sample(seed=3, count=3)):
+            sizes |= prefix_tables_exact(members, points, n)
+    assert sizes == set(range(3, 11))
+
+
+def test_row_block_table_equals_the_gathered_pairs_table_on_the_gallery():
+    """The gallery Gacs, the duals of its Gacm and their cone frames, plain and R-conjugated."""
+    for s in frame_structures():
+        for members, points, n in nij_frames(s, s.chart.sample(seed=3, count=4)):
+            prefix_tables_exact(members, points, n)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(perturbed_darboux())
+@example((nij_rounding_form(), 1))
+def test_row_block_table_equals_the_gathered_pairs_table_on_generated_forms(case):
+    eta, seed = case
+    sample = eta.chart.sample(seed=seed, count=2)
+    try:
+        s = S.gacs_from_contact(eta, check_points=sample)
+        frame = S.eigenframe(s, sample_points=sample)
+    except ValueError:
+        assume(False)
+    for members in (frame.members, frame.l_plus, frame.l_minus):
+        prefix_tables_exact(members, sample, s.chart.dim)
+
+
+def test_frame_nij_peak_stays_under_2mb(peak_bytes):
+    """darboux(3)'s plain cone table, 8 members at 8 base points x DEFAULT_TS:
+    the stacked frame is the only copy of the members (gathered pair stacks
+    peaked at 3.75 MB here, row blocks of views at about 1 MB)."""
+    s = gallery.darboux(3)["gacs"]
+    cone = ConeChart.over(s.chart)
+    members = C.cone_plus_frame(cone, s.frame.e10, s.Eplus, s.Eminus, conjugated=False)
+    jets = [m.jet(C.cone_points(s.chart.sample(seed=5, count=8), C.DEFAULT_TS), 1)
+            for m in members]
+    table, peak = peak_bytes(S.frame_nij, jets, cone.dim)
+    assert table.shape == (56, 24)
+    assert peak <= 2 * 10**6, peak
+
+
 @pytest.mark.parametrize("build, batches", [
     (gallery.darboux, [6, 1, 6]),  # 4 frame members and 4 cone members: 16 ordered pairs each
     (lambda: gallery.darboux(3), [28, 1, 28]),  # 8 and 8 members: 64 ordered pairs each
 ])
 def test_frame_checks_bracket_each_pair_once(monkeypatch, build, batches):
-    """involutivity, plain_cone and rcone_condition make three courant_jets calls:
-    the frame's m(m-1)/2 pairs, [[E+, E-]] and the cone frame's pairs."""
-    seen = []
-    original = F.courant_jets
-
-    def counting(ja, jb, n):
-        seen.append(int(np.prod(np.broadcast_shapes(ja.shape, jb.shape)[1:-1])))
-        return original(ja, jb, n)
-
-    monkeypatch.setattr(F, "courant_jets", counting)
+    """involutivity, plain_cone and rcone_condition bracket the frame's
+    m(m-1)/2 pairs in one frame_nij table, [[E+, E-]] in one call and the
+    cone frame's pairs in one table, each pair p < q once, in triu order."""
+    log = record_brackets(monkeypatch)
     s = build()["gacs"]  # a fresh structure, with no frame built yet
     sample = s.chart.sample(seed=5, count=5)
     S.involutivity_class(s, sample)
     I.plain_cone_check(s, sample)
     I.conjugated_cone_residual(s, sample)
-    assert seen == batches
+    assert [event[0] for event in log] == ["table", "bracket", "table"]
+    assert bracket_sizes(log) == batches
 
 
 def triple_cone_rhs(vals, em):
@@ -444,18 +565,13 @@ def test_crosscheck_verdict_ignores_the_rcone_condition():
 def test_generalized_sasakian_computes_each_nij_once(monkeypatch):
     """Per branch, the rcone_condition row comes from the Nij_M tables of the
     crosscheck, so no separate conjugated_cone_residual pass recomputes them:
-    two branches of one Nij_M and one Nij_C table, one bracket call each."""
-    calls = []
-    original = F.courant_jets
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(F, "courant_jets", counting)
+    two branches of one Nij_M and one Nij_C table, one frame_nij call each,
+    each bracketing every member pair once."""
+    log = record_brackets(monkeypatch)
     m = gallery.heisenberg_sasakian()["gacm"]  # fresh frames, with no table kept yet
     rep = I.generalized_sasakian_check(m, pts(HEIS, 5))
-    assert len(calls) == 2 * 2
+    assert [event[:2] for event in log] == [("table", 4)] * (2 * 2)
+    assert bracket_sizes(log) == [6] * (2 * 2)
     assert [r.name for r in rep.rows[:2]] == [
         "gsas.phi.rcone_condition.residual", "gsas.phi.crosscheck.id1"]
 
@@ -649,8 +765,7 @@ def test_residuals_invariant_under_pivot_shuffle():
     for entry in (DARBOUX, HEIS):
         s = entry["gacs"]
         base = s.chart.sample(seed=0, count=1)[0]
-        projector = s.frame.projector
-        mat = projector.values(base)
+        mat = S.eigen_projector(s.Phi, s.Eplus, s.Eminus).values(base)
         default = S._pivot_columns(mat, 2)
         shuffled = S._pivot_columns(mat[:, ::-1], 2)
         alt_cols = sorted(mat.shape[1] - 1 - c for c in shuffled)
@@ -660,7 +775,8 @@ def test_residuals_invariant_under_pivot_shuffle():
         for cols in (default, alt_cols):
             pinned = S.Gacs(s.chart, s.Phi, s.Eplus, s.Eminus)
             # the checks read the structure's frame: pin it to these columns
-            vars(pinned)["frame"] = S.EigenFrame(projector, tuple(cols), s.Eplus, s.Eminus)
+            vars(pinned)["frame"] = S.EigenFrame(S.eigen_projector(s.Phi, s.Eplus, s.Eminus, cols),
+                                                 tuple(cols), s.Eplus, s.Eminus)
             res = I.conjugated_cone_residual(pinned, sample).max_residual
             verdicts.append(res < 1e-7)
             label, _ = S.involutivity_class(pinned, sample)
@@ -747,12 +863,14 @@ def chain_pivots(chain, want):
 
 
 def eigenprojector_exact(s, points, subnormal=False) -> bool:
-    """The frame's projector columns equal the chain, and pivot to the same columns."""
+    """The projector's columns equal the chain, pivot to the same columns, and
+    the frame's members equal the chain at those columns."""
     frame = S.eigenframe(s)
     chain = candidate_chain(s.Phi, (s.Eplus, s.Eminus))
-    columns = S.projector_columns(frame.projector, range(len(chain)))
+    columns = S.projector_columns(S.eigen_projector(s.Phi, s.Eplus, s.Eminus), range(len(chain)))
     return (list(frame.pivots) == chain_pivots(chain, s.chart.dim - 1)
-            and jets_match(columns, chain, points, subnormal))
+            and jets_match(columns, chain, points, subnormal)
+            and jets_match(frame.e10, [chain[k] for k in frame.pivots], points, subnormal))
 
 
 def test_eigenprojector_columns_equal_the_candidate_chain():
@@ -776,6 +894,22 @@ def test_eigenprojector_columns_equal_the_candidate_chain_on_generated_forms(cas
     except ValueError:
         assume(False)
     assert eigenprojector_exact(s, sample, subnormal=True)
+
+
+def test_pivot_column_fields_equal_the_full_projector_columns():
+    """The frame members, computed on the pivot columns only, equal the full
+    projector's pivot columns bit for bit at orders 0-2, on base and cone frames."""
+    for s in frame_structures() + [gallery.darboux(2)["gacs"], gallery.darboux(4)["gacs"],
+                                   twisted_darboux()]:
+        points = s.chart.sample(seed=13, count=3)
+        full = S.eigen_projector(s.Phi, s.Eplus, s.Eminus)
+        assert jets_match(s.frame.e10, S.projector_columns(full, s.frame.pivots), points)
+        for j in (C.i_prime(s), C.i_map(s)):
+            cone = j.chart
+            full = S.eigen_projector(j.J)
+            cols = S.pivoted_frame(full, cone.sample(seed=0, count=1)[0], cone.dim, "{} < {}")
+            assert jets_match(C.gacx_plus_frame(j), S.projector_columns(full, cols),
+                              C.cone_points(points[:2]))
 
 
 def test_cone_projector_columns_equal_the_candidate_chain():
