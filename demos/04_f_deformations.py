@@ -50,5 +50,4 @@ print(D.cone_kahler_pair_check(heis["gacm"], 0.2 * F.basis_form(heis["chart"], 2
 print("\n== f-Sasakian check (alpha = beta = 0 reduces to the metric verdict) ==")
 k = gallery.build("kahler_interval")
 zk = 0 * F.basis_form(k["chart"], 2)
-fm = D.FGacm.from_witness(k["gacm"], zk, zk)
-print(D.f_sasakian_check(fm, k["chart"].sample(seed=23, count=4)).summary())
+print(D.f_sasakian_check(k["gacm"], zk, zk, k["chart"].sample(seed=23, count=4)).summary())

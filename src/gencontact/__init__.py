@@ -15,7 +15,6 @@ from .cone import (
     r_conjugate,
 )
 from .deformations import (
-    FGacm,
     b_commute_check,
     cone_b_correspondence,
     cone_kahler_pair_check,

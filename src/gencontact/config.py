@@ -1,9 +1,14 @@
 """Structure/pipeline JSON parsing and the check registry.
 
 A run configuration references a structure (gallery entry, builder recipe,
-or explicit component expressions), an optional deformation pipeline, and a
-list of named checks with optional tolerance overrides.  Unknown keys are
-rejected with the offending path.
+explicit component expressions or the cone of one of these), an optional
+deformation pipeline, and a list of named checks with optional tolerance
+overrides.  Unknown keys are rejected with the offending path.
+
+The structure and pipeline build one :class:`Subject`.  ``CHECKS`` names the
+need accessor (``Subject.need_*``) each check reads it through: f = 0, any
+Gacs, a metric, classical structures, or a cone.  A subject that lacks the
+need is refused with a ConfigError naming the check and the need.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,7 +27,7 @@ from . import gallery as G
 from . import integrability as I
 from . import structures as S
 from .charts import Chart
-from .cone import cone_points, gacx_check, i_prime, r_conjugate
+from .cone import ConeGacx, cone_points, gacx_check, i_prime, r_conjugate
 from .exprs import ExprError, parse_scalar
 from .report import ResidualReport
 
@@ -134,32 +139,80 @@ def _parse_section(obj: dict, chart: Chart, path: str) -> F.SectionField:
     return F.section(vec=vec, form=form)
 
 
-def parse_structure(obj: dict, path: str = "$.structure") -> dict:
-    """Build the products dict {gacs: ..., acs: ..., ...} a config references."""
+@dataclass(frozen=True)
+class Subject:
+    """The structure a config builds, as every check reads it.  ``gacs`` (with its f) is
+    ``None`` only for a ``cone_of`` reference, whose structure is ``cone``; ``gacm`` is
+    ``gacs`` with a metric; ``classical`` holds 0-2 (phi, xi, eta) structures.  Gallery
+    records are held as built, so the frames and duals cached on them are shared."""
+
+    chart: Chart
+    gacs: Optional[S.Gacs] = None
+    gacm: Optional[S.Gacm] = None
+    classical: Tuple[S.AlmostContactMetric, ...] = ()
+    cone: Optional[ConeGacx] = None
+
+    def __post_init__(self):
+        if self.gacm is not None and self.gacm.gacs is not self.gacs:
+            raise ValueError("a Subject's gacm must carry its gacs")
+
+    # the needs of the checks (see CHECKS): a missing one is a ConfigError naming the check
+    def need_f_zero(self, check: str) -> S.Gacs:
+        s = self.gacs
+        return _refuse_missing(s if s is not None and s.f is None else None, check,
+                               "a generalized almost contact structure with f = 0")
+
+    def need_gacs(self, check: str) -> S.Gacs:
+        return _refuse_missing(self.gacs, check, "a generalized (f-)almost contact structure")
+
+    def need_metric(self, check: str) -> S.Gacm:
+        return _refuse_missing(self.gacm, check, "a structure with a generalized metric")
+
+    def need_classical(self, check: str) -> Tuple[S.AlmostContactMetric, ...]:
+        return _refuse_missing(self.classical or None, check, "a classical (phi, xi, eta) structure")
+
+    def need_classical_metric(self, check: str) -> Tuple[S.AlmostContactMetric, ...]:
+        found = self.need_classical(check)
+        return _refuse_missing(found if all(acs.g is not None for acs in found) else None,
+                               check, "a metric g on its classical structures")
+
+    def need_cone(self, check: str) -> ConeGacx:
+        return _refuse_missing(self.cone, check, "a cone structure (cone_of)")
+
+
+def _refuse_missing(part, check: str, what: str):
+    if part is None:
+        raise ConfigError(f"check {check!r} needs {what}")
+    return part
+
+
+def parse_structure(obj: dict, path: str = "$.structure") -> Subject:
+    """The :class:`Subject` a structure reference builds."""
     return _parse_structure(obj, path)[0]
 
 
 def _parse_structure(obj: dict, path: str):
-    """(products, check points): the points are the chart's :func:`_check_points`,
+    """(subject, check points): the points are the chart's :func:`_check_points`,
     drawn once when the structure is parsed on a chart of its own, else None."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
     if "gallery" in obj:
         _reject_unknown(obj, {"gallery"}, path)
-        name = obj["gallery"]
         try:
-            return dict(G.build(name)), None
+            built = G.build(obj["gallery"])
         except KeyError as err:
             raise ConfigError(f"{path}.gallery: {err.args[0]}") from None
+        classical = built.get("acs_pair") or ((built["acs"],) if "acs" in built else ())
+        return Subject(built["chart"], built.get("gacs"), built.get("gacm"), tuple(classical)), None
     if "cone_of" in obj:
         _reject_unknown(obj, {"cone_of", "conjugate"}, path)
         inner = parse_structure(obj["cone_of"], f"{path}.cone_of")
-        if "gacs" not in inner:
+        if inner.gacs is None:
             raise ConfigError(f"{path}.cone_of: inner structure provides no Gacs")
-        j = i_prime(inner["gacs"])
+        j = i_prime(inner.gacs)
         if obj.get("conjugate", False):
             j = r_conjugate(j)
-        return {"cone": j, "base": inner}, None
+        return Subject(inner.chart, cone=j), None
 
     allowed = {"chart", "builder", "eta", "phi", "xi", "g", "eplus", "eminus"}
     _reject_unknown(obj, allowed, path)
@@ -175,25 +228,19 @@ def _parse_structure(obj: dict, path: str):
             gacs = S.gacs_from_contact(eta, check_points=pts)
         except ValueError as err:
             raise ConfigError(f"{path}: {err}") from None
-        return {"chart": chart, "eta": eta, "gacs": gacs}, pts
+        return Subject(chart, gacs), pts
     if builder == "from_acs":
         phi = _expr_matrix(F.MatrixField, _need(obj, "phi", path), chart, f"{path}.phi", n)
         xi = _expr_vector(F.VectorField, _need(obj, "xi", path), chart, f"{path}.xi")
         eta = _expr_vector(F.OneFormField, _need(obj, "eta", path), chart, f"{path}.eta")
-        g = None
-        if "g" in obj:
-            g = _expr_matrix(F.MatrixField, obj["g"], chart, f"{path}.g", n)
-        try:
-            for name, part in (("phi", phi), ("xi", xi), ("eta", eta), ("g", g)):
-                if part is not None:
-                    S.require_real(part, pts, name)
-        except S.StructureError as err:
-            raise ConfigError(f"{path}: {err}") from None
+        g = _expr_matrix(F.MatrixField, obj["g"], chart, f"{path}.g", n) if "g" in obj else None
+        for name, part in (("phi", phi), ("xi", xi), ("eta", eta), ("g", g)):
+            if part is not None:
+                _require_real(part, pts, f"{path}.{name}")
         acs = S.AlmostContactMetric(chart, phi, xi, eta, g)
-        out = {"chart": chart, "acs": acs, "gacs": S.gacs_from_acs(acs)}
-        if g is not None:
-            out["gacm"] = G.sasakian_to_gs(acs)
-        return out, pts
+        gacm = None if g is None else G.sasakian_to_gs(acs)
+        gacs = S.gacs_from_acs(acs) if gacm is None else gacm.gacs
+        return Subject(chart, gacs, gacm, (acs,)), pts
     if builder is not None:
         raise ConfigError(f"{path}.builder: unknown builder {builder!r}")
     # explicit components
@@ -202,22 +249,22 @@ def _parse_structure(obj: dict, path: str):
     eminus = _parse_section(_need(obj, "eminus", path), chart, f"{path}.eminus")
     for name, part in (("phi", phi), ("eplus", eplus), ("eminus", eminus)):
         _require_real(part, pts, f"{path}.{name}")
-    gacs = S.Gacs(chart, phi, eplus, eminus)
-    return {"chart": chart, "gacs": gacs}, pts
+    return Subject(chart, S.Gacs(chart, phi, eplus, eminus)), pts
 
 
-def parse_pipeline(items, products: dict, path: str = "$.apply", check_points=None) -> dict:
-    """Apply deformation steps to the structure's Gacs; the result is filed under
-    ``fgacs``, and under ``gacs`` too while its f is ``None`` (f = 0).
+def parse_pipeline(items, subject: Subject, path: str = "$.apply", check_points=None) -> Subject:
+    """Apply deformation steps to the subject's structure.  A ``b_field`` step maps a
+    metric structure through :func:`~gencontact.structures.b_transform_gacm`; K+- and
+    ``normalize`` drop the metric; every step drops the classical structures.
 
     Parsed step data is checked to be real at ``check_points``, the chart's
     :func:`_check_points` (drawn here when not given)."""
     if not isinstance(items, list):
         raise ConfigError(f"{path}: expected a list of steps")
-    if "gacs" not in products and "fgacs" not in products:
+    if subject.gacs is None:
         raise ConfigError(f"{path}: the structure provides nothing to deform")
-    chart = products["chart"]
-    current = products.get("fgacs") or products["gacs"]
+    chart = subject.chart
+    gacs, gacm = subject.gacs, subject.gacm
     n = chart.dim
     pts = _check_points(chart) if check_points is None else check_points
     for i, step in enumerate(items):
@@ -232,117 +279,97 @@ def parse_pipeline(items, products: dict, path: str = "$.apply", check_points=No
             if np.abs(v + np.swapaxes(v, 0, 1)).max() > 1e-9:
                 raise ConfigError(f"{spath}.B: components are not antisymmetric")
             _require_real(bfield, pts, f"{spath}.B")
-            current = S.b_transform(current, bfield)
+            if gacm is not None:
+                gacm = S.b_transform_gacm(gacm, bfield)
+            gacs = S.b_transform(gacs, bfield) if gacm is None else gacm.gacs
         elif op in ("k_plus", "k_minus"):
             _reject_unknown(step, {"op", "kappa"}, spath)
             kappa = _expr_vector(F.OneFormField, _need(step, "kappa", spath), chart,
                                  f"{spath}.kappa")
             _require_real(kappa, pts, f"{spath}.kappa")
-            current = (D.k_plus if op == "k_plus" else D.k_minus)(current, kappa)
+            gacs, gacm = (D.k_plus if op == "k_plus" else D.k_minus)(gacs, kappa), None
         elif op == "normalize":
             _reject_unknown(step, {"op"}, spath)
             pts = chart.sample(seed=2, count=12)
             try:
-                current, _, _ = D.normalize(current, pts)
+                gacs, gacm = D.normalize(gacs, pts)[0], None
             except ValueError as err:
                 raise ConfigError(f"{spath}: {err}") from None
         else:
             raise ConfigError(f"{spath}.op: unknown op {op!r}")
-    out = {k: v for k, v in products.items() if k not in ("gacs", "gacm", "acs", "acs_pair")}
-    out["fgacs"] = current
-    if current.f is None:
-        out["gacs"] = current  # f = 0: a Gacs again, open to the Gacs checks
-    return out
+    return Subject(chart, gacs, gacm)
 
 
-# -- the check registry ----------------------------------------------------------------
+# -- the check registry: each check runs on the part of the subject it needs -------------
 
 
-def _classical(products: dict, name: str):
-    if "acs_pair" in products:
-        return list(products["acs_pair"])
-    if "acs" in products:
-        return [products["acs"]]
-    raise ConfigError(f"check {name!r} needs a classical (phi, xi, eta) structure")
-
-
-def _get(products: dict, key: str, name: str):
-    if key not in products:
-        raise ConfigError(f"check {name!r} needs a structure providing {key!r}")
-    return products[key]
-
-
-def check_acms(products, points, tol):
+def _each_classical(structures, fn) -> ResidualReport:
+    """``fn`` on each classical structure, the second one's rows prefixed ``[1]``."""
     rep = ResidualReport()
-    for i, acs in enumerate(_classical(products, "acms")):
-        rep.extend(S.acms_check(acs, points), prefix=f"[{i}]" if i else "")
+    for i, acs in enumerate(structures):
+        rep.extend(fn(acs), prefix=f"[{i}]" if i else "")
     return rep
 
 
-def check_gacs(products, points, tol):
-    s = _get(products, "gacs", "gacs")
+def check_acms(structures, points, tol):
+    return _each_classical(structures, lambda acs: S.acms_check(acs, points))
+
+
+def check_gacs(s, points, tol):
     rep = S.gacs_check(s, points)
     rep.extend(S.phi_cube_check(s, points))
     return rep
 
 
-def check_phi_kernel(products, points, tol):
-    return S.phi_kernel_check(_get(products, "gacs", "phi_kernel"), points)
+def check_phi_kernel(s, points, tol):
+    return S.phi_kernel_check(s, points)
 
 
-def check_gacm(products, points, tol):
-    return S.gacm_check(_get(products, "gacm", "gacm"), points)
+def check_gacm(m, points, tol):
+    return S.gacm_check(m, points)
 
 
-def check_fgacs(products, points, tol):
-    return D.fgacs_check(products.get("fgacs") or _get(products, "gacs", "fgacs"), points)
+def check_fgacs(s, points, tol):
+    return D.fgacs_check(s, points)
 
 
-def check_involutivity(products, points, tol):
-    label, rep = S.involutivity_class(_get(products, "gacs", "involutivity"), points, tol=tol or S.INT_TOL)
+def check_involutivity(s, points, tol):
+    label, rep = S.involutivity_class(s, points, tol=tol or S.INT_TOL)
     rep.add(f"involutivity.class[{label}]", [0.0], None, None)
     return rep
 
 
-def check_normality(products, points, tol):
-    rep = ResidualReport()
-    for i, acs in enumerate(_classical(products, "normality")):
-        rep.extend(I.normality_check(acs, points, tol=tol or S.DEFAULT_TOL), prefix=f"[{i}]" if i else "")
-    return rep
+def check_normality(structures, points, tol):
+    return _each_classical(structures,
+                           lambda acs: I.normality_check(acs, points, tol=tol or S.DEFAULT_TOL))
 
 
-def check_sasakian(products, points, tol):
-    rep = ResidualReport()
-    for i, acs in enumerate(_classical(products, "sasakian")):
-        rep.extend(I.sasakian_criterion(acs, points, tol=tol or S.DEFAULT_TOL), prefix=f"[{i}]" if i else "")
-    return rep
+def check_sasakian(structures, points, tol):
+    return _each_classical(structures,
+                           lambda acs: I.sasakian_criterion(acs, points, tol=tol or S.DEFAULT_TOL))
 
 
-def check_vaisman_pair(products, points, tol):
-    pair = _classical(products, "vaisman_pair")
-    if len(pair) == 1:
-        pair = [pair[0], pair[0]]
-    return I.vaisman_conditions(pair[0], pair[1], points, tol=tol or S.DEFAULT_TOL)
+def check_vaisman_pair(pair, points, tol):
+    return I.vaisman_conditions(pair[0], pair[-1], points, tol=tol or S.DEFAULT_TOL)
 
 
-def check_plain_cone(products, points, tol):
-    return I.plain_cone_check(_get(products, "gacs", "plain_cone"), points, tol=tol or S.INT_TOL)
+def check_plain_cone(s, points, tol):
+    return I.plain_cone_check(s, points, tol=tol or S.INT_TOL)
 
 
-def check_rcone_condition(products, points, tol):
-    return I.conjugated_cone_residual(_get(products, "gacs", "rcone_condition"), points, tol=tol or S.INT_TOL)
+def check_rcone_condition(s, points, tol):
+    return I.conjugated_cone_residual(s, points, tol=tol or S.INT_TOL)
 
 
-def check_crosscheck(products, points, tol):
-    return I.cone_crosscheck(_get(products, "gacs", "cone_crosscheck"), points, tol=tol or S.INT_TOL)
+def check_crosscheck(s, points, tol):
+    return I.cone_crosscheck(s, points, tol=tol or S.INT_TOL)
 
 
-def check_generalized_sasakian(products, points, tol):
-    return I.generalized_sasakian_check(_get(products, "gacm", "generalized_sasakian"), points, tol=tol or S.INT_TOL)
+def check_generalized_sasakian(m, points, tol):
+    return I.generalized_sasakian_check(m, points, tol=tol or S.INT_TOL)
 
 
-def check_cone_algebra(products, points, tol):
-    s = _get(products, "gacs", "cone_algebra")
+def check_cone_algebra(s, points, tol):
     j = i_prime(s)
     cpts = cone_points(points)
     rep = gacx_check(j, cpts)
@@ -350,36 +377,35 @@ def check_cone_algebra(products, points, tol):
     return rep
 
 
-def check_gacx(products, points, tol):
-    j = _get(products, "cone", "gacx")
-    cpts = cone_points(points)
-    return gacx_check(j, cpts)
+def check_gacx(j, points, tol):
+    return gacx_check(j, cone_points(points))
 
 
-CHECKS: Dict[str, Callable] = {
-    "acms": check_acms,
-    "gacs": check_gacs,
-    "phi_kernel": check_phi_kernel,
-    "gacm": check_gacm,
-    "fgacs": check_fgacs,
-    "involutivity": check_involutivity,
-    "normality": check_normality,
-    "sasakian": check_sasakian,
-    "sasakian_pair": check_sasakian,
-    "vaisman_pair": check_vaisman_pair,
-    "plain_cone": check_plain_cone,
-    "rcone_condition": check_rcone_condition,
-    "cone_crosscheck": check_crosscheck,
-    "generalized_sasakian": check_generalized_sasakian,
-    "cone_algebra": check_cone_algebra,
-    "gacx": check_gacx,
+# name -> (the Subject accessor of what the check needs, the check run on it)
+CHECKS: Dict[str, Tuple[Callable, Callable]] = {
+    "acms": (Subject.need_classical, check_acms),
+    "gacs": (Subject.need_f_zero, check_gacs),
+    "phi_kernel": (Subject.need_f_zero, check_phi_kernel),
+    "gacm": (Subject.need_metric, check_gacm),
+    "fgacs": (Subject.need_gacs, check_fgacs),
+    "involutivity": (Subject.need_f_zero, check_involutivity),
+    "normality": (Subject.need_classical, check_normality),
+    "sasakian": (Subject.need_classical_metric, check_sasakian),
+    "sasakian_pair": (Subject.need_classical_metric, check_sasakian),
+    "vaisman_pair": (Subject.need_classical_metric, check_vaisman_pair),
+    "plain_cone": (Subject.need_f_zero, check_plain_cone),
+    "rcone_condition": (Subject.need_f_zero, check_rcone_condition),
+    "cone_crosscheck": (Subject.need_f_zero, check_crosscheck),
+    "generalized_sasakian": (Subject.need_metric, check_generalized_sasakian),
+    "cone_algebra": (Subject.need_f_zero, check_cone_algebra),
+    "gacx": (Subject.need_cone, check_gacx),
 }
 
 
 @dataclass
 class RunConfig:
     structure: dict  # raw structure reference (kept for serialization)
-    products: dict
+    subject: Subject
     checks: List[str]
     tolerances: Dict[str, float] = field(default_factory=dict)
     seed: int = 1234
@@ -397,10 +423,10 @@ def parse_config(obj: dict) -> RunConfig:
     if ("structure" in obj) == ("gallery" in obj):
         raise ConfigError("$: exactly one of 'structure' or 'gallery' is required")
     raw_ref = {"gallery": obj["gallery"]} if "gallery" in obj else obj["structure"]
-    products, check_points = _parse_structure(raw_ref, "$.structure")
+    subject, check_points = _parse_structure(raw_ref, "$.structure")
     pipeline = obj.get("apply", [])
     if pipeline:
-        products = parse_pipeline(pipeline, products, check_points=check_points)
+        subject = parse_pipeline(pipeline, subject, check_points=check_points)
     checks = obj.get("checks", [])
     if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
         raise ConfigError("$.checks: expected a list of check names")
@@ -425,7 +451,7 @@ def parse_config(obj: dict) -> RunConfig:
     samples = count(obj.get("samples", RunConfig.samples), "$.samples", 1)
     return RunConfig(
         structure=raw_ref,
-        products=products,
+        subject=subject,
         checks=checks,
         tolerances=tolerances,
         seed=seed,
@@ -436,14 +462,12 @@ def parse_config(obj: dict) -> RunConfig:
 
 
 def run_checks(cfg: RunConfig) -> ResidualReport:
-    chart = cfg.products.get("chart")
-    if chart is None and "cone" in cfg.products:
-        chart = cfg.products["cone"].chart.base
-    points = chart.sample(seed=cfg.seed, count=cfg.samples)
+    points = cfg.subject.chart.sample(seed=cfg.seed, count=cfg.samples)
     rep = ResidualReport()
     for name in cfg.checks:
         tol = cfg.tolerances.get(name)
-        sub = CHECKS[name](cfg.products, points, tol)
+        need, check = CHECKS[name]
+        sub = check(need(cfg.subject, name), points, tol)
         if tol is not None:
             for row in sub.rows:
                 if row.tolerance is not None:

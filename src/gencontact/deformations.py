@@ -13,7 +13,7 @@ in the second slot, as forced by the eigenvalue axioms Phi^f E+- = +-f E+-.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Tuple
 
 import numpy as np
@@ -44,25 +44,6 @@ from .structures import (
 )
 
 DEFORM_TS = (-0.4, 0.2)  # the t slices of the cross-term, cone-pair and f-Sasakian checks
-
-
-@dataclass(frozen=True)
-class FGacm:
-    """A generalized f-almost contact metric structure with its witness data.
-
-    The witness is constructive: fgacs = K-(beta)(K+(alpha)(Phi, E+-, 0))
-    for the stored Gacm.
-    """
-
-    gacm: Gacm
-    alpha: OneFormField
-    beta: OneFormField
-    fgacs: Gacs
-
-    @staticmethod
-    def from_witness(m: Gacm, alpha: OneFormField, beta: OneFormField) -> "FGacm":
-        s = k_minus(k_plus(m.gacs, alpha), beta)
-        return FGacm(m, alpha, beta, s)
 
 
 # -- the defining axioms ----------------------------------------------------------
@@ -315,15 +296,15 @@ def cone_kahler_pair_check(m: Gacm, alpha: OneFormField, base_points, ts=DEFORM_
 # -- f-Sasakian --------------------------------------------------------------------------
 
 
-def f_sasakian_check(fm: FGacm, base_points, ts=DEFORM_TS,
-                     tol: float = INT_TOL) -> ResidualReport:
-    """Courant involutivity of the +i frames of both I-structures of an FGacm."""
-    m = fm.gacm
+def f_sasakian_check(m: Gacm, alpha: OneFormField, beta: OneFormField, base_points,
+                     ts=DEFORM_TS, tol: float = INT_TOL) -> ResidualReport:
+    """Courant involutivity of the +i frames of both I-structures of the generalized
+    f-almost contact metric structure K-(beta) K+(alpha) m."""
     cone = ConeChart.over(m.chart)
     rep = ResidualReport()
     cpts = cone_points(base_points, ts)
     for tag, base in (("phi", m.gacs), ("gphi", m.dual.gacs)):
-        s = k_minus(k_plus(base, fm.alpha), fm.beta)
+        s = k_minus(k_plus(base, alpha), beta)
         members = gacx_plus_frame(i_map(s, cone))
         _, per_point = max_nij_over_frame(members, cpts)
         rep.add(f"f_sasakian.{tag}_frame_nij", per_point, cpts, tol)

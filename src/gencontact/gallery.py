@@ -87,9 +87,8 @@ def _heisenberg_data(distribution_scale: float) -> dict:
         [[zero, -1 * s, zero], [s, zero, zero], [zero, -1 * (s * y), zero]],
     )
     acs = AlmostContactMetric(chart, phi, xi, eta, g)
-    gacs = gacs_from_acs(acs)
     gacm = sasakian_to_gs(acs)
-    return {"chart": chart, "acs": acs, "gacs": gacs, "gacm": gacm}
+    return {"chart": chart, "acs": acs, "gacs": gacm.gacs, "gacm": gacm}
 
 
 def heisenberg_sasakian() -> dict:
@@ -175,15 +174,11 @@ def sasakian_to_gs(acs: AlmostContactMetric) -> Gacm:
 # -- registry ---------------------------------------------------------------------
 
 
-def _darboux_entry() -> dict:
-    return darboux(1)
-
-
 ENTRIES: Tuple[GalleryEntry, ...] = (
     GalleryEntry(
         "darboux",
         "standard contact chart eta = dz - y dx with its bivector lift",
-        _darboux_entry,
+        darboux,
         expected={
             "gacs": True,
             "phi_kernel": True,

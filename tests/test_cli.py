@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gencontact import config, gallery
 from gencontact.cli import main
 
 HEIS_CFG = {
@@ -272,7 +273,7 @@ def test_normalize_takes_alpha_zero_where_zeta_and_f_vanish(tmp_path):
     assert main(["verify", cfg]) != 2
 
     s = parse_config({"structure": structure, "apply": [k_minus], "checks": ["fgacs"]})
-    s = s.products["fgacs"]
+    s = s.subject.gacs
     pts = s.chart.sample(seed=2, count=12)
     assert np.all(s.f.values(pts) == 0)
     with warnings.catch_warnings():
@@ -468,3 +469,102 @@ def test_gallery_golden_mode(tmp_path):
                  "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["expected"]["sasakian"] is True
+
+
+# -- one structure record: each check names what it needs --------------------------------
+
+CONTACT = {"chart": {"dim": 3}, "builder": "from_contact", "eta": ["-y", "0", "1"]}
+HEIS_ACS = {
+    "chart": {"dim": 3},
+    "builder": "from_acs",
+    "phi": [["0", "1", "0"], ["-1", "0", "0"], ["0", "y", "0"]],
+    "xi": ["0", "0", "1"],
+    "eta": ["-y", "0", "1"],
+}
+HEIS_ACS_G = {**HEIS_ACS, "g": [["1 + y*y", "0", "-y"], ["0", "1", "0"], ["-y", "0", "1"]]}
+B_STEP = {"op": "b_field", "B": [["0", "0.3", "0"], ["-0.3", "0", "0.1*x"], ["0", "-0.1*x", "0"]]}
+K_PLUS = {"op": "k_plus", "kappa": ["0.1", "0", "0.2*x"]}
+
+F_ZERO = {"gacs", "phi_kernel", "involutivity", "plain_cone", "rcone_condition",
+          "cone_crosscheck", "cone_algebra"}
+METRIC = {"gacm", "generalized_sasakian"}
+CLASSICAL = {"acms", "normality", "sasakian", "sasakian_pair", "vaisman_pair"}
+# subject -> (its config, the checks it must refuse)
+REFUSALS = {
+    "darboux": ({"gallery": "darboux"}, METRIC | CLASSICAL | {"gacx"}),
+    "k_plus": ({"structure": CONTACT, "apply": [K_PLUS]},
+               F_ZERO | METRIC | CLASSICAL | {"gacx"}),
+    "cone_of": ({"structure": {"cone_of": {"gallery": "darboux"}}},
+                F_ZERO | METRIC | CLASSICAL | {"fgacs"}),
+    # normality and acms read no metric; the Sasakian criteria need one
+    "from_acs_without_g": ({"structure": HEIS_ACS},
+                           METRIC | {"sasakian", "sasakian_pair", "vaisman_pair", "gacx"}),
+    "kahler_interval": ({"gallery": "kahler_interval"}, {"gacx"}),
+}
+
+
+@pytest.mark.parametrize("subject", sorted(REFUSALS))
+def test_each_check_gives_a_report_or_names_its_need(subject):
+    """Every registered check on five subjects: a report, or a ConfigError naming
+    the check (no other exception), refused exactly where the subject lacks the need."""
+    obj, expected = REFUSALS[subject]
+    refused = set()
+    for check in sorted(config.CHECKS):
+        cfg = config.parse_config({**obj, "checks": [check], "samples": 2, "seed": 3})
+        try:
+            rep = config.run_checks(cfg)
+        except config.ConfigError as err:
+            assert f"check {check!r} needs " in str(err), (check, str(err))
+            refused.add(check)
+        else:
+            assert rep.rows, check
+    assert refused == expected
+
+
+def test_refused_need_exits_two_with_the_check_named(tmp_path, capsys):
+    cfg = write(tmp_path, "need.json", {"structure": HEIS_ACS, "checks": ["sasakian_pair"]})
+    assert main(["verify", cfg]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "check 'sasakian_pair' needs a metric g" in err[0]
+
+
+def test_apply_on_a_cone_reference_exits_two(tmp_path, capsys):
+    cfg = write(tmp_path, "cone_apply.json", {
+        "structure": {"cone_of": {"gallery": "darboux"}}, "apply": [B_STEP], "checks": ["gacx"]})
+    assert main(["verify", cfg]) == 2
+    assert "provides nothing to deform" in capsys.readouterr().err
+
+
+def test_pipeline_steps_keep_or_drop_the_metric():
+    """A B-field keeps the metric (gacm.gacs is gacs); K+- and normalize drop it;
+    every step drops the classical structures."""
+    def subject(steps):
+        return config.parse_config({"structure": HEIS_ACS_G, "apply": steps}).subject
+
+    for steps in ([B_STEP], [B_STEP, B_STEP]):
+        s = subject(steps)
+        assert s.gacm is not None and s.gacm.gacs is s.gacs and s.classical == ()
+    for steps in ([K_PLUS], [B_STEP, {"op": "normalize"}], [B_STEP, K_PLUS]):
+        s = subject(steps)
+        assert s.gacm is None and s.gacs is not None and s.classical == ()
+
+
+def test_a_gallery_reference_holds_the_cached_records():
+    """Gallery records are referenced, not rebuilt, so their cached frames and duals are shared."""
+    built = gallery.build("kahler_interval")
+    s = config.parse_structure({"gallery": "kahler_interval"})
+    assert s.gacm is built["gacm"] and s.gacs is built["gacs"]
+    assert s.classical == tuple(built["acs_pair"])
+
+
+@pytest.mark.parametrize("structure", [{"structure": HEIS_ACS_G},
+                                       {"gallery": "kahler_interval"}])
+def test_generalized_sasakian_after_a_b_field_is_a_verdict(tmp_path, structure):
+    """Refused before the metric survived a B-field; its value is not pinned (whether
+    a B-field keeps a generalized Sasakian structure is an open question here)."""
+    out = tmp_path / "gs.json"
+    cfg = write(tmp_path, "gs_b.json", {**structure, "apply": [B_STEP],
+                                        "checks": ["generalized_sasakian"], "samples": 4})
+    assert main(["verify", cfg, "--out", str(out)]) in (0, 1)
+    rows = json.loads(out.read_text())["results"]
+    assert rows and all(r["condition"].startswith("generalized_sasakian: ") for r in rows)

@@ -221,14 +221,12 @@ def test_fgacm_witness_and_f_sasakian():
     ch = KAHLER["chart"]
     pts = ch.sample(seed=19, count=3)
     zero = 0 * F.basis_form(ch, 2)
-    fm = D.FGacm.from_witness(KAHLER["gacm"], zero, zero)
-    rep = D.f_sasakian_check(fm, pts)
+    rep = D.f_sasakian_check(KAHLER["gacm"], zero, zero, pts)
     assert rep.passed and rep.max_residual < 1e-7
 
     # small beta deformation: residuals are reported, not asserted
     beta = 0.1 * F.basis_form(ch, 2)
-    fm2 = D.FGacm.from_witness(KAHLER["gacm"], zero, beta)
-    rep2 = D.f_sasakian_check(fm2, pts)
+    rep2 = D.f_sasakian_check(KAHLER["gacm"], zero, beta, pts)
     assert all(r.max_residual >= 0 for r in rep2.rows)
 
 
@@ -248,8 +246,8 @@ def report_sha256(rep):
 def test_f_sasakian_report_bytes_are_pinned():
     ch = KAHLER["chart"]
     zero = 0 * F.basis_form(ch, 2)
-    fm = D.FGacm.from_witness(KAHLER["gacm"], zero, zero)
-    assert report_sha256(D.f_sasakian_check(fm, ch.sample(seed=19, count=3))) == F_SASAKIAN_SHA256
+    rep = D.f_sasakian_check(KAHLER["gacm"], zero, zero, ch.sample(seed=19, count=3))
+    assert report_sha256(rep) == F_SASAKIAN_SHA256
 
 
 def test_cone_kahler_pair_report_bytes_are_pinned():
@@ -263,8 +261,7 @@ def test_f_sasakian_random_deformation_fails():
     ch = KAHLER["chart"]
     pts = ch.sample(seed=19, count=3)
     alpha = F.one_form(ch, [F.coordinate(ch, 1), F.constant(ch, 0), F.constant(ch, 0)])
-    fm = D.FGacm.from_witness(KAHLER["gacm"], alpha, 0 * alpha)
-    rep = D.f_sasakian_check(fm, pts)
+    rep = D.f_sasakian_check(KAHLER["gacm"], alpha, 0 * alpha, pts)
     assert rep.max_residual > 1e-3
 
 

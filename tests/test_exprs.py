@@ -187,8 +187,7 @@ def test_one_seed_per_component_array(monkeypatch):
     seeds = _counting(monkeypatch, "seed_point")
     jet = bfield.jet(POINTS, 2)
     assert jet.shape == (3, 3, 5) and len(seeds) == 1
-    eta = config.parse_structure({"chart": {"dim": 3}, "builder": "from_contact",
-                                  "eta": ["-y", "0.1*x", "1"]})["eta"]
+    eta = config._expr_vector(F.OneFormField, ["-y", "0.1*x", "1"], CH, "$.eta")
     seeds.clear()
     eta.jet(POINTS, 2)
     assert len(seeds) == 1

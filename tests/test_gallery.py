@@ -23,10 +23,11 @@ from gencontact.cli import main
 @pytest.mark.parametrize("name", gallery.names())
 def test_expected_verdict_tables(name):
     entry = gallery.entry(name)
-    products = gallery.build(name)
-    points = products["chart"].sample(seed=101, count=8)
+    subject = CFG.parse_structure({"gallery": name})
+    points = subject.chart.sample(seed=101, count=8)
     for check, expected in entry.expected.items():
-        rep = CFG.CHECKS[check](products, points, None)
+        need, run = CFG.CHECKS[check]
+        rep = run(need(subject, check), points, None)
         assert rep.passed == expected, f"{name}: {check} -> {rep.summary()}"
 
 
@@ -319,6 +320,52 @@ def test_b_field_normalize_report_bytes_are_pinned(tmp_path):
     assert digest == B_NORMALIZE_SHA256, (
         f"the B-field/normalize report changed (sha256 {digest}); if the change is "
         "intended, justify the re-pin in CHANGES.md")
+
+
+# SHA-256 of `gencontact verify --out <file>` on two metric structures taken
+# through one B-field and checked by gacm: from_acs with g (the Heisenberg data)
+# and the kahler_interval entry.  Both were refused (exit 2) while the pipeline
+# dropped the metric; pinned when b_field started to keep it.  As for
+# REPORT_SHA256, a re-pin must say in CHANGES.md why the report moved.
+B_GACM_STEP = {"op": "b_field", "B": [["0", "0.3*z", "0.1"], ["-0.3*z", "0", "-0.2*x*y"],
+                                      ["-0.1", "0.2*x*y", "0"]]}
+B_GACM_CONFIGS = {
+    "from_acs": {
+        "structure": {"chart": {"dim": 3}, "builder": "from_acs",
+                      "phi": [["0", "1", "0"], ["-1", "0", "0"], ["0", "y", "0"]],
+                      "xi": ["0", "0", "1"], "eta": ["-y", "0", "1"],
+                      "g": [["1 + y*y", "0", "-y"], ["0", "1", "0"], ["-y", "0", "1"]]},
+        "apply": [B_GACM_STEP], "checks": ["gacm"], "seed": 17, "samples": 40,
+    },
+    "kahler_interval": {
+        "gallery": "kahler_interval",
+        "apply": [B_GACM_STEP], "checks": ["gacm"], "seed": 17, "samples": 40,
+    },
+}
+B_GACM_SHA256 = {
+    "from_acs": "e32f87ec540b9b82c0f452d1a1d1d4d9c02c942811b3f7657ed84c3e41ac67d2",
+    "kahler_interval": "274bcd2cc07cd12bf09e29280b498c7a1d32f4ffc4c751f4df06e5b07eef07e3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(B_GACM_CONFIGS))
+def test_b_field_gacm_report_bytes_are_pinned(name, tmp_path):
+    cfg = tmp_path / f"b_gacm_{name}.json"
+    cfg.write_text(json.dumps(B_GACM_CONFIGS[name]))
+    out = tmp_path / "report.json"
+    assert main(["verify", str(cfg), "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == B_GACM_SHA256[name], (
+        f"the B-field gacm report of {name} changed (sha256 {digest}); if the change "
+        "is intended, justify the re-pin in CHANGES.md")
+
+
+def test_an_entry_with_a_metric_holds_one_gacs():
+    """An entry's Gacs is its Gacm's, not a second build of the same structure."""
+    both = [n for n in gallery.names() if {"gacs", "gacm"} <= set(gallery.build(n))]
+    assert len(both) == 3
+    for name in both:
+        assert gallery.build(name)["gacs"] is gallery.build(name)["gacm"].gacs, name
 
 
 def test_pinned_reports_cover_every_entry():
