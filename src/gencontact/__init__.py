@@ -79,7 +79,6 @@ from .structures import (
     gmetric_from_gb,
     involutivity_class,
     phi_kernel_check,
-    reeb_field,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

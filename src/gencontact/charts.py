@@ -73,10 +73,11 @@ class ConeChart(Chart):
     base: Chart = None  # type: ignore[assignment]
 
     @staticmethod
-    def over(base: Chart, t_interval: Tuple[float, float] = (-1.0, 1.0)) -> "ConeChart":
+    def over(base: Chart) -> "ConeChart":
+        """The cone over ``base``, with t in (-1, 1)."""
         return ConeChart(
             dim=base.dim + 1,
-            domain=base.domain + (t_interval,),
+            domain=base.domain + ((-1.0, 1.0),),
             names=base.names + ("t",),
             base=base,
         )

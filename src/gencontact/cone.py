@@ -214,7 +214,6 @@ def cone_decompose(j: ConeGacx, points=None, tol: float = 1e-8) -> Gacs:
     cone = j.chart
     base = cone.base
     n = base.dim
-    N = cone.dim
     if points is None:
         points = cone_points(base.sample(seed=5, count=8), (-0.5, 0.25))
     td = t_dependence(j, points)
@@ -222,31 +221,13 @@ def cone_decompose(j: ConeGacx, points=None, tol: float = 1e-8) -> Gacs:
         raise ValueError(f"structure depends on t (max |d_t J| = {td:.2e})")
 
     rows = _m_indices(n)
-    t0 = 0.0
-
-    def at_base(p, order):
-        return j.J.jet(np.concatenate([p, np.full(p.shape[:-1] + (1,), t0)], axis=-1), order)
-
-    def b_fn(p, order):
-        col = at_base(p, order)[:, n]  # J(d/dt)
-        return J.restrict_vars(-col[rows], n)
-
-    def a_fn(p, order):
-        col = at_base(p, order)[:, 2 * n + 1]  # J(dt)
-        return J.restrict_vars(-col[rows], n)
-
-    def h_fn(p, order):
-        col = at_base(p, order)[:, n]
-        return J.restrict_vars(-col[n], n)
-
-    def jm_fn(p, order):
-        m = at_base(p, order)
-        return J.restrict_vars(m[rows][:, rows], n)
-
-    B = SectionField(base, b_fn)
-    A = SectionField(base, a_fn)
-    h = ScalarField(base, h_fn)
-    Jm = GtEndoField(base, jm_fn)
+    # J at t = 0 over the base variables; B, A, h and J_M are slices of its jet
+    at_base = F.Field(base, lambda p, o: J.restrict_vars(
+        j.J.jet(np.concatenate([p, np.zeros(p.shape[:-1] + (1,))], axis=-1), o), n))
+    B = SectionField(base, lambda p, o: -at_base.jet(p, o)[:, n][rows])  # -J(d/dt)
+    A = SectionField(base, lambda p, o: -at_base.jet(p, o)[:, 2 * n + 1][rows])  # -J(dt)
+    h = ScalarField(base, lambda p, o: -at_base.jet(p, o)[n, n])
+    Jm = GtEndoField(base, lambda p, o: at_base.jet(p, o)[rows][:, rows])
 
     # extraction consistency: the displayed form must reproduce J
     rebuilt = i_prime(Gacs(base, Jm, B, A, h), cone)

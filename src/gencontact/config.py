@@ -391,13 +391,12 @@ CHECKS: Dict[str, Tuple[Callable, Callable]] = {
     "involutivity": (Subject.need_f_zero, check_involutivity),
     "normality": (Subject.need_classical, check_normality),
     "sasakian": (Subject.need_classical_metric, check_sasakian),
-    "sasakian_pair": (Subject.need_classical_metric, check_sasakian),
     "vaisman_pair": (Subject.need_classical_metric, check_vaisman_pair),
     "plain_cone": (Subject.need_f_zero, check_plain_cone),
     "rcone_condition": (Subject.need_f_zero, check_rcone_condition),
     "cone_crosscheck": (Subject.need_f_zero, check_crosscheck),
     "generalized_sasakian": (Subject.need_metric, check_generalized_sasakian),
-    "cone_algebra": (Subject.need_f_zero, check_cone_algebra),
+    "cone_algebra": (Subject.need_gacs, check_cone_algebra),
     "gacx": (Subject.need_cone, check_gacx),
 }
 

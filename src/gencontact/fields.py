@@ -17,16 +17,23 @@ for.  Nesting deeper than the order-2 cap allows returns a jet of lower
 order than demanded, and reading the missing data raises ``JetOrderError``.
 
 The jet-level operators keep the component axes first and the batch axes
-after them.  ``courant_jets`` accepts any axes after the leading component
-axis (its subscripts use ``...``), which broadcast: a stack of sections
-brackets pairwise in one call, item by item as the unbatched call would.
+after them.  How a jet's value, gradient and hessian are laid out, sliced,
+moved and joined is decided in :mod:`gencontact.jets` alone: this module
+moves component axes with ``JetArray.moveaxis``, maps the parts with
+``JetArray.map`` and joins them with ``jets.concat``.  A derivative is
+consumed by ``jets.dshift``, which makes the derivative axis the first
+component axis, so d, the Lie bracket and the Courant bracket contract with
+plain specs (``'j,ji->i'`` for X^j d_j Y^i).  ``courant_jets`` treats any
+axes after the leading component axis as batch axes, which broadcast: a
+stack of sections brackets pairwise in one call, item by item as the
+unbatched call would.
 
-Generalized-tangent conventions on jets: ``swap_jet`` (the pairing swap),
-``block_jet`` (the (2n, 2n) block layout), ``b_endo`` (e^B) and ``b_action``.
-A constant enters through one leaf, ``constant(chart, value, cls)`` (a scalar
-or a component array, as a field of any class), and a zero part of
-``section``, ``endo_from_blocks`` or ``block_jet`` is passed as ``None``:
-``jconcat`` builds the zeros.
+Generalized-tangent conventions on jets: ``swap_jet`` (the pairing swap,
+one ``JetArray.map``), ``block_jet`` (the (2n, 2n) block layout),
+``b_endo`` (e^B) and ``b_action``.  A constant enters through one leaf,
+``constant(chart, value, cls)`` (a scalar or a component array, as a field
+of any class), and a zero part of ``section``, ``endo_from_blocks`` or
+``block_jet`` is passed as ``None``: ``jets.concat`` builds the zeros.
 
 Form components are stored as full antisymmetric arrays.  The wedge and the
 exterior derivative use the determinant convention,
@@ -252,7 +259,7 @@ def _from_parts(cls, parts: Sequence[Optional[Field]], assemble) -> Field:
 
 def section(vec: Optional[VectorField] = None, form: Optional[OneFormField] = None) -> SectionField:
     """The section X + a; a part left ``None`` is zero."""
-    return _from_parts(SectionField, (vec, form), jconcat)
+    return _from_parts(SectionField, (vec, form), J.concat)
 
 
 def endo_from_blocks(tt, tc, ct, cc) -> GtEndoField:
@@ -274,7 +281,7 @@ def b_endo(b: TwoFormField) -> GtEndoField:
 
     def fn(p, order):
         one = J.lift(eye, n, order, p.shape[:-1])
-        return block_jet(one, None, _jT(b.jet(p, order)), one)
+        return block_jet(one, None, b.jet(p, order).moveaxis(0, 1), one)
 
     return GtEndoField(b.chart, fn)
 
@@ -289,51 +296,15 @@ def b_action(b: TwoFormField, *items: Field) -> tuple:
 # -- jet-level utilities ------------------------------------------------------
 
 
-def jconcat(parts: Sequence[Optional[JetArray]], axis: int = 0) -> JetArray:
-    """Concatenate jets along a component axis.  A ``None`` part is zero, shaped like the
-    first present part (the one place zero parts are built)."""
-    present = [j for j in parts if j is not None]
-    if not present:
-        raise ValueError("need at least one nonzero part")
-    if len(present) < len(parts):
-        zero = _jmap(present[0], lambda a: np.broadcast_to(np.zeros((), a.dtype), a.shape))
-        parts = [zero if j is None else j for j in parts]
-    nvars = parts[0].nvars
-    value = np.concatenate([j.value for j in parts], axis=axis)
-    grad = None
-    hess = None
-    if all(j.grad is not None for j in parts):
-        grad = np.concatenate([j.grad for j in parts], axis=axis)
-        if all(j.hess is not None for j in parts):
-            hess = np.concatenate([j.hess for j in parts], axis=axis)
-    return JetArray(value, grad, hess, nvars)
-
-
 def block_jet(tt, tc, ct, cc) -> JetArray:
     """The (2n, 2n) jet (tt, tc; ct, cc) from four (n, n) jets or ``None`` (zero
     blocks): rows and columns run over the vector half, then the form half."""
-    return jconcat([jconcat([tt, tc], axis=1), jconcat([ct, cc], axis=1)])
-
-
-def _jmap(j: JetArray, fn) -> JetArray:
-    """Apply an array map to the value, gradient and hessian of a jet."""
-    g = None if j.grad is None else fn(j.grad)
-    h = None if j.hess is None else fn(j.hess)
-    return JetArray(fn(j.value), g, h, j.nvars)
-
-
-def _jmove(j: JetArray, src: int, dst: int) -> JetArray:
-    return _jmap(j, lambda a: np.moveaxis(a, src, dst))
-
-
-def _jT(j: JetArray) -> JetArray:
-    """Transpose the two leading (component) axes of a matrix jet."""
-    return _jmove(j, 0, 1)
+    return J.concat([J.concat([tt, tc], axis=1), J.concat([ct, cc], axis=1)])
 
 
 def swap_jet(j: JetArray) -> JetArray:
     """The pairing swap (:func:`gencontact.gta.swap`) along the component axis of a jet."""
-    return _jmap(j, lambda a: gta.swap(a, 0))
+    return j.map(lambda a: gta.swap(a, 0))
 
 
 def pair_jets(a: JetArray, b: JetArray) -> JetArray:
@@ -353,11 +324,12 @@ _FORM_BY_RANK = {0: ScalarField, 1: OneFormField, 2: TwoFormField, 3: ThreeFormF
 
 
 def d_jet(j: JetArray, k: int) -> JetArray:
+    """d of a k-form jet: the derivative axis of :func:`~gencontact.jets.dshift`
+    (axis 0) antisymmetrised against the k form slots."""
     a = J.dshift(j)
-    last = a.value.ndim - 1  # the derivative axis, after the batch axes
-    out = _jmove(a, last, 0)
+    out = a
     for m in range(1, k + 1):
-        out = out + (-1) ** m * _jmove(a, last, m)
+        out = out + (-1) ** m * a.moveaxis(0, m)
     return out
 
 
@@ -389,7 +361,7 @@ def wedge11(a: OneFormField, b: OneFormField) -> TwoFormField:
     def fn(p, order):
         ja, jb = a.jet(p, order), b.jet(p, order)
         m = J.jet_einsum("i,j->ij", ja, jb)
-        return m - _jT(m)
+        return m - m.moveaxis(0, 1)
 
     return TwoFormField(a.chart, fn)
 
@@ -400,7 +372,7 @@ def wedge12(a: OneFormField, w: TwoFormField) -> ThreeFormField:
 
     def fn(p, order):
         m = J.jet_einsum("i,jk->ijk", a.jet(p, order), w.jet(p, order))
-        return m - _jmove(m, 0, 1) + _jmove(m, 0, 2)
+        return m - m.moveaxis(0, 1) + m.moveaxis(0, 2)
 
     return ThreeFormField(a.chart, fn)
 
@@ -410,9 +382,7 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
 
     def fn(p, order):
         jx, jy = x.jet(p, order + 1), y.jet(p, order + 1)
-        return J.jet_einsum("j...,i...j->i...", jx, J.dshift(jy)) - J.jet_einsum(
-            "j...,i...j->i...", jy, J.dshift(jx)
-        )
+        return J.jet_einsum("j,ji->i", jx, J.dshift(jy)) - J.jet_einsum("j,ji->i", jy, J.dshift(jx))
 
     return VectorField(x.chart, fn)
 
@@ -450,7 +420,7 @@ def c_transform(omega: Field, phi: MatrixField) -> Field:
         out = omega.jet(p, order)
         jp = phi.jet(p, order)
         for slot in range(k):
-            out = _jmove(J.jet_einsum(sub, _jmove(out, slot, 0), jp), k - 1, slot)
+            out = J.jet_einsum(sub, out.moveaxis(slot, 0), jp).moveaxis(k - 1, slot)
         return out
 
     return cls(omega.chart, fn)
@@ -470,18 +440,18 @@ def courant_jets(ja: JetArray, jb: JetArray, n: int) -> JetArray:
     dx, da = J.dshift(x), J.dshift(a)
     dy, db = J.dshift(y), J.dshift(b)
     # b_i d_j X^i and a_i d_j Y^i enter both the Lie derivatives and the exact term
-    bdx = J.jet_einsum("i...,i...j->j...", b, dx)
-    ady = J.jet_einsum("i...,i...j->j...", a, dy)
+    bdx = J.jet_einsum("i,ji->j", b, dx)
+    ady = J.jet_einsum("i,ji->j", a, dy)
     # L_X b - L_Y a - d(i_X b - i_Y a)/2, with L_X b = X^i d_i b_j + b_i d_j X^i
     # and d(i_X b - i_Y a)_j = d_j(X^i b_i - Y^i a_i)
     form = (
-        (J.jet_einsum("i...,j...i->j...", x, db) + bdx)
-        - (J.jet_einsum("i...,j...i->j...", y, da) + ady)
-        - 0.5 * (bdx + J.jet_einsum("i...,i...j->j...", x, db) - ady
-                 - J.jet_einsum("i...,i...j->j...", y, da))
+        (J.jet_einsum("i,ij->j", x, db) + bdx)
+        - (J.jet_einsum("i,ij->j", y, da) + ady)
+        - 0.5 * (bdx + J.jet_einsum("i,ji->j", x, db) - ady
+                 - J.jet_einsum("i,ji->j", y, da))
     )
-    vec = J.jet_einsum("j...,i...j->i...", x, dy) - J.jet_einsum("j...,i...j->i...", y, dx)
-    return jconcat([vec, form])
+    vec = J.jet_einsum("j,ji->i", x, dy) - J.jet_einsum("j,ji->i", y, dx)
+    return J.concat([vec, form])
 
 
 def courant(a: SectionField, b: SectionField) -> SectionField:

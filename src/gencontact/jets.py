@@ -11,15 +11,25 @@ One jet holds a whole batch of points.  Its value has shape ``(*comps, *B)``,
 its gradient ``(*comps, *B, nvars)`` and its hessian ``(*comps, *B, nvars,
 nvars)``: the component axes come first, then the batch axes of the point
 array ``(*B, nvars)`` it was evaluated at, then the derivative axes.  A
-single point is the batch ``B = ()``.  Component indexing (``j[:n]``),
-:func:`stack` and concatenation act on the leading axes and never see the
-batch; :func:`jet_einsum` appends ``...`` to every operand spec so that the
-batch axes ride along.  Elementwise arithmetic broadcasts numpy-style, so an
-array constant must be lifted with the batch shape (``lift(c, n, order,
-batch)``) before it meets a batched jet.  A scalar operand of ``+ - * /``
-(a Python or numpy number) is never lifted: value, gradient and hessian each
-get the floating-point operation a lifted constant would give them, without
-the exact ``+ 0`` terms of its zero derivatives.
+single point is the batch ``B = ()``.  This module is the one place that
+knows the layout.  Every structural operation maps the parts present with
+one :meth:`JetArray.map` (indexing ``j[:n]``, :meth:`~JetArray.reshape`,
+:meth:`~JetArray.moveaxis` of component axes, negation, conjugation,
+:func:`take_batch`), and :func:`stack` and :func:`concat` (a ``None`` part
+is zero) share one join over the parts present in every operand.  They act
+on the leading axes and never see the batch.  :func:`jet_einsum` takes plain
+specs over the component axes and appends ``...`` to every operand spec so
+that the batch axes ride along; a spec naming ``...`` is refused.  A
+consumed derivative becomes the first component axis (:func:`dshift`), so
+derivative contractions need no other spec form.
+
+Elementwise arithmetic broadcasts numpy-style, so an array constant must be
+lifted with the batch shape (``lift(c, n, order, batch)``) before it meets a
+batched jet.  A scalar operand of ``+ - * /`` (a Python or numpy number) is
+never lifted: value, gradient and hessian each get the floating-point
+operation a lifted constant would give them, without the exact ``+ 0``
+terms of its zero derivatives.  The binary operations spell out each part,
+since their operand order fixes the rounding.
 
 The order is demanded by the consumer, capped at :data:`MAX_ORDER`: the
 leaves (:func:`seed_point`, :func:`lift`) build jets of the order asked for,
@@ -35,8 +45,9 @@ order lower.  Asking for derivative data a jet does not carry raises
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -81,15 +92,36 @@ class JetArray:
             return 1
         return 0
 
+    # -- structure: one array map over the parts present ---------------------
+
+    def map(self, fn) -> "JetArray":
+        """Apply an array map to the value, gradient and hessian; a missing part stays missing.
+
+        ``fn`` must act on the value's axes (components and batch) only, so
+        that each part keeps its trailing derivative axes.
+        """
+        g = None if self.grad is None else fn(self.grad)
+        h = None if self.hess is None else fn(self.hess)
+        return JetArray(fn(self.value), g, h, self.nvars)
+
     def __getitem__(self, idx) -> "JetArray":
-        g = None if self.grad is None else self.grad[idx]
-        h = None if self.hess is None else self.hess[idx]
-        return JetArray(self.value[idx], g, h, self.nvars)
+        return self.map(lambda a: a[idx])
 
     def reshape(self, *shape) -> "JetArray":
-        g = None if self.grad is None else self.grad.reshape(*shape, self.nvars)
-        h = None if self.hess is None else self.hess.reshape(*shape, self.nvars, self.nvars)
-        return JetArray(self.value.reshape(*shape), g, h, self.nvars)
+        """Reshape the component and batch axes (the value's axes) to ``shape``."""
+        nd = self.value.ndim
+        return self.map(lambda a: a.reshape(*shape, *a.shape[nd:]))
+
+    def moveaxis(self, src: int, dst: int) -> "JetArray":
+        """Move a component axis (``src`` and ``dst`` count from the front), as
+        ``np.moveaxis`` views: one axis order, extended over each part's
+        derivative axes."""
+        order = list(range(self.value.ndim))
+        order.insert(dst, order.pop(src))
+        return self.map(lambda a: a.transpose(*order, *range(len(order), a.ndim)))
+
+    def conj(self) -> "JetArray":
+        return self.map(np.conj)
 
     # -- arithmetic (a scalar operand is not lifted) ------------------------
 
@@ -110,9 +142,7 @@ class JetArray:
     __radd__ = __add__
 
     def __neg__(self) -> "JetArray":
-        g = None if self.grad is None else -self.grad
-        h = None if self.hess is None else -self.hess
-        return JetArray(-self.value, g, h, self.nvars)
+        return self.map(operator.neg)
 
     def __sub__(self, other) -> "JetArray":
         if isinstance(other, _SCALARS):
@@ -158,11 +188,6 @@ class JetArray:
     def __pow__(self, expo: Number) -> "JetArray":
         return powc(self, expo)
 
-    def conj(self) -> "JetArray":
-        g = None if self.grad is None else np.conj(self.grad)
-        h = None if self.hess is None else np.conj(self.hess)
-        return JetArray(np.conj(self.value), g, h, self.nvars)
-
     def truncate(self, order: int) -> "JetArray":
         """The same jet without the derivative orders above ``order``."""
         if self.order <= order:
@@ -199,31 +224,42 @@ def _zeros(shape) -> np.ndarray:
     return np.broadcast_to(np.zeros((), dtype=complex), shape)
 
 
-def stack(jets, axis: int = 0) -> JetArray:
-    """Stack jets of identical shape along a new axis (a component axis unless
-    ``axis`` is past the value's last axis)."""
-    nvars = jets[0].nvars
-    value = np.stack([j.value for j in jets], axis=axis)
+def _join(join, jets, axis: int) -> JetArray:
+    """Join jets part by part with ``join`` (``np.stack`` or ``np.concatenate``);
+    a derivative part missing from one operand is missing from the result."""
+    value = join([j.value for j in jets], axis=axis)
     grad = None
     hess = None
     if all(j.grad is not None for j in jets):
-        grad = np.stack([j.grad for j in jets], axis=axis)
+        grad = join([j.grad for j in jets], axis=axis)
         if all(j.hess is not None for j in jets):
-            hess = np.stack([j.hess for j in jets], axis=axis)
-    return JetArray(value, grad, hess, nvars)
+            hess = join([j.hess for j in jets], axis=axis)
+    return JetArray(value, grad, hess, jets[0].nvars)
+
+
+def stack(jets, axis: int = 0) -> JetArray:
+    """Stack jets of identical shape along a new axis (a component axis unless
+    ``axis`` is past the value's last axis)."""
+    return _join(np.stack, jets, axis)
+
+
+def concat(parts: Sequence[Optional[JetArray]], axis: int = 0) -> JetArray:
+    """Concatenate jets along a component axis.  A ``None`` part is zero, shaped like the
+    first present part (the one place zero parts are built)."""
+    present = [j for j in parts if j is not None]
+    if not present:
+        raise ValueError("need at least one nonzero part")
+    if len(present) < len(parts):
+        zero = present[0].map(lambda a: np.broadcast_to(np.zeros((), a.dtype), a.shape))
+        parts = [zero if j is None else j for j in parts]
+    return _join(np.concatenate, parts, axis)
 
 
 def take_batch(j: JetArray, index, batch) -> JetArray:
     """The items ``index`` of a jet over a one-axis batch, as a jet over the batch shape ``batch``."""
     axis = j.value.ndim - 1
-
-    def pick(a, tail):
-        if a is None:
-            return None
-        return a.take(index, axis=axis).reshape(a.shape[:axis] + tuple(batch) + tail)
-
-    return JetArray(pick(j.value, ()), pick(j.grad, (j.nvars,)),
-                    pick(j.hess, (j.nvars, j.nvars)), j.nvars)
+    return j.map(lambda a: a.take(index, axis=axis).reshape(
+        a.shape[:axis] + tuple(batch) + a.shape[axis + 1:]))
 
 
 def seed_point(point, nvars: int, order: int = MAX_ORDER) -> JetArray:
@@ -245,28 +281,30 @@ def seed_point(point, nvars: int, order: int = MAX_ORDER) -> JetArray:
 
 
 def dshift(j: JetArray) -> JetArray:
-    """Trade one derivative order for an extra value axis, after the batch axes.
+    """Trade one derivative order for a new first component axis.
 
-    The result's value is the input's gradient; its gradient is the input's
-    hessian; its hessian is gone.  This is how d, Lie and Courant operations
-    consume derivative budget: their subscripts name the new axis after
-    ``...`` (``'j...,i...j->i...'``).
+    The result's value is the input's gradient and its gradient the input's
+    hessian, each with the consumed derivative axis moved to the front (a
+    view, not a copy); its hessian is gone.  This is how d, Lie and Courant
+    operations consume derivative budget: their subscripts name the new axis
+    first (``'j,ji->i'`` for ``x^j d_j y^i``).
     """
     j.require(1)
-    return JetArray(j.grad, j.hess, None, j.nvars)
+    nd = j.value.ndim  # the consumed axis is grad's last and hess's second to last
+    hess = None if j.hess is None else j.hess.transpose(nd, *range(nd), nd + 1)
+    return JetArray(j.grad.transpose(nd, *range(nd)), hess, None, j.nvars)
 
 
 @functools.lru_cache(maxsize=256)
 def _einsum_plan(subscripts: str):
-    """The six einsum specs of a jet product, with ``...`` appended for the batch.
-
-    A spec that already names ``...`` (a middle ellipsis such as ``i...j``)
-    is kept as it is.
-    """
+    """The six einsum specs of a jet product, with ``...`` appended for the batch."""
     if "z" in subscripts or "w" in subscripts:
         raise ValueError("subscripts must not use reserved letters z/w")
+    if "." in subscripts:
+        raise ValueError(f"subscripts {subscripts!r} must name the component axes only: "
+                         "the batch axes are appended as '...'")
     lhs, out = subscripts.split("->")
-    s1, s2, out = (s if "..." in s else s + "..." for s in (*lhs.split(","), out))
+    s1, s2, out = (s + "..." for s in (*lhs.split(","), out))
     return (f"{s1},{s2}->{out}",
             f"{s1}z,{s2}->{out}z", f"{s1},{s2}z->{out}z",
             f"{s1}z,{s2}w->{out}zw", f"{s1}zw,{s2}->{out}zw", f"{s1},{s2}zw->{out}zw")
@@ -277,7 +315,8 @@ def jet_einsum(subscripts: str, a: JetArray, b: JetArray) -> JetArray:
 
     ``subscripts`` must be a plain two-operand spec over the component axes,
     like ``'ij,j->i'``, and must not use the reserved letters ``z`` and
-    ``w``; it runs as ``'ij...,j...->i...'``, item by item over the batch.
+    ``w`` or name ``...``; it runs as ``'ij...,j...->i...'``, item by item
+    over the batch.
     """
     val, g1, g2, cross_spec, h1, h2 = _einsum_plan(subscripts)
     value = np.einsum(val, a.value, b.value)

@@ -235,18 +235,14 @@ def gacs_from_acs(acs: AlmostContactMetric, check_points=None) -> Gacs:
 
     def phi_fn(p, order):
         phi = acs.phi.jet(p, order)
-        return F.block_jet(phi, None, None, -F._jT(phi))
+        return F.block_jet(phi, None, None, -phi.moveaxis(0, 1))
 
     return Gacs(chart, GtEndoField(chart, phi_fn), F.section(vec=acs.xi), F.section(form=acs.eta))
 
 
-def reeb_field(eta: OneFormField) -> VectorField:
-    """The unique xi with i_xi d(eta) = 0 and eta(xi) = 1, via rho^-1."""
-    return VectorField(eta.chart, _reeb_fn(eta, _rho_inv(eta)))
-
-
 def _reeb_fn(eta: OneFormField, rho_inv: MatrixField):
-    """The Reeb field's closure xi = -rho^-1 eta, reading rho^-1 from its field."""
+    """The Reeb field's closure xi = -rho^-1 eta (the unique xi with i_xi d(eta) = 0
+    and eta(xi) = 1), reading rho^-1 from its field."""
     return lambda p, o: J.jet_einsum("ij,j->i", rho_inv.jet(p, o), -eta.jet(p, o))
 
 
@@ -260,7 +256,7 @@ def _rho_jet(eta: OneFormField, p, order: int) -> J.JetArray:
     deta = F.d_jet(eta.jet(p, order + 1), 1)
     ej = eta.jet(p, order)
     pmat = deta - J.jet_einsum("i,j->ij", ej, ej)  # rows: input slot
-    return F._jT(pmat)
+    return pmat.moveaxis(0, 1)
 
 
 def contact_volume(eta: OneFormField, point) -> complex:
@@ -334,11 +330,11 @@ def gacs_from_contact(eta: OneFormField, check_points=None) -> Gacs:
         # integrable alongside Psi's displayed block matrix.
         pi = J.jet_einsum("kl,ki->il", deta, rho_inv)
         pi = J.jet_einsum("il,lj->ij", pi, rho_inv)
-        return F.block_jet(None, -F._jT(pi), -F._jT(deta), None)
+        return F.block_jet(None, -pi.moveaxis(0, 1), -deta.moveaxis(0, 1), None)
 
     Phi = GtEndoField(chart, phi_fn)
     reeb = _reeb_fn(eta, rho_inv_field)  # E- = xi, with no VectorField under the section
-    eminus = SectionField(chart, lambda p, o: F.jconcat([reeb(p, o), None]))
+    eminus = SectionField(chart, lambda p, o: J.concat([reeb(p, o), None]))
     return Gacs(chart, Phi, F.section(form=eta), eminus)
 
 

@@ -46,12 +46,13 @@ def test_default_names_and_lookup():
 
 def test_cone_chart():
     base = box(3)
-    cone = ConeChart.over(base, (-0.5, 0.5))
+    cone = ConeChart.over(base)
     assert cone.dim == 4
     assert cone.names == ("x", "y", "z", "t")
     assert cone.t_index == 3
+    assert cone.domain[3] == (-1.0, 1.0)
     pts = cone.sample(seed=2, count=50)
-    assert np.abs(pts[:, 3]).max() <= 0.5 - 0.05
+    assert np.abs(pts[:, 3]).max() <= 1.0 - 0.1
 
 
 def test_report_rows_and_serialization():

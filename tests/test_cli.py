@@ -38,7 +38,7 @@ def test_verify_expected_failure_exit_one(tmp_path):
     cfg = write(
         tmp_path,
         "fail.json",
-        {"gallery": "kahler_interval", "checks": ["sasakian_pair"], "samples": 6},
+        {"gallery": "kahler_interval", "checks": ["sasakian"], "samples": 6},
     )
     assert main(["verify", cfg]) == 1
 
@@ -59,6 +59,12 @@ def test_unknown_check_rejected(tmp_path, capsys):
     cfg = write(tmp_path, "c.json", {"gallery": "darboux", "checks": ["bogus"]})
     assert main(["verify", cfg]) == 2
     assert "unknown check" in capsys.readouterr().err
+
+
+def test_removed_sasakian_pair_alias_is_an_unknown_check(tmp_path, capsys):
+    cfg = write(tmp_path, "c.json", {"gallery": "kahler_interval", "checks": ["sasakian_pair"]})
+    assert main(["verify", cfg]) == 2
+    assert "unknown check 'sasakian_pair'" in capsys.readouterr().err
 
 
 def test_unknown_key_rejected(tmp_path, capsys):
@@ -188,7 +194,7 @@ def test_gallery_run_and_list(tmp_path, capsys):
     assert "kahler_interval" in capsys.readouterr().out
     assert main(["gallery", "run", "heisenberg_sasakian", "--checks",
                  "acms,sasakian", "--samples", "6"]) == 0
-    assert main(["gallery", "run", "kahler_interval", "--checks", "sasakian_pair",
+    assert main(["gallery", "run", "kahler_interval", "--checks", "sasakian",
                  "--samples", "6"]) == 1
     assert main(["gallery", "run", "not_a_thing"]) == 2
 
@@ -486,19 +492,19 @@ B_STEP = {"op": "b_field", "B": [["0", "0.3", "0"], ["-0.3", "0", "0.1*x"], ["0"
 K_PLUS = {"op": "k_plus", "kappa": ["0.1", "0", "0.2*x"]}
 
 F_ZERO = {"gacs", "phi_kernel", "involutivity", "plain_cone", "rcone_condition",
-          "cone_crosscheck", "cone_algebra"}
+          "cone_crosscheck"}
 METRIC = {"gacm", "generalized_sasakian"}
-CLASSICAL = {"acms", "normality", "sasakian", "sasakian_pair", "vaisman_pair"}
+CLASSICAL = {"acms", "normality", "sasakian", "vaisman_pair"}
 # subject -> (its config, the checks it must refuse)
 REFUSALS = {
     "darboux": ({"gallery": "darboux"}, METRIC | CLASSICAL | {"gacx"}),
     "k_plus": ({"structure": CONTACT, "apply": [K_PLUS]},
                F_ZERO | METRIC | CLASSICAL | {"gacx"}),
     "cone_of": ({"structure": {"cone_of": {"gallery": "darboux"}}},
-                F_ZERO | METRIC | CLASSICAL | {"fgacs"}),
+                F_ZERO | METRIC | CLASSICAL | {"fgacs", "cone_algebra"}),
     # normality and acms read no metric; the Sasakian criteria need one
     "from_acs_without_g": ({"structure": HEIS_ACS},
-                           METRIC | {"sasakian", "sasakian_pair", "vaisman_pair", "gacx"}),
+                           METRIC | {"sasakian", "vaisman_pair", "gacx"}),
     "kahler_interval": ({"gallery": "kahler_interval"}, {"gacx"}),
 }
 
@@ -522,10 +528,19 @@ def test_each_check_gives_a_report_or_names_its_need(subject):
 
 
 def test_refused_need_exits_two_with_the_check_named(tmp_path, capsys):
-    cfg = write(tmp_path, "need.json", {"structure": HEIS_ACS, "checks": ["sasakian_pair"]})
+    cfg = write(tmp_path, "need.json", {"structure": HEIS_ACS, "checks": ["sasakian"]})
     assert main(["verify", cfg]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and "check 'sasakian_pair' needs a metric g" in err[0]
+    assert len(err) == 1 and "check 'sasakian' needs a metric g" in err[0]
+
+
+def test_cone_algebra_on_an_f_structure_is_a_verdict(tmp_path, capsys):
+    """i_prime carries f, so cone_algebra reads any generalized (f-)almost contact structure."""
+    cfg = write(tmp_path, "f_cone.json", {"structure": CONTACT, "apply": [K_PLUS],
+                                          "checks": ["cone_algebra"], "samples": 8})
+    assert main(["verify", cfg]) == 0
+    out = capsys.readouterr().out
+    assert "cone_algebra: gacx.square" in out and "FAIL" not in out
 
 
 def test_apply_on_a_cone_reference_exits_two(tmp_path, capsys):

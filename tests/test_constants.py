@@ -62,9 +62,9 @@ def test_section_none_equals_lifted_zeros(order):
                            F.constant(CH, -1)])
     zero = _zeros((N,), order)
     _assert_bitwise(F.section(vec=vec).at(PTS, order),
-                    F.jconcat([vec.at(PTS, order), zero]))
+                    J.concat([vec.at(PTS, order), zero]))
     _assert_bitwise(F.section(form=form).at(PTS, order),
-                    F.jconcat([zero, form.at(PTS, order)]))
+                    J.concat([zero, form.at(PTS, order)]))
     with pytest.raises(ValueError):
         F.section()
 

@@ -130,10 +130,10 @@ def _cone_metric(cone, k):
     def fn(p, o):
         gj = J.extend_vars(g.at(p[..., :n], o), cone.dim)
         batch = p.shape[:-1]
-        pad = F.jconcat(
+        pad = J.concat(
             [
-                F.jconcat([gj, J.lift(np.zeros((3, 1)), 4, o, batch)], axis=1),
-                F.jconcat([J.lift(np.zeros((1, 3)), 4, o, batch),
+                J.concat([gj, J.lift(np.zeros((3, 1)), 4, o, batch)], axis=1),
+                J.concat([J.lift(np.zeros((1, 3)), 4, o, batch),
                            J.lift(np.ones((1, 1)), 4, o, batch)], axis=1),
             ],
             axis=0,
@@ -150,10 +150,10 @@ def _cone_j(cone, acs, sign):
     def fn(p, o):
         ph = J.extend_vars(acs.phi.at(p[..., :n], o), 4)
         batch = p.shape[:-1]
-        out = F.jconcat(
+        out = J.concat(
             [
-                F.jconcat([sign * ph, J.lift(np.zeros((3, 1)), 4, o, batch)], axis=1),
-                F.jconcat([J.lift(np.zeros((1, 3)), 4, o, batch),
+                J.concat([sign * ph, J.lift(np.zeros((3, 1)), 4, o, batch)], axis=1),
+                J.concat([J.lift(np.zeros((1, 3)), 4, o, batch),
                            J.lift(np.zeros((1, 1)), 4, o, batch)], axis=1),
             ],
             axis=0,

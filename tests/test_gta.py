@@ -6,6 +6,7 @@ import pytest
 
 from gencontact import fields as F
 from gencontact import gta
+from gencontact import jets as J
 from gencontact.charts import ConeChart, box
 from gencontact.cone import r_endo
 from gencontact.exprs import parse_scalar
@@ -214,7 +215,7 @@ def test_pair_jets_share_the_pointwise_swap():
         a, b = rand_section(), rand_section()
         ja, jb = a.at(PTS), b.at(PTS)
         swapped = F.swap_jet(ja)
-        halves = F.jconcat([ja[n:], ja[:n]])
+        halves = J.concat([ja[n:], ja[:n]])
         for part in ("value", "grad", "hess"):
             assert np.array_equal(getattr(swapped, part), getattr(halves, part))
         va, vb = batch_first(ja.value), batch_first(jb.value)

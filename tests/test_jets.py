@@ -174,15 +174,49 @@ def test_extend_vars_matches_np_pad(order):
             assert np.array_equal(out.hess, want)
 
 
-def test_jet_einsum_middle_ellipsis_matches_per_item():
-    """Batch axes after the component axis: each item equals the unbatched product."""
+def test_jet_einsum_derivative_first_matches_per_item():
+    """A derivative-first operand over a batch, as dshift lays it out, with a
+    plain spec: each item equals the unbatched product."""
     rng = np.random.default_rng(7)
     a = random_jet(rng, (3, 4), 3, 2)
-    m = random_jet(rng, (3, 4, 3), 3, 2)
-    out = J.jet_einsum("j...,i...j->i...", a, m)
+    m = random_jet(rng, (3, 4, 3), 3, 2).moveaxis(2, 0)  # (j, i, batch)
+    out = J.jet_einsum("j,ji->i", a, m)
     assert out.shape == (3, 4)
     for b in range(4):
-        item = J.jet_einsum("j,ij->i", a[:, b], m[:, b])
+        item = J.jet_einsum("j,ji->i", a[:, b], m[:, :, b])
         assert np.array_equal(out[:, b].value, item.value)
         assert np.array_equal(out[:, b].grad, item.grad)
         assert np.array_equal(out[:, b].hess, item.hess)
+
+
+def test_dshift_puts_the_derivative_axis_first_as_a_view():
+    j = random_jet(np.random.default_rng(3), (2, 5), 3, 2)
+    d = J.dshift(j)
+    assert d.shape == (3, 2, 5) and d.order == 1
+    assert np.shares_memory(d.value, j.grad) and np.shares_memory(d.grad, j.hess)
+    for k in range(3):
+        assert np.array_equal(d.value[k], j.grad[..., k])
+        assert np.array_equal(d.grad[k], j.hess[..., k, :])
+
+
+def test_jet_einsum_refuses_an_ellipsis_spec():
+    rng = np.random.default_rng(7)
+    a = random_jet(rng, (3, 4), 3, 1)
+    m = random_jet(rng, (3, 4, 3), 3, 1)
+    with pytest.raises(ValueError, match="batch axes are appended"):
+        J.jet_einsum("j...,i...j->i...", a, m)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_concat_none_parts_equal_explicit_zeros(order):
+    rng = np.random.default_rng(order)
+    a, b = random_jet(rng, (2, 2, 4), 3, order), random_jet(rng, (2, 2, 4), 3, order)
+    zero = J.lift(np.zeros((2, 2)), 3, order, (4,))
+    for parts, axis in (([a, None], 0), ([None, b], 0), ([None, a, None, b], 1)):
+        got = J.concat(parts, axis)
+        want = J.concat([zero if p is None else p for p in parts], axis)
+        assert got.order == want.order == order
+        for part in ("value", "grad", "hess"):
+            g, w = getattr(got, part), getattr(want, part)
+            assert (g is None) == (w is None)
+            assert g is None or (g.shape == w.shape and np.array_equal(g, w))
