@@ -31,7 +31,7 @@ moved = S.b_transform(s, wild)
 print(S.gacs_check(moved, pts).summary())
 
 print("\n== metric structures and the compatibility identity ==")
-print(S.gacm_check(heis["gacm"], pts).summary())
+print(S.gacm_check(heis["gacs"], pts).summary())
 
 print("\n== eigenframes and involutivity ==")
 frame = S.eigenframe(s)

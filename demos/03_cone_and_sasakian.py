@@ -47,16 +47,16 @@ print("pair conditions:")
 print(I.vaisman_conditions(*k["acs_pair"], kpts).summary())
 
 print("\n== ... and yet the metric lift is generalized Sasakian ==")
-print(I.generalized_sasakian_check(k["gacm"], kpts[:6]).summary())
+print(I.generalized_sasakian_check(k["gacs"], kpts[:6]).summary())
 
 print("\n== the criterion-vs-closure normalisation ==")
 hck = gallery.build("heisenberg_cone_kahler")
 hpts = hck["chart"].sample(seed=13, count=8)
 sas = I.sasakian_criterion(hck["acs"], hpts).max_residual
-gs = I.generalized_sasakian_check(hck["gacm"], hpts[:5])
+gs = I.generalized_sasakian_check(hck["gacs"], hpts[:5])
 print(f"cone-Kaehler Heisenberg: criterion residual {sas:.3f}, "
       f"generalized Sasakian max {gs.max_residual:.2e} (pass={gs.passed})")
 sas1 = I.sasakian_criterion(heis["acs"], hpts).max_residual
-gs1 = I.generalized_sasakian_check(heis["gacm"], hpts[:5])
+gs1 = I.generalized_sasakian_check(heis["gacs"], hpts[:5])
 print(f"theta = d eta Heisenberg:   criterion residual {sas1:.2e}, "
       f"generalized Sasakian max {gs1.max_residual:.3f} (pass={gs1.passed})")

@@ -41,13 +41,13 @@ print("\n== K+ deformations are cross terms of the cone metric ==")
 heis = gallery.build("heisenberg_sasakian")
 hpts = heis["chart"].sample(seed=22, count=8)
 alpha = 0.3 * F.basis_form(heis["chart"], 2)
-_, rep = D.cross_term_metric_forward(heis["gacm"], alpha, hpts)
+_, rep = D.cross_term_metric_forward(heis["gacs"], alpha, hpts)
 print(rep.summary())
 
 print("\n== the deformed pair is generalized Kaehler on the cone ==")
-print(D.cone_kahler_pair_check(heis["gacm"], 0.2 * F.basis_form(heis["chart"], 2), hpts[:5]).summary())
+print(D.cone_kahler_pair_check(heis["gacs"], 0.2 * F.basis_form(heis["chart"], 2), hpts[:5]).summary())
 
 print("\n== f-Sasakian check (alpha = beta = 0 reduces to the metric verdict) ==")
 k = gallery.build("kahler_interval")
 zk = 0 * F.basis_form(k["chart"], 2)
-print(D.f_sasakian_check(k["gacm"], zk, zk, k["chart"].sample(seed=23, count=4)).summary())
+print(D.f_sasakian_check(k["gacs"], zk, zk, k["chart"].sample(seed=23, count=4)).summary())

@@ -7,7 +7,6 @@ verifies the defining identities numerically, reporting named residuals.
 
 from .charts import Chart, ConeChart, box
 from .cone import (
-    ConeGacx,
     cone_decompose,
     gacx_check,
     i_map,
@@ -63,13 +62,11 @@ from .jets import JetArray, JetOrderError
 from .report import CheckRow, ResidualReport
 from .structures import (
     AlmostContactMetric,
-    Gacm,
     Gacs,
     GeneralizedMetric,
     StructureError,
     acms_check,
     b_transform,
-    b_transform_gacm,
     dual_gacm,
     eigenframe,
     gacm_check,

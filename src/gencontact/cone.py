@@ -6,7 +6,8 @@ stays a box.  The orientation of Psi follows the displayed block matrix
 (top-left eta_- (x) d/dt - dt (x) xi_+), under which E+ - i d/dt and
 E- - i dt span the +i directions added on the cone; so Psi(d/dt) = -E+.
 A structure's f enters only through Psi: :func:`i_prime` passes ``s.f`` on,
-and ``f = None`` (f = 0) builds no f-extension.
+and ``f = None`` (f = 0) builds no f-extension.  A cone structure is its
+endomorphism field J, a ``GtEndoField`` on the ``ConeChart``.
 
 Every lift from M to the cone is one placement map, ``jets.extend_vars``
 with a component shape and an index: the base jet's value, gradient and
@@ -30,7 +31,6 @@ entry stays in its place, where the dense product's 0 * inf spread NaN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -45,14 +45,6 @@ from .structures import Gacs, eigen_projector, pivoted_frame, projector_columns
 
 T_INDEPENDENCE_TOL = 1e-10
 DEFAULT_TS = (-0.5, 0.0, 0.5)  # the t slices of a cone point set
-
-
-@dataclass(frozen=True)
-class ConeGacx:
-    """Generalized almost complex structure on a cone chart."""
-
-    chart: ConeChart
-    J: GtEndoField
 
 
 # -- lifting -------------------------------------------------------------------
@@ -144,12 +136,12 @@ def psi(cone: ConeChart, eplus: SectionField, eminus: SectionField,
     return out
 
 
-def i_prime(s: Gacs, cone: ConeChart = None) -> ConeGacx:
+def i_prime(s: Gacs, cone: ConeChart = None) -> GtEndoField:
     """I' = Phi^f + Psi^f(E+^f, E-^f) on the cone: the unconjugated cone
     structure, Phi + Psi(E+, E-) when f is None."""
     if cone is None:
         cone = ConeChart.over(s.chart)
-    return ConeGacx(cone, lift_endo(cone, s.Phi) + psi(cone, s.Eplus, s.Eminus, s.f))
+    return lift_endo(cone, s.Phi) + psi(cone, s.Eplus, s.Eminus, s.f)
 
 
 def r_endo(cone: ConeChart) -> GtEndoField:
@@ -173,23 +165,23 @@ def _r_pow(cone: ConeChart, sign: int) -> F.Field:
     return F.Field(cone, fn)
 
 
-def r_conjugate(j: ConeGacx) -> ConeGacx:
+def r_conjugate(j: GtEndoField) -> GtEndoField:
     """R J R^-1 as the elementwise product (r_i J_ik) r_k^-1 of the diagonals."""
     r = _r_pow(j.chart, 1)
     rinv = _r_pow(j.chart, -1)
-    return ConeGacx(j.chart, GtEndoField(j.chart, lambda p, o: (
-        (r.jet(p, o)[:, None] * j.J.jet(p, o)) * rinv.jet(p, o)[None, :])))
+    return GtEndoField(j.chart, lambda p, o: (
+        (r.jet(p, o)[:, None] * j.jet(p, o)) * rinv.jet(p, o)[None, :]))
 
 
-def i_map(s: Gacs, cone: ConeChart = None) -> ConeGacx:
+def i_map(s: Gacs, cone: ConeChart = None) -> GtEndoField:
     """I = R (Phi^f + Psi^f) R^-1, the Sasaki-flavoured cone structure."""
     return r_conjugate(i_prime(s, cone))
 
 
-def gacx_check(j: ConeGacx, points) -> ResidualReport:
+def gacx_check(j: GtEndoField, points) -> ResidualReport:
     """J + J* = 0 and J^2 = -id at cone sample points."""
     rep = ResidualReport()
-    m = stack_values(j.J, points)
+    m = stack_values(j, points)
     rep.add("gacx.skew", sup_norm(m + gta.adjoint(m)), points, 1e-9)
     rep.add("gacx.square", sup_norm(m @ m + np.eye(m.shape[-1])), points, 1e-9)
     return rep
@@ -198,13 +190,13 @@ def gacx_check(j: ConeGacx, points) -> ResidualReport:
 # -- the t-invariant decomposition (one-to-one correspondence) -------------------
 
 
-def t_dependence(j: ConeGacx, points) -> float:
+def t_dependence(j: GtEndoField, points) -> float:
     """Max |d/dt entry| of J over the sample points."""
-    jet = j.J.jet(np.asarray(points, dtype=float), 1).require(1)
+    jet = j.jet(np.asarray(points, dtype=float), 1).require(1)
     return float(np.abs(jet.grad[..., j.chart.t_index]).max())
 
 
-def cone_decompose(j: ConeGacx, points=None, tol: float = 1e-8) -> Gacs:
+def cone_decompose(j: GtEndoField, points=None, tol: float = 1e-8) -> Gacs:
     """Extract (J_M, B, A, h) from a t-invariant cone structure.
 
     Returns the structure (J_M, E+ = B, E- = A, f = h), with f = None when
@@ -223,7 +215,7 @@ def cone_decompose(j: ConeGacx, points=None, tol: float = 1e-8) -> Gacs:
     rows = _m_indices(n)
     # J at t = 0 over the base variables; B, A, h and J_M are slices of its jet
     at_base = F.Field(base, lambda p, o: J.restrict_vars(
-        j.J.jet(np.concatenate([p, np.zeros(p.shape[:-1] + (1,))], axis=-1), o), n))
+        j.jet(np.concatenate([p, np.zeros(p.shape[:-1] + (1,))], axis=-1), o), n))
     B = SectionField(base, lambda p, o: -at_base.jet(p, o)[:, n][rows])  # -J(d/dt)
     A = SectionField(base, lambda p, o: -at_base.jet(p, o)[:, 2 * n + 1][rows])  # -J(dt)
     h = ScalarField(base, lambda p, o: -at_base.jet(p, o)[n, n])
@@ -231,7 +223,7 @@ def cone_decompose(j: ConeGacx, points=None, tol: float = 1e-8) -> Gacs:
 
     # extraction consistency: the displayed form must reproduce J
     rebuilt = i_prime(Gacs(base, Jm, B, A, h), cone)
-    worst = sup_norm(stack_values(rebuilt.J, points) - stack_values(j.J, points)).max()
+    worst = sup_norm(stack_values(rebuilt, points) - stack_values(j, points)).max()
     if worst > 1e-7:
         raise ValueError(
             f"J is not of the displayed t-invariant normal form (residual {worst:.2e})"
@@ -258,12 +250,12 @@ def cone_plus_frame(cone: ConeChart, frame_e10, eplus: SectionField,
     return members
 
 
-def gacx_plus_frame(j: ConeGacx) -> List[SectionField]:
+def gacx_plus_frame(j: GtEndoField) -> List[SectionField]:
     """Pivot-selected frame of the +i eigenbundle of a cone structure: a
     maximal independent set of columns of (1 - i J)/2, chosen from the full
     projector at the cone chart's seed-0 sample point, as views of one field
     of those columns."""
     cone = j.chart
-    cols = pivoted_frame(eigen_projector(j.J), cone.sample(seed=0, count=1)[0], cone.dim,
+    cols = pivoted_frame(eigen_projector(j), cone.sample(seed=0, count=1)[0], cone.dim,
                          "cone eigenframe rank dropped to {} (< {})")
-    return list(projector_columns(eigen_projector(j.J, cols=cols), range(len(cols))))
+    return list(projector_columns(eigen_projector(j, cols=cols), range(len(cols))))

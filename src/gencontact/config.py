@@ -5,10 +5,12 @@ explicit component expressions or the cone of one of these), an optional
 deformation pipeline, and a list of named checks with optional tolerance
 overrides.  Unknown keys are rejected with the offending path.
 
-The structure and pipeline build one :class:`Subject`.  ``CHECKS`` names the
-need accessor (``Subject.need_*``) each check reads it through: f = 0, any
-Gacs, a metric, classical structures, or a cone.  A subject that lacks the
-need is refused with a ConfigError naming the check and the need.
+The structure and pipeline build one :class:`Subject`: a chart, one
+``Gacs`` (which carries its f and its generalized metric, if any), the
+classical structures it was built from, or a cone structure.  ``CHECKS``
+names the need accessor (``Subject.need_*``) each check reads it through:
+f = 0, any Gacs, a metric, classical structures, or a cone.  A subject that
+lacks the need is refused with a ConfigError naming the check and the need.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from . import gallery as G
 from . import integrability as I
 from . import structures as S
 from .charts import Chart
-from .cone import ConeGacx, cone_points, gacx_check, i_prime, r_conjugate
+from .cone import cone_points, gacx_check, i_prime, r_conjugate
 from .exprs import ExprError, parse_scalar
 from .report import ResidualReport
 
@@ -141,20 +143,16 @@ def _parse_section(obj: dict, chart: Chart, path: str) -> F.SectionField:
 
 @dataclass(frozen=True)
 class Subject:
-    """The structure a config builds, as every check reads it.  ``gacs`` (with its f) is
-    ``None`` only for a ``cone_of`` reference, whose structure is ``cone``; ``gacm`` is
-    ``gacs`` with a metric; ``classical`` holds 0-2 (phi, xi, eta) structures.  Gallery
-    records are held as built, so the frames and duals cached on them are shared."""
+    """The structure a config builds, as every check reads it.  ``gacs`` (with its f and
+    its metric) is ``None`` only for a ``cone_of`` reference, whose structure is ``cone``,
+    an endomorphism field on the cone chart; ``classical`` holds 0-2 (phi, xi, eta)
+    structures.  Gallery records are held as built, so the frames and duals cached on
+    them are shared."""
 
     chart: Chart
     gacs: Optional[S.Gacs] = None
-    gacm: Optional[S.Gacm] = None
     classical: Tuple[S.AlmostContactMetric, ...] = ()
-    cone: Optional[ConeGacx] = None
-
-    def __post_init__(self):
-        if self.gacm is not None and self.gacm.gacs is not self.gacs:
-            raise ValueError("a Subject's gacm must carry its gacs")
+    cone: Optional[F.GtEndoField] = None
 
     # the needs of the checks (see CHECKS): a missing one is a ConfigError naming the check
     def need_f_zero(self, check: str) -> S.Gacs:
@@ -165,8 +163,10 @@ class Subject:
     def need_gacs(self, check: str) -> S.Gacs:
         return _refuse_missing(self.gacs, check, "a generalized (f-)almost contact structure")
 
-    def need_metric(self, check: str) -> S.Gacm:
-        return _refuse_missing(self.gacm, check, "a structure with a generalized metric")
+    def need_metric(self, check: str) -> S.Gacs:
+        s = self.gacs
+        return _refuse_missing(s if s is not None and s.metric is not None else None, check,
+                               "a structure with a generalized metric")
 
     def need_classical(self, check: str) -> Tuple[S.AlmostContactMetric, ...]:
         return _refuse_missing(self.classical or None, check, "a classical (phi, xi, eta) structure")
@@ -176,7 +176,7 @@ class Subject:
         return _refuse_missing(found if all(acs.g is not None for acs in found) else None,
                                check, "a metric g on its classical structures")
 
-    def need_cone(self, check: str) -> ConeGacx:
+    def need_cone(self, check: str) -> F.GtEndoField:
         return _refuse_missing(self.cone, check, "a cone structure (cone_of)")
 
 
@@ -203,7 +203,7 @@ def _parse_structure(obj: dict, path: str):
         except KeyError as err:
             raise ConfigError(f"{path}.gallery: {err.args[0]}") from None
         classical = built.get("acs_pair") or ((built["acs"],) if "acs" in built else ())
-        return Subject(built["chart"], built.get("gacs"), built.get("gacm"), tuple(classical)), None
+        return Subject(built["chart"], built.get("gacs"), tuple(classical)), None
     if "cone_of" in obj:
         _reject_unknown(obj, {"cone_of", "conjugate"}, path)
         inner = parse_structure(obj["cone_of"], f"{path}.cone_of")
@@ -238,9 +238,8 @@ def _parse_structure(obj: dict, path: str):
             if part is not None:
                 _require_real(part, pts, f"{path}.{name}")
         acs = S.AlmostContactMetric(chart, phi, xi, eta, g)
-        gacm = None if g is None else G.sasakian_to_gs(acs)
-        gacs = S.gacs_from_acs(acs) if gacm is None else gacm.gacs
-        return Subject(chart, gacs, gacm, (acs,)), pts
+        gacs = S.gacs_from_acs(acs) if g is None else G.sasakian_to_gs(acs)
+        return Subject(chart, gacs, (acs,)), pts
     if builder is not None:
         raise ConfigError(f"{path}.builder: unknown builder {builder!r}")
     # explicit components
@@ -253,9 +252,9 @@ def _parse_structure(obj: dict, path: str):
 
 
 def parse_pipeline(items, subject: Subject, path: str = "$.apply", check_points=None) -> Subject:
-    """Apply deformation steps to the subject's structure.  A ``b_field`` step maps a
-    metric structure through :func:`~gencontact.structures.b_transform_gacm`; K+- and
-    ``normalize`` drop the metric; every step drops the classical structures.
+    """Apply deformation steps to the subject's structure.  A ``b_field`` step keeps the
+    metric (:func:`~gencontact.structures.b_transform` conjugates it with Phi); K+- and
+    ``normalize`` drop it; every step drops the classical structures.
 
     Parsed step data is checked to be real at ``check_points``, the chart's
     :func:`_check_points` (drawn here when not given)."""
@@ -264,7 +263,7 @@ def parse_pipeline(items, subject: Subject, path: str = "$.apply", check_points=
     if subject.gacs is None:
         raise ConfigError(f"{path}: the structure provides nothing to deform")
     chart = subject.chart
-    gacs, gacm = subject.gacs, subject.gacm
+    gacs = subject.gacs
     n = chart.dim
     pts = _check_points(chart) if check_points is None else check_points
     for i, step in enumerate(items):
@@ -279,25 +278,23 @@ def parse_pipeline(items, subject: Subject, path: str = "$.apply", check_points=
             if np.abs(v + np.swapaxes(v, 0, 1)).max() > 1e-9:
                 raise ConfigError(f"{spath}.B: components are not antisymmetric")
             _require_real(bfield, pts, f"{spath}.B")
-            if gacm is not None:
-                gacm = S.b_transform_gacm(gacm, bfield)
-            gacs = S.b_transform(gacs, bfield) if gacm is None else gacm.gacs
+            gacs = S.b_transform(gacs, bfield)
         elif op in ("k_plus", "k_minus"):
             _reject_unknown(step, {"op", "kappa"}, spath)
             kappa = _expr_vector(F.OneFormField, _need(step, "kappa", spath), chart,
                                  f"{spath}.kappa")
             _require_real(kappa, pts, f"{spath}.kappa")
-            gacs, gacm = (D.k_plus if op == "k_plus" else D.k_minus)(gacs, kappa), None
+            gacs = (D.k_plus if op == "k_plus" else D.k_minus)(gacs, kappa)
         elif op == "normalize":
             _reject_unknown(step, {"op"}, spath)
             pts = chart.sample(seed=2, count=12)
             try:
-                gacs, gacm = D.normalize(gacs, pts)[0], None
+                gacs = D.normalize(gacs, pts)[0]
             except ValueError as err:
                 raise ConfigError(f"{spath}: {err}") from None
         else:
             raise ConfigError(f"{spath}.op: unknown op {op!r}")
-    return Subject(chart, gacs, gacm)
+    return Subject(chart, gacs)
 
 
 # -- the check registry: each check runs on the part of the subject it needs -------------

@@ -3,7 +3,8 @@
 An f-structure is a :class:`~gencontact.structures.Gacs` with an f field;
 ``f = None`` is f = 0 and is read as zero here: K+-(kappa) of such a
 structure adds no f term and sets f to -+2<E+-, kappa>, and ``normalize``
-returns its result with ``f = None``.
+returns its result with ``f = None``.  Each deformation builds a new record
+without the generalized metric, and ``normalize`` drops it too.
 
 The K-deformations act on M; their cone meaning (B-fields of 2r dr ^ kappa,
 cross terms of the cone metric) is verified by the correspondence checkers
@@ -22,7 +23,7 @@ from . import fields as F
 from . import gta
 from . import jets as J
 from .charts import ConeChart
-from .cone import DEFAULT_TS, base_jet, cone_points, gacx_plus_frame, i_map, i_prime, lift_form
+from .cone import base_jet, cone_points, gacx_plus_frame, i_map, i_prime, lift_form
 from .fields import (
     GtEndoField,
     MatrixField,
@@ -34,13 +35,13 @@ from .report import ResidualReport, stack_values, sup_norm
 from .structures import (
     DEFAULT_TOL,
     INT_TOL,
-    Gacm,
     Gacs,
     b_transform,
     gacs_residuals,
     gmetric_from_gb,
     max_nij_over_frame,
     metric_block,
+    require_metric,
 )
 
 DEFORM_TS = (-0.4, 0.2)  # the t slices of the cross-term, cone-pair and f-Sasakian checks
@@ -125,13 +126,13 @@ def normalize(s: Gacs, points, tol: float = 1e-9) -> Tuple[Gacs, OneFormField, O
     alpha is the Euclidean dual of the combined vector part zeta, scaled to
     alpha(zeta) = f; beta = -alpha.  Errors out where zeta degenerates while
     f does not vanish, since no pointwise alpha can exist there; where both
-    vanish, alpha = 0.  The result has ``f = None``; a structure whose f is
-    already ``None`` has nothing to strip and is returned with alpha = beta = 0.
+    vanish, alpha = 0.  The result has ``f = None`` and no metric; a structure
+    whose f is already ``None`` is returned, less its metric, with alpha = beta = 0.
     """
     n = s.chart.dim
     if s.f is None:
         zero = F.constant(s.chart, np.zeros(n), OneFormField)
-        return s, zero, zero
+        return (s if s.metric is None else replace(s, metric=None)), zero, zero
     pts = np.asarray(points, dtype=float)
 
     def zeta_jet(p, order):
@@ -185,12 +186,11 @@ def cone_kappa_form(cone: ConeChart, kappa: OneFormField, radial: bool) -> TwoFo
     return scale * base_wedge
 
 
-def cone_b_correspondence(s: Gacs, kappa: OneFormField, base_points,
-                          ts=DEFAULT_TS, tol: float = 1e-9) -> ResidualReport:
+def cone_b_correspondence(s: Gacs, kappa: OneFormField, base_points) -> ResidualReport:
     """e^B I(s) e^-B = I(K-(kappa) s) for B = 2r dr ^ kappa, and the
     unconjugated variant with (2/r) dr ^ kappa against I' = Phi + Psi^f."""
     cone = ConeChart.over(s.chart)
-    cpts = cone_points(base_points, ts)
+    cpts = cone_points(base_points)
     deformed = k_minus(s, kappa)
     rep = ResidualReport()
     for name, radial, builder in (
@@ -198,10 +198,10 @@ def cone_b_correspondence(s: Gacs, kappa: OneFormField, base_points,
         ("plain_vs_Iprime", False, i_prime),
     ):
         b = cone_kappa_form(cone, kappa, radial)
-        (lhs,) = F.b_action(b, builder(s, cone).J)
-        rhs = builder(deformed, cone).J
+        (lhs,) = F.b_action(b, builder(s, cone))
+        rhs = builder(deformed, cone)
         vals = sup_norm(stack_values(lhs, cpts) - stack_values(rhs, cpts))
-        rep.add(f"cone_b.{name}", vals, cpts, tol)
+        rep.add(f"cone_b.{name}", vals, cpts, 1e-9)
     return rep
 
 
@@ -228,8 +228,8 @@ def g_tilde(g: MatrixField, alpha: OneFormField, cone: ConeChart) -> GtEndoField
     return GtEndoField(cone, lambda p, o: metric_block(ghat_fn(p, o)))
 
 
-def cross_term_metric_check(s: Gacs, g: MatrixField, alpha: OneFormField, base_points,
-                 ts=DEFORM_TS, tol: float = DEFAULT_TOL) -> ResidualReport:
+def cross_term_metric_check(s: Gacs, g: MatrixField, alpha: OneFormField,
+                            base_points) -> ResidualReport:
     """Compatibility G~ = -I' G~ I' plus the two derived identities.
 
     The identities 2<E+^f, alpha> = -f and Phi^f alpha = -G E+^f + E-^f hold
@@ -239,12 +239,12 @@ def cross_term_metric_check(s: Gacs, g: MatrixField, alpha: OneFormField, base_p
     cone = ConeChart.over(s.chart)
     rep = ResidualReport()
     gt = g_tilde(g, alpha, cone)
-    ip = i_prime(s, cone).J
-    cpts = cone_points(base_points, ts)
+    ip = i_prime(s, cone)
+    cpts = cone_points(base_points, DEFORM_TS)
 
     gv = stack_values(gt, cpts)
     iv = stack_values(ip, cpts)
-    rep.add("cross_term.compatibility", sup_norm(gv + iv @ gv @ iv), cpts, tol)
+    rep.add("cross_term.compatibility", sup_norm(gv + iv @ gv @ iv), cpts, DEFAULT_TOL)
 
     ep = stack_values(s.Eplus, base_points)
     a = stack_values(F.section(form=alpha), base_points)
@@ -252,43 +252,39 @@ def cross_term_metric_check(s: Gacs, g: MatrixField, alpha: OneFormField, base_p
     lhs = gta.apply(stack_values(s.Phi, base_points), a)
     rhs = -gta.apply(stack_values(gmetric_from_gb(g).endo, base_points), ep)
     rhs = rhs + stack_values(s.Eminus, base_points)
-    rep.add("cross_term.pairing_identity", np.abs(2 * gta.pair(ep, a) + f), base_points, tol)
-    rep.add("cross_term.phi_alpha_identity", sup_norm(lhs - rhs), base_points, tol)
+    rep.add("cross_term.pairing_identity", np.abs(2 * gta.pair(ep, a) + f), base_points,
+            DEFAULT_TOL)
+    rep.add("cross_term.phi_alpha_identity", sup_norm(lhs - rhs), base_points, DEFAULT_TOL)
     return rep
 
 
-def cross_term_metric_forward(m: Gacm, alpha: OneFormField, base_points,
-                   ts=DEFORM_TS, tol: float = DEFAULT_TOL):
+def cross_term_metric_forward(m: Gacs, alpha: OneFormField, base_points):
     """Construct K+(alpha)(Phi, E+-, 0) from a (g, b=0) metric structure and check."""
-    if m.metric.g is None:
+    metric = require_metric(m, "cross_term_metric_forward")
+    if metric.g is None:
         raise ValueError("forward construction needs the metric in (g, b) form")
-    if m.metric.b is not None:
+    if metric.b is not None:
         probe = m.chart.sample(seed=3, count=3)
-        if sup_norm(stack_values(m.metric.b, probe)).max() > 1e-12:
+        if sup_norm(stack_values(metric.b, probe)).max() > 1e-12:
             raise ValueError("the cross-term construction needs b = 0")
-    s = k_plus(m.gacs, alpha)
-    return s, cross_term_metric_check(s, m.metric.g, alpha, base_points, ts, tol)
+    s = k_plus(m, alpha)
+    return s, cross_term_metric_check(s, metric.g, alpha, base_points)
 
 
 # -- the deformed cone pair is generalized Kaehler ----------------------------------------
 
 
-def cone_kahler_pair_check(m: Gacm, alpha: OneFormField, base_points, ts=DEFORM_TS,
-                 tol: float = 1e-9) -> ResidualReport:
+def cone_kahler_pair_check(m: Gacs, alpha: OneFormField, base_points) -> ResidualReport:
     """I'(K+(alpha)(Phi,E+-,0)) and I'(K+(alpha)(G Phi, G E+-, 0)) commute and
     -I'1 I'2 is a generalized Riemannian metric on the cone."""
+    require_metric(m, "cone_kahler_pair_check")
     cone = ConeChart.over(m.chart)
-    s1 = k_plus(m.gacs, alpha)
-    s2 = k_plus(m.dual.gacs, alpha)
-    i1 = i_prime(s1, cone).J
-    i2 = i_prime(s2, cone).J
-    cpts = cone_points(base_points, ts)
-    rep = ResidualReport()
-    a = stack_values(i1, cpts)
-    b = stack_values(i2, cpts)
+    cpts = cone_points(base_points, DEFORM_TS)
+    a, b = (stack_values(i_prime(k_plus(s, alpha), cone), cpts) for s in (m, m.dual))
     gprod = -a @ b
-    rep.add("cone_pair.commutator", sup_norm(a @ b - b @ a), cpts, tol)
-    rep.add("cone_pair.product_symmetric", sup_norm(gprod - gta.adjoint(gprod)), cpts, tol)
+    rep = ResidualReport()
+    rep.add("cone_pair.commutator", sup_norm(a @ b - b @ a), cpts, 1e-9)
+    rep.add("cone_pair.product_symmetric", sup_norm(gprod - gta.adjoint(gprod)), cpts, 1e-9)
     rep.add("cone_pair.positivity", [max(0.0, -gta.least_pairing(gprod))], None, 1e-12)
     return rep
 
@@ -296,16 +292,17 @@ def cone_kahler_pair_check(m: Gacm, alpha: OneFormField, base_points, ts=DEFORM_
 # -- f-Sasakian --------------------------------------------------------------------------
 
 
-def f_sasakian_check(m: Gacm, alpha: OneFormField, beta: OneFormField, base_points,
-                     ts=DEFORM_TS, tol: float = INT_TOL) -> ResidualReport:
+def f_sasakian_check(m: Gacs, alpha: OneFormField, beta: OneFormField,
+                     base_points) -> ResidualReport:
     """Courant involutivity of the +i frames of both I-structures of the generalized
     f-almost contact metric structure K-(beta) K+(alpha) m."""
+    require_metric(m, "f_sasakian_check")
     cone = ConeChart.over(m.chart)
     rep = ResidualReport()
-    cpts = cone_points(base_points, ts)
-    for tag, base in (("phi", m.gacs), ("gphi", m.dual.gacs)):
+    cpts = cone_points(base_points, DEFORM_TS)
+    for tag, base in (("phi", m), ("gphi", m.dual)):
         s = k_minus(k_plus(base, alpha), beta)
         members = gacx_plus_frame(i_map(s, cone))
         _, per_point = max_nij_over_frame(members, cpts)
-        rep.add(f"f_sasakian.{tag}_frame_nij", per_point, cpts, tol)
+        rep.add(f"f_sasakian.{tag}_frame_nij", per_point, cpts, INT_TOL)
     return rep

@@ -9,8 +9,9 @@ An expression compiles once, at parse time, into closures over the
 coordinate seed jet of a point batch: coordinates are rows of the seed, and
 every coordinate-free subtree folds to one complex scalar, computed by the
 jet operations a constant jet goes through.  Literals thus meet jets as
-scalars, which jet arithmetic never lifts.  :func:`component_field`
-evaluates an array of parsed expressions from one seed per point set and
+scalars, which jet arithmetic never lifts.  An exponent that folds to a real
+constant is a real power (``jets.powc``); any other goes through exp(b log a).
+:func:`component_field` evaluates an array of parsed expressions from one seed per point set and
 order.
 """
 
@@ -181,11 +182,12 @@ def _compile(node):
     if kind == "coord":
         i = node[1]
         return lambda seed: seed[i]
-    if kind == "^" and node[2][0] != "num":
-        # a computed exponent goes the way of a jet exponent: exp(b log a)
-        return _compile(("call", "exp", ("*", node[2], ("call", "log", node[1]))))
     if kind == "^":
-        f, args = (lambda j, e=node[2][1]: J.powc(j, e)), [_compile(node[1])]
+        e = _compile(node[2])
+        if callable(e) or e.imag != 0:
+            # an exponent over the coordinates, or complex: exp(b log a), as for a jet exponent
+            return _compile(("call", "exp", ("*", node[2], ("call", "log", node[1]))))
+        f, args = (lambda j, e=float(e.real): J.powc(j, e)), [_compile(node[1])]
     elif kind == "call":
         f, args = FUNCTIONS[node[1]], [_compile(node[2])]
     else:

@@ -6,7 +6,7 @@ checks it is expected to pass; the golden tests reproduce that table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -17,7 +17,6 @@ from .charts import Chart, box
 from .fields import MatrixField, OneFormField
 from .structures import (
     AlmostContactMetric,
-    Gacm,
     Gacs,
     gacs_from_acs,
     gacs_from_contact,
@@ -87,8 +86,7 @@ def _heisenberg_data(distribution_scale: float) -> dict:
         [[zero, -1 * s, zero], [s, zero, zero], [zero, -1 * (s * y), zero]],
     )
     acs = AlmostContactMetric(chart, phi, xi, eta, g)
-    gacm = sasakian_to_gs(acs)
-    return {"chart": chart, "acs": acs, "gacs": gacm.gacs, "gacm": gacm}
+    return {"chart": chart, "acs": acs, "gacs": sasakian_to_gs(acs)}
 
 
 def heisenberg_sasakian() -> dict:
@@ -151,12 +149,11 @@ def kahler_interval() -> dict:
     rho_map = F.constant(chart, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]], MatrixField)
     inv_s = one / s2z
     middle = F.endo_from_blocks(None, -1 * (inv_s * rho_map), s2z * omega_map, None)
-    gacs = Gacs(chart, *F.b_action(b, middle, F.section(vec=xi), F.section(form=eta)))
-    gacm = Gacm(gacs, metric)
+    gacs = Gacs(chart, *F.b_action(b, middle, F.section(vec=xi), F.section(form=eta)),
+                metric=metric)
     return {
         "chart": chart,
         "acs_pair": (acs_plus, acs_minus),
-        "gacm": gacm,
         "gacs": gacs,
         "b": b,
         "omega_prime": omega_prime,
@@ -164,11 +161,11 @@ def kahler_interval() -> dict:
     }
 
 
-def sasakian_to_gs(acs: AlmostContactMetric) -> Gacm:
+def sasakian_to_gs(acs: AlmostContactMetric) -> Gacs:
     """Metric lift of a Sasakian structure: G = (0, g^-1; g, 0), Phi = diag(phi, -phi*), E+ = xi, E- = eta."""
     if acs.g is None:
         raise ValueError("need a metric")
-    return Gacm(gacs_from_acs(acs), gmetric_from_gb(acs.g))
+    return replace(gacs_from_acs(acs), metric=gmetric_from_gb(acs.g))
 
 
 # -- registry ---------------------------------------------------------------------

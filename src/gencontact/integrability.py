@@ -35,13 +35,13 @@ from .structures import (
     INT_TOL,
     AlmostContactMetric,
     EigenFrame,
-    Gacm,
     Gacs,
     cabs,
     l_nij_max,
     max_nij_over_frame,
     nij_table,
     row_max,
+    require_metric,
     triples,
 )
 
@@ -277,15 +277,16 @@ def vaisman_conditions(plus: AlmostContactMetric, minus: AlmostContactMetric,
 # -- the generalized Sasakian verdict --------------------------------------------------
 
 
-def generalized_sasakian_check(m: Gacm, base_points, tol: float = INT_TOL,
+def generalized_sasakian_check(m: Gacs, base_points, tol: float = INT_TOL,
                                ts=DEFAULT_TS) -> ResidualReport:
     """Both R-conjugated cone structures of (Phi, E+-) and (G Phi, G E+-) integrable.
 
-    The dual (G Phi, G E+-) is ``m.dual``, built once per Gacm, so repeated
-    checks of one structure share its eigenframe and Nijenhuis tables.
+    The dual (G Phi, G E+-) is ``m.dual``, built once per metric structure, so
+    repeated checks of one structure share its eigenframe and Nijenhuis tables.
     """
+    require_metric(m, "generalized_sasakian_check")
     rep = ResidualReport()
-    for tag, s in (("phi", m.gacs), ("gphi", m.dual.gacs)):
+    for tag, s in (("phi", m), ("gphi", m.dual)):
         rcone, cross = _cone_crosscheck(s, base_points, tol, ts)
         rep.add(f"gsas.{tag}.rcone_condition.residual", rcone, base_points, tol)
         rep.extend(cross, prefix=f"gsas.{tag}.")

@@ -1,8 +1,9 @@
 """Generalized (almost) contact structures on a chart and their checkers.
 
 One record, :class:`Gacs`, holds a generalized f-almost contact structure
-(Phi, E+, E-, f); a generalized almost contact structure is its f = 0 case,
-and f = 0 is ``f = None``, not a zero field.
+and its generalized metric, (Phi, E+, E-, f, metric): f = 0 is ``f = None``,
+not a zero field, and no metric is ``metric = None``.  The checkers that read
+the metric refuse a record without one by name (:func:`require_metric`).
 
 Checkers never raise on mathematical failure: they return a
 :class:`~gencontact.report.ResidualReport` whose rows carry max/mean
@@ -75,11 +76,21 @@ class AlmostContactMetric:
 
 
 @dataclass(frozen=True)
+class GeneralizedMetric:
+    """G as an endomorphism field, with the (g, b) of :func:`gmetric_from_gb` when known."""
+
+    endo: GtEndoField
+    g: Optional[MatrixField] = None
+    b: Optional[TwoFormField] = None
+
+
+@dataclass(frozen=True)
 class Gacs:
-    """Generalized f-almost contact structure (Phi, E+, E-, f).
+    """Generalized f-almost contact structure (Phi, E+, E-, f) with an optional metric.
 
     ``f = None`` means f = 0: a generalized almost contact structure in the
-    sense of Def 3.1, which has no f to evaluate or carry.
+    sense of Def 3.1, which has no f to evaluate or carry.  With a ``metric``
+    the record is a generalized almost contact metric structure (Def 3.12).
     """
 
     chart: Chart
@@ -87,51 +98,25 @@ class Gacs:
     Eplus: SectionField
     Eminus: SectionField
     f: Optional[ScalarField] = None
+    metric: Optional[GeneralizedMetric] = None
 
     @cached_property
     def frame(self) -> "EigenFrame":
         """The default :func:`eigenframe`, built on first use and kept with the structure."""
         return eigenframe(self)
 
-
-@dataclass(frozen=True)
-class GeneralizedMetric:
-    chart: Chart
-    endo: GtEndoField
-    g: Optional[MatrixField] = None
-    b: Optional[TwoFormField] = None
-
-
-@dataclass(frozen=True)
-class Gacm:
-    gacs: Gacs
-    metric: GeneralizedMetric
-
-    @property
-    def chart(self) -> Chart:
-        return self.gacs.chart
-
-    @property
-    def Phi(self) -> GtEndoField:
-        return self.gacs.Phi
-
-    @property
-    def Eplus(self) -> SectionField:
-        return self.gacs.Eplus
-
-    @property
-    def Eminus(self) -> SectionField:
-        return self.gacs.Eminus
-
-    @property
-    def G(self) -> GtEndoField:
-        return self.metric.endo
-
     @cached_property
-    def dual(self) -> "Gacm":
+    def dual(self) -> "Gacs":
         """The unvalidated :func:`dual_gacm`, built on first use and kept with the
         structure, so its eigenframe and field memos serve every later check."""
         return dual_gacm(self)
+
+
+def require_metric(s: Gacs, who: str) -> GeneralizedMetric:
+    """The structure's generalized metric; a ``ValueError`` naming ``who`` when it has none."""
+    if s.metric is None:
+        raise ValueError(f"{who} needs a generalized metric")
+    return s.metric
 
 
 @dataclass
@@ -364,17 +349,16 @@ def gmetric_from_gb(g: MatrixField, b: Optional[TwoFormField] = None) -> General
     endo = GtEndoField(chart, fn)
     if b is not None:
         (endo,) = F.b_action(b, endo)
-    return GeneralizedMetric(chart, endo, g=g, b=b)
+    return GeneralizedMetric(endo, g=g, b=b)
 
 
 def b_transform(s: Gacs, b: TwoFormField) -> Gacs:
-    """(e^B Phi e^-B, e^B E+, e^B E-, f): closed under the (f-)structure axioms for any smooth B."""
-    return Gacs(s.chart, *F.b_action(b, s.Phi, s.Eplus, s.Eminus), s.f)
-
-
-def b_transform_gacm(m: Gacm, b: TwoFormField) -> Gacm:
-    G, phi, eplus, eminus = F.b_action(b, m.G, m.Phi, m.Eplus, m.Eminus)
-    return Gacm(Gacs(m.chart, phi, eplus, eminus), GeneralizedMetric(m.chart, G))
+    """(e^B Phi e^-B, e^B E+, e^B E-, f), and e^B G e^-B for a metric, from one e^B:
+    closed under the (f-)structure axioms for any smooth B."""
+    if s.metric is None:
+        return Gacs(s.chart, *F.b_action(b, s.Phi, s.Eplus, s.Eminus), s.f)
+    G, phi, eplus, eminus = F.b_action(b, s.metric.endo, s.Phi, s.Eplus, s.Eminus)
+    return Gacs(s.chart, phi, eplus, eminus, s.f, GeneralizedMetric(G))
 
 
 # -- generalized checkers -------------------------------------------------------
@@ -425,7 +409,7 @@ def phi_cube_check(s: Gacs, points) -> ResidualReport:
 
 def gmetric_check(metric: GeneralizedMetric, points) -> ResidualReport:
     """G* = G, G^2 = id, and positivity of <G A, A>: the least eigenvalue of its Gram."""
-    n = metric.chart.dim
+    n = metric.endo.chart.dim
     rep = ResidualReport()
     g = stack_values(metric.endo, points)
     rep.add("gmetric.symmetric", sup_norm(g - gta.adjoint(g)), points, DEFAULT_TOL)
@@ -434,17 +418,18 @@ def gmetric_check(metric: GeneralizedMetric, points) -> ResidualReport:
     return rep
 
 
-def gacm_check(m: Gacm, points) -> ResidualReport:
+def gacm_check(m: Gacs, points) -> ResidualReport:
     """Def 3.12: -Phi G Phi = G - E+ (x) E+ - E- (x) E-, plus metric axioms.
 
     The commutation Phi G = G Phi and the swaps G E+- = E-+ are reported as
     informational probes (no pass/fail), per the open question on whether
     they follow from the definition.
     """
-    rep = gacs_check(m.gacs, points)
-    rep.extend(gmetric_check(m.metric, points))
+    metric = require_metric(m, "gacm_check")
+    rep = gacs_check(m, points)
+    rep.extend(gmetric_check(metric, points))
     phi = stack_values(m.Phi, points)
-    g = stack_values(m.G, points)
+    g = stack_values(metric.endo, points)
     ep = stack_values(m.Eplus, points)
     em = stack_values(m.Eminus, points)
     compat = -(phi @ g @ phi) - (g - gta.tensor_pair(ep, ep) - gta.tensor_pair(em, em))
@@ -455,18 +440,18 @@ def gacm_check(m: Gacm, points) -> ResidualReport:
     return rep
 
 
-def dual_gacm(m: Gacm, points=None) -> Gacm:
-    """The companion structure (G, G Phi, G E+, G E-)."""
+def dual_gacm(m: Gacs, points=None) -> Gacs:
+    """The companion structure (G Phi, G E+, G E-) with the same metric G."""
+    metric = require_metric(m, "dual_gacm")
     if points is not None:
         rep = gacm_check(m, points)
         comm = rep["gacm.probe_phi_g_commute"].max_residual
         if not rep.passed or comm > 1e-6:
             raise ValueError(
-                f"dual_gacm needs a valid Gacm with Phi G = G Phi (probe {comm:.2e})"
+                f"dual_gacm needs a valid metric structure with Phi G = G Phi (probe {comm:.2e})"
             )
-    g = m.G
-    dual = Gacs(m.chart, g @ m.Phi, g.apply(m.Eplus), g.apply(m.Eminus))
-    return Gacm(dual, m.metric)
+    g = metric.endo
+    return Gacs(m.chart, g @ m.Phi, g.apply(m.Eplus), g.apply(m.Eminus), metric=metric)
 
 
 # -- eigenframe and involutivity ------------------------------------------------

@@ -44,8 +44,8 @@ def test_criterion_01_axiom_suite():
             worst = max(
                 worst, D.fgacs_check(products["gacs"], pts).max_residual
             )
-        if "gacm" in products:
-            worst = max(worst, S.gacm_check(products["gacm"], pts).max_residual)
+            if products["gacs"].metric is not None:
+                worst = max(worst, S.gacm_check(products["gacs"], pts).max_residual)
     verdict(1, worst < 1e-8, f"gallery axiom residual {worst:.3e} < 1e-8")
 
 
@@ -55,7 +55,7 @@ def test_criterion_02_phi_kernel_universality():
     worst = 0.0
     cases = 0
     for name in INT_NAMES:
-        s = GALLERY[name].get("gacs") or GALLERY[name]["gacm"].gacs
+        s = GALLERY[name]["gacs"]
         ch = s.chart
         pts = ch.sample(seed=88, count=20)
         worst = max(worst, S.phi_kernel_check(s, pts).max_residual)
@@ -125,7 +125,7 @@ def test_criterion_04_cone_algebra():
     worst_rt = 0.0
     for name in INT_NAMES:
         products = GALLERY[name]
-        s = products.get("gacs") or products["gacm"].gacs
+        s = products["gacs"]
         cpts = C.cone_points(s.chart.sample(seed=61, count=12))
         j = C.i_prime(s)
         worst_alg = max(worst_alg, C.gacx_check(j, cpts).max_residual)
@@ -145,7 +145,7 @@ def test_criterion_05_two_route_agreement():
     worst = 0.0
     for name in INT_NAMES:
         products = GALLERY[name]
-        s = products.get("gacs") or products["gacm"].gacs
+        s = products["gacs"]
         pts = s.chart.sample(seed=71, count=8)
         rep = I.cone_crosscheck(s, pts)
         for row in ("id1", "id2", "id3", "id4", "two_route_agreement"):
@@ -156,7 +156,7 @@ def test_criterion_05_two_route_agreement():
 def test_criterion_06_flagship_kahler_interval():
     products = GALLERY["kahler_interval"]
     pts = products["chart"].sample(seed=81, count=8)
-    gs = I.generalized_sasakian_check(products["gacm"], pts)
+    gs = I.generalized_sasakian_check(products["gacs"], pts)
     p = np.array([0.4, -0.2, np.pi / 4])
     crit = min(
         float(np.abs((acs.theta - F.d(acs.eta)).values(p)).max())
@@ -233,15 +233,15 @@ def test_criterion_09_cross_term_metric_and_cone_pair():
     ch = heis["chart"]
     pts = ch.sample(seed=121, count=8)
     alpha = 0.3 * F.basis_form(ch, 2)
-    s, rep = D.cross_term_metric_forward(heis["gacm"], alpha, pts)
+    s, rep = D.cross_term_metric_forward(heis["gacs"], alpha, pts)
     fwd = rep.max_residual
     bad = D.cross_term_metric_check(
-        D.k_plus(heis["gacm"].gacs, alpha + 0.1 * F.basis_form(ch, 0)),
-        heis["gacm"].metric.g,
+        D.k_plus(heis["gacs"], alpha + 0.1 * F.basis_form(ch, 0)),
+        heis["gacs"].metric.g,
         alpha,
         pts[:5],
     )["cross_term.compatibility"].max_residual
-    rep511 = D.cone_kahler_pair_check(heis["gacm"], 0.2 * F.basis_form(ch, 2), pts[:5])
+    rep511 = D.cone_kahler_pair_check(heis["gacs"], 0.2 * F.basis_form(ch, 2), pts[:5])
     comm = rep511["cone_pair.commutator"].max_residual
     pos_ok = rep511["cone_pair.positivity"].max_residual == 0.0
     ok = fwd < 1e-8 and bad > 1e-3 and comm < 1e-9 and pos_ok

@@ -303,6 +303,20 @@ def test_pipeline_with_f_zero_result_runs_the_gacs_checks(tmp_path, capsys):
     assert "gacs: gacs.skew" in out and "phi_kernel: gacs.phi_eplus" in out
 
 
+@pytest.mark.parametrize("kappa, code", [("0.1*(y-2)^-1", 0), ("0.1/(y-2)", 0),
+                                         ("0.1*y^0.5", 2)])
+def test_constant_exponents_are_real_powers(tmp_path, capsys, kappa, code):
+    """A constant exponent that is not a bare literal gives the real power, as 1/(y-2)
+    does; a fractional power of a negative is still refused as not real."""
+    cfg = write(tmp_path, "pow.json", {
+        "structure": {"chart": {"dim": 3}, "builder": "from_contact", "eta": ["-y", "0", "1"]},
+        "apply": [{"op": "k_minus", "kappa": [kappa, "0", "0"]}],
+        "checks": ["fgacs"], "samples": 6,
+    })
+    assert main(["verify", cfg]) == code
+    assert ("kappa is not real and finite" in capsys.readouterr().err) == (code == 2)
+
+
 def test_bad_b_field_rejected(tmp_path, capsys):
     cfg = write(
         tmp_path,
@@ -551,24 +565,27 @@ def test_apply_on_a_cone_reference_exits_two(tmp_path, capsys):
 
 
 def test_pipeline_steps_keep_or_drop_the_metric():
-    """A B-field keeps the metric (gacm.gacs is gacs); K+- and normalize drop it;
+    """A B-field keeps the metric on the one structure; K+- and normalize drop it;
     every step drops the classical structures."""
     def subject(steps):
         return config.parse_config({"structure": HEIS_ACS_G, "apply": steps}).subject
 
     for steps in ([B_STEP], [B_STEP, B_STEP]):
         s = subject(steps)
-        assert s.gacm is not None and s.gacm.gacs is s.gacs and s.classical == ()
+        assert s.gacs.metric is not None and s.need_metric("gacm") is s.gacs
+        assert s.classical == ()
     for steps in ([K_PLUS], [B_STEP, {"op": "normalize"}], [B_STEP, K_PLUS]):
         s = subject(steps)
-        assert s.gacm is None and s.gacs is not None and s.classical == ()
+        assert s.gacs is not None and s.gacs.metric is None and s.classical == ()
 
 
 def test_a_gallery_reference_holds_the_cached_records():
-    """Gallery records are referenced, not rebuilt, so their cached frames and duals are shared."""
+    """Gallery records are referenced, not rebuilt, so their cached frames and duals are
+    shared: the subject's one structure is the entry's record, which carries the metric."""
     built = gallery.build("kahler_interval")
     s = config.parse_structure({"gallery": "kahler_interval"})
-    assert s.gacm is built["gacm"] and s.gacs is built["gacs"]
+    assert s.gacs is built["gacs"] and s.gacs.metric is not None
+    assert s.need_metric("gacm") is s.gacs
     assert s.classical == tuple(built["acs_pair"])
 
 

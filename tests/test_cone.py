@@ -118,7 +118,7 @@ def test_psi_block_matrix_display():
 
 def test_cone_gacx_all_gallery():
     for entry in (DARBOUX, HEIS, KAHLER):
-        s = entry.get("gacs") or entry["gacm"].gacs
+        s = entry["gacs"]
         j = C.i_prime(s)
         rep = C.gacx_check(j, cpts(entry))
         assert rep.passed and rep.max_residual < 1e-9
@@ -130,7 +130,7 @@ def test_cone_gacx_radial_action():
     s = HEIS["gacs"]
     j = C.i_prime(s)
     for q in cpts(HEIS, count=3):
-        m = j.J.values(q)
+        m = j.values(q)
         ddt = np.zeros(8)
         ddt[3] = 1.0
         ep = np.zeros(8, dtype=complex)
@@ -148,7 +148,7 @@ def test_classical_restriction_is_cone_i():
     j = C.i_prime(HEIS["gacs"], cc)
     imat = classical_cone_i(HEIS["acs"], cc)
     for q in cpts(HEIS, count=4):
-        assert np.abs(j.J.values(q)[:4, :4] - imat.values(q)).max() < 1e-13
+        assert np.abs(j.values(q)[:4, :4] - imat.values(q)).max() < 1e-13
 
 
 def test_r_conjugate_properties():
@@ -157,12 +157,12 @@ def test_r_conjugate_properties():
     jr = C.r_conjugate(j)
     p = DARBOUX["chart"].sample(seed=9, count=1)[0]
     at0 = np.concatenate([p, [0.0]])
-    assert np.abs(jr.J.values(at0) - j.J.values(at0)).max() < 1e-13
+    assert np.abs(jr.values(at0) - j.values(at0)).max() < 1e-13
     # pointwise conjugation by diag(e^-t, e^t)
     q = np.concatenate([p, [0.6]])
     scale = np.concatenate([np.full(4, np.exp(-0.6)), np.full(4, np.exp(0.6))])
-    expected = np.diag(scale) @ j.J.values(q) @ np.diag(1 / scale)
-    assert np.abs(jr.J.values(q) - expected).max() < 1e-12
+    expected = np.diag(scale) @ j.values(q) @ np.diag(1 / scale)
+    assert np.abs(jr.values(q) - expected).max() < 1e-12
 
 
 def r_structures():
@@ -191,8 +191,8 @@ def test_r_conjugate_equals_the_dense_product_bit_for_bit():
     """The diagonal scaling (r_i J_ik) r_k^-1 equals (R @ J) @ R^-1 with dense
     jet matrices at order 2: each einsum entry is one product plus exact zeros."""
     for s, j, q in r_structures():
-        dense = (C.r_endo(j.chart) @ j.J) @ dense_r_inv(j.chart)
-        assert_jets_equal(C.r_conjugate(j).J.jet(q, 2), dense.jet(q, 2),
+        dense = (C.r_endo(j.chart) @ j) @ dense_r_inv(j.chart)
+        assert_jets_equal(C.r_conjugate(j).jet(q, 2), dense.jet(q, 2),
                           ("value", "grad", "hess"), s.chart.dim)
 
 
@@ -211,7 +211,7 @@ def test_conjugated_cone_frame_equals_r_applied_bit_for_bit():
 
 def test_cone_decompose_round_trip():
     for entry in (DARBOUX, HEIS, KAHLER):
-        s = entry.get("gacs") or entry["gacm"].gacs
+        s = entry["gacs"]
         out = C.cone_decompose(C.i_prime(s))
         assert isinstance(out, S.Gacs) and out.f is None
         pts = entry["chart"].sample(seed=29, count=6)
@@ -234,7 +234,7 @@ def test_cone_decompose_of_radial_b_transform_is_k_minus():
     cc = cone_of(DARBOUX)
     kappa = F.basis_form(DARBOUX["chart"], 2)  # dz
     b = D.cone_kappa_form(cc, kappa, radial=False)
-    j = C.ConeGacx(cc, *F.b_action(b, C.i_prime(s, cc).J))
+    (j,) = F.b_action(b, C.i_prime(s, cc))
     out = C.cone_decompose(j)
     assert isinstance(out, S.Gacs) and out.f is not None
     expected = D.k_minus(s, kappa)
@@ -248,7 +248,7 @@ def test_cone_decompose_rejects_t_dependence():
     t = F.coordinate(cc, 3)
     et = F.ScalarField(cc, lambda p, o: J.exp(t.at(p, o)))
     b = et * F.wedge11(F.basis_form(cc, 0), F.basis_form(cc, 1))
-    j = C.ConeGacx(cc, *F.b_action(b, C.i_prime(s, cc).J))
+    (j,) = F.b_action(b, C.i_prime(s, cc))
     with pytest.raises(ValueError, match="depends on t"):
         C.cone_decompose(j)
 
@@ -271,7 +271,7 @@ def test_psi_f_and_i_prime():
         assert rep.passed and rep.max_residual < 1e-9
 
     # I'(d/dt) = -(E+^f) - f d/dt in this orientation
-    ip = C.i_prime(s1, cc).J
+    ip = C.i_prime(s1, cc)
     for q in cpts(DARBOUX, count=3):
         m = ip.values(q)
         ddt = np.zeros(8)
@@ -289,7 +289,7 @@ def test_gacx_plus_frame_spans_eigenbundle():
     members = C.gacx_plus_frame(j)
     assert len(members) == 4
     for q in cpts(HEIS, count=3):
-        m = j.J.values(q)
+        m = j.values(q)
         for mem in members:
             v = mem.values(q)
             assert np.abs(m @ v - 1j * v).max() < 1e-9
@@ -303,8 +303,7 @@ def test_frame_shortfall_messages():
     flat = S.Gacs(ch, minus_i, s.Eplus, s.Eminus)
     with pytest.raises(ValueError, match=r"^eigenframe rank dropped to 0 \(< 2\) at the base point$"):
         S.eigenframe(flat)
-    cone_minus_i = C.ConeGacx(
-        cc, F.GtEndoField(cc, lambda p, o: J.lift(-1j * np.eye(8), 4, o, p.shape[:-1])))
+    cone_minus_i = F.GtEndoField(cc, lambda p, o: J.lift(-1j * np.eye(8), 4, o, p.shape[:-1]))
     with pytest.raises(ValueError, match=r"^cone eigenframe rank dropped to 0 \(< 4\)$"):
         C.gacx_plus_frame(cone_minus_i)
 

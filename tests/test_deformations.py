@@ -161,18 +161,18 @@ def test_cross_term_metric_forward_and_identities():
     ch = HEIS["chart"]
     pts = ch.sample(seed=11, count=6)
     alpha = 0.3 * F.basis_form(ch, 2)
-    s, rep = D.cross_term_metric_forward(HEIS["gacm"], alpha, pts)
+    s, rep = D.cross_term_metric_forward(HEIS["gacs"], alpha, pts)
     assert rep.passed and rep.max_residual < 1e-8
     assert D.fgacs_check(s, pts).passed
 
     # alpha = 0 reduces to the classical compatibility
     zero = 0 * F.basis_form(ch, 2)
-    _, rep0 = D.cross_term_metric_forward(HEIS["gacm"], zero, pts)
+    _, rep0 = D.cross_term_metric_forward(HEIS["gacs"], zero, pts)
     assert rep0["cross_term.compatibility"].max_residual < 1e-9
 
     # an off-construction alpha is detected
     bad = alpha + 0.1 * F.basis_form(ch, 0)
-    rep_bad = D.cross_term_metric_check(s, HEIS["gacm"].metric.g, bad, pts)
+    rep_bad = D.cross_term_metric_check(s, HEIS["gacs"].metric.g, bad, pts)
     assert rep_bad["cross_term.compatibility"].max_residual > 1e-3
 
 
@@ -182,8 +182,8 @@ def test_cross_term_only_if_direction():
     pts = ch.sample(seed=11, count=4)
     alpha = 0.3 * F.basis_form(ch, 2)
     other = alpha + 0.1 * F.basis_form(ch, 0)
-    s_other = D.k_plus(HEIS["gacm"].gacs, other)
-    rep = D.cross_term_metric_check(s_other, HEIS["gacm"].metric.g, alpha, pts)
+    s_other = D.k_plus(HEIS["gacs"], other)
+    rep = D.cross_term_metric_check(s_other, HEIS["gacs"].metric.g, alpha, pts)
     assert rep["cross_term.compatibility"].max_residual > 1e-3
 
 
@@ -192,7 +192,7 @@ def test_cone_kahler_pair():
     pts = ch.sample(seed=13, count=4)
     for coef in (0.0, 0.2):
         alpha = coef * F.basis_form(ch, 2)
-        rep = D.cone_kahler_pair_check(HEIS["gacm"], alpha, pts)
+        rep = D.cone_kahler_pair_check(HEIS["gacs"], alpha, pts)
         assert rep.passed
         assert rep["cone_pair.commutator"].max_residual < 1e-9
         assert rep["cone_pair.positivity"].max_residual == 0.0
@@ -206,10 +206,10 @@ def test_cone_pair_violated_by_one_sided_deformation():
     cone = __import__("gencontact.charts", fromlist=["ConeChart"]).ConeChart.over(ch)
     from gencontact.cone import i_prime
 
-    s1 = D.k_minus(D.k_plus(HEIS["gacm"].gacs, alpha), alpha)
-    s2 = D.k_plus(S.dual_gacm(HEIS["gacm"]).gacs, alpha)
-    i1 = i_prime(s1, cone).J
-    i2 = i_prime(s2, cone).J
+    s1 = D.k_minus(D.k_plus(HEIS["gacs"], alpha), alpha)
+    s2 = D.k_plus(S.dual_gacm(HEIS["gacs"]), alpha)
+    i1 = i_prime(s1, cone)
+    i2 = i_prime(s2, cone)
     worst = 0.0
     for p in D.cone_points(pts, (-0.3, 0.4)):
         a, b = i1.values(p), i2.values(p)
@@ -221,17 +221,17 @@ def test_fgacm_witness_and_f_sasakian():
     ch = KAHLER["chart"]
     pts = ch.sample(seed=19, count=3)
     zero = 0 * F.basis_form(ch, 2)
-    rep = D.f_sasakian_check(KAHLER["gacm"], zero, zero, pts)
+    rep = D.f_sasakian_check(KAHLER["gacs"], zero, zero, pts)
     assert rep.passed and rep.max_residual < 1e-7
 
     # small beta deformation: residuals are reported, not asserted
     beta = 0.1 * F.basis_form(ch, 2)
-    rep2 = D.f_sasakian_check(KAHLER["gacm"], zero, beta, pts)
+    rep2 = D.f_sasakian_check(KAHLER["gacs"], zero, beta, pts)
     assert all(r.max_residual >= 0 for r in rep2.rows)
 
 
 # SHA-256 of the to_json() reports of the two deformation checks that read
-# Gacm.dual: f_sasakian reaches the R-conjugated cone structure through i_map,
+# Gacs.dual: f_sasakian reaches the R-conjugated cone structure through i_map,
 # cone_kahler_pair the unconjugated one through i_prime.  No gallery digest
 # covers them; as for the gallery pins, a re-pin must say in CHANGES.md why the
 # report moved.
@@ -246,14 +246,14 @@ def report_sha256(rep):
 def test_f_sasakian_report_bytes_are_pinned():
     ch = KAHLER["chart"]
     zero = 0 * F.basis_form(ch, 2)
-    rep = D.f_sasakian_check(KAHLER["gacm"], zero, zero, ch.sample(seed=19, count=3))
+    rep = D.f_sasakian_check(KAHLER["gacs"], zero, zero, ch.sample(seed=19, count=3))
     assert report_sha256(rep) == F_SASAKIAN_SHA256
 
 
 def test_cone_kahler_pair_report_bytes_are_pinned():
     ch = HEIS["chart"]
     alpha = 0.2 * F.basis_form(ch, 2)
-    rep = D.cone_kahler_pair_check(HEIS["gacm"], alpha, ch.sample(seed=13, count=4))
+    rep = D.cone_kahler_pair_check(HEIS["gacs"], alpha, ch.sample(seed=13, count=4))
     assert report_sha256(rep) == CONE_PAIR_SHA256
 
 
@@ -261,7 +261,7 @@ def test_f_sasakian_random_deformation_fails():
     ch = KAHLER["chart"]
     pts = ch.sample(seed=19, count=3)
     alpha = F.one_form(ch, [F.coordinate(ch, 1), F.constant(ch, 0), F.constant(ch, 0)])
-    rep = D.f_sasakian_check(KAHLER["gacm"], alpha, 0 * alpha, pts)
+    rep = D.f_sasakian_check(KAHLER["gacs"], alpha, 0 * alpha, pts)
     assert rep.max_residual > 1e-3
 
 
@@ -312,7 +312,7 @@ def test_i_prime_of_f_none_equals_the_zero_f_reference():
     """With f = None, Psi builds no f-extension; with a zero f it adds 0 * (dt (x) d/dt - ...)."""
     for name, s, ref in NONE_AND_ZERO_F:
         pts = C.cone_points(s.chart.sample(seed=62, count=3), (-0.5, 0.25))
-        assert_jets_equal(C.i_prime(s).J, C.i_prime(ref).J, pts, name)
+        assert_jets_equal(C.i_prime(s), C.i_prime(ref), pts, name)
 
 
 def test_fgacs_check_and_normalize_of_f_none_equal_the_zero_f_reference():

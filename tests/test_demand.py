@@ -135,7 +135,7 @@ def test_max_nij_over_frame_hands_frame_nij_order_one_jets(monkeypatch):
 
 def test_cone_crosscheck_hands_frame_nij_order_one_jets(monkeypatch):
     orders = _frame_orders(monkeypatch)
-    s = gallery.heisenberg_cone_kahler()["gacm"].gacs
+    s = gallery.heisenberg_cone_kahler()["gacs"]
     assert I.cone_crosscheck(s, s.chart.sample(seed=4, count=2), ts=(0.1,)).passed
     assert orders and set(orders) == {1}
 

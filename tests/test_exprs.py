@@ -20,6 +20,23 @@ def val(expr, p):
     return parse_scalar(expr, CH).values(np.asarray(p, dtype=float))
 
 
+@pytest.mark.parametrize("power, quotient", [("y^-1", "1/y"), ("(y-2)^-1", "1/(y-2)"),
+                                             ("x^(0-2)", "1/(x*x)")])
+def test_constant_exponents_equal_the_quotients(power, quotient):
+    """An exponent that folds to a real constant is a real power, not exp(b log a):
+    no imaginary rounding at a negative base."""
+    pts = np.array([[0.3, -0.5, 0.1], [-0.7, 0.4, -0.2], [0.9, -0.9, 0.5]])
+    for order in (0, 1, 2):
+        got = parse_scalar(power, CH).jet(pts, order)
+        ref = parse_scalar(quotient, CH).jet(pts, order)
+        for a, b in zip((got.value, got.grad, got.hess), (ref.value, ref.grad, ref.hess)):
+            if b is None:
+                assert a is None
+                continue
+            assert not np.any(a.imag)
+            np.testing.assert_allclose(a.real, b.real, rtol=1e-14, atol=1e-14)
+
+
 def test_basic_arithmetic_and_precedence():
     assert val("1+2*3", [0, 0, 0]) == pytest.approx(7)
     assert val("(1+2)*3", [0, 0, 0]) == pytest.approx(9)
@@ -100,10 +117,14 @@ def tree_walk(node, seed: J.JetArray):
     if kind == "/":
         return a / b
     if kind == "^":
-        if node[2][0] == "num":
-            return J.powc(a, node[2][1])
+        if coordinate_free(node[2]) and not b.value.imag.any():
+            return J.powc(a, float(b.value.real.flat[0]))  # a real constant exponent
         return J.powc(a, b)
     raise AssertionError(f"unhandled node {kind}")
+
+
+def coordinate_free(node) -> bool:
+    return node[0] != "coord" and all(coordinate_free(c) for c in node[1:] if isinstance(c, tuple))
 
 
 LITERALS = st.sampled_from(["0.3", "2", "1.5", "0.125", "3e-1", "7", ".5", "0"])

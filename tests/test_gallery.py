@@ -177,7 +177,7 @@ def test_kahler_interval_criterion_value():
 def test_sasakian_to_gs_probes():
     hck = gallery.build("heisenberg_cone_kahler")
     pts = hck["chart"].sample(seed=7, count=8)
-    m = hck["gacm"]
+    m = hck["gacs"]
     rep = S.gacm_check(m, pts)
     assert rep.passed
     assert rep["gacm.probe_g_swaps_e"].max_residual < 1e-9  # g(xi, .) = eta
@@ -190,7 +190,7 @@ def test_closed_b_transform_keeps_gacm_but_not_gsas():
     ch = hck["chart"]
     pts = ch.sample(seed=7, count=6)
     b = F.wedge11(F.basis_form(ch, 0), F.basis_form(ch, 1))  # closed
-    moved = S.b_transform_gacm(hck["gacm"], b)
+    moved = S.b_transform(hck["gacs"], b)
     assert S.gacm_check(moved, pts).passed
     rep = I.generalized_sasakian_check(moved, pts[:3])
     assert rep.max_residual > 1e-3
@@ -361,11 +361,14 @@ def test_b_field_gacm_report_bytes_are_pinned(name, tmp_path):
 
 
 def test_an_entry_with_a_metric_holds_one_gacs():
-    """An entry's Gacs is its Gacm's, not a second build of the same structure."""
-    both = [n for n in gallery.names() if {"gacs", "gacm"} <= set(gallery.build(n))]
-    assert len(both) == 3
-    for name in both:
-        assert gallery.build(name)["gacs"] is gallery.build(name)["gacm"].gacs, name
+    """An entry with a metric holds one record, its Gacs, and that record carries the
+    metric: no second record wraps the same structure."""
+    with_metric = [n for n in gallery.names() if gallery.build(n)["gacs"].metric is not None]
+    assert len(with_metric) == 3
+    for name in with_metric:
+        built = gallery.build(name)
+        assert "gacm" not in built, name
+        assert isinstance(built["gacs"].metric, S.GeneralizedMetric), name
 
 
 def test_pinned_reports_cover_every_entry():

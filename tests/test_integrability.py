@@ -1,6 +1,7 @@
 """Involutivity, the conjugated-cone condition residuals, the cone
 cross-check, normality, the pair conditions and the Sasakian criteria."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -59,7 +60,7 @@ def test_plain_cone_perturbed_fails_both_routes():
 
 def test_conjugated_cone_rhs_vanishes_on_pure_e10_triples():
     """<E-, A> = 0 for frame members orthogonal to E+-, so the RHS drops."""
-    frame = S.eigenframe(KAHLER["gacm"].gacs)
+    frame = S.eigenframe(KAHLER["gacs"])
     for p in pts(KAHLER, 4):
         em = frame.eminus.at(p)
         for a in frame.e10:
@@ -69,7 +70,7 @@ def test_conjugated_cone_rhs_vanishes_on_pure_e10_triples():
 
 def test_rcone_condition_gallery_values():
     assert I.conjugated_cone_residual(HEIS["gacs"], pts(HEIS)).max_residual < 1e-7
-    assert I.conjugated_cone_residual(KAHLER["gacm"].gacs, pts(KAHLER)).max_residual < 1e-7
+    assert I.conjugated_cone_residual(KAHLER["gacs"], pts(KAHLER)).max_residual < 1e-7
     # Darboux's bivector lift is not normal; with the frame normalisation
     # (members are halves of e1 - i dy etc.) the residual per triple is
     # |Nij - RHS| = |(-1/2) - (-1)| / 4 = 1/8, straight from the brackets
@@ -80,7 +81,7 @@ def test_rcone_condition_gallery_values():
 
 def test_crosscheck_identities_and_agreement():
     for entry in (DARBOUX, HEIS, KAHLER):
-        s = entry.get("gacs") or entry["gacm"].gacs
+        s = entry["gacs"]
         rep = I.cone_crosscheck(s, pts(entry, 5))
         for name in ("id1", "id2", "id3", "id4", "two_route_agreement"):
             assert rep[f"crosscheck.{name}"].max_residual < 1e-8, (entry, name)
@@ -269,7 +270,7 @@ def test_frame_nij_matches_the_per_triple_loop():
     sample = d3["chart"].sample(seed=5, count=2)
     assert frame_nij_gap(S.eigenframe(d3["gacs"]).l_plus, sample) > 0.1
     assert all(shared_l_tables_exact(s.frame, s.chart.sample(seed=7, count=4)) for s in (
-        DARBOUX["gacs"], HEIS["gacs"], HEIS_CK["gacm"].gacs, KAHLER["gacm"].gacs,
+        DARBOUX["gacs"], HEIS["gacs"], HEIS_CK["gacs"], KAHLER["gacs"],
         twisted_darboux(), d3["gacs"]))
 
 
@@ -322,13 +323,13 @@ def ordered_pairs_nij(jets, n):
 
 
 def frame_structures():
-    """The four gallery Gacs, the dual-gacm companions of those with a Gacm, darboux(3)."""
+    """The four gallery Gacs, the dual-gacm companions of those with a metric, darboux(3)."""
     out = []
     for name in gallery.names():
         entry = gallery.build(name)
         out.append(entry["gacs"])
-        if "gacm" in entry:
-            out.append(S.dual_gacm(entry["gacm"]).gacs)
+        if entry["gacs"].metric is not None:
+            out.append(S.dual_gacm(entry["gacs"]))
     return out + [gallery.darboux(3)["gacs"]]
 
 
@@ -426,7 +427,8 @@ def test_row_block_table_equals_the_gathered_pairs_table_on_darboux_frames():
 
 
 def test_row_block_table_equals_the_gathered_pairs_table_on_the_gallery():
-    """The gallery Gacs, the duals of its Gacm and their cone frames, plain and R-conjugated."""
+    """The gallery Gacs, the duals of those with a metric and their cone frames, plain and
+    R-conjugated."""
     for s in frame_structures():
         for members, points, n in nij_frames(s, s.chart.sample(seed=3, count=4)):
             prefix_tables_exact(members, points, n)
@@ -515,7 +517,7 @@ def test_rcone_gaps_pairs_each_member_pair_once(monkeypatch):
 
 @pytest.mark.parametrize("build", [
     lambda: gallery.darboux(3)["gacs"],  # 8 cone members, 56 triples
-    lambda: KAHLER["gacm"].gacs,  # 4 cone members, 4 triples
+    lambda: KAHLER["gacs"],  # 4 cone members, 4 triples
 ], ids=["darboux3", "kahler_interval"])
 def test_identity_masks_cover_each_cone_triple_once(build):
     """id1-id4 split the cone frame's triples by F+ (index m - 2) and F- (m - 1)."""
@@ -568,7 +570,7 @@ def test_generalized_sasakian_computes_each_nij_once(monkeypatch):
     two branches of one Nij_M and one Nij_C table, one frame_nij call each,
     each bracketing every member pair once."""
     log = record_brackets(monkeypatch)
-    m = gallery.heisenberg_sasakian()["gacm"]  # fresh frames, with no table kept yet
+    m = gallery.heisenberg_sasakian()["gacs"]  # fresh frames, with no table kept yet
     rep = I.generalized_sasakian_check(m, pts(HEIS, 5))
     assert [event[:2] for event in log] == [("table", 4)] * (2 * 2)
     assert bracket_sizes(log) == [6] * (2 * 2)
@@ -577,7 +579,7 @@ def test_generalized_sasakian_computes_each_nij_once(monkeypatch):
 
 
 def test_generalized_sasakian_builds_the_dual_once(monkeypatch):
-    """The dual structure is Gacm.dual, kept with the Gacm: two checks build
+    """The dual structure is Gacs.dual, kept with the structure: two checks build
     one eigenframe per branch, not a new dual frame per check."""
     calls = []
     original = S.eigenframe
@@ -587,7 +589,7 @@ def test_generalized_sasakian_builds_the_dual_once(monkeypatch):
         return original(s, *args)
 
     monkeypatch.setattr(S, "eigenframe", counting)
-    m = gallery.kahler_interval()["gacm"]  # fresh, with no frame or dual kept yet
+    m = gallery.kahler_interval()["gacs"]  # fresh, with no frame or dual kept yet
     for _ in range(2):
         I.generalized_sasakian_check(m, pts(KAHLER, 4))
     assert len(calls) == 2
@@ -723,20 +725,20 @@ def test_vaisman_requires_metric():
 
 
 def test_generalized_sasakian_kahler_interval():
-    rep = I.generalized_sasakian_check(KAHLER["gacm"], pts(KAHLER, 5))
+    rep = I.generalized_sasakian_check(KAHLER["gacs"], pts(KAHLER, 5))
     assert rep.passed and rep.max_residual < 1e-7
 
 
 def test_generalized_sasakian_cone_kahler_heisenberg():
     """The metric lift of a cone-Kaehler Sasakian structure passes both branches."""
-    rep = I.generalized_sasakian_check(HEIS_CK["gacm"], pts(HEIS_CK, 5))
+    rep = I.generalized_sasakian_check(HEIS_CK["gacs"], pts(HEIS_CK, 5))
     assert rep.passed and rep.max_residual < 1e-7
 
 
 def test_generalized_sasakian_needs_cone_kahler_normalisation():
     """With theta = d eta (determinant convention) the companion branch fails:
     closure of the cone 2-form needs 2 theta = d eta."""
-    rep = I.generalized_sasakian_check(HEIS["gacm"], pts(HEIS, 4))
+    rep = I.generalized_sasakian_check(HEIS["gacs"], pts(HEIS, 4))
     assert rep["gsas.phi.rcone_condition.residual"].max_residual < 1e-8
     assert rep["gsas.gphi.rcone_condition.residual"].max_residual > 1e-2
     # the proof identities hold regardless: only the verdict differs
@@ -754,7 +756,7 @@ def test_generalized_sasakian_detuned_metric_fails():
     g1 = F.matrix_field(ch, [[one, zero, zero], [zero, one, zero], [zero, zero, one]])
     omega_prime = F.wedge11(F.basis_form(ch, 0), F.basis_form(ch, 1))
     metric = S.gmetric_from_gb(g1, -1 * (c2z * omega_prime))
-    detuned = S.Gacm(KAHLER["gacm"].gacs, metric)
+    detuned = replace(KAHLER["gacs"], metric=metric)
     assert not S.gacm_check(detuned, pts(KAHLER, 4)).passed
     rep = I.generalized_sasakian_check(detuned, pts(KAHLER, 3))
     assert rep.max_residual > 1e-3
@@ -878,8 +880,8 @@ def test_eigenprojector_columns_equal_the_candidate_chain():
     for name in gallery.names():
         entry = gallery.build(name)
         structures.append(entry["gacs"])
-        if "gacm" in entry:
-            structures += [entry["gacm"].gacs, S.dual_gacm(entry["gacm"]).gacs]
+        if entry["gacs"].metric is not None:
+            structures.append(S.dual_gacm(entry["gacs"]))
     for s in structures:
         assert eigenprojector_exact(s, s.chart.sample(seed=11, count=3))
 
@@ -906,7 +908,7 @@ def test_pivot_column_fields_equal_the_full_projector_columns():
         assert jets_match(s.frame.e10, S.projector_columns(full, s.frame.pivots), points)
         for j in (C.i_prime(s), C.i_map(s)):
             cone = j.chart
-            full = S.eigen_projector(j.J)
+            full = S.eigen_projector(j)
             cols = S.pivoted_frame(full, cone.sample(seed=0, count=1)[0], cone.dim, "{} < {}")
             assert jets_match(C.gacx_plus_frame(j), S.projector_columns(full, cols),
                               C.cone_points(points[:2]))
@@ -914,11 +916,11 @@ def test_pivot_column_fields_equal_the_full_projector_columns():
 
 def test_cone_projector_columns_equal_the_candidate_chain():
     for entry in (DARBOUX, KAHLER):
-        s = entry.get("gacs") or entry["gacm"].gacs
+        s = entry["gacs"]
         j = C.i_map(s)
         cone_pts = C.cone_points(pts(entry, 2), (-0.3, 0.4))
-        chain = candidate_chain(j.J)
-        columns = S.projector_columns(S.eigen_projector(j.J), range(len(chain)))
+        chain = candidate_chain(j)
+        columns = S.projector_columns(S.eigen_projector(j), range(len(chain)))
         assert jets_match(columns, chain, cone_pts)
         members = C.gacx_plus_frame(j)
         old = [chain[k] for k in chain_pivots(chain, j.chart.dim)]

@@ -1,5 +1,7 @@
 """Structure records, constructors, axiom checkers, B-transforms, eigenframes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -171,7 +173,7 @@ def test_gmetric_from_gb_blocks():
     """Factorised construction matches the expanded block formula."""
     ch = KAHLER["chart"]
     pts = PTS["kahler_interval"]
-    metric = KAHLER["gacm"].metric
+    metric = KAHLER["gacs"].metric
     g, b = metric.g, metric.b
     for p in pts[:6]:
         gv = g.values(p)
@@ -186,7 +188,7 @@ def test_gmetric_from_gb_blocks():
 def test_gmetric_axioms_and_b0_shape():
     ch = HEIS["chart"]
     pts = PTS["heisenberg_sasakian"]
-    metric = HEIS["gacm"].metric
+    metric = HEIS["gacs"].metric
     rep = S.gmetric_check(metric, pts)
     assert rep.passed
     for p in pts[:3]:
@@ -202,7 +204,7 @@ def test_positivity_is_the_least_eigenvalue_of_the_pairing():
     from gencontact.report import stack_values
 
     assert gta.least_pairing(np.eye(6)) == pytest.approx(-0.5)
-    metric = HEIS["gacm"].metric
+    metric = HEIS["gacs"].metric
     assert gta.least_pairing(stack_values(metric.endo, PTS["heisenberg_sasakian"])) > 0.1
 
 
@@ -218,28 +220,28 @@ def test_gmetric_rejects_singular():
 
 def test_gacm_check_and_perturbation():
     pts = PTS["heisenberg_sasakian"]
-    rep = S.gacm_check(HEIS["gacm"], pts)
+    rep = S.gacm_check(HEIS["gacs"], pts)
     assert rep.passed and rep.max_residual < 1e-9
     assert rep["gacm.probe_phi_g_commute"].max_residual < 1e-9
     assert rep["gacm.probe_g_swaps_e"].max_residual < 1e-9
 
     ch = HEIS["chart"]
     bad_b = 0.3 * F.wedge11(F.basis_form(ch, 0), F.basis_form(ch, 2))
-    swapped = S.Gacm(HEIS["gacm"].gacs, S.gmetric_from_gb(HEIS["acs"].g, bad_b))
+    swapped = replace(HEIS["gacs"], metric=S.gmetric_from_gb(HEIS["acs"].g, bad_b))
     rep2 = S.gacm_check(swapped, pts[:6])
     assert rep2["gacm.compatibility"].max_residual > 1e-2
 
 
 def test_gacm_kahler_interval():
     pts = PTS["kahler_interval"]
-    rep = S.gacm_check(KAHLER["gacm"], pts)
+    rep = S.gacm_check(KAHLER["gacs"], pts)
     assert rep.passed and rep.max_residual < 1e-9
     assert rep["gacm.probe_g_swaps_e"].max_residual < 1e-9
 
 
 def test_dual_gacm_involution():
     pts = PTS["heisenberg_sasakian"]
-    m = HEIS["gacm"]
+    m = HEIS["gacs"]
     dual = S.dual_gacm(m, points=pts[:4])
     assert S.gacm_check(dual, pts).passed
     twice = S.dual_gacm(dual)
@@ -253,23 +255,63 @@ def test_dual_gacm_involution():
     assert dev < 1e-10
 
 
+def test_b_transform_of_a_metric_structure_is_one_b_action():
+    """A B-field acts on (G, Phi, E+, E-) at once: the values equal those of one
+    direct ``b_action`` call, G first, bit for bit, and the metric axioms survive
+    a closed and a non-closed B alike."""
+    hck = gallery.build("heisenberg_cone_kahler")
+    s, ch = hck["gacs"], hck["chart"]
+    pts = ch.sample(seed=7, count=6)
+    closed = F.wedge11(F.basis_form(ch, 0), F.basis_form(ch, 1))
+    wild = F.wedge11(F.coordinate(ch, 2) * F.basis_form(ch, 0), F.basis_form(ch, 1))
+    for b in (closed, wild):
+        moved = S.b_transform(s, b)
+        direct = F.b_action(b, s.metric.endo, s.Phi, s.Eplus, s.Eminus)
+        got = (moved.metric.endo, moved.Phi, moved.Eplus, moved.Eminus)
+        for mine, ref in zip(got, direct):
+            assert np.array_equal(mine.values(pts), ref.values(pts))
+        assert moved.f is None and moved.metric.g is None
+        assert S.gacm_check(moved, pts).passed
+
+
+def test_a_structure_without_a_metric_is_refused_by_name():
+    s = DARBOUX["gacs"]
+    assert s.metric is None
+    with pytest.raises(ValueError, match="^gacm_check needs a generalized metric$"):
+        S.gacm_check(s, PTS["darboux"])
+    with pytest.raises(ValueError, match="^dual_gacm needs a generalized metric$"):
+        s.dual
+    from gencontact import deformations as D
+    from gencontact import integrability as I
+
+    pts, alpha = PTS["darboux"][:2], F.basis_form(s.chart, 2)
+    for name, check in (
+        ("generalized_sasakian_check", lambda: I.generalized_sasakian_check(s, pts)),
+        ("cross_term_metric_forward", lambda: D.cross_term_metric_forward(s, alpha, pts)),
+        ("cone_kahler_pair_check", lambda: D.cone_kahler_pair_check(s, alpha, pts)),
+        ("f_sasakian_check", lambda: D.f_sasakian_check(s, alpha, alpha, pts)),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} needs a generalized metric$"):
+            check()
+
+
 def test_dual_gacm_kahler_is_minus_phi_branch():
     """The companion structure of the warped interval is the -phi classical lift."""
     pts = PTS["kahler_interval"][:5]
-    dual = S.dual_gacm(KAHLER["gacm"])
+    dual = S.dual_gacm(KAHLER["gacs"])
     classical = S.b_transform(S.gacs_from_acs(KAHLER["acs_pair"][1]), KAHLER["b"])
     dev = max(np.abs(dual.Phi.values(p) - classical.Phi.values(p)).max() for p in pts)
     assert dev < 1e-12
     # and its marker sections are the G-swapped ones
     for p in pts[:2]:
-        assert np.allclose(dual.Eplus.values(p), KAHLER["gacm"].Eminus.values(p))
-        assert np.allclose(dual.Eminus.values(p), KAHLER["gacm"].Eplus.values(p))
+        assert np.allclose(dual.Eplus.values(p), KAHLER["gacs"].Eminus.values(p))
+        assert np.allclose(dual.Eminus.values(p), KAHLER["gacs"].Eplus.values(p))
 
 
 def test_eigenframe_properties():
     for name in ("darboux", "heisenberg_sasakian", "kahler_interval"):
         e = gallery.build(name)
-        s = e.get("gacs") or e["gacm"].gacs
+        s = e["gacs"]
         pts = PTS[name]
         frame = S.eigenframe(s, sample_points=pts[:6])
         assert len(frame.e10) == 2  # (2n - 2) / 2 with n = 3

@@ -9,6 +9,12 @@ which imports that tree's own ``src`` and ``benchmarks/workloads.py``.  The
 script prints ``workloads.digest`` and ``workloads.margin_decades`` of both
 trees side by side and exits 1 if any digest or margin differs, else 0.  An
 op that raises counts as a difference, named in the table.
+
+For each (workload, seed) pair that differs, a second table reads the first
+op whose report differs: one line per row whose verdict or ``max_residual``
+moved, with both verdicts, both residuals, the absolute change |B - A| and
+the change relative to max(|A|, |B|).  A row present in one tree only shows
+``-`` on the other side.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ GATE_OPS = 3
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Runs inside the subprocess of one tree: argv[1] is the tree, stdout one JSON object.
+# Per pair: [digest, margin repr, per op [op digest, [[row, passed, max_residual], ...]]].
 CHILD = """
 import json, sys
 tree = sys.argv[1]
@@ -36,10 +43,12 @@ for workload in json.loads(sys.argv[2]):
         try:
             reports = [workloads.run_op(workload, workloads.op_config(workload, seed, i))[0]
                        for i in range(int(sys.argv[4]))]
+            ops = [[workloads.digest([rep]), [[r.name, r.passed, r.max_residual] for r in rep.rows]]
+                   for rep in reports]
             out[f"{workload}:{seed}"] = [workloads.digest(reports),
-                                         repr(workloads.margin_decades(reports))]
+                                         repr(workloads.margin_decades(reports)), ops]
         except Exception as err:
-            out[f"{workload}:{seed}"] = [f"raised {type(err).__name__}", str(err)]
+            out[f"{workload}:{seed}"] = [f"raised {type(err).__name__}", str(err), []]
 print(json.dumps(out))
 """
 
@@ -58,6 +67,49 @@ def run_tree(tree: Path) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def _verdict(passed) -> str:
+    return {None: "----", True: "PASS", False: "FAIL"}[passed]
+
+
+def moved_rows(ops_a: list, ops_b: list):
+    """(index of the first op whose report differs, its rows that moved), or None.
+
+    Each moved row is (name, (verdict A, verdict B), (max A, max B)); a side
+    that lacks the row holds ``None`` in both pairs.
+    """
+    for i, ((da, rows_a), (db, rows_b)) in enumerate(zip(ops_a, ops_b)):
+        if da == db:
+            continue
+        got_a = {name: (_verdict(p), m) for name, p, m in rows_a}
+        got_b = {name: (_verdict(p), m) for name, p, m in rows_b}
+        names = list(got_a) + [name for name in got_b if name not in got_a]
+        return i, [(name, *zip(got_a.get(name, (None, None)), got_b.get(name, (None, None))))
+                   for name in names if got_a.get(name) != got_b.get(name)]
+    return None
+
+
+def print_moved(workload: str, seed: str, ops_a: list, ops_b: list):
+    found = moved_rows(ops_a, ops_b)
+    if found is None:  # an op raised, or the runs differ in op count
+        return
+    i, rows = found
+    print(f"\n## {workload} seed {seed}, op {i}: {len(rows)} rows moved")
+    if not rows:
+        print("(no verdict or max_residual moved; the report differs in other fields)")
+        return
+    w = max(len(row[0]) for row in rows)
+    print(f"{'row':<{w}} {'A':<4} {'B':<4}  {'max_residual A':>14} {'max_residual B':>14}  "
+          f"{'abs change':>10} {'rel change':>10}")
+    for name, (va, vb), (ma, mb) in rows:
+        change = rel = "-"
+        if ma is not None and mb is not None:
+            diff, scale = abs(mb - ma), max(abs(ma), abs(mb))
+            change, rel = f"{diff:.2e}", f"{diff / scale if scale else 0.0:.2e}"
+        res = [f"{m:.6e}" if m is not None else "-" for m in (ma, mb)]
+        print(f"{name:<{w}} {va or '-':<4} {vb or '-':<4}  {res[0]:>14} {res[1]:>14}  "
+              f"{change:>10} {rel:>10}")
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -67,15 +119,18 @@ def main(argv=None) -> int:
     got_a, got_b = run_tree(a), run_tree(b)
     print(f"{'workload':<16} {'seed':>4}  {'digest A':<16} {'digest B':<16} "
           f"{'margin A':<20} {'margin B':<20}")
-    differ = 0
+    differ = []
     for key in got_a:
         workload, seed = key.split(":")
-        (da, ma), (db, mb) = got_a[key], got_b[key]
+        (da, ma, _), (db, mb, _) = got_a[key], got_b[key]
         same = (da, ma) == (db, mb) and not da.startswith("raised ")
-        differ += not same
+        if not same:
+            differ.append(key)
         print(f"{workload:<16} {seed:>4}  {da[:16]:<16} {db[:16]:<16} {ma:<20} {mb:<20}"
               + ("" if same else "  DIFFERS"))
-    print(f"# {len(got_a) - differ} of {len(got_a)} (workload, seed) pairs identical "
+    for key in differ:
+        print_moved(*key.split(":"), got_a[key][2], got_b[key][2])
+    print(f"# {len(got_a) - len(differ)} of {len(got_a)} (workload, seed) pairs identical "
           f"({GATE_OPS} ops each): A = {a}, B = {b}")
     return 1 if differ else 0
 
