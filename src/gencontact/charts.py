@@ -38,12 +38,6 @@ class Chart:
         if len(self.names) != self.dim:
             raise ValueError("need one coordinate name per dimension")
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(name) from None
-
     def sample(self, seed: int, count: int) -> np.ndarray:
         """``count`` interior points, strictly inside a 5% margin. Deterministic."""
         rng = np.random.default_rng(seed)
@@ -52,10 +46,6 @@ class Chart:
         width = hi - lo
         u = rng.uniform(size=(count, self.dim))
         return lo + width * (SAMPLE_MARGIN + (1 - 2 * SAMPLE_MARGIN) * u)
-
-    def contains(self, point: Sequence[float]) -> bool:
-        p = np.asarray(point, dtype=float)
-        return all(lo < v < hi for v, (lo, hi) in zip(p, self.domain))
 
 
 def box(dim: int, lo: float = -1.0, hi: float = 1.0, names: Optional[Sequence[str]] = None) -> Chart:

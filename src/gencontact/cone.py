@@ -44,6 +44,7 @@ from .report import ResidualReport, stack_values, sup_norm
 from .structures import Gacs, eigen_projector, pivoted_frame, projector_columns
 
 T_INDEPENDENCE_TOL = 1e-10
+H_VANISH_TOL = 1e-8  # the |h| below which cone_decompose returns f = None
 DEFAULT_TS = (-0.5, 0.0, 0.5)  # the t slices of a cone point set
 
 
@@ -196,7 +197,7 @@ def t_dependence(j: GtEndoField, points) -> float:
     return float(np.abs(jet.grad[..., j.chart.t_index]).max())
 
 
-def cone_decompose(j: GtEndoField, points=None, tol: float = 1e-8) -> Gacs:
+def cone_decompose(j: GtEndoField) -> Gacs:
     """Extract (J_M, B, A, h) from a t-invariant cone structure.
 
     Returns the structure (J_M, E+ = B, E- = A, f = h), with f = None when
@@ -206,8 +207,7 @@ def cone_decompose(j: GtEndoField, points=None, tol: float = 1e-8) -> Gacs:
     cone = j.chart
     base = cone.base
     n = base.dim
-    if points is None:
-        points = cone_points(base.sample(seed=5, count=8), (-0.5, 0.25))
+    points = cone_points(base.sample(seed=5, count=8), (-0.5, 0.25))
     td = t_dependence(j, points)
     if td > T_INDEPENDENCE_TOL:
         raise ValueError(f"structure depends on t (max |d_t J| = {td:.2e})")
@@ -229,7 +229,7 @@ def cone_decompose(j: GtEndoField, points=None, tol: float = 1e-8) -> Gacs:
             f"J is not of the displayed t-invariant normal form (residual {worst:.2e})"
         )
 
-    vanishes = np.abs(h.values(base.sample(seed=9, count=12))).max() < tol
+    vanishes = np.abs(h.values(base.sample(seed=9, count=12))).max() < H_VANISH_TOL
     return Gacs(base, Jm, B, A, None if vanishes else h)
 
 

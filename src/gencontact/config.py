@@ -300,16 +300,12 @@ def parse_pipeline(items, subject: Subject, path: str = "$.apply", check_points=
 # -- the check registry: each check runs on the part of the subject it needs -------------
 
 
-def _each_classical(structures, fn) -> ResidualReport:
-    """``fn`` on each classical structure, the second one's rows prefixed ``[1]``."""
+def _each_classical(structures, checker, points) -> ResidualReport:
+    """``checker`` on each classical structure, the second one's rows prefixed ``[1]``."""
     rep = ResidualReport()
     for i, acs in enumerate(structures):
-        rep.extend(fn(acs), prefix=f"[{i}]" if i else "")
+        rep.extend(checker(acs, points), prefix=f"[{i}]" if i else "")
     return rep
-
-
-def check_acms(structures, points, tol):
-    return _each_classical(structures, lambda acs: S.acms_check(acs, points))
 
 
 def check_gacs(s, points, tol):
@@ -318,52 +314,10 @@ def check_gacs(s, points, tol):
     return rep
 
 
-def check_phi_kernel(s, points, tol):
-    return S.phi_kernel_check(s, points)
-
-
-def check_gacm(m, points, tol):
-    return S.gacm_check(m, points)
-
-
-def check_fgacs(s, points, tol):
-    return D.fgacs_check(s, points)
-
-
 def check_involutivity(s, points, tol):
-    label, rep = S.involutivity_class(s, points, tol=tol or S.INT_TOL)
+    label, rep = S.involutivity_class(s, points, tol)
     rep.add(f"involutivity.class[{label}]", [0.0], None, None)
     return rep
-
-
-def check_normality(structures, points, tol):
-    return _each_classical(structures,
-                           lambda acs: I.normality_check(acs, points, tol=tol or S.DEFAULT_TOL))
-
-
-def check_sasakian(structures, points, tol):
-    return _each_classical(structures,
-                           lambda acs: I.sasakian_criterion(acs, points, tol=tol or S.DEFAULT_TOL))
-
-
-def check_vaisman_pair(pair, points, tol):
-    return I.vaisman_conditions(pair[0], pair[-1], points, tol=tol or S.DEFAULT_TOL)
-
-
-def check_plain_cone(s, points, tol):
-    return I.plain_cone_check(s, points, tol=tol or S.INT_TOL)
-
-
-def check_rcone_condition(s, points, tol):
-    return I.conjugated_cone_residual(s, points, tol=tol or S.INT_TOL)
-
-
-def check_crosscheck(s, points, tol):
-    return I.cone_crosscheck(s, points, tol=tol or S.INT_TOL)
-
-
-def check_generalized_sasakian(m, points, tol):
-    return I.generalized_sasakian_check(m, points, tol=tol or S.INT_TOL)
 
 
 def check_cone_algebra(s, points, tol):
@@ -374,27 +328,32 @@ def check_cone_algebra(s, points, tol):
     return rep
 
 
-def check_gacx(j, points, tol):
-    return gacx_check(j, cone_points(points))
-
-
-# name -> (the Subject accessor of what the check needs, the check run on it)
+# name -> (the Subject accessor of what the check needs, the check: (part, points, tol)
+# -> report).  Checkers stamp their own gates and run_checks applies a tolerance override
+# (tol, None without one) to every gated row; only involutivity and plain_cone also read
+# it, since there it decides a label or a verdict.  Checkers are looked up in their
+# modules at call time, so a wrapper installed there is the one called.
 CHECKS: Dict[str, Tuple[Callable, Callable]] = {
-    "acms": (Subject.need_classical, check_acms),
+    "acms": (Subject.need_classical, lambda c, p, tol: _each_classical(c, S.acms_check, p)),
     "gacs": (Subject.need_f_zero, check_gacs),
-    "phi_kernel": (Subject.need_f_zero, check_phi_kernel),
-    "gacm": (Subject.need_metric, check_gacm),
-    "fgacs": (Subject.need_gacs, check_fgacs),
+    "phi_kernel": (Subject.need_f_zero, lambda s, p, tol: S.phi_kernel_check(s, p)),
+    "gacm": (Subject.need_metric, lambda m, p, tol: S.gacm_check(m, p)),
+    "fgacs": (Subject.need_gacs, lambda s, p, tol: D.fgacs_check(s, p)),
     "involutivity": (Subject.need_f_zero, check_involutivity),
-    "normality": (Subject.need_classical, check_normality),
-    "sasakian": (Subject.need_classical_metric, check_sasakian),
-    "vaisman_pair": (Subject.need_classical_metric, check_vaisman_pair),
-    "plain_cone": (Subject.need_f_zero, check_plain_cone),
-    "rcone_condition": (Subject.need_f_zero, check_rcone_condition),
-    "cone_crosscheck": (Subject.need_f_zero, check_crosscheck),
-    "generalized_sasakian": (Subject.need_metric, check_generalized_sasakian),
+    "normality": (Subject.need_classical,
+                  lambda c, p, tol: _each_classical(c, I.normality_check, p)),
+    "sasakian": (Subject.need_classical_metric,
+                 lambda c, p, tol: _each_classical(c, I.sasakian_criterion, p)),
+    "vaisman_pair": (Subject.need_classical_metric,
+                     lambda c, p, tol: I.vaisman_conditions(c[0], c[-1], p)),
+    "plain_cone": (Subject.need_f_zero, lambda s, p, tol: I.plain_cone_check(s, p, tol)),
+    "rcone_condition": (Subject.need_f_zero,
+                        lambda s, p, tol: I.conjugated_cone_residual(s, p)),
+    "cone_crosscheck": (Subject.need_f_zero, lambda s, p, tol: I.cone_crosscheck(s, p)),
+    "generalized_sasakian": (Subject.need_metric,
+                             lambda m, p, tol: I.generalized_sasakian_check(m, p)),
     "cone_algebra": (Subject.need_gacs, check_cone_algebra),
-    "gacx": (Subject.need_cone, check_gacx),
+    "gacx": (Subject.need_cone, lambda j, p, tol: gacx_check(j, cone_points(p))),
 }
 
 
@@ -458,6 +417,8 @@ def parse_config(obj: dict) -> RunConfig:
 
 
 def run_checks(cfg: RunConfig) -> ResidualReport:
+    """Each check's report on the subject, rows prefixed ``<check>: ``; a check's tolerance
+    override replaces the gate of every gated row it returns."""
     points = cfg.subject.chart.sample(seed=cfg.seed, count=cfg.samples)
     rep = ResidualReport()
     for name in cfg.checks:

@@ -45,6 +45,7 @@ from .structures import (
 )
 
 DEFORM_TS = (-0.4, 0.2)  # the t slices of the cross-term, cone-pair and f-Sasakian checks
+NORMALIZE_TOL = 1e-9  # the |f| that normalize may leave, and below which f counts as zero
 
 
 # -- the defining axioms ----------------------------------------------------------
@@ -120,7 +121,7 @@ def b_commute_check(s: Gacs, kappa: OneFormField, b: TwoFormField, points) -> Re
 # -- normalization to f = 0 ----------------------------------------------------------
 
 
-def normalize(s: Gacs, points, tol: float = 1e-9) -> Tuple[Gacs, OneFormField, OneFormField]:
+def normalize(s: Gacs, points) -> Tuple[Gacs, OneFormField, OneFormField]:
     """Find alpha with 2<E+^f + E-^f, alpha> = f and strip f via K-( -alpha) K+(alpha).
 
     alpha is the Euclidean dual of the combined vector part zeta, scaled to
@@ -143,7 +144,7 @@ def normalize(s: Gacs, points, tol: float = 1e-9) -> Tuple[Gacs, OneFormField, O
 
     z = zeta_jet(pts, 0).value
     fval = s.f.values(pts)
-    stuck = vanishing(np.einsum("i...,i...->...", z, z)) & (np.abs(fval) > tol)
+    stuck = vanishing(np.einsum("i...,i...->...", z, z)) & (np.abs(fval) > NORMALIZE_TOL)
     if stuck.any():
         k = int(np.argmax(stuck))
         raise ValueError(
@@ -154,7 +155,7 @@ def normalize(s: Gacs, points, tol: float = 1e-9) -> Tuple[Gacs, OneFormField, O
         z = zeta_jet(p, order)
         den = J.jet_einsum("i,i->", z, z)
         fj = s.f.jet(p, order)
-        both = vanishing(den.value) & (np.abs(fj.value) <= tol)
+        both = vanishing(den.value) & (np.abs(fj.value) <= NORMALIZE_TOL)
         if both.any():  # alpha = 0 there, not 0/0
             fj, den = fj * ~both, den + both
         return J.jet_einsum(",i->i", fj / den, z)
@@ -164,8 +165,8 @@ def normalize(s: Gacs, points, tol: float = 1e-9) -> Tuple[Gacs, OneFormField, O
     out = k_minus(k_plus(s, alpha), beta)
     with np.errstate(divide="ignore", invalid="ignore"):  # non-finite data is refused below
         worst = float(np.abs(out.f.values(pts)).max())
-    if not worst <= tol:  # also refuses nan
-        raise ValueError(f"normalization left |f| = {worst:.3e}, not <= {tol:g}")
+    if not worst <= NORMALIZE_TOL:  # also refuses nan
+        raise ValueError(f"normalization left |f| = {worst:.3e}, not <= {NORMALIZE_TOL:g}")
     return replace(out, f=None), alpha, beta
 
 

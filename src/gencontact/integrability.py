@@ -19,7 +19,7 @@ members that takes each minus pairing once per unordered pair.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,14 +49,15 @@ from .structures import (
 # -- plain-cone integrability equals strongness -------------------------------------
 
 
-def plain_cone_check(s: Gacs, base_points, tol: float = INT_TOL,
-                     ts=DEFAULT_TS) -> ResidualReport:
+def plain_cone_check(s: Gacs, base_points, tol: Optional[float] = None) -> ResidualReport:
     """Integrability of Phi + Psi equals strongness plus [[E+, E-]] = 0.
 
     Reports (a) L+- involutivity residuals, (b) |[[E+, E-]]|, (c) the direct
     Nijenhuis residual of the +i cone frame of Phi + Psi, and asserts the
-    two verdicts agree.
+    two verdicts agree.  ``tol`` (``INT_TOL`` when None) gates the rows and
+    decides both verdicts, so it changes ``verdict_agreement`` too.
     """
+    tol = INT_TOL if tol is None else tol
     frame = s.frame
     rep = ResidualReport()
     per_plus, per_minus = l_nij_max(frame, base_points)
@@ -69,7 +70,7 @@ def plain_cone_check(s: Gacs, base_points, tol: float = INT_TOL,
 
     cone = ConeChart.over(s.chart)
     members = cone_plus_frame(cone, frame.e10, s.Eplus, s.Eminus, conjugated=False)
-    cpts = cone_points(base_points, ts)
+    cpts = cone_points(base_points)
     direct, per_direct = max_nij_over_frame(members, cpts)
     rep.add("plain_cone.cone_frame_nij", per_direct, cpts, tol)
 
@@ -82,11 +83,11 @@ def plain_cone_check(s: Gacs, base_points, tol: float = INT_TOL,
 # -- the conjugated-cone integrability condition on M --------------------------------
 
 
-def conjugated_cone_residual(s: Gacs, base_points, tol: float = INT_TOL) -> ResidualReport:
+def conjugated_cone_residual(s: Gacs, base_points) -> ResidualReport:
     """|Nij_M(A,B,C) - RHS| over the frame of E^(1,0) + L_{E+} + L_{E-}."""
     gaps = _rcone_gaps(s.frame, np.asarray(base_points, dtype=float))[0]
     rep = ResidualReport()
-    rep.add("rcone_condition.residual", row_max(gaps), base_points, tol)
+    rep.add("rcone_condition.residual", row_max(gaps), base_points, INT_TOL)
     return rep
 
 
@@ -115,8 +116,7 @@ def _rcone_gaps(frame: EigenFrame, pts: np.ndarray):
 # -- the cone cross-check (R-conjugation bracket identities) ------------------------
 
 
-def cone_crosscheck(s: Gacs, base_points, tol: float = INT_TOL,
-                    ts=DEFAULT_TS) -> ResidualReport:
+def cone_crosscheck(s: Gacs, base_points) -> ResidualReport:
     """Verify the four R-conjugation Nijenhuis identities and the two routes.
 
     With F+ = R(E+ - i d/dt), F- = R(E- - i dt) and A, B, C running over the
@@ -138,7 +138,7 @@ def cone_crosscheck(s: Gacs, base_points, tol: float = INT_TOL,
     cone points; every row reads from those two ``(T, *B)`` arrays, and each
     identity is a row mask of the triple index.
     """
-    return _cone_crosscheck(s, base_points, tol, ts)[1]
+    return _cone_crosscheck(s, base_points)[1]
 
 
 def _identity_rows(m: int) -> Dict[str, np.ndarray]:
@@ -149,7 +149,7 @@ def _identity_rows(m: int) -> Dict[str, np.ndarray]:
     return {"id1": l < k, "id2": l == k, "id3": (l > k) & (j < k), "id4": j == k}
 
 
-def _cone_crosscheck(s: Gacs, base_points, tol: float, ts):
+def _cone_crosscheck(s: Gacs, base_points):
     """(rcone, report) of :func:`cone_crosscheck`; rcone holds the per-point
     values of :func:`conjugated_cone_residual`, taken from the same Nij_M table.
 
@@ -164,15 +164,15 @@ def _cone_crosscheck(s: Gacs, base_points, tol: float, ts):
     cmembers = cone_plus_frame(cone, frame.e10, s.Eplus, s.Eminus, conjugated=True)
 
     pts = np.asarray(base_points, dtype=float)
-    cpts = cone_points(pts, ts)
+    cpts = cone_points(pts)
     gaps, nij_m, _, pm = _rcone_gaps(frame, pts)
     rcone = row_max(gaps)
     per_sub = l_nij_max(frame, pts)[1]
 
-    # Nij_C as (T, P, len(ts)), base point major like cpts; scale is e^-t per t column
+    # Nij_C as (T, P, len(DEFAULT_TS)), base point major like cpts; scale is e^-t per t column
     rows = _identity_rows(len(cmembers))
-    lhs = nij_table(cmembers).values(cpts).reshape(nij_m.shape + (len(ts),))
-    scale = np.array([np.exp(-t) for t in ts])
+    lhs = nij_table(cmembers).values(cpts).reshape(nij_m.shape + (len(DEFAULT_TS),))
+    scale = np.array([np.exp(-t) for t in DEFAULT_TS])
     i, j, _ = triples(len(cmembers)).T
     id2, id4 = rows["id2"], rows["id4"]
     rhs = nij_m.copy()
@@ -183,9 +183,9 @@ def _cone_crosscheck(s: Gacs, base_points, tol: float, ts):
 
     rep = ResidualReport()
     for name, mask in rows.items():
-        rep.add(f"crosscheck.{name}", row_max(resid[mask]).ravel(), cpts, tol)
-    rep.add("crosscheck.two_route_agreement", row_max(agreement).ravel(), cpts, tol)
-    gated = tol if rcone.max() < INT_TOL else None
+        rep.add(f"crosscheck.{name}", row_max(resid[mask]).ravel(), cpts, INT_TOL)
+    rep.add("crosscheck.two_route_agreement", row_max(agreement).ravel(), cpts, INT_TOL)
+    gated = INT_TOL if rcone.max() < INT_TOL else None
     rep.add("crosscheck.subframe_nij", per_sub, base_points, gated)
     return rcone, rep
 
@@ -206,8 +206,7 @@ def classical_cone_i(acs: AlmostContactMetric, cone: ConeChart) -> MatrixField:
     return MatrixField(cone, fn)
 
 
-def normality_residual(acs: AlmostContactMetric, base_points,
-                       ts=DEFAULT_TS) -> Tuple[List[float], np.ndarray]:
+def normality_residual(acs: AlmostContactMetric, base_points) -> Tuple[List[float], np.ndarray]:
     """Max norm of N(X, Y) = [IX, IY] - I[IX, Y] - I[X, IY] - [X, Y] per cone point.
 
     X, Y run over coordinate pairs e_a, e_b (a < b), so [X, Y] = 0, and every
@@ -219,7 +218,7 @@ def normality_residual(acs: AlmostContactMetric, base_points,
     """
     cone = ConeChart.over(acs.chart)
     imat = classical_cone_i(acs, cone)
-    cpts = cone_points(base_points, ts)
+    cpts = cone_points(base_points)
     jet = imat.jet(cpts, 1).require(1)
     m = batch_first(jet.value)
     d = np.ascontiguousarray(np.moveaxis(jet.grad, 2, 0))
@@ -232,18 +231,17 @@ def normality_residual(acs: AlmostContactMetric, base_points,
     return worst.tolist(), cpts
 
 
-def normality_check(acs: AlmostContactMetric, base_points, tol: float = DEFAULT_TOL,
-                    ts=DEFAULT_TS) -> ResidualReport:
+def normality_check(acs: AlmostContactMetric, base_points) -> ResidualReport:
     rep = ResidualReport()
-    vals, cpts = normality_residual(acs, base_points, ts)
-    rep.add("normality.nijenhuis", vals, cpts, tol)
+    vals, cpts = normality_residual(acs, base_points)
+    rep.add("normality.nijenhuis", vals, cpts, DEFAULT_TOL)
     return rep
 
 
-def sasakian_criterion(acs: AlmostContactMetric, points, tol: float = DEFAULT_TOL) -> ResidualReport:
+def sasakian_criterion(acs: AlmostContactMetric, points) -> ResidualReport:
     rep = ResidualReport()
-    diff = acs.theta - F.d(acs.eta)
-    rep.add("sasakian.theta_minus_deta", sup_norm(stack_values(diff, points)), points, tol)
+    diff = sup_norm(stack_values(acs.theta - F.d(acs.eta), points))
+    rep.add("sasakian.theta_minus_deta", diff, points, DEFAULT_TOL)
     return rep
 
 
@@ -251,34 +249,34 @@ def sasakian_criterion(acs: AlmostContactMetric, points, tol: float = DEFAULT_TO
 
 
 def vaisman_conditions(plus: AlmostContactMetric, minus: AlmostContactMetric,
-                       points, tol: float = DEFAULT_TOL) -> ResidualReport:
+                       points) -> ResidualReport:
     """The three pair conditions: matched Lie derivatives of the fundamental
     forms, the criterion defect, and the twisted-derivative balance."""
     if plus.g is None or minus.g is None:
         raise ValueError("both structures need metrics")
     rep = ResidualReport()
     gdiff = sup_norm(stack_values(plus.g, points) - stack_values(minus.g, points))
-    rep.add("vaisman.same_metric", gdiff, points, tol)
+    rep.add("vaisman.same_metric", gdiff, points, DEFAULT_TOL)
 
     th_p, th_m = plus.theta, minus.theta
     l_p = F.lie_derivative(plus.xi, th_p)
     l_m = F.lie_derivative(minus.xi, th_m)
     c1 = l_p + l_m
-    rep.add("vaisman.lie_transport", sup_norm(stack_values(c1, points)), points, tol)
+    rep.add("vaisman.lie_transport", sup_norm(stack_values(c1, points)), points, DEFAULT_TOL)
 
     for tag, acs, th, l1 in (("plus", plus, th_p, l_p), ("minus", minus, th_m, l_m)):
         c2 = th - F.d(acs.eta) + 0.25 * F.lie_derivative(acs.xi, l1)
         c3 = F.d(th) - F.wedge12(acs.eta, l1) - 0.5 * F.c_transform(F.d(l1), acs.phi)
         for name, c in (("criterion_defect", c2), ("derivative_balance", c3)):
-            rep.add(f"vaisman.{name}_{tag}", sup_norm(stack_values(c, points)), points, tol)
+            rep.add(f"vaisman.{name}_{tag}", sup_norm(stack_values(c, points)), points,
+                    DEFAULT_TOL)
     return rep
 
 
 # -- the generalized Sasakian verdict --------------------------------------------------
 
 
-def generalized_sasakian_check(m: Gacs, base_points, tol: float = INT_TOL,
-                               ts=DEFAULT_TS) -> ResidualReport:
+def generalized_sasakian_check(m: Gacs, base_points) -> ResidualReport:
     """Both R-conjugated cone structures of (Phi, E+-) and (G Phi, G E+-) integrable.
 
     The dual (G Phi, G E+-) is ``m.dual``, built once per metric structure, so
@@ -287,7 +285,7 @@ def generalized_sasakian_check(m: Gacs, base_points, tol: float = INT_TOL,
     require_metric(m, "generalized_sasakian_check")
     rep = ResidualReport()
     for tag, s in (("phi", m), ("gphi", m.dual)):
-        rcone, cross = _cone_crosscheck(s, base_points, tol, ts)
-        rep.add(f"gsas.{tag}.rcone_condition.residual", rcone, base_points, tol)
+        rcone, cross = _cone_crosscheck(s, base_points)
+        rep.add(f"gsas.{tag}.rcone_condition.residual", rcone, base_points, INT_TOL)
         rep.extend(cross, prefix=f"gsas.{tag}.")
     return rep

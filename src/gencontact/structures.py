@@ -628,8 +628,11 @@ def max_nij_over_frame(members: Sequence[SectionField], points) -> Tuple[float, 
     return float(per_point.max()), per_point
 
 
-def involutivity_class(s: Gacs, points, tol: float = INT_TOL):
-    """Classify Courant involutivity of L+ and L-: strong / contact(+-) / none."""
+def involutivity_class(s: Gacs, points, tol: Optional[float] = None):
+    """Classify Courant involutivity of L+ and L-: strong / contact(+-) / none.
+
+    ``tol`` (``INT_TOL`` when None) gates both rows and decides the label."""
+    tol = INT_TOL if tol is None else tol
     rep = ResidualReport()
     per_plus, per_minus = l_nij_max(s.frame, points)
     rep.add("involutivity.l_plus", per_plus, points, tol)

@@ -355,6 +355,52 @@ def test_tolerance_override(tmp_path):
     assert main(["verify", cfg]) == 1
 
 
+def test_an_override_decides_the_involutivity_label_and_the_plain_cone_verdicts():
+    """The two checks whose gate changes what they compute read the override:
+    darboux is contact(-) and its plain cone verdicts agree at the default gates."""
+    def rows(tolerances):
+        cfg = config.parse_config({"gallery": "darboux", "checks": ["involutivity", "plain_cone"],
+                                   "samples": 4, "seed": 3, "tolerances": tolerances})
+        return {r.name: r for r in config.run_checks(cfg).rows}
+
+    agreement = "plain_cone: plain_cone.verdict_agreement"
+    default = rows({})
+    assert "involutivity: involutivity.class[contact(-)]" in default
+    assert default[agreement].max_residual == 0.0
+    loose = rows({"involutivity": 1.0, "plain_cone": 1.0})
+    assert "involutivity: involutivity.class[strong]" in loose
+    assert loose[agreement].max_residual == 0.0 and loose[agreement].tolerance == 1.0
+
+
+# the subject each check runs on in the override test below
+OVERRIDE_SUBJECTS = ({"gallery": "kahler_interval"},
+                     {"structure": {"cone_of": {"gallery": "darboux"}}})
+
+
+@pytest.mark.parametrize("check", sorted(config.CHECKS))
+def test_an_override_regates_every_gated_row_and_moves_no_residual(check):
+    """Every row a check gates carries the override, whatever gate it had (1e-7, 1e-8,
+    1e-9, 1e-12, 0.5); informational rows stay ungated, and no residual moves."""
+    override = 1e-3
+    for obj in OVERRIDE_SUBJECTS:
+        cfg = config.parse_config({**obj, "checks": [check], "samples": 2, "seed": 3})
+        try:
+            base = config.run_checks(cfg)
+        except config.ConfigError:
+            continue
+        cfg.tolerances = {check: override}
+        regated = config.run_checks(cfg)
+        break
+    assert len(regated.rows) == len(base.rows)
+    for old, new in zip(base.rows, regated.rows):
+        if old.tolerance is None:
+            assert new.tolerance is None, old.name
+            continue
+        assert new.name == old.name and new.tolerance == override
+        assert (new.max_residual, new.mean_residual, new.argmax_point) == (
+            old.max_residual, old.mean_residual, old.argmax_point), old.name
+
+
 def test_explicit_phi_structure(tmp_path):
     """A structure given as a raw 2n x 2n expression matrix plus sections."""
     cfg = write(

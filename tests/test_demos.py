@@ -39,3 +39,15 @@ def test_demo_exits_zero(script):
     assert digest == STDOUT_SHA256[script.name], (
         f"the output of {script.name} changed (sha256 {digest}); if the change is "
         "intended, justify the re-pin in CHANGES.md")
+
+
+def test_readme_library_tour_runs_on_the_package_exports():
+    """The README's "Library tour" block runs from a source checkout: it reads only
+    names that ``gencontact`` exports, and classifies the contact form as contact(-)."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", tour], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "contact(-)"

@@ -802,7 +802,7 @@ def test_five_dimensional_darboux_full_stack():
     assert label == "contact(-)"
     out = C.cone_decompose(C.i_prime(d2["gacs"]))
     assert np.abs(out.Phi.values(sample[0]) - d2["gacs"].Phi.values(sample[0])).max() < 1e-10
-    rep = I.cone_crosscheck(d2["gacs"], sample, ts=(-0.4, 0.3))
+    rep = I.cone_crosscheck(d2["gacs"], sample)
     assert rep["crosscheck.id1"].max_residual < 1e-8
     assert rep["crosscheck.two_route_agreement"].max_residual < 1e-8
 
