@@ -145,15 +145,6 @@ def i_prime(s: Gacs, cone: ConeChart = None) -> GtEndoField:
     return lift_endo(cone, s.Phi) + psi(cone, s.Eplus, s.Eminus, s.f)
 
 
-def r_endo(cone: ConeChart) -> GtEndoField:
-    """R = diag(e^-t on all vectors, e^t on all forms), t slots included, as a
-    matrix: the diagonal of :func:`_r_pow` placed on the identity."""
-    N = cone.dim
-    r = _r_pow(cone, 1)
-    return GtEndoField(cone, lambda p, o: (
-        r.jet(p, o)[:, None] * J.lift(np.eye(2 * N), N, o, p.shape[:-1])))
-
-
 def _r_pow(cone: ConeChart, sign: int) -> F.Field:
     """The 2N diagonal entries of R^sign: e^(-sign t) on vectors, e^(sign t) on forms."""
     N = cone.dim

@@ -274,10 +274,10 @@ def parse_pipeline(items, subject: Subject, path: str = "$.apply", check_points=
         if op == "b_field":
             _reject_unknown(step, {"op", "B"}, spath)
             bfield = _expr_matrix(F.TwoFormField, _need(step, "B", spath), chart, f"{spath}.B", n)
-            v = bfield.values(chart.sample(seed=3, count=4))
+            _require_real(bfield, pts, f"{spath}.B")
+            v = bfield.values(pts)
             if np.abs(v + np.swapaxes(v, 0, 1)).max() > 1e-9:
                 raise ConfigError(f"{spath}.B: components are not antisymmetric")
-            _require_real(bfield, pts, f"{spath}.B")
             gacs = S.b_transform(gacs, bfield)
         elif op in ("k_plus", "k_minus"):
             _reject_unknown(step, {"op", "kappa"}, spath)
@@ -287,9 +287,8 @@ def parse_pipeline(items, subject: Subject, path: str = "$.apply", check_points=
             gacs = (D.k_plus if op == "k_plus" else D.k_minus)(gacs, kappa)
         elif op == "normalize":
             _reject_unknown(step, {"op"}, spath)
-            pts = chart.sample(seed=2, count=12)
             try:
-                gacs = D.normalize(gacs, pts)[0]
+                gacs = D.normalize(gacs, chart.sample(seed=2, count=12))[0]
             except ValueError as err:
                 raise ConfigError(f"{spath}: {err}") from None
         else:

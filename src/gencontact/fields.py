@@ -10,7 +10,7 @@ closure ``fn(p, order)`` over such a point array, and the order flows from
 each consumer down to the leaves, which read the batch shape
 ``p.shape[:-1]``.  Algebraic combinators ask their inputs for the
 same order; operations that consume a derivative (exterior and Lie
-derivative, Lie and Courant bracket, Nij) ask theirs for one order more.  A
+derivative, Courant bracket) ask theirs for one order more.  A
 checker that reads only values thus never pays for a hessian, while a jet of
 a given order has the same values and gradient whatever it was demanded
 for.  Nesting deeper than the order-2 cap allows returns a jet of lower
@@ -22,8 +22,8 @@ moved and joined is decided in :mod:`gencontact.jets` alone: this module
 moves component axes with ``JetArray.moveaxis``, maps the parts with
 ``JetArray.map`` and joins them with ``jets.concat``.  A derivative is
 consumed by ``jets.dshift``, which makes the derivative axis the first
-component axis, so d, the Lie bracket and the Courant bracket contract with
-plain specs (``'j,ji->i'`` for X^j d_j Y^i).  ``courant_jets`` treats any
+component axis, so d and the Courant bracket contract with plain specs
+(``'j,ji->i'`` for X^j d_j Y^i).  ``courant_jets`` treats any
 axes after the leading component axis as batch axes, which broadcast: a
 stack of sections brackets pairwise in one call, item by item as the
 unbatched call would.
@@ -121,9 +121,6 @@ class Field:
 
     __rmul__ = __mul__
 
-    def conj(self):
-        return self._wrap(lambda p, o: self.jet(p, o).conj())
-
 
 def _same_chart(a: Field, b: Field):
     if a.chart is not b.chart and a.chart != b.chart:
@@ -160,39 +157,35 @@ class ThreeFormField(Field):
     pass
 
 
-class MatrixField(Field):
-    """An (n, n) matrix of scalars: TM endomorphisms, metrics, form-maps."""
-
-    def __matmul__(self, other: "MatrixField") -> "MatrixField":
-        _same_chart(self, other)
-        return MatrixField(
-            self.chart, lambda p, o: J.jet_einsum("ij,jk->ik", self.jet(p, o), other.jet(p, o)))
-
-    def apply(self, x: VectorField) -> VectorField:
-        _same_chart(self, x)
-        return VectorField(
-            self.chart, lambda p, o: J.jet_einsum("ij,j->i", self.jet(p, o), x.jet(p, o)))
-
-    def inv(self) -> "MatrixField":
-        return MatrixField(self.chart, lambda p, o: J.jet_inv(self.jet(p, o)))
-
-
 class SectionField(Field):
     """Section of (TM + T*M) x C: 2n components, vector part first."""
 
 
-class GtEndoField(Field):
+class _SquareField(Field):
+    """Square matrices of scalars: ``a @ b`` keeps a's class, ``apply`` gives an ``image``."""
+
+    image: type
+
+    def __matmul__(self, other):
+        _same_chart(self, other)
+        return self._wrap(lambda p, o: J.jet_einsum("ij,jk->ik", self.jet(p, o), other.jet(p, o)))
+
+    def apply(self, x):
+        _same_chart(self, x)
+        return self.image(
+            self.chart, lambda p, o: J.jet_einsum("ij,j->i", self.jet(p, o), x.jet(p, o)))
+
+
+class MatrixField(_SquareField):
+    """An (n, n) matrix of scalars: TM endomorphisms, metrics, form-maps."""
+
+    image = VectorField
+
+
+class GtEndoField(_SquareField):
     """Field of endomorphisms of (TM + T*M) x C, one 2n x 2n matrix of scalars."""
 
-    def apply(self, s: SectionField) -> SectionField:
-        _same_chart(self, s)
-        return SectionField(
-            self.chart, lambda p, o: J.jet_einsum("ij,j->i", self.jet(p, o), s.jet(p, o)))
-
-    def __matmul__(self, other: "GtEndoField") -> "GtEndoField":
-        _same_chart(self, other)
-        return GtEndoField(
-            self.chart, lambda p, o: J.jet_einsum("ij,jk->ik", self.jet(p, o), other.jet(p, o)))
+    image = SectionField
 
 
 # -- constructors -------------------------------------------------------------
@@ -377,16 +370,6 @@ def wedge12(a: OneFormField, w: TwoFormField) -> ThreeFormField:
     return ThreeFormField(a.chart, fn)
 
 
-def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    _same_chart(x, y)
-
-    def fn(p, order):
-        jx, jy = x.jet(p, order + 1), y.jet(p, order + 1)
-        return J.jet_einsum("j,ji->i", jx, J.dshift(jy)) - J.jet_einsum("j,ji->i", jy, J.dshift(jx))
-
-    return VectorField(x.chart, fn)
-
-
 def lie_derivative(x: VectorField, omega: Field) -> Field:
     """Cartan formula i_X d(omega) + d(i_X omega)."""
     k = _FORM_RANK.get(type(omega))
@@ -466,28 +449,6 @@ def nij_jets(ja: JetArray, jb: JetArray, jc: JetArray, n: int) -> JetArray:
     s = s + pair_jets(courant_jets(jb, jc, n), ja)
     s = s + pair_jets(courant_jets(jc, ja, n), jb)
     return (1.0 / 3.0) * s
-
-
-def nij(a: SectionField, b: SectionField, c: SectionField) -> ScalarField:
-    _same_chart(a, b)
-    _same_chart(a, c)
-    n = a.chart.dim
-    return ScalarField(
-        a.chart, lambda p, o: nij_jets(a.jet(p, o + 1), b.jet(p, o + 1), c.jet(p, o + 1), n))
-
-
-def jac(a: SectionField, b: SectionField, c: SectionField) -> SectionField:
-    """Courant Jacobiator: one derivative order consumed per bracket level."""
-    _same_chart(a, b)
-    _same_chart(a, c)
-    n = a.chart.dim
-
-    def fn(p, order):
-        ja, jb, jc = (s.jet(p, order + 2) for s in (a, b, c))
-        jab, jbc, jca = courant_jets(ja, jb, n), courant_jets(jb, jc, n), courant_jets(jc, ja, n)
-        return courant_jets(jab, jc, n) + courant_jets(jbc, ja, n) + courant_jets(jca, jb, n)
-
-    return SectionField(a.chart, fn)
 
 
 # -- finite-difference validation ---------------------------------------------

@@ -14,7 +14,7 @@ array ``(*B, nvars)`` it was evaluated at, then the derivative axes.  A
 single point is the batch ``B = ()``.  This module is the one place that
 knows the layout.  Every structural operation maps the parts present with
 one :meth:`JetArray.map` (indexing ``j[:n]``, :meth:`~JetArray.reshape`,
-:meth:`~JetArray.moveaxis` of component axes, negation, conjugation,
+:meth:`~JetArray.moveaxis` of component axes, negation,
 :func:`take_batch`), and :func:`stack` and :func:`concat` (a ``None`` part
 is zero) share one join over the parts present in every operand.  They act
 on the leading axes and never see the batch.  :func:`jet_einsum` takes plain
@@ -119,9 +119,6 @@ class JetArray:
         order = list(range(self.value.ndim))
         order.insert(dst, order.pop(src))
         return self.map(lambda a: a.transpose(*order, *range(len(order), a.ndim)))
-
-    def conj(self) -> "JetArray":
-        return self.map(np.conj)
 
     # -- arithmetic (a scalar operand is not lifted) ------------------------
 

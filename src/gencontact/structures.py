@@ -146,14 +146,6 @@ class EigenFrame:
         self.table = nij_table(self.members)
 
     @property
-    def l_plus(self) -> Tuple[SectionField, ...]:
-        return self.e10 + (self.eplus,)
-
-    @property
-    def l_minus(self) -> Tuple[SectionField, ...]:
-        return self.e10 + (self.eminus,)
-
-    @property
     def members(self) -> Tuple[SectionField, ...]:
         return self.e10 + (self.eplus, self.eminus)
 
@@ -544,13 +536,6 @@ def _pivot_columns(mat: np.ndarray, want: int) -> List[int]:
         m -= np.outer(q, np.conj(q) @ m)
         m[:, k] = 0.0
     return sorted(cols)
-
-
-def frame_span_check(s: Gacs, frame: EigenFrame, point) -> int:
-    """Rank of e10 + conj(e10) + kernel at a point (should be 2n)."""
-    e10 = frame.columns.values(point)
-    cols = [e10, np.conj(e10), frame.eplus.values(point)[:, None], frame.eminus.values(point)[:, None]]
-    return int(np.linalg.matrix_rank(np.concatenate(cols, axis=1), tol=1e-8))
 
 
 def triples(m: int) -> np.ndarray:

@@ -16,6 +16,7 @@ from gencontact import integrability as I
 from gencontact import structures as S
 from gencontact.cli import main
 from gencontact.exprs import parse_scalar
+from oracles import jac, l_plus
 
 GALLERY = {name: gallery.build(name) for name in gallery.names()}
 POINTS = {name: GALLERY[name]["chart"].sample(seed=2024, count=100)
@@ -275,13 +276,13 @@ def test_criterion_10_calculus_bedrock():
     # Nij / Jac co-vanishing on the involutive Heisenberg frames
     heis = GALLERY["heisenberg_sasakian"]
     frame = S.eigenframe(heis["gacs"])
-    members = list(frame.l_plus)
+    members = list(l_plus(frame))
     hpts = heis["chart"].sample(seed=132, count=10)
     nij_max, _ = S.max_nij_over_frame(members, hpts)
     jac_max = 0.0
-    jac = F.jac(members[0], members[1], members[2])
+    jacobiator = jac(members[0], members[1], members[2])
     for p in hpts:
-        jac_max = max(jac_max, float(np.abs(jac.values(p)).max()))
+        jac_max = max(jac_max, float(np.abs(jacobiator.values(p)).max()))
     ok = fd < 1e-6 and dd < 1e-10 and cart < 1e-10 and nij_max < 1e-9 and jac_max < 1e-9
     verdict(
         10,

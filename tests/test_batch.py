@@ -8,6 +8,7 @@ from gencontact import fields as F
 from gencontact import gallery
 from gencontact import jets as J
 from gencontact import structures as S
+from oracles import l_plus
 from test_demand import _structure_fields
 
 
@@ -94,7 +95,7 @@ def test_frame_nij_over_a_batch_equals_the_per_point_tables(entry):
         s = gallery.build(entry)["gacs"]
         pts = s.chart.sample(seed=17, count=3)
     assert len(pts) == s.chart.dim
-    members = S.eigenframe(s).l_plus
+    members = l_plus(S.eigenframe(s))
     n = s.chart.dim
     table = S.frame_nij([m.jet(pts, 1) for m in members], n)
     assert table.shape == (len(S.triples(len(members))), len(pts))

@@ -510,6 +510,21 @@ def test_pipeline_kappa_outside_the_real_domain_exits_two(tmp_path, capsys):
     _refused_outside_real_domain(capsys, cfg, "$.apply[0].kappa")
 
 
+@pytest.mark.parametrize("steps", [["k", "n"], ["n", "k"]])
+def test_pipeline_data_is_checked_at_the_check_points_after_a_normalize(tmp_path, capsys, steps):
+    """A normalize step samples its own points but leaves every later step's
+    data checked at the pipeline's check points: this kappa is complex at one
+    of them (x > 0.718097) and real at all of normalize's points."""
+    step = {"k": {"op": "k_minus", "kappa": ["log(0.718097 - x)", "0", "0"]},
+            "n": {"op": "normalize"}}
+    cfg = write(tmp_path, "order.json", {
+        "structure": {"chart": {"dim": 3}, "builder": "from_contact", "eta": ["-y", "0", "1"]},
+        "apply": [step[k] for k in steps],
+        "checks": ["fgacs"],
+    })
+    _refused_outside_real_domain(capsys, cfg, f"$.apply[{steps.index('k')}].kappa")
+
+
 def test_explicit_components_outside_the_real_domain_exit_two(tmp_path, capsys):
     zero = ["0"] * 6
     phi = [list(zero) for _ in range(6)]

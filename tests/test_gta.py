@@ -8,7 +8,6 @@ from gencontact import fields as F
 from gencontact import gta
 from gencontact import jets as J
 from gencontact.charts import ConeChart, box
-from gencontact.cone import r_endo
 from gencontact.exprs import parse_scalar
 from gencontact.gta import (
     adjoint,
@@ -19,6 +18,7 @@ from gencontact.gta import (
     tensor_pair,
 )
 from gencontact.report import batch_first
+from oracles import r_endo
 
 RNG = np.random.default_rng(7)
 CH = box(3)

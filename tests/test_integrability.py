@@ -18,6 +18,7 @@ from gencontact import jets as J
 from gencontact import structures as S
 from gencontact.charts import ConeChart
 from gencontact.report import stack_values
+from oracles import l_minus, l_plus, lie_bracket
 
 DARBOUX = gallery.build("darboux")
 HEIS = gallery.build("heisenberg_sasakian")
@@ -209,7 +210,7 @@ def shared_l_tables_exact(frame, points) -> bool:
     of l_plus and l_minus bit for bit."""
     n = frame.eplus.chart.dim
     table = frame.table.values(points)
-    for rows, members in ((frame.plus_rows, frame.l_plus), (frame.minus_rows, frame.l_minus)):
+    for rows, members in ((frame.plus_rows, l_plus(frame)), (frame.minus_rows, l_minus(frame))):
         alone = S.frame_nij([m.jet(points, 1) for m in members], n)
         if table[rows].shape != alone.shape or not np.array_equal(table[rows], alone):
             return False
@@ -257,9 +258,9 @@ def test_frame_nij_oracle_sees_a_1e10_error():
 
 def test_frame_nij_matches_the_per_triple_loop():
     darboux = S.eigenframe(DARBOUX["gacs"])
-    assert frame_nij_gap(darboux.l_plus, pts(DARBOUX, 4)) > 0.1
+    assert frame_nij_gap(l_plus(darboux), pts(DARBOUX, 4)) > 0.1
     twisted = S.eigenframe(twisted_darboux())
-    assert frame_nij_gap(twisted.l_minus, pts(DARBOUX, 4)) > 0.1
+    assert frame_nij_gap(l_minus(twisted), pts(DARBOUX, 4)) > 0.1
     for entry, nonzero in ((HEIS, False), (DARBOUX, True)):
         s = entry["gacs"]
         frame = S.eigenframe(s)
@@ -268,7 +269,7 @@ def test_frame_nij_matches_the_per_triple_loop():
         assert (frame_nij_gap(members, C.cone_points(pts(entry, 2))) > 0.1) == nonzero
     d3 = gallery.darboux(3)
     sample = d3["chart"].sample(seed=5, count=2)
-    assert frame_nij_gap(S.eigenframe(d3["gacs"]).l_plus, sample) > 0.1
+    assert frame_nij_gap(l_plus(S.eigenframe(d3["gacs"])), sample) > 0.1
     assert all(shared_l_tables_exact(s.frame, s.chart.sample(seed=7, count=4)) for s in (
         DARBOUX["gacs"], HEIS["gacs"], HEIS_CK["gacs"], KAHLER["gacs"],
         twisted_darboux(), d3["gacs"]))
@@ -306,8 +307,8 @@ def test_frame_nij_matches_the_per_triple_loop_on_generated_forms(case):
         frame = S.eigenframe(s, sample_points=sample)
     except ValueError:
         assume(False)
-    frame_nij_gap(frame.l_plus, sample)
-    frame_nij_gap(frame.l_minus, sample)
+    frame_nij_gap(l_plus(frame), sample)
+    frame_nij_gap(l_minus(frame), sample)
     assert shared_l_tables_exact(frame, sample)
 
 
@@ -445,7 +446,7 @@ def test_row_block_table_equals_the_gathered_pairs_table_on_generated_forms(case
         frame = S.eigenframe(s, sample_points=sample)
     except ValueError:
         assume(False)
-    for members in (frame.members, frame.l_plus, frame.l_minus):
+    for members in (frame.members, l_plus(frame), l_minus(frame)):
         prefix_tables_exact(members, sample, s.chart.dim)
 
 
@@ -629,10 +630,10 @@ def per_pair_normality(acs, points):
     for cp in C.cone_points(points, I.DEFAULT_TS):
         worst = 0.0
         for a, b in combinations(range(cone.dim), 2):
-            t1 = F.lie_bracket(icoords[a], icoords[b]).at(cp)
+            t1 = lie_bracket(icoords[a], icoords[b]).at(cp)
             t2 = imat.at(cp)
-            br_ab = F.lie_bracket(icoords[a], coords[b]).at(cp)
-            br_ba = F.lie_bracket(coords[a], icoords[b]).at(cp)
+            br_ab = lie_bracket(icoords[a], coords[b]).at(cp)
+            br_ba = lie_bracket(coords[a], icoords[b]).at(cp)
             val = t1.value - t2.value @ br_ab.value - t2.value @ br_ba.value
             worst = max(worst, float(np.abs(val).max()))
         out.append(worst)

@@ -53,15 +53,21 @@ print(json.dumps(out))
 """
 
 
-def run_tree(tree: Path) -> dict:
-    """{"workload:seed": [digest, margin repr]} of one tree, computed in a fresh process."""
+def pinned_env() -> dict:
+    """This process's environment with BLAS threads pinned to 1 and
+    ``GENCONTACT_THREADS`` and ``PYTHONPATH`` removed, so a tree imports its own ``src``."""
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     env.pop("GENCONTACT_THREADS", None)
     env.pop("PYTHONPATH", None)
+    return env
+
+
+def run_tree(tree: Path) -> dict:
+    """{"workload:seed": [digest, margin repr]} of one tree, computed in a fresh process."""
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, str(tree.resolve()), json.dumps(WORKLOADS),
          json.dumps(list(SEEDS)), str(GATE_OPS)],
-        capture_output=True, text=True, env=env, check=False)
+        capture_output=True, text=True, env=pinned_env(), check=False)
     if proc.returncode != 0:
         sys.exit(f"{tree}: the workloads failed to run:\n{proc.stderr}")
     return json.loads(proc.stdout.splitlines()[-1])
