@@ -40,7 +40,7 @@ from . import gta
 from . import jets as J
 from .charts import ConeChart
 from .fields import GtEndoField, ScalarField, SectionField
-from .report import ResidualReport, stack_values, sup_norm
+from .report import ResidualReport, sup_norm
 from .structures import Gacs, eigen_projector, pivoted_frame, projector_columns
 
 T_INDEPENDENCE_TOL = 1e-10
@@ -67,14 +67,18 @@ def base_jet(f: F.Field, p: np.ndarray, order: int) -> J.JetArray:
     return J.take_batch(f.jet(q[starts], order), np.cumsum(starts) - 1, p.shape[:-1])
 
 
+def _placed(cls, cone: ConeChart, f: F.Field, shape=None, index=None) -> F.Field:
+    """The ``cls`` field of a base field's jets placed at ``index`` of cone
+    components ``shape`` (``jets.extend_vars``); without a placement, as they are."""
+    return cls(cone, lambda p, o: J.extend_vars(base_jet(f, p, o), cone.dim, shape, index))
+
+
 def lift_scalar(cone: ConeChart, f: ScalarField) -> ScalarField:
-    return ScalarField(cone, lambda p, o: J.extend_vars(base_jet(f, p, o), cone.dim))
+    return _placed(ScalarField, cone, f)
 
 
 def lift_form(cone: ConeChart, omega) -> "F.OneFormField":
-    n = cone.base.dim
-    return F.OneFormField(
-        cone, lambda p, o: J.extend_vars(base_jet(omega, p, o), cone.dim, (cone.dim,), slice(n)))
+    return _placed(F.OneFormField, cone, omega, (cone.dim,), slice(cone.base.dim))
 
 
 def cone_points(base_points, ts=DEFAULT_TS) -> np.ndarray:
@@ -84,19 +88,12 @@ def cone_points(base_points, ts=DEFAULT_TS) -> np.ndarray:
 
 
 def lift_section(cone: ConeChart, s: SectionField) -> SectionField:
-    n = cone.base.dim
-    N = cone.dim
-    rows = _m_indices(n)
-    return SectionField(
-        cone, lambda p, o: J.extend_vars(base_jet(s, p, o), N, (2 * N,), rows))
+    return _placed(SectionField, cone, s, (2 * cone.dim,), _m_indices(cone.base.dim))
 
 
 def lift_endo(cone: ConeChart, e: GtEndoField) -> GtEndoField:
-    n = cone.base.dim
-    N = cone.dim
-    block = np.ix_(_m_indices(n), _m_indices(n))
-    return GtEndoField(
-        cone, lambda p, o: J.extend_vars(base_jet(e, p, o), N, (2 * N, 2 * N), block))
+    rows = _m_indices(cone.base.dim)
+    return _placed(GtEndoField, cone, e, (2 * cone.dim,) * 2, np.ix_(rows, rows))
 
 
 def _m_indices(n: int) -> List[int]:
@@ -173,7 +170,7 @@ def i_map(s: Gacs, cone: ConeChart = None) -> GtEndoField:
 def gacx_check(j: GtEndoField, points) -> ResidualReport:
     """J + J* = 0 and J^2 = -id at cone sample points."""
     rep = ResidualReport()
-    m = stack_values(j, points)
+    m = j.values(points)
     rep.add("gacx.skew", sup_norm(m + gta.adjoint(m)), points, 1e-9)
     rep.add("gacx.square", sup_norm(m @ m + np.eye(m.shape[-1])), points, 1e-9)
     return rep
@@ -184,8 +181,8 @@ def gacx_check(j: GtEndoField, points) -> ResidualReport:
 
 def t_dependence(j: GtEndoField, points) -> float:
     """Max |d/dt entry| of J over the sample points."""
-    jet = j.jet(np.asarray(points, dtype=float), 1).require(1)
-    return float(np.abs(jet.grad[..., j.chart.t_index]).max())
+    grad = J.parts(j.jet(np.asarray(points, dtype=float), 1).require(1), 1)[1]
+    return float(np.abs(grad[..., j.chart.t_index]).max())
 
 
 def cone_decompose(j: GtEndoField) -> Gacs:
@@ -214,7 +211,7 @@ def cone_decompose(j: GtEndoField) -> Gacs:
 
     # extraction consistency: the displayed form must reproduce J
     rebuilt = i_prime(Gacs(base, Jm, B, A, h), cone)
-    worst = sup_norm(stack_values(rebuilt, points) - stack_values(j, points)).max()
+    worst = sup_norm(rebuilt.values(points) - j.values(points)).max()
     if worst > 1e-7:
         raise ValueError(
             f"J is not of the displayed t-invariant normal form (residual {worst:.2e})"

@@ -276,7 +276,7 @@ def parse_pipeline(items, subject: Subject, path: str = "$.apply", check_points=
             bfield = _expr_matrix(F.TwoFormField, _need(step, "B", spath), chart, f"{spath}.B", n)
             _require_real(bfield, pts, f"{spath}.B")
             v = bfield.values(pts)
-            if np.abs(v + np.swapaxes(v, 0, 1)).max() > 1e-9:
+            if np.abs(v + np.swapaxes(v, -1, -2)).max() > 1e-9:
                 raise ConfigError(f"{spath}.B: components are not antisymmetric")
             gacs = S.b_transform(gacs, bfield)
         elif op in ("k_plus", "k_minus"):

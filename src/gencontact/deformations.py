@@ -31,7 +31,7 @@ from .fields import (
     ScalarField,
     TwoFormField,
 )
-from .report import ResidualReport, stack_values, sup_norm
+from .report import ResidualReport, sup_norm
 from .structures import (
     DEFAULT_TOL,
     INT_TOL,
@@ -53,14 +53,14 @@ NORMALIZE_TOL = 1e-9  # the |f| that normalize may leave, and below which f coun
 
 def _f_values(s: Gacs, points) -> np.ndarray:
     """The (P,) values of f over the samples, zeros for ``f = None``."""
-    return np.zeros(len(points)) if s.f is None else stack_values(s.f, points)
+    return np.zeros(len(points)) if s.f is None else s.f.values(points)
 
 
 def fgacs_check(s: Gacs, points) -> ResidualReport:
     """The six defining residuals of a generalized f-almost contact structure."""
-    phi = stack_values(s.Phi, points)
-    ep = stack_values(s.Eplus, points)
-    em = stack_values(s.Eminus, points)
+    phi = s.Phi.values(points)
+    ep = s.Eplus.values(points)
+    em = s.Eminus.values(points)
     f = _f_values(s, points).astype(complex)
     skew, square, norm, iso = gacs_residuals(phi, ep, em, f)
     eig_p = sup_norm(gta.apply(phi, ep) - f[:, None] * ep)
@@ -105,7 +105,7 @@ def fgacs_deviation(a: Gacs, b: Gacs, points) -> float:
 
 def _slot_values(s: Gacs, points) -> list:
     """Value stacks of Phi, E+, E- and f."""
-    return [stack_values(x, points) for x in (s.Phi, s.Eplus, s.Eminus)] + [_f_values(s, points)]
+    return [x.values(points) for x in (s.Phi, s.Eplus, s.Eminus)] + [_f_values(s, points)]
 
 
 def b_commute_check(s: Gacs, kappa: OneFormField, b: TwoFormField, points) -> ResidualReport:
@@ -136,15 +136,15 @@ def normalize(s: Gacs, points) -> Tuple[Gacs, OneFormField, OneFormField]:
         return (s if s.metric is None else replace(s, metric=None)), zero, zero
     pts = np.asarray(points, dtype=float)
 
-    def zeta_jet(p, order):
-        return (s.Eplus.jet(p, order) + s.Eminus.jet(p, order))[:n]
+    def zeta_jets(p, order):  # zeta and |zeta|^2
+        z = (s.Eplus.jet(p, order) + s.Eminus.jet(p, order))[:n]
+        return z, J.jet_einsum("i,i->", z, z)
 
-    def vanishing(den):  # |zeta|^2 too small to divide by
-        return np.abs(den) < 1e-12
+    def vanishing(den, p):  # |zeta|^2 too small to divide by
+        return np.abs(J.parts(den, p.ndim - 1)[0]) < 1e-12
 
-    z = zeta_jet(pts, 0).value
     fval = s.f.values(pts)
-    stuck = vanishing(np.einsum("i...,i...->...", z, z)) & (np.abs(fval) > NORMALIZE_TOL)
+    stuck = vanishing(zeta_jets(pts, 0)[1], pts) & (np.abs(fval) > NORMALIZE_TOL)
     if stuck.any():
         k = int(np.argmax(stuck))
         raise ValueError(
@@ -152,10 +152,9 @@ def normalize(s: Gacs, points) -> Tuple[Gacs, OneFormField, OneFormField]:
         )
 
     def alpha_fn(p, order):
-        z = zeta_jet(p, order)
-        den = J.jet_einsum("i,i->", z, z)
+        z, den = zeta_jets(p, order)
         fj = s.f.jet(p, order)
-        both = vanishing(den.value) & (np.abs(fj.value) <= NORMALIZE_TOL)
+        both = vanishing(den, p) & (np.abs(s.f.values(p)) <= NORMALIZE_TOL)
         if both.any():  # alpha = 0 there, not 0/0
             fj, den = fj * ~both, den + both
         return J.jet_einsum(",i->i", fj / den, z)
@@ -201,7 +200,7 @@ def cone_b_correspondence(s: Gacs, kappa: OneFormField, base_points) -> Residual
         b = cone_kappa_form(cone, kappa, radial)
         (lhs,) = F.b_action(b, builder(s, cone))
         rhs = builder(deformed, cone)
-        vals = sup_norm(stack_values(lhs, cpts) - stack_values(rhs, cpts))
+        vals = sup_norm(lhs.values(cpts) - rhs.values(cpts))
         rep.add(f"cone_b.{name}", vals, cpts, 1e-9)
     return rep
 
@@ -243,16 +242,16 @@ def cross_term_metric_check(s: Gacs, g: MatrixField, alpha: OneFormField,
     ip = i_prime(s, cone)
     cpts = cone_points(base_points, DEFORM_TS)
 
-    gv = stack_values(gt, cpts)
-    iv = stack_values(ip, cpts)
+    gv = gt.values(cpts)
+    iv = ip.values(cpts)
     rep.add("cross_term.compatibility", sup_norm(gv + iv @ gv @ iv), cpts, DEFAULT_TOL)
 
-    ep = stack_values(s.Eplus, base_points)
-    a = stack_values(F.section(form=alpha), base_points)
+    ep = s.Eplus.values(base_points)
+    a = F.section(form=alpha).values(base_points)
     f = _f_values(s, base_points)
-    lhs = gta.apply(stack_values(s.Phi, base_points), a)
-    rhs = -gta.apply(stack_values(gmetric_from_gb(g).endo, base_points), ep)
-    rhs = rhs + stack_values(s.Eminus, base_points)
+    lhs = gta.apply(s.Phi.values(base_points), a)
+    rhs = -gta.apply(gmetric_from_gb(g).endo.values(base_points), ep)
+    rhs = rhs + s.Eminus.values(base_points)
     rep.add("cross_term.pairing_identity", np.abs(2 * gta.pair(ep, a) + f), base_points,
             DEFAULT_TOL)
     rep.add("cross_term.phi_alpha_identity", sup_norm(lhs - rhs), base_points, DEFAULT_TOL)
@@ -266,7 +265,7 @@ def cross_term_metric_forward(m: Gacs, alpha: OneFormField, base_points):
         raise ValueError("forward construction needs the metric in (g, b) form")
     if metric.b is not None:
         probe = m.chart.sample(seed=3, count=3)
-        if sup_norm(stack_values(metric.b, probe)).max() > 1e-12:
+        if sup_norm(metric.b.values(probe)).max() > 1e-12:
             raise ValueError("the cross-term construction needs b = 0")
     s = k_plus(m, alpha)
     return s, cross_term_metric_check(s, metric.g, alpha, base_points)
@@ -281,7 +280,7 @@ def cone_kahler_pair_check(m: Gacs, alpha: OneFormField, base_points) -> Residua
     require_metric(m, "cone_kahler_pair_check")
     cone = ConeChart.over(m.chart)
     cpts = cone_points(base_points, DEFORM_TS)
-    a, b = (stack_values(i_prime(k_plus(s, alpha), cone), cpts) for s in (m, m.dual))
+    a, b = (i_prime(k_plus(s, alpha), cone).values(cpts) for s in (m, m.dual))
     gprod = -a @ b
     rep = ResidualReport()
     rep.add("cone_pair.commutator", sup_norm(a @ b - b @ a), cpts, 1e-9)

@@ -171,7 +171,7 @@ _OPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
 
 def _fold(f, args) -> np.complex128:
     """``f`` at constant arguments, through the jet operations of a constant jet."""
-    return np.complex128(f(*(J.lift(a, 0, 0) for a in args)).value)
+    return np.complex128(J.parts(f(*(J.lift(a, 0, 0) for a in args)), 0)[0])
 
 
 def _compile(node):
@@ -207,7 +207,7 @@ def _field(chart: Chart, code) -> ScalarField:
     """The scalar field of compiled code; its ``of_seed`` maps the coordinate seed to the jet."""
     n = chart.dim
     of_seed = code if callable(code) else (
-        lambda seed: J.lift(code, n, seed.order, seed.shape[1:]))
+        lambda seed: J.lift(code, n, seed.order, J.batch_shape(seed, 1)))
     field = ScalarField(chart, lambda p, order: of_seed(J.seed_point(p, n, order)))
     field.of_seed = of_seed
     return field
@@ -232,6 +232,6 @@ def component_field(cls, chart: Chart, comps: Sequence[ScalarField]):
 
     def fn(p, order):
         seed = J.seed_point(p, n, order)
-        return J.stack([f(seed) for f in entries]).reshape(*arr.shape, *p.shape[:-1])
+        return J.stack([f(seed) for f in entries]).reshape(arr.shape, p.shape[:-1])
 
     return cls(chart, fn)

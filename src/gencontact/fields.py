@@ -3,9 +3,10 @@
 A field evaluates at a point array of shape ``(*B, n)`` to one
 :class:`~gencontact.jets.JetArray` for the whole batch, holding the
 component values and their exact derivatives up to the order its consumer
-demands: ``field.at(points, order)``, with ``order`` capped at 2.  The jet's
-value has shape ``(*comps, *B)`` (see :mod:`gencontact.jets`); a single
-point is the batch ``B = ()`` and takes the same code path.  A field is a
+demands: ``field.at(points, order)``, with ``order`` capped at 2.  A single
+point is the batch ``B = ()`` and takes the same code path.
+``field.values(points)`` reads the values batch first, as a C-contiguous
+``(*B, *comps)`` stack (a Nijenhuis table's are ``(*B, T)``).  A field is a
 closure ``fn(p, order)`` over such a point array, and the order flows from
 each consumer down to the leaves, which read the batch shape
 ``p.shape[:-1]``.  Algebraic combinators ask their inputs for the
@@ -16,17 +17,16 @@ a given order has the same values and gradient whatever it was demanded
 for.  Nesting deeper than the order-2 cap allows returns a jet of lower
 order than demanded, and reading the missing data raises ``JetOrderError``.
 
-The jet-level operators keep the component axes first and the batch axes
-after them.  How a jet's value, gradient and hessian are laid out, sliced,
-moved and joined is decided in :mod:`gencontact.jets` alone: this module
-moves component axes with ``JetArray.moveaxis``, maps the parts with
-``JetArray.map`` and joins them with ``jets.concat``.  A derivative is
-consumed by ``jets.dshift``, which makes the derivative axis the first
-component axis, so d and the Courant bracket contract with plain specs
-(``'j,ji->i'`` for X^j d_j Y^i).  ``courant_jets`` treats any
-axes after the leading component axis as batch axes, which broadcast: a
-stack of sections brackets pairwise in one call, item by item as the
-unbatched call would.
+How a jet's value, gradient and hessian are laid out, read, sliced, moved
+and joined is decided in :mod:`gencontact.jets` alone: this module reads a
+jet with ``jets.parts``, moves component axes with ``JetArray.moveaxis``,
+maps the parts with ``JetArray.map`` and joins them with ``jets.concat``.  A
+derivative is consumed by ``jets.dshift``, which makes the derivative axis
+the first component axis, so d and the Courant bracket contract with plain
+specs (``'j,ji->i'`` for X^j d_j Y^i).  ``courant_jets`` treats any axes
+after the leading component axis as batch axes, which broadcast: a stack of
+sections brackets pairwise in one call, item by item as the unbatched call
+would.
 
 Generalized-tangent conventions on jets: ``swap_jet`` (the pairing swap,
 one ``JetArray.map``), ``block_jet`` (the (2n, 2n) block layout),
@@ -54,6 +54,7 @@ from . import gta
 from . import jets as J
 from .charts import Chart
 from .jets import MAX_ORDER, JetArray
+from .report import EmptyPointSetError
 
 
 class Field:
@@ -93,8 +94,11 @@ class Field:
         return jet
 
     def values(self, point) -> np.ndarray:
-        """Component values at the points ``(*B, n)``, shape ``(*comps, *B)``."""
-        return self.jet(point, 0).value
+        """The values at the points ``(*B, n)``, a C-contiguous ``(*B, *comps)`` stack."""
+        p = np.asarray(point, dtype=float)
+        if len(p) == 0:
+            raise EmptyPointSetError("the sample point set is empty; checks need at least one point")
+        return np.asarray(J.parts(self.jet(p, 0), p.ndim - 1)[0], order="C")
 
     # -- shared combinators --------------------------------------------------
 
@@ -122,9 +126,9 @@ class Field:
     __rmul__ = __mul__
 
 
-def _same_chart(a: Field, b: Field):
+def _same_chart(a: Field, b: Field, message: str = "fields live on different charts"):
     if a.chart is not b.chart and a.chart != b.chart:
-        raise ValueError("fields live on different charts")
+        raise ValueError(message)
 
 
 class ScalarField(Field):
@@ -215,8 +219,7 @@ def from_components(cls, chart: Chart, comps: Sequence) -> Field:
     flat = list(arr.ravel())
 
     def fn(p, order):
-        stacked = J.stack([f.jet(p, order) for f in flat])
-        return stacked.reshape(*arr.shape, *p.shape[:-1])
+        return J.stack([f.jet(p, order) for f in flat]).reshape(arr.shape, p.shape[:-1])
 
     return cls(chart, fn)
 
@@ -461,35 +464,25 @@ def jet_validate(field: Field, point, step: float = 1e-5) -> float:
     quotient is not dominated by rounding.
     """
     p = np.asarray(point, dtype=float)
-    n = field.chart.dim
-    jet = field.at(p)
-    if jet.grad is None:
+    eye = np.eye(field.chart.dim)
+    value, *derivs = J.parts(field.at(p), p.ndim - 1)
+    if not derivs:
         raise ValueError("field carries no derivative data to validate")
-
-    def val(q):
-        return field.values(q)
-
-    scale = max(1.0, float(np.abs(jet.value).max()) if jet.value.size else 1.0)
+    val = field.values
+    scale = max(1.0, float(np.abs(value).max()) if value.size else 1.0)
     worst = 0.0
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
+    for i, ei in enumerate(step * eye):
         fd = (val(p + ei) - val(p - ei)) / (2 * step)
-        err = np.abs(fd - jet.grad[..., i]).max() / scale
-        worst = max(worst, float(err))
-    if jet.hess is not None:
+        worst = max(worst, float(np.abs(fd - derivs[0][..., i]).max() / scale))
+    for hess in derivs[1:]:
         h = max(step, float(np.finfo(float).eps) ** 0.25)
         f0 = val(p)
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = h
+        for i, ei in enumerate(h * eye):
             fd = (val(p + ei) - 2 * f0 + val(p - ei)) / h**2
-            worst = max(worst, float(np.abs(fd - jet.hess[..., i, i]).max() / scale))
-            for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = h
+            worst = max(worst, float(np.abs(fd - hess[..., i, i]).max() / scale))
+            for j, ej in enumerate(h * eye[i + 1:], i + 1):
                 fd = (
                     val(p + ei + ej) - val(p + ei - ej) - val(p - ei + ej) + val(p - ei - ej)
                 ) / (4 * h**2)
-                worst = max(worst, float(np.abs(fd - jet.hess[..., i, j]).max() / scale))
+                worst = max(worst, float(np.abs(fd - hess[..., i, j]).max() / scale))
     return worst

@@ -7,13 +7,14 @@ the i/2 correction terms) is verified directly rather than assumed.
 sample set and all frame triples, and reports carry the raw residuals.
 Each frame member is evaluated once per structure: the checks of a Gacs
 read its one eigenframe (``Gacs.frame``) and that frame's Nijenhuis table
-(``EigenFrame.table``), one ``(T, *B)`` array over the triple index
-:func:`~gencontact.structures.triples` that brackets each unordered member
-pair once, in row blocks of views of the once-stacked members
-(:func:`~gencontact.structures.frame_nij`).  Sub-frames and identity
-classes are row masks of a table, and right-hand sides are array
-expressions over the triple index, read from one pairing table of the
-members that takes each minus pairing once per unordered pair.
+(``EigenFrame.table``), whose values are one ``(*B, T)`` array over the
+triple index :func:`~gencontact.structures.triples` that brackets each
+unordered member pair once, in row blocks of views of the once-stacked
+members (:func:`~gencontact.structures.frame_nij`).  Sub-frames and
+identity classes are masks on the triple axis of a table, and right-hand
+sides are array expressions over the triple index, read from one pairing
+table of the members that takes each minus pairing once per unordered
+pair.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from . import jets as J
 from .charts import ConeChart
 from .cone import DEFAULT_TS, base_jet, cone_plus_frame, cone_points
 from .fields import MatrixField
-from .report import ResidualReport, batch_first, stack_values, sup_norm
+from .report import ResidualReport, sup_norm
 from .structures import (
     DEFAULT_TOL,
     INT_TOL,
@@ -65,7 +66,7 @@ def plain_cone_check(s: Gacs, base_points, tol: Optional[float] = None) -> Resid
     rep.add("plain_cone.l_minus_nij", per_minus, base_points, tol)
 
     bracket = F.courant(s.Eplus, s.Eminus)
-    per_bracket = sup_norm(stack_values(bracket, base_points))
+    per_bracket = sup_norm(bracket.values(base_points))
     rep.add("plain_cone.e_plus_minus_bracket", per_bracket, base_points, tol)
 
     cone = ConeChart.over(s.chart)
@@ -92,7 +93,7 @@ def conjugated_cone_residual(s: Gacs, base_points) -> ResidualReport:
 
 
 def _rcone_gaps(frame: EigenFrame, pts: np.ndarray):
-    """(|Nij_M - RHS|, Nij_M, RHS, pm) of the M frame, the first three ``(T, P)``.
+    """(|Nij_M - RHS|, Nij_M, RHS, pm) of the M frame, the first three ``(P, T)``.
 
     RHS = 2i (<E-,A><B,C>_- + <E-,B><C,A>_- + <E-,C><A,B>_-) for the rows
     (A, B, C) of the triple index, read from the pairing tables of the m
@@ -102,14 +103,14 @@ def _rcone_gaps(frame: EigenFrame, pts: np.ndarray):
     (fl(x - y) = -fl(y - x)); the diagonal is never read.
     """
     nij_m = frame.table.values(pts)
-    vals = np.stack([stack_values(m, pts) for m in frame.members])
+    vals = np.stack([m.values(pts) for m in frame.members])
     pe = gta.pair(vals[-1], vals)
     first, second = np.triu_indices(len(vals), 1)
     pm = np.zeros((len(vals),) + pe.shape, dtype=complex)
     pm[first, second] = gta.pair_minus(vals[first], vals[second])
     pm[second, first] = -pm[first, second]
     i, j, k = triples(len(vals)).T
-    rhs = 2j * (pe[i] * pm[j, k] + pe[j] * pm[k, i] + pe[k] * pm[i, j])
+    rhs = (2j * (pe[i] * pm[j, k] + pe[j] * pm[k, i] + pe[k] * pm[i, j])).T
     return cabs(nij_m - rhs), nij_m, rhs, pm
 
 
@@ -135,14 +136,14 @@ def cone_crosscheck(s: Gacs, base_points) -> ResidualReport:
 
     Nij_M is the table the structure's frame keeps for the base points
     (shared with the other frame checks) and Nij_C is taken once over the
-    cone points; every row reads from those two ``(T, *B)`` arrays, and each
-    identity is a row mask of the triple index.
+    cone points; every row reads from the values of those two tables,
+    ``(*B, T)`` arrays, and each identity is a mask of the triple index.
     """
     return _cone_crosscheck(s, base_points)[1]
 
 
 def _identity_rows(m: int) -> Dict[str, np.ndarray]:
-    """The id1-id4 row masks of a cone table of m members, F+ and F- last:
+    """The id1-id4 triple masks of a cone table of m members, F+ and F- last:
     no F+-, F+ but not F-, F- but not F+, and both."""
     _, j, l = triples(m).T
     k = m - 2
@@ -154,10 +155,10 @@ def _cone_crosscheck(s: Gacs, base_points):
     values of :func:`conjugated_cone_residual`, taken from the same Nij_M table.
 
     The cone frame lists E^(1,0), F+, F- as the M frame lists E^(1,0), E+,
-    E-, so row t of Nij_C is checked against row t of Nij_M, and the four
-    identities are the row masks of :func:`_identity_rows`.  The id2 and id4
-    corrections read <A, B>_- and <E-, A>_- from the minus pairing table of
-    :func:`_rcone_gaps`, so no pairing is taken twice.
+    E-, so triple t of Nij_C is checked against triple t of Nij_M, and the
+    four identities are the triple masks of :func:`_identity_rows`.  The id2
+    and id4 corrections read <A, B>_- and <E-, A>_- from the minus pairing
+    table of :func:`_rcone_gaps`, so no pairing is taken twice.
     """
     frame = s.frame
     cone = ConeChart.over(s.chart)
@@ -169,21 +170,21 @@ def _cone_crosscheck(s: Gacs, base_points):
     rcone = row_max(gaps)
     per_sub = l_nij_max(frame, pts)[1]
 
-    # Nij_C as (T, P, len(DEFAULT_TS)), base point major like cpts; scale is e^-t per t column
+    # Nij_C as (P, len(DEFAULT_TS), T), base point major like cpts; scale is e^-t per t row
     rows = _identity_rows(len(cmembers))
-    lhs = nij_table(cmembers).values(cpts).reshape(nij_m.shape + (len(DEFAULT_TS),))
-    scale = np.array([np.exp(-t) for t in DEFAULT_TS])
+    lhs = nij_table(cmembers).values(cpts).reshape(len(pts), len(DEFAULT_TS), -1)
+    scale = np.array([np.exp(-t) for t in DEFAULT_TS])[:, None]
     i, j, _ = triples(len(cmembers)).T
     id2, id4 = rows["id2"], rows["id4"]
     rhs = nij_m.copy()
-    rhs[id2] -= 1j * pm[i[id2], j[id2]]
-    rhs[id4] -= 1j * pm[-1, i[id4]]
-    resid = cabs(lhs - scale * rhs[..., None])
-    agreement = np.abs(cabs(lhs) / scale - gaps[..., None])
+    rhs[:, id2] -= 1j * pm[i[id2], j[id2]].T
+    rhs[:, id4] -= 1j * pm[-1, i[id4]].T
+    resid = cabs(lhs - scale * rhs[:, None])
+    agreement = np.abs(cabs(lhs) / scale - gaps[:, None])
 
     rep = ResidualReport()
     for name, mask in rows.items():
-        rep.add(f"crosscheck.{name}", row_max(resid[mask]).ravel(), cpts, INT_TOL)
+        rep.add(f"crosscheck.{name}", row_max(resid[..., mask]).ravel(), cpts, INT_TOL)
     rep.add("crosscheck.two_route_agreement", row_max(agreement).ravel(), cpts, INT_TOL)
     gated = INT_TOL if rcone.max() < INT_TOL else None
     rep.add("crosscheck.subframe_nij", per_sub, base_points, gated)
@@ -211,7 +212,7 @@ def normality_residual(acs: AlmostContactMetric, base_points) -> Tuple[List[floa
 
     X, Y run over coordinate pairs e_a, e_b (a < b), so [X, Y] = 0, and every
     bracket is read from one jet of I over the cone points, value m and
-    gradient D[i, c, k] = d_k I^i_c (sample axis first):
+    gradient D[i, c, k] = d_k I^i_c (sample axis first, read by ``jets.parts``):
     [Ie_a, Ie_b] = m[j, a] D[:, b, j] - m[j, b] D[:, a, j],
     [Ie_a, e_b] = -D[:, a, b] and [e_a, Ie_b] = D[:, b, a].  Returns the
     per-point values and the cone points they belong to.
@@ -220,8 +221,7 @@ def normality_residual(acs: AlmostContactMetric, base_points) -> Tuple[List[floa
     imat = classical_cone_i(acs, cone)
     cpts = cone_points(base_points)
     jet = imat.jet(cpts, 1).require(1)
-    m = batch_first(jet.value)
-    d = np.ascontiguousarray(np.moveaxis(jet.grad, 2, 0))
+    m, d = (np.ascontiguousarray(part) for part in J.parts(jet, 1))
     worst = np.zeros(len(cpts))
     for a, b in combinations(range(cone.dim), 2):
         t1 = (np.einsum("qj,qij->qi", m[:, :, a], d[:, :, b])
@@ -240,7 +240,7 @@ def normality_check(acs: AlmostContactMetric, base_points) -> ResidualReport:
 
 def sasakian_criterion(acs: AlmostContactMetric, points) -> ResidualReport:
     rep = ResidualReport()
-    diff = sup_norm(stack_values(acs.theta - F.d(acs.eta), points))
+    diff = sup_norm((acs.theta - F.d(acs.eta)).values(points))
     rep.add("sasakian.theta_minus_deta", diff, points, DEFAULT_TOL)
     return rep
 
@@ -255,21 +255,20 @@ def vaisman_conditions(plus: AlmostContactMetric, minus: AlmostContactMetric,
     if plus.g is None or minus.g is None:
         raise ValueError("both structures need metrics")
     rep = ResidualReport()
-    gdiff = sup_norm(stack_values(plus.g, points) - stack_values(minus.g, points))
+    gdiff = sup_norm(plus.g.values(points) - minus.g.values(points))
     rep.add("vaisman.same_metric", gdiff, points, DEFAULT_TOL)
 
     th_p, th_m = plus.theta, minus.theta
     l_p = F.lie_derivative(plus.xi, th_p)
     l_m = F.lie_derivative(minus.xi, th_m)
     c1 = l_p + l_m
-    rep.add("vaisman.lie_transport", sup_norm(stack_values(c1, points)), points, DEFAULT_TOL)
+    rep.add("vaisman.lie_transport", sup_norm(c1.values(points)), points, DEFAULT_TOL)
 
     for tag, acs, th, l1 in (("plus", plus, th_p, l_p), ("minus", minus, th_m, l_m)):
         c2 = th - F.d(acs.eta) + 0.25 * F.lie_derivative(acs.xi, l1)
         c3 = F.d(th) - F.wedge12(acs.eta, l1) - 0.5 * F.c_transform(F.d(l1), acs.phi)
         for name, c in (("criterion_defect", c2), ("derivative_balance", c3)):
-            rep.add(f"vaisman.{name}_{tag}", sup_norm(stack_values(c, points)), points,
-                    DEFAULT_TOL)
+            rep.add(f"vaisman.{name}_{tag}", sup_norm(c.values(points)), points, DEFAULT_TOL)
     return rep
 
 

@@ -12,7 +12,9 @@ its gradient ``(*comps, *B, nvars)`` and its hessian ``(*comps, *B, nvars,
 nvars)``: the component axes come first, then the batch axes of the point
 array ``(*B, nvars)`` it was evaluated at, then the derivative axes.  A
 single point is the batch ``B = ()``.  This module is the one place that
-knows the layout.  Every structural operation maps the parts present with
+knows the layout: other modules read a jet's parts batch first with
+:func:`parts` and place the batch with :meth:`JetArray.reshape` and
+:func:`batch_shape`.  Every structural operation maps the parts present with
 one :meth:`JetArray.map` (indexing ``j[:n]``, :meth:`~JetArray.reshape`,
 :meth:`~JetArray.moveaxis` of component axes, negation,
 :func:`take_batch`), and :func:`stack` and :func:`concat` (a ``None`` part
@@ -107,10 +109,10 @@ class JetArray:
     def __getitem__(self, idx) -> "JetArray":
         return self.map(lambda a: a[idx])
 
-    def reshape(self, *shape) -> "JetArray":
-        """Reshape the component and batch axes (the value's axes) to ``shape``."""
+    def reshape(self, comps, batch) -> "JetArray":
+        """Reshape the component axes to ``comps``; the batch axes, of shape ``batch``, stay."""
         nd = self.value.ndim
-        return self.map(lambda a: a.reshape(*shape, *a.shape[nd:]))
+        return self.map(lambda a: a.reshape(*comps, *batch, *a.shape[nd:]))
 
     def moveaxis(self, src: int, dst: int) -> "JetArray":
         """Move a component axis (``src`` and ``dst`` count from the front), as
@@ -198,6 +200,21 @@ class JetArray:
                 "(derivative budget exhausted by nested brackets/derivatives)"
             )
         return self
+
+
+def parts(j: JetArray, nbatch: int) -> tuple:
+    """The parts a jet has, value first, as views with its ``nbatch`` batch axes
+    first: value ``(*B, *comps)``, gradient ``(*B, *comps, nvars)`` and hessian
+    ``(*B, *comps, nvars, nvars)``."""
+    nd = j.value.ndim
+    order = (*range(nd - nbatch, nd), *range(nd - nbatch))
+    return tuple(a.transpose(*order, *range(nd, a.ndim))
+                 for a in (j.value, j.grad, j.hess) if a is not None)
+
+
+def batch_shape(j: JetArray, ncomps: int) -> tuple:
+    """The batch shape of a jet with ``ncomps`` component axes."""
+    return j.shape[ncomps:]
 
 
 def lift(x, nvars: int, order: int = MAX_ORDER, batch=()) -> JetArray:

@@ -1,9 +1,9 @@
 """Residual reports: named max/mean residual rows with pass/fail flags.
 
 Checkers build their rows from value stacks with the sample axis first: a
-field is evaluated once over the whole (P, n) point set, and
-:func:`stack_values` moves the batch axis of its ``(*comps, P)`` values to
-the front, giving ``(P, *comps)``.
+field is evaluated once over the whole (P, n) point set, and its
+``Field.values`` are a ``(P, *comps)`` stack (``(P, T)`` for a Nijenhuis
+table); an empty point set is refused by name (:class:`EmptyPointSetError`).
 """
 
 from __future__ import annotations
@@ -120,23 +120,6 @@ def map_points(fn: Callable, points: Iterable) -> list:
     return [fn(p) for p in points]
 
 
-def _require_points(count: int):
-    if count == 0:
-        raise EmptyPointSetError("the sample point set is empty; checks need at least one point")
-
-
-def stack_values(field, points) -> np.ndarray:
-    """A field's values (one order-0 jet over the (P, n) point set) as a (P, ...) array."""
-    _require_points(len(points))
-    return batch_first(field.values(np.asarray(points, dtype=float)))
-
-
-def batch_first(values: np.ndarray) -> np.ndarray:
-    """Values ``(*comps, P)`` of a one-axis batch as a C-contiguous ``(P, *comps)`` stack."""
-    return np.ascontiguousarray(np.moveaxis(values, -1, 0))
-
-
 def sup_norm(stack: np.ndarray) -> np.ndarray:
     """Max |entry| of each point's value in a (P, ...) stack."""
-    _require_points(len(stack))
     return np.abs(stack).reshape(len(stack), -1).max(axis=1)

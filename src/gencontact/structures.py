@@ -11,14 +11,15 @@ residuals over the sampled points.  Each checker evaluates a field once over
 its whole point set and computes the residuals as arrays over the sample
 axis.  Constructors validate their inputs.
 
-A Nijenhuis table is one complex ``(T, *B)`` array whose row t is Nij of
-triple t of :func:`triples`; :func:`nij_table` memoises it as a field with T
-components, and a sub-frame's table is a row mask of its frame's table.
+A Nijenhuis table is a field whose component t is Nij of triple t of
+:func:`triples` (:func:`nij_table`, of the jet of :func:`frame_nij`).  Its
+values are one complex ``(*B, T)`` array, and a sub-frame's table is a mask
+of its frame's table on the last axis.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
@@ -38,7 +39,7 @@ from .fields import (
     TwoFormField,
     VectorField,
 )
-from .report import ResidualReport, stack_values, sup_norm
+from .report import ResidualReport, sup_norm
 
 DEFAULT_TOL = 1e-8
 INT_TOL = 1e-7  # integrability: Nijenhuis and Courant residuals
@@ -52,8 +53,20 @@ class StructureError(ValueError):
 # -- structure records --------------------------------------------------------
 
 
+class _OnItsChart:
+    """A record whose fields (a metric by its endomorphism) live on its ``chart``,
+    its first field; one on another chart is refused by name."""
+
+    def __post_init__(self):
+        for slot in fields(self)[1:]:
+            f = getattr(self, slot.name)
+            f = f.endo if isinstance(f, GeneralizedMetric) else f
+            if f is not None:
+                F._same_chart(self, f, f"{type(self).__name__}.{slot.name} lives on another chart")
+
+
 @dataclass(frozen=True)
-class AlmostContactMetric:
+class AlmostContactMetric(_OnItsChart):
     """Classical (phi, xi, eta) triple, optionally with a compatible metric."""
 
     chart: Chart
@@ -85,7 +98,7 @@ class GeneralizedMetric:
 
 
 @dataclass(frozen=True)
-class Gacs:
+class Gacs(_OnItsChart):
     """Generalized f-almost contact structure (Phi, E+, E-, f) with an optional metric.
 
     ``f = None`` means f = 0: a generalized almost contact structure in the
@@ -130,8 +143,8 @@ class EigenFrame:
 
     ``table`` is the :func:`nij_table` of ``members`` = e10 + (E+, E-), so
     the frame checks of a structure share one table per point set.  Its
-    rows without E- (:attr:`plus_rows`) are the L+ table and its rows
-    without E+ (:attr:`minus_rows`) the L- table, in their own row order.
+    triples without E- (:attr:`plus_rows`, a mask of its values' last axis)
+    are the L+ table and those without E+ (:attr:`minus_rows`) the L- table.
     """
 
     columns: F.Field
@@ -165,15 +178,15 @@ def acms_check(acs: AlmostContactMetric, points) -> ResidualReport:
     """eta(xi) = 1, phi^2 = -id + xi (x) eta, and metric compatibility."""
     n = acs.chart.dim
     rep = ResidualReport()
-    phi = stack_values(acs.phi, points)
-    xi = stack_values(acs.xi, points)
-    eta = stack_values(acs.eta, points)
+    phi = acs.phi.values(points)
+    xi = acs.xi.values(points)
+    eta = acs.eta.values(points)
     unit = (eta[:, None, :] @ xi[:, :, None])[:, 0, 0]
     rep.add("acs.unit", np.abs(unit - 1.0), points, DEFAULT_TOL)
     square = phi @ phi + np.eye(n) - xi[:, :, None] * eta[:, None, :]
     rep.add("acs.square", sup_norm(square), points, DEFAULT_TOL)
     if acs.g is not None:
-        g = stack_values(acs.g, points)
+        g = acs.g.values(points)
         compat = np.swapaxes(phi, 1, 2) @ g @ phi - g + eta[:, :, None] * eta[:, None, :]
         rep.add("acs.metric_symmetric", sup_norm(g - np.swapaxes(g, 1, 2)), points, DEFAULT_TOL)
         rep.add("acs.metric_compatible", sup_norm(compat), points, DEFAULT_TOL)
@@ -191,13 +204,10 @@ def require_real(field: F.Field, points, name: str):
     first such point.
     """
     pts = np.asarray(points, dtype=float)
-    jet = field.at(pts)
-    axis = jet.value.ndim - 1  # the sample axis, after the components
     bad = np.zeros(len(pts), dtype=bool)
-    for part in (jet.value, jet.grad, jet.hess):
-        if part is not None:
-            flags = ~np.isfinite(part) | (part.imag != 0)
-            bad |= np.moveaxis(flags, axis, 0).reshape(len(pts), -1).any(axis=1)
+    for part in J.parts(field.at(pts), 1):
+        flags = ~np.isfinite(part) | (part.imag != 0)
+        bad |= flags.reshape(len(pts), -1).any(axis=1)
     if bad.any():
         raise StructureError(f"{name} is not real and finite at {pts[np.argmax(bad)].tolist()}")
 
@@ -225,13 +235,13 @@ def _reeb_fn(eta: OneFormField, rho_inv: MatrixField):
 
 def _rho_inv(eta: OneFormField) -> MatrixField:
     """rho^-1 as one field, so that Phi and the Reeb field of a lift share its jets."""
-    return MatrixField(eta.chart, lambda p, o: J.jet_inv(_rho_jet(eta, p, o)))
+    return MatrixField(eta.chart, lambda p, o: J.jet_inv(
+        _rho_jet(F.d_jet(eta.jet(p, o + 1), 1), eta.jet(p, o))))
 
 
-def _rho_jet(eta: OneFormField, p, order: int) -> J.JetArray:
-    """Matrix jet of rho(X) = i_X d(eta) - eta(X) eta (column-vector action)."""
-    deta = F.d_jet(eta.jet(p, order + 1), 1)
-    ej = eta.jet(p, order)
+def _rho_jet(deta: J.JetArray, ej: J.JetArray) -> J.JetArray:
+    """Matrix jet of rho(X) = i_X d(eta) - eta(X) eta (column-vector action),
+    from the jets of d(eta) and eta."""
     pmat = deta - J.jet_einsum("i,j->ij", ej, ej)  # rows: input slot
     return pmat.moveaxis(0, 1)
 
@@ -284,10 +294,11 @@ def gacs_from_contact(eta: OneFormField, check_points=None) -> Gacs:
         # every multiple s eta, and on a Darboux chart (det = 1) the bound only
         # grows as max(1, |y|)^2.
         pts = np.asarray(check_points, dtype=float)
-        rho = _rho_jet(eta, pts, 0).value
-        det = np.abs(np.linalg.det(np.moveaxis(rho, (0, 1), (-2, -1))))
-        bound = (1e-10 * np.abs(eta.values(pts)).max(axis=0) ** 2
-                 * np.abs(F.d_jet(eta.jet(pts, 1), 1).value).max(axis=(0, 1)) ** (n - 1))
+        deta = F.d_jet(eta.jet(pts, 1), 1)
+        (rho,) = J.parts(_rho_jet(deta, eta.jet(pts, 0)), 1)
+        det = np.abs(np.linalg.det(rho))
+        bound = (1e-10 * np.abs(eta.values(pts)).max(axis=-1) ** 2
+                 * np.abs(J.parts(deta, 1)[0]).max(axis=(-2, -1)) ** (n - 1))
         degenerate = (det < bound) | (bound == 0)
         if degenerate.any():
             raise ValueError(
@@ -327,7 +338,7 @@ def gmetric_from_gb(g: MatrixField, b: Optional[TwoFormField] = None) -> General
 
     def fn(p, order):
         gj = g.jet(p, order)
-        gval = np.moveaxis(gj.value, (0, 1), (-2, -1)).reshape(-1, n, n)
+        gval = J.parts(gj, p.ndim - 1)[0].reshape(-1, n, n)
         pts = p.reshape(-1, n)
         asym = np.abs(gval - np.swapaxes(gval, -1, -2)).max(axis=(-2, -1)) > 1e-10
         if asym.any():
@@ -374,7 +385,7 @@ def gacs_check(s: Gacs, points) -> ResidualReport:
     """Skewness, normalization, isotropy and the square identity of Def 3.1."""
     rep = ResidualReport()
     skew, square, norm, iso = gacs_residuals(
-        stack_values(s.Phi, points), stack_values(s.Eplus, points), stack_values(s.Eminus, points)
+        s.Phi.values(points), s.Eplus.values(points), s.Eminus.values(points)
     )
     rep.add("gacs.skew", skew, points, DEFAULT_TOL)
     rep.add("gacs.normalization", norm, points, DEFAULT_TOL)
@@ -386,15 +397,15 @@ def gacs_check(s: Gacs, points) -> ResidualReport:
 def phi_kernel_check(s: Gacs, points) -> ResidualReport:
     """Phi(E+) = Phi(E-) = 0, an axiom consequence for every valid structure."""
     rep = ResidualReport()
-    phi = stack_values(s.Phi, points)
+    phi = s.Phi.values(points)
     for name, sec in (("gacs.phi_eplus", s.Eplus), ("gacs.phi_eminus", s.Eminus)):
-        rep.add(name, sup_norm(gta.apply(phi, stack_values(sec, points))), points, DEFAULT_TOL)
+        rep.add(name, sup_norm(gta.apply(phi, sec.values(points))), points, DEFAULT_TOL)
     return rep
 
 
 def phi_cube_check(s: Gacs, points) -> ResidualReport:
     rep = ResidualReport()
-    phi = stack_values(s.Phi, points)
+    phi = s.Phi.values(points)
     rep.add("gacs.phi_cubed", sup_norm(phi @ phi @ phi + phi), points, 1e-9)
     return rep
 
@@ -403,7 +414,7 @@ def gmetric_check(metric: GeneralizedMetric, points) -> ResidualReport:
     """G* = G, G^2 = id, and positivity of <G A, A>: the least eigenvalue of its Gram."""
     n = metric.endo.chart.dim
     rep = ResidualReport()
-    g = stack_values(metric.endo, points)
+    g = metric.endo.values(points)
     rep.add("gmetric.symmetric", sup_norm(g - gta.adjoint(g)), points, DEFAULT_TOL)
     rep.add("gmetric.square", sup_norm(g @ g - np.eye(2 * n)), points, DEFAULT_TOL)
     rep.add("gmetric.positivity", [max(0.0, -gta.least_pairing(g))], None, 1e-12)
@@ -420,10 +431,10 @@ def gacm_check(m: Gacs, points) -> ResidualReport:
     metric = require_metric(m, "gacm_check")
     rep = gacs_check(m, points)
     rep.extend(gmetric_check(metric, points))
-    phi = stack_values(m.Phi, points)
-    g = stack_values(metric.endo, points)
-    ep = stack_values(m.Eplus, points)
-    em = stack_values(m.Eminus, points)
+    phi = m.Phi.values(points)
+    g = metric.endo.values(points)
+    ep = m.Eplus.values(points)
+    em = m.Eminus.values(points)
     compat = -(phi @ g @ phi) - (g - gta.tensor_pair(ep, ep) - gta.tensor_pair(em, em))
     swap = np.maximum(sup_norm(gta.apply(g, ep) - em), sup_norm(gta.apply(g, em) - ep))
     rep.add("gacm.compatibility", sup_norm(compat), points, DEFAULT_TOL)
@@ -470,7 +481,7 @@ def eigenframe(s: Gacs, sample_points=None) -> EigenFrame:
                        s.Eplus, s.Eminus)
     if sample_points is not None:
         pts = np.asarray(sample_points, dtype=float)
-        low = np.linalg.matrix_rank(stack_values(frame.columns, pts), tol=PIVOT_TOL) < n - 1
+        low = np.linalg.matrix_rank(frame.columns.values(pts), tol=PIVOT_TOL) < n - 1
         if low.any():
             raise ValueError(f"eigenframe rank drops below {n - 1} at {pts[np.argmax(low)]}")
     return frame
@@ -544,9 +555,9 @@ def triples(m: int) -> np.ndarray:
     return np.array(list(combinations(range(m), 3)), dtype=int).reshape(-1, 3)
 
 
-def frame_nij(jets: Sequence[J.JetArray], n: int) -> np.ndarray:
-    """Nij(A,B,C) of a frame's jets as a ``(T, *B)`` array: one row per
-    triple of :func:`triples`, over the batch.
+def frame_nij(jets: Sequence[J.JetArray], n: int) -> J.JetArray:
+    """Nij(A,B,C) of a frame's jets as an order-0 jet with T components, one
+    per triple of :func:`triples`.
 
     Nij is exactly antisymmetric on isotropic frames, so repeated-member
     triples vanish identically and the sorted triples determine the rest.
@@ -554,7 +565,7 @@ def frame_nij(jets: Sequence[J.JetArray], n: int) -> np.ndarray:
 
     The table brackets each unordered pair once, with no per-pair copy of
     the members: the m jets are stacked once along a member axis after the
-    component axis, and row p of the upper triangle brackets the view of
+    section axis, and row p of the upper triangle brackets the view of
     member p, broadcast, against the slice of members p + 1, ..., m - 1, one
     ``courant_jets`` call per row.  The rows concatenate to the m(m-1)/2
     pairs p < q in ``np.triu_indices`` order, and the table is read from
@@ -570,12 +581,12 @@ def frame_nij(jets: Sequence[J.JetArray], n: int) -> np.ndarray:
     """
     m = len(jets)
     if m < 3:
-        return np.zeros((0,) + jets[0].value.shape[1:], dtype=complex)
+        return jets[0][:0].truncate(0)
     frame = J.stack(jets, axis=1)
-    brackets = np.concatenate(
-        [F.courant_jets(frame[:, p:p + 1], frame[:, p + 1:], n).value for p in range(m - 1)],
-        axis=1)
-    P = 0.5 * np.einsum("ip...,ir...->pr...", gta.swap(brackets, 0), frame.value)
+    brackets = J.concat(
+        [F.courant_jets(frame[:, p:p + 1], frame[:, p + 1:], n) for p in range(m - 1)],
+        axis=1).truncate(0)
+    P = 0.5 * J.jet_einsum("ip,ir->pr", F.swap_jet(brackets), frame)
     first, second = np.triu_indices(m, 1)
     at = np.zeros((m, m), dtype=int)
     at[first, second] = np.arange(len(first))
@@ -587,8 +598,7 @@ def nij_table(members: Sequence[SectionField]) -> F.Field:
     """The :func:`frame_nij` table of ``members`` as a field with one component
     per triple; it holds values only, from the members' order-1 jets."""
     chart = members[0].chart
-    return F.Field(chart, lambda p, o: J.JetArray(
-        frame_nij([m.jet(p, 1) for m in members], chart.dim), None, None, chart.dim))
+    return F.Field(chart, lambda p, o: frame_nij([m.jet(p, 1) for m in members], chart.dim))
 
 
 def cabs(z: np.ndarray) -> np.ndarray:
@@ -603,8 +613,8 @@ def cabs(z: np.ndarray) -> np.ndarray:
 
 
 def row_max(rows: np.ndarray) -> np.ndarray:
-    """Per-point max over the rows of a ``(T, *B)`` array (zeros if T = 0)."""
-    return rows.max(axis=0, initial=0.0)
+    """Per-point max over the last axis of a ``(*B, T)`` array (zeros if T = 0)."""
+    return rows.max(axis=-1, initial=0.0)
 
 
 def max_nij_over_frame(members: Sequence[SectionField], points) -> Tuple[float, np.ndarray]:
@@ -635,6 +645,6 @@ def involutivity_class(s: Gacs, points, tol: Optional[float] = None):
 
 
 def l_nij_max(frame: EigenFrame, points) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-point max |Nij| over the L+ and over the L- rows of a frame's table."""
+    """Per-point max |Nij| over the L+ and over the L- triples of a frame's table."""
     mags = cabs(frame.table.values(points))
-    return row_max(mags[frame.plus_rows]), row_max(mags[frame.minus_rows])
+    return row_max(mags[..., frame.plus_rows]), row_max(mags[..., frame.minus_rows])

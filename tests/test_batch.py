@@ -97,9 +97,23 @@ def test_frame_nij_over_a_batch_equals_the_per_point_tables(entry):
     assert len(pts) == s.chart.dim
     members = l_plus(S.eigenframe(s))
     n = s.chart.dim
-    table = S.frame_nij([m.jet(pts, 1) for m in members], n)
+    table = S.frame_nij([m.jet(pts, 1) for m in members], n).value
     assert table.shape == (len(S.triples(len(members))), len(pts))
     for k, p in enumerate(pts):
-        single = S.frame_nij([m.jet(p, 1) for m in members], n)
+        single = S.frame_nij([m.jet(p, 1) for m in members], n).value
         assert single.shape == table.shape[:1]
         assert np.array_equal(table[:, k], single), k
+
+
+def test_values_are_a_c_contiguous_batch_first_stack():
+    """Field.values over (*B, n) points is the C-contiguous (*B, *comps) stack of
+    the per-point values, and one point's values have no batch axis at all."""
+    s = gallery.build("heisenberg_sasakian")["gacs"]
+    pts = s.chart.sample(seed=13, count=4)
+    for field in (s.Phi, s.Eplus, s.Eminus, s.frame.table):
+        stack = field.values(pts.reshape(2, 2, -1))
+        assert stack.flags.c_contiguous and stack.shape == (2, 2) + field.values(pts[0]).shape
+        for k, p in enumerate(pts):
+            assert np.array_equal(stack[k // 2, k % 2], field.values(p))
+    x = F.coordinate(s.chart, 0).values(pts[1])
+    assert x.shape == () and complex(x) == pts[1][0]

@@ -109,7 +109,7 @@ def test_constant_takes_scalars_and_component_arrays():
     assert j.value.shape == BATCH and np.all(j.value == 1) and not j.grad.any() and not j.hess.any()
     e = F.constant(CH, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]], F.MatrixField)
     assert type(e) is F.MatrixField
-    assert e.values(PTS).shape == (3, 3) + BATCH
+    assert e.values(PTS).shape == BATCH + (3, 3)
     assert np.all(e.values(PTS[0]) == [[0, 1, 0], [-1, 0, 0], [0, 0, 0]])
     assert not e.values(PTS[0]).flags.writeable
     _assert_bitwise(F.basis_vector(CH, 1).at(PTS), J.lift(np.eye(3)[1], N, 2, BATCH))

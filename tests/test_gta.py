@@ -17,7 +17,6 @@ from gencontact.gta import (
     pairing_gram,
     tensor_pair,
 )
-from gencontact.report import batch_first
 from oracles import r_endo
 
 RNG = np.random.default_rng(7)
@@ -51,7 +50,7 @@ def b_field(bmat):
 
 def b_endo_values(bmat, points=PTS):
     """(P, 2n, 2n) values of e^B for B = b_field(bmat)."""
-    return batch_first(F.b_endo(b_field(bmat)).values(points))
+    return F.b_endo(b_field(bmat)).values(points)
 
 
 def sup(a):
@@ -159,15 +158,15 @@ def test_b_field_matrix():
     eye = np.broadcast_to(np.eye(2 * n), (len(PTS), 2 * n, 2 * n))
     assert np.array_equal(b_endo_values(np.zeros((n, n))), eye)
     dxdy = F.wedge11(F.basis_form(CH, 0), F.basis_form(CH, 1))
-    out = batch_first(F.b_endo(dxdy).values(PTS)) @ gt([1, 0, 0], [0, 0, 0])
+    out = F.b_endo(dxdy).values(PTS) @ gt([1, 0, 0], [0, 0, 0])
     assert np.allclose(out, gt([1, 0, 0], [0, 1, 0]))  # d/dx + dy at every point
 
 
 def test_b_field_orthogonal_and_inverse():
     n = 3
     b = b_field(rand_form_matrix())
-    eb = batch_first(F.b_endo(b).values(PTS))
-    ebinv = batch_first(F.b_endo(-1 * b).values(PTS))
+    eb = F.b_endo(b).values(PTS)
+    ebinv = F.b_endo(-1 * b).values(PTS)
     assert sup(eb @ ebinv - np.eye(2 * n)) < 1e-13
     for k in range(len(PTS)):
         for _ in range(20):
@@ -180,7 +179,7 @@ def test_r_scaling():
     N = cone.dim
 
     def r_at(t):
-        return batch_first(r_endo(cone).values(np.column_stack([PTS, np.full(len(PTS), t)])))
+        return r_endo(cone).values(np.column_stack([PTS, np.full(len(PTS), t)]))
 
     assert np.array_equal(r_at(0.0), np.broadcast_to(np.eye(2 * N), (len(PTS), 2 * N, 2 * N)))
     out = r_at(1.0) @ np.eye(2 * N)[0]  # R d/dx
@@ -218,7 +217,7 @@ def test_pair_jets_share_the_pointwise_swap():
         halves = J.concat([ja[n:], ja[:n]])
         for part in ("value", "grad", "hess"):
             assert np.array_equal(getattr(swapped, part), getattr(halves, part))
-        va, vb = batch_first(ja.value), batch_first(jb.value)
+        va, vb = J.parts(ja, 1)[0], J.parts(jb, 1)[0]
         want = pair(va, vb)
         scale = 0.5 * (np.abs(gta.swap(va)) * np.abs(vb)).sum(axis=-1)
         for order in (0, 1, 2):

@@ -17,7 +17,6 @@ from gencontact import integrability as I
 from gencontact import jets as J
 from gencontact import structures as S
 from gencontact.charts import ConeChart
-from gencontact.report import stack_values
 from oracles import l_minus, l_plus, lie_bracket
 
 DARBOUX = gallery.build("darboux")
@@ -206,13 +205,13 @@ def test_eigenframe_is_one_projector_field(monkeypatch):
 
 
 def shared_l_tables_exact(frame, points) -> bool:
-    """The L+ and L- row masks of the frame's shared table equal frame_nij
-    of l_plus and l_minus bit for bit."""
+    """The L+ and L- triple masks of the frame's shared table equal frame_nij
+    of l_plus and l_minus bit for bit, both read batch first."""
     n = frame.eplus.chart.dim
     table = frame.table.values(points)
     for rows, members in ((frame.plus_rows, l_plus(frame)), (frame.minus_rows, l_minus(frame))):
-        alone = S.frame_nij([m.jet(points, 1) for m in members], n)
-        if table[rows].shape != alone.shape or not np.array_equal(table[rows], alone):
+        alone = J.parts(S.frame_nij([m.jet(points, 1) for m in members], n), 1)[0]
+        if table[..., rows].shape != alone.shape or not np.array_equal(table[..., rows], alone):
             return False
     return True
 
@@ -232,7 +231,7 @@ def frame_nij_gap(members, points) -> float:
     largest = 0.0
     for p in points:
         jets = [m.at(p) for m in members]
-        table = S.frame_nij(jets, n)
+        table = S.frame_nij(jets, n).value
         triples = list(combinations(range(len(jets)), 3))
         ref = [complex(F.nij_jets(jets[i], jets[j], jets[k], n).value) for i, j, k in triples]
         assert table.shape == (len(ref),)
@@ -250,7 +249,7 @@ def test_frame_nij_oracle_sees_a_1e10_error():
         members = C.cone_plus_frame(ConeChart.over(s.chart), S.eigenframe(s).e10, s.Eplus,
                                     s.Eminus, conjugated=False)
         jets = [m.at(p) for m in members for p in C.cone_points(pts(entry, 1))[:1]]
-        table = S.frame_nij(jets, members[0].chart.dim)
+        table = S.frame_nij(jets, members[0].chart.dim).value
         assert nij_mismatches(table, table, jets) == []
         for t in range(len(table)):
             assert nij_mismatches(table + 1e-10 * (np.arange(len(table)) == t), table, jets) == [t]
@@ -350,7 +349,7 @@ def test_pair_table_equals_the_ordered_pairs_table_bit_for_bit():
     for s in frame_structures():
         for members, points, n in nij_frames(s, s.chart.sample(seed=3, count=4)):
             jets = [m.jet(points, 1) for m in members]
-            table, ref = S.frame_nij(jets, n), ordered_pairs_nij(jets, n)
+            table, ref = S.frame_nij(jets, n).value, ordered_pairs_nij(jets, n)
             assert table.shape == ref.shape
             for t, v in enumerate(ref):
                 assert table[t].tobytes() == v.tobytes(), (s, n, t)
@@ -383,7 +382,7 @@ def test_pair_table_matches_the_ordered_pairs_table_on_generated_forms(case):
         assume(False)
     jets = [m.jet(sample, 1) for m in frame.members]
     scale = max(np.abs(j.value).max() for j in jets) ** 2 * max(np.abs(j.grad).max() for j in jets)
-    table, ref = S.frame_nij(jets, s.chart.dim), ordered_pairs_nij(jets, s.chart.dim)
+    table, ref = S.frame_nij(jets, s.chart.dim).value, ordered_pairs_nij(jets, s.chart.dim)
     assert table.shape == ref.shape
     for t, v in enumerate(ref):
         assert np.abs(table[t] - v).max() <= 1e-13 * scale, (t, table[t], v)
@@ -411,7 +410,7 @@ def prefix_tables_exact(members, points, n) -> set:
     bit for bit, for every m >= 3; return the sizes m checked."""
     jets = [mb.jet(points, 1) for mb in members]
     for m in range(3, len(jets) + 1):
-        table, ref = S.frame_nij(jets[:m], n), gathered_pairs_nij(jets[:m], n)
+        table, ref = S.frame_nij(jets[:m], n).value, gathered_pairs_nij(jets[:m], n)
         assert table.shape == ref.shape and np.array_equal(table, ref), (n, m)
     return set(range(3, len(jets) + 1))
 
@@ -460,7 +459,7 @@ def test_frame_nij_peak_stays_under_2mb(peak_bytes):
     jets = [m.jet(C.cone_points(s.chart.sample(seed=5, count=8), C.DEFAULT_TS), 1)
             for m in members]
     table, peak = peak_bytes(S.frame_nij, jets, cone.dim)
-    assert table.shape == (56, 24)
+    assert table.value.shape == (56, 24)
     assert peak <= 2 * 10**6, peak
 
 
@@ -493,12 +492,12 @@ def test_cone_rhs_from_the_pairing_tables_equals_the_per_triple_formula():
     for s in frame_structures():
         points = s.chart.sample(seed=3, count=4)
         rhs = I._rcone_gaps(s.frame, points)[2]
-        vals = [stack_values(m, points) for m in s.frame.members]
+        vals = [m.values(points) for m in s.frame.members]
         triples = list(combinations(range(len(vals)), 3))
-        assert rhs.shape == (len(triples), len(points))
+        assert rhs.shape == (len(points), len(triples))
         for t, tri in enumerate(triples):
             ref = triple_cone_rhs([vals[i] for i in tri], vals[-1])
-            assert rhs[t].tobytes() == ref.tobytes(), (s, tri)
+            assert rhs[:, t].tobytes() == ref.tobytes(), (s, tri)
 
 
 def test_rcone_gaps_pairs_each_member_pair_once(monkeypatch):

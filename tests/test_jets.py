@@ -220,3 +220,40 @@ def test_concat_none_parts_equal_explicit_zeros(order):
             g, w = getattr(got, part), getattr(want, part)
             assert (g is None) == (w is None)
             assert g is None or (g.shape == w.shape and np.array_equal(g, w))
+
+
+def test_parts_put_the_batch_axes_first_as_views():
+    """parts reads the parts a jet has, value first, with the batch axes moved
+    in front of the component axes and the derivative axes kept last."""
+    rng = np.random.default_rng(3)
+    p = rng.normal(size=(4, 5, 3))
+    j = J.jet_einsum("i,j->ij", J.seed_point(p, 3), J.seed_point(p, 3))
+    value, grad, hess = J.parts(j, 2)
+    assert value.shape == (4, 5, 3, 3) and grad.shape == (4, 5, 3, 3, 3)
+    assert hess.shape == (4, 5, 3, 3, 3, 3)
+    assert np.array_equal(value, np.moveaxis(j.value, (2, 3), (0, 1)))
+    assert np.array_equal(hess, np.moveaxis(j.hess, (2, 3), (0, 1)))
+    assert np.shares_memory(grad, j.grad)
+    assert len(J.parts(j.truncate(0), 2)) == 1
+    (single,) = J.parts(J.seed_point(p[0, 0], 3, 0), 0)
+    assert single.shape == (3,) and J.batch_shape(J.seed_point(p, 3), 1) == (4, 5)
+
+
+def test_only_jets_reads_the_parts_of_a_jet():
+    """Outside jets.py no module of the package reads an attribute named value,
+    grad or hess, or calls JetArray: the jet layout is read through jets.parts."""
+    import ast
+    from pathlib import Path
+
+    src = Path(J.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "jets.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("value", "grad", "hess"):
+                found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+            elif isinstance(node, ast.Call) and "JetArray" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append(f"{path.name}:{node.lineno} calls JetArray")
+    assert not found, found

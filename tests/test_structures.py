@@ -71,7 +71,7 @@ def test_contact_rho_example():
     """rho(d/dz) = -eta since i_dz(dx^dy) = 0 and eta(dz) = 1."""
     eta = DARBOUX["eta"]
     for p in PTS["darboux"][:5]:
-        rho = S._rho_jet(eta, p, 0).value
+        rho = S._rho_jet(F.d_jet(eta.jet(p, 1), 1), eta.jet(p, 0)).value
         out = rho @ np.array([0, 0, 1.0])
         assert np.allclose(out, -eta.values(p))
 
@@ -81,6 +81,38 @@ def test_gacs_from_contact_rejects_non_contact():
     eta = F.one_form(ch, [F.constant(ch, 0), F.constant(ch, 0), F.constant(ch, 1)])  # dz
     with pytest.raises(ValueError, match="not contact|degenerate"):
         S.gacs_from_contact(eta, check_points=ch.sample(seed=2, count=3))
+
+
+def test_gacs_from_contact_validation_takes_d_eta_once(monkeypatch):
+    """The check-point validation reads rho and its degeneracy bound from one d(eta) jet."""
+    calls = []
+    d_jet = F.d_jet
+
+    def counting(j, k):
+        calls.append(k)
+        return d_jet(j, k)
+
+    monkeypatch.setattr(F, "d_jet", counting)
+    S.gacs_from_contact(DARBOUX["eta"], check_points=PTS["darboux"])
+    assert calls == [1]
+
+
+def test_records_refuse_fields_on_another_chart():
+    """A field on another chart than its record's is refused by name when the
+    record is built, not later inside a check."""
+    d3, d5 = gallery.darboux(1)["gacs"], gallery.darboux(2)["gacs"]
+    eye5 = F.constant(d5.chart, np.eye(5), F.MatrixField)
+    with pytest.raises(ValueError, match="Gacs.Phi lives on another chart"):
+        S.Gacs(d5.chart, d3.Phi, d3.Eplus, d3.Eminus)
+    with pytest.raises(ValueError, match="Gacs.f lives on another chart"):
+        S.Gacs(d3.chart, d3.Phi, d3.Eplus, d3.Eminus, F.constant(d5.chart, 1.0))
+    with pytest.raises(ValueError, match="Gacs.metric lives on another chart"):
+        S.Gacs(d3.chart, d3.Phi, d3.Eplus, d3.Eminus, metric=S.gmetric_from_gb(eye5))
+    acs = HEIS["acs"]
+    with pytest.raises(ValueError, match="AlmostContactMetric.phi lives on another chart"):
+        S.AlmostContactMetric(d5.chart, acs.phi, acs.xi, acs.eta)
+    with pytest.raises(ValueError, match="AlmostContactMetric.g lives on another chart"):
+        S.AlmostContactMetric(acs.chart, acs.phi, acs.xi, acs.eta, eye5)
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
@@ -202,11 +234,10 @@ def test_gmetric_axioms_and_b0_shape():
 def test_positivity_is_the_least_eigenvalue_of_the_pairing():
     """<A, A> itself has signature (n, n): its least value on unit vectors is -1/2."""
     from gencontact import gta
-    from gencontact.report import stack_values
 
     assert gta.least_pairing(np.eye(6)) == pytest.approx(-0.5)
     metric = HEIS["gacs"].metric
-    assert gta.least_pairing(stack_values(metric.endo, PTS["heisenberg_sasakian"])) > 0.1
+    assert gta.least_pairing(metric.endo.values(PTS["heisenberg_sasakian"])) > 0.1
 
 
 def test_gmetric_rejects_singular():

@@ -54,9 +54,10 @@ print(json.dumps(out))
 
 
 def pinned_env() -> dict:
-    """This process's environment with BLAS threads pinned to 1 and
-    ``GENCONTACT_THREADS`` and ``PYTHONPATH`` removed, so a tree imports its own ``src``."""
-    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    """This process's environment with BLAS threads pinned to 1,
+    ``GENCONTACT_THREADS`` and ``PYTHONPATH`` removed, so a tree imports its own
+    ``src``, and ``PYTHONDONTWRITEBYTECODE`` set, so no tree gets ``__pycache__``."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **{var: "1" for var in THREAD_VARS})
     env.pop("GENCONTACT_THREADS", None)
     env.pop("PYTHONPATH", None)
     return env

@@ -8,8 +8,8 @@ B the change.  A pair is one ``benchmarks/run.py --workload W --seed 0
 processes, and the tree that runs first alternates from pair to pair, so
 that a drift of the host falls on both sides.  The environment is pinned as
 ``tools/compare_digests.py`` pins it (BLAS threads 1, ``GENCONTACT_THREADS``
-and ``PYTHONPATH`` removed), and no bytecode is written, so the runs leave
-nothing under either tree's ``benchmarks/``.
+and ``PYTHONPATH`` removed, no bytecode written), so the runs leave nothing
+under either tree's ``benchmarks/``.
 
 The script prints each pair's end-to-end metrics for A and B, then per
 metric both medians and B's change relative to A's median, positive when B
@@ -41,10 +41,10 @@ CLAIM = "verdict_s.p50"
 
 def run(tree: Path, workload: str, seconds: float):
     """({metric: value}, digest) of one benchmark run of ``tree``; exits 1 if the run fails."""
-    env = dict(pinned_env(), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, str(tree / "benchmarks" / "run.py"), "--workload", workload,
            "--seed", "0", "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True, check=False)
+    proc = subprocess.run(cmd, cwd=tree, env=pinned_env(), capture_output=True, text=True,
+                          check=False)
     lines = proc.stdout.splitlines()
     digest = next((line.split()[2] for line in lines if line.startswith("# digest ")), None)
     try:
