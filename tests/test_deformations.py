@@ -1,8 +1,6 @@
 """K(kappa) deformation algebra, normalization, cone correspondences,
 the cross-term cone metric and the deformed cone pair."""
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -13,6 +11,7 @@ from gencontact import gallery
 from gencontact import gta
 from gencontact import structures as S
 from gencontact.exprs import parse_scalar
+from pins import assert_pinned
 
 DARBOUX = gallery.build("darboux")
 HEIS = gallery.build("heisenberg_sasakian")
@@ -231,7 +230,8 @@ def test_fgacm_witness_and_f_sasakian():
 
 
 # SHA-256 of the to_json() reports of the two deformation checks that read
-# Gacs.dual: f_sasakian reaches the R-conjugated cone structure through i_map,
+# Gacs.dual, kept as tests/golden/f_sasakian.json and cone_kahler_pair.json:
+# f_sasakian reaches the R-conjugated cone structure through i_map,
 # cone_kahler_pair the unconjugated one through i_prime.  No gallery digest
 # covers them; as for the gallery pins, a re-pin must say in CHANGES.md why the
 # report moved.
@@ -239,22 +239,18 @@ F_SASAKIAN_SHA256 = "bf02f9939b08a090961cee5f4734be859f8c292b1e805da6fe10a29e183
 CONE_PAIR_SHA256 = "10c01d71ab6ede07b2160fcfa4d2aec27c3439259c9770a78ea6b9aa45223062"
 
 
-def report_sha256(rep):
-    return hashlib.sha256(rep.to_json().encode()).hexdigest()
-
-
 def test_f_sasakian_report_bytes_are_pinned():
     ch = KAHLER["chart"]
     zero = 0 * F.basis_form(ch, 2)
     rep = D.f_sasakian_check(KAHLER["gacs"], zero, zero, ch.sample(seed=19, count=3))
-    assert report_sha256(rep) == F_SASAKIAN_SHA256
+    assert_pinned("f_sasakian.json", rep.to_json().encode(), F_SASAKIAN_SHA256)
 
 
 def test_cone_kahler_pair_report_bytes_are_pinned():
     ch = HEIS["chart"]
     alpha = 0.2 * F.basis_form(ch, 2)
     rep = D.cone_kahler_pair_check(HEIS["gacs"], alpha, ch.sample(seed=13, count=4))
-    assert report_sha256(rep) == CONE_PAIR_SHA256
+    assert_pinned("cone_kahler_pair.json", rep.to_json().encode(), CONE_PAIR_SHA256)
 
 
 def test_f_sasakian_random_deformation_fails():

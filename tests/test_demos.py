@@ -1,7 +1,6 @@
 """Each demo script runs to completion (exit 0) from a source checkout and
 prints the pinned bytes."""
 
-import hashlib
 import os
 import subprocess
 import sys
@@ -9,12 +8,15 @@ from pathlib import Path
 
 import pytest
 
+from pins import assert_pinned
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
-# SHA-256 of each demo's stdout.  The demos print residuals and verdicts of
-# deterministic computations, so a change of these bytes is a change of the
-# numbers: a re-pin must say in CHANGES.md why the output moved.
+# SHA-256 of each demo's stdout, kept as tests/golden/demo_<script stem>.stdout.
+# The demos print residuals and verdicts of deterministic computations, so a
+# change of these bytes is a change of the numbers: a re-pin updates the digest
+# and its golden output together and must say in CHANGES.md why the output moved.
 STDOUT_SHA256 = {
     "01_exterior_calculus.py": "79c475d809f130ab353344ec238d082fc3f5f65d2e785b831bd2417244888423",
     "02_structures_and_transforms.py":
@@ -35,10 +37,7 @@ def test_demo_exits_zero(script):
     done = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
                           capture_output=True, timeout=300)
     assert done.returncode == 0, done.stderr.decode()
-    digest = hashlib.sha256(done.stdout).hexdigest()
-    assert digest == STDOUT_SHA256[script.name], (
-        f"the output of {script.name} changed (sha256 {digest}); if the change is "
-        "intended, justify the re-pin in CHANGES.md")
+    assert_pinned(f"demo_{script.stem}.stdout", done.stdout, STDOUT_SHA256[script.name])
 
 
 def test_readme_library_tour_runs_on_the_package_exports():

@@ -3,7 +3,6 @@ plus the closed-form identities of the warped Kaehler interval and the pinned
 bytes of the gallery reports, of one 7-dim Darboux report and of two deform
 pipeline reports."""
 
-import hashlib
 import json
 
 import numpy as np
@@ -18,6 +17,7 @@ from gencontact import jets as J
 from gencontact import structures as S
 from gencontact.charts import ConeChart
 from gencontact.cli import main
+from pins import assert_pinned
 
 
 @pytest.mark.parametrize("name", gallery.names())
@@ -225,8 +225,11 @@ def test_heisenberg_reeb_invariance():
 
 
 # SHA-256 of `gencontact gallery run <entry> --out <file>` at the default seed and
-# sample count.  The report is deterministic, so any change of these bytes is a
-# change of the numbers: a re-pin must say in CHANGES.md why the reports moved.
+# sample count, kept as tests/golden/gallery_<entry>.json.  The report is
+# deterministic, so any change of these bytes is a change of the numbers: a
+# re-pin updates the digest and its golden report together and must say in
+# CHANGES.md why the reports moved, with the table of rows that `assert_pinned`
+# prints.
 REPORT_SHA256 = {
     "darboux": "929d295a063110bd028d21a2cb2a208c15e9ad13f0530ecc4d68bfebada3b1c7",
     "heisenberg_sasakian": "0a534f016cce8d7efd787d4fee620ad6aa4ef8deaa9e35ba0d7fc00abe09237a",
@@ -238,8 +241,9 @@ REPORT_SHA256 = {
 # SHA-256 of `gencontact verify --out <file>` on dz - y1 dx1 - y2 dx2 - y3 dx3
 # (x1..x7 = x1, y1, x2, y2, x3, y3, z) with the darboux7 benchmark's check set.
 # The gallery charts are 3-dim, so their frames have 4 members; this pin covers
-# the 8-member frame and its 56-triple Nijenhuis tables.  As for REPORT_SHA256,
-# a re-pin must say in CHANGES.md why the report moved.
+# the 8-member frame and its 56-triple Nijenhuis tables.  Kept as
+# tests/golden/verify_darboux7.json; as for REPORT_SHA256, a re-pin must say in
+# CHANGES.md why the report moved.
 DARBOUX7_CONFIG = {
     "structure": {"chart": {"dim": 7}, "builder": "from_contact",
                   "eta": ["-x2", "0", "-x4", "0", "-x6", "0", "1"]},
@@ -257,16 +261,14 @@ def test_darboux7_report_bytes_are_pinned(tmp_path):
     out = tmp_path / "report.json"
     # L+ of a Darboux form is not involutive, so involutivity and the cone rows fail
     assert main(["verify", str(cfg), "--out", str(out)]) == 1
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == DARBOUX7_SHA256, (
-        f"the 7-dim Darboux report changed (sha256 {digest}); if the change is "
-        "intended, justify the re-pin in CHANGES.md")
+    assert_pinned("verify_darboux7.json", out.read_bytes(), DARBOUX7_SHA256)
 
 
 # SHA-256 of `gencontact verify --out <file>` on a contact form f (dz + dh - y dx)
 # taken through K-(kappa), a B-field, K+(kappa) and normalize, checked by fgacs.
-# No gallery entry takes the K+-/B/normalize path; as for REPORT_SHA256, a
-# re-pin must say in CHANGES.md why the report moved.
+# No gallery entry takes the K+-/B/normalize path.  Kept as
+# tests/golden/verify_deform.json; as for REPORT_SHA256, a re-pin must say in
+# CHANGES.md why the report moved.
 DEFORM_CONFIG = {
     "structure": {"chart": {"dim": 3}, "builder": "from_contact",
                   "eta": ["(1 + 0.25*x - 0.1*y*z)*(-0.2*x - 0.8*y)",
@@ -291,16 +293,13 @@ def test_deform_pipeline_report_bytes_are_pinned(tmp_path):
     cfg.write_text(json.dumps(DEFORM_CONFIG))
     out = tmp_path / "report.json"
     assert main(["verify", str(cfg), "--out", str(out)]) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == DEFORM_SHA256, (
-        f"the deform pipeline report changed (sha256 {digest}); if the change is "
-        "intended, justify the re-pin in CHANGES.md")
+    assert_pinned("verify_deform.json", out.read_bytes(), DEFORM_SHA256)
 
 
 # SHA-256 of `gencontact verify --out <file>` on the same contact form taken
 # through a B-field and normalize only: f stays 0 (None) up to normalize, which
-# has nothing to strip.  As for REPORT_SHA256, a re-pin must say in CHANGES.md
-# why the report moved.
+# has nothing to strip.  Kept as tests/golden/verify_b_normalize.json; as for
+# REPORT_SHA256, a re-pin must say in CHANGES.md why the report moved.
 B_NORMALIZE_CONFIG = {
     "structure": DEFORM_CONFIG["structure"],
     "apply": [DEFORM_CONFIG["apply"][1], {"op": "normalize"}],
@@ -316,17 +315,15 @@ def test_b_field_normalize_report_bytes_are_pinned(tmp_path):
     cfg.write_text(json.dumps(B_NORMALIZE_CONFIG))
     out = tmp_path / "report.json"
     assert main(["verify", str(cfg), "--out", str(out)]) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == B_NORMALIZE_SHA256, (
-        f"the B-field/normalize report changed (sha256 {digest}); if the change is "
-        "intended, justify the re-pin in CHANGES.md")
+    assert_pinned("verify_b_normalize.json", out.read_bytes(), B_NORMALIZE_SHA256)
 
 
 # SHA-256 of `gencontact verify --out <file>` on two metric structures taken
 # through one B-field and checked by gacm: from_acs with g (the Heisenberg data)
 # and the kahler_interval entry.  Both were refused (exit 2) while the pipeline
-# dropped the metric; pinned when b_field started to keep it.  As for
-# REPORT_SHA256, a re-pin must say in CHANGES.md why the report moved.
+# dropped the metric; pinned when b_field started to keep it.  Kept as
+# tests/golden/verify_b_gacm_<name>.json; as for REPORT_SHA256, a re-pin must
+# say in CHANGES.md why the report moved.
 B_GACM_STEP = {"op": "b_field", "B": [["0", "0.3*z", "0.1"], ["-0.3*z", "0", "-0.2*x*y"],
                                       ["-0.1", "0.2*x*y", "0"]]}
 B_GACM_CONFIGS = {
@@ -354,10 +351,7 @@ def test_b_field_gacm_report_bytes_are_pinned(name, tmp_path):
     cfg.write_text(json.dumps(B_GACM_CONFIGS[name]))
     out = tmp_path / "report.json"
     assert main(["verify", str(cfg), "--out", str(out)]) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == B_GACM_SHA256[name], (
-        f"the B-field gacm report of {name} changed (sha256 {digest}); if the change "
-        "is intended, justify the re-pin in CHANGES.md")
+    assert_pinned(f"verify_b_gacm_{name}.json", out.read_bytes(), B_GACM_SHA256[name])
 
 
 def test_an_entry_with_a_metric_holds_one_gacs():
@@ -379,7 +373,4 @@ def test_pinned_reports_cover_every_entry():
 def test_gallery_report_bytes_are_pinned(name, tmp_path):
     out = tmp_path / f"{name}.json"
     assert main(["gallery", "run", name, "--out", str(out)]) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == REPORT_SHA256[name], (
-        f"the golden report of {name} changed (sha256 {digest}); if the change is "
-        "intended, justify the re-pin in CHANGES.md")
+    assert_pinned(f"gallery_{name}.json", out.read_bytes(), REPORT_SHA256[name])

@@ -1,16 +1,6 @@
 """The comparison tools under tools/ run each tree in a pinned environment."""
 
-import importlib.util
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from pins import load_tool
 
 
 def test_pinned_env_writes_no_bytecode_and_pins_threads(monkeypatch):

@@ -78,21 +78,46 @@ def _verdict(passed) -> str:
     return {None: "----", True: "PASS", False: "FAIL"}[passed]
 
 
-def moved_rows(ops_a: list, ops_b: list):
-    """(index of the first op whose report differs, its rows that moved), or None.
+def row_changes(rows_a: list, rows_b: list) -> list:
+    """The rows ``[name, passed, max_residual]`` whose verdict or max residual
+    differ between two reports, in A's row order and then B's new rows.
 
     Each moved row is (name, (verdict A, verdict B), (max A, max B)); a side
     that lacks the row holds ``None`` in both pairs.
     """
+    got_a = {name: (_verdict(p), m) for name, p, m in rows_a}
+    got_b = {name: (_verdict(p), m) for name, p, m in rows_b}
+    names = list(got_a) + [name for name in got_b if name not in got_a]
+    return [(name, *zip(got_a.get(name, (None, None)), got_b.get(name, (None, None))))
+            for name in names if got_a.get(name) != got_b.get(name)]
+
+
+def moved_rows(ops_a: list, ops_b: list):
+    """(index of the first op whose report differs, its :func:`row_changes`), or None."""
     for i, ((da, rows_a), (db, rows_b)) in enumerate(zip(ops_a, ops_b)):
-        if da == db:
-            continue
-        got_a = {name: (_verdict(p), m) for name, p, m in rows_a}
-        got_b = {name: (_verdict(p), m) for name, p, m in rows_b}
-        names = list(got_a) + [name for name in got_b if name not in got_a]
-        return i, [(name, *zip(got_a.get(name, (None, None)), got_b.get(name, (None, None))))
-                   for name in names if got_a.get(name) != got_b.get(name)]
+        if da != db:
+            return i, row_changes(rows_a, rows_b)
     return None
+
+
+def row_table(rows: list) -> str:
+    """The moved rows of :func:`row_changes` as a table: row, both verdicts, both
+    max residuals, the absolute change |B - A| and the change relative to
+    max(|A|, |B|)."""
+    if not rows:
+        return "(no verdict or max_residual moved; the report differs in other fields)"
+    w = max(len(row[0]) for row in rows)
+    lines = [f"{'row':<{w}} {'A':<4} {'B':<4}  {'max_residual A':>14} {'max_residual B':>14}  "
+             f"{'abs change':>10} {'rel change':>10}"]
+    for name, (va, vb), (ma, mb) in rows:
+        change = rel = "-"
+        if ma is not None and mb is not None:
+            diff, scale = abs(mb - ma), max(abs(ma), abs(mb))
+            change, rel = f"{diff:.2e}", f"{diff / scale if scale else 0.0:.2e}"
+        res = [f"{m:.6e}" if m is not None else "-" for m in (ma, mb)]
+        lines.append(f"{name:<{w}} {va or '-':<4} {vb or '-':<4}  {res[0]:>14} {res[1]:>14}  "
+                     f"{change:>10} {rel:>10}")
+    return "\n".join(lines)
 
 
 def print_moved(workload: str, seed: str, ops_a: list, ops_b: list):
@@ -101,20 +126,7 @@ def print_moved(workload: str, seed: str, ops_a: list, ops_b: list):
         return
     i, rows = found
     print(f"\n## {workload} seed {seed}, op {i}: {len(rows)} rows moved")
-    if not rows:
-        print("(no verdict or max_residual moved; the report differs in other fields)")
-        return
-    w = max(len(row[0]) for row in rows)
-    print(f"{'row':<{w}} {'A':<4} {'B':<4}  {'max_residual A':>14} {'max_residual B':>14}  "
-          f"{'abs change':>10} {'rel change':>10}")
-    for name, (va, vb), (ma, mb) in rows:
-        change = rel = "-"
-        if ma is not None and mb is not None:
-            diff, scale = abs(mb - ma), max(abs(ma), abs(mb))
-            change, rel = f"{diff:.2e}", f"{diff / scale if scale else 0.0:.2e}"
-        res = [f"{m:.6e}" if m is not None else "-" for m in (ma, mb)]
-        print(f"{name:<{w}} {va or '-':<4} {vb or '-':<4}  {res[0]:>14} {res[1]:>14}  "
-              f"{change:>10} {rel:>10}")
+    print(row_table(rows))
 
 
 def main(argv=None) -> int:
