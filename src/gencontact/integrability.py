@@ -8,9 +8,9 @@ sample set and all frame triples, and reports carry the raw residuals.
 Each frame member is evaluated once per structure: the checks of a Gacs
 read its one eigenframe (``Gacs.frame``) and that frame's Nijenhuis table
 (``EigenFrame.table``), whose values are one ``(*B, T)`` array over the
-triple index :func:`~gencontact.structures.triples` that brackets each
-unordered member pair once, in row blocks of views of the once-stacked
-members (:func:`~gencontact.structures.frame_nij`).  Sub-frames and
+triple index :func:`~gencontact.structures.triples`, read from two batched
+matmuls of the members' order-1 jets
+(:func:`~gencontact.structures.frame_nij`).  Sub-frames and
 identity classes are masks on the triple axis of a table, and right-hand
 sides are array expressions over the triple index, read from one pairing
 table of the members that takes each minus pairing once per unordered

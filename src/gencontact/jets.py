@@ -64,6 +64,10 @@ class JetOrderError(ValueError):
     """Raised when an operation needs derivative data that was consumed."""
 
 
+class SingularMatrixError(ValueError):
+    """Raised by :func:`jet_inv` on a matrix jet that is singular at some batch item."""
+
+
 def _as_complex(a) -> np.ndarray:
     return np.asarray(a, dtype=complex)
 
@@ -405,9 +409,15 @@ def powc(j: JetArray, c: Number) -> JetArray:
 def jet_inv(j: JetArray) -> JetArray:
     """Inverse of a square-matrix jet (components (k, k)), order preserved.
 
-    Uses d(A^-1) = -A^-1 dA A^-1 and its second-order extension.
+    Uses d(A^-1) = -A^-1 dA A^-1 and its second-order extension.  A singular
+    value raises :class:`SingularMatrixError` naming its first batch index.
     """
-    v = np.moveaxis(np.linalg.inv(np.moveaxis(j.value, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+    a = np.moveaxis(j.value, (0, 1), (-2, -1))
+    try:
+        v = np.moveaxis(np.linalg.inv(a), (-2, -1), (0, 1))
+    except np.linalg.LinAlgError:
+        bad = tuple(int(i) for i in np.argwhere(np.linalg.det(a) == 0)[0])
+        raise SingularMatrixError(f"singular matrix at batch index {bad}") from None
     grad = None
     hess = None
     if j.grad is not None:

@@ -12,9 +12,10 @@ its whole point set and computes the residuals as arrays over the sample
 axis.  Constructors validate their inputs.
 
 A Nijenhuis table is a field whose component t is Nij of triple t of
-:func:`triples` (:func:`nij_table`, of the jet of :func:`frame_nij`).  Its
-values are one complex ``(*B, T)`` array, and a sub-frame's table is a mask
-of its frame's table on the last axis.
+:func:`triples` (:func:`nij_table`, of the jet of :func:`frame_nij`, two
+batched matmuls of the members' order-1 jets).  Its values are one complex
+``(*B, T)`` array, and a sub-frame's table is a mask of its frame's table on
+the last axis.
 """
 
 from __future__ import annotations
@@ -556,42 +557,31 @@ def triples(m: int) -> np.ndarray:
 
 
 def frame_nij(jets: Sequence[J.JetArray], n: int) -> J.JetArray:
-    """Nij(A,B,C) of a frame's jets as an order-0 jet with T components, one
-    per triple of :func:`triples`.
+    """Nij(A,B,C) of a frame's order-1 jets as an order-0 jet with T components,
+    one per triple of :func:`triples`, from two batched matmuls read batch
+    first: the pairing table S[t, j, u] = 2<d_j A_t, A_u> and H[s, t, u] =
+    X_s^j S[t, j, u] (X_s the vector part of A_s) give Nij(A_i, A_j, A_k) =
+    1/4 sum over sigma in S_3 of sgn(sigma) H[sigma(i, j, k)].
 
-    Nij is exactly antisymmetric on isotropic frames, so repeated-member
-    triples vanish identically and the sorted triples determine the rest.
-    Only the values are read, so order-1 member jets suffice.
-
-    The table brackets each unordered pair once, with no per-pair copy of
-    the members: the m jets are stacked once along a member axis after the
-    section axis, and row p of the upper triangle brackets the view of
-    member p, broadcast, against the slice of members p + 1, ..., m - 1, one
-    ``courant_jets`` call per row.  The rows concatenate to the m(m-1)/2
-    pairs p < q in ``np.triu_indices`` order, and the table is read from
-    ``P[pq, r] = <[[A_p, A_q]], A_r>`` over the same stacked frame, in the
-    summation order of ``nij_jets``, whose third term <[[A_k, A_i]], A_j> is
-    taken as -P[ik, j].  The bracket is antisymmetric, and in floating point
-    its vector part and the Lie-derivative part of its form change sign
-    exactly when the pair is swapped; its exact term -d(i_X b - i_Y a)/2
-    does so only up to the association of its four sums.  So on generic
-    inputs an entry can differ from the all-ordered-pairs table by a
-    rounding of that term, and wherever that term negates exactly (the
-    gallery frames and their cones) the two tables agree bit for bit.
+    Relabelling ``courant_jets`` gives 2<[[A_p, A_q]], A_r> = K[p, q, r] -
+    K[q, p, r] with K[s, t, u] = H[s, t, u] - H[u, t, s] / 2, and the cyclic
+    sum of ``nij_jets`` collects 3/2 of each signed H; no isotropy is used.
     """
     m = len(jets)
     if m < 3:
         return jets[0][:0].truncate(0)
-    frame = J.stack(jets, axis=1)
-    brackets = J.concat(
-        [F.courant_jets(frame[:, p:p + 1], frame[:, p + 1:], n) for p in range(m - 1)],
-        axis=1).truncate(0)
-    P = 0.5 * J.jet_einsum("ip,ir->pr", F.swap_jet(brackets), frame)
-    first, second = np.triu_indices(m, 1)
-    at = np.zeros((m, m), dtype=int)
-    at[first, second] = np.arange(len(first))
+    batch = J.batch_shape(jets[0], 1)
+    value, grad = zip(*(J.parts(j, len(batch))[:2] for j in jets))
+    value = np.stack(value, axis=-2)  # (*B, m, 2n)
+    # dgrad[..., j * m + t, c] = d_j A_t^c, stacked (*B, n, m, 2n)
+    dgrad = np.stack([g.swapaxes(-1, -2) for g in grad], axis=-2).reshape(*batch, n * m, 2 * n)
+    S = (dgrad @ gta.swap(value).swapaxes(-1, -2)).reshape(*batch, n, m * m)
+    H = (value[..., :n] @ S).reshape(*batch, m ** 3)
     i, j, k = triples(m).T
-    return (1.0 / 3.0) * ((P[at[i, j], k] + P[at[j, k], i]) - P[at[i, k], j])
+    at = lambda s, t, u: H[..., (s * m + t) * m + u]
+    nij = 0.25 * (((at(i, j, k) - at(j, i, k)) + (at(j, k, i) - at(k, j, i)))
+                  + (at(k, i, j) - at(i, k, j)))
+    return J.lift(np.moveaxis(nij, -1, 0), n, 0)
 
 
 def nij_table(members: Sequence[SectionField]) -> F.Field:

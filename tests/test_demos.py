@@ -21,8 +21,8 @@ STDOUT_SHA256 = {
     "01_exterior_calculus.py": "79c475d809f130ab353344ec238d082fc3f5f65d2e785b831bd2417244888423",
     "02_structures_and_transforms.py":
         "62ff4d1857e5b179a318ba18bcb8f60d6fe0a909902f97047f2ddab3ce1c2aa0",
-    "03_cone_and_sasakian.py": "4aced7096959432a4edc95b41104feb67439896559e346504a3d2a4de3543801",
-    "04_f_deformations.py": "a741372b44aa8f21f9ee70b4d493e0e0dd8bd681855185209290eca44f4a9603",
+    "03_cone_and_sasakian.py": "a9e2c1adbfaa8a128df2cba16e9be7e7c0e2e94da468cd877dd58654c87661c8",
+    "04_f_deformations.py": "5a5b79c887eed14c03767662def13a91524eca441db26b45c355d14b7be96ca3",
 }
 
 

@@ -232,9 +232,9 @@ def test_heisenberg_reeb_invariance():
 # prints.
 REPORT_SHA256 = {
     "darboux": "929d295a063110bd028d21a2cb2a208c15e9ad13f0530ecc4d68bfebada3b1c7",
-    "heisenberg_sasakian": "0a534f016cce8d7efd787d4fee620ad6aa4ef8deaa9e35ba0d7fc00abe09237a",
-    "heisenberg_cone_kahler": "d46a6a7c6c2c7ad3e50feb445fb1832b6d950c385229fe6d015c10b9bc9e00d2",
-    "kahler_interval": "07d829fa06e6d7cb0f5158a51a89186a37307db16874ae670fa6bb3b569bc779",
+    "heisenberg_sasakian": "5867f29b9c1f43b34c7d970efa0f7c3c56a2d315dd0a9ebbf124b410c62eed03",
+    "heisenberg_cone_kahler": "c5554341398a225baf5525248aec245f7d272c073f120b240aaa0d442332a128",
+    "kahler_interval": "a1073b61fbfdfa7bcf32a53dbb15ff7704f8e588fd55f5c55a0f6fa5ebc1a162",
 }
 
 

@@ -257,3 +257,16 @@ def test_only_jets_reads_the_parts_of_a_jet():
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 found.append(f"{path.name}:{node.lineno} calls JetArray")
     assert not found, found
+
+
+def test_jet_inv_of_a_singular_matrix_names_its_first_singular_batch_index():
+    """numpy's LinAlgError is not a ValueError; jet_inv raises one that names
+    the first batch item whose matrix is singular, and inverts the rest as before."""
+    stack = np.stack([np.eye(2), [[2.0, 1.0], [1.0, 1.0]]], axis=-1)
+    inv = J.jet_inv(J.lift(stack, 3, 1))
+    assert np.array_equal(J.parts(inv, 1)[0], np.linalg.inv(np.moveaxis(stack, -1, 0)))
+    singular = np.stack([stack, np.zeros((2, 2, 2)), 0 * stack], axis=-1)
+    with pytest.raises(J.SingularMatrixError, match=r"batch index \(0, 1\)$"):
+        J.jet_inv(J.lift(singular, 3, 2))
+    assert issubclass(J.SingularMatrixError, ValueError)
+

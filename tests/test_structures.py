@@ -246,7 +246,7 @@ def test_gmetric_rejects_singular():
     one = F.constant(ch, 1)
     g = F.matrix_field(ch, [[one, zero, zero], [zero, zero, zero], [zero, zero, one]])
     metric = S.gmetric_from_gb(g)
-    with pytest.raises((ValueError, np.linalg.LinAlgError)):
+    with pytest.raises(ValueError):
         metric.endo.values(PTS["heisenberg_sasakian"][0])
 
 
