@@ -19,17 +19,17 @@ f = parse_scalar("sin(x)*exp(y) + z^2", ch)
 p = pts[0]
 jet = f.at(p)
 print(f"f at {np.round(p, 3)}: value {jet.value:.6f}")
-print(f"grad = {np.round(jet.grad.real, 6)}")
+print(f"grad = {np.round(jet.grad, 6)}")
 print(f"finite-difference agreement: {F.jet_validate(f, p):.2e}")
 
 print("\n== d, interior product, Lie derivative ==")
 eta = F.one_form(ch, [parse_scalar(e, ch) for e in ("-y", "0", "1")])  # dz - y dx
 deta = F.d(eta)
 print("d(dz - y dx) components at a sample point (expect dx^dy):")
-print(np.round(deta.values(p).real, 12))
+print(np.round(deta.values(p), 12))
 reeb = F.basis_vector(ch, 2)
-print("i_dz d(eta) =", np.round(F.interior(reeb, deta).values(p).real, 12))
-print("L_dz eta =", np.round(F.lie_derivative(reeb, eta).values(p).real, 12))
+print("i_dz d(eta) =", np.round(F.interior(reeb, deta).values(p), 12))
+print("L_dz eta =", np.round(F.lie_derivative(reeb, eta).values(p), 12))
 
 dd = F.d(F.d(parse_scalar("x*y*sin(z)", ch)))
 print("max |d(d f)| over 50 points:", max(np.abs(dd.values(q)).max() for q in pts))
@@ -38,10 +38,10 @@ print("\n== Courant bracket ==")
 a = F.section(vec=F.basis_vector(ch, 0))  # d/dx
 xdy = F.section(form=F.one_form(ch, [parse_scalar(e, ch) for e in ("0", "x", "0")]))
 br = F.courant(a, xdy)
-print("[[d/dx, x dy]] =", np.round(br.values(p).real, 12), "(expect dy)")
+print("[[d/dx, x dy]] =", np.round(br.values(p), 12), "(expect dy)")
 
 b = F.section(vec=F.basis_vector(ch, 2))
-print("[[d/dz, dz - y dx]] =", np.round(F.courant(b, F.section(form=eta)).values(p).real, 12))
+print("[[d/dz, dz - y dx]] =", np.round(F.courant(b, F.section(form=eta)).values(p), 12))
 
 print("\n== e^B is a Courant automorphism iff dB = 0 ==")
 u = F.section(

@@ -21,7 +21,7 @@ print(S.phi_kernel_check(s, pts).summary())
 
 print("\n== the contact lift on the Darboux chart ==")
 darboux = gallery.build("darboux")
-print("Reeb field components:", np.round(darboux["gacs"].Eminus.values(pts[0]).real, 8))
+print("Reeb field components:", np.round(darboux["gacs"].Eminus.values(pts[0]), 8))
 print(S.gacs_check(darboux["gacs"], darboux["chart"].sample(seed=5, count=40)).summary())
 
 print("\n== B-field transforms stay inside the axioms for any smooth B ==")

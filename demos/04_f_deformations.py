@@ -16,7 +16,7 @@ s0 = darboux["gacs"]
 print("== K-(dz) on the contact lift: f jumps to kappa(Reeb) = 1 ==")
 dz = F.basis_form(ch, 2)
 s1 = D.k_minus(s0, dz)
-print(f"f value: {complex(s1.f.values(pts[0])).real:.1f}")
+print(f"f value: {float(s1.f.values(pts[0])):.1f}")
 print(D.fgacs_check(s1, pts).summary())
 
 print("\n== the deformation algebra ==")

@@ -61,7 +61,7 @@ def fgacs_check(s: Gacs, points) -> ResidualReport:
     phi = s.Phi.values(points)
     ep = s.Eplus.values(points)
     em = s.Eminus.values(points)
-    f = _f_values(s, points).astype(complex)
+    f = _f_values(s, points)
     skew, square, norm, iso = gacs_residuals(phi, ep, em, f)
     eig_p = sup_norm(gta.apply(phi, ep) - f[:, None] * ep)
     eig_m = sup_norm(gta.apply(phi, em) + f[:, None] * em)
@@ -148,7 +148,7 @@ def normalize(s: Gacs, points) -> Tuple[Gacs, OneFormField, OneFormField]:
     if stuck.any():
         k = int(np.argmax(stuck))
         raise ValueError(
-            f"normalization impossible at {pts[k]}: zeta vanishes while f = {complex(fval[k]):.3e}"
+            f"normalization impossible at {pts[k]}: zeta vanishes while f = {fval[k]:.3e}"
         )
 
     def alpha_fn(p, order):

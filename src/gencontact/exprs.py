@@ -7,10 +7,11 @@ ignored.  Parse errors carry the character offset and the expected tokens.
 
 An expression compiles once, at parse time, into closures over the
 coordinate seed jet of a point batch: coordinates are rows of the seed, and
-every coordinate-free subtree folds to one complex scalar, computed by the
-jet operations a constant jet goes through.  Literals thus meet jets as
-scalars, which jet arithmetic never lifts.  An exponent that folds to a real
-constant is a real power (``jets.powc``); any other goes through exp(b log a).
+every coordinate-free subtree folds to one ``np.float64`` scalar, computed by
+the jet operations a constant jet goes through.  Literals thus meet jets as
+scalars, which jet arithmetic never lifts.  An exponent that folds to a
+constant is a real power (``jets.powc``); one over the coordinates goes
+through exp(b log a).
 :func:`component_field` evaluates an array of parsed expressions from one seed per point set and
 order.
 """
@@ -169,25 +170,25 @@ _OPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
         "*": operator.mul, "/": operator.truediv}
 
 
-def _fold(f, args) -> np.complex128:
+def _fold(f, args) -> np.float64:
     """``f`` at constant arguments, through the jet operations of a constant jet."""
-    return np.complex128(J.parts(f(*(J.lift(a, 0, 0) for a in args)), 0)[0])
+    return J.parts(f(*(J.lift(a, 0, 0) for a in args)), 0)[0][()]
 
 
 def _compile(node):
-    """A folded constant (``np.complex128``) or a closure from the coordinate seed to a jet."""
+    """A folded constant (``np.float64``) or a closure from the coordinate seed to a jet."""
     kind = node[0]
     if kind == "num":
-        return np.complex128(node[1])
+        return np.float64(node[1])
     if kind == "coord":
         i = node[1]
         return lambda seed: seed[i]
     if kind == "^":
         e = _compile(node[2])
-        if callable(e) or e.imag != 0:
-            # an exponent over the coordinates, or complex: exp(b log a), as for a jet exponent
+        if callable(e):
+            # an exponent over the coordinates: exp(b log a), as for a jet exponent
             return _compile(("call", "exp", ("*", node[2], ("call", "log", node[1]))))
-        f, args = (lambda j, e=float(e.real): J.powc(j, e)), [_compile(node[1])]
+        f, args = (lambda j, e=float(e): J.powc(j, e)), [_compile(node[1])]
     elif kind == "call":
         f, args = FUNCTIONS[node[1]], [_compile(node[2])]
     else:
@@ -220,7 +221,7 @@ def parse_scalar(text: str, chart: Chart) -> ScalarField:
 
 def literal(chart: Chart, value) -> ScalarField:
     """The scalar field of a number, as a parsed literal (a config number entry)."""
-    return _field(chart, np.complex128(value))
+    return _field(chart, np.float64(value))
 
 
 def component_field(cls, chart: Chart, comps: Sequence[ScalarField]):

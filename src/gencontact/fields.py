@@ -208,7 +208,7 @@ def constant(chart: Chart, value, cls=ScalarField) -> Field:
     """The constant ``cls`` field of a scalar or a component array: the one
     place a constant is lifted with the batch (read-only, zero derivatives)."""
     n = chart.dim
-    c = np.array(value, dtype=complex)
+    c = J.as_array(value).copy()
     c.flags.writeable = False
     return cls(chart, lambda p, o: J.lift(c, n, o, p.shape[:-1]))
 

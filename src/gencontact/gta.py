@@ -1,6 +1,7 @@
 """Pointwise linear algebra of the generalized tangent bundle TM + T*M.
 
-Values are plain complex numpy arrays.  A section value has shape (..., 2n),
+Values are plain numpy arrays, float64 or complex128 as the data is (the
+frames of the +i eigenbundle are complex).  A section value has shape (..., 2n),
 n tangent components then n cotangent components; an endomorphism value has
 shape (..., 2n, 2n) and acts on that stack.  Any leading batch shape works,
 so a checker can pass the values of a field at all its sample points at

@@ -1,11 +1,17 @@
 """Truncated Taylor jets of order at most 2, with numpy-vectorised arithmetic.
 
-A jet carries a complex value together with exact partial derivatives with
-respect to the chart coordinates, up to its order: 0 (value only), 1 (plus
-the gradient) or 2 (plus the hessian).  Jets are the evaluation currency of
+A jet carries a value together with exact partial derivatives with respect
+to the chart coordinates, up to its order: 0 (value only), 1 (plus the
+gradient) or 2 (plus the hessian).  Jets are the evaluation currency of
 every field in this package: identities checked downstream (d∘d = 0, Cartan,
 bracket antisymmetry, ...) then hold to rounding error instead of
 finite-difference error.
+
+A jet's dtype follows its data: the leaves (:func:`seed_point`, :func:`lift`)
+keep real data float64 and complex data complex128, and numpy promotes an
+operation to complex exactly where an imaginary operand enters.  A real
+``log``, ``sqrt`` or non-integer power outside its domain gives NaN, not a
+complex number.
 
 One jet holds a whole batch of points.  Its value has shape ``(*comps, *B)``,
 its gradient ``(*comps, *B, nvars)`` and its hessian ``(*comps, *B, nvars,
@@ -47,6 +53,7 @@ order lower.  Asking for derivative data a jet does not carry raises
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -68,8 +75,11 @@ class SingularMatrixError(ValueError):
     """Raised by :func:`jet_inv` on a matrix jet that is singular at some batch item."""
 
 
-def _as_complex(a) -> np.ndarray:
-    return np.asarray(a, dtype=complex)
+def as_array(a) -> np.ndarray:
+    """``a`` as a float64 array, or complex128 when it holds complex numbers: the
+    dtype follows the data, so real data stays real."""
+    a = np.asarray(a)
+    return a.astype(complex if np.iscomplexobj(a) else float, copy=False)
 
 
 @dataclass(slots=True)
@@ -149,7 +159,7 @@ class JetArray:
 
     def __sub__(self, other) -> "JetArray":
         if isinstance(other, _SCALARS):
-            return self + -complex(other)
+            return self + -other
         return self + (-self._operand(other))
 
     def __rsub__(self, other) -> "JetArray":
@@ -180,7 +190,7 @@ class JetArray:
 
     def __truediv__(self, other) -> "JetArray":
         if isinstance(other, _SCALARS):
-            return self * (1.0 / _as_complex(other))
+            return self * (1.0 / as_array(other))
         return self * reciprocal(self._operand(other))
 
     def __rtruediv__(self, other) -> "JetArray":
@@ -229,17 +239,17 @@ def lift(x, nvars: int, order: int = MAX_ORDER, batch=()) -> JetArray:
     """
     if isinstance(x, JetArray):
         return x
-    v = _as_complex(x)
+    v = as_array(x)
     if batch:
         v = np.broadcast_to(v.reshape(v.shape + (1,) * len(batch)), v.shape + tuple(batch))
-    g = _zeros(v.shape + (nvars,)) if order >= 1 else None
-    h = _zeros(v.shape + (nvars, nvars)) if order >= 2 else None
+    g = _zeros(v.shape + (nvars,), v.dtype) if order >= 1 else None
+    h = _zeros(v.shape + (nvars, nvars), v.dtype) if order >= 2 else None
     return JetArray(v, g, h, nvars)
 
 
-def _zeros(shape) -> np.ndarray:
+def _zeros(shape, dtype) -> np.ndarray:
     """A read-only zero array of any size, as a broadcast view of one scalar."""
-    return np.broadcast_to(np.zeros((), dtype=complex), shape)
+    return np.broadcast_to(np.zeros((), dtype), shape)
 
 
 def _join(join, jets, axis: int) -> JetArray:
@@ -286,15 +296,15 @@ def seed_point(point, nvars: int, order: int = MAX_ORDER) -> JetArray:
     The coordinate index is the component axis, so ``seed_point(p, n)[i]`` is
     the i-th coordinate over the batch.
     """
-    p = _as_complex(point)
+    p = as_array(point)
     if p.shape[-1:] != (nvars,):
         raise ValueError(f"point has shape {p.shape}, expected (..., {nvars})")
     batch = p.shape[:-1]
     grad = None
     if order >= 1:
-        eye = np.eye(nvars, dtype=complex).reshape((nvars,) + (1,) * len(batch) + (nvars,))
+        eye = np.eye(nvars, dtype=p.dtype).reshape((nvars,) + (1,) * len(batch) + (nvars,))
         grad = np.broadcast_to(eye, (nvars,) + batch + (nvars,))
-    hess = _zeros((nvars,) + batch + (nvars, nvars)) if order >= 2 else None
+    hess = _zeros((nvars,) + batch + (nvars, nvars), p.dtype) if order >= 2 else None
     return JetArray(np.ascontiguousarray(np.moveaxis(p, -1, 0)), grad, hess, nvars)
 
 
@@ -315,15 +325,17 @@ def dshift(j: JetArray) -> JetArray:
 
 @functools.lru_cache(maxsize=256)
 def _einsum_plan(subscripts: str):
-    """The six einsum specs of a jet product, with ``...`` appended for the batch."""
+    """The output's component-axis count and the six einsum specs of a jet
+    product, with ``...`` appended for the batch."""
     if "z" in subscripts or "w" in subscripts:
         raise ValueError("subscripts must not use reserved letters z/w")
     if "." in subscripts:
         raise ValueError(f"subscripts {subscripts!r} must name the component axes only: "
                          "the batch axes are appended as '...'")
     lhs, out = subscripts.split("->")
+    nout = len(out)
     s1, s2, out = (s + "..." for s in (*lhs.split(","), out))
-    return (f"{s1},{s2}->{out}",
+    return (nout, f"{s1},{s2}->{out}",
             f"{s1}z,{s2}->{out}z", f"{s1},{s2}z->{out}z",
             f"{s1}z,{s2}w->{out}zw", f"{s1}zw,{s2}->{out}zw", f"{s1},{s2}zw->{out}zw")
 
@@ -336,8 +348,25 @@ def jet_einsum(subscripts: str, a: JetArray, b: JetArray) -> JetArray:
     ``w`` or name ``...``; it runs as ``'ij...,j...->i...'``, item by item
     over the batch.
     """
-    val, g1, g2, cross_spec, h1, h2 = _einsum_plan(subscripts)
+    plan = _einsum_plan(subscripts)
+    nout, val = plan[:2]
     value = np.einsum(val, a.value, b.value)
+    if math.prod(value.shape[nout:]) != 1:
+        return _product_rule(plan, a, b, value)
+    # Over one item, numpy's inner loop can be the contracted axis, where a
+    # float64 sum runs SIMD-unrolled; over a batch it is the batch axis, and
+    # every sum runs in index order.  Two copies of the item give it the
+    # batch's rounding, so a point's jet is its batch item bit for bit.
+    a, b = _twice(a), _twice(b)
+    out = _product_rule(plan, a, b, np.einsum(val, a.value, b.value))
+    at = (slice(None),) * (out.value.ndim - 1) + (0,)
+    return out.map(lambda x: x[at])
+
+
+def _product_rule(plan, a: JetArray, b: JetArray, value: np.ndarray) -> JetArray:
+    """The jet of :func:`jet_einsum` with its value computed: the gradient and
+    hessian by the product rule."""
+    _, _, g1, g2, cross_spec, h1, h2 = plan
     grad = None
     hess = None
     if a.grad is not None and b.grad is not None:
@@ -351,6 +380,12 @@ def jet_einsum(subscripts: str, a: JetArray, b: JetArray) -> JetArray:
                 + np.swapaxes(cross, -1, -2)
             )
     return JetArray(value, grad, hess, a.nvars)
+
+
+def _twice(j: JetArray) -> JetArray:
+    """The jet with one more batch axis, last, holding two copies of it."""
+    nd = j.value.ndim
+    return j.map(lambda x: np.stack([x, x], axis=nd))
 
 
 def _chain(j: JetArray, f0: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> JetArray:
@@ -380,11 +415,19 @@ def exp(j: JetArray) -> JetArray:
     return _chain(j, e, e, e)
 
 
+# Outside its real domain a real log, sqrt or power is NaN (inf at a pole), with
+# numpy's warning silenced: the builders refuse non-finite data by the point
+# (``structures.require_real``), and that refusal is the one report of it.
+_quiet = np.errstate(invalid="ignore", divide="ignore")
+
+
+@_quiet
 def log(j: JetArray) -> JetArray:
     v = j.value
     return _chain(j, np.log(v), 1.0 / v, -1.0 / v**2)
 
 
+@_quiet
 def sqrt(j: JetArray) -> JetArray:
     s = np.sqrt(j.value)
     return _chain(j, s, 0.5 / s, -0.25 / (s * j.value))
@@ -395,6 +438,7 @@ def reciprocal(j: JetArray) -> JetArray:
     return _chain(j, 1.0 / v, -1.0 / v**2, 2.0 / v**3)
 
 
+@_quiet
 def powc(j: JetArray, c: Number) -> JetArray:
     if isinstance(c, JetArray):
         return exp(c * log(j))

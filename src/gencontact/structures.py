@@ -207,7 +207,7 @@ def require_real(field: F.Field, points, name: str):
     pts = np.asarray(points, dtype=float)
     bad = np.zeros(len(pts), dtype=bool)
     for part in J.parts(field.at(pts), 1):
-        flags = ~np.isfinite(part) | (part.imag != 0)
+        flags = ~np.isfinite(part) | (np.imag(part) != 0)
         bad |= flags.reshape(len(pts), -1).any(axis=1)
     if bad.any():
         raise StructureError(f"{name} is not real and finite at {pts[np.argmax(bad)].tolist()}")
@@ -247,7 +247,7 @@ def _rho_jet(deta: J.JetArray, ej: J.JetArray) -> J.JetArray:
     return pmat.moveaxis(0, 1)
 
 
-def contact_volume(eta: OneFormField, point) -> complex:
+def contact_volume(eta: OneFormField, point) -> float:
     """Coefficient of eta ^ (d eta)^k against the coordinate volume form."""
     n = eta.chart.dim
     if n % 2 != 1:
@@ -255,7 +255,7 @@ def contact_volume(eta: OneFormField, point) -> complex:
     k = (n - 1) // 2
     ev = eta.values(point)
     dv = F.d(eta).values(point)
-    total = 0.0 + 0.0j
+    total = 0.0
     from itertools import permutations
 
     for perm in permutations(range(n)):
@@ -266,7 +266,7 @@ def contact_volume(eta: OneFormField, point) -> complex:
         total += sign * term
     # normalisation: eta ^ (d eta)^k in determinant convention double counts
     # each d eta slot pair; report the raw antisymmetrised coefficient
-    return complex(total)
+    return float(total)
 
 
 def _perm_sign(perm) -> int:
@@ -344,7 +344,7 @@ def gmetric_from_gb(g: MatrixField, b: Optional[TwoFormField] = None) -> General
         asym = np.abs(gval - np.swapaxes(gval, -1, -2)).max(axis=(-2, -1)) > 1e-10
         if asym.any():
             raise StructureError(f"metric must be symmetric at {pts[np.argmax(asym)].tolist()}")
-        indefinite = np.linalg.eigvalsh(gval.real).min(axis=-1) <= 0
+        indefinite = np.linalg.eigvalsh(gval).min(axis=-1) <= 0
         if indefinite.any():
             raise StructureError(
                 f"metric must be positive definite at {pts[np.argmax(indefinite)].tolist()}")

@@ -478,8 +478,8 @@ def _refused_outside_real_domain(capsys, cfg, name):
 
 
 def test_from_contact_outside_the_real_domain_exits_two(tmp_path, capsys):
-    """log(x) is complex where x < 0: the builder refuses it at a check point
-    instead of letting every gacs row pass on complex values."""
+    """log(x) is NaN where x < 0: the builder refuses it at a check point
+    instead of letting every gacs row read NaN."""
     structure = {"chart": {"dim": 3}, "builder": "from_contact", "eta": ["-y", "0", "log(x)"]}
     cfg = write(tmp_path, "log.json", {"structure": structure, "checks": ["gacs"]})
     _refused_outside_real_domain(capsys, cfg, "eta")
@@ -513,8 +513,8 @@ def test_pipeline_kappa_outside_the_real_domain_exits_two(tmp_path, capsys):
 @pytest.mark.parametrize("steps", [["k", "n"], ["n", "k"]])
 def test_pipeline_data_is_checked_at_the_check_points_after_a_normalize(tmp_path, capsys, steps):
     """A normalize step samples its own points but leaves every later step's
-    data checked at the pipeline's check points: this kappa is complex at one
-    of them (x > 0.718097) and real at all of normalize's points."""
+    data checked at the pipeline's check points: this kappa is NaN at one of
+    them (x > 0.718097) and finite at all of normalize's points."""
     step = {"k": {"op": "k_minus", "kappa": ["log(0.718097 - x)", "0", "0"]},
             "n": {"op": "normalize"}}
     cfg = write(tmp_path, "order.json", {
@@ -523,6 +523,31 @@ def test_pipeline_data_is_checked_at_the_check_points_after_a_normalize(tmp_path
         "checks": ["fgacs"],
     })
     _refused_outside_real_domain(capsys, cfg, f"$.apply[{steps.index('k')}].kappa")
+
+
+@pytest.mark.parametrize("eta, kappa", [
+    (["-y", "0", "log(x)"], None),
+    (["-y", "0", "sqrt(x)"], None),
+    (["-y", "0", "1 + 0.1*y^0.5"], None),
+    (["-y", "0", "1 + (0-2)^0.5 * x"], None),
+    (["-y", "0", "1"], ["0.1*y^0.5", "0", "0"]),
+], ids=["log", "sqrt", "power", "literal_power", "kappa_power"])
+def test_outside_the_real_domain_stderr_is_the_error_line_alone(tmp_path, eta, kappa):
+    """Out of the real domain a real log, sqrt or non-integer power is NaN, and
+    numpy's warning about it is not printed: the one line on stderr is the
+    refusal, from a fresh interpreter (pytest captures warnings in process)."""
+    obj = {"structure": {"chart": {"dim": 3}, "builder": "from_contact", "eta": eta},
+           "checks": ["fgacs"]}
+    if kappa is not None:
+        obj["apply"] = [{"op": "k_minus", "kappa": kappa}]
+    cfg = write(tmp_path, "domain.json", obj)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "gencontact", "verify", cfg],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    err = done.stderr.splitlines()
+    name = "$.structure: eta" if kappa is None else "$.apply[0].kappa"
+    assert len(err) == 1 and err[0].startswith(f"error: {name} is not real and finite at ["), err
 
 
 def test_explicit_components_outside_the_real_domain_exit_two(tmp_path, capsys):

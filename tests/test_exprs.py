@@ -179,14 +179,17 @@ def test_compiled_evaluator_matches_finite_differences():
 
 
 def test_literal_subtrees_fold_at_parse_time():
-    """A coordinate-free subtree compiles to one complex scalar, the value the
-    tree walk computes for it at every point; -(0.3) keeps its -0 imaginary part."""
+    """A coordinate-free subtree compiles to one real scalar (float64, not
+    complex128), the value the tree walk computes for it at every point, bit for
+    bit; -(0) keeps its sign."""
     text = "sin(1/3) * (4 - -(0.3)) / 7 + 2^(1/2)"
     code = _compile(Parser(text, CH).parse())
     ref = tree_walk(Parser(text, CH).parse(), J.seed_point(POINTS, 3, 0)).value
-    assert isinstance(code, np.complex128) and np.array_equal(ref, np.full(5, code))
+    assert type(code) is np.float64 and ref.dtype == np.float64
+    assert np.array_equal(ref, np.full(5, code))
     neg = _compile(Parser("-(0.3)", CH).parse())
-    assert neg == -0.3 and np.signbit(neg.imag)
+    assert type(neg) is np.float64 and neg == -0.3
+    assert np.signbit(_compile(Parser("-(0)", CH).parse()))
     assert callable(_compile(Parser("2*x + 1", CH).parse()))
 
 

@@ -285,7 +285,7 @@ DEFORM_CONFIG = {
     "seed": 13,
     "samples": 40,
 }
-DEFORM_SHA256 = "a7daf2507f85182829177f552a02767f199f90970b122dff0d1036f607bacecf"
+DEFORM_SHA256 = "ff6de0fe1d5e5926db7b31da89db4b2eaad2d9f71dc091dc0bc0ee44630bee2f"
 
 
 def test_deform_pipeline_report_bytes_are_pinned(tmp_path):
@@ -307,7 +307,7 @@ B_NORMALIZE_CONFIG = {
     "seed": 13,
     "samples": 40,
 }
-B_NORMALIZE_SHA256 = "4976f0503ebcf47b2ff5e4394be59c72e51ddc39cc0b26d61c6d99615dcd03c5"
+B_NORMALIZE_SHA256 = "7dcab85845bd43b66a38d4f9de8df41a1f1cd946263f36fa584360915bff07b1"
 
 
 def test_b_field_normalize_report_bytes_are_pinned(tmp_path):

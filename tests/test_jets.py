@@ -1,7 +1,12 @@
 """Order-2 jet arithmetic against finite differences and exact identities."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gencontact import cone as C
 from gencontact import jets as J
@@ -270,3 +275,93 @@ def test_jet_inv_of_a_singular_matrix_names_its_first_singular_batch_index():
         J.jet_inv(J.lift(singular, 3, 2))
     assert issubclass(J.SingularMatrixError, ValueError)
 
+
+
+# -- real jets against the real part of the same jets as complex128 ----------------
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def real_jet_cases(draw):
+    """A numpy generator, a batch shape (one point and a one-item batch included),
+    a component count and a variable count for random real order-2 jets."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    batch = draw(st.sampled_from([(), (1,), (2,), (3,), (2, 2)]))
+    return np.random.default_rng(seed), batch, draw(st.integers(2, 5)), draw(st.integers(1, 4))
+
+
+def real_jet(rng, comps, batch, nvars, low=None):
+    """A random real order-2 jet; with ``low``, its value is at least ``low``."""
+    shape = tuple(comps) + tuple(batch)
+    value = rng.normal(size=shape)
+    if low is not None:
+        value = low + np.abs(value)
+    return J.JetArray(value, rng.normal(size=shape + (nvars,)),
+                      rng.normal(size=shape + (nvars, nvars)), nvars)
+
+
+def as_complex(j):
+    return j.map(lambda a: a.astype(complex))
+
+
+def compare(op, *jets, ulps=None):
+    """op on the real jets against the real part of op on their complex128 copies:
+    bit for bit, or within ``ulps`` units of the largest part entry."""
+    got, ref = op(*jets), op(*map(as_complex, jets))
+    for part in ("value", "grad", "hess"):
+        x, y = getattr(got, part), getattr(ref, part)
+        assert (x is None) == (y is None), part
+        if x is None:
+            continue
+        assert x.dtype == np.float64 and y.dtype == np.complex128, part
+        if ulps is None:
+            assert np.array_equal(x, y.real), part
+        else:
+            scale = max(np.abs(y).max(initial=0.0), np.finfo(float).tiny)
+            assert np.abs(x - y.real).max(initial=0.0) <= ulps * EPS * scale, part
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(real_jet_cases())
+def test_real_jets_equal_the_real_part_of_complex_jets_bit_for_bit(case):
+    """+ - *, scalars, jet_einsum, stack/concat, dshift and extend_vars need no
+    imaginary part: float64 gives the real part's bits at every batch shape."""
+    rng, batch, n, nvars = case
+    a, b = real_jet(rng, (n,), batch, nvars), real_jet(rng, (n,), batch, nvars)
+    m, w = real_jet(rng, (n, n), batch, nvars), real_jet(rng, (n, n), batch, nvars)
+    for op in (operator.add, operator.sub, operator.mul, lambda x, y: -x + 2.5 * y - 0.75,
+               lambda x, y: 0.5 - x * 3 + y / 4.0):
+        compare(op, a, b)
+    for spec, x, y in (("i,i->", a, b), ("i,j->ij", a, b), ("ij,j->i", m, a),
+                       ("ij,jk->ik", m, w), ("j,ji->i", a, m), ("ij,ij->", m, w)):
+        compare(functools.partial(J.jet_einsum, spec), x, y)
+    # derivative-first operands, as the Courant bracket contracts them
+    c = real_jet(rng, (nvars,), batch, nvars)
+    compare(lambda x, y: J.jet_einsum("i,ji->j", x, J.dshift(y)), a, b)
+    compare(lambda x, y: J.jet_einsum("j,ji->i", x, J.dshift(y)), c, a)
+    compare(lambda x, y: J.stack([x, y], axis=1), a, b)
+    compare(lambda x, y: J.concat([x, None, y]), a, b)
+    compare(lambda x: J.dshift(x), m)
+    compare(lambda x: J.extend_vars(x, nvars + 2), a)
+    compare(lambda x: J.extend_vars(x, nvars + 1, (n + 1,), slice(n)), a)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(real_jet_cases())
+def test_real_jets_match_complex_jets_to_rounding_in_division_and_functions(case):
+    """/, reciprocal, exp, log, sqrt, powc, sin, cos and jet_inv round differently
+    as complex128 (Smith's division, complex exp and log): within a few ulps of
+    the largest entry of each part, on positive arguments where the real
+    function is defined."""
+    rng, batch, n, nvars = case
+    a, pos = real_jet(rng, (n,), batch, nvars), real_jet(rng, (n,), batch, nvars, low=0.5)
+    compare(operator.truediv, a, pos, ulps=4)
+    compare(lambda x: 1.7 / x, pos, ulps=4)
+    for fn in (J.reciprocal, J.log, J.sqrt, J.exp, J.sin, J.cos,
+               lambda x: J.powc(x, 2.5), lambda x: J.powc(x, -0.5), lambda x: x ** 3):
+        compare(fn, pos, ulps=4)
+    m = real_jet(rng, (n, n), batch, nvars)
+    m = J.JetArray(m.value * 0.1 + 2 * np.eye(n).reshape((n, n) + (1,) * len(batch)),
+                   m.grad, m.hess, nvars)
+    compare(J.jet_inv, m, ulps=4)

@@ -1,11 +1,12 @@
 """Time two source trees against each other in alternating pairs of benchmark runs.
 
-    python3 tools/paired_bench.py TREE_A TREE_B --workload W --pairs 10 --seconds 36
+    python3 tools/paired_bench.py TREE_A TREE_B --workload W --pairs 10 --seconds 36 [--seed N]
 
 Each tree is a checkout of this repository; A is the reference (the parent),
-B the change.  A pair is one ``benchmarks/run.py --workload W --seed 0
+B the change.  A pair is one ``benchmarks/run.py --workload W --seed N
 --seconds S --trace 0`` run of each tree, one after the other in fresh
-processes, and the tree that runs first alternates from pair to pair, so
+processes (N is 0, the benchmark's default seed, unless ``--seed`` names
+another, so that a claim can be checked on a seed it was not tuned on), and the tree that runs first alternates from pair to pair, so
 that a drift of the host falls on both sides.  The environment is pinned as
 ``tools/compare_digests.py`` pins it (BLAS threads 1, ``GENCONTACT_THREADS``
 and ``PYTHONPATH`` removed, no bytecode written), so the runs leave nothing
@@ -39,10 +40,10 @@ METRICS = (("setup_s", "lower"), ("verdict_s.p50", "lower"), ("ops_per_s", "high
 CLAIM = "verdict_s.p50"
 
 
-def run(tree: Path, workload: str, seconds: float):
+def run(tree: Path, workload: str, seconds: float, seed: int = 0):
     """({metric: value}, digest) of one benchmark run of ``tree``; exits 1 if the run fails."""
     cmd = [sys.executable, str(tree / "benchmarks" / "run.py"), "--workload", workload,
-           "--seed", "0", "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, env=pinned_env(), capture_output=True, text=True,
                           check=False)
     lines = proc.stdout.splitlines()
@@ -81,10 +82,11 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=36.0)
+    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
     trees = {"A": args.tree_a.resolve(), "B": args.tree_b.resolve()}
 
-    print(f"# {args.workload}: {args.pairs} pairs of {args.seconds:g} s runs, "
+    print(f"# {args.workload}, seed {args.seed}: {args.pairs} pairs of {args.seconds:g} s runs, "
           f"A = {trees['A']}, B = {trees['B']}")
     print(f"{'pair':>4} {'first':>5}  " + "  ".join(f"{name + ' A':>17} {'B':>10}"
                                                    for name, _ in METRICS), flush=True)
@@ -93,7 +95,7 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         order = "AB" if i % 2 == 0 else "BA"
         for side in order:
-            metrics, digest = run(trees[side], args.workload, args.seconds)
+            metrics, digest = run(trees[side], args.workload, args.seconds, args.seed)
             got[side].append(metrics)
             digests[side].add(digest)
         print(f"{i:>4} {order[0]:>5}  " + "  ".join(
