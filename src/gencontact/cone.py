@@ -1,21 +1,24 @@
-"""The cone C(M) = M x R in t-coordinates (r = e^t): lifts, Psi maps, R-conjugation.
+"""The cone C(M) = M x R in t-coordinates (r = e^t): slots, I' = Phi + Psi, R-conjugation.
 
 All cone computation uses the coordinate t with r = e^t, so the radial
 2-forms of the deformation theory are smooth exponentials and the chart
 stays a box.  The orientation of Psi follows the displayed block matrix
 (top-left eta_- (x) d/dt - dt (x) xi_+), under which E+ - i d/dt and
 E- - i dt span the +i directions added on the cone; so Psi(d/dt) = -E+.
-A structure's f enters only through Psi: :func:`i_prime` passes ``s.f`` on,
-and ``f = None`` (f = 0) builds no f-extension.  A cone structure is its
+A structure's f enters only through Psi: :func:`i_prime` places ``s.f``,
+and ``f = None`` (f = 0) places nothing.  A cone structure is its
 endomorphism field J, a ``GtEndoField`` on the ``ConeChart``.
 
-Every lift from M to the cone is one placement map, ``jets.extend_vars``
-with a component shape and an index: the base jet's value, gradient and
-hessian are written into zeros at the base slots and get zero derivatives
-in t.  A section goes to the ``_m_indices`` slots of the cone stack (the t
-and dt slots stay zero), an endomorphism to the ``np.ix_`` block of those
-slots, a 1-form to the first n slots; ``classical_cone_i`` and the cross
-term metric ``g_tilde`` sum such placements.  A lift evaluates the base
+The slots of the cone stack are decided once (:func:`_slots`): over an
+n-dim base, base vectors at 0..n-1, d/dt at n, base forms at n+1..2n and dt
+at 2n+1.  Every cone object is one field of base jets placed at these slots
+by ``jets.extend_vars`` (zeros elsewhere, zero derivatives in t): a section
+on the base slots, I' as Phi on the base block and Psi's entries in the d/dt
+and dt rows and columns (:func:`i_prime`), the frame members E+- - i d/dt,
+dt, and the sums of placements ``classical_cone_i``, ``g_tilde`` and
+``deformations.cone_kappa_form``; :func:`cone_decompose` reads back through
+the same slots.  Each entry is bit for bit the product with a 0/1 constant
+that a tensor-pair construction of Psi computes.  A lift evaluates the base
 field once per run of equal consecutive base points of a cone point batch
 (:func:`base_jet`): cone point sets are base point major and repeat each
 base point once per t value, so a run is one base point.  A base point that
@@ -31,7 +34,7 @@ entry stays in its place, where the dense product's 0 * inf spread NaN.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Tuple
 
 import numpy as np
 
@@ -67,79 +70,55 @@ def base_jet(f: F.Field, p: np.ndarray, order: int) -> J.JetArray:
     return J.take_batch(f.jet(q[starts], order), np.cumsum(starts) - 1, p.shape[:-1])
 
 
-def _placed(cls, cone: ConeChart, f: F.Field, shape=None, index=None) -> F.Field:
-    """The ``cls`` field of a base field's jets placed at ``index`` of cone
-    components ``shape`` (``jets.extend_vars``); without a placement, as they are."""
-    return cls(cone, lambda p, o: J.extend_vars(base_jet(f, p, o), cone.dim, shape, index))
-
-
-def lift_scalar(cone: ConeChart, f: ScalarField) -> ScalarField:
-    return _placed(ScalarField, cone, f)
-
-
-def lift_form(cone: ConeChart, omega) -> "F.OneFormField":
-    return _placed(F.OneFormField, cone, omega, (cone.dim,), slice(cone.base.dim))
-
-
 def cone_points(base_points, ts=DEFAULT_TS) -> np.ndarray:
     """The (P * len(ts), n + 1) cone points (p, t), base point major, t minor."""
     base = np.asarray(base_points, dtype=float)
     return np.column_stack([np.repeat(base, len(ts), axis=0), np.tile(ts, len(base))])
 
 
+def _slots(n: int) -> Tuple[List[int], int, int]:
+    """The slots of the cone stack over an n-dim base: the base slots (vectors
+    0..n-1, forms n+1..2n), d/dt (n) and dt (2n+1)."""
+    return list(range(n)) + list(range(n + 1, 2 * n + 1)), n, 2 * n + 1
+
+
+def _section_jet(cone: ConeChart, s: SectionField, p: np.ndarray, order: int) -> J.JetArray:
+    """The jet of a base section placed at the base slots of the cone stack."""
+    return J.extend_vars(base_jet(s, p, order), cone.dim, (2 * cone.dim,), _slots(cone.base.dim)[0])
+
+
 def lift_section(cone: ConeChart, s: SectionField) -> SectionField:
-    return _placed(SectionField, cone, s, (2 * cone.dim,), _m_indices(cone.base.dim))
+    return SectionField(cone, lambda p, o: _section_jet(cone, s, p, o))
 
 
-def lift_endo(cone: ConeChart, e: GtEndoField) -> GtEndoField:
-    rows = _m_indices(cone.base.dim)
-    return _placed(GtEndoField, cone, e, (2 * cone.dim,) * 2, np.ix_(rows, rows))
-
-
-def _m_indices(n: int) -> List[int]:
-    """Positions of the base-chart slots inside a cone section stack."""
-    return list(range(n)) + list(range(n + 1, 2 * n + 1))
-
-
-def ddt_section(cone: ConeChart) -> SectionField:
-    return F.constant(cone, np.eye(2 * cone.dim)[cone.t_index], SectionField)
-
-
-def dt_section(cone: ConeChart) -> SectionField:
-    return F.constant(cone, np.eye(2 * cone.dim)[cone.dim + cone.t_index], SectionField)
-
-
-# -- Psi and the cone structures -------------------------------------------------
-
-
-def psi(cone: ConeChart, eplus: SectionField, eminus: SectionField,
-        f: Optional[ScalarField] = None) -> GtEndoField:
-    """Psi(E+, E-), plus the f d/dt (x) dt - f dt (x) d/dt extension when f is given.
-
-    E+ and E- are sections of the base chart; they are lifted here.
-    """
-    ep = lift_section(cone, eplus)
-    em = lift_section(cone, eminus)
-    ddt = ddt_section(cone)
-    dt = dt_section(cone)
-    out = (
-        F.tensor_pair_field(ddt, em)
-        - F.tensor_pair_field(em, ddt)
-        + F.tensor_pair_field(dt, ep)
-        - F.tensor_pair_field(ep, dt)
-    )
-    if f is not None:
-        flift = lift_scalar(cone, f)
-        out = out + flift * (F.tensor_pair_field(dt, ddt) - F.tensor_pair_field(ddt, dt))
-    return out
+# -- the cone structures ---------------------------------------------------------
 
 
 def i_prime(s: Gacs, cone: ConeChart = None) -> GtEndoField:
-    """I' = Phi^f + Psi^f(E+^f, E-^f) on the cone: the unconjugated cone
-    structure, Phi + Psi(E+, E-) when f is None."""
+    """I' = Phi^f + Psi^f(E+^f, E-^f) on the cone, the unconjugated cone structure,
+    placed from the base jets: Phi on the base block, -E+ down column d/dt and
+    -E- down column dt, swap(E-) along row d/dt and swap(E+) along row dt, and
+    -f at (d/dt, d/dt) and f at (dt, dt) unless f is None."""
     if cone is None:
         cone = ConeChart.over(s.chart)
-    return lift_endo(cone, s.Phi) + psi(cone, s.Eplus, s.Eminus, s.f)
+    N = cone.dim
+    base, ddt, dt = _slots(s.chart.dim)
+    ends = [ddt, dt]
+
+    def put(j, index):
+        return J.extend_vars(j, N, (2 * N, 2 * N), index)
+
+    def fn(p, o):
+        phi, ep, em = (base_jet(x, p, o) for x in (s.Phi, s.Eplus, s.Eminus))
+        out = (put(phi, np.ix_(base, base))
+               + put(-J.stack([ep, em], axis=1), np.ix_(base, ends))
+               + put(J.stack([F.swap_jet(em), F.swap_jet(ep)]), np.ix_(ends, base)))
+        if s.f is None:
+            return out
+        f = base_jet(s.f, p, o)
+        return out + put(J.stack([-f, f]), (ends, ends))
+
+    return GtEndoField(cone, fn)
 
 
 def _r_pow(cone: ConeChart, sign: int) -> F.Field:
@@ -200,13 +179,13 @@ def cone_decompose(j: GtEndoField) -> Gacs:
     if td > T_INDEPENDENCE_TOL:
         raise ValueError(f"structure depends on t (max |d_t J| = {td:.2e})")
 
-    rows = _m_indices(n)
+    rows, ddt, dt = _slots(n)
     # J at t = 0 over the base variables; B, A, h and J_M are slices of its jet
     at_base = F.Field(base, lambda p, o: J.restrict_vars(
         j.jet(np.concatenate([p, np.zeros(p.shape[:-1] + (1,))], axis=-1), o), n))
-    B = SectionField(base, lambda p, o: -at_base.jet(p, o)[:, n][rows])  # -J(d/dt)
-    A = SectionField(base, lambda p, o: -at_base.jet(p, o)[:, 2 * n + 1][rows])  # -J(dt)
-    h = ScalarField(base, lambda p, o: -at_base.jet(p, o)[n, n])
+    B = SectionField(base, lambda p, o: -at_base.jet(p, o)[:, ddt][rows])  # -J(d/dt)
+    A = SectionField(base, lambda p, o: -at_base.jet(p, o)[:, dt][rows])  # -J(dt)
+    h = ScalarField(base, lambda p, o: -at_base.jet(p, o)[ddt, ddt])
     Jm = GtEndoField(base, lambda p, o: at_base.jet(p, o)[rows][:, rows])
 
     # extraction consistency: the displayed form must reproduce J
@@ -228,9 +207,16 @@ def cone_plus_frame(cone: ConeChart, frame_e10, eplus: SectionField,
                     eminus: SectionField, conjugated: bool) -> List[SectionField]:
     """The +i frame {E10, E+ - i d/dt, E- - i dt} of Phi + Psi, optionally R-scaled:
     each member times the diagonal of R, R first."""
+    N = cone.dim
+    _, ddt, dt = _slots(cone.base.dim)
+
+    def minus_i_unit(e, slot):
+        unit = np.eye(2 * N)[slot]
+        return SectionField(cone, lambda p, o: (
+            _section_jet(cone, e, p, o) - J.lift(unit, N, o, p.shape[:-1]) * 1j))
+
     members = [lift_section(cone, a) for a in frame_e10]
-    members.append(lift_section(cone, eplus) - 1j * ddt_section(cone))
-    members.append(lift_section(cone, eminus) - 1j * dt_section(cone))
+    members += [minus_i_unit(eplus, ddt), minus_i_unit(eminus, dt)]
     if conjugated:
         r = _r_pow(cone, 1)
         members = [SectionField(cone, lambda p, o, m=m: r.jet(p, o) * m.jet(p, o))

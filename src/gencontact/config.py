@@ -417,17 +417,20 @@ def parse_config(obj: dict) -> RunConfig:
 
 def run_checks(cfg: RunConfig) -> ResidualReport:
     """Each check's report on the subject, rows prefixed ``<check>: ``; a check's tolerance
-    override replaces the gate of every gated row it returns."""
+    override replaces the gate of every gated row it returns.  A non-finite row (data
+    outside the real domain at a sample point) raises ``StructureError`` naming its point."""
     points = cfg.subject.chart.sample(seed=cfg.seed, count=cfg.samples)
     rep = ResidualReport()
     for name in cfg.checks:
         tol = cfg.tolerances.get(name)
         need, check = CHECKS[name]
         sub = check(need(cfg.subject, name), points, tol)
-        if tol is not None:
-            for row in sub.rows:
-                if row.tolerance is not None:
-                    row.tolerance = tol
+        for row in sub.rows:
+            if not np.isfinite(row.max_residual):
+                raise S.StructureError(f"check {name}: {row.name} is {row.max_residual} "
+                                       f"at {row.argmax_point}")
+            if tol is not None and row.tolerance is not None:
+                row.tolerance = tol
         rep.extend(sub, prefix=f"{name}: ")
     return rep
 

@@ -23,12 +23,11 @@ from . import fields as F
 from . import gta
 from . import jets as J
 from .charts import ConeChart
-from .cone import base_jet, cone_points, gacx_plus_frame, i_map, i_prime, lift_form
+from .cone import base_jet, cone_points, gacx_plus_frame, i_map, i_prime
 from .fields import (
     GtEndoField,
     MatrixField,
     OneFormField,
-    ScalarField,
     TwoFormField,
 )
 from .report import ResidualReport, sup_norm
@@ -178,12 +177,15 @@ def cone_kappa_form(cone: ConeChart, kappa: OneFormField, radial: bool) -> TwoFo
     In t-coordinates these are the tensors e^{2t} (dt (x) kappa - kappa (x) dt)
     and dt (x) kappa - kappa (x) dt.
     """
-    base_wedge = F.wedge11(F.basis_form(cone, cone.t_index), lift_form(cone, kappa))
-    if not radial:
-        return base_wedge
-    t = F.coordinate(cone, cone.t_index)
-    scale = ScalarField(cone, lambda p, o: J.exp(2 * t.jet(p, o)))
-    return scale * base_wedge
+    n, N, t = kappa.chart.dim, cone.dim, cone.t_index
+
+    def fn(p, o):
+        k = base_jet(kappa, p, o)
+        form = (J.extend_vars(k, N, (N, N), (t, slice(n)))
+                + J.extend_vars(-k, N, (N, N), (slice(n), t)))
+        return J.exp(2 * J.seed_point(p, N, o)[t]) * form if radial else form
+
+    return TwoFormField(cone, fn)
 
 
 def cone_b_correspondence(s: Gacs, kappa: OneFormField, base_points) -> ResidualReport:

@@ -3,8 +3,9 @@
 The program never calls these: the Lie bracket and the Courant Jacobiator
 on jets, Nij of one triple (the per-triple reference of
 ``structures.frame_nij``), the dense R matrix that ``cone``'s diagonal R
-must equal bit for bit, and the L+ / L- member lists and the span rank of
-an eigenframe.
+must equal bit for bit, Psi and I' built from tensor pairs (the reference
+of ``cone.i_prime``'s placed entries), and the L+ / L- member lists and the
+span rank of an eigenframe.
 """
 
 import numpy as np
@@ -52,6 +53,30 @@ def r_endo(cone) -> F.GtEndoField:
     r = C._r_pow(cone, 1)
     return F.GtEndoField(cone, lambda p, o: (
         r.jet(p, o)[:, None] * J.lift(np.eye(2 * N), N, o, p.shape[:-1])))
+
+
+def psi(cone, eplus: F.SectionField, eminus: F.SectionField, f=None) -> F.GtEndoField:
+    """Psi(E+, E-) from tensor pairs of the lifted sections and the constant
+    d/dt and dt sections, plus f (dt (x) d/dt - d/dt (x) dt) when f is given."""
+    N = cone.dim
+    _, ddt_slot, dt_slot = C._slots(cone.base.dim)
+    ep, em = C.lift_section(cone, eplus), C.lift_section(cone, eminus)
+    ddt, dt = (F.constant(cone, np.eye(2 * N)[k], F.SectionField) for k in (ddt_slot, dt_slot))
+    out = (F.tensor_pair_field(ddt, em) - F.tensor_pair_field(em, ddt)
+           + F.tensor_pair_field(dt, ep) - F.tensor_pair_field(ep, dt))
+    if f is None:
+        return out
+    flift = F.ScalarField(cone, lambda p, o: J.extend_vars(C.base_jet(f, p, o), N))
+    return out + flift * (F.tensor_pair_field(dt, ddt) - F.tensor_pair_field(ddt, dt))
+
+
+def i_prime(s, cone) -> F.GtEndoField:
+    """I' = Phi + Psi^f: Phi placed on the base block plus the tensor-pair Psi."""
+    N = cone.dim
+    base = np.ix_(C._slots(s.chart.dim)[0], C._slots(s.chart.dim)[0])
+    phi = F.GtEndoField(cone, lambda p, o: J.extend_vars(
+        C.base_jet(s.Phi, p, o), N, (2 * N, 2 * N), base))
+    return phi + psi(cone, s.Eplus, s.Eminus, s.f)
 
 
 def l_plus(frame) -> tuple:

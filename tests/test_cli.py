@@ -565,6 +565,24 @@ def test_explicit_components_outside_the_real_domain_exit_two(tmp_path, capsys):
     _refused_outside_real_domain(capsys, cfg, "$.structure.eplus")
 
 
+def test_a_non_finite_residual_exits_two_and_writes_no_report(tmp_path, capsys):
+    """log(x + 0.86) is finite at every check point of the builder and NaN at
+    some of the run's 20 sample points: the check is refused with the row and
+    its point named, instead of five FAIL rows of max nan and bare NaN in JSON."""
+    out = tmp_path / "report.json"
+    cfg = write(tmp_path, "nan.json", {
+        "structure": {"chart": {"dim": 3}, "builder": "from_contact",
+                      "eta": ["-y", "0", "1 + 0.1*log(x + 0.86)"]},
+        "checks": ["gacs"], "seed": 0, "samples": 20,
+    })
+    assert main(["verify", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg}: check gacs: gacs."), err
+    point = json.loads(err[0].split(" at ")[-1])
+    assert len(point) == 3 and point[0] < -0.86
+    assert not out.exists()
+
+
 def test_gallery_golden_mode(tmp_path):
     """Without --checks, gallery run reproduces the expected-verdict table,
     so entries with intentional failures still exit 0."""

@@ -1,9 +1,12 @@
-"""Cone lifts, Psi maps, R-conjugation and the t-invariant decomposition.
+"""Cone lifts, the placed I' = Phi + Psi, R-conjugation and the t-invariant decomposition.
 
 Orientation note: Psi follows the displayed block matrix, under which
 Psi(d/dt) = -E+ and the lifted classical structure restricts to
-I = phi + eta (x) d/dt - dt (x) xi on TC(M).
+I = phi + eta (x) d/dt - dt (x) xi on TC(M).  Psi is read as I' minus its
+Phi block.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from gencontact import gallery
 from gencontact import jets as J
 from gencontact import structures as S
 from gencontact.charts import ConeChart
+from oracles import i_prime as tensor_pair_i_prime
 from oracles import r_endo
 
 DARBOUX = gallery.build("darboux")
@@ -29,6 +33,15 @@ def cpts(entry, count=5, ts=(-0.5, 0.25)):
     return C.cone_points(entry["chart"].sample(seed=23, count=count), ts)
 
 
+def psi_values(s, cc, q):
+    """Psi^f(E+, E-) at one cone point q, read as I' minus its Phi block."""
+    n = s.chart.dim
+    base = np.ix_(C._slots(n)[0], C._slots(n)[0])
+    m = C.i_prime(s, cc).values(q).copy()
+    m[base] -= s.Phi.values(q[:n])
+    return m
+
+
 def test_lift_is_t_independent():
     cc = cone_of(HEIS)
     lifted = C.lift_section(cc, HEIS["gacs"].Eplus)
@@ -40,9 +53,12 @@ def test_lift_is_t_independent():
     assert np.abs(jet.grad[..., -1]).max() == 0
     # new slots are zero
     assert a[3] == 0 and a[7] == 0
-    endo = C.lift_endo(cc, HEIS["gacs"].Phi)
+    # I' carries Phi on the base block, and no t dependence
+    base = C._slots(3)[0]
+    endo = C.i_prime(HEIS["gacs"], cc)
     m = endo.values(np.concatenate([p, [0.4]]))
-    assert np.abs(m[:, 3]).max() == 0 and np.abs(m[3, :]).max() == 0
+    assert np.array_equal(m[np.ix_(base, base)], HEIS["gacs"].Phi.values(p))
+    assert np.abs(endo.at(np.concatenate([p, [0.4]])).grad[..., -1]).max() == 0
 
 
 def test_base_jet_with_non_adjacent_repeats_matches_each_point(monkeypatch):
@@ -70,9 +86,8 @@ def test_base_jet_with_non_adjacent_repeats_matches_each_point(monkeypatch):
 
 def test_psi_on_radial_sections():
     cc = cone_of(HEIS)
-    psi = C.psi(cc, HEIS["gacs"].Eplus, HEIS["gacs"].Eminus)
     for q in cpts(HEIS, count=3):
-        m = psi.values(q)
+        m = psi_values(HEIS["gacs"], cc, q)
         ddt = np.zeros(8)
         ddt[3] = 1.0
         ep = np.zeros(8, dtype=complex)
@@ -99,14 +114,13 @@ def test_psi_block_matrix_display():
     rng = np.random.default_rng(8)
     cc = cone_of(DARBOUX)
     s = DARBOUX["gacs"]
-    psi = C.psi(cc, s.Eplus, s.Eminus)
     for q in cpts(DARBOUX, count=20, ts=(0.3,)):
         p = q[:3]
         ep = s.Eplus.values(p)
         em = s.Eminus.values(p)
         xi_p, eta_p = ep[:3], ep[3:]
         xi_m, eta_m = em[:3], em[3:]
-        m = psi.values(q)
+        m = psi_values(s, cc, q)
         u = rng.normal(size=8) + 1j * rng.normal(size=8)
         x_m, a_t, al_m, c_t = u[:3], u[3], u[4:7], u[7]
         out_vec = -a_t * xi_p - c_t * xi_m
@@ -141,15 +155,50 @@ def test_cone_gacx_radial_action():
         assert np.allclose(m @ ep, ddt)  # J(E+) = +d/dt
 
 
+def assert_fields_equal(a, b, q, what):
+    """The jets of two fields at orders 0-2 are equal part for part (``None`` only to ``None``)."""
+    for order in (0, 1, 2):
+        assert_jets_equal(a.jet(q, order), b.jet(q, order), ("value", "grad", "hess")[:order + 1],
+                          (what, order))
+
+
+def test_placed_i_prime_equals_phi_plus_the_tensor_pair_psi():
+    """Every entry of the placed I' is the one the tensor-pair construction
+    computes, without f (the gallery) and with a nonconstant f: K-(kappa) of
+    darboux, and K+(kappa) of heisenberg_sasakian for f's hessian."""
+    from gencontact import deformations as D
+
+    def kappa(entry):  # x dx + y dy + z dz
+        return F.OneFormField(entry["chart"], lambda p, o: J.seed_point(p, 3, o))
+
+    structures = [gallery.build(name)["gacs"] for name in gallery.names()]
+    structures += [D.k_minus(DARBOUX["gacs"], kappa(DARBOUX)), D.k_plus(HEIS["gacs"], kappa(HEIS))]
+    for s in structures:
+        cc = ConeChart.over(s.chart)
+        base = s.chart.sample(seed=23, count=5)
+        assert s.f is None or np.abs(s.f.values(base)).min() > 0.1
+        q = C.cone_points(base, (-0.5, 0.25))
+        assert_fields_equal(C.i_prime(s, cc), tensor_pair_i_prime(s, cc), q, s.chart.dim)
+
+
 def test_classical_restriction_is_cone_i():
-    """For a diag(phi, -phi*) structure, J restricted to TC(M) is the paper's I."""
+    """The lift of every classical gallery structure restricts to
+    I = phi + eta (x) d/dt - dt (x) xi on the tangent block, jet for jet."""
     from gencontact.integrability import classical_cone_i
 
-    cc = cone_of(HEIS)
-    j = C.i_prime(HEIS["gacs"], cc)
-    imat = classical_cone_i(HEIS["acs"], cc)
-    for q in cpts(HEIS, count=4):
-        assert np.abs(j.values(q)[:4, :4] - imat.values(q)).max() < 1e-13
+    classical = []
+    for name in gallery.names():
+        entry = gallery.build(name)
+        classical += [(name, acs) for acs in ([entry["acs"]] if "acs" in entry
+                                               else entry.get("acs_pair", ()))]
+    assert len(classical) == 4
+    for name, acs in classical:
+        cc = ConeChart.over(acs.chart)
+        N = cc.dim
+        block = C.i_prime(S.gacs_from_acs(acs), cc)
+        tangent = F.MatrixField(cc, lambda p, o: block.jet(p, o)[:N, :N])
+        q = C.cone_points(acs.chart.sample(seed=23, count=5), (-0.5, 0.25))
+        assert_fields_equal(classical_cone_i(acs, cc), tangent, q, name)
 
 
 def test_r_conjugate_properties():
@@ -260,10 +309,10 @@ def test_psi_f_and_i_prime():
     s0 = DARBOUX["gacs"]
     cc = cone_of(DARBOUX)
     # f = 0 reduces Psi^f to Psi
-    psi_plain = C.psi(cc, s0.Eplus, s0.Eminus)
-    psi_f = C.psi(cc, s0.Eplus, s0.Eminus, F.constant(DARBOUX["chart"], 0))
     q = cpts(DARBOUX, count=2)[0]
-    assert np.abs(psi_plain.values(q) - psi_f.values(q)).max() < 1e-14
+    psi_plain = psi_values(s0, cc, q)
+    psi_f = psi_values(replace(s0, f=F.constant(DARBOUX["chart"], 0)), cc, q)
+    assert np.abs(psi_plain - psi_f).max() < 1e-14
 
     # K-(dz) gives f = 1; I' and I still square to -id and stay skew
     s1 = D.k_minus(s0, F.basis_form(DARBOUX["chart"], 2))

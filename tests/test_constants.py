@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from gencontact import cone as C
 from gencontact import config
+from gencontact import deformations as D
 from gencontact import fields as F
 from gencontact import gallery
 from gencontact import jets as J
@@ -146,11 +148,25 @@ def test_field_objects_per_gallery_build(name, fields_made):
 def test_field_objects_of_a_contact_config_with_fgacs_and_cone_algebra(fields_made):
     """f = 0 is None: fgacs and the cone structure build no zero f field, no
     f * kappa terms and no f-extension of Psi; Phi and the Reeb field share one
-    rho^-1 field.  With a zero f field and two rho^-1 closures this made 32."""
+    rho^-1 field; I' is one field of placed base jets.  With a zero f field and
+    two rho^-1 closures this made 32, and with Psi built from tensor pairs of
+    constant d/dt and dt sections (13 fields per I') 24."""
     cfg = config.parse_config({
         "structure": {"chart": {"dim": 3}, "builder": "from_contact", "eta": ["-y", "0", "1"]},
         "checks": ["fgacs", "cone_algebra"],
         "samples": 4,
     })
     assert config.run_checks(cfg).passed
-    assert len(fields_made) <= 24
+    assert len(fields_made) <= 12
+
+
+@pytest.mark.parametrize("kappa", [None, 2], ids=["f_none", "k_minus_dz"])
+def test_one_i_prime_builds_one_field(kappa, fields_made):
+    """I' = Phi + Psi^f is one closure over the base jets, with f and without."""
+    s = gallery.build("darboux")["gacs"]
+    if kappa is not None:
+        s = D.k_minus(s, F.basis_form(s.chart, kappa))
+        assert s.f is not None
+    fields_made.clear()
+    C.i_prime(s)
+    assert len(fields_made) == 1

@@ -157,7 +157,7 @@ def test_extend_vars_matches_np_pad(order):
         assert out.hess.dtype == want.dtype and np.array_equal(out.hess, want)
 
     # placements: a cone-section vector, an np.ix_ endo block, one column
-    rows = C._m_indices(3)
+    rows = C._slots(3)[0]
     for comp, shape, index in (
         ((6,), (8,), rows),
         ((6, 6), (8, 8), np.ix_(rows, rows)),

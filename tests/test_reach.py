@@ -9,8 +9,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # What tools/reach.py may list, by name, and why the sweep never calls it.
 ACCOUNTED_FOR = {
-    # config paths the sweep does not run
-    "config._parse_section", "config.Subject.need_cone", "config.parse_structure",
     # grammar and operator paths that no swept expression uses
     "exprs.literal", "jets.JetArray.__rsub__", "jets.JetArray.__rtruediv__",
     "jets.JetArray.__pow__", "jets.log", "jets.sqrt",
