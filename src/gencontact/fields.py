@@ -23,10 +23,9 @@ jet with ``jets.parts``, moves component axes with ``JetArray.moveaxis``,
 maps the parts with ``JetArray.map`` and joins them with ``jets.concat``.  A
 derivative is consumed by ``jets.dshift``, which makes the derivative axis
 the first component axis, so d and the Courant bracket contract with plain
-specs (``'j,ji->i'`` for X^j d_j Y^i).  ``courant_jets`` treats any axes
-after the leading component axis as batch axes, which broadcast: a stack of
-sections brackets pairwise in one call, item by item as the unbatched call
-would.
+specs (``'j,ji->i'`` for X^j d_j Y^i).  Batch axes broadcast, so
+``courant_jets`` brackets a stack of section pairs laid out on batch axes
+in one call, item by item as the unbatched call would.
 
 Generalized-tangent conventions on jets: ``swap_jet`` (the pairing swap,
 one ``JetArray.map``), ``block_jet`` (the (2n, 2n) block layout),
@@ -119,7 +118,7 @@ class Field:
     def __mul__(self, c):
         if isinstance(c, ScalarField):
             _same_chart(self, c)
-            # the scalar's (*B) jet broadcasts against the trailing batch axes
+            # the scalar's (*B) jet scales every component of the (*B, *comps) jet
             return self._wrap(lambda p, o: c.jet(p, o) * self.jet(p, o))
         return self._wrap(lambda p, o: self.jet(p, o) * c)
 
@@ -300,11 +299,12 @@ def block_jet(tt, tc, ct, cc) -> JetArray:
 
 def swap_jet(j: JetArray) -> JetArray:
     """The pairing swap (:func:`gencontact.gta.swap`) along the component axis of a jet."""
-    return j.map(lambda a: gta.swap(a, 0))
+    return j.map(gta.swap)
 
 
 def pair_jets(a: JetArray, b: JetArray) -> JetArray:
-    """<A, B> of two section jets, as :func:`gencontact.gta.pair`."""
+    """<A, B> of two section jets: its value is :func:`gencontact.gta.pair` of
+    their values bit for bit (one row-times-column ``jets.matmul``)."""
     return 0.5 * J.jet_einsum("i,i->", swap_jet(a), b)
 
 
@@ -418,8 +418,8 @@ def c_transform(omega: Field, phi: MatrixField) -> Field:
 def courant_jets(ja: JetArray, jb: JetArray, n: int) -> JetArray:
     """[[X+a, Y+b]] = [X,Y] + L_X b - L_Y a - d(i_X b - i_Y a)/2, on jets.
 
-    Axes after the leading component axis are batch axes and broadcast, so
-    one call brackets a whole stack of section pairs over a point batch.
+    The batch axes broadcast, so one call brackets a whole stack of section
+    pairs laid out on batch axes (pairs x points, say).
     """
     x, a = ja[:n], ja[n:]
     y, b = jb[:n], jb[n:]

@@ -12,13 +12,16 @@ Conventions fixed for the whole package:
 * pairing  <X+a, Y+b> = (b(X) + a(Y)) / 2          (symmetric, bilinear)
 * minus pairing <X+a, Y+b>_- = (a(Y) - b(X)) / 2   (antisymmetric)
 * swap exchanges the vector and form halves, so <A, B> = swap(A) . B / 2;
-  it is the package's one swap (``fields.swap_jet`` applies it to jets)
+  it is the package's one swap (``fields.swap_jet`` applies it to jets), and
+  the dot is ``jets.matmul``'s, as in ``fields.pair_jets``
 * tensor_pair(E, F) sends A to 2<F, A> E
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .jets import matmul
 
 
 def _half(*arrays: np.ndarray) -> int:
@@ -32,8 +35,9 @@ def _half(*arrays: np.ndarray) -> int:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # row-times-column matmul sums in the same order as a 1-d a @ b at each point
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    # the row-times-column jets.matmul of fields.pair_jets, so that a pairing of
+    # jets has the bits of the pairing of their values
+    return matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def swap(a: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -13,31 +13,40 @@ operation to complex exactly where an imaginary operand enters.  A real
 ``log``, ``sqrt`` or non-integer power outside its domain gives NaN, not a
 complex number.
 
-One jet holds a whole batch of points.  Its value has shape ``(*comps, *B)``,
-its gradient ``(*comps, *B, nvars)`` and its hessian ``(*comps, *B, nvars,
-nvars)``: the component axes come first, then the batch axes of the point
-array ``(*B, nvars)`` it was evaluated at, then the derivative axes.  A
-single point is the batch ``B = ()``.  This module is the one place that
-knows the layout: other modules read a jet's parts batch first with
-:func:`parts` and place the batch with :meth:`JetArray.reshape` and
-:func:`batch_shape`.  Every structural operation maps the parts present with
-one :meth:`JetArray.map` (indexing ``j[:n]``, :meth:`~JetArray.reshape`,
-:meth:`~JetArray.moveaxis` of component axes, negation,
-:func:`take_batch`), and :func:`stack` and :func:`concat` (a ``None`` part
-is zero) share one join over the parts present in every operand.  They act
-on the leading axes and never see the batch.  :func:`jet_einsum` takes plain
-specs over the component axes and appends ``...`` to every operand spec so
-that the batch axes ride along; a spec naming ``...`` is refused.  A
-consumed derivative becomes the first component axis (:func:`dshift`), so
-derivative contractions need no other spec form.
+One jet holds a whole batch of points, batch first: its value has shape
+``(*B, *comps)``, its gradient ``(*B, nvars, *comps)`` and its hessian
+``(*B, nvars, nvars, *comps)``, for the point array ``(*B, nvars)`` it was
+evaluated at, and it knows its batch rank ``nbatch``.  A single point is
+the batch ``B = ()``.  Hessian entry ``[l, k]`` is d_l of gradient entry
+``[k]``, so :func:`dshift` takes the gradient and hessian as they are.  This
+module is the one place that knows the layout: other modules read a jet
+with :func:`parts` (derivative axes last) and place the batch with
+:meth:`JetArray.reshape` and :func:`batch_shape`; indexing ``j[:n]``,
+``reshape``, ``moveaxis``, :func:`take_batch`, :func:`stack` and
+:func:`concat` (a ``None`` part is zero) act on the component axes, counted
+from the front.
 
-Elementwise arithmetic broadcasts numpy-style, so an array constant must be
-lifted with the batch shape (``lift(c, n, order, batch)``) before it meets a
-batched jet.  A scalar operand of ``+ - * /`` (a Python or numpy number) is
-never lifted: value, gradient and hessian each get the floating-point
-operation a lifted constant would give them, without the exact ``+ 0``
-terms of its zero derivatives.  The binary operations spell out each part,
-since their operand order fixes the rounding.
+:func:`jet_einsum` takes plain two-operand specs over the component axes.
+Each product-rule term is one broadcasting ``*`` (no contracted letter) or
+``@`` (:func:`matmul`, rows of the first operand against columns of the
+second), with an operand's derivative axes folded into its rows, so one
+call serves a whole batch.  Letters both operands keep run as batch axes,
+and so do the second operand's own letters in front of its contracted ones:
+it is a stack of vectors, each multiplied as it would be alone (the columns
+of ``'ij,kj->ki'`` have the bits of ``'ij,j->i'``).  The matrices are
+C-contiguous, so numpy runs the same BLAS call on a point as on each batch
+item and a point's jet is its batch item bit for bit; a complex ``@`` is
+assembled from real ones, so a real jet has the real part's bits of its
+complex copy.  :func:`jet_inv` is chained ``@`` on A^-1 dA.
+
+Elementwise arithmetic broadcasts over the batch, and component axes align
+from the end: a ``(*B)`` scalar jet scales every component of a
+``(*B, 2n)`` section.  An array operand is a constant over the value's
+axes, numpy-style.  A scalar operand of ``+ - * /`` (a Python or numpy
+number) is never lifted: value, gradient and hessian each get the
+floating-point operation a lifted constant would give them, without the
+exact ``+ 0`` terms of its zero derivatives.  The binary operations spell
+out each part, since their operand order fixes the rounding.
 
 The order is demanded by the consumer, capped at :data:`MAX_ORDER`: the
 leaves (:func:`seed_point`, :func:`lift`) build jets of the order asked for,
@@ -54,7 +63,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -86,19 +94,24 @@ def as_array(a) -> np.ndarray:
 class JetArray:
     """A batch of order-<=2 jets in ``nvars`` variables.
 
-    ``value`` has shape S = comps + batch; ``grad`` (if present) has shape
-    S+(nvars,) and ``hess`` shape S+(nvars, nvars).  ``hess`` present
-    implies ``grad`` present.
+    ``value`` has shape B + C (``nbatch`` batch axes B, component axes C);
+    ``grad`` (if present) has shape B + (nvars,) + C and ``hess`` shape
+    B + (nvars, nvars) + C.  ``hess`` present implies ``grad`` present.
     """
 
     value: np.ndarray
     grad: Optional[np.ndarray]
     hess: Optional[np.ndarray]
     nvars: int
+    nbatch: int = 0
 
     @property
     def shape(self):
         return self.value.shape
+
+    @property
+    def ncomps(self) -> int:
+        return self.value.ndim - self.nbatch
 
     @property
     def order(self) -> int:
@@ -110,57 +123,88 @@ class JetArray:
 
     # -- structure: one array map over the parts present ---------------------
 
+    def _at(self, fn, nbatch=None) -> "JetArray":
+        """``fn(part, lead)`` on each part present, ``lead`` its count of batch and
+        derivative axes; the result has ``nbatch`` batch axes (unchanged by default)."""
+        nb = self.nbatch
+        g = None if self.grad is None else fn(self.grad, nb + 1)
+        h = None if self.hess is None else fn(self.hess, nb + 2)
+        return JetArray(fn(self.value, nb), g, h, self.nvars, nb if nbatch is None else nbatch)
+
     def map(self, fn) -> "JetArray":
         """Apply an array map to the value, gradient and hessian; a missing part stays missing.
 
-        ``fn`` must act on the value's axes (components and batch) only, so
-        that each part keeps its trailing derivative axes.
+        ``fn`` must act on the trailing component axes only (negative axis
+        numbers), so that each part keeps its batch and derivative axes.
         """
-        g = None if self.grad is None else fn(self.grad)
-        h = None if self.hess is None else fn(self.hess)
-        return JetArray(fn(self.value), g, h, self.nvars)
+        return self._at(lambda a, lead: fn(a))
 
     def __getitem__(self, idx) -> "JetArray":
-        return self.map(lambda a: a[idx])
+        at = (slice(None),) * self.nbatch + (idx if isinstance(idx, tuple) else (idx,))
+        g, h = self.grad, self.hess
+        return JetArray(self.value[at], None if g is None else g[(slice(None),) + at],
+                        None if h is None else h[(slice(None),) * 2 + at], self.nvars, self.nbatch)
 
     def reshape(self, comps, batch) -> "JetArray":
-        """Reshape the component axes to ``comps``; the batch axes, of shape ``batch``, stay."""
-        nd = self.value.ndim
-        return self.map(lambda a: a.reshape(*comps, *batch, *a.shape[nd:]))
+        """The jet with component shape ``comps`` over the batch shape ``batch``.
+
+        The batch and component axes each keep their element order, so an
+        order-0 jet may also move axes between them (a lifted ``(*B, T)``
+        array read as T components over B).
+        """
+        nb, batch = self.nbatch, tuple(batch)
+        return self._at(lambda a, lead: a.reshape(batch + a.shape[nb:lead] + tuple(comps)),
+                        len(batch))
 
     def moveaxis(self, src: int, dst: int) -> "JetArray":
         """Move a component axis (``src`` and ``dst`` count from the front), as
-        ``np.moveaxis`` views: one axis order, extended over each part's
-        derivative axes."""
-        order = list(range(self.value.ndim))
+        ``np.moveaxis`` views."""
+        order = list(range(self.ncomps))
         order.insert(dst, order.pop(src))
-        return self.map(lambda a: a.transpose(*order, *range(len(order), a.ndim)))
+        return self._at(lambda a, lead: a.transpose(*range(lead), *(lead + k for k in order)))
+
+    def _pad(self, ncomps: int) -> "JetArray":
+        """The jet with size-1 component axes in front of its own, ``ncomps`` in all."""
+        extra = (1,) * (ncomps - self.ncomps)
+        return self._at(lambda a, lead: a.reshape(a.shape[:lead] + extra + a.shape[lead:]))
 
     # -- arithmetic (a scalar operand is not lifted) ------------------------
 
     __array_ufunc__ = None  # numpy scalars and arrays defer to the reflected operators
 
-    def _operand(self, other) -> "JetArray":
-        """A jet operand as it is; an array constant lifted at this jet's order."""
-        return other if isinstance(other, JetArray) else lift(other, self.nvars, self.order)
+    def _operands(self, other) -> tuple:
+        """This jet and ``other`` with equal component counts: an array constant
+        lifted at this jet's order over the value's axes, numpy-style, and
+        size-1 component axes in front of the fewer components."""
+        na = self.value.ndim - self.nbatch
+        if not isinstance(other, JetArray):
+            v = as_array(other)
+            other = _constant(v, self.nvars, self.order, max(0, v.ndim - na))
+        nb = other.value.ndim - other.nbatch
+        if na == nb:
+            return self, other
+        return (self._pad(nb), other) if na < nb else (self, other._pad(na))
 
     def __add__(self, other) -> "JetArray":
         if isinstance(other, _SCALARS):
-            return JetArray(self.value + other, self.grad, self.hess, self.nvars)
-        other = self._operand(other)
-        g = None if (self.grad is None or other.grad is None) else self.grad + other.grad
-        h = None if (self.hess is None or other.hess is None) else self.hess + other.hess
-        return JetArray(self.value + other.value, g, h, self.nvars)
+            return JetArray(self.value + other, self.grad, self.hess, self.nvars, self.nbatch)
+        a, b = self._operands(other)
+        g = None if (a.grad is None or b.grad is None) else a.grad + b.grad
+        h = None if (a.hess is None or b.hess is None) else a.hess + b.hess
+        return JetArray(a.value + b.value, g, h, self.nvars, max(a.nbatch, b.nbatch))
 
     __radd__ = __add__
 
     def __neg__(self) -> "JetArray":
-        return self.map(operator.neg)
+        g, h = self.grad, self.hess
+        return JetArray(-self.value, None if g is None else -g, None if h is None else -h,
+                        self.nvars, self.nbatch)
 
     def __sub__(self, other) -> "JetArray":
         if isinstance(other, _SCALARS):
             return self + -other
-        return self + (-self._operand(other))
+        a, b = self._operands(other)
+        return a + (-b)
 
     def __rsub__(self, other) -> "JetArray":
         return -self + other
@@ -169,34 +213,37 @@ class JetArray:
         if isinstance(other, _SCALARS):
             g = None if self.grad is None else other * self.grad
             h = None if self.hess is None else other * self.hess
-            return JetArray(self.value * other, g, h, self.nvars)
-        a, b = self, self._operand(other)
+            return JetArray(self.value * other, g, h, self.nvars, self.nbatch)
+        a, b = self._operands(other)
+        nc = a.ncomps
         value = a.value * b.value
         grad = None
         hess = None
         if a.grad is not None and b.grad is not None:
-            grad = a.value[..., None] * b.grad + b.value[..., None] * a.grad
+            grad = _d(a.value, 1, nc) * b.grad + _d(b.value, 1, nc) * a.grad
             if a.hess is not None and b.hess is not None:
-                cross = a.grad[..., :, None] * b.grad[..., None, :]
+                cross = _d(a.grad, 1, nc + 1) * _d(b.grad, 1, nc)  # [l, k] = da_k db_l
                 hess = (
-                    a.value[..., None, None] * b.hess
-                    + b.value[..., None, None] * a.hess
+                    _d(a.value, 2, nc) * b.hess
+                    + _d(b.value, 2, nc) * a.hess
                     + cross
-                    + np.swapaxes(cross, -1, -2)
+                    + np.swapaxes(cross, -nc - 2, -nc - 1)
                 )
-        return JetArray(value, grad, hess, self.nvars)
+        return JetArray(value, grad, hess, self.nvars, max(a.nbatch, b.nbatch))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "JetArray":
         if isinstance(other, _SCALARS):
             return self * (1.0 / as_array(other))
-        return self * reciprocal(self._operand(other))
+        a, b = self._operands(other)
+        return a * reciprocal(b)
 
     def __rtruediv__(self, other) -> "JetArray":
         if isinstance(other, _SCALARS):
             return reciprocal(self) * other
-        return self._operand(other) * reciprocal(self)
+        a, b = self._operands(other)
+        return b * reciprocal(a)
 
     def __pow__(self, expo: Number) -> "JetArray":
         return powc(self, expo)
@@ -205,7 +252,8 @@ class JetArray:
         """The same jet without the derivative orders above ``order``."""
         if self.order <= order:
             return self
-        return JetArray(self.value, self.grad if order >= 1 else None, None, self.nvars)
+        return JetArray(self.value, self.grad if order >= 1 else None, None, self.nvars,
+                        self.nbatch)
 
     def require(self, order: int) -> "JetArray":
         if self.order < order:
@@ -216,58 +264,82 @@ class JetArray:
         return self
 
 
+def _d(a: np.ndarray, k: int, ncomps: int) -> np.ndarray:
+    """``a`` with ``k`` size-1 derivative axes in front of its last ``ncomps`` axes."""
+    at = a.ndim - ncomps
+    return a.reshape(a.shape[:at] + (1,) * k + a.shape[at:])
+
+
 def parts(j: JetArray, nbatch: int) -> tuple:
     """The parts a jet has, value first, as views with its ``nbatch`` batch axes
-    first: value ``(*B, *comps)``, gradient ``(*B, *comps, nvars)`` and hessian
-    ``(*B, *comps, nvars, nvars)``."""
-    nd = j.value.ndim
-    order = (*range(nd - nbatch, nd), *range(nd - nbatch))
-    return tuple(a.transpose(*order, *range(nd, a.ndim))
-                 for a in (j.value, j.grad, j.hess) if a is not None)
+    first and the derivative axes last: value ``(*B, *comps)``, gradient
+    ``(*B, *comps, nvars)`` and hessian ``(*B, *comps, nvars, nvars)``, whose
+    entry ``[..., k, l]`` is d_l of gradient entry ``[..., k]``."""
+    out = [j.value]
+    if j.grad is not None:
+        out.append(np.moveaxis(j.grad, nbatch, -1))
+    if j.hess is not None:
+        out.append(np.moveaxis(j.hess, (nbatch + 1, nbatch), (-2, -1)))
+    return tuple(out)
 
 
 def batch_shape(j: JetArray, ncomps: int) -> tuple:
     """The batch shape of a jet with ``ncomps`` component axes."""
-    return j.shape[ncomps:]
+    return j.shape[:j.value.ndim - ncomps]
 
 
 def lift(x, nvars: int, order: int = MAX_ORDER, batch=()) -> JetArray:
     """Lift a constant (scalar or ndarray) to a constant jet of the given order.
 
-    With a batch shape the constant's components are followed by the batch
-    axes; the value and the zero derivatives are broadcast views, not copies.
+    With a batch shape the constant's components follow the batch axes; the
+    value and the zero derivatives are broadcast views, not copies.
     """
     if isinstance(x, JetArray):
         return x
     v = as_array(x)
-    if batch:
-        v = np.broadcast_to(v.reshape(v.shape + (1,) * len(batch)), v.shape + tuple(batch))
-    g = _zeros(v.shape + (nvars,), v.dtype) if order >= 1 else None
-    h = _zeros(v.shape + (nvars, nvars), v.dtype) if order >= 2 else None
-    return JetArray(v, g, h, nvars)
+    batch = tuple(batch)
+    return _constant(np.broadcast_to(v, batch + v.shape) if batch else v, nvars, order, len(batch))
 
 
+def _constant(v: np.ndarray, nvars: int, order: int, nbatch: int) -> JetArray:
+    """The constant jet of value ``v``, whose first ``nbatch`` axes are batch axes."""
+    lead, comps = v.shape[:nbatch], v.shape[nbatch:]
+    g = _zeros(lead + (nvars,) + comps, v.dtype) if order >= 1 else None
+    h = _zeros(lead + (nvars, nvars) + comps, v.dtype) if order >= 2 else None
+    return JetArray(v, g, h, nvars, nbatch)
+
+
+@functools.lru_cache(maxsize=256)
 def _zeros(shape, dtype) -> np.ndarray:
-    """A read-only zero array of any size, as a broadcast view of one scalar."""
+    """A read-only zero array of any size, as a broadcast view of one scalar
+    (kept: a jet's zero parts are shared, never written)."""
     return np.broadcast_to(np.zeros((), dtype), shape)
 
 
+@functools.lru_cache(maxsize=64)
+def _identity(shape, dtype) -> np.ndarray:
+    """The read-only (..., n, n) identity of a seed's gradient, as a broadcast view (kept)."""
+    return np.broadcast_to(np.eye(shape[-1], dtype=dtype), shape)
+
+
 def _join(join, jets, axis: int) -> JetArray:
-    """Join jets part by part with ``join`` (``np.stack`` or ``np.concatenate``);
-    a derivative part missing from one operand is missing from the result."""
-    value = join([j.value for j in jets], axis=axis)
+    """Join jets part by part with ``join`` (``np.stack`` or ``np.concatenate``)
+    along a component axis; a derivative part missing from one operand is
+    missing from the result."""
+    nb = jets[0].nbatch
+    at = axis if axis < 0 else nb + axis
+    value = join([j.value for j in jets], axis=at)
     grad = None
     hess = None
     if all(j.grad is not None for j in jets):
-        grad = join([j.grad for j in jets], axis=axis)
+        grad = join([j.grad for j in jets], axis=at if axis < 0 else at + 1)
         if all(j.hess is not None for j in jets):
-            hess = join([j.hess for j in jets], axis=axis)
-    return JetArray(value, grad, hess, jets[0].nvars)
+            hess = join([j.hess for j in jets], axis=at if axis < 0 else at + 2)
+    return JetArray(value, grad, hess, jets[0].nvars, nb)
 
 
 def stack(jets, axis: int = 0) -> JetArray:
-    """Stack jets of identical shape along a new axis (a component axis unless
-    ``axis`` is past the value's last axis)."""
+    """Stack jets of identical shape along a new component axis."""
     return _join(np.stack, jets, axis)
 
 
@@ -278,16 +350,15 @@ def concat(parts: Sequence[Optional[JetArray]], axis: int = 0) -> JetArray:
     if not present:
         raise ValueError("need at least one nonzero part")
     if len(present) < len(parts):
-        zero = present[0].map(lambda a: np.broadcast_to(np.zeros((), a.dtype), a.shape))
+        zero = present[0].map(lambda a: _zeros(a.shape, a.dtype))
         parts = [zero if j is None else j for j in parts]
     return _join(np.concatenate, parts, axis)
 
 
 def take_batch(j: JetArray, index, batch) -> JetArray:
     """The items ``index`` of a jet over a one-axis batch, as a jet over the batch shape ``batch``."""
-    axis = j.value.ndim - 1
-    return j.map(lambda a: a.take(index, axis=axis).reshape(
-        a.shape[:axis] + tuple(batch) + a.shape[axis + 1:]))
+    batch = tuple(batch)
+    return j._at(lambda a, lead: a.take(index, axis=0).reshape(batch + a.shape[1:]), len(batch))
 
 
 def seed_point(point, nvars: int, order: int = MAX_ORDER) -> JetArray:
@@ -296,108 +367,200 @@ def seed_point(point, nvars: int, order: int = MAX_ORDER) -> JetArray:
     The coordinate index is the component axis, so ``seed_point(p, n)[i]`` is
     the i-th coordinate over the batch.
     """
-    p = as_array(point)
+    p = np.array(as_array(point))
     if p.shape[-1:] != (nvars,):
         raise ValueError(f"point has shape {p.shape}, expected (..., {nvars})")
     batch = p.shape[:-1]
-    grad = None
-    if order >= 1:
-        eye = np.eye(nvars, dtype=p.dtype).reshape((nvars,) + (1,) * len(batch) + (nvars,))
-        grad = np.broadcast_to(eye, (nvars,) + batch + (nvars,))
-    hess = _zeros((nvars,) + batch + (nvars, nvars), p.dtype) if order >= 2 else None
-    return JetArray(np.ascontiguousarray(np.moveaxis(p, -1, 0)), grad, hess, nvars)
+    grad = _identity(batch + (nvars, nvars), p.dtype) if order >= 1 else None
+    hess = _zeros(batch + (nvars,) * 3, p.dtype) if order >= 2 else None
+    return JetArray(p, grad, hess, nvars, len(batch))
 
 
 def dshift(j: JetArray) -> JetArray:
     """Trade one derivative order for a new first component axis.
 
     The result's value is the input's gradient and its gradient the input's
-    hessian, each with the consumed derivative axis moved to the front (a
-    view, not a copy); its hessian is gone.  This is how d, Lie and Courant
-    operations consume derivative budget: their subscripts name the new axis
-    first (``'j,ji->i'`` for ``x^j d_j y^i``).
+    hessian, as they are (the same arrays); its hessian is gone.  This is how
+    d, Lie and Courant operations consume derivative budget: their subscripts
+    name the new axis first (``'j,ji->i'`` for ``x^j d_j y^i``).
     """
     j.require(1)
-    nd = j.value.ndim  # the consumed axis is grad's last and hess's second to last
-    hess = None if j.hess is None else j.hess.transpose(nd, *range(nd), nd + 1)
-    return JetArray(j.grad.transpose(nd, *range(nd)), hess, None, j.nvars)
+    return JetArray(j.grad, j.hess, None, j.nvars, j.nbatch)
+
+
+# -- the contraction kernel ------------------------------------------------------
+
+
+def _c(a: np.ndarray) -> np.ndarray:
+    """``a`` with C-contiguous trailing matrices (a copy unless it has them)."""
+    s, size = a.strides, a.itemsize
+    if s[-1] == size and s[-2] == size * a.shape[-1]:
+        return a
+    return np.ascontiguousarray(a)
+
+
+def matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` with broadcasting, on C-contiguous matrices: numpy then runs the
+    same BLAS call on every matrix pair, one point's or a batch item's.  A
+    complex product is assembled from real ones, so that a zero imaginary
+    part adds exact zeros: the real part of a complex product with real
+    operands has the real product's bits (complex BLAS rounds differently)."""
+    cx, cy = x.dtype.kind == "c", y.dtype.kind == "c"
+    if not (cx or cy):
+        return _c(x) @ _c(y)
+    xr, xi = (_c(x.real), _c(x.imag)) if cx else (_c(x), None)
+    yr, yi = (_c(y.real), _c(y.imag)) if cy else (_c(y), None)
+    re = xr @ yr
+    if cx and cy:
+        re = re - xi @ yi
+        im = xr @ yi + xi @ yr
+    else:
+        im = xi @ yr if cx else xr @ yi
+    out = np.empty(re.shape, complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _term(x: np.ndarray, dx: int, y: np.ndarray, dy: int, contract: bool) -> np.ndarray:
+    """One product-rule term: ``x`` (..., dx derivative axes, R, J) times ``y``
+    (..., dy derivative axes, J, C), summed over J when ``contract`` (else J
+    is 1), as (..., y's then x's derivative axes, R, C): a cross term's
+    entry [l, k] is dx_k dy_l.  x's derivative axes fold into its rows."""
+    if not (dx or dy):
+        return matmul(x, y) if contract else x * y
+    lead = x.ndim - dx - 2
+    xf = x.reshape(x.shape[:lead] + (1,) * dy + (-1, x.shape[-1]))
+    out = matmul(xf, y) if contract else xf * y
+    return out.reshape(out.shape[:-2] + x.shape[lead:-1] + out.shape[-1:])
+
+
+def _product(x: list, y: list, contract: bool) -> list:
+    """The value, gradient and hessian arrays of the product rule on arranged
+    parts (see :func:`_term`), as far as both operands carry them."""
+    out = [_term(x[0], 0, y[0], 0, contract)]
+    if len(x) > 1 and len(y) > 1:
+        out.append(_term(x[1], 1, y[0], 0, contract) + _term(x[0], 0, y[1], 1, contract))
+        if len(x) > 2 and len(y) > 2:
+            cross = _term(x[1], 1, y[1], 1, contract)
+            out.append(_term(x[2], 2, y[0], 0, contract) + _term(x[0], 0, y[2], 2, contract)
+                       + cross + cross.swapaxes(-3, -4))
+    return out
 
 
 @functools.lru_cache(maxsize=256)
-def _einsum_plan(subscripts: str):
-    """The output's component-axis count and the six einsum specs of a jet
-    product, with ``...`` appended for the batch."""
+def _plan(subscripts: str):
+    """How :func:`jet_einsum` runs a spec: whether the operands swap, their
+    arrangements (see :func:`_arranged`), whether a letter is contracted, the
+    component axes of the rows and columns (as operand and axis) and the
+    count of elementwise axes.
+
+    Letters of both operands that the output keeps are elementwise, and so
+    are the second operand's own letters in front of its contracted ones (it
+    is a stack of vectors); its letters after them are the columns of a
+    matrix.  The output lists the elementwise letters, then the rows, then
+    the columns; a contraction whose first operand has no rows puts a stack
+    of vectors first, a matrix-vector product.
+    """
     if "z" in subscripts or "w" in subscripts:
         raise ValueError("subscripts must not use reserved letters z/w")
     if "." in subscripts:
         raise ValueError(f"subscripts {subscripts!r} must name the component axes only: "
-                         "the batch axes are appended as '...'")
+                         "the batch axes are appended to every operand as its leading axes")
     lhs, out = subscripts.split("->")
-    nout = len(out)
-    s1, s2, out = (s + "..." for s in (*lhs.split(","), out))
-    return (nout, f"{s1},{s2}->{out}",
-            f"{s1}z,{s2}->{out}z", f"{s1},{s2}z->{out}z",
-            f"{s1}z,{s2}w->{out}zw", f"{s1}zw,{s2}->{out}zw", f"{s1},{s2}zw->{out}zw")
+    s1, s2 = lhs.split(",")
+    if len(set(s1)) < len(s1) or len(set(s2)) < len(s2) or set(out) - set(s1 + s2):
+        raise ValueError(f"subscripts {subscripts!r}: a letter repeats in an operand "
+                         "or the output names a letter no operand has")
+
+    def layout(s1, s2):
+        summed = "".join(c for c in s1 if c in s2 and c not in out)
+        elem = "".join(c for c in s1 if c in s2 and c in out)
+        first = min((s2.index(c) for c in summed), default=0)
+        stacked = "".join(c for c in s2[:first] if c not in s1)
+        rows = "".join(c for c in s1 if c not in s2)
+        cols = "".join(c for c in s2 if c not in s1 and c not in stacked)
+        ne = len(elem + stacked)
+        return (elem + stacked + rows + cols, stacked,
+                (tuple(s1.index(c) for c in elem + rows + summed), len(elem), len(stacked),
+                 len(rows)), (tuple(s2.index(c) for c in elem + stacked + summed + cols),
+                              ne, 0, len(summed)), bool(summed),
+                tuple((0, s1.index(c)) for c in rows) + tuple((1, s2.index(c)) for c in cols), ne)
+
+    plans = [(False, *layout(s1, s2))]
+    if any(c in s2 and c not in out for c in s1):  # a contraction may take either order
+        swapped = (True, *layout(s2, s1))
+        plans.insert(0 if set(s1) <= set(s2) and plans[0][2] else 1, swapped)
+    for swap, natural, _, *plan in plans:
+        if natural == out:
+            return (swap, *plan)
+    raise ValueError(f"subscripts {subscripts!r}: the output must list the kept letters, the "
+                     "second operand's stacked letters, the rows, then the columns")
+
+
+_ORDERED = [tuple(range(k)) for k in range(32)]  # the permutations that move nothing
+
+
+def _arranged(j: JetArray, perm, ne: int, extra: int, split: int) -> list:
+    """The parts of ``j`` with its component axes permuted by ``perm``: the
+    first ``ne`` moved in front of the derivative axes and followed by
+    ``extra`` size-1 axes, the rest merged into two axes, the first ``split``
+    of them into the first (either may be size 1)."""
+    nb = j.nbatch
+    parts = (j.value,) if j.grad is None else (j.value, j.grad) if j.hess is None else (
+        j.value, j.grad, j.hess)
+    if not (ne or extra) and perm == _ORDERED[len(perm)]:
+        comps = j.value.shape[nb:]
+        m = (math.prod(comps[:split]), math.prod(comps[split:]))
+        return parts if comps == m else [a.reshape(a.shape[:a.ndim - len(perm)] + m)
+                                         for a in parts]
+    comps = tuple(j.value.shape[nb + k] for k in perm)
+    m = (math.prod(comps[ne:ne + split]), math.prod(comps[ne + split:]))
+    out = []
+    for d, a in enumerate(parts):
+        lead = nb + d
+        a = a.transpose(*range(nb), *(lead + k for k in perm[:ne]), *range(nb, lead),
+                        *(lead + k for k in perm[ne:]))
+        out.append(a.reshape(a.shape[:nb + ne] + (1,) * extra + a.shape[nb + ne:ne + lead] + m))
+    return out
 
 
 def jet_einsum(subscripts: str, a: JetArray, b: JetArray) -> JetArray:
     """Einsum of two jets with product-rule propagation of grad and hess.
 
     ``subscripts`` must be a plain two-operand spec over the component axes,
-    like ``'ij,j->i'``, and must not use the reserved letters ``z`` and
-    ``w`` or name ``...``; it runs as ``'ij...,j...->i...'``, item by item
-    over the batch.
+    like ``'ij,j->i'``, with no letter twice in one operand and the output
+    letters in the kernel's order (see :func:`_plan`), and must not use the
+    reserved letters ``z`` and ``w`` or name ``...``; it runs item by item
+    over the broadcast batch.
     """
-    plan = _einsum_plan(subscripts)
-    nout, val = plan[:2]
-    value = np.einsum(val, a.value, b.value)
-    if math.prod(value.shape[nout:]) != 1:
-        return _product_rule(plan, a, b, value)
-    # Over one item, numpy's inner loop can be the contracted axis, where a
-    # float64 sum runs SIMD-unrolled; over a batch it is the batch axis, and
-    # every sum runs in index order.  Two copies of the item give it the
-    # batch's rounding, so a point's jet is its batch item bit for bit.
-    a, b = _twice(a), _twice(b)
-    out = _product_rule(plan, a, b, np.einsum(val, a.value, b.value))
-    at = (slice(None),) * (out.value.ndim - 1) + (0,)
-    return out.map(lambda x: x[at])
-
-
-def _product_rule(plan, a: JetArray, b: JetArray, value: np.ndarray) -> JetArray:
-    """The jet of :func:`jet_einsum` with its value computed: the gradient and
-    hessian by the product rule."""
-    _, _, g1, g2, cross_spec, h1, h2 = plan
-    grad = None
-    hess = None
-    if a.grad is not None and b.grad is not None:
-        grad = np.einsum(g1, a.grad, b.value) + np.einsum(g2, a.value, b.grad)
-        if a.hess is not None and b.hess is not None:
-            cross = np.einsum(cross_spec, a.grad, b.grad)
-            hess = (
-                np.einsum(h1, a.hess, b.value)
-                + np.einsum(h2, a.value, b.hess)
-                + cross
-                + np.swapaxes(cross, -1, -2)
-            )
-    return JetArray(value, grad, hess, a.nvars)
-
-
-def _twice(j: JetArray) -> JetArray:
-    """The jet with one more batch axis, last, holding two copies of it."""
-    nd = j.value.ndim
-    return j.map(lambda x: np.stack([x, x], axis=nd))
+    swap, xplan, yplan, contract, axes, ne = _plan(subscripts)
+    if swap:
+        a, b = b, a
+    dims = tuple((a, b)[o].value.shape[(a, b)[o].nbatch + k] for o, k in axes)
+    out = []
+    for d, part in enumerate(_product(_arranged(a, *xplan), _arranged(b, *yplan), contract)):
+        part = part.reshape(part.shape[:-2] + dims)
+        if ne and d:  # the elementwise axes go behind the derivative axes
+            s = part.ndim - len(dims) - d - ne
+            part = np.ascontiguousarray(part.transpose(
+                *range(s), *range(s + ne, s + ne + d), *range(s, s + ne),
+                *range(s + ne + d, part.ndim)))
+        out.append(part)
+    out += [None] * (3 - len(out))
+    return JetArray(*out, a.nvars, out[0].ndim - len(dims) - ne)
 
 
 def _chain(j: JetArray, f0: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> JetArray:
     """Apply an elementwise function with derivatives f1, f2 at j.value."""
+    nc = j.ncomps
     grad = None
     hess = None
     if j.grad is not None:
-        grad = f1[..., None] * j.grad
+        grad = _d(f1, 1, nc) * j.grad
         if j.hess is not None:
-            outer = j.grad[..., :, None] * j.grad[..., None, :]
-            hess = f1[..., None, None] * j.hess + f2[..., None, None] * outer
-    return JetArray(f0, grad, hess, j.nvars)
+            outer = _d(j.grad, 1, nc + 1) * _d(j.grad, 1, nc)
+            hess = _d(f1, 2, nc) * j.hess + _d(f2, 2, nc) * outer
+    return JetArray(f0, grad, hess, j.nvars, j.nbatch)
 
 
 def sin(j: JetArray) -> JetArray:
@@ -434,8 +597,11 @@ def sqrt(j: JetArray) -> JetArray:
 
 
 def reciprocal(j: JetArray) -> JetArray:
-    v = j.value
-    return _chain(j, 1.0 / v, -1.0 / v**2, 2.0 / v**3)
+    # one division, then products: a complex copy with a zero imaginary part
+    # gets the real jet's bits
+    r = 1.0 / j.value
+    r2 = r * r
+    return _chain(j, r, -r2, 2.0 * (r2 * r))
 
 
 @_quiet
@@ -443,7 +609,8 @@ def powc(j: JetArray, c: Number) -> JetArray:
     if isinstance(c, JetArray):
         return exp(c * log(j))
     if c == 0:
-        return lift(np.ones_like(j.value), j.nvars, j.order)
+        return lift(np.ones(j.shape[j.nbatch:], j.value.dtype), j.nvars, j.order,
+                    j.shape[:j.nbatch])
     if c == 1:
         return j
     v = j.value
@@ -453,24 +620,27 @@ def powc(j: JetArray, c: Number) -> JetArray:
 def jet_inv(j: JetArray) -> JetArray:
     """Inverse of a square-matrix jet (components (k, k)), order preserved.
 
-    Uses d(A^-1) = -A^-1 dA A^-1 and its second-order extension.  A singular
-    value raises :class:`SingularMatrixError` naming its first batch index.
+    Uses d(A^-1) = -A^-1 dA A^-1 and its second-order extension, as chained
+    ``@`` on M = A^-1 dA: the gradient is -M A^-1, and the hessian's cross
+    terms are M_k M_l A^-1.  A singular value raises
+    :class:`SingularMatrixError` naming its first batch index.
     """
-    a = np.moveaxis(j.value, (0, 1), (-2, -1))
+    a = j.value
     try:
-        v = np.moveaxis(np.linalg.inv(a), (-2, -1), (0, 1))
+        v = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         bad = tuple(int(i) for i in np.argwhere(np.linalg.det(a) == 0)[0])
         raise SingularMatrixError(f"singular matrix at batch index {bad}") from None
     grad = None
     hess = None
     if j.grad is not None:
-        grad = -np.einsum("ij...,jk...z,kl...->il...z", v, j.grad, v)
+        m = matmul(v[..., None, :, :], j.grad)  # M_k = A^-1 d_k A
+        grad = -_term(m, 1, v, 0, True)
         if j.hess is not None:
-            t1 = -np.einsum("ij...,jk...zw,kl...->il...zw", v, j.hess, v)
-            t2 = np.einsum("ij...,jk...z,kl...,lm...w,mn...->in...zw", v, j.grad, v, j.grad, v)
-            hess = t1 + t2 + np.swapaxes(t2, -1, -2)
-    return JetArray(v, grad, hess, j.nvars)
+            t1 = -_term(matmul(v[..., None, None, :, :], j.hess), 2, v, 0, True)
+            t2 = -matmul(m[..., None, :, :, :], grad[..., None, :, :])  # [l, k] = M_k M_l A^-1
+            hess = t1 + t2 + np.swapaxes(t2, -3, -4)
+    return JetArray(v, grad, hess, j.nvars, j.nbatch)
 
 
 def extend_vars(j: JetArray, total: int, shape=None, index=None) -> JetArray:
@@ -482,35 +652,36 @@ def extend_vars(j: JetArray, total: int, shape=None, index=None) -> JetArray:
     accepts for ``zeros(shape)[index] = j.value``: a slice, an index list, an
     ``np.ix_`` block, a tuple) into zeros of component shape ``shape``; this
     is how a base-chart component block is placed inside a cone quantity.
-    ``shape`` names the component axes only; the jet's batch axes follow
+    ``shape`` names the component axes only; the jet's batch axes precede
     them.  Without a placement, the value array is shared, not copied.
     """
     if total < j.nvars:
         raise ValueError("cannot shrink the variable count")
-    k = j.nvars
+    k, nb = j.nvars, j.nbatch
+    batch, every = j.shape[:nb], (slice(None),) * nb
     if shape is None:
-        value, lead, at = j.value, j.value.shape, ()
+        value, comps, at = j.value, j.shape[nb:], ()
     else:
         at = index if isinstance(index, tuple) else (index,)
-        block = np.empty(shape)[at].shape
-        lead = tuple(shape) + j.value.shape[len(block):]
-        value = np.zeros(lead, dtype=j.value.dtype)
-        value[at] = j.value
+        comps = tuple(shape)
+        value = np.zeros(batch + comps, dtype=j.value.dtype)
+        value[every + at] = j.value
     grad = None
     hess = None
     if j.grad is not None:
-        grad = np.zeros(lead + (total,), dtype=j.grad.dtype)
-        grad[at + (Ellipsis, slice(k))] = j.grad
+        grad = np.zeros(batch + (total,) + comps, dtype=j.grad.dtype)
+        grad[every + (slice(k),) + at] = j.grad
         if j.hess is not None:
-            hess = np.zeros(lead + (total, total), dtype=j.hess.dtype)
-            hess[at + (Ellipsis, slice(k), slice(k))] = j.hess
-    return JetArray(value, grad, hess, total)
+            hess = np.zeros(batch + (total, total) + comps, dtype=j.hess.dtype)
+            hess[every + (slice(k), slice(k)) + at] = j.hess
+    return JetArray(value, grad, hess, total, nb)
 
 
 def restrict_vars(j: JetArray, keep: int) -> JetArray:
     """Drop trailing variables from a jet (valid when it does not depend on them)."""
     if keep > j.nvars:
         raise ValueError("cannot grow the variable count")
-    grad = None if j.grad is None else j.grad[..., :keep]
-    hess = None if j.hess is None else j.hess[..., :keep, :keep]
-    return JetArray(j.value, grad, hess, keep)
+    every = (slice(None),) * j.nbatch
+    grad = None if j.grad is None else j.grad[every + (slice(keep),)]
+    hess = None if j.hess is None else j.hess[every + (slice(keep), slice(keep))]
+    return JetArray(j.value, grad, hess, keep, j.nbatch)

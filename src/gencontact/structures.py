@@ -504,17 +504,19 @@ def eigen_projector(endo: GtEndoField, eplus: Optional[SectionField] = None,
     n = endo.chart.dim
     cls = GtEndoField if cols is None else F.Field
     cols = slice(None) if cols is None else list(cols)
-    eye = np.eye(2 * n)[:, cols]
+    eye = np.eye(2 * n)[cols]  # row c: the coordinate section u of column c
 
     def fn(p, order):
-        k = J.lift(eye, n, order, p.shape[:-1])
+        u = J.lift(eye, n, order, p.shape[:-1])
         pj = endo.jet(p, order)
         if eplus is None:
-            return 0.5 * (k - 1j * pj[:, cols])
-        ep, em = eplus.jet(p, order), eminus.jet(p, order)
-        k = (k - J.jet_einsum("j,i->ij", F.swap_jet(em)[cols], ep)
-             - J.jet_einsum("j,i->ij", F.swap_jet(ep)[cols], em))
-        return 0.5 * (k - 1j * J.jet_einsum("ij,jk->ik", pj, k))
+            pu = pj[:, cols].moveaxis(0, 1)
+        else:
+            ep, em = eplus.jet(p, order), eminus.jet(p, order)
+            u = (u - J.jet_einsum("j,i->ji", F.swap_jet(em)[cols], ep)
+                 - J.jet_einsum("j,i->ji", F.swap_jet(ep)[cols], em))
+            pu = J.jet_einsum("ij,kj->ki", pj, u)  # P u of each row u on its own
+        return (0.5 * (u - 1j * pu)).moveaxis(0, 1)
 
     return cls(endo.chart, fn)
 
@@ -581,7 +583,7 @@ def frame_nij(jets: Sequence[J.JetArray], n: int) -> J.JetArray:
     at = lambda s, t, u: H[..., (s * m + t) * m + u]
     nij = 0.25 * (((at(i, j, k) - at(j, i, k)) + (at(j, k, i) - at(k, j, i)))
                   + (at(k, i, j) - at(i, k, j)))
-    return J.lift(np.moveaxis(nij, -1, 0), n, 0)
+    return J.lift(nij, n, 0).reshape(nij.shape[-1:], batch)
 
 
 def nij_table(members: Sequence[SectionField]) -> F.Field:

@@ -1,11 +1,13 @@
 """Reference constructions that the tests compare the program against.
 
-The program never calls these: the Lie bracket and the Courant Jacobiator
-on jets, Nij of one triple (the per-triple reference of
-``structures.frame_nij``), the dense R matrix that ``cone``'s diagonal R
-must equal bit for bit, Psi and I' built from tensor pairs (the reference
-of ``cone.i_prime``'s placed entries), and the L+ / L- member lists and the
-span rank of an eigenframe.
+The program never calls these: the product rule of ``jets.jet_einsum`` and
+the inverse of ``jets.jet_inv`` by plain ``np.einsum`` (the references of the
+contraction kernels), the Lie bracket and the Courant Jacobiator on jets,
+Nij of one triple (the per-triple reference of ``structures.frame_nij``),
+the dense R matrix that ``cone``'s diagonal R must equal bit for bit, Psi
+and I' built from tensor pairs (the reference of ``cone.i_prime``'s placed
+entries), jets stacked along a new batch axis, and the L+ / L- member lists
+and the span rank of an eigenframe.
 """
 
 import numpy as np
@@ -13,6 +15,41 @@ import numpy as np
 from gencontact import cone as C
 from gencontact import fields as F
 from gencontact import jets as J
+
+
+def einsum_jet(subscripts: str, a: J.JetArray, b: J.JetArray) -> J.JetArray:
+    """``jets.jet_einsum`` by plain ``np.einsum`` on the batch-first parts: the
+    product rule term by term, hessian entry [l, k] the d_l of gradient [k]."""
+    lhs, out = subscripts.split("->")
+    s1, s2 = (f"...{s}" for s in lhs.split(","))  # w, z (d_w d_z) are not spec letters
+    z1, z2, w2 = s1.replace("...", "...z"), s2.replace("...", "...z"), s2.replace("...", "...w")
+    wz1, wz2 = s1.replace("...", "...wz"), s2.replace("...", "...wz")
+    value = np.einsum(f"{s1},{s2}->...{out}", a.value, b.value)
+    grad = hess = None
+    if a.grad is not None and b.grad is not None:
+        grad = (np.einsum(f"{z1},{s2}->...z{out}", a.grad, b.value)
+                + np.einsum(f"{s1},{z2}->...z{out}", a.value, b.grad))
+        if a.hess is not None and b.hess is not None:
+            cross = np.einsum(f"{z1},{w2}->...wz{out}", a.grad, b.grad)
+            hess = (np.einsum(f"{wz1},{s2}->...wz{out}", a.hess, b.value)
+                    + np.einsum(f"{s1},{wz2}->...wz{out}", a.value, b.hess)
+                    + cross + np.swapaxes(cross, -len(out) - 2, -len(out) - 1))
+    return J.JetArray(value, grad, hess, a.nvars, value.ndim - len(out))
+
+
+def jet_inv_einsum(j: J.JetArray) -> J.JetArray:
+    """``jets.jet_inv`` by the einsum formula: d_k(A^-1) = -A^-1 d_kA A^-1, and
+    d_l d_k(A^-1) = -A^-1 d_ld_kA A^-1 + T[l, k] + T[k, l] with
+    T[l, k] = A^-1 d_kA A^-1 d_lA A^-1."""
+    v = np.linalg.inv(j.value)
+    grad = hess = None
+    if j.grad is not None:
+        grad = -np.einsum("...ij,...kjm,...mn->...kin", v, j.grad, v)
+        if j.hess is not None:
+            t = np.einsum("...ab,...kbc,...cd,...lde,...ef->...lkaf", v, j.grad, v, j.grad, v)
+            hess = (-np.einsum("...ij,...lkjm,...mn->...lkin", v, j.hess, v)
+                    + t + np.swapaxes(t, -3, -4))
+    return J.JetArray(v, grad, hess, j.nvars, j.nbatch)
 
 
 def lie_bracket(x: F.VectorField, y: F.VectorField) -> F.VectorField:
@@ -77,6 +114,13 @@ def i_prime(s, cone) -> F.GtEndoField:
     phi = F.GtEndoField(cone, lambda p, o: J.extend_vars(
         C.base_jet(s.Phi, p, o), N, (2 * N, 2 * N), base))
     return phi + psi(cone, s.Eplus, s.Eminus, s.f)
+
+
+def batch_stack(jets) -> J.JetArray:
+    """Jets of one shape stacked along a new batch axis, in front of their other axes."""
+    parts = [[getattr(j, part) for j in jets] for part in ("value", "grad", "hess")]
+    return J.JetArray(*(None if p[0] is None else np.stack(p) for p in parts), jets[0].nvars,
+                      jets[0].nbatch + 1)
 
 
 def l_plus(frame) -> tuple:

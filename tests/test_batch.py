@@ -8,13 +8,8 @@ from gencontact import fields as F
 from gencontact import gallery
 from gencontact import jets as J
 from gencontact import structures as S
-from oracles import l_plus
+from oracles import batch_stack, l_plus
 from test_demand import _structure_fields
-
-
-def _stacked(jets):
-    """Per-point jets stacked along the batch axis, after their component axes."""
-    return J.stack(jets, axis=jets[0].value.ndim)
 
 
 def _assert_bitwise(batched, stacked, label):
@@ -39,7 +34,7 @@ def test_batched_jets_equal_the_per_point_jets_bit_for_bit(name, order):
     assert len(batched_fields) >= 4
     for (label, fb), (_, fp) in zip(batched_fields, point_fields):
         # the order may fall short of the demand where nesting meets the cap
-        _assert_bitwise(fb.at(pts, order), _stacked([fp.at(p, order) for p in pts]), label)
+        _assert_bitwise(fb.at(pts, order), batch_stack([fp.at(p, order) for p in pts]), label)
 
 
 def _per_point_rows(check, structure, pts):
@@ -98,11 +93,11 @@ def test_frame_nij_over_a_batch_equals_the_per_point_tables(entry):
     members = l_plus(S.eigenframe(s))
     n = s.chart.dim
     table = S.frame_nij([m.jet(pts, 1) for m in members], n).value
-    assert table.shape == (len(S.triples(len(members))), len(pts))
+    assert table.shape == (len(pts), len(S.triples(len(members))))
     for k, p in enumerate(pts):
         single = S.frame_nij([m.jet(p, 1) for m in members], n).value
-        assert single.shape == table.shape[:1]
-        assert np.array_equal(table[:, k], single), k
+        assert single.shape == table.shape[1:]
+        assert np.array_equal(table[k], single), k
 
 
 def test_values_are_a_c_contiguous_batch_first_stack():

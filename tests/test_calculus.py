@@ -6,7 +6,7 @@ import pytest
 from gencontact import fields as F
 from gencontact.charts import box
 from gencontact.exprs import parse_scalar
-from oracles import jac, lie_bracket, nij
+from oracles import batch_stack, jac, lie_bracket, nij
 
 CH = box(3)
 X, Y, Z = (F.coordinate(CH, i) for i in range(3))
@@ -208,15 +208,15 @@ def test_courant_batch_axes_match_per_pair_loop():
     for p in PTS[:3]:
         jets = [m.at(p) for m in members]
         assert all(j.order == 2 for j in jets)
-        frame = J.stack(jets, axis=1)
-        table = F.courant_jets(frame[:, :, None], frame[:, None, :], 3)
-        assert table.shape == (6, 3, 3) and table.order == 1
+        frame = batch_stack(jets)
+        table = F.courant_jets(frame.reshape((6,), (3, 1)), frame.reshape((6,), (1, 3)), 3)
+        assert table.shape == (3, 3, 6) and table.order == 1
         for i, ji in enumerate(jets):
             for k, jk in enumerate(jets):
                 pair = F.courant_jets(ji, jk, 3)
-                assert np.array_equal(table.value[:, i, k], pair.value)
-                assert np.array_equal(table.grad[:, i, k], pair.grad)
-        assert np.abs(table.value + np.swapaxes(table.value, 1, 2)).max() < 1e-12
+                assert np.array_equal(table.value[i, k], pair.value)
+                assert np.array_equal(table.grad[i, k], pair.grad)
+        assert np.abs(table.value + np.swapaxes(table.value, 0, 1)).max() < 1e-12
 
 
 def fd_courant_values(a, b, p, h=1e-6):

@@ -18,11 +18,10 @@ PTS = CH.sample(seed=17, count=BATCH[0])
 
 
 def _random_jet(rng, comps, order, imag=1.0):
-    shape = tuple(comps) + BATCH
-    parts = [rng.normal(size=shape + (N,) * k) + imag * 1j * rng.normal(size=shape + (N,) * k)
-             for k in range(order + 1)]
+    shapes = [BATCH + (N,) * k + tuple(comps) for k in range(order + 1)]
+    parts = [rng.normal(size=shape) + imag * 1j * rng.normal(size=shape) for shape in shapes]
     parts += [None] * (2 - order)
-    return J.JetArray(*parts, N)
+    return J.JetArray(*parts, N, len(BATCH))
 
 
 def _assert_bitwise(a, b):

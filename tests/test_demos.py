@@ -21,8 +21,8 @@ STDOUT_SHA256 = {
     "01_exterior_calculus.py": "715c7cc9982e2a89a0649927a41697b5b809a830ff8979b9d38f04934dc2f782",
     "02_structures_and_transforms.py":
         "62ff4d1857e5b179a318ba18bcb8f60d6fe0a909902f97047f2ddab3ce1c2aa0",
-    "03_cone_and_sasakian.py": "a9e2c1adbfaa8a128df2cba16e9be7e7c0e2e94da468cd877dd58654c87661c8",
-    "04_f_deformations.py": "5a5b79c887eed14c03767662def13a91524eca441db26b45c355d14b7be96ca3",
+    "03_cone_and_sasakian.py": "2bd891d46c8f3f905b8535f27c9a4a6ac06a74b0154d6f6629f92250eba46ae3",
+    "04_f_deformations.py": "42dd04da1d60f6b09a5848c9d1ce3ef0a303fc138e7d11eaabcf4fade681c8f8",
 }
 
 

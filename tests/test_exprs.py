@@ -99,7 +99,7 @@ def tree_walk(node, seed: J.JetArray):
     lifted to a constant jet with the seed's batch shape."""
     kind = node[0]
     if kind == "num":
-        return J.lift(node[1], seed.nvars, seed.order, seed.shape[1:])
+        return J.lift(node[1], seed.nvars, seed.order, J.batch_shape(seed, 1))
     if kind == "coord":
         return seed[node[1]]
     if kind == "neg":
@@ -210,7 +210,7 @@ def test_one_seed_per_component_array(monkeypatch):
     bfield = component_field(F.TwoFormField, CH, [[parse_scalar(t, CH) for t in r] for r in rows])
     seeds = _counting(monkeypatch, "seed_point")
     jet = bfield.jet(POINTS, 2)
-    assert jet.shape == (3, 3, 5) and len(seeds) == 1
+    assert jet.shape == (5, 3, 3) and len(seeds) == 1
     eta = config._expr_vector(F.OneFormField, ["-y", "0.1*x", "1"], CH, "$.eta")
     seeds.clear()
     eta.jet(POINTS, 2)

@@ -232,9 +232,9 @@ def test_heisenberg_reeb_invariance():
 # prints.
 REPORT_SHA256 = {
     "darboux": "929d295a063110bd028d21a2cb2a208c15e9ad13f0530ecc4d68bfebada3b1c7",
-    "heisenberg_sasakian": "5867f29b9c1f43b34c7d970efa0f7c3c56a2d315dd0a9ebbf124b410c62eed03",
-    "heisenberg_cone_kahler": "c5554341398a225baf5525248aec245f7d272c073f120b240aaa0d442332a128",
-    "kahler_interval": "a1073b61fbfdfa7bcf32a53dbb15ff7704f8e588fd55f5c55a0f6fa5ebc1a162",
+    "heisenberg_sasakian": "2c0ea6caca22c9e4b436c604399a930084e5d3cf4b3e25a2403d40eaf5eb61cc",
+    "heisenberg_cone_kahler": "81dfd8dd56cbeab1e25fffbc89aa4f151edc2022b91fec0383c4019668a06c05",
+    "kahler_interval": "fe157ad00618133f6cb6b64dbfde6d1fbe726655023117aea4ce414e9996a57a",
 }
 
 
@@ -285,7 +285,7 @@ DEFORM_CONFIG = {
     "seed": 13,
     "samples": 40,
 }
-DEFORM_SHA256 = "ff6de0fe1d5e5926db7b31da89db4b2eaad2d9f71dc091dc0bc0ee44630bee2f"
+DEFORM_SHA256 = "c7ac7f7f051c06dbf45404f5cc41b87e8d5385e64b8cde76d38d0935648c6536"
 
 
 def test_deform_pipeline_report_bytes_are_pinned(tmp_path):
@@ -307,7 +307,7 @@ B_NORMALIZE_CONFIG = {
     "seed": 13,
     "samples": 40,
 }
-B_NORMALIZE_SHA256 = "7dcab85845bd43b66a38d4f9de8df41a1f1cd946263f36fa584360915bff07b1"
+B_NORMALIZE_SHA256 = "be70250603c43fb1672e63d248a7a9f52def250e2f3095f2aad37b9db2c95adb"
 
 
 def test_b_field_normalize_report_bytes_are_pinned(tmp_path):
@@ -340,8 +340,8 @@ B_GACM_CONFIGS = {
     },
 }
 B_GACM_SHA256 = {
-    "from_acs": "e32f87ec540b9b82c0f452d1a1d1d4d9c02c942811b3f7657ed84c3e41ac67d2",
-    "kahler_interval": "274bcd2cc07cd12bf09e29280b498c7a1d32f4ffc4c751f4df06e5b07eef07e3",
+    "from_acs": "3c18a7dca594c46feac157e94d4be43f9deba9dd42b268aaeef90bcbb4b224c2",
+    "kahler_interval": "73dea6a64364a01f820c159d4e5f6c53bbe01a4049b5269d0c407a2bbc327ac4",
 }
 
 

@@ -198,8 +198,8 @@ def test_pair_jets_share_the_pointwise_swap():
 
     The swap copies the same elements as the half concatenation it replaced,
     bit for bit, and the pairing equals gta.pair on the batch-first values at
-    orders 0, 1 and 2.  np.einsum (jets) and matmul (gta) order the 2n-term
-    sum differently, so dense values agree to a dot-product rounding bound.
+    orders 0, 1 and 2, within a dot-product rounding bound (and bit for bit:
+    see test_pair_jets_equal_gta_pair_bit_for_bit).
     """
     n = 3
 
@@ -224,6 +224,32 @@ def test_pair_jets_share_the_pointwise_swap():
             got = F.pair_jets(a.at(PTS, order), b.at(PTS, order)).value
             assert np.array_equal(got, F.pair_jets(ja, jb).value)
             assert np.all(np.abs(got - want) <= 4 * n * eps * scale)
+
+
+def test_pair_jets_equal_gta_pair_bit_for_bit():
+    """fields.pair_jets and gta.pair run one arithmetic form, the row-times-column
+    jets.matmul: dense random sections, real and complex, at several batch
+    shapes, and the kahler_interval eigenframe pairs give the same bits."""
+    from itertools import combinations
+
+    from gencontact import gallery
+
+    rng = np.random.default_rng(19)
+    n = 3
+    for batch in ((), (1,), (5,), (2, 3)):
+        for imag in (0.0, 1.0):
+            a, b = (rng.normal(size=batch + (2 * n,)) + imag * 1j * rng.normal(size=batch + (2 * n,))
+                    for _ in range(2))
+            ja, jb = (J.JetArray(v, None, None, n, len(batch)) for v in (a, b))
+            assert np.array_equal(F.pair_jets(ja, jb).value, pair(a, b))
+    s = gallery.build("kahler_interval")["gacs"]
+    points = s.chart.sample(seed=7, count=7)
+    members = s.frame.members
+    for order in (0, 2):
+        jets = [m.jet(points, order) for m in members]
+        for i, k in combinations(range(len(members)), 2):
+            want = pair(members[i].values(points), members[k].values(points))
+            assert np.array_equal(F.pair_jets(jets[i], jets[k]).value, want), (order, i, k)
 
 
 def test_endo_apply_is_linear():

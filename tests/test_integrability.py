@@ -17,7 +17,7 @@ from gencontact import integrability as I
 from gencontact import jets as J
 from gencontact import structures as S
 from gencontact.charts import ConeChart
-from oracles import l_minus, l_plus, lie_bracket
+from oracles import batch_stack, l_minus, l_plus, lie_bracket
 
 DARBOUX = gallery.build("darboux")
 HEIS = gallery.build("heisenberg_sasakian")
@@ -220,6 +220,11 @@ def nij_mismatches(table, ref, jets) -> list:
     return [t for t, v in enumerate(ref) if np.abs(table[t] - v).max() > 1e-13 * scale]
 
 
+def nij_rows(jets, n):
+    """frame_nij's table with its triple axis first, as the references lay it out."""
+    return np.moveaxis(S.frame_nij(jets, n).value, -1, 0)
+
+
 def frame_nij_gap(members, points) -> float:
     """Assert frame_nij equals the per-triple nij_jets loop at every point, up to
     ``nij_mismatches``; return the table's largest entry."""
@@ -315,7 +320,8 @@ def random_sections(n, batch, seed) -> list:
     def dense(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    return [J.JetArray(dense(2 * n, *batch), dense(2 * n, *batch, n), None, n) for _ in range(10)]
+    return [J.JetArray(dense(*batch, 2 * n), dense(*batch, n, 2 * n), None, n, len(batch))
+            for _ in range(10)]
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
@@ -334,7 +340,7 @@ def test_frame_nij_matches_the_per_triple_loop_on_random_sections(n, batch, seed
     ref = {tri: F.nij_jets(*(jets[i] for i in tri), n).value for tri in combinations(range(10), 3)}
     for m in range(3, 11):
         triples = list(combinations(range(m), 3))
-        table = S.frame_nij(jets[:m], n).value
+        table = nij_rows(jets[:m], n)
         assert table.shape == (len(triples), *batch)
         assert nij_mismatches(table, [ref[tri] for tri in triples], jets[:m]) == [], (m, n)
 
@@ -343,9 +349,10 @@ def ordered_pairs_nij(jets, n):
     """The reference table: every ordered pair (p, q) bracketed on an (m, m) grid,
     and each triple summed as P[i, j, k] + P[j, k, i] + P[k, i, j]."""
     m = len(jets)
-    frame = J.stack(jets, axis=1)
-    brackets = F.courant_jets(frame[:, :, None], frame[:, None, :], n).value
-    P = 0.5 * np.einsum("ipq...,ir...->pqr...", gta.swap(brackets, 0), frame.value)
+    frame, batch = batch_stack(jets), J.batch_shape(jets[0], 1)
+    brackets = F.courant_jets(frame.reshape((2 * n,), (m, 1) + batch),
+                              frame.reshape((2 * n,), (1, m) + batch), n).value
+    P = 0.5 * np.einsum("pq...i,r...i->pqr...", gta.swap(brackets), frame.value)
     i, j, k = np.array(list(combinations(range(m), 3))).T
     return (1.0 / 3.0) * ((P[i, j, k] + P[j, k, i]) + P[k, i, j])
 
@@ -376,7 +383,7 @@ def test_pair_table_matches_the_ordered_pairs_table_on_the_fixtures():
     for s in frame_structures():
         for members, points, n in nij_frames(s, s.chart.sample(seed=3, count=4)):
             jets = [m.jet(points, 1) for m in members]
-            table, ref = S.frame_nij(jets, n).value, ordered_pairs_nij(jets, n)
+            table, ref = nij_rows(jets, n), ordered_pairs_nij(jets, n)
             assert table.shape == ref.shape
             assert nij_mismatches(table, ref, jets) == [], (s, n)
 
@@ -407,7 +414,7 @@ def test_pair_table_matches_the_ordered_pairs_table_on_generated_forms(case):
     except ValueError:
         assume(False)
     jets = [m.jet(sample, 1) for m in frame.members]
-    table, ref = S.frame_nij(jets, s.chart.dim).value, ordered_pairs_nij(jets, s.chart.dim)
+    table, ref = nij_rows(jets, s.chart.dim), ordered_pairs_nij(jets, s.chart.dim)
     assert table.shape == ref.shape
     assert nij_mismatches(table, ref, jets) == []
 
@@ -418,11 +425,11 @@ def gathered_pairs_nij(jets, n):
     courant_jets call."""
     m = len(jets)
     first, second = np.triu_indices(m, 1)
-    left = J.stack([jets[p] for p in first], axis=1)
-    right = J.stack([jets[q] for q in second], axis=1)
+    left = batch_stack([jets[p] for p in first])
+    right = batch_stack([jets[q] for q in second])
     brackets = F.courant_jets(left, right, n).value
-    frame = np.stack([j.value for j in jets], axis=1)
-    P = 0.5 * np.einsum("ip...,ir...->pr...", gta.swap(brackets, 0), frame)
+    frame = np.stack([j.value for j in jets])
+    P = 0.5 * np.einsum("p...i,r...i->pr...", gta.swap(brackets), frame)
     at = np.zeros((m, m), dtype=int)
     at[first, second] = np.arange(len(first))
     i, j, k = np.array(list(combinations(range(m), 3))).T
@@ -434,7 +441,7 @@ def prefix_tables_match(members, points, n) -> set:
     up to ``nij_mismatches``, for every m >= 3; return the sizes m checked."""
     jets = [mb.jet(points, 1) for mb in members]
     for m in range(3, len(jets) + 1):
-        table, ref = S.frame_nij(jets[:m], n).value, gathered_pairs_nij(jets[:m], n)
+        table, ref = nij_rows(jets[:m], n), gathered_pairs_nij(jets[:m], n)
         assert table.shape == ref.shape, (n, m)
         assert nij_mismatches(table, ref, jets[:m]) == [], (n, m)
     return set(range(3, len(jets) + 1))
@@ -487,7 +494,7 @@ def test_frame_nij_peak_stays_under_2mb(peak_bytes):
     jets = [m.jet(C.cone_points(s.chart.sample(seed=5, count=8), C.DEFAULT_TS), 1)
             for m in members]
     table, peak = peak_bytes(S.frame_nij, jets, cone.dim)
-    assert table.value.shape == (56, 24)
+    assert table.value.shape == (24, 56)
     assert peak <= 2 * 10**6, peak
 
 

@@ -106,7 +106,7 @@ def test_jet_inv_derivatives():
         e = np.zeros(2)
         e[d] = h
         fd = (np.linalg.inv(mat(p + e)) - np.linalg.inv(mat(p - e))) / (2 * h)
-        assert np.allclose(inv.grad[..., d].real, fd, atol=1e-7)
+        assert np.allclose(inv.grad[d].real, fd, atol=1e-7)
     # identity A A^-1 = id with exact derivative data
     prod = J.jet_einsum("ij,jk->ik", m, inv)
     assert np.abs(prod.value - np.eye(2)).max() < 1e-13
@@ -134,13 +134,15 @@ def test_order_degrades_through_products():
     assert prod.hess is None
 
 
-def random_jet(rng, shape, nvars, order):
+def random_jet(rng, shape, nvars, order, nbatch=0):
+    """A random complex jet whose value has ``shape``, its first ``nbatch`` axes the batch."""
     def draw(s):
         return rng.normal(size=s) + 1j * rng.normal(size=s)
 
-    grad = draw(shape + (nvars,)) if order >= 1 else None
-    hess = draw(shape + (nvars, nvars)) if order >= 2 else None
-    return J.JetArray(draw(shape), grad, hess, nvars)
+    batch, comps = shape[:nbatch], shape[nbatch:]
+    grad = draw(batch + (nvars,) + comps) if order >= 1 else None
+    hess = draw(batch + (nvars, nvars) + comps) if order >= 2 else None
+    return J.JetArray(draw(shape), grad, hess, nvars, nbatch)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -150,10 +152,10 @@ def test_extend_vars_matches_np_pad(order):
     assert out.nvars == 5 and out.order == order
     assert out.value is j.value
     if order >= 1:
-        want = np.pad(j.grad, [(0, 0), (0, 0), (0, 2)])
+        want = np.pad(j.grad, [(0, 2), (0, 0), (0, 0)])
         assert out.grad.dtype == want.dtype and np.array_equal(out.grad, want)
     if order >= 2:
-        want = np.pad(j.hess, [(0, 0), (0, 0), (0, 2), (0, 2)])
+        want = np.pad(j.hess, [(0, 2), (0, 2), (0, 0), (0, 0)])
         assert out.hess.dtype == want.dtype and np.array_equal(out.hess, want)
 
     # placements: a cone-section vector, an np.ix_ endo block, one column
@@ -170,12 +172,14 @@ def test_extend_vars_matches_np_pad(order):
         want[index] = j.value
         assert np.array_equal(out.value, want)
         if order >= 1:
-            want = np.zeros(shape + (4,), dtype=complex)
-            want[index] = np.pad(j.grad, [(0, 0)] * len(comp) + [(0, 1)])
+            want = np.zeros((4,) + shape, dtype=complex)
+            want[(slice(None),) + np.index_exp[index]] = np.pad(
+                j.grad, [(0, 1)] + [(0, 0)] * len(comp))
             assert np.array_equal(out.grad, want)
         if order >= 2:
-            want = np.zeros(shape + (4, 4), dtype=complex)
-            want[index] = np.pad(j.hess, [(0, 0)] * len(comp) + [(0, 1), (0, 1)])
+            want = np.zeros((4, 4) + shape, dtype=complex)
+            want[(slice(None),) * 2 + np.index_exp[index]] = np.pad(
+                j.hess, [(0, 1), (0, 1)] + [(0, 0)] * len(comp))
             assert np.array_equal(out.hess, want)
 
 
@@ -183,15 +187,16 @@ def test_jet_einsum_derivative_first_matches_per_item():
     """A derivative-first operand over a batch, as dshift lays it out, with a
     plain spec: each item equals the unbatched product."""
     rng = np.random.default_rng(7)
-    a = random_jet(rng, (3, 4), 3, 2)
-    m = random_jet(rng, (3, 4, 3), 3, 2).moveaxis(2, 0)  # (j, i, batch)
+    a = random_jet(rng, (4, 3), 3, 2, nbatch=1)
+    m = random_jet(rng, (4, 3, 3), 3, 2, nbatch=1).moveaxis(1, 0)  # (batch, j, i)
     out = J.jet_einsum("j,ji->i", a, m)
-    assert out.shape == (3, 4)
+    assert out.shape == (4, 3)
     for b in range(4):
-        item = J.jet_einsum("j,ji->i", a[:, b], m[:, :, b])
-        assert np.array_equal(out[:, b].value, item.value)
-        assert np.array_equal(out[:, b].grad, item.grad)
-        assert np.array_equal(out[:, b].hess, item.hess)
+        item = J.jet_einsum("j,ji->i", J.take_batch(a, b, ()), J.take_batch(m, b, ()))
+        got = J.take_batch(out, b, ())
+        assert np.array_equal(got.value, item.value)
+        assert np.array_equal(got.grad, item.grad)
+        assert np.array_equal(got.hess, item.hess)
 
 
 def test_dshift_puts_the_derivative_axis_first_as_a_view():
@@ -200,8 +205,8 @@ def test_dshift_puts_the_derivative_axis_first_as_a_view():
     assert d.shape == (3, 2, 5) and d.order == 1
     assert np.shares_memory(d.value, j.grad) and np.shares_memory(d.grad, j.hess)
     for k in range(3):
-        assert np.array_equal(d.value[k], j.grad[..., k])
-        assert np.array_equal(d.grad[k], j.hess[..., k, :])
+        assert np.array_equal(d[k].value, j.grad[k])
+        assert np.array_equal(d[k].grad, j.hess[:, k])
 
 
 def test_jet_einsum_refuses_an_ellipsis_spec():
@@ -215,7 +220,7 @@ def test_jet_einsum_refuses_an_ellipsis_spec():
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_concat_none_parts_equal_explicit_zeros(order):
     rng = np.random.default_rng(order)
-    a, b = random_jet(rng, (2, 2, 4), 3, order), random_jet(rng, (2, 2, 4), 3, order)
+    a, b = random_jet(rng, (4, 2, 2), 3, order, 1), random_jet(rng, (4, 2, 2), 3, order, 1)
     zero = J.lift(np.zeros((2, 2)), 3, order, (4,))
     for parts, axis in (([a, None], 0), ([None, b], 0), ([None, a, None, b], 1)):
         got = J.concat(parts, axis)
@@ -236,8 +241,8 @@ def test_parts_put_the_batch_axes_first_as_views():
     value, grad, hess = J.parts(j, 2)
     assert value.shape == (4, 5, 3, 3) and grad.shape == (4, 5, 3, 3, 3)
     assert hess.shape == (4, 5, 3, 3, 3, 3)
-    assert np.array_equal(value, np.moveaxis(j.value, (2, 3), (0, 1)))
-    assert np.array_equal(hess, np.moveaxis(j.hess, (2, 3), (0, 1)))
+    assert np.array_equal(value, j.value)
+    assert np.array_equal(hess, np.moveaxis(j.hess, (3, 2), (-2, -1)))
     assert np.shares_memory(grad, j.grad)
     assert len(J.parts(j.truncate(0), 2)) == 1
     (single,) = J.parts(J.seed_point(p[0, 0], 3, 0), 0)
@@ -267,12 +272,12 @@ def test_only_jets_reads_the_parts_of_a_jet():
 def test_jet_inv_of_a_singular_matrix_names_its_first_singular_batch_index():
     """numpy's LinAlgError is not a ValueError; jet_inv raises one that names
     the first batch item whose matrix is singular, and inverts the rest as before."""
-    stack = np.stack([np.eye(2), [[2.0, 1.0], [1.0, 1.0]]], axis=-1)
-    inv = J.jet_inv(J.lift(stack, 3, 1))
-    assert np.array_equal(J.parts(inv, 1)[0], np.linalg.inv(np.moveaxis(stack, -1, 0)))
-    singular = np.stack([stack, np.zeros((2, 2, 2)), 0 * stack], axis=-1)
+    stack = np.stack([np.eye(2), [[2.0, 1.0], [1.0, 1.0]]])
+    inv = J.jet_inv(J.lift(stack, 3, 1).reshape((2, 2), (2,)))
+    assert np.array_equal(J.parts(inv, 1)[0], np.linalg.inv(stack))
+    singular = np.stack([stack, np.zeros((2, 2, 2)), 0 * stack], axis=1)
     with pytest.raises(J.SingularMatrixError, match=r"batch index \(0, 1\)$"):
-        J.jet_inv(J.lift(singular, 3, 2))
+        J.jet_inv(J.lift(singular, 3, 2).reshape((2, 2), (2, 3)))
     assert issubclass(J.SingularMatrixError, ValueError)
 
 
@@ -293,12 +298,12 @@ def real_jet_cases(draw):
 
 def real_jet(rng, comps, batch, nvars, low=None):
     """A random real order-2 jet; with ``low``, its value is at least ``low``."""
-    shape = tuple(comps) + tuple(batch)
-    value = rng.normal(size=shape)
+    batch, comps = tuple(batch), tuple(comps)
+    value = rng.normal(size=batch + comps)
     if low is not None:
         value = low + np.abs(value)
-    return J.JetArray(value, rng.normal(size=shape + (nvars,)),
-                      rng.normal(size=shape + (nvars, nvars)), nvars)
+    return J.JetArray(value, rng.normal(size=batch + (nvars,) + comps),
+                      rng.normal(size=batch + (nvars, nvars) + comps), nvars, len(batch))
 
 
 def as_complex(j):
@@ -362,6 +367,5 @@ def test_real_jets_match_complex_jets_to_rounding_in_division_and_functions(case
                lambda x: J.powc(x, 2.5), lambda x: J.powc(x, -0.5), lambda x: x ** 3):
         compare(fn, pos, ulps=4)
     m = real_jet(rng, (n, n), batch, nvars)
-    m = J.JetArray(m.value * 0.1 + 2 * np.eye(n).reshape((n, n) + (1,) * len(batch)),
-                   m.grad, m.hess, nvars)
+    m = J.JetArray(m.value * 0.1 + 2 * np.eye(n), m.grad, m.hess, nvars, len(batch))
     compare(J.jet_inv, m, ulps=4)
