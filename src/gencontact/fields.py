@@ -400,13 +400,13 @@ def c_transform(omega: Field, phi: MatrixField) -> Field:
     _same_chart(omega, phi)
     cls = type(omega)
     rest = "bc"[:k - 1]
-    sub = f"a{rest},ai->{rest}i"
+    sub = f"{rest}a,ai->{rest}i"
 
     def fn(p, order):
         out = omega.jet(p, order)
         jp = phi.jet(p, order)
         for slot in range(k):
-            out = J.jet_einsum(sub, out.moveaxis(slot, 0), jp).moveaxis(k - 1, slot)
+            out = J.jet_einsum(sub, out.moveaxis(slot, k - 1), jp).moveaxis(k - 1, slot)
         return out
 
     return cls(omega.chart, fn)
@@ -426,15 +426,15 @@ def courant_jets(ja: JetArray, jb: JetArray, n: int) -> JetArray:
     dx, da = J.dshift(x), J.dshift(a)
     dy, db = J.dshift(y), J.dshift(b)
     # b_i d_j X^i and a_i d_j Y^i enter both the Lie derivatives and the exact term
-    bdx = J.jet_einsum("i,ji->j", b, dx)
-    ady = J.jet_einsum("i,ji->j", a, dy)
+    bdx = J.jet_einsum("ji,i->j", dx, b)
+    ady = J.jet_einsum("ji,i->j", dy, a)
     # L_X b - L_Y a - d(i_X b - i_Y a)/2, with L_X b = X^i d_i b_j + b_i d_j X^i
     # and d(i_X b - i_Y a)_j = d_j(X^i b_i - Y^i a_i)
     form = (
         (J.jet_einsum("i,ij->j", x, db) + bdx)
         - (J.jet_einsum("i,ij->j", y, da) + ady)
-        - 0.5 * (bdx + J.jet_einsum("i,ji->j", x, db) - ady
-                 - J.jet_einsum("i,ji->j", y, da))
+        - 0.5 * (bdx + J.jet_einsum("ji,i->j", db, x) - ady
+                 - J.jet_einsum("ji,i->j", da, y))
     )
     vec = J.jet_einsum("j,ji->i", x, dy) - J.jet_einsum("j,ji->i", y, dx)
     return J.concat([vec, form])

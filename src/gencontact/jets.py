@@ -26,14 +26,16 @@ with :func:`parts` (derivative axes last) and place the batch with
 :func:`concat` (a ``None`` part is zero) act on the component axes, counted
 from the front.
 
-:func:`jet_einsum` takes plain two-operand specs over the component axes.
-Each product-rule term is one broadcasting ``*`` (no contracted letter) or
-``@`` (:func:`matmul`, rows of the first operand against columns of the
-second), with an operand's derivative axes folded into its rows, so one
-call serves a whole batch.  Letters both operands keep run as batch axes,
-and so do the second operand's own letters in front of its contracted ones:
-it is a stack of vectors, each multiplied as it would be alone (the columns
-of ``'ij,kj->ki'`` have the bits of ``'ij,j->i'``).  The matrices are
+:func:`jet_einsum` takes two-operand specs over the component axes in one
+kernel form (see :func:`_plan`): the first operand lists its rows, then the
+summed letters; the second its stacked letters, the summed letters and its
+columns; the output the stacked letters, the rows and the columns.  Each
+product-rule term is one broadcasting ``*`` (no summed letter: an outer or
+scalar product) or ``@`` (:func:`matmul`, rows of the first operand against
+columns of the second), with an operand's derivative axes folded into its
+rows, so one call serves a whole batch.  A stacked second operand is a stack
+of vectors, each multiplied as it would be alone: each ``k`` of
+``'ij,kj->ki'`` has the bits of ``'ij,j->i'``.  The matrices are
 C-contiguous, so numpy runs the same BLAS call on a point as on each batch
 item and a point's jet is its batch item bit for bit; a complex ``@`` is
 assembled from real ones, so a real jet has the real part's bits of its
@@ -157,10 +159,10 @@ class JetArray:
                         len(batch))
 
     def moveaxis(self, src: int, dst: int) -> "JetArray":
-        """Move a component axis (``src`` and ``dst`` count from the front), as
-        ``np.moveaxis`` views."""
+        """Move a component axis (``src`` and ``dst`` count from the front, a
+        negative one from the back), as ``np.moveaxis`` views."""
         order = list(range(self.ncomps))
-        order.insert(dst, order.pop(src))
+        order.insert(range(self.ncomps)[dst], order.pop(src))
         return self._at(lambda a, lead: a.transpose(*range(lead), *(lead + k for k in order)))
 
     def _pad(self, ncomps: int) -> "JetArray":
@@ -448,21 +450,18 @@ def _product(x: list, y: list, contract: bool) -> list:
 
 
 @functools.lru_cache(maxsize=256)
-def _plan(subscripts: str):
-    """How :func:`jet_einsum` runs a spec: whether the operands swap, their
-    arrangements (see :func:`_arranged`), whether a letter is contracted, the
-    component axes of the rows and columns (as operand and axis) and the
-    count of elementwise axes.
+def _plan(subscripts: str) -> tuple:
+    """The counts (stacked, rows, summed) of a spec in the kernel form of
+    :func:`jet_einsum`; any other spec raises ``ValueError`` naming that form.
 
-    Letters of both operands that the output keeps are elementwise, and so
-    are the second operand's own letters in front of its contracted ones (it
-    is a stack of vectors); its letters after them are the columns of a
-    matrix.  The output lists the elementwise letters, then the rows, then
-    the columns; a contraction whose first operand has no rows puts a stack
-    of vectors first, a matrix-vector product.
+    The summed letters are the letters both operands name, and the output
+    names none of them.  The first operand lists its rows, then the summed
+    letters; the second lists its stacked letters, then the summed letters
+    in the same order, then its columns; the output lists the stacked
+    letters, the rows, then the columns.  Only a first operand with rows
+    takes a stack: a matrix times a vector is written ``'ji,i->j'``.  With
+    no summed letter there is no stack, an outer or scalar product.
     """
-    if "z" in subscripts or "w" in subscripts:
-        raise ValueError("subscripts must not use reserved letters z/w")
     if "." in subscripts:
         raise ValueError(f"subscripts {subscripts!r} must name the component axes only: "
                          "the batch axes are appended to every operand as its leading axes")
@@ -471,83 +470,62 @@ def _plan(subscripts: str):
     if len(set(s1)) < len(s1) or len(set(s2)) < len(s2) or set(out) - set(s1 + s2):
         raise ValueError(f"subscripts {subscripts!r}: a letter repeats in an operand "
                          "or the output names a letter no operand has")
-
-    def layout(s1, s2):
-        summed = "".join(c for c in s1 if c in s2 and c not in out)
-        elem = "".join(c for c in s1 if c in s2 and c in out)
-        first = min((s2.index(c) for c in summed), default=0)
-        stacked = "".join(c for c in s2[:first] if c not in s1)
-        rows = "".join(c for c in s1 if c not in s2)
-        cols = "".join(c for c in s2 if c not in s1 and c not in stacked)
-        ne = len(elem + stacked)
-        return (elem + stacked + rows + cols, stacked,
-                (tuple(s1.index(c) for c in elem + rows + summed), len(elem), len(stacked),
-                 len(rows)), (tuple(s2.index(c) for c in elem + stacked + summed + cols),
-                              ne, 0, len(summed)), bool(summed),
-                tuple((0, s1.index(c)) for c in rows) + tuple((1, s2.index(c)) for c in cols), ne)
-
-    plans = [(False, *layout(s1, s2))]
-    if any(c in s2 and c not in out for c in s1):  # a contraction may take either order
-        swapped = (True, *layout(s2, s1))
-        plans.insert(0 if set(s1) <= set(s2) and plans[0][2] else 1, swapped)
-    for swap, natural, _, *plan in plans:
-        if natural == out:
-            return (swap, *plan)
-    raise ValueError(f"subscripts {subscripts!r}: the output must list the kept letters, the "
-                     "second operand's stacked letters, the rows, then the columns")
+    nsum = sum(c in s2 for c in s1)
+    rows, summed = s1[:len(s1) - nsum], s1[len(s1) - nsum:]
+    at = s2.find(summed)
+    stacked, cols = s2[:at], s2[at + nsum:]
+    if at < 0 or (stacked and not rows) or out != stacked + rows + cols:
+        raise ValueError(f"subscripts {subscripts!r} are not in the kernel form 'rows summed,"
+                         "stacked summed columns->stacked rows columns', summed the letters both "
+                         "operands name, with a stack only against rows")
+    return len(stacked), len(rows), nsum
 
 
-_ORDERED = [tuple(range(k)) for k in range(32)]  # the permutations that move nothing
-
-
-def _arranged(j: JetArray, perm, ne: int, extra: int, split: int) -> list:
-    """The parts of ``j`` with its component axes permuted by ``perm``: the
-    first ``ne`` moved in front of the derivative axes and followed by
-    ``extra`` size-1 axes, the rest merged into two axes, the first ``split``
-    of them into the first (either may be size 1)."""
+def _arranged(j: JetArray, front: int, extra: int, split: int) -> list:
+    """The parts of ``j`` with its first ``front`` component axes moved in front
+    of the derivative axes and followed by ``extra`` size-1 axes, and its other
+    component axes merged into two, the first ``split`` of them into the first
+    (either may be size 1)."""
     nb = j.nbatch
     parts = (j.value,) if j.grad is None else (j.value, j.grad) if j.hess is None else (
         j.value, j.grad, j.hess)
-    if not (ne or extra) and perm == _ORDERED[len(perm)]:
-        comps = j.value.shape[nb:]
-        m = (math.prod(comps[:split]), math.prod(comps[split:]))
-        return parts if comps == m else [a.reshape(a.shape[:a.ndim - len(perm)] + m)
+    comps = j.value.shape[nb + front:]
+    m = (math.prod(comps[:split]), math.prod(comps[split:]))
+    if not (front or extra):
+        return parts if comps == m else [a.reshape(a.shape[:a.ndim - len(comps)] + m)
                                          for a in parts]
-    comps = tuple(j.value.shape[nb + k] for k in perm)
-    m = (math.prod(comps[ne:ne + split]), math.prod(comps[ne + split:]))
     out = []
     for d, a in enumerate(parts):
         lead = nb + d
-        a = a.transpose(*range(nb), *(lead + k for k in perm[:ne]), *range(nb, lead),
-                        *(lead + k for k in perm[ne:]))
-        out.append(a.reshape(a.shape[:nb + ne] + (1,) * extra + a.shape[nb + ne:ne + lead] + m))
+        a = a.transpose(*range(nb), *range(lead, lead + front), *range(nb, lead),
+                        *range(lead + front, a.ndim))
+        out.append(a.reshape(a.shape[:nb + front] + (1,) * extra
+                             + a.shape[nb + front:front + lead] + m))
     return out
 
 
 def jet_einsum(subscripts: str, a: JetArray, b: JetArray) -> JetArray:
     """Einsum of two jets with product-rule propagation of grad and hess.
 
-    ``subscripts`` must be a plain two-operand spec over the component axes,
-    like ``'ij,j->i'``, with no letter twice in one operand and the output
-    letters in the kernel's order (see :func:`_plan`), and must not use the
-    reserved letters ``z`` and ``w`` or name ``...``; it runs item by item
-    over the broadcast batch.
+    ``subscripts`` names the component axes only, with no letter twice in
+    one operand, in the kernel form of :func:`_plan` (``'ij,jk->ik'``,
+    ``'ji,i->j'``, ``'ij,kj->ki'``, ``'i,j->ij'``, ...); it runs item by
+    item over the broadcast batch.
     """
-    swap, xplan, yplan, contract, axes, ne = _plan(subscripts)
-    if swap:
-        a, b = b, a
-    dims = tuple((a, b)[o].value.shape[(a, b)[o].nbatch + k] for o, k in axes)
+    ns, nr, nsum = _plan(subscripts)
+    dims = a.shape[a.nbatch:a.nbatch + nr] + b.shape[b.nbatch + ns + nsum:]
     out = []
-    for d, part in enumerate(_product(_arranged(a, *xplan), _arranged(b, *yplan), contract)):
+    for d, part in enumerate(_product(_arranged(a, 0, ns, nr), _arranged(b, ns, 0, nsum),
+                                      nsum > 0)):
         part = part.reshape(part.shape[:-2] + dims)
-        if ne and d:  # the elementwise axes go behind the derivative axes
-            s = part.ndim - len(dims) - d - ne
+        if ns and d:  # the stacked axes go behind the derivative axes
+            s = part.ndim - len(dims) - d - ns
             part = np.ascontiguousarray(part.transpose(
-                *range(s), *range(s + ne, s + ne + d), *range(s, s + ne),
-                *range(s + ne + d, part.ndim)))
+                *range(s), *range(s + ns, s + ns + d), *range(s, s + ns),
+                *range(s + ns + d, part.ndim)))
         out.append(part)
     out += [None] * (3 - len(out))
-    return JetArray(*out, a.nvars, out[0].ndim - len(dims) - ne)
+    return JetArray(*out, a.nvars, out[0].ndim - len(dims) - ns)
 
 
 def _chain(j: JetArray, f0: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> JetArray:

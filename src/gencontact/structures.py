@@ -317,7 +317,7 @@ def gacs_from_contact(eta: OneFormField, check_points=None) -> Gacs:
         # the +-Phi ambiguity is invisible to every axiom, and only this
         # orientation makes the cone lift of the warped Kaehler example
         # integrable alongside Psi's displayed block matrix.
-        pi = J.jet_einsum("kl,ki->il", deta, rho_inv)
+        pi = J.jet_einsum("ik,kl->il", rho_inv.moveaxis(0, 1), deta)
         pi = J.jet_einsum("il,lj->ij", pi, rho_inv)
         return F.block_jet(None, -pi.moveaxis(0, 1), -deta.moveaxis(0, 1), None)
 

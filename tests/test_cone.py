@@ -228,8 +228,8 @@ def dense_r_inv(cone):
     """R^-1 as a (2N, 2N) jet matrix: its diagonal times a lifted identity."""
     N = cone.dim
     diag = C._r_pow(cone, -1)
-    return F.GtEndoField(cone, lambda p, o: J.jet_einsum(
-        "i,ij->ij", diag.jet(p, o), J.lift(np.eye(2 * N), N, o, p.shape[:-1])))
+    return F.GtEndoField(cone, lambda p, o: diag.jet(p, o)[:, None]
+                         * J.lift(np.eye(2 * N), N, o, p.shape[:-1]))
 
 
 def assert_jets_equal(a, b, parts, what):

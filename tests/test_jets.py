@@ -209,6 +209,24 @@ def test_dshift_puts_the_derivative_axis_first_as_a_view():
         assert np.array_equal(d[k].grad, j.hess[:, k])
 
 
+def test_moveaxis_matches_np_moveaxis_on_every_part():
+    """Every src, dst in [-nc, nc): each batch and derivative item of each part
+    moves its component axes as np.moveaxis moves them, and the parts are views."""
+    rng = np.random.default_rng(11)
+    j = random_jet(rng, (2, 2, 3, 4), 2, 2, nbatch=1)
+    nc = j.ncomps
+    for src in range(-nc, nc):
+        for dst in range(-nc, nc):
+            got = j.moveaxis(src, dst)
+            for part, lead in (("value", 1), ("grad", 2), ("hess", 3)):
+                a, g = getattr(j, part), getattr(got, part)
+                assert np.shares_memory(g, a)
+                for idx in np.ndindex(*a.shape[:lead]):
+                    want = np.moveaxis(a[idx], src, dst)
+                    assert g[idx].shape == want.shape and np.array_equal(g[idx], want), (
+                        src, dst, part)
+
+
 def test_jet_einsum_refuses_an_ellipsis_spec():
     rng = np.random.default_rng(7)
     a = random_jet(rng, (3, 4), 3, 1)
@@ -343,7 +361,7 @@ def test_real_jets_equal_the_real_part_of_complex_jets_bit_for_bit(case):
         compare(functools.partial(J.jet_einsum, spec), x, y)
     # derivative-first operands, as the Courant bracket contracts them
     c = real_jet(rng, (nvars,), batch, nvars)
-    compare(lambda x, y: J.jet_einsum("i,ji->j", x, J.dshift(y)), a, b)
+    compare(lambda x, y: J.jet_einsum("ji,i->j", J.dshift(y), x), a, b)
     compare(lambda x, y: J.jet_einsum("j,ji->i", x, J.dshift(y)), c, a)
     compare(lambda x, y: J.stack([x, y], axis=1), a, b)
     compare(lambda x, y: J.concat([x, None, y]), a, b)

@@ -2,6 +2,7 @@
 np.einsum, and a guard that every spec the package passes is tested here."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +17,13 @@ BATCHES = [(), (1,), (3,), (2, 2)]
 #: every spec the package passes to jets.jet_einsum (test_every_spec_of_the_package_is_tested)
 SPECS = (
     "i,i->", ",i->i", "i,j->ij", "j,i->ji", "i,jk->ijk",  # pairings, scalings, outer products
-    "ij,j->i", "i,ji->j", "i,ij->j", "j,ji->i", "i,ijk->jk",  # matrix-vector, interiors, Courant
-    "ij,jk->ik", "ik,kj->ij", "il,lj->ij", "kl,ki->il", "ij,kj->ki",  # matrix products
-    "a,ai->i", "ab,ai->bi", "abc,ai->bci",  # fields.c_transform, one form slot at a time
+    "ij,j->i", "ji,i->j", "i,ij->j", "j,ji->i", "i,ijk->jk",  # matrix-vector, interiors, Courant
+    "ij,jk->ik", "ik,kj->ij", "il,lj->ij", "ik,kl->il", "ij,kj->ki",  # matrix products
+    "a,ai->i", "ba,ai->bi", "bca,ai->bci",  # fields.c_transform, one form slot at a time
 )
 #: the specs of the call sites that build their spec: function name -> specs
 BUILT = {"interior_jet": ("i,i->", "i,ij->j", "i,ijk->jk"),
-         "c_transform": ("a,ai->i", "ab,ai->bi", "abc,ai->bci")}
+         "c_transform": ("a,ai->i", "ba,ai->bi", "bca,ai->bci")}
 
 
 def random_jet(rng, comps, batch, nvars, imag):
@@ -137,7 +138,8 @@ def test_jet_inv_matches_the_einsum_formula(k):
 def einsum_sites():
     """The literal specs of every jets.jet_einsum call in the package, and per
     top-level function (or method) whose call builds its spec, the plain spec
-    strings that function holds."""
+    strings that function holds and a pattern for each f-string spec it holds
+    (its formatted values read as any letters)."""
     src = Path(J.__file__).parent
     literal, built = set(), {}
     for path in sorted(src.glob("*.py")):
@@ -146,7 +148,8 @@ def einsum_sites():
         tops += [f for c in tree.body if isinstance(c, ast.ClassDef) for f in c.body
                  if isinstance(f, ast.FunctionDef)]
         for fn in tops:
-            pieces = {id(v) for f in ast.walk(fn) if isinstance(f, ast.JoinedStr) for v in f.values}
+            fstrings = [f for f in ast.walk(fn) if isinstance(f, ast.JoinedStr)]
+            pieces = {id(v) for f in fstrings for v in f.values}
             for node in ast.walk(fn):
                 if not (isinstance(node, ast.Call) and "jet_einsum" in (
                         getattr(node.func, "attr", None), getattr(node.func, "id", None))):
@@ -154,23 +157,47 @@ def einsum_sites():
                 if isinstance(node.args[0], ast.Constant):
                     literal.add(node.args[0].value)
                 else:
-                    built[f"{path.name}:{fn.name}"] = {
-                        c.value for c in ast.walk(fn) if isinstance(c, ast.Constant)
-                        and isinstance(c.value, str) and "->" in c.value and id(c) not in pieces}
+                    held = {c.value for c in ast.walk(fn) if isinstance(c, ast.Constant)
+                            and isinstance(c.value, str) and "->" in c.value
+                            and id(c) not in pieces}
+                    patterns = ["".join(re.escape(v.value) if isinstance(v, ast.Constant)
+                                        else "[a-z]*" for v in f.values) for f in fstrings
+                                if any(isinstance(v, ast.Constant) and "->" in v.value
+                                       for v in f.values)]
+                    built[f"{path.name}:{fn.name}"] = (held, patterns)
     return literal, built
 
 
 def test_every_spec_of_the_package_is_tested():
     """An ast scan of src/: every literal spec passed to jet_einsum is in SPECS,
     and every call that builds its spec sits in a function of BUILT whose
-    listed specs (all of them in SPECS) cover the spec strings it holds."""
+    listed specs (all of them in SPECS) cover the spec strings it holds.  Both
+    ways: every entry of SPECS is still written in src/, as a literal or in
+    BUILT, and every entry of BUILT is still written in its function, as a
+    plain string or by one of its f-strings."""
     literal, built = einsum_sites()
     assert literal and literal - set(SPECS) == set(), sorted(literal - set(SPECS))
-    for site, held in built.items():
+    for site, (held, patterns) in built.items():
         name = site.split(":")[1]
         assert name in BUILT, f"{site} builds a jet_einsum spec; list its specs in BUILT"
         assert held <= set(BUILT[name]) and set(BUILT[name]) <= set(SPECS), site
+        stale = [s for s in BUILT[name]
+                 if s not in held and not any(re.fullmatch(p, s) for p in patterns)]
+        assert not stale, (site, stale)
     assert set(BUILT) == {site.split(":")[1] for site in built}
+    written = literal.union(*BUILT.values())
+    assert set(SPECS) <= written, sorted(set(SPECS) - written)
+
+
+def test_jet_einsum_refuses_specs_outside_the_kernel_form():
+    """A kept letter, a summed letter in front of a row, a stack against no
+    rows and an output out of the kernel's order are refused by name."""
+    rng = np.random.default_rng(0)
+    v, m = random_jet(rng, (3,), (), 3, False), random_jet(rng, (3, 3), (), 3, False)
+    for spec, x, y in (("i,ij->ij", v, m), ("kl,ki->il", m, m), ("i,ji->j", v, m),
+                       ("ij,kj->ik", m, m)):
+        with pytest.raises(ValueError, match="kernel form"):
+            J.jet_einsum(spec, x, y)
 
 
 def test_jet_einsum_refuses_repeated_and_unknown_letters():
